@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench fmt-check metrics-check replay-check fleet-check gameday concury-check series-check reconcile-check ci clean
+.PHONY: all build test vet race fmt-check gameday check ci clean
 
 all: build test
 
@@ -11,7 +11,7 @@ fmt-check:
 
 # The full gate: build, vet, formatting, unit tests, then the race-checked
 # packages. Runs staticcheck too when it is installed.
-ci: build vet fmt-check test race metrics-check replay-check fleet-check gameday concury-check series-check reconcile-check
+ci: build vet fmt-check test race gameday check
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else echo "staticcheck not installed; skipping"; fi
@@ -34,76 +34,13 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./internal/sim/ ./internal/eval/ ./internal/flowtable/ ./internal/cluster/ ./internal/core/ ./internal/workload/trace/ ./internal/scenario/ ./internal/metrics/ ./internal/controlplane/ ./internal/bgp/
 
-# Runs the packet-path microbenchmarks (single node and the 3-node /
-# 8-node / sharded cluster variants) and records ns/op, B/op and allocs/op
-# for each as a JSON array in BENCH_packetpath.json for tracking across
-# commits. The 3s benchtime amortizes process cold-start so recorded
-# numbers are stable. The guard test runs first, against the *committed*
-# baseline: it re-measures BenchmarkClusterPath and fails the target if the
-# single-engine cluster path regressed more than 10%.
-bench:
-	ALBATROSS_BENCH_GUARD=1 $(GO) test -run '^TestBenchGuard$$' -benchtime 3s -v .
-	$(GO) test -run '^$$' -bench 'BenchmarkPacketPath|BenchmarkClusterPath' -benchtime 3s -benchmem . | tee /dev/stderr | \
-	awk 'BEGIN { n = 0 } \
-	/^Benchmark(Packet|Cluster)Path/ { \
-		if (n++) printf ",\n"; else printf "[\n"; \
-		printf "  {\n    \"benchmark\": \"%s\",\n    \"ns_per_op\": %s,\n    \"bytes_per_op\": %s,\n    \"allocs_per_op\": %s\n  }", \
-			$$1, $$3, $$5, $$7 } \
-	END { if (n) printf "\n]\n" }' > BENCH_packetpath.json
-	@cat BENCH_packetpath.json
-
-# Determinism gate for the metrics export: the same fixed-seed run, twice,
-# must write byte-for-byte identical Prometheus and JSON snapshots — at any
-# parallelism, on both the single-node and cluster paths.
-metrics-check: build
-	@tmp=$$(mktemp -d); rc=0; \
-	$(GO) run ./cmd/albatross-sim -flows 20000 -rate 1e6 -duration 50ms -seed 7 -metrics-out $$tmp/n1 >/dev/null 2>&1; \
-	$(GO) run ./cmd/albatross-sim -flows 20000 -rate 1e6 -duration 50ms -seed 7 -metrics-out $$tmp/n2 >/dev/null 2>&1; \
-	cmp $$tmp/n1.prom $$tmp/n2.prom && cmp $$tmp/n1.json $$tmp/n2.json || rc=1; \
-	$(GO) run ./cmd/albatross-sim -nodes 3 -flows 20000 -rate 1e6 -duration 50ms -seed 7 -metrics-out $$tmp/c1 >/dev/null 2>&1; \
-	$(GO) run ./cmd/albatross-sim -nodes 3 -flows 20000 -rate 1e6 -duration 50ms -seed 7 -metrics-out $$tmp/c2 >/dev/null 2>&1; \
-	cmp $$tmp/c1.prom $$tmp/c2.prom && cmp $$tmp/c1.json $$tmp/c2.json || rc=1; \
-	rm -rf $$tmp; \
-	if [ $$rc -ne 0 ]; then echo "metrics-check: exports differ across identical runs"; exit 1; fi; \
-	echo "metrics-check: single-node and cluster exports byte-identical"
-
-# Replay-fidelity gate: record a short fixed-seed cluster run into a trace,
-# replay the trace against a freshly built identical cluster, and require the
-# metrics exports and per-node outcome reports to match byte for byte.
-replay-check: build
-	@tmp=$$(mktemp -d); rc=0; \
-	$(GO) run ./cmd/albatross-sim -nodes 3 -flows 5000 -rate 5e5 -duration 30ms -seed 7 \
-		-record $$tmp/run.trace -metrics-out $$tmp/rec -outcome-out $$tmp/rec.outcome >/dev/null 2>&1; \
-	$(GO) run ./cmd/albatross-sim -nodes 3 -flows 5000 -rate 5e5 -duration 30ms -seed 7 \
-		-replay $$tmp/run.trace -metrics-out $$tmp/rep -outcome-out $$tmp/rep.outcome >/dev/null 2>&1; \
-	cmp $$tmp/rec.prom $$tmp/rep.prom && cmp $$tmp/rec.json $$tmp/rep.json || rc=1; \
-	$(GO) run ./cmd/albatross-sim -replay-diff $$tmp/rec.outcome,$$tmp/rep.outcome >/dev/null || rc=1; \
-	rm -rf $$tmp; \
-	if [ $$rc -ne 0 ]; then echo "replay-check: replay diverged from the recorded run"; exit 1; fi; \
-	echo "replay-check: replayed run byte-identical to the recorded run"
-
-# Region-scale smoke gate: a 1000-node cluster run completes under a tight
-# wall-clock budget, and its stdout is byte-identical on the single shared
-# engine (-shards 1) and on four shard engines (-shards 4) — the sharded
-# execution tentpole at fleet width. The 1MB cache model keeps 1000-node
-# construction cheap; a NodeCrash mid-run exercises the cross-shard fault
-# sync path at scale.
-FLEET_FLAGS = -nodes 1000 -cache-mb 1 -flows 10000 -rate 2e6 -duration 30ms -seed 3 \
-	-fault nodecrash@10ms,node=17,dur=40ms
-fleet-check: build
-	@tmp=$$(mktemp -d); rc=0; \
-	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
-	timeout 240 $$tmp/asim $(FLEET_FLAGS) -shards 1 > $$tmp/s1.txt 2>/dev/null || rc=1; \
-	timeout 240 $$tmp/asim $(FLEET_FLAGS) -shards 4 > $$tmp/s4.txt 2>/dev/null || rc=1; \
-	cmp $$tmp/s1.txt $$tmp/s4.txt || rc=1; \
-	rm -rf $$tmp; \
-	if [ $$rc -ne 0 ]; then echo "fleet-check: 1000-node run failed or diverged across shard counts"; exit 1; fi; \
-	echo "fleet-check: 1000-node output byte-identical at shards=1 and shards=4"
-
 # Gameday gate: every committed scenario must validate, run with all of
 # its declared assertions passing, and print byte-identical stdout on a
-# repeat run (the per-scenario assertions already cover shard-count and
-# replay identity where the scenario declares them).
+# repeat run. The per-scenario assertions cover the rest where a scenario
+# declares them: byte_identity compares outcome reports, which carry an
+# FNV-64a of the full Prometheus export (the metrics determinism gate),
+# across repeat runs and shard counts (regionscale: 1000 nodes at shards 1
+# and 4); replay_identity is the record/replay fidelity gate (record-replay).
 gameday: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
@@ -119,56 +56,42 @@ gameday: build
 	if [ $$rc -ne 0 ]; then echo "gameday: scenario gate failed"; exit 1; fi; \
 	echo "gameday: all scenarios passed, stdout repeat-identical"
 
-# Flow-table backend gate: the concury experiment in quick mode — backend
-# assignment agreement, zero-disruption pool updates, the session-vs-othello
-# memory cost ratio, and cluster byte-identity at shards 1 and 4 with the
-# othello backend and burst dispatch enabled. albatross-bench exits non-zero
-# when any shape check fails.
-concury-check:
-	@$(GO) run ./cmd/albatross-bench -exp concury -quick >/dev/null || \
-		{ echo "concury-check: experiment checks failed (run: go run ./cmd/albatross-bench -exp concury -quick)"; exit 1; }
-	@echo "concury-check: othello/session backend checks passed"
-
-# Control-plane gate: the reconcile drills run through the dedicated
-# `reconcile` subcommand — the desired-state reconciler sequences every
-# canary weight shift, rolling drain, and fleet reshape over real eBGP
-# proxy sessions, and each scenario's own assertions demand zero loss,
-# convergence within one snapshot tick, and byte identity across shard
-# counts (and record<->replay where declared). A -plan dry run smokes the
-# diff path too.
-reconcile-check: build
+# The gates that need more than `albatross-sim run DRILL`, one row each,
+# "name|command"; a row passes when its command exits 0 within its timeout.
+#   reconcile-*  the control-plane drills through the dedicated `reconcile`
+#                subcommand (assertions demand zero loss, one-tick convergence,
+#                shard and record<->replay identity), plus a -plan dry run of
+#                the diff path.
+#   series-*     the convergence drill's sampled timeline must export
+#                byte-identical CSV and JSON across a repeat run, shards 1 vs
+#                3, and dispatch burst 1 vs 8 — the axes the timeline's
+#                tick-boundary epoch barrier promises not to perturb.
+#   concury      the flow-table backend experiment in quick mode: backend
+#                agreement, zero-disruption pool updates, the session-vs-othello
+#                memory ratio, cluster byte-identity with othello + burst.
+check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
-	for f in scenarios/reconcile-canary.yaml scenarios/reconcile-drain.yaml scenarios/reconcile-scale.yaml; do \
-		timeout 240 $$tmp/asim reconcile $$f > $$tmp/out 2>/dev/null \
-			|| { echo "reconcile-check: $$f FAILED"; rc=1; continue; }; \
-		tail -1 $$tmp/out; \
-	done; \
-	$$tmp/asim reconcile -plan scenarios/reconcile-canary.yaml >/dev/null || rc=1; \
-	rm -rf $$tmp; \
-	if [ $$rc -ne 0 ]; then echo "reconcile-check: control-plane gate failed"; exit 1; fi; \
-	echo "reconcile-check: reconcile drills converged loss-free"
-
-# Timeline determinism gate: the convergence drill's sampled series must
-# export byte-for-byte identical CSV and JSON across a repeat run, across
-# shard counts (1 vs 3), and across dispatch burst sizes (per-packet vs
-# burst 8) — the three axes the timeline's tick-boundary epoch barrier
-# promises not to perturb.
-series-check: build
-	@tmp=$$(mktemp -d); rc=0; \
-	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
-	for v in "base -series-out XX/a" "repeat -series-out XX/b" "shards -shards 3 -series-out XX/c" "burst -burst 8 -series-out XX/d"; do \
-		set -- $$v; name=$$1; shift; \
-		timeout 240 $$tmp/asim run $$(echo "$$@" | sed "s|XX|$$tmp|g") scenarios/convergence-drill.yaml >/dev/null 2>&1 \
-			|| { echo "series-check: $$name run failed"; rc=1; }; \
-	done; \
-	for f in b c d; do \
-		cmp $$tmp/a.csv $$tmp/$$f.csv && cmp $$tmp/a.json $$tmp/$$f.json \
-			|| { echo "series-check: series export $$f diverged from base"; rc=1; }; \
+	asim="timeout 240 $$tmp/asim"; conv=scenarios/convergence-drill.yaml; \
+	same() { cmp $$tmp/a.csv $$tmp/$$1.csv && cmp $$tmp/a.json $$tmp/$$1.json; }; \
+	for row in \
+		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
+		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
+		"reconcile-scale|$$asim reconcile scenarios/reconcile-scale.yaml" \
+		"reconcile-plan|$$asim reconcile -plan scenarios/reconcile-canary.yaml" \
+		"series-base|$$asim run -series-out $$tmp/a $$conv" \
+		"series-repeat|$$asim run -series-out $$tmp/b $$conv && same b" \
+		"series-shards|$$asim run -shards 3 -series-out $$tmp/c $$conv && same c" \
+		"series-burst|$$asim run -burst 8 -series-out $$tmp/d $$conv && same d" \
+		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
+	; do \
+		name=$${row%%|*}; cmd=$${row#*|}; \
+		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \
+		else echo "check: $$name FAILED: $$cmd"; rc=1; fi; \
 	done; \
 	rm -rf $$tmp; \
-	if [ $$rc -ne 0 ]; then echo "series-check: timeline exports not byte-identical"; exit 1; fi; \
-	echo "series-check: series byte-identical across repeat, shards 1/3, burst 1/8"
+	if [ $$rc -ne 0 ]; then echo "check: gate failed"; exit 1; fi; \
+	echo "check: all rows passed"
 
 clean:
-	rm -f BENCH_packetpath.json albatross-bench
+	rm -f albatross-bench

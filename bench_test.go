@@ -1,6 +1,7 @@
 // Benchmarks that regenerate the paper's tables and figures. One benchmark
 // per table/figure (quick scale; run cmd/albatross-bench for the full-
-// scale reproduction), plus end-to-end packet-path microbenchmarks.
+// scale reproduction). Packet-path and cluster-path cost per simulated
+// packet is measured by the repo benchmark: go run ./bench.
 //
 //	go test -bench=. -benchmem
 package albatross
@@ -117,227 +118,3 @@ func benchEval(b *testing.B, parallelism int) {
 
 func BenchmarkEvalSerial(b *testing.B)   { benchEval(b, 1) }
 func BenchmarkEvalParallel(b *testing.B) { benchEval(b, runtime.NumCPU()) }
-
-// BenchmarkPacketPath measures the end-to-end virtual packet path
-// (inject -> classify -> PLB dispatch -> core -> service -> reorder ->
-// egress) in real ns per simulated packet.
-func BenchmarkPacketPath(b *testing.B) {
-	node, err := NewNode(NodeConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	pod, err := node.AddPod(PodConfig{
-		Spec:  PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows: ServiceFlows(flows, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pod.Inject(flows[i%len(flows)], 256)
-		if i%256 == 255 {
-			node.Engine.Run()
-		}
-	}
-	node.Engine.Run()
-	b.StopTimer()
-	if pod.Tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-}
-
-// BenchmarkPacketPathTraced is BenchmarkPacketPath with the flight
-// recorder tracing EVERY packet (TraceSampleEvery=1) instead of the
-// default 1-in-1024 sampling: the worst-case observability overhead. Must
-// stay 0 allocs/op — journeys come from the recorder's pool.
-func BenchmarkPacketPathTraced(b *testing.B) {
-	node, err := NewNode(NodeConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	pod, err := node.AddPod(PodConfig{
-		Spec:             PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows:            ServiceFlows(flows, 0),
-		TraceSampleEvery: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pod.Inject(flows[i%len(flows)], 256)
-		if i%256 == 255 {
-			node.Engine.Run()
-		}
-	}
-	node.Engine.Run()
-	b.StopTimer()
-	if pod.Tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-	if pod.Flight().Sampled == 0 {
-		b.Fatal("flight recorder sampled nothing")
-	}
-}
-
-// BenchmarkPacketPathBurst is BenchmarkPacketPath with burst-batched
-// dispatch (WithBurst(32)): back-to-back injections share one NIC arrival
-// event per 32 packets and complete through arithmetic CPU admission plus
-// one per-pod drain event instead of three events per packet. Must stay
-// 0 allocs/op; the acceptance bar is ≥25% fewer ns/op than
-// BenchmarkPacketPath on the same host.
-func BenchmarkPacketPathBurst(b *testing.B) {
-	node, err := NewNode(NodeConfig{Seed: 1, Burst: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	pod, err := node.AddPod(PodConfig{
-		Spec:  PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows: ServiceFlows(flows, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pod.Inject(flows[i%len(flows)], 256)
-		if i%256 == 255 {
-			node.Engine.Run()
-		}
-	}
-	node.Engine.Run()
-	b.StopTimer()
-	if pod.Tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-}
-
-// BenchmarkPacketPathOthello is BenchmarkPacketPath through Node.Ingress
-// with the stateless Othello flow-table backend steering every packet: the
-// backend's two-array lookup rides in front of the legacy per-packet path.
-func BenchmarkPacketPathOthello(b *testing.B) {
-	node, err := NewNode(NodeConfig{Seed: 1, FlowBackend: "othello"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	pod, err := node.AddPod(PodConfig{
-		Spec:  PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows: ServiceFlows(flows, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		node.Ingress(flows[i%len(flows)], 256)
-		if i%256 == 255 {
-			node.Engine.Run()
-		}
-	}
-	node.Engine.Run()
-	b.StopTimer()
-	if pod.Tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-}
-
-// BenchmarkPacketPathRecorded is BenchmarkPacketPath with a trace recorder
-// wrapped around the pod sink, capturing every injection into the in-memory
-// schedule. Must stay 0 allocs/op steady-state — the recorder appends
-// value-type events into an amortized-growth slice.
-func BenchmarkPacketPathRecorded(b *testing.B) {
-	node, err := NewNode(NodeConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	pod, err := node.AddPod(PodConfig{
-		Spec:  PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows: ServiceFlows(flows, 0),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := NewTraceRecorder(node.Engine)
-	sink := rec.WrapSink(pod.Sink())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink(flows[i%len(flows)], 256)
-		if i%256 == 255 {
-			node.Engine.Run()
-		}
-	}
-	node.Engine.Run()
-	b.StopTimer()
-	if pod.Tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-	if rec.Events() != b.N {
-		b.Fatalf("recorded %d events, injected %d", rec.Events(), b.N)
-	}
-}
-
-// benchClusterPath drives the cluster packet path — consistent-hash ECMP
-// spray plus the full per-node staged pipeline — at the given width and
-// shard count.
-func benchClusterPath(b *testing.B, nodes, shards int) {
-	cl, err := NewCluster(WithSeed(1), WithNodes(nodes), WithShards(shards))
-	if err != nil {
-		b.Fatal(err)
-	}
-	flows := GenerateFlows(10000, 100, 1)
-	if err := cl.AddPod(PodConfig{
-		Spec:  PodSpec{Name: "gw", Service: VPCVPC, DataCores: 8, CtrlCores: 2},
-		Flows: ServiceFlows(flows, 0),
-	}); err != nil {
-		b.Fatal(err)
-	}
-	sink := cl.Sink()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink(flows[i%len(flows)], 256)
-		// Drain with bounded virtual time, not Engine.Run: the members'
-		// BFD probe grids re-arm forever, so the event queue never empties.
-		if i%256 == 255 {
-			cl.RunFor(Millisecond)
-		}
-	}
-	cl.RunFor(Millisecond)
-	b.StopTimer()
-	var tx uint64
-	for _, m := range cl.Members() {
-		for _, pr := range m.Node.Pods() {
-			tx += pr.Tx
-		}
-	}
-	if tx == 0 {
-		b.Fatal("no packets emitted")
-	}
-}
-
-// BenchmarkClusterPath measures the cluster path through a 3-node cluster
-// on the single shared engine (shards pinned to 1 so the number tracks the
-// same code path across hosts). The delta over BenchmarkPacketPath is the
-// cluster layer's per-packet cost.
-func BenchmarkClusterPath(b *testing.B) { benchClusterPath(b, 3, 1) }
-
-// BenchmarkClusterPath8 is the 8-node single-engine baseline for the
-// sharded comparison below: same width, shards=1.
-func BenchmarkClusterPath8(b *testing.B) { benchClusterPath(b, 8, 1) }
-
-// BenchmarkClusterPathSharded is the 8-node cluster on auto shards
-// (min(GOMAXPROCS, 8) shard engines). Against BenchmarkClusterPath8 it
-// shows the conservative-parallel speedup; on a single-core host the two
-// tie (auto resolves to 1 shard) and the delta is the protocol overhead.
-func BenchmarkClusterPathSharded(b *testing.B) { benchClusterPath(b, 8, 0) }

@@ -1,440 +1,63 @@
-// Command albatross-sim runs Albatross gateway simulations — a workbench
-// for exploring the platform outside the canned paper experiments.
-//
-// The primary entry point is the declarative scenario runner:
+// Command albatross-sim runs Albatross gateway simulations from declarative
+// scenario files — the one interface to the fleet simulator:
 //
 //	albatross-sim run scenarios/node-crash.yaml
 //	albatross-sim validate scenarios/*.yaml
-//	albatross-sim replay-diff outcome-a.txt outcome-b.txt
 //	albatross-sim reconcile scenarios/reconcile-canary.yaml
+//	albatross-sim replay-diff outcome-a.txt outcome-b.txt
 //
 // A scenario file declares the fleet, workload, timed fault script, and an
 // assertions block; `run` executes it and exits non-zero when an assertion
-// fails. Legacy flat-flag mode is preserved: invoking albatross-sim without
-// a subcommand behaves exactly as before, and each flag's --help text names
-// the scenario field it maps to.
+// fails. `run` takes override flags (-nodes, -shards, -burst, -metrics-out,
+// ...) for one-off variations of a committed drill.
 //
-//	albatross-sim -service vpc-internet -mode plb -cores 8 -flows 100000 \
-//	              -rate 4e6 -duration 500ms -limiter
+// Exit codes: 0 success, 1 a scenario failed to load, run or hold its
+// assertions (or replay-diff found a difference), 2 bad command line.
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
-
-	"albatross"
-	"albatross/internal/packet"
 )
 
-var serviceNames = map[string]albatross.ServiceType{
-	"vpc-vpc":          albatross.VPCVPC,
-	"vpc-internet":     albatross.VPCInternet,
-	"vpc-idc":          albatross.VPCIDC,
-	"vpc-cloudservice": albatross.VPCCloudService,
-}
-
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "run":
-			runScenarioCmd(os.Args[2:])
-			return
-		case "validate":
-			validateScenarioCmd(os.Args[2:])
-			return
-		case "replay-diff":
-			replayDiffSubCmd(os.Args[2:])
-			return
-		case "reconcile":
-			reconcileCmd(os.Args[2:])
-			return
-		case "help", "--help":
-			printTopUsage(os.Stdout)
-			fmt.Fprintln(os.Stdout, "\nLegacy flat-flag mode (no subcommand):")
-			flag.CommandLine.SetOutput(os.Stdout)
-			legacyFlags()
-			flag.PrintDefaults()
-			return
-		}
-	}
-	legacyMain()
-}
-
-// printTopUsage lists the subcommands; the legacy flags are appended by
-// the caller.
-func printTopUsage(w *os.File) {
-	fmt.Fprint(w, `Usage:
+const usage = `Usage:
   albatross-sim run [overrides] scenario.yaml     execute a declarative gameday scenario
   albatross-sim validate scenario.yaml...         load-check scenarios without running them
-  albatross-sim replay-diff [-shards N] A B       compare two outcome reports (exit 1 on diff)
   albatross-sim reconcile [-plan] scenario.yaml   run (or -plan: dry-run) a desired-state reconcile drill
-  albatross-sim [flags]                           legacy flat-flag single run
+  albatross-sim replay-diff [-shards N] A B       compare two outcome reports (exit 1 on diff)
 
-Each legacy flag's help names the scenario field it maps to, e.g.
--cores 8 is "fleet.cores: 8" in a scenario file.
-`)
+Run "albatross-sim <subcommand> -h" for a subcommand's flags.
+`
+
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"run":         runCmd,
+	"validate":    validateCmd,
+	"reconcile":   reconcileCmd,
+	"replay-diff": replayDiffCmd,
 }
 
-// legacyFlags registers the flat-flag surface on the global FlagSet. Each
-// usage string ends with the scenario field the flag maps onto — the
-// migration path from flag soup to a committed scenario file.
-func legacyFlags() *legacyArgs {
-	a := &legacyArgs{}
-	a.svcName = flag.String("service", "vpc-vpc", "gateway service: vpc-vpc | vpc-internet | vpc-idc | vpc-cloudservice [scenario: fleet.service]")
-	a.modeName = flag.String("mode", "plb", "load balancing: plb | rss [scenario: fleet.mode]")
-	a.cores = flag.Int("cores", 8, "data cores for the pod [scenario: fleet.cores]")
-	a.flows = flag.Int("flows", 100000, "concurrent flows [scenario: workload.flows]")
-	a.tenants = flag.Int("tenants", 1000, "tenant count (VNIs) [scenario: workload.tenants]")
-	a.rate = flag.Float64("rate", 2e6, "offered packets/second [scenario: workload.rate]")
-	a.duration = flag.Duration("duration", 200*time.Millisecond, "virtual run time [scenario: duration]")
-	a.seed = flag.Uint64("seed", 1, "simulation seed [scenario: seed]")
-	a.limiter = flag.Bool("limiter", false, "enable tenant overload rate limiting [scenario: fleet.limiter]")
-	a.denied = flag.Float64("acl-denied", 0, "fraction of flows ACL-denied (0..1) [scenario: workload.acl_denied]")
-	a.report = flag.Bool("report", false, "print the full node report at the end [scenario: observability.report]")
-	a.pcapOut = flag.String("pcap", "", "write a sample of generated traffic (first 1000 packets) to this pcap file [scenario: n/a, flag only]")
-	a.autoFB = flag.Bool("autofallback", false, "arm the reorder-timeout watchdog that falls back PLB->RSS [scenario: fleet.auto_fallback]")
-	a.nodes = flag.Int("nodes", 1, "gateway servers; >1 deploys a cluster behind consistent-hash ECMP [scenario: fleet.nodes]")
-	a.shards = flag.Int("shards", 0, "engine shards for a cluster: 0 = auto (min(GOMAXPROCS, nodes)), 1 = single shared engine; stdout is byte-identical at any value [scenario: fleet.shards]")
-	a.cacheMB = flag.Int("cache-mb", 0, "per-NUMA L3 cache model size in MiB (0 = model default 100; shrink for 1000-node fleets) [scenario: fleet.cache_mb]")
-	a.backend = flag.String("backend", "", "node flow-table backend steering flows to pods: session | othello (empty = legacy first-pod) [scenario: fleet.backend]")
-	a.burst = flag.Int("burst", 0, "burst-batched dispatch size; >1 shares one NIC event per burst, 0/1 = per-packet path [scenario: fleet.burst]")
-	a.metrics = flag.String("metrics-out", "", "write the final metrics snapshot to PREFIX.prom and PREFIX.json [scenario: observability.metrics_out]")
-	a.recordOut = flag.String("record", "", "record the injection schedule to this trace file (plus a .json header sidecar) [scenario: observability.record]")
-	a.replayIn = flag.String("replay", "", "replay a trace file instead of generating traffic (-rate is ignored; -duration still bounds the run) [scenario: workload.replay]")
-	a.replayDiff = flag.String("replay-diff", "", "compare two outcome report files A,B (from -outcome-out); exits 1 when they differ [subcommand: replay-diff A B]")
-	a.outcomeOut = flag.String("outcome-out", "", "write the per-node outcome report to this file (works from 1 node up) [scenario: observability.outcome_out]")
-	a.traceDump = flag.String("trace-dump", "", "write committed flight-recorder journeys to PREFIX.journeys.json [scenario: observability.trace_dump]")
-	a.metricsAddr = flag.String("metrics-listen", "", "after the run, serve the frozen metrics snapshot at http://ADDR/metrics (blocks) [scenario: n/a, flag only]")
-	a.snapshotEvery = flag.Duration("snapshot-every", 0, "sample a telemetry timeline every this much virtual time (cluster path; 0 disables) [scenario: observability.snapshot_every]")
-	a.seriesOut = flag.String("series-out", "", "write the sampled timeline to PREFIX.csv and PREFIX.json (implies cluster path; needs -snapshot-every) [scenario: observability.series_out]")
-	a.traceSample = flag.Int("trace-sample", 0, "flight-record every Nth packet (0 disables; -trace-dump and trigger flags default it to 64) [scenario: observability.trace_sample]")
-	a.trigLat = flag.Duration("trace-latency-over", 0, "flight-recorder trigger: commit journeys slower than this end to end [scenario: observability.trace_latency_over]")
-	a.trigVNI = flag.Int("trace-vni", -1, "flight-recorder trigger: commit journeys of this tenant VNI [scenario: observability.trace_vni]")
-	a.trigFault = flag.Bool("trace-fault-window", false, "flight-recorder trigger: commit journeys overlapping a fault activation window [scenario: observability.trace_fault_window]")
-	flag.Var(&a.ff, "fault", "inject a fault, repeatable: kind@time[,k=v...] e.g. corefail@20ms,core=2,dur=10ms (see cmd/albatross-sim/faults.go) [scenario: events]")
-	return a
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// realMain dispatches to a subcommand and returns the process exit code.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	if cmd, ok := subcommands[args[0]]; ok {
+		return cmd(args[1:], stdout, stderr)
+	}
+	switch name := args[0]; {
+	case name == "help" || name == "-h" || name == "-help" || name == "--help":
+		fmt.Fprint(stdout, usage)
+		return 0
+	case strings.HasPrefix(name, "-"):
+		fmt.Fprintf(stderr, "albatross-sim: no flat-flag mode (%s): declare the run in a scenario file and use `albatross-sim run [overrides] scenario.yaml`\n", name)
+	default:
+		fmt.Fprintf(stderr, "albatross-sim: unknown subcommand %q\n", name)
+	}
+	fmt.Fprint(stderr, usage)
+	return 2
 }
-
-// legacyArgs holds the parsed flat-flag surface.
-type legacyArgs struct {
-	svcName, modeName                            *string
-	cores, flows, tenants                        *int
-	rate, denied                                 *float64
-	duration                                     *time.Duration
-	seed                                         *uint64
-	limiter, report, autoFB, trigFault           *bool
-	pcapOut, metrics, recordOut, replayIn        *string
-	replayDiff, outcomeOut, traceDump, backend   *string
-	metricsAddr, seriesOut                       *string
-	nodes, shards, cacheMB, traceSample, trigVNI *int
-	burst                                        *int
-	trigLat, snapshotEvery                       *time.Duration
-	ff                                           faultFlag
-}
-
-func legacyMain() {
-	a := legacyFlags()
-	flag.Usage = func() {
-		printTopUsage(os.Stderr)
-		fmt.Fprintln(os.Stderr, "\nLegacy flat-flag mode (no subcommand):")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	svcName, modeName, cores, flows := a.svcName, a.modeName, a.cores, a.flows
-	tenants, rate, duration, seed := a.tenants, a.rate, a.duration, a.seed
-	limiter, denied, report, pcapOut := a.limiter, a.denied, a.report, a.pcapOut
-	autoFB, nodes, shards, cacheMB := a.autoFB, a.nodes, a.shards, a.cacheMB
-	metrics, recordOut, replayIn := a.metrics, a.recordOut, a.replayIn
-	replayDiff, outcomeOut, traceDump := a.replayDiff, a.outcomeOut, a.traceDump
-	metricsAddr, traceSample := a.metricsAddr, a.traceSample
-	trigLat, trigVNI, trigFault := a.trigLat, a.trigVNI, a.trigFault
-	ff := &a.ff
-
-	if *replayDiff != "" {
-		runReplayDiffCmd(*replayDiff, *shards)
-		return
-	}
-
-	svc, ok := serviceNames[strings.ToLower(*svcName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown service %q\n", *svcName)
-		os.Exit(2)
-	}
-	mode := albatross.ModePLB
-	if strings.EqualFold(*modeName, "rss") {
-		mode = albatross.ModeRSS
-	}
-
-	opts := []albatross.Option{albatross.WithSeed(*seed)}
-	if *limiter {
-		opts = append(opts, albatross.WithLimiter(albatross.DefaultLimiterConfig()))
-	}
-	if *cacheMB > 0 {
-		opts = append(opts, albatross.WithCache(albatross.CacheConfig{
-			SizeBytes: *cacheMB << 20, Ways: 16, LineBytes: 64,
-		}))
-	}
-	if len(ff.plan.Faults) > 0 {
-		opts = append(opts, albatross.WithFaultPlan(&ff.plan))
-	}
-	if *a.backend != "" {
-		opts = append(opts, albatross.WithFlowBackend(*a.backend))
-	}
-	if *a.burst > 1 {
-		opts = append(opts, albatross.WithBurst(*a.burst))
-	}
-
-	sample := *traceSample
-	if sample == 0 && (*traceDump != "" || *trigLat > 0 || *trigVNI >= 0 || *trigFault) {
-		sample = 64
-	}
-	podCfg := func() albatross.PodConfig {
-		wf := albatross.GenerateFlows(*flows, *tenants, *seed)
-		return albatross.PodConfig{
-			Spec: albatross.PodSpec{
-				Name: "gw0", Service: svc,
-				DataCores: *cores, CtrlCores: 2, Mode: mode,
-			},
-			Flows:            albatross.ServiceFlows(wf, *denied),
-			TraceSampleEvery: sample,
-		}
-	}
-
-	// A cluster deployment handles any node count ≥ 1; single-node runs
-	// that need the outcome artifact or timeline sampling go through it
-	// too, so -outcome-out / -snapshot-every work without -nodes > 1.
-	if *nodes > 1 || *outcomeOut != "" || *a.snapshotEvery > 0 || *a.seriesOut != "" {
-		clOpts := append(opts, albatross.WithNodes(*nodes), albatross.WithShards(*shards))
-		if *a.snapshotEvery > 0 {
-			clOpts = append(clOpts, albatross.WithSnapshotEvery(albatross.Duration(a.snapshotEvery.Nanoseconds())))
-		}
-		runCluster(clusterRun{
-			opts:    clOpts,
-			podCfg:  podCfg(),
-			svcName: *svcName, cores: *cores, flows: *flows,
-			tenants: *tenants, rate: *rate, duration: *duration, seed: *seed,
-			autoFB: *autoFB, report: *report, hasFaults: len(ff.plan.Faults) > 0,
-			metricsOut: *metrics,
-			recordOut:  *recordOut, replayIn: *replayIn, outcomeOut: *outcomeOut,
-			traceDump: *traceDump, metricsAddr: *metricsAddr, seriesOut: *a.seriesOut,
-			trigLat: *trigLat, trigVNI: *trigVNI, trigFault: *trigFault,
-		})
-		return
-	}
-
-	node, err := albatross.New(opts...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	wf := albatross.GenerateFlows(*flows, *tenants, *seed)
-	pod, err := node.AddPod(albatross.PodConfig{
-		Spec: albatross.PodSpec{
-			Name: "gw0", Service: svc,
-			DataCores: *cores, CtrlCores: 2, Mode: mode,
-		},
-		Flows: albatross.ServiceFlows(wf, *denied),
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	if *autoFB {
-		pod.EnableAutoFallback(0, 0)
-	}
-	armTriggers(pod, *trigLat, *trigVNI, *trigFault)
-
-	sink := pod.Sink()
-	var capture *pcapCapture
-	if *pcapOut != "" {
-		var err error
-		capture, err = newPcapCapture(*pcapOut, 1000)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		inner := sink
-		node2 := node
-		sink = func(f albatross.Flow, bytes int) {
-			capture.record(node2.Engine.Now(), f, bytes)
-			inner(f, bytes)
-		}
-	}
-	var rec *albatross.TraceRecorder
-	if *recordOut != "" {
-		rec = albatross.NewTraceRecorder(node.Engine)
-		rec.SetMeta(*seed, 1, "albatross-sim single-node run")
-		sink = rec.WrapSink(sink)
-	}
-
-	wall := time.Now()
-	if *replayIn != "" {
-		tr, err := albatross.ReadTraceFile(*replayIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		rp, err := albatross.ReplayTraceInto(node.Engine, tr, sink)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		node.RunFor(albatross.Duration(duration.Nanoseconds()))
-		node.RunFor(albatross.Millisecond) // drain in-flight packets
-		if !rp.Done() {
-			fmt.Fprintf(os.Stderr, "warning: replay injected %d of %d events; raise -duration\n",
-				rp.Injected, len(tr.Events))
-		}
-	} else {
-		src, err := albatross.NewSource(
-			albatross.WithFlows(wf),
-			albatross.WithRate(albatross.ConstantRate(*rate)),
-			albatross.WithSourceSeed(*seed+1),
-			albatross.WithSink(sink),
-		)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := src.Start(node.Engine); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		node.RunFor(albatross.Duration(duration.Nanoseconds()))
-		src.Stop()
-		node.RunFor(albatross.Millisecond) // drain in-flight packets
-	}
-
-	secs := duration.Seconds()
-	fmt.Printf("albatross-sim: %s %v pod, %d cores, %d flows, offered %.2f Mpps for %v (virtual)\n",
-		*svcName, mode, *cores, *flows, *rate/1e6, *duration)
-	fmt.Printf("  rx          %12d pkts (%.2f Mpps)\n", pod.Rx, float64(pod.Rx)/secs/1e6)
-	fmt.Printf("  tx          %12d pkts (%.2f Mpps)\n", pod.Tx, float64(pod.Tx)/secs/1e6)
-	fmt.Printf("  drops: nic=%d queue=%d plb=%d acl=%d\n",
-		pod.NICDrops, pod.QueueDrops, pod.PLBDrops, pod.ServiceDrop)
-	fmt.Printf("  latency     p50=%.1fµs p99=%.1fµs p99.9=%.1fµs max=%.1fµs\n",
-		float64(pod.Latency.Quantile(0.50))/1000,
-		float64(pod.Latency.Quantile(0.99))/1000,
-		float64(pod.Latency.Quantile(0.999))/1000,
-		float64(pod.Latency.Max())/1000)
-	if pod.PLB != nil {
-		s := pod.PLB.Stats()
-		fmt.Printf("  plb         in-order=%d best-effort=%d disorder=%.2e hol=%d timeout=%d dropflag=%d\n",
-			s.EmittedInOrder, s.EmittedBestEffort, s.DisorderRate(),
-			s.HOLEvents, s.TimeoutReleases, s.DropFlagReleases)
-	}
-	if len(ff.plan.Faults) > 0 {
-		printFaultSummary(node, pod)
-	}
-	// Wall time goes to stderr: stdout stays byte-identical across repeat
-	// runs at a fixed seed.
-	fmt.Fprintf(os.Stderr, "  wall time   %v\n", time.Since(wall).Round(time.Millisecond))
-	if capture != nil {
-		if err := capture.close(); err != nil {
-			fmt.Fprintln(os.Stderr, "pcap:", err)
-		} else {
-			fmt.Printf("  pcap        %d packets -> %s\n", capture.n, *pcapOut)
-		}
-	}
-	if *report {
-		fmt.Println()
-		fmt.Print(node.Report())
-	}
-	if *metrics != "" {
-		if err := writeMetrics(*metrics, node.Metrics()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  metrics     %s.prom %s.json\n", *metrics, *metrics)
-	}
-	if rec != nil {
-		if err := rec.Trace().WriteFile(*recordOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  trace       %d events -> %s (+ .json sidecar)\n", rec.Events(), *recordOut)
-	}
-	if *traceDump != "" {
-		if err := dumpJourneys(*traceDump, map[string]*albatross.PodRuntime{"gw0": pod}, []string{"gw0"}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("  journeys    %d committed -> %s.journeys.json\n", pod.Flight().Committed(), *traceDump)
-	}
-	if *metricsAddr != "" {
-		serveMetrics(*metricsAddr, node.Metrics(), nil)
-	}
-}
-
-// writeMetrics exports one snapshot as both Prometheus text exposition and
-// JSON. Both files are byte-identical across repeat runs at a fixed seed.
-func writeMetrics(prefix string, snap *albatross.MetricsSnapshot) error {
-	if err := os.WriteFile(prefix+".prom", []byte(snap.Prometheus()), 0o644); err != nil {
-		return err
-	}
-	j, err := snap.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(prefix+".json", j, 0o644)
-}
-
-// pcapCapture writes the first maxPkts generated packets, re-materialized
-// as real VXLAN wire bytes, to a pcap file readable by tcpdump/Wireshark.
-type pcapCapture struct {
-	f       *os.File
-	w       *packet.PcapWriter
-	builder *packet.Builder
-	max     int
-	n       int
-}
-
-func newPcapCapture(path string, maxPkts int) (*pcapCapture, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &pcapCapture{
-		f:       f,
-		w:       packet.NewPcapWriter(f, 0),
-		builder: packet.NewBuilder(2048),
-		max:     maxPkts,
-	}, nil
-}
-
-func (c *pcapCapture) record(now albatross.Time, f albatross.Flow, bytes int) {
-	if c.n >= c.max {
-		return
-	}
-	payload := bytes - 110
-	if payload < 0 {
-		payload = 0
-	}
-	if payload > 8500 {
-		payload = 8500
-	}
-	frame := packet.BuildVXLANPacket(c.builder, &packet.VXLANSpec{
-		OuterSrcMAC:  packet.MAC{0x02, 0, 0, 0, 0, 1},
-		OuterDstMAC:  packet.MAC{0x02, 0, 0, 0, 0, 2},
-		OuterSrc:     packet.IPv4Addr{100, 64, 0, 1},
-		OuterDst:     packet.IPv4Addr{100, 64, 0, 2},
-		OuterSrcPort: uint16(40000 + c.n%20000),
-		VNI:          f.VNI,
-		InnerSrc:     f.Tuple.Src,
-		InnerDst:     f.Tuple.Dst,
-		InnerProto:   f.Tuple.Proto,
-		InnerSPort:   f.Tuple.SPort,
-		InnerDPort:   f.Tuple.DPort,
-		PayloadLen:   payload,
-	})
-	if err := c.w.WritePacket(time.Duration(now), frame); err == nil {
-		c.n++
-	}
-}
-
-func (c *pcapCapture) close() error { return c.f.Close() }

@@ -1,9 +1,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"albatross"
@@ -16,31 +15,28 @@ import (
 //	    Execute a scenario whose fleet is driven by the desired-state
 //	    reconciler (the file's spec: block, or -spec FILE). Prints the
 //	    deterministic report — including the timed reconcile step log —
-//	    and exits 1 when any assertion fails or the reconciler did not
+//	    and returns 1 when any assertion fails or the reconciler did not
 //	    converge cleanly.
 //
 //	albatross-sim reconcile -plan -spec spec.yaml -nodes 3
 //	    Dry run: diff the desired state against a freshly deployed fleet
 //	    of N members and print the unsequenced plan without running any
 //	    traffic. Also works with a scenario file in place of -nodes.
-func reconcileCmd(args []string) {
-	fs := flag.NewFlagSet("reconcile", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: albatross-sim reconcile [-plan] [-spec FILE] [scenario.yaml]")
-		fmt.Fprintln(os.Stderr, "       albatross-sim reconcile -plan -spec FILE -nodes N")
-		fmt.Fprintln(os.Stderr)
-		fs.PrintDefaults()
-	}
+func reconcileCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("reconcile", stderr, "usage: albatross-sim reconcile [-plan] [-spec FILE] [scenario.yaml]\n"+
+		"       albatross-sim reconcile -plan -spec FILE -nodes N\n")
 	var (
 		specPath = fs.String("spec", "", "standalone desired-state file; replaces the scenario's spec: block")
 		plan     = fs.Bool("plan", false, "dry run: print the reconcile plan against a fresh fleet, don't run traffic")
 		nodes    = fs.Int("nodes", 0, "fleet width for -plan without a scenario file")
 		seed     = fs.Uint64("seed", 1, "simulation seed for -plan without a scenario file")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	if fs.NArg() > 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	var s *albatross.Scenario
@@ -48,7 +44,7 @@ func reconcileCmd(args []string) {
 		var err error
 		s, err = albatross.LoadScenarioFile(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 	}
 	var spec *albatross.ReconcileSpec
@@ -56,18 +52,18 @@ func reconcileCmd(args []string) {
 		var err error
 		spec, err = albatross.LoadSpecFile(*specPath)
 		if err != nil {
-			fatal(err)
+			return fail(stderr, err)
 		}
 	}
 	if s != nil {
 		if spec != nil {
 			s.Spec = spec
 			if err := s.Validate(); err != nil {
-				fatal(fmt.Errorf("%s with -spec %s: %w", fs.Arg(0), *specPath, err))
+				return fail(stderr, fmt.Errorf("%s with -spec %s: %w", fs.Arg(0), *specPath, err))
 			}
 		}
 		if s.Spec == nil {
-			fatal(fmt.Errorf("%s has no spec: block; add one or pass -spec FILE", fs.Arg(0)))
+			return fail(stderr, fmt.Errorf("%s has no spec: block; add one or pass -spec FILE", fs.Arg(0)))
 		}
 	}
 
@@ -79,66 +75,58 @@ func reconcileCmd(args []string) {
 			spec = s.Spec
 		}
 		if spec == nil || width <= 0 {
-			fmt.Fprintln(os.Stderr, "reconcile -plan needs a scenario file, or -spec FILE with -nodes N")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "reconcile -plan needs a scenario file, or -spec FILE with -nodes N")
+			return 2
 		}
-		printPlan(spec, width, sd)
-		return
+		if err := printPlan(stdout, spec, width, sd); err != nil {
+			return fail(stderr, err)
+		}
+		return 0
 	}
 
 	if s == nil {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	wall := time.Now()
 	res, err := s.Run()
 	if err != nil {
-		fatal(err)
+		return fail(stderr, err)
 	}
-	// The report is the entire stdout: byte-identical across repeat runs
-	// and shard counts. Wall time goes to stderr.
-	fmt.Print(res.Report)
-	fmt.Fprintf(os.Stderr, "  wall time   %v\n", time.Since(wall).Round(time.Millisecond))
-	if !res.OK() {
-		os.Exit(1)
-	}
+	return printResult(res, wall, stdout, stderr)
 }
 
 // printPlan deploys a bare fleet of width members, attaches the reconciler,
 // and prints the unsequenced diff. Nothing runs: the plan is the
 // desired-vs-fresh delta, in member order, before any rate limiting.
-func printPlan(spec *albatross.ReconcileSpec, width int, seed uint64) {
+func printPlan(w io.Writer, spec *albatross.ReconcileSpec, width int, seed uint64) error {
 	c, err := albatross.NewCluster(
 		albatross.WithNodes(width),
 		albatross.WithSeed(seed),
 		albatross.WithSpec(spec),
 	)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	r, ok := c.Controller().(*albatross.Reconciler)
 	if !ok {
-		fatal(fmt.Errorf("internal: cluster controller is not a reconciler"))
+		return fmt.Errorf("internal: cluster controller is not a reconciler")
 	}
 	steps := r.Plan()
-	fmt.Printf("reconcile plan: %d member(s) observed, %d desired, interval %v\n",
+	fmt.Fprintf(w, "reconcile plan: %d member(s) observed, %d desired, interval %v\n",
 		width, len(spec.Members), r.Interval())
 	if len(steps) == 0 {
-		fmt.Println("  in sync: no steps")
-		return
+		fmt.Fprintln(w, "  in sync: no steps")
+		return nil
 	}
 	for _, st := range steps {
 		line := fmt.Sprintf("node=%d %s", st.Node, st.Action)
 		if st.Detail != "" {
 			line += " " + st.Detail
 		}
-		fmt.Printf("  %s\n", line)
+		fmt.Fprintf(w, "  %s\n", line)
 	}
-	fmt.Printf("  %d step(s); at one step per tick the fleet converges in ~%v\n",
+	fmt.Fprintf(w, "  %d step(s); at one step per tick the fleet converges in ~%v\n",
 		len(steps), albatross.Duration(len(steps))*r.Interval())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return nil
 }

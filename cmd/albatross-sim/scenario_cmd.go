@@ -1,25 +1,49 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"albatross"
 )
 
-// runScenarioCmd implements `albatross-sim run [overrides] scenario.yaml`:
-// load, apply flag overrides, execute, print the deterministic report, and
-// exit 1 when any assertion fails. Override flags mirror the legacy flat
-// flags; an unset flag keeps the scenario file's value.
-func runScenarioCmd(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+// newFlagSet returns a subcommand FlagSet that reports parse errors and the
+// given usage text (followed by the flag defaults, if any) on stderr.
+func newFlagSet(name string, stderr io.Writer, usage string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: albatross-sim run [overrides] scenario.yaml")
-		fmt.Fprintln(os.Stderr, "\nOverrides (unset flags keep the scenario file's values):")
+		fmt.Fprintln(stderr, usage)
 		fs.PrintDefaults()
 	}
+	return fs
+}
+
+// parseExit maps a FlagSet.Parse error to the exit code: asking for -h is
+// not a mistake, anything else is a bad command line.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
+}
+
+// fail reports err on stderr and returns the failure exit code.
+func fail(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, err)
+	return 1
+}
+
+// runCmd implements `albatross-sim run [overrides] scenario.yaml`: load,
+// apply flag overrides, execute, print the deterministic report, and return
+// 1 when any assertion fails. An unset flag keeps the scenario file's value.
+func runCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("run", stderr, "usage: albatross-sim run [overrides] scenario.yaml\n\n"+
+		"Overrides (unset flags keep the scenario file's values):")
 	var (
 		seed     = fs.Uint64("seed", 0, "override scenario seed")
 		nodes    = fs.Int("nodes", 0, "override fleet.nodes")
@@ -39,16 +63,17 @@ func runScenarioCmd(args []string) {
 		snapshot = fs.Duration("snapshot-every", 0, "override observability.snapshot_every (timeline sampling period)")
 		series   = fs.String("series-out", "", "override observability.series_out (write timeline to PREFIX.csv and PREFIX.json)")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	s, err := albatross.LoadScenarioFile(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
 	var ov albatross.ScenarioOverrides
 	fs.Visit(func(f *flag.Flag) {
@@ -95,58 +120,79 @@ func runScenarioCmd(args []string) {
 	wall := time.Now()
 	res, err := s.Apply(ov).Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(stderr, err)
 	}
-	// The report is the entire stdout: byte-identical across repeat runs
-	// and shard counts. Wall time goes to stderr.
-	fmt.Print(res.Report)
-	fmt.Fprintf(os.Stderr, "  wall time   %v\n", time.Since(wall).Round(time.Millisecond))
-	if !res.OK() {
-		os.Exit(1)
-	}
+	return printResult(res, wall, stdout, stderr)
 }
 
-// validateScenarioCmd implements `albatross-sim validate scenario.yaml...`:
-// load-check every file, report per-file verdicts, exit 1 on any failure.
-func validateScenarioCmd(args []string) {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: albatross-sim validate scenario.yaml...")
+// printResult writes a finished run's report and returns its exit code. The
+// report is the entire stdout: byte-identical across repeat runs and shard
+// counts. Wall time goes to stderr.
+func printResult(res *albatross.ScenarioResult, wall time.Time, stdout, stderr io.Writer) int {
+	fmt.Fprint(stdout, res.Report)
+	fmt.Fprintf(stderr, "  wall time   %v\n", time.Since(wall).Round(time.Millisecond))
+	if !res.OK() {
+		return 1
 	}
-	fs.Parse(args)
+	return 0
+}
+
+// validateCmd implements `albatross-sim validate scenario.yaml...`:
+// load-check every file, report per-file verdicts, return 1 on any failure.
+func validateCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("validate", stderr, "usage: albatross-sim validate scenario.yaml...")
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
 	if fs.NArg() == 0 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
 	bad := 0
 	for _, path := range fs.Args() {
 		s, err := albatross.LoadScenarioFile(path)
 		if err != nil {
-			fmt.Printf("%s: INVALID\n  %v\n", path, err)
+			fmt.Fprintf(stdout, "%s: INVALID\n  %v\n", path, err)
 			bad++
 			continue
 		}
-		fmt.Printf("%s: OK (%s: %d node(s), %d event(s), %d assertion(s))\n",
+		fmt.Fprintf(stdout, "%s: OK (%s: %d node(s), %d event(s), %d assertion(s))\n",
 			path, s.Name, s.Fleet.Nodes, len(s.Events), len(s.Assertions))
 	}
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// replayDiffSubCmd implements `albatross-sim replay-diff [-shards N] A B`,
-// the subcommand form of the legacy -replay-diff A,B flag.
-func replayDiffSubCmd(args []string) {
-	fs := flag.NewFlagSet("replay-diff", flag.ExitOnError)
-	shards := fs.Int("shards", 0, "unused; accepted for symmetry with run")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: albatross-sim replay-diff A B  (outcome reports from -outcome-out)")
+// replayDiffCmd implements `albatross-sim replay-diff [-shards N] A B`: load
+// two outcome reports (written by run -outcome-out), print their structural
+// diff, and return 1 when they differ — the gameday-drill assertion as a
+// shell one-liner.
+func replayDiffCmd(args []string, stdout, stderr io.Writer) int {
+	fs := newFlagSet("replay-diff", stderr, "usage: albatross-sim replay-diff [-shards N] A B  (outcome reports from run -outcome-out)")
+	shards := fs.Int("shards", 0, "label differing node lines with the shard engine that owned them in an N-shard run")
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
 	}
-	fs.Parse(args)
 	if fs.NArg() != 2 {
 		fs.Usage()
-		os.Exit(2)
+		return 2
 	}
-	runReplayDiffCmd(fs.Arg(0)+","+fs.Arg(1), *shards)
+	pathA, pathB := fs.Arg(0), fs.Arg(1)
+	a, err := os.ReadFile(pathA)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	b, err := os.ReadFile(pathB)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	d := albatross.DiffOutcomes(pathA, string(a), pathB, string(b))
+	d.AnnotateShards(*shards)
+	fmt.Fprint(stdout, d.String())
+	if !d.Empty() {
+		return 1
+	}
+	return 0
 }

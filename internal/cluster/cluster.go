@@ -14,12 +14,11 @@
 // withdraw — while still routing pod-level faults to member nodes via
 // Fault.Node.
 //
-// By default every member's uplink runs over the real BGP stack
-// (bgp.ProxiedSession): a GW-pod speaker peers iBGP with the member's proxy
-// pod, which holds the single eBGP session to one shared switch model —
-// the paper's §5 peer-scaling topology at cluster scale. The BFD timing
-// model is unchanged (byte-identical outcomes with the legacy path);
-// Config.BGP = "sim" opts back into the pure timing stub.
+// Every member's uplink runs over the real BGP stack (bgp.ProxiedSession):
+// a GW-pod speaker peers iBGP with the member's proxy pod, which holds the
+// single eBGP session to one shared switch model — the paper's §5
+// peer-scaling topology at cluster scale. The BFD timing model is the
+// session's embedded bgp.SimSession.
 package cluster
 
 import (
@@ -69,12 +68,6 @@ type Config struct {
 	// per-tick deltas of the cluster-level series into Timeline(). Zero
 	// disables sampling; the packet path is untouched either way.
 	SnapshotEvery sim.Duration
-	// BGP selects the uplink implementation: "proxy" (default) runs each
-	// member over the real BGP stack — pod speaker → proxy pod → shared
-	// switch model, in-memory eBGP sessions — while "sim" keeps the pure
-	// SimSession timing stub. Both share the identical BFD timing model, so
-	// outcomes are byte-identical across the two.
-	BGP string
 }
 
 // memberState tracks a member's lifecycle for reporting; ECMP eligibility
@@ -128,7 +121,7 @@ type Member struct {
 
 	// shard is the engine shard owning this member (0 on the legacy path).
 	shard int
-	// proxied is the real-BGP uplink session (nil under Config.BGP "sim").
+	// proxied is the real-BGP uplink session.
 	proxied *bgp.ProxiedSession
 }
 
@@ -142,8 +135,7 @@ func (m *Member) State() string { return m.state.String() }
 // Weight returns the member's ECMP weight.
 func (m *Member) Weight() float64 { return m.weight }
 
-// Proxied returns the member's real-BGP uplink session, nil when the
-// cluster runs the "sim" uplink stub.
+// Proxied returns the member's real-BGP uplink session.
 func (m *Member) Proxied() *bgp.ProxiedSession { return m.proxied }
 
 // ActivePods counts the member's pods in the active lifecycle state.
@@ -181,7 +173,7 @@ type Cluster struct {
 	shards  int
 	mail    []shardMailbox
 	// switchModel is the shared uplink switch every member's proxy peers
-	// with (nil under Config.BGP "sim").
+	// with.
 	switchModel *bgp.Switch
 	// controller is the attached control loop, if any (see AttachController).
 	controller Controller
@@ -226,13 +218,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("cluster: SnapshotEvery %d must be >= 0: %w", cfg.SnapshotEvery, errs.BadConfig)
 	}
-	switch cfg.BGP {
-	case "":
-		cfg.BGP = "proxy"
-	case "proxy", "sim":
-	default:
-		return nil, fmt.Errorf("cluster: BGP mode %q not in {proxy, sim}: %w", cfg.BGP, errs.BadConfig)
-	}
 	shards := cfg.Shards
 	if shards == 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -241,17 +226,15 @@ func New(cfg Config) (*Cluster, error) {
 		shards = cfg.Nodes
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		ring:   newRing(cfg.VNodesPerNode),
-		shards: shards,
+		cfg:         cfg,
+		ring:        newRing(cfg.VNodesPerNode),
+		shards:      shards,
+		switchModel: bgp.NewSwitch(65000, 0xFFFF0001),
 	}
-	if cfg.BGP == "proxy" {
-		c.switchModel = bgp.NewSwitch(65000, 0xFFFF0001)
-		c.switchModel.Manual = true
-		// One proxy per member is exactly what keeps the peer count at m,
-		// but the capacity model still flags over-dense clusters.
-		c.switchModel.MaxSafePeers = 64
-	}
+	c.switchModel.Manual = true
+	// One proxy per member is exactly what keeps the peer count at m,
+	// but the capacity model still flags over-dense clusters.
+	c.switchModel.MaxSafePeers = 64
 	if shards > 1 {
 		c.sharded = sim.NewShardedEngine(shards)
 		c.Engine = c.sharded.Control()
@@ -290,21 +273,17 @@ func (c *Cluster) addMember() (*Member, error) {
 		return nil, err
 	}
 	m := &Member{Index: i, Node: n, shard: shard, weight: 1}
-	// At cluster scope the failover path is re-ECMP to survivors, not a
-	// sibling re-advertisement of the same prefix, so the core-level proxy
-	// detour stays off on both uplink implementations.
-	if c.switchModel != nil {
-		ps, err := bgp.NewProxiedSession(ncfg.Engine, c.switchModel, bgp.ProxiedSessionConfig{Member: i})
-		if err != nil {
-			return nil, err
-		}
-		if err := n.InstallUplink(ps, false); err != nil {
-			return nil, err
-		}
-		m.proxied = ps
-	} else if _, err := n.EnableUplink(false); err != nil {
+	ps, err := bgp.NewProxiedSession(ncfg.Engine, c.switchModel, bgp.ProxiedSessionConfig{Member: i})
+	if err != nil {
 		return nil, err
 	}
+	// At cluster scope the failover path is re-ECMP to survivors, not a
+	// sibling re-advertisement of the same prefix, so the core-level proxy
+	// detour stays off.
+	if err := n.InstallUplink(ps, false); err != nil {
+		return nil, err
+	}
+	m.proxied = ps
 	c.members = append(c.members, m)
 	c.ring.add(i)
 	return m, nil
@@ -411,17 +390,11 @@ func (c *Cluster) SetNodeAdmin(node int, up bool) error {
 	}
 	if up {
 		m.adminUntil = c.Engine.Now()
-		if m.proxied != nil {
-			c.syncShards()
-			m.proxied.SetAdmin(true)
-		}
-		return nil
+	} else {
+		m.adminUntil = c.Engine.Now().Add(foreverDuration)
 	}
-	m.adminUntil = c.Engine.Now().Add(foreverDuration)
-	if m.proxied != nil {
-		c.syncShards()
-		m.proxied.SetAdmin(false)
-	}
+	c.syncShards()
+	m.proxied.SetAdmin(up)
 	return nil
 }
 
@@ -444,9 +417,7 @@ func (c *Cluster) RemoveNode(node int) error {
 	c.syncShards()
 	m.state = memberRemoved
 	m.adminUntil = c.Engine.Now().Add(foreverDuration)
-	if m.proxied != nil {
-		m.proxied.SetAdmin(false)
-	}
+	m.proxied.SetAdmin(false)
 	c.ring.remove(node)
 	for pi, pr := range m.Node.Pods() {
 		if pr.State() == "active" {
@@ -519,8 +490,7 @@ func (c *Cluster) SetNodeFlowBackend(node int, name string) error {
 	return m.Node.SetFlowBackend(name)
 }
 
-// SwitchModel returns the shared uplink switch of the proxied BGP fabric
-// (nil under Config.BGP "sim").
+// SwitchModel returns the shared uplink switch of the proxied BGP fabric.
 func (c *Cluster) SwitchModel() *bgp.Switch { return c.switchModel }
 
 // Controller is an attached control loop (controlplane.Reconciler); the
@@ -723,27 +693,6 @@ func (c *Cluster) InjectNodeFault(kind faults.Kind, node int, d sim.Duration) er
 	}
 }
 
-// InjectNodeCrash kills member node abruptly.
-//
-// Deprecated: use InjectNodeFault(faults.KindNodeCrash, node, d).
-func (c *Cluster) InjectNodeCrash(node int, d sim.Duration) error {
-	return c.InjectNodeFault(faults.KindNodeCrash, node, d)
-}
-
-// InjectNodeDrain gray-upgrades member node.
-//
-// Deprecated: use InjectNodeFault(faults.KindNodeDrain, node, d).
-func (c *Cluster) InjectNodeDrain(node int, d sim.Duration) error {
-	return c.InjectNodeFault(faults.KindNodeDrain, node, d)
-}
-
-// InjectUplinkWithdraw administratively withdraws member node's route.
-//
-// Deprecated: use InjectNodeFault(faults.KindUplinkWithdraw, node, d).
-func (c *Cluster) InjectUplinkWithdraw(node int, d sim.Duration) error {
-	return c.InjectNodeFault(faults.KindUplinkWithdraw, node, d)
-}
-
 // injectNodeCrash kills member node abruptly: the uplink goes down (BFD
 // detects after its probe window; arrivals meanwhile are blackholed at the
 // dead link) and every pod crashes. The node recovers after d (0 = never):
@@ -849,9 +798,6 @@ func (c *Cluster) injectUplinkWithdraw(node int, d sim.Duration) error {
 func (c *Cluster) adminWithdraw(m *Member, d sim.Duration) {
 	if until := c.Engine.Now().Add(d); until > m.adminUntil {
 		m.adminUntil = until
-	}
-	if m.proxied == nil {
-		return
 	}
 	// The mirror pumps shard-owned speakers: shards must be quiescent at
 	// the control clock.

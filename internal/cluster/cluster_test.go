@@ -66,7 +66,7 @@ func TestNodeCrashRemapBoundAndRecovery(t *testing.T) {
 	c, wf := testCluster(t, 3, nil)
 	before := ownersOf(c, wf)
 
-	if err := c.InjectNodeCrash(1, 500*sim.Millisecond); err != nil {
+	if err := c.InjectNodeFault(faults.KindNodeCrash, 1, 500*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Past the BFD detection window: the route is withdrawn.
@@ -191,7 +191,7 @@ func TestNodeDrainZeroLoss(t *testing.T) {
 
 func TestUplinkWithdraw(t *testing.T) {
 	c, wf := testCluster(t, 3, nil)
-	if err := c.InjectUplinkWithdraw(0, 50*sim.Millisecond); err != nil {
+	if err := c.InjectNodeFault(faults.KindUplinkWithdraw, 0, 50*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if c.eligible(0) {
@@ -240,7 +240,7 @@ func TestAddNodeBoundedRemap(t *testing.T) {
 func TestAllNodesDownDropsAtSwitch(t *testing.T) {
 	c, wf := testCluster(t, 2, nil)
 	for i := range c.Members() {
-		if err := c.InjectUplinkWithdraw(i, 10*sim.Millisecond); err != nil {
+		if err := c.InjectNodeFault(faults.KindUplinkWithdraw, i, 10*sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -277,13 +277,13 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := c.NodeAt(5); !errors.Is(err, errs.BadConfig) {
 		t.Fatalf("NodeAt(5) = %v, want BadConfig", err)
 	}
-	if err := c.InjectNodeDrain(0, 0); !errors.Is(err, errs.BadConfig) {
+	if err := c.InjectNodeFault(faults.KindNodeDrain, 0, 0); !errors.Is(err, errs.BadConfig) {
 		t.Fatalf("zero-duration drain = %v, want BadConfig", err)
 	}
-	if err := c.InjectNodeCrash(0, sim.Second); err != nil {
+	if err := c.InjectNodeFault(faults.KindNodeCrash, 0, sim.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.InjectNodeCrash(0, sim.Second); !errors.Is(err, errs.BadState) {
+	if err := c.InjectNodeFault(faults.KindNodeCrash, 0, sim.Second); !errors.Is(err, errs.BadState) {
 		t.Fatalf("double crash = %v, want BadState", err)
 	}
 	if err := c.Close(); err != nil {

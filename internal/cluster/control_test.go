@@ -188,7 +188,7 @@ func TestInjectNodeFaultRejectsPodKinds(t *testing.T) {
 		t.Fatalf("pod-level kind through node entry point: %v", err)
 	}
 	// The deprecated wrappers stay functional.
-	if err := c.InjectUplinkWithdraw(0, 100*sim.Millisecond); err != nil {
+	if err := c.InjectNodeFault(faults.KindUplinkWithdraw, 0, 100*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if c.eligible(0) {

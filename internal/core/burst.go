@@ -198,9 +198,8 @@ func (pr *PodRuntime) burstDispatch(ctx *pktCtx, now sim.Time) {
 	}
 	pr.admitSeq++
 	pr.pending++
-	if !pr.drainArmed {
-		pr.drainArmed = true
-		pr.node.Engine.AfterArg(finish.Sub(now), podDrainEvent, pr)
+	if !pr.drain.Active() {
+		pr.drain = pr.node.Engine.AfterArg(finish.Sub(now), podDrainEvent, pr)
 	}
 }
 
@@ -216,12 +215,9 @@ func podDrainEvent(arg any) {
 // drainPendingThrough completes members with finish <= now in global
 // (finish, admission-seq) order — a K-way merge over the per-core queues,
 // whose finish times each core's serial admission keeps sorted. rearm
-// re-arms the drain event for the remainder; the fault paths pass false and
-// let the already-scheduled event handle what is left.
+// re-arms the drain event for the remainder; failCores passes false and
+// re-arms itself once the failed cores are swept.
 func (pr *PodRuntime) drainPendingThrough(now sim.Time, rearm bool) {
-	if rearm {
-		pr.drainArmed = false
-	}
 	heads := pr.headF
 	for pr.pending > 0 {
 		// Pick the earliest (finish, seq) head from the compact head cache —
@@ -256,11 +252,17 @@ func (pr *PodRuntime) drainPendingThrough(now sim.Time, rearm bool) {
 		pr.pending--
 		pr.completeMember(ctx, start, bestF)
 	}
-	if pr.pending == 0 || !rearm || pr.drainArmed {
+	if rearm && !pr.drain.Active() {
+		pr.armDrain(now)
+	}
+}
+
+// armDrain schedules the drain event at the latest remaining finish (each
+// core's tail is its max) so a wave of admissions costs O(1) drain events.
+func (pr *PodRuntime) armDrain(now sim.Time) {
+	if pr.pending == 0 {
 		return
 	}
-	// Re-arm at the latest remaining finish (each core's tail is its max) so
-	// a wave of admissions costs O(1) drain events.
 	var maxF sim.Time
 	for c := range pr.pend {
 		cp := &pr.pend[c]
@@ -268,28 +270,46 @@ func (pr *PodRuntime) drainPendingThrough(now sim.Time, rearm bool) {
 			maxF = cp.finish[n-1]
 		}
 	}
-	pr.drainArmed = true
-	pr.node.Engine.AfterArg(maxF.Sub(now), podDrainEvent, pr)
+	pr.drain = pr.node.Engine.AfterArg(maxF.Sub(now), podDrainEvent, pr)
+}
+
+// failPending settles core's admitted-but-unfinished members as lost at the
+// fail instant now — the burst counterpart of cpu.Core.Fail's queue sweep +
+// onLost. Leaving them queued until their computed finish would break the
+// per-core sorted order once the recovered core admits again: its backlog
+// restarts at now, ahead of the stale (possibly stall-slowed) finishes.
+func (pr *PodRuntime) failPending(core int, now sim.Time) {
+	if pr.pend == nil {
+		return
+	}
+	cp := &pr.pend[core]
+	c := pr.Cores[core]
+	pipe := &pr.pipe
+	for h := cp.head; h < len(cp.finish); h++ {
+		ctx := cp.ctx[h]
+		cp.ctx[h] = nil
+		pr.FaultLost++
+		c.ArithLost(cp.start[h], cp.finish[h])
+		pipe.counters[stageCPU].Drops++
+		pipe.resid[stageCPU].Record(int64(now.Sub(ctx.enterAt)))
+		if ctx.split {
+			pr.payload.Take(ctx.payID)
+		}
+		pr.putCtx(ctx)
+		pr.pending--
+	}
+	cp.ctx = cp.ctx[:0]
+	cp.start = cp.start[:0]
+	cp.finish = cp.finish[:0]
+	cp.seq = cp.seq[:0]
+	cp.head = 0
+	pr.headF[core] = sim.TimeMax
 }
 
 // completeMember is the burst equivalent of onCPUDone + the reorder/egress
 // continuation, with every timestamp taken from the computed finish time.
 func (pr *PodRuntime) completeMember(ctx *pktCtx, start, finish sim.Time) {
 	pipe := &pr.pipe
-	c := pr.Cores[ctx.core]
-	if c.FailedWindow(ctx.queueAt, finish) {
-		// The core failed while this member was queued or in service: the
-		// unbatched path would have discarded it via Fail's queue sweep.
-		pr.FaultLost++
-		c.ArithLost(start, finish)
-		pipe.counters[stageCPU].Drops++
-		pipe.resid[stageCPU].Record(int64(c.LastFailAt().Sub(ctx.enterAt)))
-		if ctx.split {
-			pr.payload.Take(ctx.payID)
-		}
-		pr.putCtx(ctx)
-		return
-	}
 	if ctx.drop {
 		pr.ServiceDrop++
 		pipe.counters[stageCPU].Drops++
@@ -313,7 +333,7 @@ func (pr *PodRuntime) completeMember(ctx *pktCtx, start, finish sim.Time) {
 	}
 	pipe.counters[stageCPU].Out++
 	pipe.resid[stageCPU].Record(int64(finish.Sub(ctx.enterAt)))
-	c.ArithDone()
+	pr.Cores[ctx.core].ArithDone()
 
 	ctx.stage = stageReorder
 	ctx.enterAt = finish

@@ -285,15 +285,15 @@ type PodRuntime struct {
 	// Burst-batched dispatch state (see burst.go); idle when burst <= 1.
 	// openBurst is indexed by traffic class; pend holds each core's
 	// struct-of-arrays queue of admitted members awaiting the drain event.
-	burst      int
-	openBurst  [3]*burst
-	burstFree  []*burst
-	pend       []corePend
-	headF      []sim.Time // per-core merge head finish (TimeMax when idle)
-	headSeq    []uint64   // admission seq of each merge head
-	pending    int
-	admitSeq   uint64
-	drainArmed bool
+	burst     int
+	openBurst [3]*burst
+	burstFree []*burst
+	pend      []corePend
+	headF     []sim.Time // per-core merge head finish (TimeMax when idle)
+	headSeq   []uint64   // admission seq of each merge head
+	pending   int
+	admitSeq  uint64
+	drain     sim.Timer // the armed drain event; inactive when none is pending
 
 	// Latency is the end-to-end (wire to wire) latency histogram.
 	Latency *stats.Histogram

@@ -180,11 +180,7 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 		return nil
 	}
 	pr.noteFaultWindow(d)
-	// Burst mode: members whose computed finish precedes the failure already
-	// completed logically; retire them before the queue sweep so the fail
-	// only claims what the unbatched path would have lost.
-	pr.drainPendingThrough(n.Engine.Now(), false)
-	pr.FaultLost += uint64(c.Fail(pr.onLost))
+	pr.failCores(core, core+1)
 	if pr.PLB != nil {
 		pr.PLB.EvictCore(core)
 	}
@@ -200,6 +196,28 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 		})
 	}
 	return nil
+}
+
+// failCores takes cores [lo, hi) offline at the current instant and counts
+// every packet they held — queued, in service, or (burst mode) admitted with
+// a computed finish still ahead — as fault-lost. Already-failed cores hold
+// nothing and are skipped by Fail.
+func (pr *PodRuntime) failCores(lo, hi int) {
+	now := pr.node.Engine.Now()
+	// Burst mode: members whose computed finish precedes the failure already
+	// completed logically; retire them first so the failure only claims what
+	// the per-packet path would have lost.
+	pr.drainPendingThrough(now, false)
+	for i := lo; i < hi; i++ {
+		pr.FaultLost += uint64(pr.Cores[i].Fail(pr.onLost))
+		pr.failPending(i, now)
+	}
+	// The armed drain may sit at a swept member's stale finish; holding the
+	// healthy cores' completions back until then would time out their
+	// reorder entries.
+	if pr.drain.Stop() {
+		pr.armDrain(now)
+	}
 }
 
 // InjectPodCrash takes a pod down. graceful=false is the abrupt crash: all
@@ -226,12 +244,7 @@ func (n *Node) InjectPodCrash(podIdx int, graceful bool, restartAfter sim.Durati
 		pr.state = podDraining
 	} else {
 		pr.state = podCrashed
-		// Burst mode: retire members that logically completed before the
-		// crash so the core sweep + reorder flush see legacy-identical state.
-		pr.drainPendingThrough(n.Engine.Now(), false)
-		for _, c := range pr.Cores {
-			pr.FaultLost += uint64(c.Fail(pr.onLost))
-		}
+		pr.failCores(0, len(pr.Cores))
 		if pr.PLB != nil {
 			pr.PLB.Flush(pr.onFlush)
 		}
@@ -433,14 +446,7 @@ func (pr *PodRuntime) Stop() error {
 	for pr.live > 0 && n.Engine.Now() < deadline {
 		n.Engine.RunFor(100 * sim.Microsecond)
 	}
-	// Burst mode: retire what logically completed inside the drain window
-	// before stragglers are swept.
-	pr.drainPendingThrough(n.Engine.Now(), false)
-	for _, c := range pr.Cores {
-		if !c.Failed() {
-			pr.FaultLost += uint64(c.Fail(pr.onLost))
-		}
-	}
+	pr.failCores(0, len(pr.Cores)) // discard stragglers
 	if pr.PLB != nil {
 		pr.PLB.Flush(pr.onFlush)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"albatross/internal/cachesim"
@@ -24,12 +25,29 @@ func windowDisorder(a, b plb.Stats) float64 {
 	return float64(be) / float64(in+be)
 }
 
+// faultBursts are the dispatch shapes the stall-then-fail tests run under with
+// identical expectations: the per-packet path and burst-batched dispatch.
+var faultBursts = []int{1, 8}
+
 // TestCoreFailBoundedLoss is the core-eviction acceptance test: failing a
 // core mid-run loses at most QueueDepth+1 packets, produces no timeout
 // storm (evicted entries release immediately), and the disorder rate
 // returns to the healthy baseline after recovery.
 func TestCoreFailBoundedLoss(t *testing.T) {
-	n := smallNode(t, nil)
+	for _, burst := range faultBursts {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) { coreFailBoundedLoss(t, burst) })
+	}
+}
+
+func coreFailBoundedLoss(t *testing.T, burst int) {
+	n, err := NewNode(NodeConfig{
+		Seed:  1,
+		Cache: cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
+		Burst: burst,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	wf, sf := wflows(2000, 1)
 	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
 

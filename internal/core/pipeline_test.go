@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"albatross/internal/cachesim"
@@ -89,6 +90,12 @@ func TestStageConservationRSS(t *testing.T) {
 // balance: packets lost inside async stages are charged to the stage that
 // held them.
 func TestStageConservationUnderFaults(t *testing.T) {
+	for _, burst := range faultBursts {
+		t.Run(fmt.Sprintf("burst=%d", burst), func(t *testing.T) { stageConservationUnderFaults(t, burst) })
+	}
+}
+
+func stageConservationUnderFaults(t *testing.T, burst int) {
 	plan := (&faults.Plan{}).
 		CoreStall(10*sim.Millisecond, 0, 2, 100, 5*sim.Millisecond).
 		CoreFail(11*sim.Millisecond, 0, 2, 10*sim.Millisecond)
@@ -96,6 +103,7 @@ func TestStageConservationUnderFaults(t *testing.T) {
 		Seed:   1,
 		Cache:  cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
 		Faults: plan,
+		Burst:  burst,
 	})
 	if err != nil {
 		t.Fatal(err)

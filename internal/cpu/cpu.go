@@ -36,10 +36,6 @@ type Core struct {
 
 	stallUntil sim.Time
 	failed     bool
-	// lastFailAt/everFailed record the most recent Fail so the burst drain
-	// can detect members whose service window a core failure crossed.
-	lastFailAt sim.Time
-	everFailed bool
 
 	// Arithmetic admission state (burst mode): instead of a completion event
 	// per packet, Admit computes start/finish times in place. arithFree is
@@ -179,30 +175,19 @@ func (c *Core) Admit(service sim.Duration) (start, finish sim.Time, ok bool) {
 // ArithDone settles a successfully drained arithmetic admission.
 func (c *Core) ArithDone() { c.Processed++ }
 
-// ArithLost settles an arithmetic admission whose window a core failure
-// crossed: the un-served part of its busy time is refunded (all of it if the
-// packet had not started when the core failed) and it counts as Lost, the
-// same accounting Fail applies to evented packets.
+// ArithLost settles, at the instant the core fails, an arithmetic admission
+// whose finish still lies ahead: the un-served part of its busy time is
+// refunded (all of it if the packet has not started) and it counts as Lost,
+// the same accounting Fail applies to evented packets.
 func (c *Core) ArithLost(start, finish sim.Time) {
-	refund := finish.Sub(start)
-	if c.lastFailAt > start {
-		refund = finish.Sub(c.lastFailAt)
+	if now := c.engine.Now(); now > start {
+		start = now
 	}
-	if refund > 0 {
+	if refund := finish.Sub(start); refund > 0 {
 		c.busyNS -= refund
 	}
 	c.Lost++
 }
-
-// FailedWindow reports whether the core's most recent failure landed inside
-// [admitAt, finish) — the burst drain's lost-member test.
-func (c *Core) FailedWindow(admitAt, finish sim.Time) bool {
-	return c.everFailed && c.lastFailAt >= admitAt && c.lastFailAt < finish
-}
-
-// LastFailAt returns the virtual time of the most recent Fail (zero when the
-// core never failed; check FailedWindow or Failed first).
-func (c *Core) LastFailAt() sim.Time { return c.lastFailAt }
 
 // coreWake and coreFinish are the engine callbacks in arg form, so
 // scheduling them reuses pooled events without a per-call closure.
@@ -293,11 +278,9 @@ func (c *Core) Fail(onLost func(item any)) int {
 		return 0
 	}
 	c.failed = true
-	c.lastFailAt = c.engine.Now()
-	c.everFailed = true
-	// Arithmetic admissions are settled by their owner at drain time (via
-	// FailedWindow/ArithLost); here we just stop treating them as backlog.
-	c.arithFree = c.lastFailAt
+	// Arithmetic admissions are settled by their owner right after Fail (via
+	// ArithLost); here we just stop treating them as backlog.
+	c.arithFree = c.engine.Now()
 	c.arithHead, c.arithLen = 0, 0
 	lost := 0
 	if c.busy {

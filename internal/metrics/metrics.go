@@ -11,7 +11,8 @@
 // Determinism contract: Snapshot output is fully ordered — series sort by
 // (name, label signature), labels render sorted by key — so two snapshots
 // of identical simulator state serialize byte-identically, at any host
-// parallelism. This is what `make metrics-check` enforces.
+// parallelism. The cluster outcome report carries an FNV-64a of the export,
+// so every scenario's byte_identity assertion enforces this.
 package metrics
 
 import (

@@ -20,7 +20,7 @@ import (
 // slices RunUntil at tick boundaries, which under ShardedEngine forces an
 // epoch barrier at every tick). Under that discipline two runs of the same
 // seed produce byte-identical CSV/JSON exports at any shard count and any
-// dispatch burst size, which `make series-check` enforces.
+// dispatch burst size, which the series-* rows of `make check` enforce.
 type Timeline struct {
 	every    sim.Duration
 	started  bool

@@ -2,11 +2,11 @@ package packet
 
 import "encoding/binary"
 
-// This file implements the two encapsulations §2.1 of the paper calls out
-// as *impossible to add* on the Tofino-based Sailfish gateway (97% PHV
-// utilization): Geneve (RFC 8926) and NSH (RFC 8300). On Albatross the
-// parser runs in software, so adding them is a code change — which is
-// precisely the platform's extensibility argument.
+// This file implements Geneve (RFC 8926), one of the encapsulations §2.1 of
+// the paper calls out as *impossible to add* on the Tofino-based Sailfish
+// gateway (97% PHV utilization). On Albatross the parser runs in software,
+// so adding it is a code change — which is precisely the platform's
+// extensibility argument.
 
 // GenevePort is the IANA-assigned UDP destination port for Geneve.
 const GenevePort = 6081
@@ -116,87 +116,4 @@ func ParseGeneveOptions(opts []byte) ([]GeneveOption, error) {
 		opts = opts[4+length:]
 	}
 	return out, nil
-}
-
-// NSH is a Network Service Header (RFC 8300) with MD type 1 (four fixed
-// 32-bit context headers).
-type NSH struct {
-	OAM         bool
-	TTL         uint8 // 6 bits
-	MDType      uint8
-	NextProto   uint8 // 1=IPv4, 3=Ethernet, ...
-	ServicePath uint32
-	ServiceIdx  uint8
-	Context     [4]uint32 // MD type 1 mandatory context
-}
-
-// NSH next-protocol values.
-const (
-	NSHNextIPv4     = 0x01
-	NSHNextEthernet = 0x03
-)
-
-// NSHMD1Len is the encoded size of an MD-type-1 NSH.
-const NSHMD1Len = 8 + 16
-
-// DecodeFromBytes parses an NSH from data. Only MD type 1 is supported;
-// MD type 2 returns ErrUnsupported.
-func (n *NSH) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < 8 {
-		return 0, ErrTooShort
-	}
-	ver := data[0] >> 6
-	if ver != 0 {
-		return 0, ErrBadVersion
-	}
-	n.OAM = data[0]&0x20 != 0
-	// TTL spans the low 4 bits of byte 0 and the high 2 bits of byte 1.
-	n.TTL = data[0]&0x0f<<2 | data[1]>>6
-	length := int(data[1]&0x3f) * 4
-	n.MDType = data[2] & 0x0f
-	n.NextProto = data[3]
-	spsi := binary.BigEndian.Uint32(data[4:8])
-	n.ServicePath = spsi >> 8
-	n.ServiceIdx = uint8(spsi)
-	if n.MDType != 1 {
-		return 0, ErrUnsupported
-	}
-	if length != NSHMD1Len || len(data) < NSHMD1Len {
-		return 0, ErrBadLength
-	}
-	for i := 0; i < 4; i++ {
-		n.Context[i] = binary.BigEndian.Uint32(data[8+4*i : 12+4*i])
-	}
-	return NSHMD1Len, nil
-}
-
-// SerializeTo writes an MD-type-1 NSH into b.
-func (n *NSH) SerializeTo(b []byte) (int, error) {
-	if len(b) < NSHMD1Len {
-		return 0, ErrTooShort
-	}
-	ttl := n.TTL & 0x3f
-	b[0] = ttl >> 2
-	if n.OAM {
-		b[0] |= 0x20
-	}
-	b[1] = ttl<<6 | byte(NSHMD1Len/4)
-	b[2] = 1 // MD type 1
-	b[3] = n.NextProto
-	binary.BigEndian.PutUint32(b[4:8], n.ServicePath<<8|uint32(n.ServiceIdx))
-	for i := 0; i < 4; i++ {
-		binary.BigEndian.PutUint32(b[8+4*i:12+4*i], n.Context[i])
-	}
-	return NSHMD1Len, nil
-}
-
-// Decrement implements the NSH forwarding step: decrementing the service
-// index. It reports false when the index would underflow (packet must be
-// dropped, RFC 8300 §4.3).
-func (n *NSH) Decrement() bool {
-	if n.ServiceIdx == 0 {
-		return false
-	}
-	n.ServiceIdx--
-	return n.ServiceIdx != 0
 }

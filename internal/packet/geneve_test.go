@@ -133,82 +133,6 @@ func TestGeneveRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestNSHRoundTrip(t *testing.T) {
-	n := NSH{
-		OAM: true, TTL: 63, NextProto: NSHNextEthernet,
-		ServicePath: 0xABCDE, ServiceIdx: 255,
-		Context: [4]uint32{1, 2, 3, 0xdeadbeef},
-	}
-	buf := make([]byte, NSHMD1Len)
-	ln, err := n.SerializeTo(buf)
-	if err != nil || ln != NSHMD1Len {
-		t.Fatalf("serialize: %d %v", ln, err)
-	}
-	var d NSH
-	ln, err = d.DecodeFromBytes(buf)
-	if err != nil || ln != NSHMD1Len {
-		t.Fatalf("decode: %d %v", ln, err)
-	}
-	if d.MDType != 1 {
-		t.Fatalf("md type = %d", d.MDType)
-	}
-	d.MDType = 0 // normalize for comparison (encoder always writes 1)
-	n.MDType = 0
-	if d != n {
-		t.Fatalf("mismatch: %+v != %+v", d, n)
-	}
-}
-
-func TestNSHTTL6Bits(t *testing.T) {
-	n := NSH{TTL: 0xFF, ServicePath: 1, ServiceIdx: 1}
-	buf := make([]byte, NSHMD1Len)
-	n.SerializeTo(buf)
-	var d NSH
-	d.DecodeFromBytes(buf)
-	if d.TTL != 0x3F {
-		t.Fatalf("TTL = %#x, want 6-bit truncation", d.TTL)
-	}
-}
-
-func TestNSHBadInputs(t *testing.T) {
-	var d NSH
-	if _, err := d.DecodeFromBytes(make([]byte, 7)); err != ErrTooShort {
-		t.Fatalf("short: %v", err)
-	}
-	bad := make([]byte, NSHMD1Len)
-	bad[0] = 0x40 // version 1
-	if _, err := d.DecodeFromBytes(bad); err != ErrBadVersion {
-		t.Fatalf("version: %v", err)
-	}
-	// MD type 2 unsupported.
-	md2 := make([]byte, NSHMD1Len)
-	md2[1] = NSHMD1Len / 4
-	md2[2] = 2
-	if _, err := d.DecodeFromBytes(md2); err != ErrUnsupported {
-		t.Fatalf("md2: %v", err)
-	}
-	// Wrong length for MD1.
-	badLen := make([]byte, NSHMD1Len)
-	badLen[1] = 2 // 8 bytes
-	badLen[2] = 1
-	if _, err := d.DecodeFromBytes(badLen); err != ErrBadLength {
-		t.Fatalf("length: %v", err)
-	}
-}
-
-func TestNSHDecrement(t *testing.T) {
-	n := NSH{ServiceIdx: 2}
-	if !n.Decrement() || n.ServiceIdx != 1 {
-		t.Fatalf("first decrement: %+v", n)
-	}
-	if n.Decrement() {
-		t.Fatal("decrement to 0 should report drop")
-	}
-	if n.Decrement() {
-		t.Fatal("underflow should report drop")
-	}
-}
-
 func BenchmarkGeneveDecode(b *testing.B) {
 	g := Geneve{Protocol: EtherTypeIPv4, VNI: 1234}
 	buf := make([]byte, GeneveMinLen)

@@ -10,8 +10,8 @@ import (
 
 // ReplaySource replays a pcap capture into a sink at the recorded
 // timestamps (virtual time), parsing each frame's tenant flow from its
-// VXLAN/Geneve encapsulation. It turns real traces — or captures produced
-// by albatross-sim's -pcap flag — into simulation input.
+// VXLAN/Geneve encapsulation. It turns real traces — or captures written
+// with packet.PcapWriter — into simulation input.
 type ReplaySource struct {
 	// Sink receives each replayed packet. Required.
 	Sink func(f Flow, bytes int)

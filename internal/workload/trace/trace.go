@@ -348,7 +348,7 @@ func ReadSidecar(path string) (Header, error) {
 // FromPcap ingests a libpcap capture into a trace: each frame that decodes
 // to an IPv4 tenant flow becomes an event at its capture-relative
 // timestamp; undecodable frames are counted in skipped. The import path
-// turns real production captures (or albatross-sim -pcap output) into
+// turns real production captures (or packet.PcapWriter output) into
 // replayable schedules.
 func FromPcap(r io.Reader) (t *Trace, skipped int, err error) {
 	pr, err := packet.NewPcapReader(r)

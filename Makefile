@@ -69,11 +69,16 @@ gameday: build
 #   concury      the flow-table backend experiment in quick mode: backend
 #                agreement, zero-disruption pool updates, the session-vs-othello
 #                memory ratio, cluster byte-identity with othello + burst.
+#   artefacts    every experiment in quick mode must pass, and print as many
+#                experiment headers ("== ") and checks ("check [") as the
+#                committed experiments_output.txt — so the report cannot go
+#                stale when an experiment or a check is added or removed.
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
 	asim="timeout 240 $$tmp/asim"; conv=scenarios/convergence-drill.yaml; \
 	same() { cmp $$tmp/a.csv $$tmp/$$1.csv && cmp $$tmp/a.json $$tmp/$$1.json; }; \
+	counts() { echo "$$(grep -c '^== ' $$1)/$$(grep -c '^check \[' $$1)"; }; \
 	for row in \
 		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
 		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
@@ -84,6 +89,7 @@ check: build
 		"series-shards|$$asim run -shards 3 -series-out $$tmp/c $$conv && same c" \
 		"series-burst|$$asim run -burst 8 -series-out $$tmp/d $$conv && same d" \
 		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
+		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 	; do \
 		name=$${row%%|*}; cmd=$${row#*|}; \
 		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \

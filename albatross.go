@@ -128,7 +128,8 @@ func StageNames() []string { return core.StageNames() }
 // Cluster types.
 type (
 	// Cluster is a multi-node deployment: N servers behind consistent-hash
-	// ECMP on one shared engine, each with a modeled BGP uplink.
+	// ECMP, each with a modeled BGP uplink, advancing under one epoch
+	// protocol (a control engine plus k ≥ 1 shard engines).
 	Cluster = cluster.Cluster
 	// ClusterConfig parameterizes a cluster (NewCluster builds it from
 	// options; the struct form is cluster.New's input).

@@ -8,7 +8,8 @@ import (
 
 // TestExitCodes pins the command line's contract: 2 for a bad command line
 // (with the usage, and for a former flat flag a pointer to `run`), 1 for a
-// scenario that does not load, 0 for one that does.
+// scenario that does not load or an override out of range (one line, no
+// runtime crash), 0 for one that does.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -25,6 +26,9 @@ func TestExitCodes(t *testing.T) {
 		{"run without a file", []string{"run"}, 2, "", "usage: albatross-sim run"},
 		{"validate committed drill", []string{"validate", "../../scenarios/node-crash.yaml"}, 0, "node-crash.yaml: OK", ""},
 		{"validate invalid file", []string{"validate", "../../internal/scenario/testdata/invalid/unknown-key.yaml"}, 1, "INVALID", ""},
+		{"run cache_mb over the ceiling", []string{"run", "-cache-mb", "1000000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.cache_mb must be in [0,4096]"},
+		{"run nodes over the ceiling", []string{"run", "-nodes", "100000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.nodes must be in [1,65536]"},
+		{"run unknown backend", []string{"run", "-backend", "bogus", "../../scenarios/healthy-baseline.yaml"}, 1, "", `unknown flow-table backend "bogus"`},
 		{"reconcile dry run", []string{"reconcile", "-plan", "../../scenarios/reconcile-canary.yaml"}, 0, "reconcile plan:", ""},
 		{"reconcile without a spec", []string{"reconcile", "../../scenarios/node-crash.yaml"}, 1, "", "no spec: block"},
 		{"replay-diff missing file", []string{"replay-diff", "no-such-a", "no-such-b"}, 1, "", "no-such-a"},
@@ -40,6 +44,9 @@ func TestExitCodes(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.wantStderr) {
 				t.Errorf("stderr %q does not contain %q", &stderr, tc.wantStderr)
+			}
+			if tc.code == 1 && tc.wantStderr != "" && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("failure message is not one line: %q", &stderr)
 			}
 			if tc.code == 2 && !strings.Contains(strings.ToLower(stderr.String()), "usage:") {
 				t.Errorf("bad command line did not print a usage: %q", &stderr)

@@ -40,6 +40,9 @@ type SimSession struct {
 	// can expose a conservative lookahead bound without touching the heap.
 	nextProbeAt   sim.Time
 	readvertiseAt sim.Time // zero when no re-advertisement is pending
+	// onRouteChange runs after every RouteUp transition, inside the
+	// transition's event (set by NewProxiedSession; nil when unobserved).
+	onRouteChange func()
 
 	stats SimSessionStats
 }
@@ -56,10 +59,6 @@ type SimSessionConfig struct {
 	// being advertised again (BGP session re-establishment + UPDATE
 	// propagation). Default 1s.
 	ReestablishDelay sim.Duration
-	// OnDown fires when the session is declared down (route withdrawn).
-	OnDown func(now sim.Time)
-	// OnUp fires when the route is re-advertised.
-	OnUp func(now sim.Time)
 }
 
 // SimSessionStats are cumulative session counters.
@@ -185,8 +184,8 @@ func simSessionProbe(arg any) {
 		s.routeUp = false
 		s.stats.Detections++
 		s.stats.LastDetectNS = now.Sub(s.downedAt)
-		if s.cfg.OnDown != nil {
-			s.cfg.OnDown(now)
+		if s.onRouteChange != nil {
+			s.onRouteChange()
 		}
 	}
 	s.nextProbeAt = now.Add(s.cfg.TxInterval)
@@ -204,7 +203,7 @@ func simSessionReadvertise(arg any) {
 	s.routeUp = true
 	s.stats.Recoveries++
 	s.stats.DownTime += now.Sub(s.downedAt)
-	if s.cfg.OnUp != nil {
-		s.cfg.OnUp(now)
+	if s.onRouteChange != nil {
+		s.onRouteChange()
 	}
 }

@@ -7,34 +7,6 @@ import (
 	"albatross/internal/sim"
 )
 
-// Uplink is the per-member gateway↔switch session surface the dataplane and
-// fault layers consult. SimSession is the pure timing model; ProxiedSession
-// keeps the same timing model but mirrors every transition through a real
-// proxy-pod eBGP session into the switch RIB.
-type Uplink interface {
-	// RouteUp reports whether the member's VIP route is advertised — the
-	// packet-path eligibility signal.
-	RouteUp() bool
-	// LinkUp reports whether the physical link is up.
-	LinkUp() bool
-	// BFDUp reports whether BFD considers the session alive.
-	BFDUp() bool
-	// Stats returns the cumulative session counters.
-	Stats() SimSessionStats
-	// NextTransition returns the lookahead bound for sharded runs (see
-	// SimSession.NextTransition).
-	NextTransition() sim.Time
-	// DetectionWindow returns the worst-case BFD detection latency.
-	DetectionWindow() sim.Duration
-	// InjectFlap takes the link down for d.
-	InjectFlap(d sim.Duration)
-}
-
-var (
-	_ Uplink = (*SimSession)(nil)
-	_ Uplink = (*ProxiedSession)(nil)
-)
-
 // MemberPrefix returns the canonical VIP prefix member i advertises:
 // 10.(i>>8).(i&255).0/24. Disjoint per member, so concurrent RIB updates
 // from different members commute.
@@ -42,13 +14,8 @@ func MemberPrefix(i int) Prefix {
 	return Prefix{Addr: packet.IPv4FromUint32(0x0a000000 | uint32(i)<<8), Len: 24}
 }
 
-// ProxiedSessionConfig parameterizes one member's real-session uplink.
+// ProxiedSessionConfig parameterizes one member's proxy fabric.
 type ProxiedSessionConfig struct {
-	// Session carries the BFD timing model (probe interval, DetectMult,
-	// re-establish delay). Its OnDown/OnUp hooks are chained: the proxied
-	// session mirrors the transition into the BGP fabric first, then calls
-	// the user hook.
-	Session SimSessionConfig
 	// Prefix is the VIP the member's pod advertises. Zero value uses
 	// MemberPrefix(Member).
 	Prefix Prefix
@@ -64,33 +31,29 @@ type ProxiedSessionConfig struct {
 	RouterID uint32
 	// KeepaliveEvery is the virtual-time KEEPALIVE cadence on all four
 	// speakers. Default 30s. Keepalives never change externally visible
-	// state, so they do not factor into NextTransition.
+	// state, so they do not factor into SimSession.NextTransition.
 	KeepaliveEvery sim.Duration
 }
 
-// ProxiedSession is one member's uplink run over the real BGP stack: a GW
+// ProxiedSession is the real BGP stack observing one member's uplink: a GW
 // pod speaker peers iBGP with a Proxy (paper §5: one proxy pod per server),
 // and the proxy holds the single eBGP session to the shared switch model —
 // all over in-memory conns, pumped synchronously inside virtual-time
 // events so byte-identical determinism is preserved.
 //
-// The inner SimSession stays the timing engine: BFD probe grid, detection,
-// and re-advertisement delays are computed exactly as before, which is what
-// keeps outcomes byte-identical with the legacy path and gives sharded runs
-// the same lookahead bound. On every inner transition (and admin change)
-// the session mirrors the new state through the fabric: the pod speaker
-// announces or withdraws the VIP, the proxy refcounts and forwards it
-// upstream, and the switch RIB updates — real OPEN/UPDATE/KEEPALIVE bytes
-// end to end.
+// The member's SimSession is the timing model and the only authority for
+// RouteUp/LinkUp/NextTransition; the fabric never feeds back into it. On
+// every session transition (and admin change) the fabric mirrors the new
+// state: the pod speaker announces or withdraws the VIP, the proxy refcounts
+// and forwards it upstream, and the switch RIB updates — real
+// OPEN/UPDATE/KEEPALIVE bytes end to end.
 //
-// Eligibility (RouteUp) deliberately reads the BFD view, not the RIB: the
-// RIB is observable shadow state, asserted against the BFD view by the
-// Desyncs counter and pinned in tests. Deriving eligibility from the RIB
-// would tie packet-path behavior to message-pump ordering rather than the
-// timing model.
+// Packet-path eligibility deliberately reads the session, not the RIB: the
+// RIB is observable shadow state, checked against the session by the Desyncs
+// counter and pinned in tests. Deriving eligibility from the RIB would tie
+// packet-path behavior to message-pump ordering rather than the timing model.
 type ProxiedSession struct {
-	inner  *SimSession
-	engine *sim.Engine
+	session *SimSession
 
 	sw     *Switch
 	proxy  *Proxy
@@ -119,10 +82,12 @@ type sessionResult struct {
 }
 
 // NewProxiedSession wires pod↔proxy↔switch sessions for one member and
-// starts the BFD timing model on the member's engine. The switch must be in
-// Manual mode; all sessions are established before returning and the VIP is
-// advertised (and visible in the switch RIB).
-func NewProxiedSession(engine *sim.Engine, sw *Switch, cfg ProxiedSessionConfig) (*ProxiedSession, error) {
+// subscribes them to session's route transitions; the keepalive cadence runs
+// on the session's engine. The switch must be in Manual mode; all sessions
+// are established before returning and the VIP is advertised (and visible in
+// the switch RIB) when the session's route is up. A session takes one fabric:
+// a second replaces the first's subscription.
+func NewProxiedSession(sw *Switch, session *SimSession, cfg ProxiedSessionConfig) (*ProxiedSession, error) {
 	if !sw.Manual {
 		return nil, fmt.Errorf("bgp: proxied session requires a Manual switch")
 	}
@@ -139,7 +104,7 @@ func NewProxiedSession(engine *sim.Engine, sw *Switch, cfg ProxiedSessionConfig)
 		cfg.KeepaliveEvery = 30 * sim.Second
 	}
 	s := &ProxiedSession{
-		engine:         engine,
+		session:        session,
 		sw:             sw,
 		prefix:         cfg.Prefix.Canonical(),
 		adminUp:        true,
@@ -194,37 +159,17 @@ func NewProxiedSession(engine *sim.Engine, sw *Switch, cfg ProxiedSessionConfig)
 	s.pod = pod
 	s.podSrv = podRes.sp
 
-	userDown, userUp := cfg.Session.OnDown, cfg.Session.OnUp
-	cfg.Session.OnDown = func(now sim.Time) {
-		s.refresh()
-		if userDown != nil {
-			userDown(now)
-		}
-	}
-	cfg.Session.OnUp = func(now sim.Time) {
-		s.refresh()
-		if userUp != nil {
-			userUp(now)
-		}
-	}
-	inner, err := NewSimSession(engine, cfg.Session)
-	if err != nil {
-		return nil, err
-	}
-	s.inner = inner
-
-	// Initial advertisement: the session starts established with the route
-	// up, exactly like SimSession.
+	session.onRouteChange = s.refresh
 	s.refresh()
-	engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
+	session.engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
 	return s, nil
 }
 
 // refresh reconciles the fabric with the wanted advertisement state
-// (admin-up AND BFD route-up), pumping all four speakers so the switch RIB
+// (admin-up AND session route-up), pumping all four speakers so the switch RIB
 // reflects the change before the event returns.
 func (s *ProxiedSession) refresh() {
-	want := s.adminUp && s.inner.RouteUp()
+	want := s.adminUp && s.session.RouteUp()
 	if want == s.advertised {
 		return
 	}
@@ -256,13 +201,16 @@ func proxiedKeepalive(arg any) {
 		_ = sp.SendKeepalive()
 	}
 	s.pump()
-	s.engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
+	s.session.engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
 }
 
 // SetAdmin drives administrative advertisement: SetAdmin(false) withdraws
 // the VIP through the fabric (a drain) regardless of BFD state;
-// SetAdmin(true) restores it. Must be called from control context (after
-// shard synchronization in sharded runs).
+// SetAdmin(true) restores it. The session's RouteUp is untouched: the
+// cluster's adminUntil clock comparison stays the authority for
+// administrative drains, so a packet arriving at the drain-expiry instant
+// sees the same eligibility whether or not the admin-restore event has run.
+// Must be called from control context (after shard synchronization).
 func (s *ProxiedSession) SetAdmin(up bool) {
 	if s.adminUp == up {
 		return
@@ -279,10 +227,6 @@ func (s *ProxiedSession) SetAdmin(up bool) {
 // AdminUp reports the administrative state.
 func (s *ProxiedSession) AdminUp() bool { return s.adminUp }
 
-// Advertised reports whether the VIP is currently advertised through the
-// fabric.
-func (s *ProxiedSession) Advertised() bool { return s.advertised }
-
 // Prefix returns the member's VIP prefix.
 func (s *ProxiedSession) Prefix() Prefix { return s.prefix }
 
@@ -295,31 +239,3 @@ func (s *ProxiedSession) PodSpeaker() *Speaker { return s.pod }
 
 // Pump drains all four speakers; exposed for tests and auxiliary sessions.
 func (s *ProxiedSession) Pump() { s.pump() }
-
-// RouteUp reports packet-path eligibility. It reads the BFD timing model
-// only — not the switch RIB and not the admin mirror. The cluster's
-// adminUntil clock-comparison stays the authority for administrative
-// drains (exactly as on the legacy path), so a packet arriving at the
-// drain-expiry instant sees the same eligibility regardless of whether the
-// admin-restore event has run yet; the fabric mirror is observable shadow
-// state.
-func (s *ProxiedSession) RouteUp() bool { return s.inner.RouteUp() }
-
-// LinkUp reports whether the physical link is up.
-func (s *ProxiedSession) LinkUp() bool { return s.inner.LinkUp() }
-
-// BFDUp reports whether BFD considers the session alive.
-func (s *ProxiedSession) BFDUp() bool { return s.inner.BFDUp() }
-
-// Stats returns the inner timing model's counters.
-func (s *ProxiedSession) Stats() SimSessionStats { return s.inner.Stats() }
-
-// NextTransition delegates to the timing model (admin changes come from
-// control context, which synchronizes shards itself).
-func (s *ProxiedSession) NextTransition() sim.Time { return s.inner.NextTransition() }
-
-// DetectionWindow returns the worst-case BFD detection latency.
-func (s *ProxiedSession) DetectionWindow() sim.Duration { return s.inner.DetectionWindow() }
-
-// InjectFlap takes the link down for d.
-func (s *ProxiedSession) InjectFlap(d sim.Duration) { s.inner.InjectFlap(d) }

@@ -6,28 +6,34 @@ import (
 	"albatross/internal/sim"
 )
 
-func newTestFabric(t *testing.T, member int) (*sim.Engine, *Switch, *ProxiedSession) {
+// newTestFabric starts a default-timing session on a fresh engine and
+// attaches a proxy fabric to it.
+func newTestFabric(t *testing.T, member int) (*sim.Engine, *Switch, *SimSession, *ProxiedSession) {
 	t.Helper()
 	eng := sim.NewEngine()
 	sw := NewSwitch(65000, 0xFFFF0001)
 	sw.Manual = true
-	ps, err := NewProxiedSession(eng, sw, ProxiedSessionConfig{Member: member})
-	if err != nil {
-		t.Fatalf("NewProxiedSession: %v", err)
-	}
-	return eng, sw, ps
-}
-
-// The proxied path must reproduce the SimSession timing model exactly:
-// identical flap schedules yield identical stats, detection latencies, and
-// externally visible state at every sample point.
-func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
-	engSim := sim.NewEngine()
-	ref, err := NewSimSession(engSim, SimSessionConfig{})
+	session, err := NewSimSession(eng, SimSessionConfig{})
 	if err != nil {
 		t.Fatalf("NewSimSession: %v", err)
 	}
-	engProx, _, ps := newTestFabric(t, 0)
+	ps, err := NewProxiedSession(sw, session, ProxiedSessionConfig{Member: member})
+	if err != nil {
+		t.Fatalf("NewProxiedSession: %v", err)
+	}
+	return eng, sw, session, ps
+}
+
+// Attaching the fabric must not perturb the session it observes: the same
+// flap schedule on a bare and a fabric-attached SimSession yields identical
+// externally visible state at every sample point and identical stats.
+func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
+	engBare := sim.NewEngine()
+	bare, err := NewSimSession(engBare, SimSessionConfig{})
+	if err != nil {
+		t.Fatalf("NewSimSession: %v", err)
+	}
+	engFab, _, observed, ps := newTestFabric(t, 0)
 
 	// An absorbed blip, a detected outage, overlapping flaps.
 	schedule := []struct {
@@ -41,40 +47,40 @@ func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
 	}
 	for _, f := range schedule {
 		f := f
-		engSim.At(sim.Time(f.at), func() { ref.InjectFlap(f.d) })
-		engProx.At(sim.Time(f.at), func() { ps.InjectFlap(f.d) })
+		engBare.At(sim.Time(f.at), func() { bare.InjectFlap(f.d) })
+		engFab.At(sim.Time(f.at), func() { observed.InjectFlap(f.d) })
 	}
 
 	for at := sim.Time(0); at <= sim.Time(8*sim.Second); at = at.Add(25 * sim.Millisecond) {
-		engSim.RunUntil(at)
-		engProx.RunUntil(at)
-		if ref.RouteUp() != ps.RouteUp() || ref.BFDUp() != ps.BFDUp() || ref.LinkUp() != ps.LinkUp() {
-			t.Fatalf("state diverged at %v: ref(route=%v bfd=%v link=%v) proxied(route=%v bfd=%v link=%v)",
-				at, ref.RouteUp(), ref.BFDUp(), ref.LinkUp(), ps.RouteUp(), ps.BFDUp(), ps.LinkUp())
+		engBare.RunUntil(at)
+		engFab.RunUntil(at)
+		if bare.RouteUp() != observed.RouteUp() || bare.BFDUp() != observed.BFDUp() || bare.LinkUp() != observed.LinkUp() {
+			t.Fatalf("state diverged at %v: bare(route=%v bfd=%v link=%v) observed(route=%v bfd=%v link=%v)",
+				at, bare.RouteUp(), bare.BFDUp(), bare.LinkUp(), observed.RouteUp(), observed.BFDUp(), observed.LinkUp())
 		}
-		if ref.NextTransition() != ps.NextTransition() {
-			t.Fatalf("lookahead diverged at %v: ref=%v proxied=%v", at, ref.NextTransition(), ps.NextTransition())
+		if bare.NextTransition() != observed.NextTransition() {
+			t.Fatalf("lookahead diverged at %v: bare=%v observed=%v", at, bare.NextTransition(), observed.NextTransition())
 		}
 	}
-	if ref.Stats() != ps.Stats() {
-		t.Fatalf("stats diverged:\n  ref     %+v\n  proxied %+v", ref.Stats(), ps.Stats())
+	if bare.Stats() != observed.Stats() {
+		t.Fatalf("stats diverged:\n  bare     %+v\n  observed %+v", bare.Stats(), observed.Stats())
 	}
 	if ps.Desyncs != 0 {
 		t.Fatalf("fabric desyncs: %d", ps.Desyncs)
 	}
 }
 
-// Detection latency through the proxied path must respect SimSession's
+// Detection latency with the fabric attached must respect SimSession's
 // bounds: at least DetectMult probe intervals, at most the detection window
 // (one extra interval of grid quantization).
 func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
-	eng, sw, ps := newTestFabric(t, 3)
+	eng, sw, session, ps := newTestFabric(t, 3)
 
 	// Well under the window: absorbed, never leaves the RIB. (Off-grid
 	// start so grid quantization can't stretch it into a detection.)
-	eng.At(sim.Time(110*sim.Millisecond), func() { ps.InjectFlap(80 * sim.Millisecond) })
+	eng.At(sim.Time(110*sim.Millisecond), func() { session.InjectFlap(80 * sim.Millisecond) })
 	eng.RunUntil(sim.Time(500 * sim.Millisecond))
-	if st := ps.Stats(); st.Absorbed != 1 || st.Detections != 0 {
+	if st := session.Stats(); st.Absorbed != 1 || st.Detections != 0 {
 		t.Fatalf("short flap: %+v", st)
 	}
 	if sw.RIB().PathCount(ps.Prefix()) != 1 {
@@ -85,15 +91,15 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 	// runs from the last received probe, which can precede the flap by up
 	// to one interval — so latency from flap start spans
 	// [(DetectMult−1)×Tx, (DetectMult+1)×Tx].
-	eng.At(sim.Time(1010*sim.Millisecond), func() { ps.InjectFlap(400 * sim.Millisecond) })
+	eng.At(sim.Time(1010*sim.Millisecond), func() { session.InjectFlap(400 * sim.Millisecond) })
 	eng.RunUntil(sim.Time(3 * sim.Second))
-	st := ps.Stats()
+	st := session.Stats()
 	if st.Detections != 1 {
 		t.Fatalf("long flap not detected: %+v", st)
 	}
 	lo := sim.Duration(2) * 50 * sim.Millisecond
-	if st.LastDetectNS < lo || st.LastDetectNS > ps.DetectionWindow() {
-		t.Fatalf("detection latency %v outside [%v, %v]", st.LastDetectNS, lo, ps.DetectionWindow())
+	if st.LastDetectNS < lo || st.LastDetectNS > session.DetectionWindow() {
+		t.Fatalf("detection latency %v outside [%v, %v]", st.LastDetectNS, lo, session.DetectionWindow())
 	}
 }
 
@@ -101,7 +107,7 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 // messages, and admin drains must withdraw through the fabric while leaving
 // the BFD eligibility view untouched.
 func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
-	eng, sw, ps := newTestFabric(t, 1)
+	eng, sw, session, ps := newTestFabric(t, 1)
 	pfx := ps.Prefix()
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("initial advertisement missing from RIB")
@@ -110,24 +116,24 @@ func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 		t.Fatalf("switch peers = %d, want 1 (proxied)", got)
 	}
 
-	ps.InjectFlap(400 * sim.Millisecond)
+	session.InjectFlap(400 * sim.Millisecond)
 	eng.RunUntil(sim.Time(300 * sim.Millisecond)) // past the 200ms detection window
-	if ps.RouteUp() || sw.RIB().PathCount(pfx) != 0 {
-		t.Fatalf("detection not mirrored: routeUp=%v paths=%d", ps.RouteUp(), sw.RIB().PathCount(pfx))
+	if session.RouteUp() || sw.RIB().PathCount(pfx) != 0 {
+		t.Fatalf("detection not mirrored: routeUp=%v paths=%d", session.RouteUp(), sw.RIB().PathCount(pfx))
 	}
 	eng.RunUntil(sim.Time(2 * sim.Second)) // link back + 1s re-establish delay
-	if !ps.RouteUp() || sw.RIB().PathCount(pfx) != 1 {
-		t.Fatalf("recovery not mirrored: routeUp=%v paths=%d", ps.RouteUp(), sw.RIB().PathCount(pfx))
+	if !session.RouteUp() || sw.RIB().PathCount(pfx) != 1 {
+		t.Fatalf("recovery not mirrored: routeUp=%v paths=%d", session.RouteUp(), sw.RIB().PathCount(pfx))
 	}
 
 	ps.SetAdmin(false)
 	if sw.RIB().PathCount(pfx) != 0 {
 		t.Fatalf("admin drain not withdrawn from RIB")
 	}
-	if !ps.RouteUp() {
+	if !session.RouteUp() {
 		t.Fatalf("admin drain must not touch the BFD eligibility view")
 	}
-	if !ps.BFDUp() {
+	if !session.BFDUp() {
 		t.Fatalf("admin drain must not touch BFD")
 	}
 	ps.SetAdmin(true)
@@ -149,7 +155,7 @@ func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 // The proxy refcounts multi-pod advertisements of the same VIP: the
 // upstream withdraw happens only when the last pod withdraws (paper §5).
 func TestProxiedSessionMultiPodRefcount(t *testing.T) {
-	_, sw, ps := newTestFabric(t, 2)
+	_, sw, _, ps := newTestFabric(t, 2)
 	pfx := ps.Prefix()
 
 	// A second GW pod peers with the same proxy and announces the same VIP.

@@ -1,6 +1,7 @@
 // Package cluster is the multi-node Albatross deployment: N containerized
-// gateway servers (core.Node) behind one ToR switch, advancing on one
-// shared virtual-time engine. Ingress flows are sprayed across nodes with
+// gateway servers (core.Node) behind one ToR switch, advancing in virtual
+// time under one protocol — a control engine plus k ≥ 1 shard engines (see
+// sharded.go). Ingress flows are sprayed across nodes with
 // consistent-hash ECMP (flow-affine, bounded remap on membership churn),
 // and each node's reachability is governed by its modeled BGP uplink — so
 // a node crash is only *observed* by the ECMP layer once BFD misses
@@ -14,11 +15,11 @@
 // withdraw — while still routing pod-level faults to member nodes via
 // Fault.Node.
 //
-// Every member's uplink runs over the real BGP stack (bgp.ProxiedSession):
-// a GW-pod speaker peers iBGP with the member's proxy pod, which holds the
-// single eBGP session to one shared switch model — the paper's §5
-// peer-scaling topology at cluster scale. The BFD timing model is the
-// session's embedded bgp.SimSession.
+// Every member's uplink is a bgp.SimSession — the BFD timing model, and the
+// only thing eligibility reads — observed by the real BGP stack
+// (bgp.ProxiedSession): a GW-pod speaker peers iBGP with the member's proxy
+// pod, which holds the single eBGP session to one shared switch model — the
+// paper's §5 peer-scaling topology at cluster scale.
 package cluster
 
 import (
@@ -46,8 +47,8 @@ type Config struct {
 	// deterministic seed from it).
 	Seed uint64
 	// Node is the per-member template. Its Seed/Engine/Faults fields are
-	// overridden: seeds derive from Config.Seed, all members share one
-	// engine, and fault plans are cluster-level (Config.Faults).
+	// overridden: seeds derive from Config.Seed, a member runs on its
+	// shard's engine, and fault plans are cluster-level (Config.Faults).
 	Node core.NodeConfig
 	// VNodesPerNode is the consistent-hash vnode count per member
 	// (default 64; higher = tighter remap bound, bigger table).
@@ -55,12 +56,12 @@ type Config struct {
 	// Faults, when non-nil, arms a deterministic cluster-level fault plan
 	// (node- and pod-level kinds; Fault.Node selects the member).
 	Faults *faults.Plan
-	// Shards partitions the members onto per-shard event engines so a run
-	// uses multiple cores: 0 = auto (min(GOMAXPROCS, Nodes)), 1 = the
-	// legacy single shared engine, k > 1 = k shard engines driven by a
-	// control engine under the conservative exchange protocol (see
-	// internal/sim.ShardedEngine). Outcome reports and metrics exports are
-	// byte-identical at any shard count.
+	// Shards partitions the members onto k shard engines driven by a
+	// control engine under the conservative epoch protocol (see
+	// internal/sim.ShardedEngine), so a run uses multiple cores: 0 = auto
+	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = exactly k (capped at Nodes).
+	// Outcome reports and metrics exports are byte-identical at any shard
+	// count.
 	Shards int
 	// SnapshotEvery, when positive, samples a telemetry timeline every
 	// SnapshotEvery of virtual time: RunFor slices its advance at tick
@@ -119,14 +120,13 @@ type Member struct {
 	Drains  uint64
 	Crashes uint64
 
-	// shard is the engine shard owning this member (0 on the legacy path).
+	// shard is the engine shard owning this member.
 	shard int
-	// proxied is the real-BGP uplink session.
+	// proxied is the real-BGP fabric mirroring the member's uplink session.
 	proxied *bgp.ProxiedSession
 }
 
-// Shard returns the engine shard that owns the member (0 when the cluster
-// runs on the legacy single shared engine).
+// Shard returns the engine shard that owns the member.
 func (m *Member) Shard() int { return m.shard }
 
 // State returns the member's lifecycle state name.
@@ -135,7 +135,8 @@ func (m *Member) State() string { return m.state.String() }
 // Weight returns the member's ECMP weight.
 func (m *Member) Weight() float64 { return m.weight }
 
-// Proxied returns the member's real-BGP uplink session.
+// Proxied returns the real-BGP fabric (proxy pod, switch RIB mirror) that
+// observes the member's uplink session; timing is Node.Uplink().
 func (m *Member) Proxied() *bgp.ProxiedSession { return m.proxied }
 
 // ActivePods counts the member's pods in the active lifecycle state.
@@ -151,10 +152,9 @@ func (m *Member) ActivePods() int {
 
 // Cluster is a set of Albatross nodes behind consistent-hash ECMP.
 type Cluster struct {
-	// Engine is the clock cluster-coupling state advances on: the shared
-	// engine when Shards <= 1, the control engine of the sharded protocol
-	// otherwise. Workload sources, fault plans, and trace record/replay all
-	// attach here in both modes.
+	// Engine is the control engine: the clock cluster-coupling state
+	// advances on. Workload sources, fault plans, and trace record/replay
+	// all attach here.
 	Engine *sim.Engine
 
 	cfg      Config
@@ -166,11 +166,9 @@ type Cluster struct {
 	// eligibleFn is the ring's eligibility probe, bound once so Inject
 	// stays allocation-free.
 	eligibleFn func(int) bool
-	// sharded is the multi-shard protocol driver (nil when Shards <= 1);
-	// shards is the effective shard count (1 on the legacy path); mail
-	// holds the per-shard cross-shard injection mailboxes.
+	// sharded is the epoch-protocol driver; mail holds the per-shard
+	// injection mailboxes.
 	sharded *sim.ShardedEngine
-	shards  int
 	mail    []shardMailbox
 	// switchModel is the shared uplink switch every member's proxy peers
 	// with.
@@ -199,9 +197,9 @@ func memberSeed(seed uint64, i int) uint64 {
 	return mix64(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 }
 
-// New builds a cluster of cfg.Nodes members on one shared engine. Every
-// member gets a modeled BGP uplink (default BFD timing) — reachability is
-// what ECMP eligibility is derived from.
+// New builds a cluster of cfg.Nodes members. Every member gets a modeled
+// BGP uplink (default BFD timing) — reachability is what ECMP eligibility is
+// derived from.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d: %w", cfg.Nodes, errs.BadConfig)
@@ -228,22 +226,17 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:         cfg,
 		ring:        newRing(cfg.VNodesPerNode),
-		shards:      shards,
+		sharded:     sim.NewShardedEngine(shards),
+		mail:        make([]shardMailbox, shards),
 		switchModel: bgp.NewSwitch(65000, 0xFFFF0001),
 	}
+	c.Engine = c.sharded.Control()
+	c.sharded.SetAdvance(c.advanceShard)
+	c.sharded.SetBoundary(c.nextBoundary)
 	c.switchModel.Manual = true
 	// One proxy per member is exactly what keeps the peer count at m,
 	// but the capacity model still flags over-dense clusters.
 	c.switchModel.MaxSafePeers = 64
-	if shards > 1 {
-		c.sharded = sim.NewShardedEngine(shards)
-		c.Engine = c.sharded.Control()
-		c.mail = make([]shardMailbox, shards)
-		c.sharded.SetAdvance(c.advanceShard)
-		c.sharded.SetBoundary(c.nextBoundary)
-	} else {
-		c.Engine = sim.NewEngine()
-	}
 	c.eligibleFn = c.eligible
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := c.addMember(); err != nil {
@@ -263,27 +256,27 @@ func New(cfg Config) (*Cluster, error) {
 // addMember builds, uplinks, and ring-registers the next member.
 func (c *Cluster) addMember() (*Member, error) {
 	i := len(c.members)
-	shard := trace.ShardOfNode(i, c.shards)
+	shard := trace.ShardOfNode(i, c.sharded.NumShards())
 	ncfg := c.cfg.Node
 	ncfg.Seed = memberSeed(c.cfg.Seed, i)
-	ncfg.Engine = c.engineOf(shard)
+	ncfg.Engine = c.sharded.Shard(shard)
 	ncfg.Faults = nil
 	n, err := core.NewNode(ncfg)
 	if err != nil {
 		return nil, err
 	}
 	m := &Member{Index: i, Node: n, shard: shard, weight: 1}
-	ps, err := bgp.NewProxiedSession(ncfg.Engine, c.switchModel, bgp.ProxiedSessionConfig{Member: i})
-	if err != nil {
-		return nil, err
-	}
 	// At cluster scope the failover path is re-ECMP to survivors, not a
 	// sibling re-advertisement of the same prefix, so the core-level proxy
 	// detour stays off.
-	if err := n.InstallUplink(ps, false); err != nil {
+	session, err := n.EnableUplink(false)
+	if err != nil {
 		return nil, err
 	}
-	m.proxied = ps
+	m.proxied, err = bgp.NewProxiedSession(c.switchModel, session, bgp.ProxiedSessionConfig{Member: i})
+	if err != nil {
+		return nil, err
+	}
 	c.members = append(c.members, m)
 	c.ring.add(i)
 	return m, nil
@@ -297,7 +290,7 @@ func (c *Cluster) AddNode() (int, error) {
 	// The new member's uplink (and pods) arm events on its shard's engine,
 	// which may lag the control clock mid-run: bring it current first so
 	// nothing is scheduled in the shard's past.
-	c.syncShards()
+	c.sharded.SyncShards()
 	m, err := c.addMember()
 	if err != nil {
 		return 0, err
@@ -339,16 +332,13 @@ func (c *Cluster) memberAt(i int) (*Member, error) {
 func (c *Cluster) MemberAt(i int) (*Member, error) { return c.memberAt(i) }
 
 // NodeAt resolves member i as a pod-level fault target. Implements
-// faults.NodeTarget. On a sharded cluster the target is wrapped so every
-// pod-level fault synchronizes the shards to the control clock first — the
-// fault mutates node state owned by a shard engine.
+// faults.NodeTarget. The target is wrapped so every pod-level fault
+// synchronizes the shards to the control clock first — the fault mutates
+// node state owned by a shard engine.
 func (c *Cluster) NodeAt(i int) (faults.Target, error) {
 	m, err := c.memberAt(i)
 	if err != nil {
 		return nil, err
-	}
-	if c.sharded == nil {
-		return m.Node, nil
 	}
 	return &syncedTarget{c: c, n: m.Node}, nil
 }
@@ -393,7 +383,7 @@ func (c *Cluster) SetNodeAdmin(node int, up bool) error {
 	} else {
 		m.adminUntil = c.Engine.Now().Add(foreverDuration)
 	}
-	c.syncShards()
+	c.sharded.SyncShards()
 	m.proxied.SetAdmin(up)
 	return nil
 }
@@ -414,7 +404,7 @@ func (c *Cluster) RemoveNode(node int) error {
 		return fmt.Errorf("cluster: node %d already removed: %w", node, errs.BadState)
 	}
 	// Pod stops arm timers on the owning shard's engine.
-	c.syncShards()
+	c.sharded.SyncShards()
 	m.state = memberRemoved
 	m.adminUntil = c.Engine.Now().Add(foreverDuration)
 	m.proxied.SetAdmin(false)
@@ -445,7 +435,7 @@ func (c *Cluster) ScalePods(node, want int) error {
 		return fmt.Errorf("cluster: node %d is removed: %w", node, errs.BadState)
 	}
 	// Pod deploys and stops mutate shard-owned state.
-	c.syncShards()
+	c.sharded.SyncShards()
 	for m.ActivePods() < want {
 		if len(c.podCfgs) == 0 {
 			return fmt.Errorf("cluster: no pod template recorded (AddPod first): %w", errs.BadState)
@@ -486,7 +476,7 @@ func (c *Cluster) SetNodeFlowBackend(node int, name string) error {
 		return fmt.Errorf("cluster: node %d is removed: %w", node, errs.BadState)
 	}
 	// The swap rebuilds shard-owned steering state.
-	c.syncShards()
+	c.sharded.SyncShards()
 	return m.Node.SetFlowBackend(name)
 }
 
@@ -533,11 +523,12 @@ func (c *Cluster) Route(f workload.Flow) (home, owner int) {
 }
 
 // Inject sprays one packet through ECMP into the owning member's ingress
-// pod. Packets with no eligible member are dropped at the switch. On a
-// sharded cluster the routing decision and ECMP counters happen here on
-// the control clock (eligibility is frozen below the lookahead horizon, so
-// the decision is exact), while the pod pipeline work is buffered into the
-// owning shard's mailbox and executed by the shard worker.
+// pod. Packets with no eligible member are dropped at the switch. The
+// routing decision and ECMP counters happen here on the control clock
+// (eligibility is frozen below the lookahead horizon, so the decision is
+// exact), while the pod pipeline work is buffered into the owning shard's
+// mailbox and executed by the shard worker (Node.Ingress: pod 0 without a
+// flow-table backend, the backend's pinned pod with one).
 func (c *Cluster) Inject(f workload.Flow, bytes int) {
 	c.Sprayed++
 	home, owner := c.ring.lookup(flowHash(f), c.eligibleFn)
@@ -555,14 +546,7 @@ func (c *Cluster) Inject(f workload.Flow, bytes int) {
 		c.Drops++
 		return
 	}
-	if c.sharded != nil {
-		c.post(m, f, bytes)
-		return
-	}
-	// Without a flow-table backend, ingress lands on pod 0 (further pods are
-	// upgrade/crash siblings reached via the node's redirect machinery); with
-	// one, the backend steers each flow to its pinned pod.
-	m.Node.Ingress(f, bytes)
+	c.post(m, f, bytes)
 }
 
 // Sink adapts the cluster to a workload.Source sink.
@@ -570,17 +554,16 @@ func (c *Cluster) Sink() func(workload.Flow, int) {
 	return func(f workload.Flow, bytes int) { c.Inject(f, bytes) }
 }
 
-// RunFor advances the cluster's virtual clock: the shared engine on the
-// legacy path, the full epoch protocol (control plus all shards, in
-// parallel) when sharded.
+// RunFor advances the cluster's virtual clock under the epoch protocol
+// (control plus all shards, in parallel).
 func (c *Cluster) RunFor(d sim.Duration) {
 	c.RunUntil(c.Engine.Now().Add(d))
 }
 
 // RunUntil advances the cluster to exactly deadline. With SnapshotEvery
 // set, the advance is sliced at timeline tick boundaries: every engine is
-// driven to quiescence at exactly the tick time (an epoch barrier under
-// the sharded protocol — see DESIGN.md §14) before the sampler reads, so
+// driven to quiescence at exactly the tick time (an epoch barrier — see
+// DESIGN.md §14) before the sampler reads, so
 // the recorded series are byte-identical at any shard count and any
 // dispatch burst size. Slicing is semantically free: RunUntil(a) then
 // RunUntil(b) executes the identical event schedule as RunUntil(b).
@@ -591,21 +574,11 @@ func (c *Cluster) RunUntil(deadline sim.Time) {
 	if c.timeline != nil {
 		for c.timeline.Next() <= deadline {
 			tick := c.timeline.Next()
-			c.runEnginesUntil(tick)
+			c.sharded.RunUntil(tick)
 			c.timeline.Sample(tick)
 		}
 	}
-	c.runEnginesUntil(deadline)
-}
-
-// runEnginesUntil drives the underlying engine(s) to quiescence at exactly
-// deadline.
-func (c *Cluster) runEnginesUntil(deadline sim.Time) {
-	if c.sharded != nil {
-		c.sharded.RunUntil(deadline)
-		return
-	}
-	c.Engine.RunUntil(deadline)
+	c.sharded.RunUntil(deadline)
 }
 
 // Timeline returns the periodic telemetry sampler, or nil when
@@ -663,18 +636,13 @@ func (c *Cluster) armTimeline() {
 	c.timeline = tl
 }
 
-// Shards returns the effective shard count (1 = legacy shared engine).
-func (c *Cluster) Shards() int { return c.shards }
+// Shards returns the effective shard count.
+func (c *Cluster) Shards() int { return c.sharded.NumShards() }
 
 // Pending returns the live scheduled-event count across every engine in
-// the cluster. Safe to call from any goroutine mid-run: sharded engines
-// expose the count through atomic mirrors.
-func (c *Cluster) Pending() int {
-	if c.sharded != nil {
-		return c.sharded.Pending()
-	}
-	return c.Engine.Pending()
-}
+// the cluster. Safe to call from any goroutine mid-run: the engines expose
+// the count through atomic mirrors.
+func (c *Cluster) Pending() int { return c.sharded.Pending() }
 
 // InjectNodeFault is the unified node-level fault entry point: it fires
 // kind (KindNodeCrash, KindNodeDrain, or KindUplinkWithdraw) against member
@@ -697,9 +665,9 @@ func (c *Cluster) InjectNodeFault(kind faults.Kind, node int, d sim.Duration) er
 // detects after its probe window; arrivals meanwhile are blackholed at the
 // dead link) and every pod crashes. The node recovers after d (0 = never):
 // pods restart, BFD comes back, and the route re-advertises, restoring the
-// exact pre-crash ECMP assignment. On the proxied uplink, detection and
-// re-advertisement flow through real withdraw/announce UPDATEs into the
-// switch RIB via the session's own BFD hooks — no admin mirroring needed.
+// exact pre-crash ECMP assignment. Detection and re-advertisement reach the
+// switch RIB as real withdraw/announce UPDATEs through the fabric's
+// subscription to the session — no admin mirroring needed.
 func (c *Cluster) injectNodeCrash(node int, d sim.Duration) error {
 	m, err := c.memberAt(node)
 	if err != nil {
@@ -713,8 +681,8 @@ func (c *Cluster) injectNodeCrash(node int, d sim.Duration) error {
 	}
 	// The crash mutates shard-owned state (the uplink session, pod
 	// lifecycles): bring every shard to the control clock first so the
-	// mutation interleaves exactly as on the shared engine.
-	c.syncShards()
+	// mutation lands after every earlier shard-local event.
+	c.sharded.SyncShards()
 	m.state = memberCrashed
 	m.Crashes++
 	m.Node.Uplink().InjectFlap(d)
@@ -749,7 +717,7 @@ func (c *Cluster) injectNodeDrain(node int, d sim.Duration) error {
 		return fmt.Errorf("cluster: node %d is %v, not active: %w", node, m.state, errs.BadState)
 	}
 	// Pod drains arm timers on the owning shard's engine.
-	c.syncShards()
+	c.sharded.SyncShards()
 	m.state = memberDraining
 	m.Drains++
 	c.adminWithdraw(m, d)
@@ -771,9 +739,9 @@ func (c *Cluster) injectNodeDrain(node int, d sim.Duration) error {
 // injectUplinkWithdraw administratively withdraws member node's route for d
 // without touching its pods (drain-the-uplink). Eligibility only moves
 // adminUntil, a control-plane time threshold the ECMP layer evaluates
-// exactly at each arrival's own timestamp; on the proxied uplink the
-// withdrawal is additionally mirrored through the real fabric (which
-// synchronizes the shards — the session's speakers are shard-owned).
+// exactly at each arrival's own timestamp; the withdrawal is additionally
+// mirrored through the real fabric (which synchronizes the shards — the
+// fabric's speakers are shard-owned).
 func (c *Cluster) injectUplinkWithdraw(node int, d sim.Duration) error {
 	m, err := c.memberAt(node)
 	if err != nil {
@@ -801,13 +769,13 @@ func (c *Cluster) adminWithdraw(m *Member, d sim.Duration) {
 	}
 	// The mirror pumps shard-owned speakers: shards must be quiescent at
 	// the control clock.
-	c.syncShards()
+	c.sharded.SyncShards()
 	m.proxied.SetAdmin(false)
 	c.Engine.At(m.adminUntil, func() {
 		// A later withdrawal may have extended the window (its own timer
 		// covers the restore) and a removal is permanent.
 		if c.Engine.Now() >= m.adminUntil && m.state != memberRemoved {
-			c.syncShards()
+			c.sharded.SyncShards()
 			m.proxied.SetAdmin(true)
 		}
 	})

@@ -1,7 +1,7 @@
 package cluster
 
-// Sharded execution: the cluster's members are partitioned across the
-// shard engines of a sim.ShardedEngine (member i on shard i mod k, the
+// The engine protocol, at every shard count: the cluster's members are
+// partitioned across the k ≥ 1 shard engines of a sim.ShardedEngine (member i on shard i mod k, the
 // canonical trace.ShardOfNode assignment), while everything that couples
 // members — the workload arrival process, the fault injector, the ECMP
 // spray decision — runs on the control engine.
@@ -26,7 +26,9 @@ package cluster
 //
 // Node-granularity faults mutate shard-owned state (uplink sessions, pod
 // lifecycles), so they first bring every shard to the control clock
-// (SyncShards) and invalidate the horizon. Everything else — ECMP
+// (SyncShards), which also invalidates the cached horizon — the only way a
+// session's bound moves earlier is InjectFlap, and it only runs here.
+// Everything else — ECMP
 // counters, member lifecycle bookkeeping, recovery timers — is
 // control-plane state and never races a shard worker: shards are quiescent
 // (parked at the epoch barrier) whenever control events run.
@@ -56,14 +58,6 @@ type shardMailbox struct {
 	next  int
 }
 
-// engineOf returns the engine members of the given shard run on.
-func (c *Cluster) engineOf(shard int) *sim.Engine {
-	if c.sharded == nil {
-		return c.Engine
-	}
-	return c.sharded.Shard(shard)
-}
-
 // post buffers a delivery for m's shard at the current control time.
 func (c *Cluster) post(m *Member, f workload.Flow, bytes int) {
 	mb := &c.mail[m.shard]
@@ -81,9 +75,8 @@ func (c *Cluster) post(m *Member, f workload.Flow, bytes int) {
 
 // advanceShard is the ShardedEngine advance hook: move one shard to target,
 // interleaving its mailbox with its event loop. Each delivery lands after
-// every shard-local event at or before its timestamp — the legacy engine's
-// tie order, where the pipeline and probe timers racing an arrival were
-// armed earlier and so carry smaller sequence numbers. Runs on the shard's
+// every shard-local event at or before its timestamp: the pipeline and
+// probe timers racing an arrival were armed earlier. Runs on the shard's
 // worker goroutine at the epoch barrier (or on the control goroutine
 // inside a SyncShards).
 func (c *Cluster) advanceShard(shard int, target sim.Time) {
@@ -102,7 +95,9 @@ func (c *Cluster) advanceShard(shard int, target sim.Time) {
 }
 
 // nextBoundary is the ShardedEngine lookahead hook: the earliest future
-// virtual time at which any member's route eligibility could change.
+// virtual time at which any member's route eligibility could change. The
+// engine caches the result, so this O(members) walk runs per transition, not
+// per epoch.
 func (c *Cluster) nextBoundary() sim.Time {
 	b := sim.TimeMax
 	for _, m := range c.members {
@@ -111,14 +106,6 @@ func (c *Cluster) nextBoundary() sim.Time {
 		}
 	}
 	return b
-}
-
-// syncShards brings every shard to the control clock before a control
-// event touches shard-owned state. No-op on the legacy path.
-func (c *Cluster) syncShards() {
-	if c.sharded != nil {
-		c.sharded.SyncShards()
-	}
 }
 
 // syncedTarget wraps a member node's pod-level fault target so every
@@ -132,31 +119,31 @@ type syncedTarget struct {
 var _ faults.Target = (*syncedTarget)(nil)
 
 func (t *syncedTarget) InjectCoreStall(pod, core int, factor float64, d sim.Duration) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectCoreStall(pod, core, factor, d)
 }
 
 func (t *syncedTarget) InjectCoreFail(pod, core int, d sim.Duration) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectCoreFail(pod, core, d)
 }
 
 func (t *syncedTarget) InjectPodCrash(pod int, graceful bool, restartAfter sim.Duration) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectPodCrash(pod, graceful, restartAfter)
 }
 
 func (t *syncedTarget) InjectReorderStress(pod, queue int, d sim.Duration, holdHeads bool, depthClamp int) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectReorderStress(pod, queue, d, holdHeads, depthClamp)
 }
 
 func (t *syncedTarget) InjectRxLoss(pod, core int, prob float64, d sim.Duration) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectRxLoss(pod, core, prob, d)
 }
 
 func (t *syncedTarget) InjectBGPFlap(d sim.Duration) error {
-	t.c.syncShards()
+	t.c.sharded.SyncShards()
 	return t.n.InjectBGPFlap(d)
 }

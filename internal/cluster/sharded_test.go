@@ -15,13 +15,11 @@ import (
 	"albatross/internal/workload/trace"
 )
 
-// runSharded builds an 8-node cluster at the given shard count, drives it
-// with a fixed-seed source under the given fault plan, and returns the
-// outcome report plus the Prometheus export — the two documents the
-// sharding tentpole promises are byte-identical at any shard count.
-func runSharded(t *testing.T, shards int, plan *faults.Plan) (string, string) {
+// shardedCluster builds a cluster at the given width and shard count with
+// one PLB pod per member, and returns it with its 2000-flow set.
+func shardedCluster(t *testing.T, nodes, shards int, plan *faults.Plan) (*Cluster, []workload.Flow) {
 	t.Helper()
-	c, err := New(Config{Nodes: 8, Seed: testSeed, Faults: plan, Shards: shards})
+	c, err := New(Config{Nodes: nodes, Seed: testSeed, Faults: plan, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +30,16 @@ func runSharded(t *testing.T, shards int, plan *faults.Plan) (string, string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return c, wf
+}
+
+// runSharded builds an 8-node cluster at the given shard count, drives it
+// with a fixed-seed source under the given fault plan, and returns the
+// outcome report plus the Prometheus export — the two documents the
+// sharding tentpole promises are byte-identical at any shard count.
+func runSharded(t *testing.T, shards int, plan *faults.Plan) (string, string) {
+	t.Helper()
+	c, wf := shardedCluster(t, 8, shards, plan)
 	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e5), Seed: testSeed + 1, Sink: c.Sink()}
 	if err := src.Start(c.Engine); err != nil {
 		t.Fatal(err)
@@ -79,8 +87,8 @@ var shardCountScenarios = []struct {
 
 // TestShardCountInvariance is the tentpole property test: for every fault
 // scenario, shards ∈ {2, 4, 8} produce byte-identical outcome reports and
-// metrics exports to the single shared engine, and a repeat run at the same
-// shard count is identical to itself.
+// metrics exports to one shard, and a repeat run at the same shard count is
+// identical to itself.
 func TestShardCountInvariance(t *testing.T) {
 	for _, sc := range shardCountScenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -106,8 +114,8 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestShardedRecordReplay runs record/replay across shard counts: a trace
-// recorded on the single shared engine replays byte-identically on a
-// sharded cluster, and recording itself does not perturb the run.
+// recorded at one shard replays byte-identically at several, and recording
+// itself does not perturb the run.
 func TestShardedRecordReplay(t *testing.T) {
 	build := func(shards int) (*Cluster, []workload.Flow) {
 		c, err := New(Config{Nodes: 8, Seed: testSeed, Shards: shards})
@@ -150,6 +158,42 @@ func TestShardedRecordReplay(t *testing.T) {
 		if out := pc.Outcome(); out != recorded {
 			t.Fatalf("shards=%d replay outcome differs from recording:\n%s", k,
 				trace.Diff("recorded", recorded, "replayed", out).String())
+		}
+	}
+}
+
+// TestClusterInjectZeroAllocs: in steady state Inject + RunFor allocates
+// nothing per packet at any shard count — the mailbox recycles its backing
+// array and the node path pools its contexts. What is left is per epoch (the
+// barrier's goroutines at shards > 1), so it must not grow with the packets
+// in the epoch.
+func TestClusterInjectZeroAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		c, wf := shardedCluster(t, 4, shards, nil)
+		next := 0
+		inject := func(any) {
+			c.Inject(wf[next%len(wf)], 256)
+			next++
+		}
+		// One block = pkts arrivals 2µs apart on the control engine, then
+		// 5ms of virtual time: the same epochs whatever pkts is.
+		block := func(pkts int) func() {
+			return func() {
+				for i := 1; i <= pkts; i++ {
+					c.Engine.AfterArg(sim.Duration(i)*2*sim.Microsecond, inject, nil)
+				}
+				c.RunFor(5 * sim.Millisecond)
+			}
+		}
+		block(4000)() // warm: pools, mailbox and heap capacity, flow state
+		small := testing.AllocsPerRun(10, block(200))
+		large := testing.AllocsPerRun(10, block(2000))
+		if perPkt := (large - small) / 1800; perPkt > 0.001 {
+			t.Errorf("shards=%d: %.4f allocs per packet (%.0f per 200-packet block, %.0f per 2000)",
+				shards, perPkt, small, large)
+		}
+		if shards == 1 && large != 0 {
+			t.Errorf("shards=1: %.0f allocs per block, want 0 (no barrier goroutines on one shard)", large)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"math"
 
 	"albatross/internal/errs"
+	"albatross/internal/flowtable"
 )
 
 // Administrative states a MemberSpec can request.
@@ -100,6 +101,11 @@ func (s ClusterSpec) Validate() error {
 		default:
 			return fmt.Errorf("controlplane: member %d: admin %q must be %q, %q or %q: %w",
 				i, m.Admin, AdminUp, AdminDrained, AdminRemoved, errs.BadConfig)
+		}
+		if m.Backend != "" {
+			if err := flowtable.CheckBackendName(m.Backend); err != nil {
+				return fmt.Errorf("controlplane: member %d: %w", i, err)
+			}
 		}
 		if m.NormAdmin() == AdminRemoved && (m.Pods != 0 || m.Backend != "") {
 			return fmt.Errorf("controlplane: member %d: a removed member cannot pin pods or backend: %w", i, errs.BadConfig)

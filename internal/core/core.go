@@ -82,12 +82,11 @@ type Node struct {
 
 	// injector drives NodeConfig.Faults (nil when no plan was armed).
 	injector *faults.Injector
-	// uplink models the node's BGP session to the ToR switch; nil until
-	// EnableUplink, InstallUplink, or the first BGP fault. Either the pure
-	// SimSession timing model or a ProxiedSession over the real proxy
-	// fabric. uplinkProxy enables the sibling proxy re-advertisement
+	// uplink models the node's BGP session to the ToR switch (the BFD
+	// timing model); nil until EnableUplink or the first BGP fault.
+	// uplinkProxy enables the sibling proxy re-advertisement
 	// (make-before-break failover).
-	uplink      bgp.Uplink
+	uplink      *bgp.SimSession
 	uplinkProxy bool
 	closed      bool
 

@@ -345,38 +345,18 @@ func (n *Node) InjectBGPFlap(d sim.Duration) error {
 // again only updates the proxy setting.
 func (n *Node) EnableUplink(withProxy bool) (*bgp.SimSession, error) {
 	n.uplinkProxy = withProxy
-	if n.uplink != nil {
-		if s, ok := n.uplink.(*bgp.SimSession); ok {
-			return s, nil
+	if n.uplink == nil {
+		s, err := bgp.NewSimSession(n.Engine, bgp.SimSessionConfig{})
+		if err != nil {
+			return nil, err
 		}
-		return nil, fmt.Errorf("core: a %T uplink is already installed: %w", n.uplink, errs.BadState)
+		n.uplink = s
 	}
-	s, err := bgp.NewSimSession(n.Engine, bgp.SimSessionConfig{})
-	if err != nil {
-		return nil, err
-	}
-	n.uplink = s
-	return s, nil
-}
-
-// InstallUplink installs an externally constructed uplink model — the
-// cluster layer uses it to wire a bgp.ProxiedSession (real proxy-pod eBGP
-// fabric) in place of the default SimSession. Fails if an uplink already
-// exists: the model owns armed timers that cannot be transplanted.
-func (n *Node) InstallUplink(u bgp.Uplink, withProxy bool) error {
-	if u == nil {
-		return fmt.Errorf("core: nil uplink: %w", errs.BadConfig)
-	}
-	if n.uplink != nil {
-		return fmt.Errorf("core: a %T uplink is already installed: %w", n.uplink, errs.BadState)
-	}
-	n.uplink = u
-	n.uplinkProxy = withProxy
-	return nil
+	return n.uplink, nil
 }
 
 // Uplink returns the node's BGP uplink model (nil until enabled).
-func (n *Node) Uplink() bgp.Uplink { return n.uplink }
+func (n *Node) Uplink() *bgp.SimSession { return n.uplink }
 
 // FaultLog returns the fired-fault log of the node's injector (nil when no
 // fault plan was armed).

@@ -2,7 +2,9 @@ package flowtable
 
 import (
 	"fmt"
+	"strings"
 
+	"albatross/internal/errs"
 	"albatross/internal/packet"
 	"albatross/internal/sim"
 )
@@ -55,6 +57,19 @@ type BackendStats struct {
 // BackendNames lists the registered backend names.
 func BackendNames() []string { return []string{"session", "othello"} }
 
+// CheckBackendName returns nil for a registered backend name and an error
+// wrapping errs.BadConfig otherwise — the one name check every layer that
+// accepts a backend name from outside shares.
+func CheckBackendName(name string) error {
+	for _, n := range BackendNames() {
+		if n == name {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown flow-table backend %q (want %s): %w",
+		name, strings.Join(BackendNames(), "|"), errs.BadConfig)
+}
+
 // AssignPod is the shared new-flow assignment: a pure hash of the tuple over
 // the pool. Every backend uses it for misses, which is what makes backends
 // agree on healthy static pools. Returns -1 on an empty pool.
@@ -90,7 +105,7 @@ func NewBackend(name string, pool []int, cfg BackendConfig) (Backend, error) {
 		b.setPool(pool)
 		return b, nil
 	default:
-		return nil, fmt.Errorf("flowtable: unknown backend %q (have %v)", name, BackendNames())
+		return nil, CheckBackendName(name)
 	}
 }
 

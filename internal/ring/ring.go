@@ -42,9 +42,6 @@ func (r *Ring[T]) Cap() int { return len(r.buf) }
 // Len returns the number of queued descriptors.
 func (r *Ring[T]) Len() int { return int(r.tail - r.head) }
 
-// Free returns remaining slots.
-func (r *Ring[T]) Free() int { return r.Cap() - r.Len() }
-
 // Enqueue adds one descriptor; false if the ring is full (the "insufficient
 // descriptors" drop).
 func (r *Ring[T]) Enqueue(v T) bool {
@@ -58,19 +55,6 @@ func (r *Ring[T]) Enqueue(v T) bool {
 	return true
 }
 
-// EnqueueBurst adds up to len(vs) descriptors and returns how many fit
-// (DPDK-style burst semantics).
-func (r *Ring[T]) EnqueueBurst(vs []T) int {
-	n := 0
-	for _, v := range vs {
-		if !r.Enqueue(v) {
-			break
-		}
-		n++
-	}
-	return n
-}
-
 // Dequeue removes the oldest descriptor.
 func (r *Ring[T]) Dequeue() (T, bool) {
 	var zero T
@@ -82,21 +66,6 @@ func (r *Ring[T]) Dequeue() (T, bool) {
 	r.head++
 	r.Dequeued++
 	return v, true
-}
-
-// DequeueBurst fills out with up to len(out) descriptors, returning the
-// count.
-func (r *Ring[T]) DequeueBurst(out []T) int {
-	n := 0
-	for i := range out {
-		v, ok := r.Dequeue()
-		if !ok {
-			break
-		}
-		out[i] = v
-		n++
-	}
-	return n
 }
 
 // Mempool is a fixed-size buffer pool with per-core caches, mirroring
@@ -139,12 +108,6 @@ func NewMempool(n, cores, cacheSize int) (*Mempool, error) {
 	}
 	return m, nil
 }
-
-// CacheSize returns the per-core cache capacity.
-func (m *Mempool) CacheSize() int { return m.cacheSize }
-
-// Available returns free buffers in the shared pool (excluding caches).
-func (m *Mempool) Available() int { return len(m.shared) }
 
 // Get allocates a buffer for the given core. ok=false means exhaustion.
 func (m *Mempool) Get(core int) (uint32, bool) {
@@ -196,24 +159,4 @@ func (m *Mempool) RefillRate() float64 {
 		return 0
 	}
 	return float64(m.SharedRefills) / float64(m.Allocs)
-}
-
-// QueuePair couples an RX and a TX descriptor ring, as allocated per VF
-// per data core (appendix §B: n RX/TX queue pairs per VF).
-type QueuePair[T any] struct {
-	RX *Ring[T]
-	TX *Ring[T]
-}
-
-// NewQueuePair creates a pair with the given per-ring depth.
-func NewQueuePair[T any](depth int) (*QueuePair[T], error) {
-	rx, err := New[T](depth)
-	if err != nil {
-		return nil, err
-	}
-	tx, err := New[T](depth)
-	if err != nil {
-		return nil, err
-	}
-	return &QueuePair[T]{RX: rx, TX: tx}, nil
 }

@@ -57,9 +57,9 @@ type Fleet struct {
 	// a cluster behind consistent-hash ECMP, so outcome reports and
 	// assertions apply uniformly from 1 node to regionscale.
 	Nodes int
-	// Shards partitions the cluster across engine shards (0 = auto,
-	// 1 = single shared engine). Purely an execution strategy: outputs
-	// are byte-identical at any value.
+	// Shards partitions the cluster across engine shards (0 = auto).
+	// Purely an execution strategy: outputs are byte-identical at any
+	// value.
 	Shards int
 	// Pods deploys this many identical pods per node (default 1; crash /
 	// drain drills want ≥ 2 so tenants have a redirect sibling).
@@ -528,20 +528,6 @@ func decodeFleet(n *ynode, f *Fleet) error {
 	if err := d.finish(); err != nil {
 		return err
 	}
-	if f.Backend != "" {
-		ok := false
-		for _, name := range flowtable.BackendNames() {
-			if f.Backend == name {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return yamlErr(n.get("backend").line,
-				"fleet.backend: unknown backend %q (want %s)",
-				f.Backend, strings.Join(flowtable.BackendNames(), "|"))
-		}
-	}
 	if svc != "" {
 		st, ok := serviceNames[svc]
 		if !ok {
@@ -809,6 +795,15 @@ func decodeAssertion(n *ynode) (Assertion, error) {
 	return a, nil
 }
 
+// Ceilings on the sizes a scenario file or a run override can ask for, so a
+// typo is a validation error rather than an out-of-memory crash: maxNodes is
+// the bgp.MemberPrefix 10.x.y.0/24 space, maxCacheMB is per node and far
+// past any LLC the drills model.
+const (
+	maxNodes   = 1 << 16
+	maxCacheMB = 4096
+)
+
 // Validate checks a scenario's semantic shape: required fields, index
 // ranges, event and assertion parameters, and the compiled fault plan.
 // Every violation wraps errs.BadConfig.
@@ -826,8 +821,8 @@ func (s *Scenario) Validate() error {
 		return bad(0, "%s: duration must be positive", s.Name)
 	}
 	f := &s.Fleet
-	if f.Nodes < 1 {
-		return bad(0, "%s: fleet.nodes must be >= 1", s.Name)
+	if f.Nodes < 1 || f.Nodes > maxNodes {
+		return bad(0, "%s: fleet.nodes must be in [1,%d]", s.Name, maxNodes)
 	}
 	if f.Shards < 0 {
 		return bad(0, "%s: fleet.shards must be >= 0", s.Name)
@@ -838,8 +833,13 @@ func (s *Scenario) Validate() error {
 	if f.Cores < 1 || f.CtrlCores < 1 {
 		return bad(0, "%s: fleet.cores and fleet.ctrl_cores must be >= 1", s.Name)
 	}
-	if f.CacheMB < 0 {
-		return bad(0, "%s: fleet.cache_mb must be >= 0", s.Name)
+	if f.CacheMB < 0 || f.CacheMB > maxCacheMB {
+		return bad(0, "%s: fleet.cache_mb must be in [0,%d]", s.Name, maxCacheMB)
+	}
+	if f.Backend != "" {
+		if err := flowtable.CheckBackendName(f.Backend); err != nil {
+			return fmt.Errorf("scenario: %s: fleet.backend: %w", s.Name, err)
+		}
 	}
 	if f.Burst < 0 {
 		return bad(0, "%s: fleet.burst must be >= 0", s.Name)

@@ -200,6 +200,48 @@ func TestLoadRejects(t *testing.T) {
 	}
 }
 
+// TestUnknownBackendRejected: every way a backend name gets in — fleet.backend,
+// the run command's -backend override, a spec member, a spec_update entry —
+// goes through one check and fails validation with ErrBadConfig, before a
+// run can retry a bad reconcile step every tick.
+func TestUnknownBackendRejected(t *testing.T) {
+	valid := "name: x\nduration: 10ms\nworkload:\n  flows: 10\n  rate: 1e5\n"
+	load := func(doc string) func() error {
+		return func() error {
+			_, err := Load([]byte(doc))
+			return err
+		}
+	}
+	cases := []struct {
+		name     string
+		validate func() error
+	}{
+		{"fleet.backend", load(valid + "fleet:\n  backend: bogus\n")},
+		{"-backend override", func() error {
+			s, err := Load([]byte(valid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bogus := "bogus"
+			return s.Apply(Overrides{Backend: &bogus}).Validate()
+		}},
+		{"spec member", load(valid + "spec:\n  members:\n    - backend: bogus\n")},
+		{"spec_update", load(valid + "spec:\n  members:\n    - default\n" +
+			"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: bogus\n")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.validate()
+			if !errors.Is(err, errs.BadConfig) {
+				t.Fatalf("error does not wrap ErrBadConfig: %v", err)
+			}
+			if want := `unknown flow-table backend "bogus" (want session|othello)`; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		})
+	}
+}
+
 func TestLoadErrorsNameLine(t *testing.T) {
 	doc := "name: x\nduration: 1ms\nworkload:\n  flows: 5\n  rate: 1\n  glorp: 2\n"
 	_, err := Load([]byte(doc))

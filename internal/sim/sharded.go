@@ -25,17 +25,22 @@ import (
 //     deadline, and a chunk cap that bounds mailbox growth). A control
 //     event that must touch shard state directly (a fault injection) calls
 //     SyncShards first, which serially advances every shard to the control
-//     clock and invalidates the horizon.
+//     clock and invalidates the cached boundary.
 //  3. Advance all shards in parallel to the epoch target. The owner's
 //     advance function interleaves each shard's mailbox of buffered
 //     cross-shard injections with its event loop in deterministic
 //     (timestamp, control order) merge order.
 //
-// Tie order at the epoch boundary mirrors the single-engine semantics:
-// shard-internal events at time T run before a control-plane injection at
-// T, because shard events at T were armed at least one probe/service
-// interval earlier and therefore carry smaller sequence numbers on the
-// legacy shared engine.
+// Tie order at the epoch boundary: shard-internal events at time T run
+// before a control-plane injection at T — the order one engine would give
+// them, since shard events at T were armed at least one probe/service
+// interval earlier than the injection was posted.
+//
+// The boundary is cached: the owner's function (a walk over every component)
+// is called again only once the horizon has reached the cached value or
+// SyncShards has invalidated it. That is sound when shard-local events only
+// ever move the bound later and anything that can move it earlier runs in
+// control context after SyncShards — the contract SetBoundary states.
 type ShardedEngine struct {
 	control *Engine
 	shards  []*Engine
@@ -50,9 +55,10 @@ type ShardedEngine struct {
 
 	// horizon is the virtual time every shard has reached.
 	horizon Time
-	// invalid is set by SyncShards/Invalidate: the cached boundary is stale
-	// (a control event mutated shard state) and must be recomputed.
-	invalid bool
+	// bound caches the owner's boundary; it is stale once the horizon has
+	// reached it. SyncShards zeroes it: a control event may have mutated
+	// shard state and moved the boundary earlier.
+	bound Time
 }
 
 // DefaultShardChunk caps epoch length (and so per-epoch mailbox growth)
@@ -112,46 +118,45 @@ func (g *ShardedEngine) SetAdvance(fn func(shard int, target Time)) { g.advance 
 
 // SetBoundary installs the owner's lookahead-horizon function: the earliest
 // future virtual time at which any shard's control-visible state could
-// change (TimeMax when none). Without one the horizon is unbounded and
-// epochs are paced by the chunk cap alone.
+// change (TimeMax when none). Its result is kept until the horizon reaches
+// it, so shard-local events may only move the bound later; a mutation that
+// can move it earlier must follow a SyncShards. Without a function the
+// horizon is unbounded and epochs are paced by the chunk cap alone.
 func (g *ShardedEngine) SetBoundary(fn func() Time) { g.boundary = fn }
 
 // SetChunk caps epoch length; d <= 0 removes the cap.
 func (g *ShardedEngine) SetChunk(d Duration) { g.chunk = d }
 
-// Invalidate marks the cached lookahead horizon stale. Control-plane events
-// that change shard timing (fault injections) must call it — SyncShards
-// does so automatically.
-func (g *ShardedEngine) Invalidate() { g.invalid = true }
-
 // SyncShards serially advances every shard to the control clock and
-// invalidates the horizon. A control event must call it before reading or
-// mutating shard-owned state (node fault injection, pod lifecycle ops), so
-// the mutation lands at exactly the control time with every earlier
-// shard-local event already executed — the same interleaving the legacy
-// shared engine produces.
+// invalidates the cached boundary. A control event must call it before
+// reading or mutating shard-owned state (node fault injection, pod lifecycle
+// ops), so the mutation lands at exactly the control time with every earlier
+// shard-local event already executed.
 func (g *ShardedEngine) SyncShards() {
 	now := g.control.Now()
 	if now < g.horizon {
 		panic(fmt.Sprintf("sim: control clock %v behind shard horizon %v", now, g.horizon))
 	}
 	g.advanceAll(now, false)
-	g.invalid = true
+	g.bound = 0
 }
 
-// nextBoundary recomputes the lookahead horizon and asserts progress: a
-// boundary at or before the horizon would stall the epoch loop, and since
-// every shard has already executed its events through the horizon it can
-// only be a stale value — a bug in the owner's boundary function.
+// nextBoundary returns the lookahead horizon, asking the owner only when the
+// cached value is stale, and asserts progress: a boundary at or before the
+// horizon would stall the epoch loop, and since every shard has already
+// executed its events through the horizon it can only be a stale value — a
+// bug in the owner's boundary function.
 func (g *ShardedEngine) nextBoundary() Time {
 	if g.boundary == nil {
 		return TimeMax
 	}
-	b := g.boundary()
-	if b <= g.horizon {
-		panic(fmt.Sprintf("sim: boundary %v not ahead of shard horizon %v", b, g.horizon))
+	if g.bound <= g.horizon {
+		g.bound = g.boundary()
+		if g.bound <= g.horizon {
+			panic(fmt.Sprintf("sim: boundary %v not ahead of shard horizon %v", g.bound, g.horizon))
+		}
 	}
-	return b
+	return g.bound
 }
 
 // advanceAll moves every shard to target — in parallel at the epoch barrier,
@@ -189,8 +194,8 @@ func (g *ShardedEngine) advanceShard(i int, target Time) {
 }
 
 // RunUntil advances the whole system — control engine and all shards — to
-// the deadline under the epoch protocol. Byte-identical to running the same
-// components on one shared engine, at any shard count.
+// the deadline under the epoch protocol. Results are byte-identical at any
+// shard count.
 func (g *ShardedEngine) RunUntil(deadline Time) {
 	for g.horizon < deadline {
 		bound := g.nextBoundary()
@@ -205,21 +210,18 @@ func (g *ShardedEngine) RunUntil(deadline Time) {
 		}
 		// Batch control events up to the target. Events exactly at the
 		// boundary wait for the next epoch: the shard transition at the
-		// boundary executes first, matching the legacy tie order (the
-		// transition's timer was armed earlier, so its sequence number is
-		// smaller on a shared engine).
+		// boundary executes first (its timer was armed earlier).
 		for {
 			t, ok := g.control.NextEventTime()
 			if !ok || t > target || t >= bound {
 				break
 			}
 			g.control.Step()
-			if g.invalid {
-				// The event mutated shard timing (fault injection): the
-				// horizon may have moved closer. Re-shrink the target; all
+			if g.bound <= g.horizon {
+				// The event called SyncShards (fault injection): the
+				// boundary may have moved closer. Re-shrink the target; all
 				// events already executed are at or before the sync point,
 				// so they remain valid.
-				g.invalid = false
 				bound = g.nextBoundary()
 				if bound < target {
 					target = bound
@@ -230,8 +232,7 @@ func (g *ShardedEngine) RunUntil(deadline Time) {
 	}
 	// Control events exactly at the deadline (deadline == boundary case)
 	// run after the shards arrive, then any same-timestamp injections they
-	// posted are delivered so the run drains exactly like the shared
-	// engine's inclusive RunUntil.
+	// posted are delivered: RunUntil is inclusive, like Engine.RunUntil.
 	g.control.RunUntil(deadline)
 	g.advanceAll(deadline, true)
 }

@@ -125,9 +125,8 @@ func TestShardedMailMergeOrder(t *testing.T) {
 }
 
 // TestShardedBoundaryTieOrder pins the epoch tie rule: a control event
-// exactly at the boundary runs after the shard transition at that time, the
-// legacy shared-engine order (the shard timer was armed earlier, so its
-// sequence number is smaller).
+// exactly at the boundary runs after the shard transition at that time (the
+// shard timer was armed earlier).
 func TestShardedBoundaryTieOrder(t *testing.T) {
 	h := newShardedHarness(1, 100)
 	h.g.SetBoundary(func() Time {
@@ -239,6 +238,52 @@ func TestShardedStaleBoundaryPanics(t *testing.T) {
 		}
 	}()
 	g.RunUntil(20) // boundary 10 <= horizon 10: must panic
+}
+
+// TestShardedBoundaryCached pins the boundary-cache invariant: the owner's
+// boundary function is asked again only once the horizon has reached the
+// bound it last returned, or after SyncShards — and a transition a control
+// event introduces through SyncShards mid-epoch still shortens that epoch.
+func TestShardedBoundaryCached(t *testing.T) {
+	g := NewShardedEngine(2)
+	g.SetChunk(10)
+	calls := 0
+	flap := Time(0) // a transition the owner only learns of mid-run
+	g.SetBoundary(func() Time {
+		calls++
+		if flap > g.horizon {
+			return flap
+		}
+		return (g.horizon/1000 + 1) * 1000
+	})
+
+	g.RunUntil(500) // 50 chunk-capped epochs, all below the bound of 1000
+	if calls != 1 {
+		t.Fatalf("boundary asked %d times over 50 epochs below it, want 1", calls)
+	}
+	g.RunUntil(1500) // the horizon reaches 1000 once
+	if calls != 2 {
+		t.Fatalf("boundary asked %d times after the horizon passed it once, want 2", calls)
+	}
+
+	// Inside the epoch [1500, 1510] a control event syncs the shards and
+	// moves the boundary to 1507: the event at 1508 must find the shards
+	// advanced through 1507, not parked at the sync point.
+	ctl := g.Control()
+	ctl.AtArg(1503, func(any) {
+		g.SyncShards()
+		flap = 1507
+	}, nil)
+	var shardAt Time
+	ctl.AtArg(1508, func(any) { shardAt = g.Shard(0).Now() }, nil)
+	g.RunUntil(1510)
+	if shardAt != 1507 {
+		t.Fatalf("control event past the new boundary saw shard 0 at %v, want 1507", shardAt)
+	}
+	// Once for the sync, once when the horizon reached 1507.
+	if calls != 4 {
+		t.Fatalf("boundary asked %d times, want 4", calls)
+	}
 }
 
 // TestShardedPendingConcurrent hammers Pending from a spectator goroutine

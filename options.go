@@ -40,8 +40,8 @@ type Config struct {
 	// multi-node Cluster behind consistent-hash ECMP (NewCluster).
 	Nodes int
 	// Shards partitions a cluster across engine shards: 0 = auto
-	// (min(GOMAXPROCS, Nodes)), 1 = single shared engine, k > 1 = k shard
-	// engines. Outcomes are byte-identical at any shard count.
+	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = k shard engines. Outcomes are
+	// byte-identical at any shard count.
 	Shards int
 	// SnapshotEvery samples a telemetry timeline every this much virtual
 	// time on NewCluster deployments (0 = off). See WithSnapshotEvery.
@@ -94,7 +94,7 @@ func WithNodes(n int) Option {
 
 // WithShards partitions a NewCluster deployment across n engine shards so
 // a run uses up to n cores: 0 (the default) auto-sizes to
-// min(GOMAXPROCS, nodes), 1 forces the single shared engine. Sharding is
+// min(GOMAXPROCS, nodes), 1 runs every member on one shard. Sharding is
 // a pure execution strategy — Outcome reports and metrics exports are
 // byte-identical at any shard count.
 func WithShards(n int) Option {

@@ -73,6 +73,8 @@ gameday: build
 #                experiment headers ("== ") and checks ("check [") as the
 #                committed experiments_output.txt — so the report cannot go
 #                stale when an experiment or a check is added or removed.
+#   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
+#                its reference LRU (the committed seeds alone run in `go test`).
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
@@ -90,6 +92,7 @@ check: build
 		"series-burst|$$asim run -burst 8 -series-out $$tmp/d $$conv && same d" \
 		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
+		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
 	; do \
 		name=$${row%%|*}; cmd=$${row#*|}; \
 		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \

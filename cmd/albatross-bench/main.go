@@ -9,6 +9,7 @@
 //	albatross-bench -exp fig8,tab3
 //	albatross-bench -parallel 4      # worker-pool over independent experiments
 //	albatross-bench -json out.json   # machine-readable per-experiment record
+//	albatross-bench -cpuprofile cpu.prof -exp fig4   # where the host time went
 //	albatross-bench -list
 //
 // Experiments run concurrently across -parallel workers (default: all
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -52,6 +54,7 @@ func main() {
 		parallel = flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool size")
 		jsonOut  = flag.String("json", "", "write per-experiment wall time and pass/fail to this file")
 		metOut   = flag.String("metrics", "", "write the metrics snapshots of experiments that take one to this JSON file")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -78,9 +81,27 @@ func main() {
 	}
 
 	cfg := eval.Config{Seed: *seed, Quick: *quick}
+	var profile *os.File
+	if *cpuProf != "" {
+		var err error
+		if profile, err = os.Create(*cpuProf); err == nil {
+			err = pprof.StartCPUProfile(profile)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	start := time.Now()
 	recs := eval.RunAll(selected, cfg, *parallel)
 	total := time.Since(start)
+	if profile != nil {
+		pprof.StopCPUProfile()
+		if err := profile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *cpuProf, err)
+			os.Exit(2)
+		}
+	}
 
 	failed := 0
 	jrecs := make([]jsonRecord, 0, len(recs))

@@ -8,21 +8,25 @@
 // simulated cores, exactly as a physical L3 is shared across a NUMA node.
 package cachesim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is a set-associative LRU cache. Not safe for concurrent use (the
 // event engine is single-threaded).
 type Cache struct {
-	lineBytes int
+	lineShift uint // log2 of the line size
 	ways      int
 	sets      int
 	setMask   uint64
 
-	// slots interleaves tag and LRU clock per way so one set scan walks a
-	// single contiguous 16B-stride run instead of two arrays a cache apart —
-	// the packet path spends a third of its time in this loop.
-	slots []slot // sets*ways entries; tag 0 = empty (tag stores line|1)
-	clock uint64
+	// tags holds sets*ways words, each set's ways in recency order, most
+	// recently used first: the order is the whole LRU state. A tag is
+	// line|1 and 0 is an empty way; empties sit at the tail of their set, so
+	// a scan stops at the first 0 and a 16-way set is 128 B, two host lines
+	// — the packet path spends more time here than in any other layer.
+	tags []uint64
 
 	hits   uint64
 	misses uint64
@@ -39,7 +43,9 @@ type Cache struct {
 type Config struct {
 	SizeBytes int // total capacity
 	Ways      int // associativity
-	LineBytes int // cache line size
+	// LineBytes is the cache line size, rounded down to a power of two
+	// (48 -> 32, 100 -> 64) so that address -> line is a shift.
+	LineBytes int
 	// NextLinePrefetch models the LLC hardware prefetcher (§4.2 lists it
 	// among the tuned knobs): every demand miss also pulls in the next
 	// line. Helps sequential walks, does nothing for random lookups.
@@ -52,38 +58,33 @@ func DefaultL3() Config {
 	return Config{SizeBytes: 100 << 20, Ways: 16, LineBytes: 64}
 }
 
-// New creates a cache. Sets are forced to a power of two (rounding capacity
-// down), which mirrors real hardware indexing.
+// New creates a cache. The line size and the set count are forced to powers
+// of two (rounding down), which mirrors real hardware indexing.
 func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
+	lineShift := uint(bits.Len(uint(cfg.LineBytes)) - 1)
+	cfg.LineBytes = 1 << lineShift
 	if cfg.Ways <= 0 {
 		cfg.Ways = 16
 	}
 	if cfg.SizeBytes < cfg.Ways*cfg.LineBytes {
 		cfg.SizeBytes = cfg.Ways * cfg.LineBytes
 	}
-	sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	// Round down to a power of two.
-	p := 1
-	for p*2 <= sets {
-		p *= 2
-	}
-	sets = p
-	c := &Cache{
-		lineBytes: cfg.LineBytes,
+	sets := 1 << (bits.Len(uint(cfg.SizeBytes/(cfg.Ways*cfg.LineBytes))) - 1)
+	return &Cache{
+		lineShift: lineShift,
 		ways:      cfg.Ways,
 		sets:      sets,
 		setMask:   uint64(sets - 1),
-		slots:     make([]slot, sets*cfg.Ways),
+		tags:      make([]uint64, sets*cfg.Ways),
 		prefetch:  cfg.NextLinePrefetch,
 	}
-	return c
 }
 
 // SizeBytes returns the effective capacity after rounding.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineBytes }
+func (c *Cache) SizeBytes() int { return c.sets * c.ways << c.lineShift }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
@@ -92,7 +93,7 @@ func (c *Cache) Sets() int { return c.sets }
 func (c *Cache) Ways() int { return c.ways }
 
 // LineBytes returns the cache line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
+func (c *Cache) LineBytes() int { return 1 << c.lineShift }
 
 // mix scrambles the line address before set indexing. Synthetic table
 // addresses are highly regular (base + i*entrySize); real L3s hash the
@@ -107,124 +108,86 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// slot is one cache way: the stored tag and its LRU clock, interleaved so a
-// set scan is one linear walk.
-type slot struct {
-	tag  uint64
-	last uint64
-}
-
-// touchLine accesses one line address, returning true on hit.
-func (c *Cache) touchLine(line uint64) bool {
-	c.clock++
-	h := mix(line)
-	base := int(h&c.setMask) * c.ways
-	set := c.slots[base : base+c.ways]
+// place finds line in its set and puts it at recency position k, 0 being
+// the most recently used: a demand access passes 0, a prefetch ways/2. It
+// reports whether the line was resident. A miss takes the first empty way
+// or, in a full set, the tail's — the least recently used line's — and the
+// ways between k and that one each move down a place. A resident line moves
+// up to k only on demand; a prefetch leaves it where it is.
+func (c *Cache) place(line uint64, k int) bool {
+	base := int(mix(line)&c.setMask) * c.ways
+	set := c.tags[base : base+c.ways]
 	tag := line | 1 // bit 0 marks occupancy (line addrs are shifted, so safe)
 
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range set {
-		s := &set[i]
-		if s.tag == tag {
-			s.last = c.clock
-			c.hits++
-			return true
-		}
-		if s.tag == 0 {
-			// Empty slot: prefer it as victim and stop aging scan.
-			victim = i
-			oldest = 0
-			continue
-		}
-		if s.last < oldest {
-			oldest = s.last
-			victim = i
-		}
+	p := 0 // where the line is, or the way a miss takes
+	for p < len(set)-1 && set[p] != tag && set[p] != 0 {
+		p++
 	}
-	set[victim].tag = tag
-	set[victim].last = c.clock
-	c.misses++
-	return false
+	hit := set[p] == tag
+	if hit && k > 0 {
+		return true
+	}
+	if k > p {
+		k = p // a set with fewer than k lines: behind the ones it has
+	}
+	for i := p; i > k; i-- {
+		set[i] = set[i-1]
+	}
+	set[k] = tag
+	return hit
 }
 
 // Access touches size bytes starting at addr and returns the number of
-// line hits and misses.
+// line hits and misses. An access whose last byte lies past the top of the
+// address space (addr+size-1 wraps) touches nothing and returns 0, 0.
 func (c *Cache) Access(addr uint64, size int) (hits, misses int) {
 	if size <= 0 {
 		size = 1
 	}
-	first := addr / uint64(c.lineBytes)
-	last := (addr + uint64(size) - 1) / uint64(c.lineBytes)
+	first := addr >> c.lineShift
+	last := (addr + uint64(size) - 1) >> c.lineShift
 	for line := first; line <= last; line++ {
 		// Shift left so bit 0 is free for the occupancy mark.
-		if c.touchLine(line << 1) {
+		if c.place(line<<1, 0) {
 			hits++
-		} else {
-			misses++
-			if c.prefetch {
-				// Pull the next line in without charging a demand access.
-				c.insertLine((line + 1) << 1)
-				c.Prefetches++
-			}
+			continue
+		}
+		misses++
+		if c.prefetch {
+			// Pull the next line in without charging a demand access. It
+			// enters half-way down the recency order, so a useless prefetch
+			// is evicted before the set's hot demand lines.
+			c.place((line+1)<<1, c.ways/2)
+			c.Prefetches++
 		}
 	}
+	c.hits += uint64(hits)
+	c.misses += uint64(misses)
 	return hits, misses
 }
 
 // Warm reads the tag sets an Access(addr, size) would scan WITHOUT touching
-// any model state — no clock tick, no LRU update, no counters. It exists so
-// burst-batched callers can pull the host cache lines backing an upcoming
-// packet's sets into the host cache while an earlier packet computes (the
-// classic software-pipelined burst loop); model outcomes are bit-identical
-// with or without it.
+// any model state — no reordering, no counters. It exists so burst-batched
+// callers can pull the host cache lines backing an upcoming packet's sets
+// into the host cache while an earlier packet computes (the classic
+// software-pipelined burst loop); model outcomes are bit-identical with or
+// without it.
 func (c *Cache) Warm(addr uint64, size int) {
 	if size <= 0 {
 		size = 1
 	}
-	first := addr / uint64(c.lineBytes)
-	last := (addr + uint64(size) - 1) / uint64(c.lineBytes)
+	first := addr >> c.lineShift
+	last := (addr + uint64(size) - 1) >> c.lineShift
 	var sink uint64
 	for line := first; line <= last; line++ {
 		base := int(mix(line<<1)&c.setMask) * c.ways
-		set := c.slots[base : base+c.ways]
-		// One read per 64B host line of the set (4 interleaved 16B slots).
-		for i := 0; i < len(set); i += 4 {
-			sink += set[i].tag
+		set := c.tags[base : base+c.ways]
+		// One read per 64B host line of the set (8 tags each).
+		for i := 0; i < len(set); i += 8 {
+			sink += set[i]
 		}
 	}
 	c.warmSink += sink
-}
-
-// insertLine places a line into the cache without touching the demand
-// hit/miss counters (the prefetch path).
-func (c *Cache) insertLine(line uint64) {
-	c.clock++
-	h := mix(line)
-	base := int(h&c.setMask) * c.ways
-	set := c.slots[base : base+c.ways]
-	tag := line | 1
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range set {
-		s := &set[i]
-		if s.tag == tag {
-			return // already resident
-		}
-		if s.tag == 0 {
-			victim = i
-			oldest = 0
-			continue
-		}
-		if s.last < oldest {
-			oldest = s.last
-			victim = i
-		}
-	}
-	set[victim].tag = tag
-	// Prefetched lines enter at LRU-ish age (half the clock) so useless
-	// prefetches are evicted before hot demand lines.
-	set[victim].last = c.clock - c.clock/2
 }
 
 // Hits returns the cumulative hit count.
@@ -249,16 +212,13 @@ func (c *Cache) ResetStats() {
 
 // Flush empties the cache and clears counters.
 func (c *Cache) Flush() {
-	for i := range c.slots {
-		c.slots[i] = slot{}
-	}
-	c.clock = 0
+	clear(c.tags)
 	c.ResetStats()
 }
 
 func (c *Cache) String() string {
 	return fmt.Sprintf("cache{%dMB %d-way %dB lines, hit=%.1f%%}",
-		c.SizeBytes()>>20, c.ways, c.lineBytes, c.HitRate()*100)
+		c.SizeBytes()>>20, c.ways, c.LineBytes(), c.HitRate()*100)
 }
 
 // MemLatency holds the memory hierarchy latencies used to convert cache

@@ -2,6 +2,7 @@ package cachesim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,15 +25,46 @@ func TestGeometry(t *testing.T) {
 }
 
 func TestGeometryRounding(t *testing.T) {
-	// 100 sets rounds down to 64.
-	c := New(Config{SizeBytes: 100 * 4 * 64, Ways: 4, LineBytes: 64})
-	if c.Sets() != 64 {
-		t.Fatalf("sets = %d, want 64", c.Sets())
+	for _, tc := range []struct {
+		name             string
+		cfg              Config
+		sets, ways, line int
+	}{
+		{"100 sets round down to 64", Config{SizeBytes: 100 * 4 * 64, Ways: 4, LineBytes: 64}, 64, 4, 64},
+		{"degenerate config gets defaults", Config{}, 1, 16, 64},
+		{"48 B lines round down to 32", Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 48}, 128, 4, 32},
+		{"100 B lines round down to 64", Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 100}, 64, 4, 64},
+		{"direct mapped", Config{SizeBytes: 4 << 10, Ways: 1, LineBytes: 64}, 64, 1, 64},
+		{"three ways, 85 sets round down to 64", Config{SizeBytes: 16 << 10, Ways: 3, LineBytes: 64}, 64, 3, 64},
+	} {
+		c := New(tc.cfg)
+		if c.Sets() != tc.sets || c.Ways() != tc.ways || c.LineBytes() != tc.line {
+			t.Errorf("%s: sets=%d ways=%d line=%d, want %d/%d/%d",
+				tc.name, c.Sets(), c.Ways(), c.LineBytes(), tc.sets, tc.ways, tc.line)
+		}
+		if c.SizeBytes() != tc.sets*tc.ways*tc.line {
+			t.Errorf("%s: size = %d", tc.name, c.SizeBytes())
+		}
 	}
-	// Degenerate configs get sane defaults.
-	c2 := New(Config{})
-	if c2.Sets() < 1 || c2.Ways() != 16 || c2.LineBytes() != 64 {
-		t.Fatalf("defaults: %v", c2)
+}
+
+// An access whose last byte wraps past the top of the address space touches
+// nothing (and, above all, terminates); the last line itself is reachable.
+func TestAccessAtTopOfAddressSpace(t *testing.T) {
+	c := small()
+	top := ^uint64(0)
+	if h, m := c.Access(top-10, 64); h != 0 || m != 0 {
+		t.Fatalf("wrapping access: h=%d m=%d, want 0/0", h, m)
+	}
+	c.Warm(top-10, 64)
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("wrapping access counted: %d/%d", c.Hits(), c.Misses())
+	}
+	if h, m := c.Access(top-10, 11); h != 0 || m != 1 {
+		t.Fatalf("last line, first touch: h=%d m=%d", h, m)
+	}
+	if h, m := c.Access(top, 1); h != 1 || m != 0 {
+		t.Fatalf("last line, second touch: h=%d m=%d", h, m)
 	}
 }
 
@@ -240,17 +272,50 @@ func TestDefaultL3Geometry(t *testing.T) {
 	}
 }
 
+// BenchmarkAccess times the layer on the packet path's own patterns, all on
+// DefaultL3 with one line per access: the same line again and again; the
+// node-perpkt shape (90 k lines that fit, visited in a cycle, so every access
+// hits somewhere in a lightly filled set); and the node-burst-miss shape
+// (uniform addresses over 64x the capacity, nearly all misses into full
+// sets), alone and with the burst path's Warm issued one access ahead.
 func BenchmarkAccess(b *testing.B) {
-	c := New(DefaultL3())
-	r := sim.NewRand(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(r.Intn(1 << 30))
+	cyclic := make([]uint64, 90_000)
+	for i := range cyclic {
+		cyclic[i] = 1<<40 + uint64(i)*64
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i&4095], 256)
+	uniform := make([]uint64, 1<<21)
+	r := sim.NewRand(1)
+	for i := range uniform {
+		uniform[i] = r.Uint64() % (64 * 100 << 20)
+	}
+	for _, bc := range []struct {
+		name  string
+		addrs []uint64
+		warm  bool
+	}{
+		{"mru-hit", cyclic[:1], false},
+		{"cyclic-90k-lines", cyclic, false},
+		{"uniform-miss", uniform, false},
+		{"uniform-miss-warmed", uniform, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(DefaultL3())
+			for _, addr := range bc.addrs { // fill to steady state
+				c.Access(addr, 1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				addr := bc.addrs[j]
+				if j++; j == len(bc.addrs) {
+					j = 0
+				}
+				if bc.warm {
+					c.Warm(bc.addrs[j], 1)
+				}
+				c.Access(addr, 1)
+			}
+		})
 	}
 }
 
@@ -302,5 +367,254 @@ func TestPrefetchCounter(t *testing.T) {
 	// The prefetched line hits on demand.
 	if h, m := c.Access(64, 1); h != 1 || m != 0 {
 		t.Fatalf("prefetched line: h=%d m=%d", h, m)
+	}
+}
+
+// A prefetched line enters its set at recency position min(ways/2, lines in
+// the set): it survives ways/2-1 further misses into the set and the next one
+// evicts it, and prefetching a line that is already resident moves nothing.
+func TestPrefetchPlacement(t *testing.T) {
+	const ways = 8
+	c := New(Config{SizeBytes: ways * 64, Ways: ways, LineBytes: 64}) // one set
+	recency := func() []uint64 {
+		var lines []uint64
+		for _, tag := range c.tags {
+			if tag != 0 {
+				lines = append(lines, tag>>1)
+			}
+		}
+		return lines
+	}
+	want := func(when string, lines ...uint64) {
+		t.Helper()
+		if got := recency(); !slices.Equal(got, lines) {
+			t.Fatalf("%s: recency order %v, want %v", when, got, lines)
+		}
+	}
+
+	// Fewer than ways/2 lines: the prefetch goes behind the ones there are.
+	c.place(100<<1, 0)
+	c.place(101<<1, 0)
+	c.place(200<<1, ways/2)
+	want("prefetch into 2 lines", 101, 100, 200)
+
+	// A full set: position ways/2, and the old tail is dropped.
+	c.Flush()
+	for line := uint64(0); line < ways; line++ {
+		c.place(line<<1, 0)
+	}
+	c.place(200<<1, ways/2)
+	want("prefetch into a full set", 7, 6, 5, 4, 200, 3, 2, 1)
+
+	// A resident line is not moved, neither up to ways/2 nor down to it.
+	c.place(1<<1, ways/2)
+	c.place(7<<1, ways/2)
+	want("prefetch of resident lines", 7, 6, 5, 4, 200, 3, 2, 1)
+
+	// ways/2-1 demand misses push it to the tail, one more evicts it.
+	for i := uint64(0); i < ways/2-1; i++ {
+		c.Access((300+i)*64, 1)
+	}
+	want("after ways/2-1 misses", 302, 301, 300, 7, 6, 5, 4, 200)
+	c.Access(400*64, 1)
+	want("after one more", 400, 302, 301, 300, 7, 6, 5, 4)
+}
+
+// refCache is the model Cache replaced, kept as its oracle: one (tag, last
+// use) pair per way, a global clock ticked per line access, and a victim scan
+// that prefers an empty way and otherwise takes the smallest timestamp. Demand
+// path only, 64 B lines. It is plain LRU written the obvious way; Cache must
+// agree with it access for access.
+type refCache struct {
+	ways         int
+	setMask      uint64
+	tag, last    []uint64
+	clock        uint64
+	hits, misses uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	return &refCache{
+		ways: ways, setMask: uint64(sets - 1),
+		tag: make([]uint64, sets*ways), last: make([]uint64, sets*ways),
+	}
+}
+
+func (c *refCache) Access(addr uint64, size int) (hits, misses int) {
+	if size <= 0 {
+		size = 1
+	}
+	first := addr / 64
+	last := (addr + uint64(size) - 1) / 64
+	for line := first; line <= last; line++ {
+		if c.touch(line << 1) {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	return hits, misses
+}
+
+func (c *refCache) touch(line uint64) bool {
+	c.clock++
+	base := int(mix(line)&c.setMask) * c.ways
+	tag := line | 1
+	victim, oldest := 0, ^uint64(0)
+	for i := base; i < base+c.ways; i++ {
+		if c.tag[i] == tag {
+			c.last[i] = c.clock
+			c.hits++
+			return true
+		}
+		if c.tag[i] == 0 {
+			victim, oldest = i, 0
+		} else if c.last[i] < oldest {
+			victim, oldest = i, c.last[i]
+		}
+	}
+	c.tag[victim], c.last[victim] = tag, c.clock
+	c.misses++
+	return false
+}
+
+func (c *refCache) ResetStats() { c.hits, c.misses = 0, 0 }
+
+func (c *refCache) Flush() {
+	clear(c.tag)
+	clear(c.last)
+	c.clock = 0
+	c.ResetStats()
+}
+
+// lpmBase is the highest synthetic base address the simulator uses
+// (internal/service): tags must hold 57-bit addresses exactly.
+const lpmBase = 0x7f << 48
+
+// cacheOp is one step of a differential run.
+type cacheOp struct {
+	kind byte // opAccess, opWarm, opResetStats, opFlush
+	addr uint64
+	size int
+}
+
+const (
+	opAccess = iota
+	opWarm
+	opResetStats
+	opFlush
+)
+
+// checkAgainstReference drives a Cache and a refCache of the same geometry
+// through ops: every Access must return the same pair, the counters must
+// agree after every step, and Warm must not show in either.
+func checkAgainstReference(t testing.TB, sets, ways int, ops []cacheOp) {
+	t.Helper()
+	c := New(Config{SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64})
+	if c.Sets() != sets || c.Ways() != ways {
+		t.Fatalf("geometry %dx%d came out as %dx%d", sets, ways, c.Sets(), c.Ways())
+	}
+	ref := newRefCache(sets, ways)
+	for i, op := range ops {
+		switch op.kind {
+		case opAccess:
+			h, m := c.Access(op.addr, op.size)
+			rh, rm := ref.Access(op.addr, op.size)
+			if h != rh || m != rm {
+				t.Fatalf("%dx%d op %d: Access(%#x, %d) = %d/%d, reference %d/%d",
+					sets, ways, i, op.addr, op.size, h, m, rh, rm)
+			}
+		case opWarm:
+			c.Warm(op.addr, op.size)
+		case opResetStats:
+			c.ResetStats()
+			ref.ResetStats()
+		case opFlush:
+			c.Flush()
+			ref.Flush()
+		}
+		if c.Hits() != ref.hits || c.Misses() != ref.misses {
+			t.Fatalf("%dx%d op %d: counters %d/%d, reference %d/%d",
+				sets, ways, i, c.Hits(), c.Misses(), ref.hits, ref.misses)
+		}
+	}
+}
+
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	r := sim.NewRand(14)
+	for _, ways := range []int{1, 2, 3, 8, 16} {
+		for _, sets := range []int{1, 2, 16, 128, 1024} {
+			// Working sets around the capacity, so hits, conflict misses and
+			// capacity misses all occur: a Zipf-popular table, a cycle a
+			// little larger than the cache (LRU's worst case), uniform draws.
+			lines := sets * ways
+			zipf := sim.NewZipf(r, 4*lines, 1.1)
+			cycle := 0
+			streams := []func() uint64{
+				func() uint64 { return uint64(zipf.Next()) },
+				func() uint64 { cycle = (cycle + 1) % (lines + lines/4 + 1); return uint64(cycle) },
+				func() uint64 { return uint64(r.Intn(2 * lines)) },
+			}
+			for _, next := range streams {
+				ops := make([]cacheOp, 20_000)
+				for i := range ops {
+					op := cacheOp{addr: lpmBase + next()*64 + uint64(r.Intn(64)), size: 1}
+					switch roll := r.Intn(1000); {
+					case roll < 2:
+						op.kind = opFlush
+					case roll < 10:
+						op.kind = opResetStats
+					case roll < 200:
+						op.kind = opWarm
+						op.size = 1 + r.Intn(256)
+					case roll < 400:
+						op.size = 1 + r.Intn(256) // up to five lines
+					}
+					ops[i] = op
+				}
+				checkAgainstReference(t, sets, ways, ops)
+			}
+		}
+	}
+}
+
+// FuzzCacheMatchesReferenceLRU runs checkAgainstReference on a decoded byte
+// string: geometry picks ways 1..16 and 1..1024 sets; each op is four bytes —
+// kind, two address bytes (32 B granules, so neighbours share lines) and size.
+func FuzzCacheMatchesReferenceLRU(f *testing.F) {
+	f.Add(uint16(0), []byte("\x00\x00\x00\x01\x00\x00\x00\x01"))
+	f.Add(uint16(0x030f), []byte("\x00\x01\x00\x40\x10\x01\x00\xff\x00\x01\x00\x40\xfe\x00\x00\x00\x00\x01\x00\x40"))
+	f.Fuzz(func(t *testing.T, geometry uint16, data []byte) {
+		ways := 1 + int(geometry&0xf)
+		sets := 1 << ((geometry >> 8) % 11)
+		ops := make([]cacheOp, 0, len(data)/4)
+		for ; len(data) >= 4; data = data[4:] {
+			op := cacheOp{
+				addr: lpmBase + (uint64(data[1])<<8|uint64(data[2]))*32,
+				size: int(data[3]),
+			}
+			switch k := data[0]; {
+			case k == 0xff:
+				op.kind = opFlush
+			case k == 0xfe:
+				op.kind = opResetStats
+			case k&0xf0 == 0x10:
+				op.kind = opWarm
+			}
+			ops = append(ops, op)
+		}
+		checkAgainstReference(t, sets, ways, ops)
+	})
+}
+
+func TestAccessDoesNotAllocate(t *testing.T) {
+	c := New(Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64, NextLinePrefetch: true})
+	r := sim.NewRand(2)
+	if n := testing.AllocsPerRun(1000, func() {
+		addr := uint64(r.Intn(4 << 20))
+		c.Warm(addr, 300)
+		c.Access(addr, 300)
+	}); n != 0 {
+		t.Fatalf("Warm+Access allocates %v times per call", n)
 	}
 }

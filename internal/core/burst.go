@@ -114,8 +114,9 @@ func burstArrivalEvent(arg any) {
 	pr.pipe.resid[stageDispatch].RecordN(0, n)
 
 	// Software-pipelined dispatch: hash + probe-head loads issue two members
-	// ahead, the dependent entry/LPM set warm one ahead, so each member's
-	// host cache misses resolve while its predecessor computes — the batching
+	// ahead, the dependent reads of the cache model's tag sets (128 B per
+	// entry or LPM line touched) one ahead, so each member's host cache
+	// misses resolve while its predecessor computes — the batching
 	// win the per-packet path structurally cannot have. Warm passes touch no
 	// model state; outcomes are bit-identical with or without them.
 	members := b.members

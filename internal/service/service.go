@@ -227,7 +227,7 @@ func (s *Service) Populate(flows []Flow) {
 		}
 		// Destination subnet route (idempotent across flows sharing /24s).
 		prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
-		_ = s.routes.Insert(prefix, 24, uint32(i%1<<20))
+		_ = s.routes.Insert(prefix, 24, uint32(i%(1<<20)))
 	}
 }
 
@@ -256,11 +256,12 @@ func (s *Service) WarmProbes(fh uint32) {
 }
 
 // Warm pre-touches the host cache lines ProcessHash(flow, vni, fh) will
-// need — the exact-match entries' modelled sets and the LPM node sets —
-// without mutating any model state (LookupHash is read-only and Cache.Warm
-// updates nothing). Burst-batched dispatch calls WarmProbes two members
-// ahead and Warm one member ahead, so each member's memory is in flight
-// while its predecessor computes; results are bit-identical either way.
+// need — the cache model's tag sets (two host lines per 16-way set) that
+// the exact-match entries and the LPM nodes map to — without mutating any
+// model state (LookupHash is read-only and Cache.Warm reorders nothing).
+// Burst-batched dispatch calls WarmProbes two members ahead and Warm one
+// member ahead, so each member's memory is in flight while its predecessor
+// computes; results are bit-identical either way.
 func (s *Service) Warm(flow packet.FiveTuple, fh uint32) {
 	for _, tb := range s.tables {
 		if e := tb.LookupHash(flow, fh); e != nil {

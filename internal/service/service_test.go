@@ -294,3 +294,19 @@ func BenchmarkProcessVPCInternet(b *testing.B) {
 		s.Process(f.Tuple, f.VNI)
 	}
 }
+
+// Populate gives the /24 of flow i the next hop i mod 2^20, so flows in
+// different /24s resolve to different next hops. ProcessHash discards the
+// looked-up value, so nothing else would notice them all being equal.
+func TestPopulateInstallsDistinctNextHops(t *testing.T) {
+	flows := testFlows(2, 10)
+	flows[0].Tuple.Dst = packet.IPv4FromUint32(0x30000101)
+	flows[1].Tuple.Dst = packet.IPv4FromUint32(0x30000201)
+	s := newService(t, VPCVPC, flows)
+	for i, f := range flows {
+		hop, ok := s.routes.Lookup(f.Tuple.Dst.Uint32())
+		if !ok || hop != uint32(i) {
+			t.Fatalf("flow %d: next hop %d (found %v), want %d", i, hop, ok, i)
+		}
+	}
+}

@@ -27,12 +27,13 @@ vet:
 	$(GO) vet ./...
 
 # Race-checks the packages with intentional cross-goroutine sharing (the
-# eval worker pool and the shared/sharded session tables) plus the packet
-# path itself: the node pipeline and the multi-node cluster layer.
+# eval worker pool, the shared/sharded session tables, the service tables
+# every cluster member reads) plus the packet path itself: the node pipeline
+# and the multi-node cluster layer.
 # The race detector slows the eval experiments ~10x, so the default 10m
 # per-package test timeout is not enough headroom.
 race:
-	$(GO) test -race -timeout 30m ./internal/sim/ ./internal/eval/ ./internal/flowtable/ ./internal/cluster/ ./internal/core/ ./internal/workload/trace/ ./internal/scenario/ ./internal/metrics/ ./internal/controlplane/ ./internal/bgp/
+	$(GO) test -race -timeout 30m ./internal/sim/ ./internal/eval/ ./internal/flowtable/ ./internal/service/ ./internal/cluster/ ./internal/core/ ./internal/workload/trace/ ./internal/scenario/ ./internal/metrics/ ./internal/controlplane/ ./internal/bgp/
 
 # Gameday gate: every committed scenario must validate, run with all of
 # its declared assertions passing, and print byte-identical stdout on a
@@ -75,6 +76,10 @@ gameday: build
 #                stale when an experiment or a check is added or removed.
 #   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
 #                its reference LRU (the committed seeds alone run in `go test`).
+#   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
+#                and 4) inside 30 s — fleet set-up must follow the distinct
+#                state, not the member count (it took 78 s when every member
+#                built its own tables).
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
@@ -93,6 +98,7 @@ check: build
 		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
+		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 	; do \
 		name=$${row%%|*}; cmd=$${row#*|}; \
 		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \

@@ -9,10 +9,12 @@
 // A scenario file declares the fleet, workload, timed fault script, and an
 // assertions block; `run` executes it and exits non-zero when an assertion
 // fails. `run` takes override flags (-nodes, -shards, -burst, -metrics-out,
-// ...) for one-off variations of a committed drill.
+// ...) for one-off variations of a committed drill, and -cpuprofile FILE to
+// see where the host time of a run went (go tool pprof).
 //
 // Exit codes: 0 success, 1 a scenario failed to load, run or hold its
-// assertions (or replay-diff found a difference), 2 bad command line.
+// assertions (or replay-diff found a difference), 2 bad command line or an
+// unwritable -cpuprofile file.
 package main
 
 import (

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,7 @@ func TestExitCodes(t *testing.T) {
 		{"validate invalid file", []string{"validate", "../../internal/scenario/testdata/invalid/unknown-key.yaml"}, 1, "INVALID", ""},
 		{"run cache_mb over the ceiling", []string{"run", "-cache-mb", "1000000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.cache_mb must be in [0,4096]"},
 		{"run nodes over the ceiling", []string{"run", "-nodes", "100000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.nodes must be in [1,65536]"},
+		{"run unwritable cpuprofile", []string{"run", "-cpuprofile", "no-such-dir/cpu.prof", "../../scenarios/healthy-baseline.yaml"}, 2, "", "-cpuprofile: open no-such-dir/cpu.prof"},
 		{"run unknown backend", []string{"run", "-backend", "bogus", "../../scenarios/healthy-baseline.yaml"}, 1, "", `unknown flow-table backend "bogus"`},
 		{"reconcile dry run", []string{"reconcile", "-plan", "../../scenarios/reconcile-canary.yaml"}, 0, "reconcile plan:", ""},
 		{"reconcile without a spec", []string{"reconcile", "../../scenarios/node-crash.yaml"}, 1, "", "no spec: block"},
@@ -52,5 +55,24 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("bad command line did not print a usage: %q", &stderr)
 			}
 		})
+	}
+}
+
+// -cpuprofile writes a profile and leaves stdout as it was.
+func TestRunCPUProfile(t *testing.T) {
+	drill := "../../scenarios/healthy-baseline.yaml"
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	var plain, profiled, stderr bytes.Buffer
+	if code := realMain([]string{"run", drill}, &plain, &stderr); code != 0 {
+		t.Fatalf("plain run: exit %d: %s", code, &stderr)
+	}
+	if code := realMain([]string{"run", "-cpuprofile", prof, drill}, &profiled, &stderr); code != 0 {
+		t.Fatalf("profiled run: exit %d: %s", code, &stderr)
+	}
+	if !bytes.Equal(plain.Bytes(), profiled.Bytes()) {
+		t.Error("-cpuprofile changed stdout")
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Errorf("profile not written: %v", err)
 	}
 }

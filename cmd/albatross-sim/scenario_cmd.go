@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"albatross"
@@ -38,9 +39,31 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file. An empty path profiles nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
 // runCmd implements `albatross-sim run [overrides] scenario.yaml`: load,
 // apply flag overrides, execute, print the deterministic report, and return
 // 1 when any assertion fails. An unset flag keeps the scenario file's value.
+// -cpuprofile is not an override: it profiles the host while the scenario
+// runs, prints nothing, and returns 2 when the file cannot be written.
 func runCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("run", stderr, "usage: albatross-sim run [overrides] scenario.yaml\n\n"+
 		"Overrides (unset flags keep the scenario file's values):")
@@ -62,6 +85,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		replay   = fs.String("replay", "", "override workload.replay (trace file to replay)")
 		snapshot = fs.Duration("snapshot-every", 0, "override observability.snapshot_every (timeline sampling period)")
 		series   = fs.String("series-out", "", "override observability.series_out (write timeline to PREFIX.csv and PREFIX.json)")
+		cpuProf  = fs.String("cpuprofile", "", "not an override: write a CPU profile of the run to this file (go tool pprof)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
@@ -117,8 +141,18 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	})
 
+	stopProfile, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
+		fs.Usage()
+		return 2
+	}
 	wall := time.Now()
 	res, err := s.Apply(ov).Run()
+	if perr := stopProfile(); perr != nil {
+		fmt.Fprintf(stderr, "-cpuprofile: %v\n", perr)
+		return 2
+	}
 	if err != nil {
 		return fail(stderr, err)
 	}

@@ -58,13 +58,14 @@ func DefaultL3() Config {
 	return Config{SizeBytes: 100 << 20, Ways: 16, LineBytes: 64}
 }
 
-// New creates a cache. The line size and the set count are forced to powers
-// of two (rounding down), which mirrors real hardware indexing.
-func New(cfg Config) *Cache {
+// rounded returns the geometry New builds from cfg: the line size and the
+// set count are forced to powers of two (rounding down), which mirrors real
+// hardware indexing.
+func (cfg Config) rounded() (lineShift uint, ways, sets int) {
 	if cfg.LineBytes <= 0 {
 		cfg.LineBytes = 64
 	}
-	lineShift := uint(bits.Len(uint(cfg.LineBytes)) - 1)
+	lineShift = uint(bits.Len(uint(cfg.LineBytes)) - 1)
 	cfg.LineBytes = 1 << lineShift
 	if cfg.Ways <= 0 {
 		cfg.Ways = 16
@@ -72,15 +73,28 @@ func New(cfg Config) *Cache {
 	if cfg.SizeBytes < cfg.Ways*cfg.LineBytes {
 		cfg.SizeBytes = cfg.Ways * cfg.LineBytes
 	}
-	sets := 1 << (bits.Len(uint(cfg.SizeBytes/(cfg.Ways*cfg.LineBytes))) - 1)
+	sets = 1 << (bits.Len(uint(cfg.SizeBytes/(cfg.Ways*cfg.LineBytes))) - 1)
+	return lineShift, cfg.Ways, sets
+}
+
+// New creates a cache of cfg's geometry after rounding.
+func New(cfg Config) *Cache {
+	lineShift, ways, sets := cfg.rounded()
 	return &Cache{
 		lineShift: lineShift,
-		ways:      cfg.Ways,
+		ways:      ways,
 		sets:      sets,
 		setMask:   uint64(sets - 1),
-		tags:      make([]uint64, sets*cfg.Ways),
+		tags:      make([]uint64, sets*ways),
 		prefetch:  cfg.NextLinePrefetch,
 	}
+}
+
+// ColdString is New(cfg).String() without building the cache: how a cache of
+// this geometry prints before its first access.
+func (cfg Config) ColdString() string {
+	lineShift, ways, sets := cfg.rounded()
+	return describe(sets*ways<<lineShift, ways, 1<<lineShift, 0)
 }
 
 // SizeBytes returns the effective capacity after rounding.
@@ -217,8 +231,12 @@ func (c *Cache) Flush() {
 }
 
 func (c *Cache) String() string {
+	return describe(c.SizeBytes(), c.ways, c.LineBytes(), c.HitRate())
+}
+
+func describe(sizeBytes, ways, lineBytes int, hitRate float64) string {
 	return fmt.Sprintf("cache{%dMB %d-way %dB lines, hit=%.1f%%}",
-		c.SizeBytes()>>20, c.ways, c.LineBytes(), c.HitRate()*100)
+		sizeBytes>>20, ways, lineBytes, hitRate*100)
 }
 
 // MemLatency holds the memory hierarchy latencies used to convert cache

@@ -618,3 +618,17 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Warm+Access allocates %v times per call", n)
 	}
 }
+
+func TestColdStringMatchesFreshCache(t *testing.T) {
+	for _, cfg := range []Config{
+		DefaultL3(),
+		{},
+		{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64},
+		{SizeBytes: 3<<20 + 17, Ways: 12, LineBytes: 100}, // everything rounds
+		{SizeBytes: 1, Ways: 4, LineBytes: 48},
+	} {
+		if got, want := cfg.ColdString(), New(cfg).String(); got != want {
+			t.Errorf("%+v: ColdString = %q, a fresh cache prints %q", cfg, got, want)
+		}
+	}
+}

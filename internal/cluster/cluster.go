@@ -34,6 +34,7 @@ import (
 	"albatross/internal/errs"
 	"albatross/internal/faults"
 	"albatross/internal/metrics"
+	"albatross/internal/service"
 	"albatross/internal/sim"
 	"albatross/internal/workload"
 	"albatross/internal/workload/trace"
@@ -161,8 +162,8 @@ type Cluster struct {
 	members  []*Member
 	ring     *ring
 	injector *faults.Injector
-	// podCfgs replays deployed pods onto members added later.
-	podCfgs []core.PodConfig
+	// pods replays deployed pods onto members added later.
+	pods []podTemplate
 	// eligibleFn is the ring's eligibility probe, bound once so Inject
 	// stays allocation-free.
 	eligibleFn func(int) bool
@@ -187,6 +188,14 @@ type Cluster struct {
 	// set), armed lazily at the first RunFor so pods deployed via AddPod
 	// are visible to its probe histogram.
 	timeline *metrics.Timeline
+}
+
+// podTemplate is one AddPod call: the config and the tables built from its
+// flows, which every member's copy of the pod adopts — a homogeneous rack
+// holds one set of tenant tables, however many members serve it.
+type podTemplate struct {
+	cfg    core.PodConfig
+	tables *service.Tables
 }
 
 // foreverDuration stands in for "permanent" when a fault's Duration is 0.
@@ -295,23 +304,26 @@ func (c *Cluster) AddNode() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, pcfg := range c.podCfgs {
-		if _, err := m.Node.AddPod(pcfg); err != nil {
+	for _, t := range c.pods {
+		if _, err := m.Node.AddPodWithTables(t.cfg, t.tables); err != nil {
 			return 0, err
 		}
 	}
 	return m.Index, nil
 }
 
-// AddPod deploys the pod on every member (the homogeneous rack) and
-// records it for members added later.
+// AddPod deploys the pod on every member (the homogeneous rack) and records
+// it for members added later. The pod's tables are built once, here, and
+// shared by every member's copy: set-up time and memory follow the flow set,
+// not the member count.
 func (c *Cluster) AddPod(cfg core.PodConfig) error {
+	t := podTemplate{cfg: cfg, tables: service.BuildTables(cfg.Flows)}
 	for _, m := range c.members {
-		if _, err := m.Node.AddPod(cfg); err != nil {
+		if _, err := m.Node.AddPodWithTables(t.cfg, t.tables); err != nil {
 			return fmt.Errorf("cluster: node %d: %w", m.Index, err)
 		}
 	}
-	c.podCfgs = append(c.podCfgs, cfg)
+	c.pods = append(c.pods, t)
 	return nil
 }
 
@@ -437,12 +449,12 @@ func (c *Cluster) ScalePods(node, want int) error {
 	// Pod deploys and stops mutate shard-owned state.
 	c.sharded.SyncShards()
 	for m.ActivePods() < want {
-		if len(c.podCfgs) == 0 {
+		if len(c.pods) == 0 {
 			return fmt.Errorf("cluster: no pod template recorded (AddPod first): %w", errs.BadState)
 		}
-		tmpl := c.podCfgs[0]
-		tmpl.Spec.Name = fmt.Sprintf("%s-s%d", tmpl.Spec.Name, len(m.Node.Pods()))
-		if _, err := m.Node.AddPod(tmpl); err != nil {
+		tmpl := c.pods[0]
+		tmpl.cfg.Spec.Name = fmt.Sprintf("%s-s%d", tmpl.cfg.Spec.Name, len(m.Node.Pods()))
+		if _, err := m.Node.AddPodWithTables(tmpl.cfg, tmpl.tables); err != nil {
 			return err
 		}
 	}

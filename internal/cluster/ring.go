@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,7 +28,9 @@ import (
 // to the next eligible point. Keeping dead members' points in place means
 // recovery restores the exact pre-failure assignment. Weight changes and
 // removal DO rebuild — they are deliberate control-plane reassignments,
-// not failures to recover from.
+// not failures to recover from. The rebuild is deferred to the next lookup,
+// so a batch of membership changes (building an N-member cluster is N adds)
+// sorts the table once, not once per change.
 
 // ringPoint is one vnode: a position on the hash ring owned by a member.
 type ringPoint struct {
@@ -35,10 +39,12 @@ type ringPoint struct {
 }
 
 type ring struct {
-	points []ringPoint // sorted by hash
+	points []ringPoint // sorted by hash; out of date while dirty
 	vnodes int
 	// counts[member] is the member's current vnode count (0 = absent).
 	counts []int
+	// dirty is set when counts has changed since points was built.
+	dirty bool
 }
 
 // mix64 is a splitmix64-style finalizer used to place vnodes and spread
@@ -75,8 +81,8 @@ func (r *ring) add(member int) { r.setCount(member, r.vnodes) }
 // remove deletes every point the member owns.
 func (r *ring) remove(member int) { r.setCount(member, 0) }
 
-// setCount pins member's vnode count and rebuilds the table. No-op when
-// the count already matches.
+// setCount pins member's vnode count and marks the point table out of date;
+// the next lookup rebuilds it. No-op when the count already matches.
 func (r *ring) setCount(member, count int) {
 	for member >= len(r.counts) {
 		r.counts = append(r.counts, 0)
@@ -85,13 +91,14 @@ func (r *ring) setCount(member, count int) {
 		return
 	}
 	r.counts[member] = count
-	r.rebuild()
+	r.dirty = true
 }
 
 // rebuild regenerates the sorted point table from counts. Deterministic:
 // point hashes depend only on (member, ordinal) and the sort order is
 // total (hash, then member).
 func (r *ring) rebuild() {
+	r.dirty = false
 	r.points = r.points[:0]
 	for m, count := range r.counts {
 		for v := 0; v < count; v++ {
@@ -99,11 +106,11 @@ func (r *ring) rebuild() {
 			r.points = append(r.points, ringPoint{hash: h, member: int32(m)})
 		}
 	}
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
+	slices.SortFunc(r.points, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return r.points[i].member < r.points[j].member
+		return cmp.Compare(a.member, b.member)
 	})
 }
 
@@ -112,6 +119,9 @@ func (r *ring) rebuild() {
 // clockwise from h (-1 when no member is eligible). home == owner in the
 // healthy case; they differ exactly for the flows remapped by a failure.
 func (r *ring) lookup(h uint64, eligible func(member int) bool) (home, owner int) {
+	if r.dirty {
+		r.rebuild()
+	}
 	n := len(r.points)
 	if n == 0 {
 		return -1, -1

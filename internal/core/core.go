@@ -72,7 +72,10 @@ type Node struct {
 	Server  *pod.Server
 	Limiter *gop.Limiter
 
-	cfg    NodeConfig
+	cfg NodeConfig
+	// caches holds one L3 model per NUMA node, nil until Cache first asks
+	// for it: a model is megabytes of host memory and pods rarely use more
+	// than one NUMA node.
 	caches []*cachesim.Cache
 	pods   []*PodRuntime
 	// addrs is the node-private synthetic address space: table addresses
@@ -130,9 +133,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Server: server,
 		cfg:    cfg,
 		addrs:  flowtable.NewAddrSpace(),
-	}
-	for i := 0; i < cfg.Server.Topology.Nodes; i++ {
-		n.caches = append(n.caches, cachesim.New(cfg.Cache))
+		caches: make([]*cachesim.Cache, cfg.Server.Topology.Nodes),
 	}
 	if cfg.Limiter != nil {
 		n.Limiter, err = gop.NewLimiter(*cfg.Limiter)
@@ -158,8 +159,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// Cache returns NUMA node i's L3 model.
-func (n *Node) Cache(i int) *cachesim.Cache { return n.caches[i] }
+// Cache returns NUMA node i's L3 model, building it on first use (the first
+// pod placed on the NUMA node, usually).
+func (n *Node) Cache(i int) *cachesim.Cache {
+	if n.caches[i] == nil {
+		n.caches[i] = cachesim.New(n.cfg.Cache)
+	}
+	return n.caches[i]
+}
 
 // Pods returns the deployed pod runtimes.
 func (n *Node) Pods() []*PodRuntime { return n.pods }
@@ -332,6 +339,15 @@ type PodRuntime struct {
 // AddPod places and wires a gateway pod. It is usable any time before
 // Close, including after a PodRuntime.Stop has freed server capacity.
 func (n *Node) AddPod(cfg PodConfig) (*PodRuntime, error) {
+	return n.AddPodWithTables(cfg, nil)
+}
+
+// AddPodWithTables is AddPod for a caller that deploys one pod template on
+// many nodes: tables must be service.BuildTables(cfg.Flows), built once and
+// adopted by every node's pod instead of being rebuilt per node (they are
+// immutable, so sharing them across nodes and shard goroutines is safe).
+// Nil tables are built here.
+func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRuntime, error) {
 	if n.closed {
 		return nil, fmt.Errorf("core: AddPod on closed node: %w", errs.Closed)
 	}
@@ -357,7 +373,7 @@ func (n *Node) AddPod(cfg PodConfig) (*PodRuntime, error) {
 	}
 	svc, err := service.New(service.Config{
 		Type:        cfg.Spec.Service,
-		Cache:       n.caches[p.NUMANode],
+		Cache:       n.Cache(p.NUMANode),
 		Latency:     n.cfg.Mem,
 		MemoryMult:  memMult,
 		ComputeMult: computeMult,
@@ -366,7 +382,10 @@ func (n *Node) AddPod(cfg PodConfig) (*PodRuntime, error) {
 	if err != nil {
 		return nil, err
 	}
-	svc.Populate(cfg.Flows)
+	if tables == nil {
+		tables = service.BuildTables(cfg.Flows)
+	}
+	svc.Adopt(tables)
 
 	pr := &PodRuntime{
 		node:        n,

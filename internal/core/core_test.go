@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"albatross/internal/cachesim"
@@ -501,4 +502,31 @@ func containsStr(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// A NUMA node's cache model is built when the first pod lands on it; until
+// then the report prints what a fresh cache of the configured geometry would,
+// and Cache(i) still answers for any i.
+func TestCacheModelBuiltOnFirstUse(t *testing.T) {
+	n := smallNode(t, nil)
+	fresh := cachesim.New(n.cfg.Cache).String()
+	for i, c := range n.caches {
+		if c != nil {
+			t.Fatalf("NewNode built the cache model of NUMA node %d", i)
+		}
+		if want := fmt.Sprintf("L3[numa%d]: %s\n", i, fresh); !containsStr(n.Report(), want) {
+			t.Fatalf("report of an empty node lacks %q:\n%s", want, n.Report())
+		}
+	}
+	_, sf := wflows(100, 1)
+	pr := addPod(t, n, pod.ModePLB, 2, sf, nil)
+	for i, c := range n.caches {
+		if (c != nil) != (i == pr.Pod.NUMANode) {
+			t.Fatalf("after one pod on NUMA node %d: cache model %d built = %v", pr.Pod.NUMANode, i, c != nil)
+		}
+	}
+	other := 1 - pr.Pod.NUMANode
+	if c := n.Cache(other); c == nil || c.Hits()+c.Misses() != 0 || c.String() != fresh {
+		t.Fatalf("Cache(%d) on the unused NUMA node = %v", other, c)
+	}
 }

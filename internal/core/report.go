@@ -43,6 +43,10 @@ func (n *Node) Report() string {
 	}
 
 	for i, c := range n.caches {
+		if c == nil {
+			fmt.Fprintf(&b, "L3[numa%d]: %s\n", i, n.cfg.Cache.ColdString())
+			continue
+		}
 		fmt.Fprintf(&b, "L3[numa%d]: %v\n", i, c)
 	}
 	if n.Limiter != nil {

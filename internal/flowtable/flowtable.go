@@ -30,30 +30,34 @@ type Entry struct {
 	SizeBytes int
 }
 
-// Table is an exact-match table keyed by five-tuple. Not safe for
-// concurrent use; wrap with a lock or shard per core.
+// Index is the package's one exact-match implementation: a map from
+// five-tuple to insertion ordinal — the n-th distinct key inserted gets
+// ordinal n, and re-inserting a live key returns the ordinal it already
+// has. An entry's modelled address is a base plus ordinal × entry size, so
+// one Index serves any number of modelled tables holding the same key set
+// (see internal/service), and Table is an Index plus per-entry values.
 //
 // Storage is a linear-probing open-addressed array rather than a Go map:
-// the packet path does three to six Lookup calls per packet, and an inline
-// probe over (hash, key, entry) triples beats the runtime map's generic
-// bucket walk by roughly 2x here. Deletes leave tombstones that are
-// reclaimed on growth.
-type Table struct {
-	name      string
-	entrySize int
-	slots     []tableSlot
-	mask      uint32
-	count     int // live entries
-	used      int // live + tombstones (probe-chain occupancy)
-	nextAddr  uint64
-	addrBase  uint64
+// the packet path probes it once per packet, and an inline probe over
+// 32-byte (key, hash, ordinal) slots — two to a host cache line, none
+// straddling one — beats the runtime map's generic bucket walk by roughly 2x
+// here. Deletes leave tombstones that are reclaimed on growth.
+//
+// Not safe for concurrent mutation. LookupHash and WarmHash only read, so an
+// Index nobody inserts into or deletes from any more may be shared freely.
+type Index struct {
+	slots []indexSlot
+	mask  uint32
+	count int    // live keys
+	used  int    // live + tombstones (probe-chain occupancy)
+	next  uint64 // ordinal of the next fresh key
 }
 
-type tableSlot struct {
+type indexSlot struct {
 	key   packet.FiveTuple
 	hash  uint32
 	state uint8 // slotEmpty, slotFull or slotDead
-	entry *Entry
+	ord   uint64
 }
 
 const (
@@ -62,7 +66,139 @@ const (
 	slotDead // tombstone: probe chains continue through it
 )
 
-const tableMinSlots = 16
+const indexMinSlots = 16
+
+// NewIndex returns an empty index sized to take capacity keys without
+// rehashing (0 is fine: it grows on demand).
+func NewIndex(capacity int) *Index {
+	x := &Index{}
+	x.init(capacity)
+	return x
+}
+
+func (x *Index) init(capacity int) {
+	size := indexMinSlots
+	for capacity*4 >= size*3 {
+		size *= 2
+	}
+	x.slots = make([]indexSlot, size)
+	x.mask = uint32(size - 1)
+}
+
+// Len returns the number of live keys.
+func (x *Index) Len() int { return x.count }
+
+// Insert adds key and returns its ordinal; fresh is false when the key was
+// already present (its ordinal is unchanged and no new one is consumed).
+func (x *Index) Insert(key packet.FiveTuple) (ord uint64, fresh bool) {
+	if x.used*4 >= len(x.slots)*3 {
+		x.grow()
+	}
+	h := key.Hash()
+	i := h & x.mask
+	ins := -1 // first tombstone on the probe chain, if any
+	for {
+		s := &x.slots[i]
+		switch s.state {
+		case slotEmpty:
+			if ins >= 0 {
+				s = &x.slots[ins] // reuse the tombstone
+			} else {
+				x.used++
+			}
+			ord = x.next
+			x.next++
+			s.key, s.hash, s.state, s.ord = key, h, slotFull, ord
+			x.count++
+			return ord, true
+		case slotFull:
+			if s.hash == h && s.key == key {
+				return s.ord, false
+			}
+		case slotDead:
+			if ins < 0 {
+				ins = int(i)
+			}
+		}
+		i = (i + 1) & x.mask
+	}
+}
+
+// LookupHash returns key's ordinal; h is the caller-precomputed key.Hash().
+func (x *Index) LookupHash(key packet.FiveTuple, h uint32) (ord uint64, ok bool) {
+	i := h & x.mask
+	for {
+		s := &x.slots[i]
+		if s.state == slotEmpty {
+			return 0, false
+		}
+		if s.state == slotFull && s.hash == h && s.key == key {
+			return s.ord, true
+		}
+		i = (i + 1) & x.mask
+	}
+}
+
+// WarmHash reads the head of hash h's probe chain without looking anything
+// up — a host-cache prefetch for burst-batched callers (sum the return value
+// into a sink so the load is not elided).
+func (x *Index) WarmHash(h uint32) uint64 {
+	return uint64(x.slots[h&x.mask].hash)
+}
+
+// Delete removes key and returns the ordinal it held; ordinals are never
+// reused.
+func (x *Index) Delete(key packet.FiveTuple) (ord uint64, ok bool) {
+	h := key.Hash()
+	i := h & x.mask
+	for {
+		s := &x.slots[i]
+		if s.state == slotEmpty {
+			return 0, false
+		}
+		if s.state == slotFull && s.hash == h && s.key == key {
+			s.state = slotDead
+			x.count--
+			return s.ord, true
+		}
+		i = (i + 1) & x.mask
+	}
+}
+
+func (x *Index) grow() {
+	// Double only when live keys dominate; a tombstone-heavy index rehashes
+	// in place at the same size.
+	size := len(x.slots)
+	if x.count*2 >= size {
+		size *= 2
+	}
+	old := x.slots
+	x.slots = make([]indexSlot, size)
+	x.mask = uint32(size - 1)
+	x.used = x.count
+	for oi := range old {
+		s := &old[oi]
+		if s.state != slotFull {
+			continue
+		}
+		i := s.hash & x.mask
+		for x.slots[i].state != slotEmpty {
+			i = (i + 1) & x.mask
+		}
+		x.slots[i] = *s
+	}
+}
+
+// Table is an exact-match table keyed by five-tuple: an Index whose ordinals
+// address per-entry values and a private range of synthetic memory. Not safe
+// for concurrent use; wrap with a lock or shard per core.
+type Table struct {
+	name      string
+	entrySize int
+	addrBase  uint64
+	idx       Index
+	entries   []*Entry // by ordinal; nil once deleted
+}
 
 // addrStride spaces synthetic addresses so distinct tables never share
 // cache lines in the model.
@@ -81,16 +217,22 @@ type AddrSpace struct {
 // NewAddrSpace returns a fresh address space starting at the first stride.
 func NewAddrSpace() *AddrSpace { return &AddrSpace{} }
 
-func (a *AddrSpace) nextBase() uint64 {
+// defaultAddrSpace backs the nil space for standalone use; reproducible
+// experiments must pass an explicit space instead.
+var defaultAddrSpace AddrSpace
+
+// NextBase reserves the space's next address range — room for one modelled
+// table — and returns its base. A nil space draws from the process-global
+// one.
+func (a *AddrSpace) NextBase() uint64 {
+	if a == nil {
+		a = &defaultAddrSpace
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.next++
 	return a.next * addrStride
 }
-
-// defaultAddrSpace backs the convenience constructors for standalone use;
-// reproducible experiments must pass an explicit space instead.
-var defaultAddrSpace AddrSpace
 
 // NewTable creates an exact-match table whose entries model entrySize bytes
 // of memory each, drawing its address base from the process-global space.
@@ -104,65 +246,35 @@ func NewTableIn(space *AddrSpace, name string, entrySize int) *Table {
 	if entrySize <= 0 {
 		entrySize = 64
 	}
-	if space == nil {
-		space = &defaultAddrSpace
-	}
-	return &Table{
-		name:      name,
-		entrySize: entrySize,
-		slots:     make([]tableSlot, tableMinSlots),
-		mask:      tableMinSlots - 1,
-		addrBase:  space.nextBase(),
-	}
+	t := &Table{name: name, entrySize: entrySize, addrBase: space.NextBase()}
+	t.idx.init(0)
+	return t
 }
 
 // Name returns the table's name.
 func (t *Table) Name() string { return t.name }
 
 // Len returns the number of entries.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int { return t.idx.Len() }
 
 // EntrySize returns the modelled per-entry footprint in bytes.
 func (t *Table) EntrySize() int { return t.entrySize }
 
 // Insert adds or replaces an entry and returns it.
 func (t *Table) Insert(key packet.FiveTuple, value uint64) *Entry {
-	if t.used*4 >= len(t.slots)*3 {
-		t.grow()
+	ord, fresh := t.idx.Insert(key)
+	if !fresh {
+		e := t.entries[ord]
+		e.Value = value
+		return e
 	}
-	h := key.Hash()
-	i := h & t.mask
-	ins := -1 // first tombstone on the probe chain, if any
-	for {
-		s := &t.slots[i]
-		switch s.state {
-		case slotEmpty:
-			e := &Entry{
-				Value:     value,
-				Addr:      t.addrBase + t.nextAddr*uint64(t.entrySize),
-				SizeBytes: t.entrySize,
-			}
-			t.nextAddr++
-			if ins >= 0 {
-				s = &t.slots[ins] // reuse the tombstone
-			} else {
-				t.used++
-			}
-			s.key, s.hash, s.state, s.entry = key, h, slotFull, e
-			t.count++
-			return e
-		case slotFull:
-			if s.hash == h && s.key == key {
-				s.entry.Value = value
-				return s.entry
-			}
-		case slotDead:
-			if ins < 0 {
-				ins = int(i)
-			}
-		}
-		i = (i + 1) & t.mask
+	e := &Entry{
+		Value:     value,
+		Addr:      t.addrBase + ord*uint64(t.entrySize),
+		SizeBytes: t.entrySize,
 	}
+	t.entries = append(t.entries, e) // fresh ordinals are dense: ord == len
+	return e
 }
 
 // Lookup returns the entry for key, or nil.
@@ -170,74 +282,26 @@ func (t *Table) Lookup(key packet.FiveTuple) *Entry {
 	return t.LookupHash(key, key.Hash())
 }
 
-// LookupHash is Lookup with the caller-precomputed key.Hash() — service
-// chains look the same tuple up in several tables and hash it once.
+// LookupHash is Lookup with the caller-precomputed key.Hash().
 func (t *Table) LookupHash(key packet.FiveTuple, h uint32) *Entry {
-	i := h & t.mask
-	for {
-		s := &t.slots[i]
-		if s.state == slotEmpty {
-			return nil
-		}
-		if s.state == slotFull && s.hash == h && s.key == key {
-			return s.entry
-		}
-		i = (i + 1) & t.mask
+	ord, ok := t.idx.LookupHash(key, h)
+	if !ok {
+		return nil
 	}
-}
-
-// WarmHash reads the head of hash h's probe chain without looking anything
-// up — a host-cache prefetch for burst-batched callers (sum the return value
-// into a sink so the load is not elided). No model state is touched.
-func (t *Table) WarmHash(h uint32) uint64 {
-	return uint64(t.slots[h&t.mask].hash)
+	return t.entries[ord]
 }
 
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key packet.FiveTuple) bool {
-	h := key.Hash()
-	i := h & t.mask
-	for {
-		s := &t.slots[i]
-		if s.state == slotEmpty {
-			return false
-		}
-		if s.state == slotFull && s.hash == h && s.key == key {
-			s.state = slotDead
-			s.entry = nil
-			t.count--
-			return true
-		}
-		i = (i + 1) & t.mask
+	ord, ok := t.idx.Delete(key)
+	if ok {
+		t.entries[ord] = nil
 	}
-}
-
-func (t *Table) grow() {
-	// Double only when live entries dominate; a tombstone-heavy table
-	// rehashes in place at the same size.
-	size := len(t.slots)
-	if t.count*2 >= size {
-		size *= 2
-	}
-	old := t.slots
-	t.slots = make([]tableSlot, size)
-	t.mask = uint32(size - 1)
-	t.used = t.count
-	for oi := range old {
-		s := &old[oi]
-		if s.state != slotFull {
-			continue
-		}
-		i := s.hash & t.mask
-		for t.slots[i].state != slotEmpty {
-			i = (i + 1) & t.mask
-		}
-		t.slots[i] = *s
-	}
+	return ok
 }
 
 // MemoryBytes returns the modelled memory footprint of the table.
-func (t *Table) MemoryBytes() int64 { return int64(t.count) * int64(t.entrySize) }
+func (t *Table) MemoryBytes() int64 { return int64(t.idx.Len()) * int64(t.entrySize) }
 
 // SessionState is the lifecycle state of a stateful NF session.
 type SessionState uint8
@@ -302,14 +366,11 @@ func NewSessionTable(capacity int, idle sim.Duration) *SessionTable {
 // NewSessionTableIn is NewSessionTable drawing its address base from the
 // given address space (nil falls back to the process-global one).
 func NewSessionTableIn(space *AddrSpace, capacity int, idle sim.Duration) *SessionTable {
-	if space == nil {
-		space = &defaultAddrSpace
-	}
 	return &SessionTable{
 		m:        make(map[packet.FiveTuple]*Session),
 		capacity: capacity,
 		idle:     idle,
-		addrBase: space.nextBase(),
+		addrBase: space.NextBase(),
 	}
 }
 

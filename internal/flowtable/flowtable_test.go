@@ -304,3 +304,50 @@ func BenchmarkShardedTouch(b *testing.B) {
 		sd.Touch(tuple(i%1000), 0, func(s *Session) { s.Packets++ })
 	}
 }
+
+// TestIndexMatchesMap drives an Index and a map through random inserts,
+// re-inserts and deletes over a small key universe (so tombstones are reused
+// and the table rehashes in place as well as doubling): ordinals count fresh
+// inserts, a live key keeps its ordinal, a deleted one never gets it back, and
+// a pre-sized index agrees with one grown from empty.
+func TestIndexMatchesMap(t *testing.T) {
+	r := sim.NewRand(5)
+	grown, sized := NewIndex(0), NewIndex(3000)
+	want := map[packet.FiveTuple]uint64{}
+	var next uint64
+	for op := 0; op < 200_000; op++ {
+		k := tuple(r.Intn(3000))
+		if r.Intn(3) == 0 {
+			ord, ok := grown.Delete(k)
+			sord, sok := sized.Delete(k)
+			wantOrd, wantOK := want[k]
+			if ok != wantOK || sok != wantOK || (ok && (ord != wantOrd || sord != wantOrd)) {
+				t.Fatalf("op %d: Delete = %d/%v and %d/%v, want %d/%v", op, ord, ok, sord, sok, wantOrd, wantOK)
+			}
+			delete(want, k)
+			continue
+		}
+		ord, fresh := grown.Insert(k)
+		sord, sfresh := sized.Insert(k)
+		wantOrd, had := want[k]
+		if !had {
+			wantOrd = next
+			next++
+			want[k] = wantOrd
+		}
+		if ord != wantOrd || sord != wantOrd || fresh == had || sfresh == had {
+			t.Fatalf("op %d: Insert = %d/%v and %d/%v, want %d/%v", op, ord, fresh, sord, sfresh, wantOrd, !had)
+		}
+	}
+	if grown.Len() != len(want) || sized.Len() != len(want) {
+		t.Fatalf("Len = %d and %d, want %d", grown.Len(), sized.Len(), len(want))
+	}
+	for i := 0; i < 3000; i++ {
+		k := tuple(i)
+		ord, ok := grown.LookupHash(k, k.Hash())
+		wantOrd, wantOK := want[k]
+		if ok != wantOK || (ok && ord != wantOrd) {
+			t.Fatalf("LookupHash(%d) = %d/%v, want %d/%v", i, ord, ok, wantOrd, wantOK)
+		}
+	}
+}

@@ -85,6 +85,9 @@ type family struct {
 	help   string
 	kind   Kind
 	series []*series
+	// sigs holds every registered label signature, so the duplicate check
+	// stays O(1) per series in a family of thousands (one per fleet node).
+	sigs map[string]struct{}
 }
 
 // Registry holds metric families. The zero value is not usable; call New.
@@ -132,7 +135,7 @@ func (r *Registry) register(name, help string, kind Kind, s *series) {
 	s.sig = signature(s.labels)
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: kind}
+		f = &family{name: name, help: help, kind: kind, sigs: make(map[string]struct{})}
 		r.families[name] = f
 	} else {
 		if f.kind != kind {
@@ -142,11 +145,10 @@ func (r *Registry) register(name, help string, kind Kind, s *series) {
 			panic(fmt.Sprintf("metrics: %q registered with conflicting help", name))
 		}
 	}
-	for _, prev := range f.series {
-		if prev.sig == s.sig {
-			panic(fmt.Sprintf("metrics: duplicate series %s{%s}", name, s.sig))
-		}
+	if _, dup := f.sigs[s.sig]; dup {
+		panic(fmt.Sprintf("metrics: duplicate series %s{%s}", name, s.sig))
 	}
+	f.sigs[s.sig] = struct{}{}
 	f.series = append(f.series, s)
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -78,6 +79,13 @@ func TestRegistryPanicsOnAbuse(t *testing.T) {
 		r := New()
 		r.Counter("m", "h", c, L("pod", "a"))
 		r.Counter("m", "h", c, L("pod", "a"))
+	})
+	expectPanic("duplicate of an early series of a wide family, keys reordered", func() {
+		r := New()
+		for i := 0; i < 100; i++ {
+			r.Counter("m", "h", c, L("node", strconv.Itoa(i)), L("pod", "a"))
+		}
+		r.Counter("m", "h", c, L("pod", "a"), L("node", "37"))
 	})
 }
 

@@ -224,6 +224,7 @@ func (s *Scenario) exec(shards int, record bool, replayOf *trace.Trace) (*runSta
 		s.Observability.TraceVNI >= 0 || s.Observability.TraceFaultWindow) {
 		sample = 64
 	}
+	svcFlows := workload.ServiceFlows(wf, w.ACLDenied)
 	for p := 0; p < f.Pods; p++ {
 		if err := cl.AddPod(core.PodConfig{
 			Spec: pod.Spec{
@@ -233,7 +234,7 @@ func (s *Scenario) exec(shards int, record bool, replayOf *trace.Trace) (*runSta
 				CtrlCores: f.CtrlCores,
 				Mode:      f.Mode,
 			},
-			Flows:            workload.ServiceFlows(wf, w.ACLDenied),
+			Flows:            svcFlows,
 			QueueDepth:       f.QueueDepth,
 			TraceSampleEvery: sample,
 		}); err != nil {

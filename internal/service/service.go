@@ -1,7 +1,10 @@
 // Package service implements the CPU-side gateway dataplane: the four
 // representative cloud gateway services of the paper's Tab. 2 (VPC-VPC,
-// VPC-Internet, VPC-IDC, VPC-CloudService), each a chain of real table
-// lookups over the flowtable/lpm substrates.
+// VPC-Internet, VPC-IDC, VPC-CloudService), each a modelled chain of
+// exact-match tables plus real LPM lookups over the flowtable/lpm
+// substrates. The chained tables of one service hold the same key set, so
+// the host probes one shared index per packet (see Tables) and derives every
+// modelled table's entry address from the flow's ordinal.
 //
 // Per-packet cost is *derived*, not asserted: every lookup touches its
 // entry's synthetic memory addresses through the shared L3 cache model, and
@@ -153,17 +156,63 @@ type Config struct {
 	Addrs *flowtable.AddrSpace
 }
 
+// Tables is the populated state of a flow set: the exact-match index (flow
+// → insertion ordinal), the /24 routes covering flow destinations and the
+// ACL deny set. It depends on the flows alone — not on the service type, the
+// cache or the address space — and is immutable once BuildTables returns, so
+// any number of services, on any goroutines, may adopt the same Tables
+// without locks: every member of a homogeneous cluster does.
+type Tables struct {
+	index  *flowtable.Index
+	routes *lpm.Table
+	// denied holds the flows the ACL drops.
+	denied map[packet.FiveTuple]bool
+}
+
+// BuildTables installs flows: one index entry per distinct tuple (a repeated
+// tuple keeps its first ordinal), plus the /24 route of every destination.
+func BuildTables(flows []Flow) *Tables {
+	t := &Tables{
+		index:  flowtable.NewIndex(len(flows)),
+		routes: lpm.New(),
+		denied: make(map[packet.FiveTuple]bool),
+	}
+	for i, f := range flows {
+		t.index.Insert(f.Tuple)
+		if f.Denied {
+			t.denied[f.Tuple] = true
+		}
+		// Destination subnet route (idempotent across flows sharing /24s).
+		prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
+		_ = t.routes.Insert(prefix, 24, uint32(i%(1<<20)))
+	}
+	return t
+}
+
+// noTables is what a service holds until Populate or Adopt.
+var noTables = BuildTables(nil)
+
+// modelledTable is what is private to one service instance about one table
+// of its chain: where the table's entries sit in the synthetic address space
+// and how long they are. Entry n of the table occupies entrySize bytes at
+// base + n×entrySize, n being the flow's ordinal in the shared index.
+type modelledTable struct {
+	base      uint64
+	entrySize int
+}
+
 // Service is one gateway service instance (the dataplane of one GW pod
 // role).
 type Service struct {
-	cfg     Config
-	prof    profile
-	tables  []*flowtable.Table
-	routes  *lpm.Table
+	cfg  Config
+	prof profile
+	// chain is the modelled exact-match chain, in profile order. The bases
+	// are per-instance because address spaces are: two nodes whose spaces
+	// have advanced differently place the same table at different addresses.
+	chain   []modelledTable
+	tables  *Tables
 	lpmBase uint64
 
-	// denied caches the ACL verdicts installed by Populate.
-	denied map[packet.FiveTuple]bool
 	// acl, when set via SetACL, adds rule-based filtering on top.
 	acl *ACL
 
@@ -171,7 +220,7 @@ type Service struct {
 	warmSink uint64
 }
 
-// New creates a service instance.
+// New creates a service instance with empty tables.
 func New(cfg Config) (*Service, error) {
 	prof, ok := profiles[cfg.Type]
 	if !ok {
@@ -189,14 +238,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ComputeMult == 0 {
 		cfg.ComputeMult = 1
 	}
-	s := &Service{
-		cfg:    cfg,
-		prof:   prof,
-		routes: lpm.New(),
-		denied: make(map[packet.FiveTuple]bool),
-	}
+	s := &Service{cfg: cfg, prof: prof, tables: noTables}
 	for _, ts := range prof.tables {
-		s.tables = append(s.tables, flowtable.NewTableIn(cfg.Addrs, ts.name, ts.entrySize))
+		s.chain = append(s.chain, modelledTable{base: cfg.Addrs.NextBase(), entrySize: ts.entrySize})
 	}
 	// A dedicated synthetic address region for LPM trie nodes.
 	s.lpmBase = uint64(0x7f) << 48
@@ -209,50 +253,42 @@ func (s *Service) Type() Type { return s.cfg.Type }
 // Stateful reports whether the service maintains per-flow sessions.
 func (s *Service) Stateful() bool { return s.prof.stateful }
 
-// NumTables returns the number of exact-match tables in the chain.
-func (s *Service) NumTables() int { return len(s.tables) }
+// NumTables returns the number of exact-match tables in the modelled chain.
+func (s *Service) NumTables() int { return len(s.chain) }
 
 // LPMLookups returns the LPM lookups per packet.
 func (s *Service) LPMLookups() int { return s.prof.lpmLookups }
 
-// Populate installs table state for the given flows: one entry per flow in
-// each chained table, plus /24 routes covering flow destinations.
-func (s *Service) Populate(flows []Flow) {
-	for i, f := range flows {
-		for _, tb := range s.tables {
-			tb.Insert(f.Tuple, uint64(i))
-		}
-		if f.Denied {
-			s.denied[f.Tuple] = true
-		}
-		// Destination subnet route (idempotent across flows sharing /24s).
-		prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
-		_ = s.routes.Insert(prefix, 24, uint32(i%(1<<20)))
-	}
-}
+// Populate replaces the service's table state with BuildTables(flows): one
+// entry per flow in each chained table, plus /24 routes covering flow
+// destinations. Flows installed by an earlier Populate or Adopt are gone.
+func (s *Service) Populate(flows []Flow) { s.Adopt(BuildTables(flows)) }
+
+// Adopt replaces the service's table state with t, which may be shared with
+// other services.
+func (s *Service) Adopt(t *Tables) { s.tables = t }
+
+// Tables returns the service's table state, for Adopt by another service.
+func (s *Service) Tables() *Tables { return s.tables }
 
 // TableMemoryBytes returns the modelled footprint of all exact-match
 // tables.
 func (s *Service) TableMemoryBytes() int64 {
 	var total int64
-	for _, tb := range s.tables {
-		total += tb.MemoryBytes()
+	for _, mt := range s.chain {
+		total += int64(s.tables.index.Len()) * int64(mt.entrySize)
 	}
 	return total
 }
 
 // RouteCount returns the number of installed LPM routes.
-func (s *Service) RouteCount() int { return s.routes.Len() }
+func (s *Service) RouteCount() int { return s.tables.routes.Len() }
 
-// WarmProbes reads the exact-match probe-chain heads for fh without looking
-// anything up: independent loads that start the host cache misses early. No
-// model state is touched.
+// WarmProbes reads the exact-match probe-chain head for fh without looking
+// anything up: a load that starts the host cache miss early. No model state
+// is touched.
 func (s *Service) WarmProbes(fh uint32) {
-	var sink uint64
-	for _, tb := range s.tables {
-		sink += tb.WarmHash(fh)
-	}
-	s.warmSink += sink
+	s.warmSink += s.tables.index.WarmHash(fh)
 }
 
 // Warm pre-touches the host cache lines ProcessHash(flow, vni, fh) will
@@ -263,9 +299,9 @@ func (s *Service) WarmProbes(fh uint32) {
 // member ahead, so each member's memory is in flight while its predecessor
 // computes; results are bit-identical either way.
 func (s *Service) Warm(flow packet.FiveTuple, fh uint32) {
-	for _, tb := range s.tables {
-		if e := tb.LookupHash(flow, fh); e != nil {
-			s.cfg.Cache.Warm(e.Addr, e.SizeBytes)
+	if ord, ok := s.tables.index.LookupHash(flow, fh); ok {
+		for _, mt := range s.chain {
+			s.cfg.Cache.Warm(mt.base+ord*uint64(mt.entrySize), mt.entrySize)
 		}
 	}
 	var addrs [3]uint64
@@ -306,18 +342,18 @@ func (s *Service) Process(flow packet.FiveTuple, vni uint32) Result {
 // burst path hashes once during its warm pass and reuses the value here.
 func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Result {
 	var hits, misses int
+	t := s.tables
 
-	// Exact-match chain; one tuple hash shared across the chained tables.
-	known := true
-	for _, tb := range s.tables {
-		e := tb.LookupHash(flow, fh)
-		if e == nil {
-			known = false
-			break
+	// Exact-match chain: one probe of the shared index, then every modelled
+	// table's entry for the flow. An unknown flow misses in the first table
+	// and touches nothing.
+	ord, known := t.index.LookupHash(flow, fh)
+	if known {
+		for _, mt := range s.chain {
+			h, m := s.cfg.Cache.Access(mt.base+ord*uint64(mt.entrySize), mt.entrySize)
+			hits += h
+			misses += m
 		}
-		h, m := s.cfg.Cache.Access(e.Addr, e.SizeBytes)
-		hits += h
-		misses += m
 	}
 
 	// LPM route lookups.
@@ -329,7 +365,7 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 			// path); keeps the two lookups from being identical.
 			dst = flow.Src.Uint32()
 		}
-		_, _ = s.routes.Lookup(dst)
+		_, _ = t.routes.Lookup(dst)
 		s.lpmAccessAddrs(dst, &addrs)
 		for _, a := range addrs {
 			h, m := s.cfg.Cache.Access(a, 64)
@@ -342,9 +378,9 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 	cpuNS := s.prof.baseNS * s.cfg.ComputeMult
 	cost := sim.Duration(memNS + cpuNS)
 
-	// The len guard skips the map hash entirely in the common no-ACL-state
-	// case; s.denied is only populated for VPC-Internet deny rules.
-	drop := !known || (len(s.denied) != 0 && s.denied[flow])
+	// The len guard skips the map hash entirely in the common no-deny-state
+	// case.
+	drop := !known || (len(t.denied) != 0 && t.denied[flow])
 	if !drop && s.acl != nil && s.acl.Evaluate(flow) == ACLDeny {
 		drop = true
 	}

@@ -275,25 +275,53 @@ func TestProcessDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkProcessVPCInternet(b *testing.B) {
-	flows := testFlows(100000, 12)
-	s, err := New(Config{Type: VPCInternet, Cache: cachesim.New(cachesim.DefaultL3())})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Populate(flows)
-	r := sim.NewRand(13)
-	idx := make([]int, 4096)
-	for i := range idx {
-		idx[i] = r.Intn(len(flows))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := flows[idx[i&4095]]
-		s.Process(f.Tuple, f.VNI)
+// benchProcess times Process on the shapes of the repo benchmark's two
+// single-node workloads: hot-10k sweeps 10 000 flows in a cycle (node-perpkt:
+// tables and modelled working set fit the host cache), cold-750k draws
+// uniformly from 750 000 (node-burst-miss: every index probe and every tag
+// set is a host cache miss).
+func benchProcess(b *testing.B, typ Type) {
+	for _, bc := range []struct {
+		name    string
+		flows   int
+		uniform bool
+	}{
+		{"hot-10k", 10_000, false},
+		{"cold-750k", 750_000, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			flows := testFlows(bc.flows, 12)
+			s, err := New(Config{Type: typ, Cache: cachesim.New(cachesim.DefaultL3())})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Populate(flows)
+			order := make([]int32, len(flows))
+			r := sim.NewRand(13)
+			for i := range order {
+				order[i] = int32(i)
+				if bc.uniform {
+					order[i] = int32(r.Intn(len(flows)))
+				}
+			}
+			for _, i := range order { // fill the cache model to steady state
+				s.Process(flows[i].Tuple, flows[i].VNI)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				f := flows[order[j]]
+				if j++; j == len(order) {
+					j = 0
+				}
+				s.Process(f.Tuple, f.VNI)
+			}
+		})
 	}
 }
+
+func BenchmarkProcessVPCVPC(b *testing.B)      { benchProcess(b, VPCVPC) }
+func BenchmarkProcessVPCInternet(b *testing.B) { benchProcess(b, VPCInternet) }
 
 // Populate gives the /24 of flow i the next hop i mod 2^20, so flows in
 // different /24s resolve to different next hops. ProcessHash discards the
@@ -304,7 +332,7 @@ func TestPopulateInstallsDistinctNextHops(t *testing.T) {
 	flows[1].Tuple.Dst = packet.IPv4FromUint32(0x30000201)
 	s := newService(t, VPCVPC, flows)
 	for i, f := range flows {
-		hop, ok := s.routes.Lookup(f.Tuple.Dst.Uint32())
+		hop, ok := s.tables.routes.Lookup(f.Tuple.Dst.Uint32())
 		if !ok || hop != uint32(i) {
 			t.Fatalf("flow %d: next hop %d (found %v), want %d", i, hop, ok, i)
 		}

@@ -80,6 +80,12 @@ gameday: build
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
 #                built its own tables).
+#   reach        every exported function or method in non-test internal/ code
+#                is linked into some main package (the linker's -dumpdep over
+#                cmd/*, examples/*, bench) or named with its contract in
+#                internal/reach-allow.txt, and no allowlist line is stale; a
+#                self-test plants an unreached export and stale lines through
+#                `go build -overlay` and requires the gate to name each.
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
@@ -99,6 +105,7 @@ check: build
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
+		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \
 	; do \
 		name=$${row%%|*}; cmd=$${row#*|}; \
 		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \

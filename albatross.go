@@ -144,22 +144,10 @@ type (
 	ServiceType = service.Type
 	// ServiceFlow installs one tenant flow into a pod's tables.
 	ServiceFlow = service.Flow
-	// ACL is an ordered first-match filter rule list.
-	ACL = service.ACL
-	// ACLRule is one ACL row.
-	ACLRule = service.ACLRule
-	// SNAT is the source-NAT engine of the VPC-Internet service.
-	SNAT = service.SNAT
 )
 
-// IPv4Addr is a dotted-quad address (used by NewSNAT's public IP pool).
+// IPv4Addr is a dotted-quad address (BGPPrefix.Addr).
 type IPv4Addr = packet.IPv4Addr
-
-// ACL actions.
-const (
-	ACLPermit = service.ACLPermit
-	ACLDeny   = service.ACLDeny
-)
 
 // Gateway services (paper Tab. 2).
 const (
@@ -273,14 +261,6 @@ func Microburst(base RateFn, factor float64, period, burstLen Duration) RateFn {
 
 // DefaultLimiterConfig returns the paper's production two-stage limiter.
 func DefaultLimiterConfig() LimiterConfig { return gop.DefaultConfig() }
-
-// NewACL creates an ACL with the given default action.
-func NewACL(defaultAction service.ACLAction) *ACL { return service.NewACL(defaultAction) }
-
-// NewSNAT creates a source-NAT engine over a public IP pool.
-func NewSNAT(publicIPs []IPv4Addr, portLo, portHi uint16, maxSessions int, idle Duration) (*SNAT, error) {
-	return service.NewSNAT(publicIPs, portLo, portHi, maxSessions, idle)
-}
 
 // Experiments lists every registered paper-reproduction experiment.
 func Experiments() []Experiment { return eval.Experiments() }

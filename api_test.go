@@ -35,7 +35,7 @@ func addFacadePod(t *testing.T, n *albatross.Node, name string, cores int) *alba
 // the facade classifies with errors.Is against the exported sentinels.
 func TestSentinelErrors(t *testing.T) {
 	// ErrBadConfig: an invalid fault plan is rejected at New.
-	bad := (&albatross.FaultPlan{}).RxLoss(0, 0, 0, 5.0, albatross.Millisecond)
+	bad := &albatross.FaultPlan{Faults: []albatross.FaultSpec{{Kind: albatross.FaultRxLoss, Factor: 5.0, Duration: albatross.Millisecond}}}
 	if _, err := albatross.New(albatross.WithFaultPlan(bad)); !errors.Is(err, albatross.ErrBadConfig) {
 		t.Fatalf("New(bad fault plan) = %v, want ErrBadConfig", err)
 	}
@@ -99,14 +99,6 @@ func TestConstructorsDoNotPanic(t *testing.T) {
 			_, err := albatross.NewNode(albatross.NodeConfig{Limiter: &lc})
 			return err
 		}},
-		{"NewSNAT with empty pool", func() error {
-			_, err := albatross.NewSNAT(nil, 1024, 65535, 100, albatross.Second)
-			return err
-		}},
-		{"NewSNAT with inverted port range", func() error {
-			_, err := albatross.NewSNAT([]albatross.IPv4Addr{{1, 2, 3, 4}}, 5000, 100, 100, albatross.Second)
-			return err
-		}},
 	}
 	for _, c := range calls {
 		func() {
@@ -139,9 +131,6 @@ func TestAliasesResolve(t *testing.T) {
 		_ albatross.ServerConfig
 		_ albatross.ServiceType
 		_ albatross.ServiceFlow
-		_ albatross.ACL
-		_ albatross.ACLRule
-		_ albatross.SNAT
 		_ albatross.IPv4Addr
 		_ albatross.Flow
 		_ albatross.Source
@@ -181,9 +170,6 @@ func TestAliasesResolve(t *testing.T) {
 	}
 	if albatross.ModePLB == albatross.ModeRSS {
 		t.Fatal("load-balancing modes not distinct")
-	}
-	if albatross.ACLPermit == albatross.ACLDeny {
-		t.Fatal("ACL actions not distinct")
 	}
 	kinds := []albatross.FaultKind{albatross.FaultCoreStall, albatross.FaultCoreFail,
 		albatross.FaultPodCrash, albatross.FaultPodDrain, albatross.FaultReorderStress,
@@ -247,9 +233,9 @@ func TestOptionsMatchConfigStruct(t *testing.T) {
 // TestFacadeFaultPlan drives a fault schedule end to end through the
 // public API only.
 func TestFacadeFaultPlan(t *testing.T) {
-	plan := (&albatross.FaultPlan{}).
-		CoreFail(5*albatross.Millisecond, 0, 1, 5*albatross.Millisecond).
-		ReorderStress(15*albatross.Millisecond, 0, 0, 2*albatross.Millisecond, true, 0)
+	plan := (&albatross.FaultPlan{}).CoreFail(5*albatross.Millisecond, 0, 1, 5*albatross.Millisecond)
+	plan.Faults = append(plan.Faults, albatross.FaultSpec{Kind: albatross.FaultReorderStress,
+		At: 15 * albatross.Millisecond, Duration: 2 * albatross.Millisecond, HoldHeads: true})
 	n := newFacadeNode(t, albatross.WithSeed(2), albatross.WithFaultPlan(plan))
 	p := addFacadePod(t, n, "gw0", 4)
 	flows := albatross.GenerateFlows(500, 10, 2)

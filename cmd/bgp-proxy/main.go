@@ -91,17 +91,7 @@ func runDemo() error {
 	}
 	defer swLn.Close()
 	sw := bgp.NewSwitch(65000, 0xffff0001)
-	go func() {
-		for {
-			c, err := swLn.Accept()
-			if err != nil {
-				return
-			}
-			if _, err := sw.AcceptPeer(c); err != nil {
-				fmt.Println("switch: rejected peer:", err)
-			}
-		}
-	}()
+	go sw.Serve(swLn)
 
 	// Proxy dials the switch.
 	upConn, err := net.Dial("tcp", swLn.Addr().String())
@@ -120,15 +110,7 @@ func runDemo() error {
 		return err
 	}
 	defer podLn.Close()
-	go func() {
-		for {
-			c, err := podLn.Accept()
-			if err != nil {
-				return
-			}
-			go proxy.ServePod(c)
-		}
-	}()
+	go proxy.Serve(podLn)
 
 	// Four GW pods dial the proxy over iBGP and advertise routes.
 	vip := bgp.Prefix{Addr: packet.IPv4Addr{203, 0, 113, 0}, Len: 24}

@@ -98,6 +98,13 @@ func (c *MemConn) Close() error {
 
 type memAddr struct{}
 
+// MemConn is handed to Speaker, Proxy and Switch as a net.Conn; the methods
+// no session calls exist to satisfy that interface.
+var (
+	_ net.Conn = (*MemConn)(nil)
+	_ net.Addr = memAddr{}
+)
+
 func (memAddr) Network() string { return "mem" }
 func (memAddr) String() string  { return "mem" }
 

@@ -312,7 +312,6 @@ func TestDecodersRobustOnRandomBytes(t *testing.T) {
 		_, _ = DecodeOpen(buf)
 		_, _ = DecodeUpdate(buf)
 		_, _ = DecodeNotification(buf)
-		_, _ = DecodeBFD(buf)
 		_, _ = decodePrefixes(buf)
 	}
 }

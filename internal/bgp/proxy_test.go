@@ -143,12 +143,8 @@ func TestSwitchRejectsIBGPPeer(t *testing.T) {
 
 func TestSwitchPeerTracking(t *testing.T) {
 	sw, _, _ := buildProxySetup(t, 1)
-	if sw.OverSafeThreshold() {
-		t.Fatal("1 peer over threshold")
-	}
-	sw.MaxSafePeers = 0
-	if !sw.OverSafeThreshold() {
-		t.Fatal("threshold not enforced")
+	if n := sw.PeerCount(); n != 1 {
+		t.Fatalf("switch tracks %d peers behind one proxy, want 1", n)
 	}
 }
 
@@ -163,11 +159,11 @@ func TestPeerMathFig7(t *testing.T) {
 		t.Fatalf("proxied = %d", m.SwitchPeersProxied())
 	}
 	// Direct peering busts the 64-peer safe threshold; proxied fits.
-	sw := NewSwitch(65000, 1)
-	if m.SwitchPeersDirect() <= sw.MaxSafePeers {
+	safe := DefaultConvergenceModel().SafePeers
+	if m.SwitchPeersDirect() <= safe {
 		t.Fatal("direct should exceed threshold")
 	}
-	if m.SwitchPeersProxied() > sw.MaxSafePeers {
+	if m.SwitchPeersProxied() > safe {
 		t.Fatal("proxied should fit threshold")
 	}
 	// Default proxies.

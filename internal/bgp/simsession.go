@@ -8,11 +8,10 @@ import (
 )
 
 // SimSession is a deterministic, virtual-time model of one gateway↔switch
-// BGP session guarded by BFD, for fault-injection runs. The goroutine-based
-// BFDSession/Speaker stack above runs on wall-clock sockets and therefore
-// cannot take part in byte-identical simulations; SimSession reproduces the
-// same timing contract (probe grid, DetectMult detection, three-way
-// handshake, delayed re-advertisement) on the event engine.
+// BGP session guarded by BFD. It is the only BFD in the repository: BFD
+// here is a timing contract (probe grid, DetectMult detection, three-way
+// handshake, delayed re-advertisement) evaluated on the event engine, so
+// every run that detects a link failure stays byte-identical.
 //
 // The model: BFD probes arrive on a fixed grid every TxInterval. A link
 // flap (InjectFlap) suppresses probes for its duration. The session

@@ -445,6 +445,3 @@ func (s *Speaker) Close() {
 	s.teardown(nil)
 	s.wg.Wait()
 }
-
-// Wait blocks until the background loops exit.
-func (s *Speaker) Wait() { s.wg.Wait() }

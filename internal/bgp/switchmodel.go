@@ -15,8 +15,6 @@ import (
 type Switch struct {
 	AS       uint16
 	RouterID uint32
-	// MaxSafePeers is the operational threshold (paper: 64).
-	MaxSafePeers int
 	// Manual propagates to every accepted peer session: no background
 	// goroutines; the owner pumps and emits keepalives on its own clock.
 	// Must be set before AcceptPeer. See SpeakerConfig.Manual.
@@ -30,11 +28,10 @@ type Switch struct {
 // NewSwitch creates a switch endpoint.
 func NewSwitch(as uint16, routerID uint32) *Switch {
 	return &Switch{
-		AS:           as,
-		RouterID:     routerID,
-		MaxSafePeers: 64,
-		peers:        make(map[*Speaker]bool),
-		rib:          NewRIB(),
+		AS:       as,
+		RouterID: routerID,
+		peers:    make(map[*Speaker]bool),
+		rib:      NewRIB(),
 	}
 }
 
@@ -46,12 +43,6 @@ func (sw *Switch) PeerCount() int {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return len(sw.peers)
-}
-
-// OverSafeThreshold reports whether the switch is beyond its safe peer
-// count.
-func (sw *Switch) OverSafeThreshold() bool {
-	return sw.PeerCount() > sw.MaxSafePeers
 }
 
 // AcceptPeer serves one eBGP session (from a gateway pod or a BGP proxy).

@@ -223,19 +223,3 @@ func (s *ProxiedSession) SetAdmin(up bool) {
 	}
 	s.refresh()
 }
-
-// AdminUp reports the administrative state.
-func (s *ProxiedSession) AdminUp() bool { return s.adminUp }
-
-// Prefix returns the member's VIP prefix.
-func (s *ProxiedSession) Prefix() Prefix { return s.prefix }
-
-// Proxy returns the member's proxy pod.
-func (s *ProxiedSession) Proxy() *Proxy { return s.proxy }
-
-// PodSpeaker returns the GW-pod end of the iBGP session (for tests that
-// drive extra pod advertisements).
-func (s *ProxiedSession) PodSpeaker() *Speaker { return s.pod }
-
-// Pump drains all four speakers; exposed for tests and auxiliary sessions.
-func (s *ProxiedSession) Pump() { s.pump() }

@@ -83,7 +83,7 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 	if st := session.Stats(); st.Absorbed != 1 || st.Detections != 0 {
 		t.Fatalf("short flap: %+v", st)
 	}
-	if sw.RIB().PathCount(ps.Prefix()) != 1 {
+	if sw.RIB().PathCount(ps.prefix) != 1 {
 		t.Fatalf("short flap disturbed the RIB")
 	}
 
@@ -108,7 +108,7 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 // the BFD eligibility view untouched.
 func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 	eng, sw, session, ps := newTestFabric(t, 1)
-	pfx := ps.Prefix()
+	pfx := ps.prefix
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("initial advertisement missing from RIB")
 	}
@@ -156,13 +156,13 @@ func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 // upstream withdraw happens only when the last pod withdraws (paper §5).
 func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 	_, sw, _, ps := newTestFabric(t, 2)
-	pfx := ps.Prefix()
+	pfx := ps.prefix
 
 	// A second GW pod peers with the same proxy and announces the same VIP.
 	c1, c2 := NewMemPipe()
 	ch := make(chan sessionResult, 1)
 	go func() {
-		sp, err := ps.Proxy().ServePod(c1)
+		sp, err := ps.proxy.ServePod(c1)
 		ch <- sessionResult{sp, err}
 	}()
 	pod2 := NewSpeaker(c2, SpeakerConfig{AS: 64512, RouterID: 0x90000002, PeerAS: 64512, Manual: true})
@@ -177,19 +177,19 @@ func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 		t.Fatalf("pod2 announce: %v", err)
 	}
 	_ = res.sp.Pump()
-	ps.Pump()
+	ps.pump()
 
-	before := ps.Proxy().Withdrawn
+	before := ps.proxy.Withdrawn
 	// Primary pod withdraws: refcount drops 2→1, upstream must NOT withdraw.
-	if err := ps.PodSpeaker().Withdraw([]Prefix{pfx}); err != nil {
+	if err := ps.pod.Withdraw([]Prefix{pfx}); err != nil {
 		t.Fatalf("withdraw: %v", err)
 	}
-	ps.Pump()
+	ps.pump()
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("upstream withdrew with a pod still advertising")
 	}
-	if ps.Proxy().Withdrawn != before {
-		t.Fatalf("upstream withdraw count moved: %d → %d", before, ps.Proxy().Withdrawn)
+	if ps.proxy.Withdrawn != before {
+		t.Fatalf("upstream withdraw count moved: %d → %d", before, ps.proxy.Withdrawn)
 	}
 
 	// Last pod withdraws: now the upstream withdraw goes out.
@@ -197,11 +197,11 @@ func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 		t.Fatalf("pod2 withdraw: %v", err)
 	}
 	_ = res.sp.Pump()
-	ps.Pump()
+	ps.pump()
 	if sw.RIB().PathCount(pfx) != 0 {
 		t.Fatalf("last-pod withdraw not propagated")
 	}
-	if ps.Proxy().Withdrawn != before+1 {
-		t.Fatalf("upstream withdraws = %d, want %d", ps.Proxy().Withdrawn, before+1)
+	if ps.proxy.Withdrawn != before+1 {
+		t.Fatalf("upstream withdraws = %d, want %d", ps.proxy.Withdrawn, before+1)
 	}
 }

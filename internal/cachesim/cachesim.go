@@ -100,9 +100,6 @@ func (cfg Config) ColdString() string {
 // SizeBytes returns the effective capacity after rounding.
 func (c *Cache) SizeBytes() int { return c.sets * c.ways << c.lineShift }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
@@ -222,12 +219,6 @@ func (c *Cache) HitRate() float64 {
 // ResetStats clears counters but keeps cache contents (for warm-up phases).
 func (c *Cache) ResetStats() {
 	c.hits, c.misses = 0, 0
-}
-
-// Flush empties the cache and clears counters.
-func (c *Cache) Flush() {
-	clear(c.tags)
-	c.ResetStats()
 }
 
 func (c *Cache) String() string {

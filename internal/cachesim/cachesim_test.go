@@ -9,6 +9,13 @@ import (
 	"albatross/internal/sim"
 )
 
+// Flush empties the cache and clears counters. Runs build a fresh cache
+// instead; the tests and the reference-LRU fuzz target reset one in place.
+func (c *Cache) Flush() {
+	clear(c.tags)
+	c.ResetStats()
+}
+
 func small() *Cache {
 	// 64 sets * 4 ways * 64B = 16KB
 	return New(Config{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64})
@@ -16,8 +23,8 @@ func small() *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := small()
-	if c.Sets() != 64 || c.Ways() != 4 || c.LineBytes() != 64 {
-		t.Fatalf("geometry: sets=%d ways=%d line=%d", c.Sets(), c.Ways(), c.LineBytes())
+	if c.sets != 64 || c.Ways() != 4 || c.LineBytes() != 64 {
+		t.Fatalf("geometry: sets=%d ways=%d line=%d", c.sets, c.Ways(), c.LineBytes())
 	}
 	if c.SizeBytes() != 16<<10 {
 		t.Fatalf("size = %d", c.SizeBytes())
@@ -38,9 +45,9 @@ func TestGeometryRounding(t *testing.T) {
 		{"three ways, 85 sets round down to 64", Config{SizeBytes: 16 << 10, Ways: 3, LineBytes: 64}, 64, 3, 64},
 	} {
 		c := New(tc.cfg)
-		if c.Sets() != tc.sets || c.Ways() != tc.ways || c.LineBytes() != tc.line {
+		if c.sets != tc.sets || c.Ways() != tc.ways || c.LineBytes() != tc.line {
 			t.Errorf("%s: sets=%d ways=%d line=%d, want %d/%d/%d",
-				tc.name, c.Sets(), c.Ways(), c.LineBytes(), tc.sets, tc.ways, tc.line)
+				tc.name, c.sets, c.Ways(), c.LineBytes(), tc.sets, tc.ways, tc.line)
 		}
 		if c.SizeBytes() != tc.sets*tc.ways*tc.line {
 			t.Errorf("%s: size = %d", tc.name, c.SizeBytes())
@@ -138,8 +145,8 @@ func TestWorkingSetExceedsLowHitRate(t *testing.T) {
 func TestLRUWithinSet(t *testing.T) {
 	// Direct test of LRU: use a 1-set cache (ways=4, sets=1).
 	c := New(Config{SizeBytes: 4 * 64, Ways: 4, LineBytes: 64})
-	if c.Sets() != 1 {
-		t.Fatalf("sets = %d", c.Sets())
+	if c.sets != 1 {
+		t.Fatalf("sets = %d", c.sets)
 	}
 	// Fill 4 ways with distinct lines.
 	lines := []uint64{0, 1 << 12, 2 << 12, 3 << 12}
@@ -511,8 +518,8 @@ const (
 func checkAgainstReference(t testing.TB, sets, ways int, ops []cacheOp) {
 	t.Helper()
 	c := New(Config{SizeBytes: sets * ways * 64, Ways: ways, LineBytes: 64})
-	if c.Sets() != sets || c.Ways() != ways {
-		t.Fatalf("geometry %dx%d came out as %dx%d", sets, ways, c.Sets(), c.Ways())
+	if c.sets != sets || c.Ways() != ways {
+		t.Fatalf("geometry %dx%d came out as %dx%d", sets, ways, c.sets, c.Ways())
 	}
 	ref := newRefCache(sets, ways)
 	for i, op := range ops {

@@ -109,7 +109,7 @@ var burstFaultScenarios = []struct {
 		return (&faults.Plan{}).NodeDrain(30*sim.Millisecond, 2, 30*sim.Millisecond)
 	}},
 	{"uplink-withdraw", func() *faults.Plan {
-		return (&faults.Plan{}).UplinkWithdraw(30*sim.Millisecond, 0, 25*sim.Millisecond)
+		return &faults.Plan{Faults: []faults.Fault{{Kind: faults.KindUplinkWithdraw, At: 30 * sim.Millisecond, Duration: 25 * sim.Millisecond}}}
 	}},
 }
 

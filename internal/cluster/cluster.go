@@ -127,18 +127,11 @@ type Member struct {
 	proxied *bgp.ProxiedSession
 }
 
-// Shard returns the engine shard that owns the member.
-func (m *Member) Shard() int { return m.shard }
-
 // State returns the member's lifecycle state name.
 func (m *Member) State() string { return m.state.String() }
 
 // Weight returns the member's ECMP weight.
 func (m *Member) Weight() float64 { return m.weight }
-
-// Proxied returns the real-BGP fabric (proxy pod, switch RIB mirror) that
-// observes the member's uplink session; timing is Node.Uplink().
-func (m *Member) Proxied() *bgp.ProxiedSession { return m.proxied }
 
 // ActivePods counts the member's pods in the active lifecycle state.
 func (m *Member) ActivePods() int {
@@ -243,9 +236,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.sharded.SetAdvance(c.advanceShard)
 	c.sharded.SetBoundary(c.nextBoundary)
 	c.switchModel.Manual = true
-	// One proxy per member is exactly what keeps the peer count at m,
-	// but the capacity model still flags over-dense clusters.
-	c.switchModel.MaxSafePeers = 64
 	c.eligibleFn = c.eligible
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := c.addMember(); err != nil {
@@ -647,9 +637,6 @@ func (c *Cluster) armTimeline() {
 	tl.Start(c.Engine.Now())
 	c.timeline = tl
 }
-
-// Shards returns the effective shard count.
-func (c *Cluster) Shards() int { return c.sharded.NumShards() }
 
 // Pending returns the live scheduled-event count across every engine in
 // the cluster. Safe to call from any goroutine mid-run: the engines expose

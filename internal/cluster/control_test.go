@@ -153,8 +153,8 @@ func TestClusterSwitchRIBMirror(t *testing.T) {
 	}
 
 	for _, m := range c.Members() {
-		if m.Proxied().Desyncs != 0 {
-			t.Fatalf("member %d fabric desyncs: %d", m.Index, m.Proxied().Desyncs)
+		if m.proxied.Desyncs != 0 {
+			t.Fatalf("member %d fabric desyncs: %d", m.Index, m.proxied.Desyncs)
 		}
 	}
 }

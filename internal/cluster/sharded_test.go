@@ -65,15 +65,15 @@ var shardCountScenarios = []struct {
 		return (&faults.Plan{}).NodeDrain(30*sim.Millisecond, 5, 80*sim.Millisecond)
 	}},
 	{"uplink-withdraw", func() *faults.Plan {
-		return (&faults.Plan{}).UplinkWithdraw(40*sim.Millisecond, 0, 60*sim.Millisecond)
+		return &faults.Plan{Faults: []faults.Fault{{Kind: faults.KindUplinkWithdraw, At: 40 * sim.Millisecond, Duration: 60 * sim.Millisecond}}}
 	}},
 	{"mixed", func() *faults.Plan {
 		p := (&faults.Plan{}).
-			NodeCrash(30*sim.Millisecond, 1, 90*sim.Millisecond).
-			UplinkWithdraw(50*sim.Millisecond, 6, 50*sim.Millisecond)
-		// Pod-granularity faults on specific members: the builders do not
-		// take a node index, so set it directly.
+			NodeCrash(30*sim.Millisecond, 1, 90*sim.Millisecond)
+		// An uplink withdraw, then pod-granularity faults on specific
+		// members: the builders do not take a node index, so set it directly.
 		p.Faults = append(p.Faults,
+			faults.Fault{Kind: faults.KindUplinkWithdraw, At: 50 * sim.Millisecond, Node: 6, Duration: 50 * sim.Millisecond},
 			faults.Fault{Kind: faults.KindBGPFlap, At: 60 * sim.Millisecond, Node: 2,
 				Duration: 40 * sim.Millisecond},
 			faults.Fault{Kind: faults.KindCoreFail, At: 70 * sim.Millisecond, Node: 4,
@@ -205,12 +205,12 @@ func TestShardAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", c.Shards())
+	if c.sharded.NumShards() != 3 {
+		t.Fatalf("Shards() = %d, want 3", c.sharded.NumShards())
 	}
 	for _, m := range c.Members() {
-		if want := trace.ShardOfNode(m.Index, 3); m.Shard() != want {
-			t.Fatalf("member %d on shard %d, want %d", m.Index, m.Shard(), want)
+		if want := trace.ShardOfNode(m.Index, 3); m.shard != want {
+			t.Fatalf("member %d on shard %d, want %d", m.Index, m.shard, want)
 		}
 	}
 	// Shard count never exceeds the node count.
@@ -218,16 +218,16 @@ func TestShardAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Shards() > 2 {
-		t.Fatalf("Shards() = %d, want <= nodes", c2.Shards())
+	if c2.sharded.NumShards() > 2 {
+		t.Fatalf("Shards() = %d, want <= nodes", c2.sharded.NumShards())
 	}
 	// Auto sizing picks at least one shard.
 	c3, err := New(Config{Nodes: 3, Seed: testSeed, Shards: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.Shards() < 1 {
-		t.Fatalf("auto Shards() = %d", c3.Shards())
+	if c3.sharded.NumShards() < 1 {
+		t.Fatalf("auto Shards() = %d", c3.sharded.NumShards())
 	}
 	if _, err := New(Config{Nodes: 3, Seed: testSeed, Shards: -1}); !errors.Is(err, errs.BadConfig) {
 		t.Fatalf("negative shards accepted: %v", err)

@@ -324,9 +324,6 @@ func (r *Reconciler) Plan() []Step {
 // Steps returns the applied step log in order.
 func (r *Reconciler) Steps() []Step { return r.steps }
 
-// Ticks returns how many reconcile ticks have fired.
-func (r *Reconciler) Ticks() int { return r.ticks }
-
 // Interval returns the tick period.
 func (r *Reconciler) Interval() sim.Duration { return r.cfg.Interval }
 

@@ -65,9 +65,6 @@ func (s podState) String() string {
 // State returns the pod's lifecycle state name.
 func (pr *PodRuntime) State() string { return pr.state.String() }
 
-// Stopped reports whether the pod reached the terminal Stopped state.
-func (pr *PodRuntime) Stopped() bool { return pr.state == podStopped }
-
 // Live returns the number of data-path packet contexts currently in flight
 // through the pod (NIC, queues, cores, reorder).
 func (pr *PodRuntime) Live() int { return pr.live }

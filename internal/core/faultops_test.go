@@ -350,7 +350,7 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 	if err := pr.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if !pr.Stopped() || pr.Live() != 0 {
+	if !(pr.state == podStopped) || pr.Live() != 0 {
 		t.Fatalf("state=%s live=%d after Stop", pr.State(), pr.Live())
 	}
 	if err := pr.Stop(); !errors.Is(err, errs.Closed) {
@@ -364,14 +364,14 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 
 	// The freed capacity is reusable.
 	pr2 := addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) { c.Spec.Name = "gw2" })
-	if pr2.Stopped() {
+	if pr2.state == podStopped {
 		t.Fatal("fresh pod not active")
 	}
 
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !pr2.Stopped() {
+	if !(pr2.state == podStopped) {
 		t.Fatal("Close did not stop remaining pods")
 	}
 	if err := n.Close(); !errors.Is(err, errs.Closed) {
@@ -388,10 +388,11 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 func TestFaultPlanDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, uint64, uint64, int) {
 		plan := (&faults.Plan{}).
-			CoreFail(5*sim.Millisecond, 0, 1, 10*sim.Millisecond).
-			ReorderStress(20*sim.Millisecond, 0, 0, 5*sim.Millisecond, true, 0).
-			RxLoss(30*sim.Millisecond, 0, 2, 0.3, 5*sim.Millisecond).
-			BGPFlap(40*sim.Millisecond, 300*sim.Millisecond)
+			CoreFail(5*sim.Millisecond, 0, 1, 10*sim.Millisecond)
+		plan.Faults = append(plan.Faults,
+			faults.Fault{Kind: faults.KindReorderStress, At: 20 * sim.Millisecond, Duration: 5 * sim.Millisecond, HoldHeads: true},
+			faults.Fault{Kind: faults.KindRxLoss, At: 30 * sim.Millisecond, Core: 2, Factor: 0.3, Duration: 5 * sim.Millisecond})
+		plan.BGPFlap(40*sim.Millisecond, 300*sim.Millisecond)
 		n, err := NewNode(NodeConfig{
 			Seed:   7,
 			Cache:  cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},

@@ -71,17 +71,6 @@ func NewCore(engine *sim.Engine, id, queueDepth int) *Core {
 	return &Core{ID: id, engine: engine, queueDepth: queueDepth}
 }
 
-// QueueLen returns the number of packets waiting (excluding in-service).
-// With arithmetic admission this includes virtually-queued packets as of
-// their admission times (pruning happens on the next Admit).
-func (c *Core) QueueLen() int { return len(c.queue) + c.arithLen }
-
-// QueueDepth returns the configured capacity.
-func (c *Core) QueueDepth() int { return c.queueDepth }
-
-// Busy reports whether a packet is in service.
-func (c *Core) Busy() bool { return c.busy }
-
 // BusyTime returns cumulative service time.
 func (c *Core) BusyTime() sim.Duration { return c.busyNS }
 
@@ -456,9 +445,6 @@ func (b *Balancer) Start() {
 	b.enabled = true
 	b.scheduleNext()
 }
-
-// Stop disables future disturbances (echoing `numa_balancing=0`).
-func (b *Balancer) Stop() { b.enabled = false }
 
 func (b *Balancer) scheduleNext() {
 	if !b.enabled {

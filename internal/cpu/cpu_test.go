@@ -47,8 +47,8 @@ func TestCoreQueueOverflowDrops(t *testing.T) {
 	if c.Drops != 1 {
 		t.Fatalf("drops = %d", c.Drops)
 	}
-	if c.QueueLen() != 2 || !c.Busy() {
-		t.Fatalf("queue=%d busy=%v", c.QueueLen(), c.Busy())
+	if len(c.queue)+c.arithLen != 2 || !c.busy {
+		t.Fatalf("queue=%d busy=%v", len(c.queue)+c.arithLen, c.busy)
 	}
 	e.Run()
 	if c.Processed != 3 {
@@ -58,8 +58,8 @@ func TestCoreQueueOverflowDrops(t *testing.T) {
 
 func TestCoreDefaultQueueDepth(t *testing.T) {
 	c := NewCore(sim.NewEngine(), 0, 0)
-	if c.QueueDepth() != 1024 {
-		t.Fatalf("default depth = %d", c.QueueDepth())
+	if c.queueDepth != 1024 {
+		t.Fatalf("default depth = %d", c.queueDepth)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestBalancerStallsLoadedCores(t *testing.T) {
 		t.Fatal("balancer never stalled a saturated core")
 	}
 	stallsAt := core.Stalls
-	b.Stop()
+	b.enabled = false // numa_balancing=0
 	e.RunUntil(sim.Time(400 * sim.Millisecond))
 	if core.Stalls != stallsAt {
 		t.Fatal("balancer stalled after Stop")
@@ -222,7 +222,7 @@ func TestBalancerSparesIdleCores(t *testing.T) {
 	b.Interval = 5 * sim.Millisecond
 	b.Start()
 	e.RunUntil(sim.Time(100 * sim.Millisecond))
-	b.Stop()
+	b.enabled = false // numa_balancing=0
 	if core.Stalls != 0 {
 		t.Fatalf("idle core stalled %d times", core.Stalls)
 	}

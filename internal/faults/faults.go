@@ -152,28 +152,6 @@ func (p *Plan) PodCrash(at sim.Duration, pod int, d sim.Duration) *Plan {
 	return p
 }
 
-// PodDrain schedules a graceful gray-upgrade drain at at, completing after
-// d (0 = the container StartupTime default).
-func (p *Plan) PodDrain(at sim.Duration, pod int, d sim.Duration) *Plan {
-	p.Faults = append(p.Faults, Fault{Kind: KindPodDrain, At: at, Duration: d, Pod: pod})
-	return p
-}
-
-// ReorderStress schedules PLB order-queue stress on pod/queue for d.
-func (p *Plan) ReorderStress(at sim.Duration, pod, queue int, d sim.Duration, holdHeads bool, depthClamp int) *Plan {
-	p.Faults = append(p.Faults, Fault{
-		Kind: KindReorderStress, At: at, Duration: d, Pod: pod, Queue: queue,
-		HoldHeads: holdHeads, DepthClamp: depthClamp,
-	})
-	return p
-}
-
-// RxLoss schedules RX-path loss with probability prob on pod/core for d.
-func (p *Plan) RxLoss(at sim.Duration, pod, core int, prob float64, d sim.Duration) *Plan {
-	p.Faults = append(p.Faults, Fault{Kind: KindRxLoss, At: at, Duration: d, Pod: pod, Core: core, Factor: prob})
-	return p
-}
-
 // BGPFlap schedules a BGP uplink flap of length d at at.
 func (p *Plan) BGPFlap(at, d sim.Duration) *Plan {
 	p.Faults = append(p.Faults, Fault{Kind: KindBGPFlap, At: at, Duration: d})
@@ -191,12 +169,6 @@ func (p *Plan) NodeDrain(at sim.Duration, node int, d sim.Duration) *Plan {
 // (0 = never).
 func (p *Plan) NodeCrash(at sim.Duration, node int, d sim.Duration) *Plan {
 	p.Faults = append(p.Faults, Fault{Kind: KindNodeCrash, At: at, Duration: d, Node: node})
-	return p
-}
-
-// UplinkWithdraw schedules an administrative route withdrawal on node for d.
-func (p *Plan) UplinkWithdraw(at sim.Duration, node int, d sim.Duration) *Plan {
-	p.Faults = append(p.Faults, Fault{Kind: KindUplinkWithdraw, At: at, Duration: d, Node: node})
 	return p
 }
 

@@ -78,11 +78,12 @@ func TestInjectorFiresPlanInOrder(t *testing.T) {
 	plan := (&Plan{}).
 		CoreStall(1*sim.Millisecond, 0, 0, 10, 1*sim.Millisecond).
 		CoreFail(2*sim.Millisecond, 0, 1, 0).
-		PodCrash(3*sim.Millisecond, 0, 0).
-		PodDrain(4*sim.Millisecond, 0, 0).
-		ReorderStress(5*sim.Millisecond, 0, 0, 1*sim.Millisecond, true, 0).
-		RxLoss(6*sim.Millisecond, 0, 0, 0.5, 1*sim.Millisecond).
-		BGPFlap(7*sim.Millisecond, 100*sim.Millisecond)
+		PodCrash(3*sim.Millisecond, 0, 0)
+	plan.Faults = append(plan.Faults,
+		Fault{Kind: KindPodDrain, At: 4 * sim.Millisecond},
+		Fault{Kind: KindReorderStress, At: 5 * sim.Millisecond, Duration: sim.Millisecond, HoldHeads: true},
+		Fault{Kind: KindRxLoss, At: 6 * sim.Millisecond, Duration: sim.Millisecond, Factor: 0.5})
+	plan.BGPFlap(7*sim.Millisecond, 100*sim.Millisecond)
 	inj, err := NewInjector(eng, tgt, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -132,14 +133,14 @@ func TestInjectorRecordsTargetErrors(t *testing.T) {
 
 func TestPlanValidate(t *testing.T) {
 	bad := []*Plan{
-		(&Plan{}).CoreStall(-1, 0, 0, 2, sim.Millisecond),           // negative At
-		(&Plan{}).CoreStall(0, 0, 0, 0, sim.Millisecond),            // zero factor
-		(&Plan{}).CoreStall(0, 0, 0, 2, 0),                          // no duration
-		(&Plan{}).ReorderStress(0, 0, 0, sim.Millisecond, false, 0), // no effect
-		(&Plan{}).RxLoss(0, 0, 0, 1.5, sim.Millisecond),             // prob > 1
-		(&Plan{}).BGPFlap(0, 0),                                     // no duration
-		{Faults: []Fault{{Kind: Kind(200)}}},                        // unknown kind
-		{Faults: []Fault{{Kind: KindCoreFail, Pod: -1}}},            // negative index
+		(&Plan{}).CoreStall(-1, 0, 0, 2, sim.Millisecond),                             // negative At
+		(&Plan{}).CoreStall(0, 0, 0, 0, sim.Millisecond),                              // zero factor
+		(&Plan{}).CoreStall(0, 0, 0, 2, 0),                                            // no duration
+		{Faults: []Fault{{Kind: KindReorderStress, Duration: sim.Millisecond}}},       // no effect
+		{Faults: []Fault{{Kind: KindRxLoss, Factor: 1.5, Duration: sim.Millisecond}}}, // prob > 1
+		(&Plan{}).BGPFlap(0, 0),                                                       // no duration
+		{Faults: []Fault{{Kind: Kind(200)}}},                                          // unknown kind
+		{Faults: []Fault{{Kind: KindCoreFail, Pod: -1}}},                              // negative index
 	}
 	for i, p := range bad {
 		err := p.Validate()
@@ -166,10 +167,10 @@ func TestNodeTargetRouting(t *testing.T) {
 	tgt := &recNodeTarget{nodes: []*recTarget{{}, {}}}
 	plan := (&Plan{}).
 		NodeCrash(1*sim.Millisecond, 0, 10*sim.Millisecond).
-		NodeDrain(2*sim.Millisecond, 1, 10*sim.Millisecond).
-		UplinkWithdraw(3*sim.Millisecond, 0, 10*sim.Millisecond)
+		NodeDrain(2*sim.Millisecond, 1, 10*sim.Millisecond)
 	// Pod-level faults against a NodeTarget resolve through NodeAt(Node).
 	plan.Faults = append(plan.Faults,
+		Fault{Kind: KindUplinkWithdraw, At: 3 * sim.Millisecond, Duration: 10 * sim.Millisecond},
 		Fault{Kind: KindPodCrash, At: 4 * sim.Millisecond, Node: 1, Pod: 0},
 		Fault{Kind: KindPodCrash, At: 5 * sim.Millisecond, Node: 7, Pod: 0}) // bad node
 	inj, err := NewInjector(eng, tgt, plan)
@@ -207,7 +208,7 @@ func TestNodeKindsNeedNodeTarget(t *testing.T) {
 	}
 	bad := []*Plan{
 		(&Plan{}).NodeDrain(0, 0, 0),                       // no duration
-		(&Plan{}).UplinkWithdraw(0, 0, 0),                  // no duration
+		{Faults: []Fault{{Kind: KindUplinkWithdraw}}},      // no duration
 		{Faults: []Fault{{Kind: KindNodeCrash, Node: -1}}}, // negative index
 	}
 	for i, p := range bad {

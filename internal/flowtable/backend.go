@@ -31,9 +31,6 @@ type Backend interface {
 	// Insert pins key to a pod chosen by AssignPod over the current pool and
 	// returns it, or -1 when the pool is empty (nothing is pinned then).
 	Insert(key packet.FiveTuple, now sim.Time) int
-	// Evict applies time-based expiry, returning the number of entries
-	// dropped. Stateless backends return 0.
-	Evict(now sim.Time) int
 	// Update replaces the pod pool. Pinnings to surviving pods are kept;
 	// pinnings to removed pods are re-assigned over the new pool (or dropped
 	// when it is empty). It returns the number of flows whose pod changed.
@@ -193,8 +190,6 @@ func (b *sessionBackend) Insert(key packet.FiveTuple, now sim.Time) int {
 	return pod
 }
 
-func (b *sessionBackend) Evict(now sim.Time) int { return b.st.Expire(now) }
-
 func (b *sessionBackend) Update(pool []int) int {
 	b.setPool(pool)
 	moved := 0
@@ -274,8 +269,6 @@ func (b *othelloBackend) Insert(key packet.FiveTuple, now sim.Time) int {
 	b.stats.Inserts++
 	return pod
 }
-
-func (b *othelloBackend) Evict(now sim.Time) int { return 0 }
 
 func (b *othelloBackend) Update(pool []int) int {
 	b.setPool(pool)

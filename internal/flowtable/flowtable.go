@@ -1,5 +1,5 @@
 // Package flowtable implements the exact-match flow and session tables the
-// gateway dataplane uses: VM-NC mappings, SNAT sessions, connection state
+// gateway dataplane uses: VM-NC mappings, backend pinnings, connection state
 // for stateful network functions.
 //
 // Entries carry a stable synthetic memory address so the cache simulator
@@ -41,30 +41,22 @@ type Entry struct {
 // the packet path probes it once per packet, and an inline probe over
 // 32-byte (key, hash, ordinal) slots — two to a host cache line, none
 // straddling one — beats the runtime map's generic bucket walk by roughly 2x
-// here. Deletes leave tombstones that are reclaimed on growth.
+// here. Keys are never removed, so the n-th key's ordinal is n-1.
 //
 // Not safe for concurrent mutation. LookupHash and WarmHash only read, so an
-// Index nobody inserts into or deletes from any more may be shared freely.
+// Index nobody inserts into any more may be shared freely.
 type Index struct {
 	slots []indexSlot
 	mask  uint32
-	count int    // live keys
-	used  int    // live + tombstones (probe-chain occupancy)
-	next  uint64 // ordinal of the next fresh key
+	count int // keys, and the ordinal of the next fresh one
 }
 
 type indexSlot struct {
-	key   packet.FiveTuple
-	hash  uint32
-	state uint8 // slotEmpty, slotFull or slotDead
-	ord   uint64
+	key  packet.FiveTuple
+	hash uint32
+	full bool
+	ord  uint64
 }
-
-const (
-	slotEmpty = iota
-	slotFull
-	slotDead // tombstone: probe chains continue through it
-)
 
 const indexMinSlots = 16
 
@@ -85,40 +77,27 @@ func (x *Index) init(capacity int) {
 	x.mask = uint32(size - 1)
 }
 
-// Len returns the number of live keys.
+// Len returns the number of keys.
 func (x *Index) Len() int { return x.count }
 
 // Insert adds key and returns its ordinal; fresh is false when the key was
 // already present (its ordinal is unchanged and no new one is consumed).
 func (x *Index) Insert(key packet.FiveTuple) (ord uint64, fresh bool) {
-	if x.used*4 >= len(x.slots)*3 {
+	if x.count*4 >= len(x.slots)*3 {
 		x.grow()
 	}
 	h := key.Hash()
 	i := h & x.mask
-	ins := -1 // first tombstone on the probe chain, if any
 	for {
 		s := &x.slots[i]
-		switch s.state {
-		case slotEmpty:
-			if ins >= 0 {
-				s = &x.slots[ins] // reuse the tombstone
-			} else {
-				x.used++
-			}
-			ord = x.next
-			x.next++
-			s.key, s.hash, s.state, s.ord = key, h, slotFull, ord
+		if !s.full {
+			ord = uint64(x.count)
 			x.count++
+			s.key, s.hash, s.full, s.ord = key, h, true, ord
 			return ord, true
-		case slotFull:
-			if s.hash == h && s.key == key {
-				return s.ord, false
-			}
-		case slotDead:
-			if ins < 0 {
-				ins = int(i)
-			}
+		}
+		if s.hash == h && s.key == key {
+			return s.ord, false
 		}
 		i = (i + 1) & x.mask
 	}
@@ -129,10 +108,10 @@ func (x *Index) LookupHash(key packet.FiveTuple, h uint32) (ord uint64, ok bool)
 	i := h & x.mask
 	for {
 		s := &x.slots[i]
-		if s.state == slotEmpty {
+		if !s.full {
 			return 0, false
 		}
-		if s.state == slotFull && s.hash == h && s.key == key {
+		if s.hash == h && s.key == key {
 			return s.ord, true
 		}
 		i = (i + 1) & x.mask
@@ -146,43 +125,18 @@ func (x *Index) WarmHash(h uint32) uint64 {
 	return uint64(x.slots[h&x.mask].hash)
 }
 
-// Delete removes key and returns the ordinal it held; ordinals are never
-// reused.
-func (x *Index) Delete(key packet.FiveTuple) (ord uint64, ok bool) {
-	h := key.Hash()
-	i := h & x.mask
-	for {
-		s := &x.slots[i]
-		if s.state == slotEmpty {
-			return 0, false
-		}
-		if s.state == slotFull && s.hash == h && s.key == key {
-			s.state = slotDead
-			x.count--
-			return s.ord, true
-		}
-		i = (i + 1) & x.mask
-	}
-}
-
 func (x *Index) grow() {
-	// Double only when live keys dominate; a tombstone-heavy index rehashes
-	// in place at the same size.
-	size := len(x.slots)
-	if x.count*2 >= size {
-		size *= 2
-	}
+	size := len(x.slots) * 2
 	old := x.slots
 	x.slots = make([]indexSlot, size)
 	x.mask = uint32(size - 1)
-	x.used = x.count
 	for oi := range old {
 		s := &old[oi]
-		if s.state != slotFull {
+		if !s.full {
 			continue
 		}
 		i := s.hash & x.mask
-		for x.slots[i].state != slotEmpty {
+		for x.slots[i].full {
 			i = (i + 1) & x.mask
 		}
 		x.slots[i] = *s
@@ -193,11 +147,10 @@ func (x *Index) grow() {
 // address per-entry values and a private range of synthetic memory. Not safe
 // for concurrent use; wrap with a lock or shard per core.
 type Table struct {
-	name      string
 	entrySize int
 	addrBase  uint64
 	idx       Index
-	entries   []*Entry // by ordinal; nil once deleted
+	entries   []*Entry // by ordinal
 }
 
 // addrStride spaces synthetic addresses so distinct tables never share
@@ -234,31 +187,18 @@ func (a *AddrSpace) NextBase() uint64 {
 	return a.next * addrStride
 }
 
-// NewTable creates an exact-match table whose entries model entrySize bytes
-// of memory each, drawing its address base from the process-global space.
-func NewTable(name string, entrySize int) *Table {
-	return NewTableIn(nil, name, entrySize)
-}
-
-// NewTableIn is NewTable drawing from the given address space (nil falls
-// back to the process-global one).
+// NewTableIn creates an exact-match table whose entries model entrySize
+// bytes of memory each (64 when entrySize <= 0), drawing its address base
+// from the given space (nil falls back to the process-global one). The name
+// labels the table at the call site only; the table does not keep it.
 func NewTableIn(space *AddrSpace, name string, entrySize int) *Table {
 	if entrySize <= 0 {
 		entrySize = 64
 	}
-	t := &Table{name: name, entrySize: entrySize, addrBase: space.NextBase()}
+	t := &Table{entrySize: entrySize, addrBase: space.NextBase()}
 	t.idx.init(0)
 	return t
 }
-
-// Name returns the table's name.
-func (t *Table) Name() string { return t.name }
-
-// Len returns the number of entries.
-func (t *Table) Len() int { return t.idx.Len() }
-
-// EntrySize returns the modelled per-entry footprint in bytes.
-func (t *Table) EntrySize() int { return t.entrySize }
 
 // Insert adds or replaces an entry and returns it.
 func (t *Table) Insert(key packet.FiveTuple, value uint64) *Entry {
@@ -277,12 +217,8 @@ func (t *Table) Insert(key packet.FiveTuple, value uint64) *Entry {
 	return e
 }
 
-// Lookup returns the entry for key, or nil.
-func (t *Table) Lookup(key packet.FiveTuple) *Entry {
-	return t.LookupHash(key, key.Hash())
-}
-
-// LookupHash is Lookup with the caller-precomputed key.Hash().
+// LookupHash returns the entry for key, or nil; h is the caller-precomputed
+// key.Hash().
 func (t *Table) LookupHash(key packet.FiveTuple, h uint32) *Entry {
 	ord, ok := t.idx.LookupHash(key, h)
 	if !ok {
@@ -290,18 +226,6 @@ func (t *Table) LookupHash(key packet.FiveTuple, h uint32) *Entry {
 	}
 	return t.entries[ord]
 }
-
-// Delete removes key, reporting whether it was present.
-func (t *Table) Delete(key packet.FiveTuple) bool {
-	ord, ok := t.idx.Delete(key)
-	if ok {
-		t.entries[ord] = nil
-	}
-	return ok
-}
-
-// MemoryBytes returns the modelled memory footprint of the table.
-func (t *Table) MemoryBytes() int64 { return int64(t.idx.Len()) * int64(t.entrySize) }
 
 // SessionState is the lifecycle state of a stateful NF session.
 type SessionState uint8
@@ -326,12 +250,10 @@ func (s SessionState) String() string {
 	}
 }
 
-// Session is per-flow NF state (e.g. an SNAT binding). Counters make the
+// Session is per-flow NF state (e.g. a backend pinning). Counters make the
 // session "write-heavy" when updated per packet.
 type Session struct {
 	Key        packet.FiveTuple
-	NATAddr    packet.IPv4Addr
-	NATPort    uint16
 	State      SessionState
 	Packets    uint64
 	Bytes      uint64
@@ -451,38 +373,6 @@ func (st *SessionTable) Delete(key packet.FiveTuple) bool {
 	return true
 }
 
-// IdleFlows returns the keys of sessions idle longer than the table
-// timeout at time now (without removing them).
-func (st *SessionTable) IdleFlows(now sim.Time) []packet.FiveTuple {
-	if st.idle <= 0 {
-		return nil
-	}
-	var out []packet.FiveTuple
-	for k, s := range st.m {
-		if now.Sub(s.LastActive) > st.idle {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// Expire removes all sessions idle longer than the table timeout and
-// returns the count removed.
-func (st *SessionTable) Expire(now sim.Time) int {
-	if st.idle <= 0 {
-		return 0
-	}
-	n := 0
-	for k, s := range st.m {
-		if now.Sub(s.LastActive) > st.idle {
-			delete(st.m, k)
-			n++
-		}
-	}
-	st.Expirations += uint64(n)
-	return n
-}
-
 // SharedSessionTable is a lock-protected session table shared by all cores:
 // the paper's "write-heavy NF with PLB" configuration where per-packet
 // counter updates contend on one lock and one set of cache lines.
@@ -540,13 +430,13 @@ func NewShardedSessionTable(n, capacityPerShard int, idle sim.Duration) *Sharded
 	return s
 }
 
+// Shard returns shard i.
+func (s *ShardedSessionTable) Shard(i int) *SessionTable { return s.shards[i] }
+
 // ShardFor returns the shard index for a flow.
 func (s *ShardedSessionTable) ShardFor(key packet.FiveTuple) int {
 	return int(key.Hash() % uint32(len(s.shards)))
 }
-
-// Shard returns shard i.
-func (s *ShardedSessionTable) Shard(i int) *SessionTable { return s.shards[i] }
 
 // NumShards returns the shard count.
 func (s *ShardedSessionTable) NumShards() int { return len(s.shards) }

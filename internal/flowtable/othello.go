@@ -130,9 +130,6 @@ func (o *Othello) Len() int { return len(o.vals) }
 // 128-byte session entries are not.
 func (o *Othello) ArrayBytes() int64 { return int64(o.ma+o.mb) * 2 }
 
-// Seed returns the current seed (changes on rebuild).
-func (o *Othello) Seed() uint64 { return o.seed }
-
 // Keys returns the live keys in insertion order.
 func (o *Othello) Keys() []packet.FiveTuple {
 	out := make([]packet.FiveTuple, 0, len(o.vals))

@@ -70,9 +70,6 @@ func (tb *TokenBucket) Allow(now sim.Time) bool {
 // SetRate reconfigures the meter rate.
 func (tb *TokenBucket) SetRate(rate float64) { tb.rate = rate }
 
-// Rate returns the configured rate in packets/second.
-func (tb *TokenBucket) Rate() float64 { return tb.rate }
-
 // Verdict is the rate limiter's decision for a packet.
 type Verdict uint8
 
@@ -246,18 +243,6 @@ func (l *Limiter) InstallHeavyHitter(vni uint32, rate float64) error {
 	l.pre[vni] = &preEntry{vni: vni, meter: NewTokenBucket(rate, l.cfg.Burst)}
 	l.stats.HeavyInstalls++
 	return nil
-}
-
-// RemovePre deletes a tenant's pre_check entry.
-func (l *Limiter) RemovePre(vni uint32) { delete(l.pre, vni) }
-
-// PreEntryCount returns the number of occupied pre_check rows.
-func (l *Limiter) PreEntryCount() int { return len(l.pre) }
-
-// IsInstalled reports whether the tenant has a pre_meter entry (not bypass).
-func (l *Limiter) IsInstalled(vni uint32) bool {
-	e, ok := l.pre[vni]
-	return ok && !e.bypass
 }
 
 // Process runs one packet of tenant vni through the limiter at virtual

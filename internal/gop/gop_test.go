@@ -61,7 +61,7 @@ func TestTokenBucketCapsAtBurst(t *testing.T) {
 
 func TestTokenBucketDefaultBurst(t *testing.T) {
 	tb := NewTokenBucket(1e6, 0)
-	if tb.Rate() != 1e6 {
+	if tb.rate != 1e6 {
 		t.Fatal("rate wrong")
 	}
 	// Default burst = 10ms of rate = 10000.
@@ -204,7 +204,7 @@ func TestInstallHeavyHitter(t *testing.T) {
 	if err := l.InstallHeavyHitter(9, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	if !l.IsInstalled(9) {
+	if l.pre[9] == nil {
 		t.Fatal("not installed")
 	}
 	passed, _ := offer(l, 9, 10e6, 0, sim.Second/10)
@@ -221,10 +221,6 @@ func TestInstallHeavyHitter(t *testing.T) {
 	if err := l.InstallHeavyHitter(11, 1e6); err == nil {
 		t.Fatal("installed over bypass entry")
 	}
-	l.RemovePre(9)
-	if l.IsInstalled(9) {
-		t.Fatal("RemovePre failed")
-	}
 }
 
 func TestSamplingDetectsHeavyHitter(t *testing.T) {
@@ -235,7 +231,7 @@ func TestSamplingDetectsHeavyHitter(t *testing.T) {
 	// 34Mpps blast: stage-2 drops accumulate samples and promote the
 	// tenant within the window.
 	offer(l, 77, 34e6, 0, sim.Second/10)
-	if !l.IsInstalled(77) {
+	if l.pre[77] == nil {
 		t.Fatal("heavy hitter not detected and installed")
 	}
 	s := l.Stats()
@@ -254,7 +250,7 @@ func TestInnocentTenantNotDetected(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("innocent tenant dropped %d", dropped)
 	}
-	if l.IsInstalled(88) || l.Stats().SamplesTaken != 0 {
+	if l.pre[88] != nil || l.Stats().SamplesTaken != 0 {
 		t.Fatal("innocent tenant sampled/installed")
 	}
 }
@@ -285,10 +281,10 @@ func TestCollisionProtectionByPreMeter(t *testing.T) {
 		_, d := offer(l, 2, 0.4e6, start, phase/sim.Duration(slices))
 		innocentDropPhase1 += d
 	}
-	if !l.IsInstalled(1) {
+	if l.pre[1] == nil {
 		t.Fatal("dominant tenant not installed to pre_meter")
 	}
-	if l.IsInstalled(2) {
+	if l.pre[2] != nil {
 		t.Fatal("innocent tenant wrongly installed")
 	}
 

@@ -10,10 +10,7 @@
 // at most a 256-slot expansion.
 package lpm
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // NoRoute is returned by Lookup when no prefix matches.
 const NoRoute = ^uint32(0)
@@ -113,42 +110,35 @@ func Mask(plen int) uint32 {
 // host addresses).
 func Canonical(addr uint32, plen int) uint32 { return addr & Mask(plen) }
 
-// locate walks (creating if create is set) to the node owning prefix/plen
-// and returns it plus the expansion base slot and span. The returned path
-// holds the (parent, childIndex) steps taken, for pruning on delete.
-func (t *Table) locate(prefix uint32, plen int, create bool) (n *node, base, span int, path []pathStep) {
+// locate walks to the node owning prefix/plen, creating nodes on the way,
+// and returns it plus the expansion base slot and span.
+func (t *Table) locate(prefix uint32, plen int) (n *node, base, span int) {
 	n = t.root
 	level := 0
 	for plen > (level+1)*stride {
 		idx := byte(prefix >> uint(32-stride*(level+1)))
 		if n.children == nil {
-			if !create {
-				return nil, 0, 0, nil
-			}
 			n.children = new([slotCount]*node)
 		}
 		if n.children[idx] == nil {
-			if !create {
-				return nil, 0, 0, nil
-			}
 			n.children[idx] = newNode()
 			t.nodes++
 		}
-		path = append(path, pathStep{n, idx})
 		n = n.children[idx]
 		level++
 	}
+	base, span = expansion(prefix, plen, level)
+	return n, base, span
+}
+
+// expansion returns the base slot and span of prefix/plen's controlled
+// prefix expansion inside the node it terminates in at the given level.
+func expansion(prefix uint32, plen, level int) (base, span int) {
 	r := plen - level*stride // bits of the prefix inside this stride, 0..8
 	if r > 0 {
 		base = int(byte(prefix>>uint(32-stride*(level+1)))) &^ (1<<(stride-r) - 1)
 	}
-	span = 1 << (stride - r)
-	return n, base, span, path
-}
-
-type pathStep struct {
-	n   *node
-	idx byte
+	return base, 1 << (stride - r)
 }
 
 // Insert adds or replaces the route (prefix/plen -> val). prefix must be in
@@ -160,7 +150,7 @@ func (t *Table) Insert(prefix uint32, plen int, val uint32) error {
 	if val == NoRoute {
 		return fmt.Errorf("lpm: value %#x is the NoRoute sentinel", val)
 	}
-	n, base, span, _ := t.locate(prefix, plen, true)
+	n, base, span := t.locate(prefix, plen)
 	for i := base; i < base+span; i++ {
 		if n.plens[i] <= int8(plen) {
 			n.plens[i] = int8(plen)
@@ -206,10 +196,24 @@ func (t *Table) Delete(prefix uint32, plen int) bool {
 	if validate(prefix, plen) != nil {
 		return false
 	}
-	n, base, span, path := t.locate(prefix, plen, false)
-	if n == nil || n.rmap == nil {
-		return false
+	// Walk to the owning node, creating nothing, and keep the (parent,
+	// child index) steps taken for pruning.
+	type step struct {
+		n   *node
+		idx byte
 	}
+	var path []step
+	n := t.root
+	for plen > (len(path)+1)*stride {
+		idx := byte(prefix >> uint(32-stride*(len(path)+1)))
+		if n.children == nil || n.children[idx] == nil {
+			return false
+		}
+		path = append(path, step{n, idx})
+		n = n.children[idx]
+	}
+	level := len(path)
+	base, span := expansion(prefix, plen, level)
 	rk := routeKey{uint16(base), int8(plen)}
 	if _, ok := n.rmap[rk]; !ok {
 		return false
@@ -217,7 +221,6 @@ func (t *Table) Delete(prefix uint32, plen int) bool {
 	delete(n.rmap, rk)
 	t.count--
 
-	level := len(path)
 	// Restore the expansion range to the next-best route terminating in
 	// this node (longest plen' < plen whose range covers each slot).
 	for i := base; i < base+span; i++ {
@@ -230,11 +233,7 @@ func (t *Table) Delete(prefix uint32, plen int) bool {
 			if cand.plen >= int8(plen) || cand.plen <= bestPlen {
 				continue
 			}
-			cr := int(cand.plen) - level*stride
-			if cr < 0 {
-				cr = 0
-			}
-			cspan := 1 << (stride - cr)
+			cspan := 1 << (stride - (int(cand.plen) - level*stride))
 			if i >= int(cand.base) && i < int(cand.base)+cspan {
 				bestPlen = cand.plen
 				bestVal = val
@@ -299,10 +298,4 @@ func (t *Table) Walk(fn func(prefix uint32, plen int, val uint32) bool) {
 func PrefixString(prefix uint32, plen int) string {
 	return fmt.Sprintf("%d.%d.%d.%d/%d",
 		byte(prefix>>24), byte(prefix>>16), byte(prefix>>8), byte(prefix), plen)
-}
-
-// CommonPrefixLen returns the number of leading bits a and b share
-// (helper for route aggregation tooling).
-func CommonPrefixLen(a, b uint32) int {
-	return bits.LeadingZeros32(a ^ b)
 }

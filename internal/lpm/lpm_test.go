@@ -254,12 +254,6 @@ func TestMaskAndCanonical(t *testing.T) {
 	if Canonical(0x0a0b0c0d, 16) != 0x0a0b0000 {
 		t.Fatal("canonical wrong")
 	}
-	if CommonPrefixLen(0x80000000, 0) != 0 {
-		t.Fatal("cpl wrong")
-	}
-	if CommonPrefixLen(0x0a000000, 0x0a000001) != 31 {
-		t.Fatal("cpl 31 wrong")
-	}
 }
 
 // referenceLPM is a brute-force oracle: linear scan over all routes.

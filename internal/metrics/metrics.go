@@ -176,6 +176,3 @@ func (r *Registry) Histogram(name, help string, h *stats.Histogram, labels ...La
 	}
 	r.register(name, help, KindHistogram, &series{labels: labels, hist: h})
 }
-
-// Families returns the number of registered metric families.
-func (r *Registry) Families() int { return len(r.families) }

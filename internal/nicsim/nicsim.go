@@ -1,8 +1,7 @@
 // Package nicsim models the FPGA NIC pipeline around PLB: the basic
 // pipeline's pkt_dir classifier (priority / RSS / PLB paths, full-packet or
-// header-only delivery), the VLAN-based SR-IOV VF demultiplexer, the
-// payload buffer backing header-payload split, and the latency (Tab. 4) and
-// FPGA resource (Tab. 5) ledgers.
+// header-only delivery), the payload buffer backing header-payload split,
+// and the latency (Tab. 4) and FPGA resource (Tab. 5) ledgers.
 package nicsim
 
 import (
@@ -96,28 +95,8 @@ func DefaultClassifier() *Classifier {
 // AddRule appends a rule (first match wins).
 func (c *Classifier) AddRule(r Rule) { c.rules = append(c.rules, r) }
 
-// NumRules returns the rule count.
-func (c *Classifier) NumRules() int { return len(c.rules) }
-
-// Classify returns the class and delivery mode for a parsed packet. It
-// matches on the innermost flow (the tenant's traffic), falling back to the
-// outer flow for non-encapsulated packets.
-func (c *Classifier) Classify(p *packet.Parsed) (Class, DeliveryMode) {
-	flow := p.InnerFlow()
-	for _, r := range c.rules {
-		if r.Proto != 0 && r.Proto != flow.Proto {
-			continue
-		}
-		if r.DstPort != 0 && r.DstPort != flow.DPort {
-			continue
-		}
-		return r.Class, r.Mode
-	}
-	return c.defaultClass, c.defaultMode
-}
-
-// ClassifyFlow is Classify for callers holding a five-tuple instead of a
-// parsed packet (the simulation fast path).
+// ClassifyFlow returns the class and delivery mode for a flow: the first
+// rule matching its protocol and destination port, else the default.
 func (c *Classifier) ClassifyFlow(flow packet.FiveTuple) (Class, DeliveryMode) {
 	for _, r := range c.rules {
 		if r.Proto != 0 && r.Proto != flow.Proto {
@@ -130,45 +109,6 @@ func (c *Classifier) ClassifyFlow(flow packet.FiveTuple) (Class, DeliveryMode) {
 	}
 	return c.defaultClass, c.defaultMode
 }
-
-// VFDemux maps 802.1Q VLAN IDs to (pod, VF) — the basic pipeline's SR-IOV
-// demultiplexer (appendix §A: uplink switches tag packets per VF).
-type VFDemux struct {
-	m map[uint16]VFTarget
-}
-
-// VFTarget identifies a pod-owned virtual function.
-type VFTarget struct {
-	PodID uint16
-	VF    int
-}
-
-// NewVFDemux creates an empty demux table.
-func NewVFDemux() *VFDemux { return &VFDemux{m: make(map[uint16]VFTarget)} }
-
-// Bind maps a VLAN ID to a VF. Rebinding an in-use VLAN is an error.
-func (d *VFDemux) Bind(vlan uint16, t VFTarget) error {
-	if vlan == 0 || vlan > 4094 {
-		return fmt.Errorf("nicsim: VLAN %d out of range", vlan)
-	}
-	if _, ok := d.m[vlan]; ok {
-		return fmt.Errorf("nicsim: VLAN %d already bound", vlan)
-	}
-	d.m[vlan] = t
-	return nil
-}
-
-// Unbind releases a VLAN.
-func (d *VFDemux) Unbind(vlan uint16) { delete(d.m, vlan) }
-
-// Lookup resolves a VLAN tag.
-func (d *VFDemux) Lookup(vlan uint16) (VFTarget, bool) {
-	t, ok := d.m[vlan]
-	return t, ok
-}
-
-// Len returns the number of bound VLANs.
-func (d *VFDemux) Len() int { return len(d.m) }
 
 // ModuleLatency is one pipeline module's RX/TX contribution.
 type ModuleLatency struct {
@@ -340,9 +280,6 @@ func (b *PayloadBuffer) Has(id uint64) bool {
 	_, ok := b.entries[id]
 	return ok
 }
-
-// Used returns resident bytes.
-func (b *PayloadBuffer) Used() int64 { return b.used }
 
 // PCIeSavings returns the fraction of PCIe bandwidth header-payload split
 // saves for a packet of the given total and header sizes.

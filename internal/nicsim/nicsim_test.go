@@ -47,8 +47,8 @@ func TestDefaultClassifier(t *testing.T) {
 			t.Errorf("case %d: class = %v, want %v", i, got, cse.want)
 		}
 	}
-	if c.NumRules() != 4 {
-		t.Fatalf("rules = %d", c.NumRules())
+	if len(c.rules) != 4 {
+		t.Fatalf("rules = %d", len(c.rules))
 	}
 }
 
@@ -72,53 +72,6 @@ func TestClassifierHeaderOnlyMode(t *testing.T) {
 	_, mode = c.ClassifyFlow(flow(packet.IPProtocolUDP, 80))
 	if mode != FullPacket {
 		t.Fatal("rule mode not applied")
-	}
-}
-
-func TestClassifyParsedUsesInnerFlow(t *testing.T) {
-	// Build a VXLAN packet whose inner flow is BGP: must classify as
-	// priority even though the outer is UDP/4789.
-	b := packet.NewBuilder(512)
-	pkt := packet.BuildVXLANPacket(b, &packet.VXLANSpec{
-		OuterSrc: packet.IPv4Addr{1, 1, 1, 1}, OuterDst: packet.IPv4Addr{2, 2, 2, 2},
-		OuterSrcPort: 9999, VNI: 7,
-		InnerSrc: packet.IPv4Addr{10, 0, 0, 1}, InnerDst: packet.IPv4Addr{10, 0, 0, 2},
-		InnerProto: packet.IPProtocolTCP, InnerSPort: 33000, InnerDPort: 179,
-	})
-	var p packet.Parsed
-	if err := packet.Parse(pkt, &p); err != nil {
-		t.Fatal(err)
-	}
-	class, _ := DefaultClassifier().Classify(&p)
-	if class != ClassPriority {
-		t.Fatalf("class = %v, want priority (inner BGP)", class)
-	}
-}
-
-func TestVFDemux(t *testing.T) {
-	d := NewVFDemux()
-	if err := d.Bind(100, VFTarget{PodID: 1, VF: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Bind(100, VFTarget{PodID: 2, VF: 0}); err == nil {
-		t.Fatal("double bind accepted")
-	}
-	if err := d.Bind(0, VFTarget{}); err == nil {
-		t.Fatal("VLAN 0 accepted")
-	}
-	if err := d.Bind(4095, VFTarget{}); err == nil {
-		t.Fatal("VLAN 4095 accepted")
-	}
-	tgt, ok := d.Lookup(100)
-	if !ok || tgt.PodID != 1 || tgt.VF != 2 {
-		t.Fatalf("lookup = %+v %v", tgt, ok)
-	}
-	if _, ok := d.Lookup(200); ok {
-		t.Fatal("unbound VLAN resolved")
-	}
-	d.Unbind(100)
-	if d.Len() != 0 {
-		t.Fatal("unbind failed")
 	}
 }
 
@@ -194,8 +147,8 @@ func TestPayloadBufferStoreTake(t *testing.T) {
 	if !b.Store(1, 400) || !b.Store(2, 400) {
 		t.Fatal("stores failed")
 	}
-	if b.Used() != 800 {
-		t.Fatalf("used = %d", b.Used())
+	if b.used != 800 {
+		t.Fatalf("used = %d", b.used)
 	}
 	if b.Store(1, 100) {
 		t.Fatal("duplicate id accepted")
@@ -206,8 +159,8 @@ func TestPayloadBufferStoreTake(t *testing.T) {
 	if b.Take(1) {
 		t.Fatal("double take succeeded")
 	}
-	if b.Used() != 400 {
-		t.Fatalf("used = %d", b.Used())
+	if b.used != 400 {
+		t.Fatalf("used = %d", b.used)
 	}
 }
 
@@ -252,7 +205,7 @@ func TestPayloadBufferInvariantProperty(t *testing.T) {
 			} else if id > 0 {
 				b.Take(uint64(op) % id)
 			}
-			if b.Used() < 0 || b.Used() > 4096 {
+			if b.used < 0 || b.used > 4096 {
 				return false
 			}
 		}

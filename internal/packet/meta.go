@@ -93,12 +93,6 @@ func PeekMeta(pkt []byte, m *Meta) error {
 	return err
 }
 
-// HasMeta reports whether pkt ends in a valid meta trailer.
-func HasMeta(pkt []byte) bool {
-	var m Meta
-	return PeekMeta(pkt, &m) == nil
-}
-
 // UpdateMetaFlags rewrites the flag byte of an in-place trailer. The GW pod
 // uses this to set the drop flag without copying the packet.
 func UpdateMetaFlags(pkt []byte, flags MetaFlags) error {
@@ -111,30 +105,4 @@ func UpdateMetaFlags(pkt []byte, flags MetaFlags) error {
 	}
 	tail[5] = uint8(flags)
 	return nil
-}
-
-// PSNWindow is the size of the legal-check window: plb_reorder validates
-// returned packets by checking meta.psn[11:0] against the FIFO head/tail
-// pointers, so the window is 2^12 entries (the 4K FIFO length).
-const PSNWindow = 1 << 12
-
-// PSNLow12 returns the low 12 bits of a PSN, the part the legal check uses.
-func PSNLow12(psn uint16) uint16 { return psn & (PSNWindow - 1) }
-
-// PSNInWindow reports whether psn's low 12 bits fall inside the half-open
-// window [head, tail) in modulo-4K arithmetic. head == tail means an empty
-// window. This mirrors the FPGA legal check exactly, including the aliasing
-// it permits: a stale PSN whose low 12 bits alias into the window passes
-// here and is caught later by the reorder check (paper §4.1, case 3).
-func PSNInWindow(psn, head, tail uint16) bool {
-	p := PSNLow12(psn)
-	h := PSNLow12(head)
-	t := PSNLow12(tail)
-	if h == t {
-		return false
-	}
-	if h < t {
-		return p >= h && p < t
-	}
-	return p >= h || p < t
 }

@@ -1,29 +1,12 @@
-// Package packet implements wire-format packet decoding and encoding for the
-// protocols Albatross's gateway dataplane handles: Ethernet, 802.1Q VLAN,
-// IPv4, UDP, TCP, ICMPv4 and VXLAN, plus the PLB meta trailer the FPGA NIC
-// pipeline appends to every packet it sprays to the CPU.
-//
-// The API follows the gopacket DecodingLayer style: each header type decodes
-// from a byte slice into a preallocated struct and serializes back without
-// allocating, so the hot paths in the NIC pipeline and gateway services stay
-// allocation-free. A Parser decodes a full known stack (outer Ethernet/VLAN/
-// IPv4/UDP/VXLAN and the inner frame) in one pass.
+// Package packet holds the flow identity every simulated packet carries — a
+// five-tuple of IPv4 addresses, protocol and ports — and the PLB meta
+// trailer the FPGA NIC pipeline appends to every packet it sprays to the
+// CPU. The simulator moves flows, not frames, so there is no wire codec.
 package packet
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-)
-
-// EtherType identifies the payload protocol of an Ethernet frame.
-type EtherType uint16
-
-// Supported EtherTypes.
-const (
-	EtherTypeIPv4 EtherType = 0x0800
-	EtherTypeARP  EtherType = 0x0806
-	EtherTypeVLAN EtherType = 0x8100
 )
 
 // IPProtocol identifies the payload protocol of an IPv4 packet.
@@ -35,23 +18,6 @@ const (
 	IPProtocolTCP  IPProtocol = 6
 	IPProtocolUDP  IPProtocol = 17
 )
-
-// VXLANPort is the IANA-assigned UDP destination port for VXLAN.
-const VXLANPort = 4789
-
-// Errors returned by decoders.
-var (
-	ErrTooShort   = errors.New("packet: buffer too short")
-	ErrBadVersion = errors.New("packet: unexpected IP version")
-	ErrBadLength  = errors.New("packet: header length field invalid")
-)
-
-// MAC is a 48-bit Ethernet address.
-type MAC [6]byte
-
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
 
 // IPv4Addr is an IPv4 address in host-independent 4-byte form.
 type IPv4Addr [4]byte
@@ -70,459 +36,54 @@ func IPv4FromUint32(v uint32) IPv4Addr {
 	return a
 }
 
-// Ethernet is an Ethernet II header.
-type Ethernet struct {
-	Dst       MAC
-	Src       MAC
-	EtherType EtherType
+// FiveTuple identifies a flow by (src, dst, proto, sport, dport). For
+// non-TCP/UDP protocols the ports are zero.
+type FiveTuple struct {
+	Src, Dst     IPv4Addr
+	Proto        IPProtocol
+	SPort, DPort uint16
 }
 
-// EthernetLen is the encoded size of an Ethernet header.
-const EthernetLen = 14
-
-// DecodeFromBytes parses an Ethernet header from data.
-func (e *Ethernet) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < EthernetLen {
-		return 0, ErrTooShort
-	}
-	copy(e.Dst[:], data[0:6])
-	copy(e.Src[:], data[6:12])
-	e.EtherType = EtherType(binary.BigEndian.Uint16(data[12:14]))
-	return EthernetLen, nil
+func (f FiveTuple) String() string {
+	return fmt.Sprintf("%v:%d->%v:%d/%d", f.Src, f.SPort, f.Dst, f.DPort, f.Proto)
 }
 
-// SerializeTo writes the header into b, which must have >= EthernetLen bytes.
-func (e *Ethernet) SerializeTo(b []byte) (int, error) {
-	if len(b) < EthernetLen {
-		return 0, ErrTooShort
-	}
-	copy(b[0:6], e.Dst[:])
-	copy(b[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(b[12:14], uint16(e.EtherType))
-	return EthernetLen, nil
+// Reverse returns the tuple of the opposite direction.
+func (f FiveTuple) Reverse() FiveTuple {
+	return FiveTuple{Src: f.Dst, Dst: f.Src, Proto: f.Proto, SPort: f.DPort, DPort: f.SPort}
 }
 
-// VLAN is an 802.1Q tag. Albatross uses VLAN tags to demultiplex SR-IOV
-// virtual functions: the uplink switch applies the tag, and the basic
-// pipeline strips it at ingress and restores it at egress.
-type VLAN struct {
-	Priority  uint8 // PCP, 3 bits
-	DropElig  bool  // DEI
-	ID        uint16
-	EtherType EtherType // encapsulated type
-}
-
-// VLANLen is the encoded size of an 802.1Q tag.
-const VLANLen = 4
-
-// DecodeFromBytes parses a VLAN tag from data.
-func (v *VLAN) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < VLANLen {
-		return 0, ErrTooShort
+// Hash returns a 32-bit hash of the tuple (FNV-1a over the canonical
+// 13-byte encoding). Both PLB order-queue selection and RSS indirection use
+// this when Toeplitz hashing is not configured.
+func (f FiveTuple) Hash() uint32 {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	mix := func(b byte) {
+		h ^= uint32(b)
+		h *= prime32
 	}
-	tci := binary.BigEndian.Uint16(data[0:2])
-	v.Priority = uint8(tci >> 13)
-	v.DropElig = tci&0x1000 != 0
-	v.ID = tci & 0x0fff
-	v.EtherType = EtherType(binary.BigEndian.Uint16(data[2:4]))
-	return VLANLen, nil
-}
-
-// SerializeTo writes the tag into b.
-func (v *VLAN) SerializeTo(b []byte) (int, error) {
-	if len(b) < VLANLen {
-		return 0, ErrTooShort
+	for _, b := range f.Src {
+		mix(b)
 	}
-	tci := uint16(v.Priority&0x7)<<13 | v.ID&0x0fff
-	if v.DropElig {
-		tci |= 0x1000
+	for _, b := range f.Dst {
+		mix(b)
 	}
-	binary.BigEndian.PutUint16(b[0:2], tci)
-	binary.BigEndian.PutUint16(b[2:4], uint16(v.EtherType))
-	return VLANLen, nil
-}
-
-// IPv4 is an IPv4 header (options preserved opaquely).
-type IPv4 struct {
-	Version  uint8
-	IHL      uint8 // header length in 32-bit words
-	TOS      uint8
-	Length   uint16 // total length
-	ID       uint16
-	Flags    uint8  // 3 bits
-	FragOff  uint16 // 13 bits
-	TTL      uint8
-	Protocol IPProtocol
-	Checksum uint16
-	Src      IPv4Addr
-	Dst      IPv4Addr
-	Options  []byte
-}
-
-// IPv4MinLen is the encoded size of an option-less IPv4 header.
-const IPv4MinLen = 20
-
-// DecodeFromBytes parses an IPv4 header from data.
-func (ip *IPv4) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < IPv4MinLen {
-		return 0, ErrTooShort
-	}
-	ip.Version = data[0] >> 4
-	if ip.Version != 4 {
-		return 0, ErrBadVersion
-	}
-	ip.IHL = data[0] & 0x0f
-	hdrLen := int(ip.IHL) * 4
-	if hdrLen < IPv4MinLen {
-		return 0, ErrBadLength
-	}
-	if len(data) < hdrLen {
-		return 0, ErrTooShort
-	}
-	ip.TOS = data[1]
-	ip.Length = binary.BigEndian.Uint16(data[2:4])
-	ip.ID = binary.BigEndian.Uint16(data[4:6])
-	ff := binary.BigEndian.Uint16(data[6:8])
-	ip.Flags = uint8(ff >> 13)
-	ip.FragOff = ff & 0x1fff
-	ip.TTL = data[8]
-	ip.Protocol = IPProtocol(data[9])
-	ip.Checksum = binary.BigEndian.Uint16(data[10:12])
-	copy(ip.Src[:], data[12:16])
-	copy(ip.Dst[:], data[16:20])
-	if hdrLen > IPv4MinLen {
-		ip.Options = data[IPv4MinLen:hdrLen]
-	} else {
-		ip.Options = nil
-	}
-	return hdrLen, nil
-}
-
-// HeaderLen returns the encoded header size implied by IHL (or the minimum
-// if IHL is unset).
-func (ip *IPv4) HeaderLen() int {
-	if ip.IHL == 0 {
-		return IPv4MinLen + len(ip.Options)
-	}
-	return int(ip.IHL) * 4
-}
-
-// SerializeTo writes the header into b and computes the checksum.
-func (ip *IPv4) SerializeTo(b []byte) (int, error) {
-	hdrLen := IPv4MinLen + len(ip.Options)
-	if hdrLen%4 != 0 {
-		return 0, ErrBadLength
-	}
-	if len(b) < hdrLen {
-		return 0, ErrTooShort
-	}
-	ip.Version = 4
-	ip.IHL = uint8(hdrLen / 4)
-	b[0] = ip.Version<<4 | ip.IHL
-	b[1] = ip.TOS
-	binary.BigEndian.PutUint16(b[2:4], ip.Length)
-	binary.BigEndian.PutUint16(b[4:6], ip.ID)
-	binary.BigEndian.PutUint16(b[6:8], uint16(ip.Flags)<<13|ip.FragOff&0x1fff)
-	b[8] = ip.TTL
-	b[9] = uint8(ip.Protocol)
-	b[10], b[11] = 0, 0
-	copy(b[12:16], ip.Src[:])
-	copy(b[16:20], ip.Dst[:])
-	copy(b[IPv4MinLen:hdrLen], ip.Options)
-	ip.Checksum = Checksum(b[:hdrLen])
-	binary.BigEndian.PutUint16(b[10:12], ip.Checksum)
-	return hdrLen, nil
-}
-
-// Checksum computes the RFC 1071 Internet checksum of data.
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// pseudoHeaderSum computes the IPv4 pseudo-header partial sum used by the
-// TCP and UDP checksums.
-func pseudoHeaderSum(src, dst IPv4Addr, proto IPProtocol, length uint16) uint32 {
-	var sum uint32
-	sum += uint32(binary.BigEndian.Uint16(src[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(src[2:4]))
-	sum += uint32(binary.BigEndian.Uint16(dst[0:2]))
-	sum += uint32(binary.BigEndian.Uint16(dst[2:4]))
-	sum += uint32(proto)
-	sum += uint32(length)
-	return sum
-}
-
-// checksumWithInitial computes the Internet checksum of data with an initial
-// partial sum (for pseudo headers).
-func checksumWithInitial(initial uint32, data []byte) uint16 {
-	sum := initial
-	n := len(data)
-	for i := 0; i+1 < n; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-	}
-	if n%2 == 1 {
-		sum += uint32(data[n-1]) << 8
-	}
-	for sum > 0xffff {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// UDP is a UDP header.
-type UDP struct {
-	SrcPort  uint16
-	DstPort  uint16
-	Length   uint16
-	Checksum uint16
-}
-
-// UDPLen is the encoded size of a UDP header.
-const UDPLen = 8
-
-// DecodeFromBytes parses a UDP header from data.
-func (u *UDP) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < UDPLen {
-		return 0, ErrTooShort
-	}
-	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	u.DstPort = binary.BigEndian.Uint16(data[2:4])
-	u.Length = binary.BigEndian.Uint16(data[4:6])
-	u.Checksum = binary.BigEndian.Uint16(data[6:8])
-	return UDPLen, nil
-}
-
-// SerializeTo writes the header into b. If payload and addresses are given
-// via SerializeWithChecksum, the checksum is computed; this variant writes
-// the stored checksum verbatim.
-func (u *UDP) SerializeTo(b []byte) (int, error) {
-	if len(b) < UDPLen {
-		return 0, ErrTooShort
-	}
-	binary.BigEndian.PutUint16(b[0:2], u.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], u.DstPort)
-	binary.BigEndian.PutUint16(b[4:6], u.Length)
-	binary.BigEndian.PutUint16(b[6:8], u.Checksum)
-	return UDPLen, nil
-}
-
-// SerializeWithChecksum writes the header into b and computes the checksum
-// over the pseudo-header and payload. b must contain the payload directly
-// after the header (i.e. b[UDPLen:UDPLen+len(payload)] == payload region).
-func (u *UDP) SerializeWithChecksum(b []byte, src, dst IPv4Addr, payload []byte) (int, error) {
-	u.Length = uint16(UDPLen + len(payload))
-	u.Checksum = 0
-	if _, err := u.SerializeTo(b); err != nil {
-		return 0, err
-	}
-	if len(b) < UDPLen+len(payload) {
-		return 0, ErrTooShort
-	}
-	copy(b[UDPLen:], payload)
-	sum := pseudoHeaderSum(src, dst, IPProtocolUDP, u.Length)
-	u.Checksum = checksumWithInitial(sum, b[:UDPLen+len(payload)])
-	if u.Checksum == 0 {
-		u.Checksum = 0xffff // RFC 768: zero means "no checksum"
-	}
-	binary.BigEndian.PutUint16(b[6:8], u.Checksum)
-	return UDPLen + len(payload), nil
-}
-
-// TCP is a TCP header (options preserved opaquely).
-type TCP struct {
-	SrcPort    uint16
-	DstPort    uint16
-	Seq        uint32
-	Ack        uint32
-	DataOffset uint8 // header length in 32-bit words
-	Flags      TCPFlags
-	Window     uint16
-	Checksum   uint16
-	Urgent     uint16
-	Options    []byte
-}
-
-// TCPFlags is the TCP flag byte.
-type TCPFlags uint8
-
-// TCP flags.
-const (
-	TCPFin TCPFlags = 1 << iota
-	TCPSyn
-	TCPRst
-	TCPPsh
-	TCPAck
-	TCPUrg
-)
-
-// TCPMinLen is the encoded size of an option-less TCP header.
-const TCPMinLen = 20
-
-// DecodeFromBytes parses a TCP header from data.
-func (t *TCP) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < TCPMinLen {
-		return 0, ErrTooShort
-	}
-	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
-	t.DstPort = binary.BigEndian.Uint16(data[2:4])
-	t.Seq = binary.BigEndian.Uint32(data[4:8])
-	t.Ack = binary.BigEndian.Uint32(data[8:12])
-	t.DataOffset = data[12] >> 4
-	hdrLen := int(t.DataOffset) * 4
-	if hdrLen < TCPMinLen {
-		return 0, ErrBadLength
-	}
-	if len(data) < hdrLen {
-		return 0, ErrTooShort
-	}
-	t.Flags = TCPFlags(data[13])
-	t.Window = binary.BigEndian.Uint16(data[14:16])
-	t.Checksum = binary.BigEndian.Uint16(data[16:18])
-	t.Urgent = binary.BigEndian.Uint16(data[18:20])
-	if hdrLen > TCPMinLen {
-		t.Options = data[TCPMinLen:hdrLen]
-	} else {
-		t.Options = nil
-	}
-	return hdrLen, nil
-}
-
-// HeaderLen returns the encoded header size.
-func (t *TCP) HeaderLen() int { return TCPMinLen + len(t.Options) }
-
-// SerializeTo writes the header into b with the stored checksum.
-func (t *TCP) SerializeTo(b []byte) (int, error) {
-	hdrLen := t.HeaderLen()
-	if hdrLen%4 != 0 {
-		return 0, ErrBadLength
-	}
-	if len(b) < hdrLen {
-		return 0, ErrTooShort
-	}
-	t.DataOffset = uint8(hdrLen / 4)
-	binary.BigEndian.PutUint16(b[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(b[4:8], t.Seq)
-	binary.BigEndian.PutUint32(b[8:12], t.Ack)
-	b[12] = t.DataOffset << 4
-	b[13] = uint8(t.Flags)
-	binary.BigEndian.PutUint16(b[14:16], t.Window)
-	binary.BigEndian.PutUint16(b[16:18], t.Checksum)
-	binary.BigEndian.PutUint16(b[18:20], t.Urgent)
-	copy(b[TCPMinLen:hdrLen], t.Options)
-	return hdrLen, nil
-}
-
-// SerializeWithChecksum writes header+payload into b and computes the
-// checksum over the pseudo-header, header and payload.
-func (t *TCP) SerializeWithChecksum(b []byte, src, dst IPv4Addr, payload []byte) (int, error) {
-	hdrLen := t.HeaderLen()
-	t.Checksum = 0
-	if _, err := t.SerializeTo(b); err != nil {
-		return 0, err
-	}
-	if len(b) < hdrLen+len(payload) {
-		return 0, ErrTooShort
-	}
-	copy(b[hdrLen:], payload)
-	total := uint16(hdrLen + len(payload))
-	sum := pseudoHeaderSum(src, dst, IPProtocolTCP, total)
-	t.Checksum = checksumWithInitial(sum, b[:int(total)])
-	binary.BigEndian.PutUint16(b[16:18], t.Checksum)
-	return int(total), nil
-}
-
-// ICMPv4 is an ICMPv4 header.
-type ICMPv4 struct {
-	Type     uint8
-	Code     uint8
-	Checksum uint16
-	ID       uint16
-	Seq      uint16
-}
-
-// ICMPv4Len is the encoded size of an ICMPv4 echo header.
-const ICMPv4Len = 8
-
-// ICMP types used by gateway health checks.
-const (
-	ICMPv4EchoReply   = 0
-	ICMPv4EchoRequest = 8
-)
-
-// DecodeFromBytes parses an ICMPv4 header from data.
-func (ic *ICMPv4) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < ICMPv4Len {
-		return 0, ErrTooShort
-	}
-	ic.Type = data[0]
-	ic.Code = data[1]
-	ic.Checksum = binary.BigEndian.Uint16(data[2:4])
-	ic.ID = binary.BigEndian.Uint16(data[4:6])
-	ic.Seq = binary.BigEndian.Uint16(data[6:8])
-	return ICMPv4Len, nil
-}
-
-// SerializeTo writes the header into b and computes the checksum assuming
-// payload follows in b.
-func (ic *ICMPv4) SerializeTo(b []byte, payloadLen int) (int, error) {
-	if len(b) < ICMPv4Len+payloadLen {
-		return 0, ErrTooShort
-	}
-	b[0] = ic.Type
-	b[1] = ic.Code
-	b[2], b[3] = 0, 0
-	binary.BigEndian.PutUint16(b[4:6], ic.ID)
-	binary.BigEndian.PutUint16(b[6:8], ic.Seq)
-	ic.Checksum = Checksum(b[:ICMPv4Len+payloadLen])
-	binary.BigEndian.PutUint16(b[2:4], ic.Checksum)
-	return ICMPv4Len + payloadLen, nil
-}
-
-// VXLAN is a VXLAN header (RFC 7348). The VNI identifies the tenant network;
-// Albatross's overload-protection tables are keyed by VNI.
-type VXLAN struct {
-	Flags uint8 // bit 3 (0x08) = VNI valid
-	VNI   uint32
-}
-
-// VXLANLen is the encoded size of a VXLAN header.
-const VXLANLen = 8
-
-// VXLANFlagVNIValid marks the VNI field as valid.
-const VXLANFlagVNIValid = 0x08
-
-// DecodeFromBytes parses a VXLAN header from data.
-func (v *VXLAN) DecodeFromBytes(data []byte) (int, error) {
-	if len(data) < VXLANLen {
-		return 0, ErrTooShort
-	}
-	v.Flags = data[0]
-	v.VNI = uint32(data[4])<<16 | uint32(data[5])<<8 | uint32(data[6])
-	return VXLANLen, nil
-}
-
-// SerializeTo writes the header into b.
-func (v *VXLAN) SerializeTo(b []byte) (int, error) {
-	if len(b) < VXLANLen {
-		return 0, ErrTooShort
-	}
-	b[0] = v.Flags | VXLANFlagVNIValid
-	b[1], b[2], b[3] = 0, 0, 0
-	b[4] = byte(v.VNI >> 16)
-	b[5] = byte(v.VNI >> 8)
-	b[6] = byte(v.VNI)
-	b[7] = 0
-	return VXLANLen, nil
+	mix(byte(f.Proto))
+	mix(byte(f.SPort >> 8))
+	mix(byte(f.SPort))
+	mix(byte(f.DPort >> 8))
+	mix(byte(f.DPort))
+	// Murmur3-style finalizer: FNV-1a alone avalanches poorly in the low
+	// bits for correlated inputs (sequential tenant addresses), which would
+	// skew queue/bucket selection.
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return h
 }

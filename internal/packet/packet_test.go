@@ -1,174 +1,6 @@
 package packet
 
-import (
-	"bytes"
-	"encoding/binary"
-	"testing"
-	"testing/quick"
-)
-
-func TestEthernetRoundTrip(t *testing.T) {
-	e := Ethernet{
-		Dst:       MAC{0x02, 0x11, 0x22, 0x33, 0x44, 0x55},
-		Src:       MAC{0x02, 0xaa, 0xbb, 0xcc, 0xdd, 0xee},
-		EtherType: EtherTypeIPv4,
-	}
-	buf := make([]byte, EthernetLen)
-	n, err := e.SerializeTo(buf)
-	if err != nil || n != EthernetLen {
-		t.Fatalf("serialize: n=%d err=%v", n, err)
-	}
-	var d Ethernet
-	n, err = d.DecodeFromBytes(buf)
-	if err != nil || n != EthernetLen {
-		t.Fatalf("decode: n=%d err=%v", n, err)
-	}
-	if d != e {
-		t.Fatalf("round trip mismatch: %+v != %+v", d, e)
-	}
-}
-
-func TestEthernetTooShort(t *testing.T) {
-	var e Ethernet
-	if _, err := e.DecodeFromBytes(make([]byte, 13)); err != ErrTooShort {
-		t.Fatalf("err = %v, want ErrTooShort", err)
-	}
-	if _, err := e.SerializeTo(make([]byte, 13)); err != ErrTooShort {
-		t.Fatalf("serialize err = %v, want ErrTooShort", err)
-	}
-}
-
-func TestMACString(t *testing.T) {
-	m := MAC{0x02, 0x00, 0x5e, 0x10, 0x00, 0x01}
-	if got := m.String(); got != "02:00:5e:10:00:01" {
-		t.Fatalf("MAC string = %q", got)
-	}
-}
-
-func TestVLANRoundTrip(t *testing.T) {
-	v := VLAN{Priority: 5, DropElig: true, ID: 1234, EtherType: EtherTypeIPv4}
-	buf := make([]byte, VLANLen)
-	if _, err := v.SerializeTo(buf); err != nil {
-		t.Fatal(err)
-	}
-	var d VLAN
-	if _, err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d != v {
-		t.Fatalf("round trip mismatch: %+v != %+v", d, v)
-	}
-}
-
-func TestVLANFieldMasking(t *testing.T) {
-	v := VLAN{Priority: 0xFF, ID: 0xFFFF, EtherType: EtherTypeIPv4}
-	buf := make([]byte, VLANLen)
-	v.SerializeTo(buf)
-	var d VLAN
-	d.DecodeFromBytes(buf)
-	if d.Priority != 7 || d.ID != 0x0fff {
-		t.Fatalf("fields not masked: pri=%d id=%d", d.Priority, d.ID)
-	}
-}
-
-func TestIPv4RoundTrip(t *testing.T) {
-	ip := IPv4{
-		TOS:      0x10,
-		Length:   120,
-		ID:       0xbeef,
-		Flags:    2, // DF
-		FragOff:  0,
-		TTL:      63,
-		Protocol: IPProtocolUDP,
-		Src:      IPv4Addr{10, 0, 0, 1},
-		Dst:      IPv4Addr{192, 168, 1, 200},
-	}
-	buf := make([]byte, IPv4MinLen)
-	n, err := ip.SerializeTo(buf)
-	if err != nil || n != IPv4MinLen {
-		t.Fatalf("serialize: n=%d err=%v", n, err)
-	}
-	if !VerifyIPv4Checksum(buf) {
-		t.Fatal("checksum invalid after serialize")
-	}
-	var d IPv4
-	n, err = d.DecodeFromBytes(buf)
-	if err != nil || n != IPv4MinLen {
-		t.Fatalf("decode: n=%d err=%v", n, err)
-	}
-	if d.Src != ip.Src || d.Dst != ip.Dst || d.Protocol != ip.Protocol ||
-		d.TTL != ip.TTL || d.Length != ip.Length || d.ID != ip.ID ||
-		d.Flags != ip.Flags || d.TOS != ip.TOS {
-		t.Fatalf("round trip mismatch: %+v != %+v", d, ip)
-	}
-}
-
-func TestIPv4KnownChecksum(t *testing.T) {
-	// Canonical example from RFC 1071 discussions: header with checksum
-	// 0xb861 (widely used test vector).
-	hdr := []byte{
-		0x45, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00,
-		0x40, 0x11, 0x00, 0x00, 0xc0, 0xa8, 0x00, 0x01,
-		0xc0, 0xa8, 0x00, 0xc7,
-	}
-	if got := Checksum(hdr); got != 0xb861 {
-		t.Fatalf("checksum = %#04x, want 0xb861", got)
-	}
-	binary.BigEndian.PutUint16(hdr[10:12], 0xb861)
-	if !VerifyIPv4Checksum(hdr) {
-		t.Fatal("verify failed on known-good header")
-	}
-	hdr[8] ^= 0xff
-	if VerifyIPv4Checksum(hdr) {
-		t.Fatal("verify passed on corrupted header")
-	}
-}
-
-func TestIPv4Options(t *testing.T) {
-	ip := IPv4{
-		TTL: 64, Protocol: IPProtocolTCP,
-		Src:     IPv4Addr{1, 2, 3, 4},
-		Dst:     IPv4Addr{5, 6, 7, 8},
-		Options: []byte{0x01, 0x01, 0x01, 0x01}, // 4 bytes NOP padding
-	}
-	buf := make([]byte, 24)
-	n, err := ip.SerializeTo(buf)
-	if err != nil || n != 24 {
-		t.Fatalf("serialize with options: n=%d err=%v", n, err)
-	}
-	var d IPv4
-	n, err = d.DecodeFromBytes(buf)
-	if err != nil || n != 24 {
-		t.Fatalf("decode with options: n=%d err=%v", n, err)
-	}
-	if d.IHL != 6 || !bytes.Equal(d.Options, ip.Options) {
-		t.Fatalf("options mismatch: ihl=%d opts=%x", d.IHL, d.Options)
-	}
-}
-
-func TestIPv4BadInputs(t *testing.T) {
-	var d IPv4
-	if _, err := d.DecodeFromBytes(make([]byte, 19)); err != ErrTooShort {
-		t.Fatalf("short: %v", err)
-	}
-	bad := make([]byte, 20)
-	bad[0] = 0x60 // version 6
-	if _, err := d.DecodeFromBytes(bad); err != ErrBadVersion {
-		t.Fatalf("version: %v", err)
-	}
-	bad[0] = 0x42 // version 4, IHL 2 (< 5)
-	if _, err := d.DecodeFromBytes(bad); err != ErrBadLength {
-		t.Fatalf("ihl: %v", err)
-	}
-	bad[0] = 0x4f // IHL 15 => 60 bytes, buffer only 20
-	if _, err := d.DecodeFromBytes(bad); err != ErrTooShort {
-		t.Fatalf("truncated options: %v", err)
-	}
-	ipBadOpts := IPv4{Options: []byte{1, 2, 3}} // not multiple of 4
-	if _, err := ipBadOpts.SerializeTo(make([]byte, 64)); err != ErrBadLength {
-		t.Fatalf("odd options: %v", err)
-	}
-}
+import "testing"
 
 func TestIPv4AddrHelpers(t *testing.T) {
 	a := IPv4Addr{10, 20, 30, 40}
@@ -183,147 +15,128 @@ func TestIPv4AddrHelpers(t *testing.T) {
 	}
 }
 
-func TestUDPChecksum(t *testing.T) {
-	src := IPv4Addr{10, 0, 0, 1}
-	dst := IPv4Addr{10, 0, 0, 2}
-	payload := []byte("hello gateway")
-	u := UDP{SrcPort: 5353, DstPort: 4789}
-	buf := make([]byte, UDPLen+len(payload))
-	n, err := u.SerializeWithChecksum(buf, src, dst, payload)
-	if err != nil || n != UDPLen+len(payload) {
-		t.Fatalf("n=%d err=%v", n, err)
+func TestFiveTupleHashStability(t *testing.T) {
+	f := FiveTuple{Src: IPv4Addr{1, 2, 3, 4}, Dst: IPv4Addr{5, 6, 7, 8}, Proto: IPProtocolTCP, SPort: 80, DPort: 8080}
+	h1, h2 := f.Hash(), f.Hash()
+	if h1 != h2 {
+		t.Fatal("hash not deterministic")
 	}
-	if u.Checksum == 0 {
-		t.Fatal("checksum not computed")
+	g := f
+	g.SPort = 81
+	if g.Hash() == h1 {
+		t.Fatal("port change did not alter hash")
 	}
-	// Verifying: checksum over pseudo-header + segment must be 0 (or 0xffff).
-	sum := pseudoHeaderSum(src, dst, IPProtocolUDP, u.Length)
-	if got := checksumWithInitial(sum, buf); got != 0 && got != 0xffff {
-		t.Fatalf("verification sum = %#04x", got)
+}
+
+func TestFiveTupleReverse(t *testing.T) {
+	f := FiveTuple{Src: IPv4Addr{1, 1, 1, 1}, Dst: IPv4Addr{2, 2, 2, 2}, Proto: IPProtocolUDP, SPort: 10, DPort: 20}
+	r := f.Reverse()
+	if r.Src != f.Dst || r.Dst != f.Src || r.SPort != f.DPort || r.DPort != f.SPort {
+		t.Fatalf("reverse = %v", r)
 	}
-	var d UDP
-	if _, err := d.DecodeFromBytes(buf); err != nil {
+	if r.Reverse() != f {
+		t.Fatal("double reverse != identity")
+	}
+}
+
+func TestFiveTupleHashDistribution(t *testing.T) {
+	// Hash must spread sequential flows across buckets reasonably evenly.
+	const flows, buckets = 100000, 64
+	counts := make([]int, buckets)
+	for i := 0; i < flows; i++ {
+		f := FiveTuple{
+			Src:   IPv4FromUint32(0x0a000000 + uint32(i)),
+			Dst:   IPv4Addr{10, 1, 0, 1},
+			Proto: IPProtocolTCP,
+			SPort: uint16(1024 + i%50000),
+			DPort: 443,
+		}
+		counts[f.Hash()%buckets]++
+	}
+	want := flows / buckets
+	for i, c := range counts {
+		if c < want*7/10 || c > want*13/10 {
+			t.Fatalf("bucket %d has %d flows, want %d±30%%", i, c, want)
+		}
+	}
+}
+
+func TestMetaRoundTrip(t *testing.T) {
+	pkt := []byte{1, 2, 3, 4, 5}
+	m := Meta{PSN: 0x8123, OrdQ: 3, Flags: MetaFlagDrop | MetaFlagHeaderOnly, PodID: 42, IngressNS: 123456789}
+	tagged := AppendMeta(pkt, &m)
+	if len(tagged) != len(pkt)+MetaLen {
+		t.Fatalf("tagged len = %d", len(tagged))
+	}
+	var got Meta
+	body, err := StripMeta(tagged, &got)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SrcPort != 5353 || d.DstPort != 4789 || d.Length != uint16(n) {
-		t.Fatalf("decode mismatch: %+v", d)
+	if got != m {
+		t.Fatalf("meta mismatch: %+v != %+v", got, m)
+	}
+	if len(body) != 5 || body[0] != 1 {
+		t.Fatalf("body = %v", body)
 	}
 }
 
-func TestTCPRoundTripWithOptions(t *testing.T) {
-	src := IPv4Addr{172, 16, 0, 1}
-	dst := IPv4Addr{172, 16, 0, 2}
-	tc := TCP{
-		SrcPort: 443, DstPort: 61234,
-		Seq: 0x12345678, Ack: 0x9abcdef0,
-		Flags: TCPSyn | TCPAck, Window: 29200,
-		Options: []byte{2, 4, 5, 0xb4}, // MSS 1460
+func TestMetaMissing(t *testing.T) {
+	var m Meta
+	if _, err := StripMeta([]byte{1, 2, 3}, &m); err != ErrNoMeta {
+		t.Fatalf("short err = %v", err)
 	}
-	payload := []byte{0xde, 0xad}
-	buf := make([]byte, tc.HeaderLen()+len(payload))
-	n, err := tc.SerializeWithChecksum(buf, src, dst, payload)
-	if err != nil || n != 26 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	sum := pseudoHeaderSum(src, dst, IPProtocolTCP, uint16(n))
-	if got := checksumWithInitial(sum, buf[:n]); got != 0 {
-		t.Fatalf("verification sum = %#04x", got)
-	}
-	var d TCP
-	hn, err := d.DecodeFromBytes(buf)
-	if err != nil || hn != 24 {
-		t.Fatalf("decode: n=%d err=%v", hn, err)
-	}
-	if d.SrcPort != tc.SrcPort || d.Seq != tc.Seq || d.Ack != tc.Ack ||
-		d.Flags != tc.Flags || !bytes.Equal(d.Options, tc.Options) {
-		t.Fatalf("mismatch: %+v", d)
+	junk := make([]byte, 32)
+	if _, err := StripMeta(junk, &m); err != ErrNoMeta {
+		t.Fatalf("bad magic err = %v", err)
 	}
 }
 
-func TestTCPBadInputs(t *testing.T) {
-	var d TCP
-	if _, err := d.DecodeFromBytes(make([]byte, 19)); err != ErrTooShort {
-		t.Fatalf("short: %v", err)
-	}
-	bad := make([]byte, 20)
-	bad[12] = 0x40 // data offset 4 < 5
-	if _, err := d.DecodeFromBytes(bad); err != ErrBadLength {
-		t.Fatalf("offset: %v", err)
-	}
-}
-
-func TestICMPv4RoundTrip(t *testing.T) {
-	ic := ICMPv4{Type: ICMPv4EchoRequest, Code: 0, ID: 99, Seq: 7}
-	buf := make([]byte, ICMPv4Len+4)
-	copy(buf[ICMPv4Len:], []byte{1, 2, 3, 4})
-	n, err := ic.SerializeTo(buf, 4)
-	if err != nil || n != 12 {
-		t.Fatalf("n=%d err=%v", n, err)
-	}
-	if got := Checksum(buf[:n]); got != 0 {
-		t.Fatalf("icmp checksum verify = %#04x", got)
-	}
-	var d ICMPv4
-	if _, err := d.DecodeFromBytes(buf); err != nil {
+func TestUpdateMetaFlags(t *testing.T) {
+	tagged := AppendMeta([]byte{9}, &Meta{PSN: 7})
+	if err := UpdateMetaFlags(tagged, MetaFlagDrop); err != nil {
 		t.Fatal(err)
 	}
-	if d.Type != ic.Type || d.ID != 99 || d.Seq != 7 {
-		t.Fatalf("mismatch: %+v", d)
-	}
-}
-
-func TestVXLANRoundTrip(t *testing.T) {
-	v := VXLAN{VNI: 0xABCDE}
-	buf := make([]byte, VXLANLen)
-	if _, err := v.SerializeTo(buf); err != nil {
+	var m Meta
+	if err := PeekMeta(tagged, &m); err != nil {
 		t.Fatal(err)
 	}
-	if buf[0]&VXLANFlagVNIValid == 0 {
-		t.Fatal("VNI-valid flag not set")
+	if m.Flags != MetaFlagDrop || m.PSN != 7 {
+		t.Fatalf("meta after update = %+v", m)
 	}
-	var d VXLAN
-	if _, err := d.DecodeFromBytes(buf); err != nil {
-		t.Fatal(err)
-	}
-	if d.VNI != 0xABCDE {
-		t.Fatalf("VNI = %#x", d.VNI)
+	if err := UpdateMetaFlags([]byte{1, 2}, MetaFlagDrop); err != ErrNoMeta {
+		t.Fatalf("short update err = %v", err)
 	}
 }
 
-func TestVXLANVNI24Bits(t *testing.T) {
-	v := VXLAN{VNI: 0x1FFFFFF} // 25 bits; top bit must be dropped
-	buf := make([]byte, VXLANLen)
-	v.SerializeTo(buf)
-	var d VXLAN
-	d.DecodeFromBytes(buf)
-	if d.VNI != 0xFFFFFF {
-		t.Fatalf("VNI = %#x, want 24-bit truncation", d.VNI)
+func TestAppendMetaDoesNotAlias(t *testing.T) {
+	// Append must behave like append: capacity-limited base slice stays
+	// intact.
+	base := make([]byte, 4, 4)
+	tagged := AppendMeta(base, &Meta{PSN: 1})
+	tagged[0] = 0xFF
+	if base[0] == 0xFF {
+		t.Skip("append reused capacity (allowed, mirrors stdlib append)")
 	}
 }
 
-func TestChecksumOddLength(t *testing.T) {
-	// Odd-length data exercises the trailing-byte path.
-	data := []byte{0x01, 0x02, 0x03}
-	got := Checksum(data)
-	// Manual: 0x0102 + 0x0300 = 0x0402 -> ^0x0402 = 0xfbfd
-	if got != 0xfbfd {
-		t.Fatalf("checksum = %#04x, want 0xfbfd", got)
+func BenchmarkFiveTupleHash(b *testing.B) {
+	f := FiveTuple{Src: IPv4Addr{1, 2, 3, 4}, Dst: IPv4Addr{5, 6, 7, 8}, Proto: IPProtocolTCP, SPort: 80, DPort: 8080}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = f.Hash()
 	}
 }
 
-func TestChecksumPropertyVerifiesToZero(t *testing.T) {
-	// Inserting the computed checksum at any 2-byte-aligned zeroed slot
-	// makes the total sum verify (0). Mirrors IPv4 header behaviour.
-	f := func(raw []byte) bool {
-		data := make([]byte, len(raw)+2)
-		copy(data, raw[:len(raw)/2*2]) // even split
-		copy(data[len(raw)/2*2+2:], raw[len(raw)/2*2:])
-		c := Checksum(data)
-		binary.BigEndian.PutUint16(data[len(raw)/2*2:], c)
-		v := Checksum(data)
-		return v == 0 || v == 0xffff
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+func BenchmarkMetaAppendStrip(b *testing.B) {
+	pkt := make([]byte, 256, 256+MetaLen)
+	m := Meta{PSN: 100, OrdQ: 1, PodID: 2, IngressNS: 42}
+	var out Meta
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tagged := AppendMeta(pkt, &m)
+		if _, err := StripMeta(tagged, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -255,12 +255,6 @@ func (p *PLB) Stats() Stats { return p.stats }
 // Config returns the active configuration.
 func (p *PLB) Config() Config { return p.cfg }
 
-// InFlight returns the number of packets currently tracked in queue q's
-// FIFO.
-func (p *PLB) InFlight(q int) int {
-	return int(p.queues[q].tail - p.queues[q].head)
-}
-
 // windowBits is log2(QueueDepth): the number of PSN bits the legal check
 // compares (12 at the paper's 4K depth).
 func (p *PLB) windowBits() int { return bits.TrailingZeros16(p.mask + 1) }

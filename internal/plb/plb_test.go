@@ -159,8 +159,8 @@ func TestFIFOFullDrops(t *testing.T) {
 	if h.p.Stats().DispatchDrops != 1 {
 		t.Fatalf("drops = %d", h.p.Stats().DispatchDrops)
 	}
-	if h.p.InFlight(0) != 16 {
-		t.Fatalf("inflight = %d", h.p.InFlight(0))
+	if int(h.p.queues[0].tail-h.p.queues[0].head) != 16 {
+		t.Fatalf("inflight = %d", int(h.p.queues[0].tail-h.p.queues[0].head))
 	}
 }
 
@@ -369,6 +369,57 @@ func TestPSNWraparound(t *testing.T) {
 		if em.Item.(int) != i || !em.InOrder {
 			t.Fatalf("emission %d: item=%v inorder=%v", i, em.Item, em.InOrder)
 		}
+	}
+}
+
+// TestPSNWindow pins the FPGA legal check at the paper's 4K depth: the low
+// 12 bits of a returned PSN against the FIFO's [head, tail) window, counters
+// free-running over 16 bits, aliasing included.
+func TestPSNWindow(t *testing.T) {
+	p, err := New(sim.NewEngine(), Config{NumOrderQueues: 1, QueueDepth: 4096, NumCores: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		psn, head, tail uint16
+		want            bool
+	}{
+		{psn: 5, head: 0, tail: 10, want: true},
+		{psn: 10, head: 0, tail: 10, want: false},       // tail exclusive
+		{psn: 0, head: 0, tail: 10, want: true},         // head inclusive
+		{psn: 5, head: 5, tail: 5, want: false},         // empty window
+		{psn: 4090, head: 4000, tail: 4196, want: true}, // window wrapping 4K
+		{psn: 50, head: 4000, tail: 4196, want: true},   // its low side
+		{psn: 200, head: 4000, tail: 4196, want: false}, // outside it
+		{psn: 0x1005, head: 0, tail: 10, want: true},    // aliasing: low 12 bits in window
+		{psn: 7, head: 100, tail: 100 + 4096, want: true},
+	}
+	for i, c := range cases {
+		if got := p.inWindow(c.psn, c.head, c.tail); got != c.want {
+			t.Errorf("case %d: inWindow(%d,%d,%d) = %v, want %v", i, c.psn, c.head, c.tail, got, c.want)
+		}
+	}
+}
+
+func TestPSNWindowProperty(t *testing.T) {
+	p, err := New(sim.NewEngine(), Config{NumOrderQueues: 1, QueueDepth: 4096, NumCores: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// For any non-full window, a PSN equal to head+k for k < size must be
+	// inside; head+size must be outside.
+	f := func(head, sizeRaw uint16) bool {
+		size := sizeRaw%4095 + 1
+		tail := head + size
+		for _, k := range []uint16{0, size / 2, size - 1} {
+			if !p.inWindow(head+k, head, tail) {
+				return false
+			}
+		}
+		return !p.inWindow(tail, head, tail)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -100,9 +100,6 @@ type VF struct {
 	QueuePairs int
 }
 
-// Ready reports whether the pod has finished starting at time now.
-func (p *Pod) Ready(now sim.Time) bool { return now >= p.ReadyAt }
-
 // ServerConfig describes an Albatross server's resources.
 type ServerConfig struct {
 	Topology cpu.Topology
@@ -155,9 +152,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		vfUsed:   make([]int, cfg.NICs),
 	}, nil
 }
-
-// Pods returns the deployed pods.
-func (s *Server) Pods() []*Pod { return s.pods }
 
 // FreeCores returns the number of unallocated cores on a NUMA node.
 func (s *Server) FreeCores(node int) int {

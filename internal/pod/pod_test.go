@@ -94,8 +94,8 @@ func TestPlaceTwoPodsTwoNodes(t *testing.T) {
 	if p1.NUMANode == p2.NUMANode {
 		t.Fatal("two 46-core pods cannot share a 48-core node")
 	}
-	if len(s.Pods()) != 2 {
-		t.Fatalf("pods = %d", len(s.Pods()))
+	if len(s.pods) != 2 {
+		t.Fatalf("pods = %d", len(s.pods))
 	}
 	// VFs of each pod live on its node's NICs only.
 	for _, vf := range p1.VFs {
@@ -128,8 +128,8 @@ func TestPlaceFourSmallPods(t *testing.T) {
 			t.Fatalf("pod %d: %v", i, err)
 		}
 	}
-	if len(s.Pods()) != 4 {
-		t.Fatalf("pods = %d", len(s.Pods()))
+	if len(s.pods) != 4 {
+		t.Fatalf("pods = %d", len(s.pods))
 	}
 }
 
@@ -156,10 +156,10 @@ func TestRemoveFreesResources(t *testing.T) {
 func TestElasticity(t *testing.T) {
 	s, _ := NewServer(DefaultServerConfig())
 	p, _ := s.Place(spec("gw0", 8), sim.Time(5*sim.Second))
-	if p.Ready(sim.Time(5 * sim.Second)) {
+	if sim.Time(5*sim.Second) >= p.ReadyAt {
 		t.Fatal("ready immediately")
 	}
-	if !p.Ready(sim.Time(15 * sim.Second)) {
+	if sim.Time(15*sim.Second) < p.ReadyAt {
 		t.Fatal("not ready after 10s startup")
 	}
 	if p.ReadyAt.Sub(p.CreatedAt) != StartupTime {

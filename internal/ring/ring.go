@@ -36,9 +36,6 @@ func New[T any](capacity int) (*Ring[T], error) {
 	return &Ring[T]{buf: make([]T, capacity), mask: uint64(capacity - 1)}, nil
 }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.buf) }
-
 // Len returns the number of queued descriptors.
 func (r *Ring[T]) Len() int { return int(r.tail - r.head) }
 

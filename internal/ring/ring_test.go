@@ -17,8 +17,8 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cap() != 8 || r.Len() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d", r.Cap(), r.Len())
+	if len(r.buf) != 8 || r.Len() != 0 {
+		t.Fatalf("fresh ring: cap=%d len=%d", len(r.buf), r.Len())
 	}
 }
 

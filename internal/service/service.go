@@ -65,8 +65,6 @@ type profile struct {
 	lpmLookups int
 	// baseNS is the instruction-path cost excluding memory stalls.
 	baseNS float64
-	// stateful marks services that maintain per-flow sessions (SNAT).
-	stateful bool
 }
 
 type tableSpec struct {
@@ -96,7 +94,6 @@ var profiles = map[Type]profile{
 		},
 		lpmLookups: 2, // VXLAN route + Internet route
 		baseNS:     285,
-		stateful:   true,
 	},
 	VPCIDC: {
 		tables: []tableSpec{
@@ -213,9 +210,6 @@ type Service struct {
 	tables  *Tables
 	lpmBase uint64
 
-	// acl, when set via SetACL, adds rule-based filtering on top.
-	acl *ACL
-
 	// warmSink absorbs WarmProbes' reads so they are not elided.
 	warmSink uint64
 }
@@ -250,9 +244,6 @@ func New(cfg Config) (*Service, error) {
 // Type returns the service type.
 func (s *Service) Type() Type { return s.cfg.Type }
 
-// Stateful reports whether the service maintains per-flow sessions.
-func (s *Service) Stateful() bool { return s.prof.stateful }
-
 // NumTables returns the number of exact-match tables in the modelled chain.
 func (s *Service) NumTables() int { return len(s.chain) }
 
@@ -280,9 +271,6 @@ func (s *Service) TableMemoryBytes() int64 {
 	}
 	return total
 }
-
-// RouteCount returns the number of installed LPM routes.
-func (s *Service) RouteCount() int { return s.tables.routes.Len() }
 
 // WarmProbes reads the exact-match probe-chain head for fh without looking
 // anything up: a load that starts the host cache miss early. No model state
@@ -381,8 +369,5 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 	// The len guard skips the map hash entirely in the common no-deny-state
 	// case.
 	drop := !known || (len(t.denied) != 0 && t.denied[flow])
-	if !drop && s.acl != nil && s.acl.Evaluate(flow) == ACLDeny {
-		drop = true
-	}
 	return Result{Cost: cost, Drop: drop, Hits: hits, Misses: misses}
 }

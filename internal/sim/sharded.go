@@ -95,9 +95,6 @@ func (g *ShardedEngine) NumShards() int { return len(g.shards) }
 // Shard returns shard i's engine.
 func (g *ShardedEngine) Shard(i int) *Engine { return g.shards[i] }
 
-// Now returns the control clock.
-func (g *ShardedEngine) Now() Time { return g.control.Now() }
-
 // Pending sums live queued events across the control and shard engines. It
 // reads atomic mirrors, so it is safe from any goroutine mid-run.
 func (g *ShardedEngine) Pending() int {
@@ -123,9 +120,6 @@ func (g *ShardedEngine) SetAdvance(fn func(shard int, target Time)) { g.advance 
 // can move it earlier must follow a SyncShards. Without a function the
 // horizon is unbounded and epochs are paced by the chunk cap alone.
 func (g *ShardedEngine) SetBoundary(fn func() Time) { g.boundary = fn }
-
-// SetChunk caps epoch length; d <= 0 removes the cap.
-func (g *ShardedEngine) SetChunk(d Duration) { g.chunk = d }
 
 // SyncShards serially advances every shard to the control clock and
 // invalidates the cached boundary. A control event must call it before
@@ -236,6 +230,3 @@ func (g *ShardedEngine) RunUntil(deadline Time) {
 	g.control.RunUntil(deadline)
 	g.advanceAll(deadline, true)
 }
-
-// RunFor advances the system by d virtual nanoseconds.
-func (g *ShardedEngine) RunFor(d Duration) { g.RunUntil(g.control.Now().Add(d)) }

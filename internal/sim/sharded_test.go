@@ -119,8 +119,8 @@ func TestShardedMailMergeOrder(t *testing.T) {
 	if got := h.shardLog(1); len(got) != 4 {
 		t.Fatalf("shard 1 log = %v, want 4 ticks", got)
 	}
-	if h.g.Now() != 400 {
-		t.Fatalf("control clock = %v, want 400", h.g.Now())
+	if h.g.control.Now() != 400 {
+		t.Fatalf("control clock = %v, want 400", h.g.control.Now())
 	}
 }
 
@@ -162,7 +162,7 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 			}
 		}
 		src.AfterArg(13, emit, nil)
-		h.g.SetChunk(500)
+		h.g.chunk = 500
 		h.g.RunUntil(3000)
 		out := map[int][]string{}
 		for i := 0; i < shards; i++ {
@@ -246,7 +246,7 @@ func TestShardedStaleBoundaryPanics(t *testing.T) {
 // event introduces through SyncShards mid-epoch still shortens that epoch.
 func TestShardedBoundaryCached(t *testing.T) {
 	g := NewShardedEngine(2)
-	g.SetChunk(10)
+	g.chunk = 10
 	calls := 0
 	flap := Time(0) // a transition the owner only learns of mid-run
 	g.SetBoundary(func() Time {

@@ -45,12 +45,6 @@ const (
 // return it to mean "no upcoming transition".
 const TimeMax = Time(math.MaxInt64)
 
-// FromStd converts a time.Duration to a sim.Duration.
-func FromStd(d time.Duration) Duration { return Duration(d.Nanoseconds()) }
-
-// Std converts a sim.Duration to a time.Duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
@@ -484,12 +478,6 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// LogNormal returns a log-normally distributed value with the given
-// parameters of the underlying normal distribution.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
 }
 
 // Perm fills a permutation of [0, n) deterministically (Fisher-Yates).

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -163,12 +162,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 }
 
 func TestDurationConversions(t *testing.T) {
-	if FromStd(3*time.Microsecond) != 3*Microsecond {
-		t.Error("FromStd mismatch")
-	}
-	if (2 * Millisecond).Std() != 2*time.Millisecond {
-		t.Error("Std mismatch")
-	}
 	if (1500 * Microsecond).Seconds() != 0.0015 {
 		t.Error("Seconds mismatch")
 	}

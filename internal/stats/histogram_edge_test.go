@@ -44,8 +44,8 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 	if h.RelativeError() != 1.0/16 {
 		t.Fatalf("RelativeError = %v, want 1/16", h.RelativeError())
 	}
-	if h.SubBits() != 4 {
-		t.Fatalf("SubBits = %d, want 4", h.SubBits())
+	if h.subBits != 4 {
+		t.Fatalf("SubBits = %d, want 4", h.subBits)
 	}
 }
 

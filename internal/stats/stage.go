@@ -42,13 +42,3 @@ func StageBalance(counters []StageCounter) (string, bool) {
 	}
 	return "", true
 }
-
-// StageTable renders per-stage counters as an aligned table.
-func StageTable(counters []StageCounter) *Table {
-	t := NewTable("Stage", "In", "Out", "Drops", "InFlight")
-	for i := range counters {
-		c := &counters[i]
-		t.AddRow(c.Name, c.In, c.Out, c.Drops, c.InFlight())
-	}
-	return t
-}

@@ -129,10 +129,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 }
 
-// SubBits returns the histogram's precision parameter (sub-buckets per
-// magnitude = 1<<SubBits).
-func (h *Histogram) SubBits() uint { return h.subBits }
-
 // RelativeError returns the worst-case relative quantization error of a
 // recorded value: 1/2^subBits.
 func (h *Histogram) RelativeError() float64 { return 1 / float64(uint64(1)<<h.subBits) }
@@ -218,10 +214,6 @@ func (h *Histogram) FractionAbove(v int64) float64 {
 func (h *Histogram) FractionBetween(lo, hi int64) float64 {
 	return h.FractionAbove(lo) - h.FractionAbove(hi)
 }
-
-// NumBuckets returns the length of the histogram's bucket array — the
-// size a BucketSnapshot destination must have.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
 
 // BucketSnapshot copies the histogram's raw bucket counts into dst,
 // growing it if needed, and returns the slice. A snapshot taken before a
@@ -338,12 +330,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the sample count.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
 // Variance returns the population variance.
 func (w *Welford) Variance() float64 {
 	if w.n == 0 {
@@ -354,9 +340,6 @@ func (w *Welford) Variance() float64 {
 
 // Stddev returns the population standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
 
 // Series is an append-only time series of (t, v) points with summary
 // helpers; used for utilization traces (Fig. 10) and rate plots (Fig. 13/14).
@@ -398,20 +381,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation of the values.
-func (s *Series) Stddev() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var sum float64
-	for _, v := range s.V {
-		d := v - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.V)))
 }
 
 // StddevAcross computes, pointwise, the standard deviation across several
@@ -461,18 +430,6 @@ func Percentile(vals []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return c[lo]*(1-frac) + c[hi]*frac
 }
-
-// Counter is a monotonically increasing event counter with a name.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.N++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.N += n }
 
 // Table renders aligned text tables for experiment reports.
 type Table struct {

@@ -75,14 +75,3 @@ func New(opts ...Option) (*Source, error) {
 	}
 	return s, nil
 }
-
-// MustNew is New for static configurations known to be valid; it panics on
-// a validation error. Experiment code uses it where a config error is a
-// programming bug, not an input error.
-func MustNew(opts ...Option) *Source {
-	s, err := New(opts...)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -6,9 +6,9 @@ import (
 )
 
 // Recorder captures the exact injection schedule flowing through a
-// workload sink. It interposes transparently: WrapSink returns a sink that
-// records each arrival and forwards it unchanged, so any workload.Source
-// (or hand-driven injection loop) can be recorded without modification.
+// workload sink: the sink calls Record for each arrival it forwards, so any
+// workload.Source (or hand-driven injection loop) can be recorded without
+// modification.
 //
 // Recording is allocation-free per packet apart from the amortized growth
 // of the event slice — BenchmarkPacketPathRecorded pins the packet path at
@@ -45,18 +45,6 @@ func (r *Recorder) Record(f workload.Flow, bytes, node, pod int) {
 		Pod:   pod,
 	})
 }
-
-// WrapSink returns a sink that records each arrival (unassigned target)
-// and forwards it to inner.
-func (r *Recorder) WrapSink(inner func(workload.Flow, int)) func(workload.Flow, int) {
-	return func(f workload.Flow, bytes int) {
-		r.Record(f, bytes, -1, -1)
-		inner(f, bytes)
-	}
-}
-
-// Events returns the number of injections recorded so far.
-func (r *Recorder) Events() int { return len(r.events) }
 
 // Trace finalizes the recording into a serializable Trace. The recorder
 // may keep recording; later Trace calls include the additional events.

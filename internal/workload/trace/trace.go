@@ -31,7 +31,6 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"time"
 
 	"albatross/internal/errs"
 	"albatross/internal/packet"
@@ -329,59 +328,4 @@ func ReadFile(path string) (*Trace, error) {
 	}
 	defer f.Close()
 	return Read(f)
-}
-
-// ReadSidecar loads the JSON header sidecar written by WriteFile. It lets
-// tooling inspect a trace's metadata without decoding the record stream.
-func ReadSidecar(path string) (Header, error) {
-	var h Header
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return h, err
-	}
-	if err := json.Unmarshal(data, &h); err != nil {
-		return h, fmt.Errorf("trace: decoding sidecar: %w", ErrBadTrace)
-	}
-	return h, nil
-}
-
-// FromPcap ingests a libpcap capture into a trace: each frame that decodes
-// to an IPv4 tenant flow becomes an event at its capture-relative
-// timestamp; undecodable frames are counted in skipped. The import path
-// turns real production captures (or packet.PcapWriter output) into
-// replayable schedules.
-func FromPcap(r io.Reader) (t *Trace, skipped int, err error) {
-	pr, err := packet.NewPcapReader(r)
-	if err != nil {
-		return nil, 0, err
-	}
-	pkts, err := pr.ReadAll()
-	if err != nil {
-		return nil, 0, err
-	}
-	t = &Trace{Header: Header{Note: "imported from pcap"}}
-	var parsed packet.Parsed
-	var base time.Duration
-	for i, p := range pkts {
-		if i == 0 {
-			base = p.TS
-		}
-		tuple, vni, ok := packet.ExtractFlow(p.Data, &parsed)
-		if !ok {
-			skipped++
-			continue
-		}
-		t.Events = append(t.Events, Event{
-			At:    sim.Duration(p.TS - base),
-			Flow:  workload.Flow{Tuple: tuple, VNI: vni},
-			Bytes: p.OrigLen,
-			Node:  -1,
-			Pod:   -1,
-		})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, skipped, err
-	}
-	t.finalizeHeader()
-	return t, skipped, nil
 }

@@ -2,15 +2,15 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"albatross/internal/core"
 	"albatross/internal/errs"
-	"albatross/internal/packet"
 	"albatross/internal/pod"
 	"albatross/internal/service"
 	"albatross/internal/sim"
@@ -85,8 +85,12 @@ func TestTraceFileSidecar(t *testing.T) {
 	if !reflect.DeepEqual(got.Events, orig.Events) {
 		t.Fatal("events differ after file round trip")
 	}
-	side, err := trace.ReadSidecar(path + ".json")
+	data, err := os.ReadFile(path + ".json")
 	if err != nil {
+		t.Fatal(err)
+	}
+	var side trace.Header
+	if err := json.Unmarshal(data, &side); err != nil {
 		t.Fatal(err)
 	}
 	if side.Events != len(orig.Events) || side.Seed != 42 {
@@ -129,7 +133,7 @@ func TestTraceRejectsCorruption(t *testing.T) {
 }
 
 // TestRecordReplayMetricsByteIdentical is the tentpole contract at node
-// scope: record a live run through a wrapped sink, replay the trace into a
+// scope: record a live run through a recording sink, replay the trace into a
 // freshly built identical node, and require the full metrics exports —
 // Prometheus text and JSON — to match byte for byte.
 func TestRecordReplayMetricsByteIdentical(t *testing.T) {
@@ -152,11 +156,15 @@ func TestRecordReplayMetricsByteIdentical(t *testing.T) {
 	flows := workload.GenerateFlows(500, 20, 7)
 	n1, p1 := build()
 	rec := trace.NewRecorder(n1.Engine)
+	live := p1.Sink()
 	src, err := workload.New(
 		workload.WithFlows(flows),
 		workload.WithRate(workload.ConstantRate(4e5)),
 		workload.WithSeed(99),
-		workload.WithSink(rec.WrapSink(p1.Sink())),
+		workload.WithSink(func(f workload.Flow, bytes int) {
+			rec.Record(f, bytes, -1, -1)
+			live(f, bytes)
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +184,8 @@ func TestRecordReplayMetricsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Events() == 0 || len(tr.Events) != rec.Events() {
-		t.Fatalf("recorded %d events, decoded %d", rec.Events(), len(tr.Events))
+	if recorded := len(rec.Trace().Events); recorded == 0 || len(tr.Events) != recorded {
+		t.Fatalf("recorded %d events, decoded %d", recorded, len(tr.Events))
 	}
 
 	n2, p2 := build()
@@ -204,69 +212,5 @@ func TestRecordReplayMetricsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(j1, j2) {
 		t.Fatal("JSON exports differ between recorded run and replay")
-	}
-}
-
-// TestFromPcap pins the pcap → trace import: VXLAN frames written by the
-// repo's own pcap writer come back as events with the inner tenant flow,
-// and non-flow frames are counted as skipped, not dropped silently.
-func TestFromPcap(t *testing.T) {
-	var buf bytes.Buffer
-	pw := packet.NewPcapWriter(&buf, 0)
-	b := packet.NewBuilder(512)
-	specs := []struct {
-		vni   uint32
-		sport uint16
-		at    time.Duration
-	}{
-		{100, 1111, 0},
-		{200, 2222, 150 * time.Microsecond},
-		{100, 3333, 900 * time.Microsecond},
-	}
-	for _, s := range specs {
-		frame := packet.BuildVXLANPacket(b, &packet.VXLANSpec{
-			OuterSrc:   packet.IPv4FromUint32(0x0a000001),
-			OuterDst:   packet.IPv4FromUint32(0x0a000002),
-			VNI:        s.vni,
-			InnerSrc:   packet.IPv4FromUint32(0x0b000001),
-			InnerDst:   packet.IPv4FromUint32(0x0c000001),
-			InnerProto: packet.IPProtocolTCP,
-			InnerSPort: s.sport,
-			InnerDPort: 443,
-			PayloadLen: 32,
-		})
-		if err := pw.WritePacket(s.at, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One frame that is not parseable as a flow.
-	if err := pw.WritePacket(time.Millisecond, []byte{0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-
-	tr, skipped, err := trace.FromPcap(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped != 1 {
-		t.Fatalf("skipped %d frames, want 1", skipped)
-	}
-	if len(tr.Events) != len(specs) {
-		t.Fatalf("imported %d events, want %d", len(tr.Events), len(specs))
-	}
-	for i, s := range specs {
-		ev := tr.Events[i]
-		if ev.Flow.VNI != s.vni || ev.Flow.Tuple.SPort != s.sport {
-			t.Fatalf("event %d: flow %+v does not match spec %+v", i, ev.Flow, s)
-		}
-		if ev.At != sim.Duration(s.at) {
-			t.Fatalf("event %d at %d, want %d", i, ev.At, sim.Duration(s.at))
-		}
-		if ev.Node != -1 || ev.Pod != -1 {
-			t.Fatalf("event %d carries a target %d/%d, want unassigned", i, ev.Node, ev.Pod)
-		}
-	}
-	if tr.Header.Flows != 3 {
-		t.Fatalf("header flows %d, want 3", tr.Header.Flows)
 	}
 }

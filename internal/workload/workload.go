@@ -80,17 +80,6 @@ func StepRate(before, after float64, at sim.Time) RateFn {
 	}
 }
 
-// RampRate linearly ramps from 0 to max over the given duration, then
-// holds — the Fig. 8 heavy-hitter sweep.
-func RampRate(max float64, over sim.Duration) RateFn {
-	return func(t sim.Time) float64 {
-		if sim.Duration(t) >= over {
-			return max
-		}
-		return max * float64(t) / float64(over)
-	}
-}
-
 // Microburst modulates a base rate with periodic bursts: every `period`,
 // the rate multiplies by `factor` for `burstLen`. Cloud gateways see many
 // such sub-second bursts (paper §6, Fig. 10).

@@ -79,16 +79,6 @@ func TestRateFunctions(t *testing.T) {
 	if s(sim.Time(15*sim.Second)) != 34e6 || s(sim.Time(20*sim.Second)) != 34e6 {
 		t.Fatal("step after")
 	}
-	r := RampRate(10e6, 10*sim.Second)
-	if r(0) != 0 {
-		t.Fatal("ramp start")
-	}
-	if math.Abs(r(sim.Time(5*sim.Second))-5e6) > 1 {
-		t.Fatal("ramp middle")
-	}
-	if r(sim.Time(20*sim.Second)) != 10e6 {
-		t.Fatal("ramp plateau")
-	}
 }
 
 func TestMicroburst(t *testing.T) {

@@ -54,8 +54,7 @@ type (
 	TraceEvent = trace.Event
 	// TraceHeader is the trace's JSON metadata (also saved as a sidecar).
 	TraceHeader = trace.Header
-	// TraceRecorder captures a live run's schedule (Cluster.RecordingSink,
-	// TraceRecorder.WrapSink).
+	// TraceRecorder captures a live run's schedule (Cluster.RecordingSink).
 	TraceRecorder = trace.Recorder
 	// TraceReplayer drives an engine from a trace (Cluster.ReplayTrace).
 	TraceReplayer = trace.Replayer
@@ -78,10 +77,6 @@ func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
 
 // ReadTraceFile loads a trace artifact saved by Trace.WriteFile.
 func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
-
-// TraceFromPcap imports a libpcap capture as a replayable trace; frames
-// that do not decode to a tenant flow are counted in skipped.
-func TraceFromPcap(r io.Reader) (t *Trace, skipped int, err error) { return trace.FromPcap(r) }
 
 // ReplayTraceInto replays t into an arbitrary sink on engine — the
 // low-level form of Cluster.ReplayTrace for single-node runs

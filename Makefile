@@ -64,9 +64,14 @@ gameday: build
 #                shard and record<->replay identity), plus a -plan dry run of
 #                the diff path.
 #   series-*     the convergence drill's sampled timeline must export
-#                byte-identical CSV and JSON across a repeat run, shards 1 vs
-#                3, and dispatch burst 1 vs 8 — the axes the timeline's
-#                tick-boundary epoch barrier promises not to perturb.
+#                byte-identical CSV and JSON across a repeat run and shards 1
+#                vs 3 — the axes the timeline's tick-boundary epoch barrier
+#                promises not to perturb.
+#   burst-invariance  every committed drill prints the same report at
+#                dispatch burst 1 and 8 (the dataplane echo line aside): burst
+#                is a batch size and changes event counts only. The report
+#                carries the outcome and series checksums, so this covers the
+#                exported series too.
 #   concury      the flow-table backend experiment in quick mode: backend
 #                agreement, zero-disruption pool updates, the session-vs-othello
 #                memory ratio, cluster byte-identity with othello + burst.
@@ -76,6 +81,8 @@ gameday: build
 #                stale when an experiment or a check is added or removed.
 #   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
 #                its reference LRU (the committed seeds alone run in `go test`).
+#   cpu-fuzz     ten seconds of native fuzzing of the core queue model against
+#                its event-driven reference (committed seeds run in `go test`).
 #   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
@@ -92,6 +99,9 @@ check: build
 	asim="timeout 240 $$tmp/asim"; conv=scenarios/convergence-drill.yaml; \
 	same() { cmp $$tmp/a.csv $$tmp/$$1.csv && cmp $$tmp/a.json $$tmp/$$1.json; }; \
 	counts() { echo "$$(grep -c '^== ' $$1)/$$(grep -c '^check \[' $$1)"; }; \
+	report() { $$asim run -burst $$1 $$2 2>/dev/null | grep -v '^  dataplane ' > $$tmp/burst$$1; }; \
+	invariant() { for f in scenarios/*.yaml; do report 1 $$f; report 8 $$f; \
+		cmp -s $$tmp/burst1 $$tmp/burst8 || return 1; done; }; \
 	for row in \
 		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
 		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
@@ -100,10 +110,11 @@ check: build
 		"series-base|$$asim run -series-out $$tmp/a $$conv" \
 		"series-repeat|$$asim run -series-out $$tmp/b $$conv && same b" \
 		"series-shards|$$asim run -shards 3 -series-out $$tmp/c $$conv && same c" \
-		"series-burst|$$asim run -burst 8 -series-out $$tmp/d $$conv && same d" \
+		"burst-invariance|invariant" \
 		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
+		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \
 	; do \

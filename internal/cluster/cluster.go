@@ -593,13 +593,8 @@ func (c *Cluster) Timeline() *metrics.Timeline { return c.timeline }
 // wide per tick.
 //
 // Every sampled value is switch-plane (counted at injection time) or
-// control-plane (BFD/uplink timer) state. Egress-side state — pod Tx,
-// completion latency histograms — is deliberately excluded: burst-batched
-// dispatch preserves end-of-run totals bit for bit but may move a
-// packet's completion across a tick boundary, so per-tick windows over
-// egress counters would break the burst-size half of the byte-identity
-// contract. The injection schedule and routing decisions are identical
-// under every execution strategy, so these series are not.
+// control-plane (BFD/uplink timer) state; egress-side state — pod Tx,
+// completion latency histograms — is not sampled.
 func (c *Cluster) armTimeline() {
 	reg := metrics.New()
 	reg.Counter("albatross_cluster_sprayed_packets_total",

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"albatross/internal/nicsim"
 	"albatross/internal/packet"
 	"albatross/internal/plb"
@@ -8,32 +10,27 @@ import (
 	"albatross/internal/sim"
 )
 
-// Burst-batched dispatch: when NodeConfig.Burst > 1 the pod replaces the
-// per-packet NIC-ingress event with a burst accumulator. Packets injected
-// back-to-back at the same virtual instant (and same traffic class) share ONE
-// arrival event; the CPU stage admits them arithmetically (cpu.Core.Admit
-// computes start/finish times in place of per-packet queue/service events)
-// and ONE per-pod drain event retires everything whose computed finish time
-// has passed.
+// The data path after classification and metering, as batches and computed
+// times rather than per-packet events.
 //
-// Every observable — counters, histograms, PLB return times, end-to-end
-// latency — is a pure function of the computed times, never of the engine
-// clock at processing, so outcomes are invariant in the burst size: B=2 and
-// B=32 produce byte-identical metrics for the same packet sequence. Burst <= 1
-// leaves the legacy per-packet path untouched (that is the byte-identity
-// anchor against the unbatched build).
+// NIC ingress: packets injected back-to-back at one virtual instant (and of
+// one traffic class) share one NIC-DMA arrival event, up to NodeConfig.Burst
+// of them; Burst 1 is a burst of one. At arrival each member is dispatched
+// and admitted to its core (cpu.Core.Admit), which computes when it will
+// finish.
 //
-// Member state is struct-of-arrays per core (corePend): a core serializes its
-// admissions, so each core's finish times are already sorted and the drain is
-// a K-way merge over core heads — no sort, no allocation on the hot path.
-//
-// Known modeling caveat (documented in DESIGN.md §13): completions are
-// deferred from their logical finish time to the drain event, so a PLB
-// reorder timeout whose deadline lands inside that deferral window fires in
-// burst mode where the unbatched path would have seen the return first. None
-// of the committed workloads cross that boundary; burst-size invariance is
-// validated by test, not claimed as a theorem. The flight recorder is forced
-// off in burst mode (per-packet journeys assume per-packet events).
+// Completion: a CPU completion or an egress completion is not an event but
+// a (time, engine sequence number) pair: the sequence number is reserved
+// (sim.Engine.Reserve) when an event walk would have scheduled the
+// completion — when its packet starts service, or enters egress. The pod
+// keeps one timer, armed at the earliest such pair over its cores and its
+// egress queues. When it fires it completes that one, and goes on through
+// the next ones for as long as each would also be the engine's next event,
+// moving the clock to it; then it re-arms. Completions therefore
+// interleave with arrivals, PLB timeouts, faults and stress windows exactly
+// as per-packet events would, the flight recorder stamps every step from
+// the engine clock, and Burst only changes how many events run, never what
+// the run reports.
 
 // burst accumulates same-instant, same-class injections into one arrival.
 type burst struct {
@@ -44,41 +41,37 @@ type burst struct {
 	members []*pktCtx
 }
 
-// burstIngressStage replaces ingressStage when Burst > 1: identical PCIe
-// accounting, but the NIC-DMA hop is one shared event per burst.
-type burstIngressStage struct{}
-
-func (burstIngressStage) Name() string { return "nic-ingress" }
-
-func (burstIngressStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
+// ingress is the NIC ingress stage: header-payload split accounting, then
+// the packet joins the open burst of its class or opens one, whose arrival
+// event fires after the class's ingress latency.
+func (pr *PodRuntime) ingress(ctx *pktCtx, now sim.Time) {
 	n := pr.node
+	pr.pipe.enter(ctx, stageIngress, now)
 	if pr.payload != nil && ctx.class == nicsim.ClassPLB && ctx.bytes > headerSplitBytes {
 		ctx.split = true
 		pr.nextPay++
-		ctx.payID = pr.nextPay
+		ctx.payID = pr.nextPay // provisional; rekeyed to meta at dispatch
 		pr.PCIeRxBytes += headerSplitBytes
 	} else {
 		pr.PCIeRxBytes += uint64(ctx.bytes) + packet.MetaLen
 	}
-	now := n.Engine.Now()
 	b := pr.openBurst[ctx.class]
 	// Join the open burst only when nothing else was scheduled since it was
 	// opened (SchedSeq unchanged): a source that schedules its next injection
-	// between packets breaks the run, so scenario traffic degrades to
-	// singleton bursts and keeps its exact legacy event interleaving.
+	// between packets breaks the run, so its traffic arrives in singleton
+	// bursts with the event interleaving of one arrival per packet.
 	if b != nil && b.t0 == now && len(b.members) < pr.burst &&
 		n.Engine.SchedSeq() == b.mark {
 		b.members = append(b.members, ctx)
-		return StageConsumed
+		return
 	}
 	b = pr.getBurst()
 	b.class = ctx.class
 	b.t0 = now
 	b.members = append(b.members, ctx)
-	n.Engine.AfterArg(n.cfg.NIC.IngressLatency(ctx.class), burstArrivalEvent, b)
+	n.Engine.AfterArg(n.cfg.NIC.IngressLatency(ctx.class), arrivalEvent, b)
 	b.mark = n.Engine.SchedSeq()
 	pr.openBurst[ctx.class] = b
-	return StageConsumed
 }
 
 // getBurst takes a burst accumulator from the pod's pool.
@@ -92,10 +85,10 @@ func (pr *PodRuntime) getBurst() *burst {
 	return &burst{pr: pr, members: make([]*pktCtx, 0, pr.burst)}
 }
 
-// burstArrivalEvent fires when the burst's shared NIC-DMA hop completes: the
-// whole burst lands in host memory at once and runs dispatch + arithmetic
-// CPU admission member by member, in injection order.
-func burstArrivalEvent(arg any) {
+// arrivalEvent fires when the burst's shared NIC-DMA hop completes: the
+// whole burst lands in host memory at once and runs dispatch and CPU
+// admission member by member, in injection order.
+func arrivalEvent(arg any) {
 	b := arg.(*burst)
 	pr := b.pr
 	if pr.openBurst[b.class] == b {
@@ -116,8 +109,7 @@ func burstArrivalEvent(arg any) {
 	// Software-pipelined dispatch: hash + probe-head loads issue two members
 	// ahead, the dependent reads of the cache model's tag sets (128 B per
 	// entry or LPM line touched) one ahead, so each member's host cache
-	// misses resolve while its predecessor computes — the batching
-	// win the per-packet path structurally cannot have. Warm passes touch no
+	// misses resolve while its predecessor computes. Warm passes touch no
 	// model state; outcomes are bit-identical with or without them.
 	members := b.members
 	svc := pr.Svc
@@ -139,266 +131,303 @@ func burstArrivalEvent(arg any) {
 			}
 		}
 		b.members[i] = nil
-		pr.burstDispatch(ctx, now)
+		pr.dispatch(ctx, now)
 	}
 	b.members = b.members[:0]
 	pr.burstFree = append(pr.burstFree, b)
 }
 
-// burstDispatch runs one burst member through the dispatch stage and the
-// arithmetic CPU admission, mirroring the legacy chain's accounting exactly
-// (the dispatch In/residency were batched by the arrival event).
-func (pr *PodRuntime) burstDispatch(ctx *pktCtx, now sim.Time) {
+// dispatch runs one arrived member through the dispatch stage (whose In and
+// residency the arrival batched) and admits it to its core.
+func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
 	pipe := &pr.pipe
 	ctx.stage = stageDispatch
 	ctx.enterAt = now
-	var v StageVerdict
+	if ctx.trace != nil {
+		ctx.trace.leave(now, StepNext)
+		ctx.trace.enter(stageDispatch, now)
+	}
+	var ok bool
 	if pr.mode == pod.ModePLB {
-		// Devirtualized common case; fallback pods go through the chain slot.
-		v = plbDispatchStage{}.Process(pr, ctx)
+		ok = pr.plbDispatch(ctx, now)
 	} else {
-		v = pipe.stages[stageDispatch].Process(pr, ctx)
+		ok = pr.rssDispatch(ctx, now)
 	}
-	switch v {
-	case StageDrop:
-		pipe.counters[stageDispatch].Drops++
-		return
-	case StageNext:
-		pipe.counters[stageDispatch].Out++
-	case StageConsumed:
-		return // dispatch stages never consume; defensive
-	}
-
-	ctx.stage = stageCPU
-	ctx.enterAt = now
-	pipe.counters[stageCPU].In++
-	c := pr.Cores[ctx.core]
-	start, finish, ok := c.Admit(ctx.cost)
 	if !ok {
-		// RX queue overflow (or failed core), same as cpuStage: the PLB FIFO
-		// entry stays behind until its timeout.
-		pr.QueueDrops++
-		pipe.counters[stageCPU].Drops++
-		pipe.resid[stageCPU].RecordZero()
+		pipe.counters[stageDispatch].Drops++
 		pr.putCtx(ctx)
 		return
 	}
-	// The CPU-return latency is a computed quantity; record it at admission.
-	pr.CPULatency.Record(int64(finish.Sub(ctx.queueAt)))
-
-	cp := &pr.pend[ctx.core]
-	cp.ctx = append(cp.ctx, ctx)
-	cp.start = append(cp.start, start)
-	cp.finish = append(cp.finish, finish)
-	cp.seq = append(cp.seq, pr.admitSeq)
-	if len(cp.finish)-cp.head == 1 {
-		// The core was idle: this member is its new merge head. (A non-empty
-		// core never changes heads on admit — finishes append in order.)
-		pr.headF[ctx.core] = finish
-		pr.headSeq[ctx.core] = pr.admitSeq
+	pipe.counters[stageDispatch].Out++
+	if ctx.trace != nil {
+		ctx.trace.leave(now, StepNext)
 	}
-	pr.admitSeq++
-	pr.pending++
-	if !pr.drain.Active() {
-		pr.drain = pr.node.Engine.AfterArg(finish.Sub(now), podDrainEvent, pr)
+
+	pipe.enter(ctx, stageCPU, now)
+	if !pr.Cores[ctx.core].Admit(ctx, ctx.cost) {
+		// RX queue overflow (or a failed core): the CPU never sees the
+		// packet; its FIFO entry (if PLB-dispatched) stays until the 100µs
+		// timeout — a real HOL source.
+		pr.QueueDrops++
+		pipe.dropSync(ctx)
+		pr.putCtx(ctx)
+		return
+	}
+	pr.admitted(int(ctx.core))
+}
+
+// admitted notes a packet core just queued: if it is the core's only one,
+// its completion is the core's next.
+func (pr *PodRuntime) admitted(core int) {
+	if pr.Cores[core].Pending() == 1 {
+		pr.refresh(core)
 	}
 }
 
-// podDrainEvent retires every pending member whose computed finish time has
-// passed, in (finish, admission) order — the order the unbatched path's
-// completion events would have fired — then re-arms at the latest remaining
-// finish so a wave of admissions costs O(1) drain events.
-func podDrainEvent(arg any) {
-	pr := arg.(*PodRuntime)
-	pr.drainPendingThrough(pr.node.Engine.Now(), true)
+// completion is when one of the pod's completions is due: its time and
+// engine sequence number.
+type completion struct {
+	at  sim.Time
+	seq uint64
 }
 
-// drainPendingThrough completes members with finish <= now in global
-// (finish, admission-seq) order — a K-way merge over the per-core queues,
-// whose finish times each core's serial admission keeps sorted. rearm
-// re-arms the drain event for the remainder; failCores passes false and
-// re-arms itself once the failed cores are swept.
-func (pr *PodRuntime) drainPendingThrough(now sim.Time, rearm bool) {
-	heads := pr.headF
-	for pr.pending > 0 {
-		// Pick the earliest (finish, seq) head from the compact head cache —
-		// one cache line for 8 cores, no pointer chase into the queues.
-		best := 0
-		bestF := heads[0]
-		for c := 1; c < len(heads); c++ {
-			if f := heads[c]; f < bestF ||
-				(f == bestF && pr.headSeq[c] < pr.headSeq[best]) {
-				best, bestF = c, f
+// refresh re-reads core i's next completion into pr.heads and moves the pod
+// timer to it if it comes first.
+func (pr *PodRuntime) refresh(i int) {
+	at, seq := pr.Cores[i].Next()
+	pr.setHead(i, completion{at, seq})
+	pr.wake(at, seq)
+}
+
+// setHead records source i's next completion, keeping pr.busy: bit b is set
+// while any source i with i%64 == b has one pending, so nextDue visits only
+// sources with work.
+func (pr *PodRuntime) setHead(i int, h completion) {
+	pr.heads[i] = h
+	b := uint64(1) << uint(i%64)
+	if h.at != sim.TimeMax {
+		pr.busy |= b
+		return
+	}
+	for j := i % 64; j < len(pr.heads); j += 64 {
+		if pr.heads[j].at != sim.TimeMax {
+			return
+		}
+	}
+	pr.busy &^= b
+}
+
+// wake moves the pod timer to the completion (at, seq) if that comes before
+// the one it is armed for (at is sim.TimeMax for none). Completions made
+// while the timer settles are covered by the re-arm at its end.
+func (pr *PodRuntime) wake(at sim.Time, seq uint64) {
+	if pr.settling || at == sim.TimeMax || at > pr.timerAt || (at == pr.timerAt && seq >= pr.timerSeq) {
+		return
+	}
+	pr.timer.Stop()
+	pr.arm(at, seq)
+}
+
+// arm schedules the pod timer at the completion (at, seq).
+func (pr *PodRuntime) arm(at sim.Time, seq uint64) {
+	pr.timerAt, pr.timerSeq = at, seq
+	pr.timer = pr.node.Engine.AtArgSeq(at, seq, podTimerEvent, pr)
+}
+
+// podTimerEvent settles the pod's due completions.
+func podTimerEvent(arg any) { arg.(*PodRuntime).settle() }
+
+// settle runs the pod's completions in order for as long as the next one
+// would also be the engine's next event (sim.Engine.Advance moves the clock
+// to it), then re-arms the timer at the first one that is not. A stall or a
+// failure may have moved or removed what the timer was armed for; such a
+// firing only re-arms.
+func (pr *PodRuntime) settle() {
+	e := pr.node.Engine
+	pr.settling = true
+	src, at, seq := pr.nextDue()
+	for ; at != sim.TimeMax && e.Advance(at, seq); src, at, seq = pr.nextDue() {
+		if src < len(pr.Cores) {
+			pr.Cores[src].Retire(pr.cpuDone)
+			pr.refresh(src)
+		} else {
+			q := &pr.egress[src-len(pr.Cores)]
+			ctx := q.pop()
+			pr.setHead(src, q.next())
+			pr.egressDone(ctx, at)
+		}
+	}
+	pr.settling = false
+	pr.timerAt = sim.TimeMax
+	if at != sim.TimeMax {
+		pr.arm(at, seq)
+	}
+}
+
+// nextDue returns the source, time and sequence number of the pod's next
+// completion (time sim.TimeMax when none is pending). Sources are the
+// cores, then the egress queues, as indexed in pr.heads. A Stall (the NUMA
+// balancer stalls cores directly) can leave a core's entry early, never
+// late, so it re-reads the core it picks.
+func (pr *PodRuntime) nextDue() (int, sim.Time, uint64) {
+	for {
+		best, at, seq := -1, sim.TimeMax, uint64(0)
+		for m := pr.busy; m != 0; m &= m - 1 {
+			for i := bits.TrailingZeros64(m); i < len(pr.heads); i += 64 {
+				if h := &pr.heads[i]; h.at < at || (h.at == at && h.seq < seq) {
+					best, at, seq = i, h.at, h.seq
+				}
 			}
 		}
-		if bestF > now { // sim.TimeMax when every core is idle
-			break
+		if best < 0 || best >= len(pr.Cores) {
+			return best, at, seq
 		}
-		cp := &pr.pend[best]
-		h := cp.head
-		ctx, start := cp.ctx[h], cp.start[h]
-		cp.ctx[h] = nil
-		cp.head = h + 1
-		if cp.head == len(cp.finish) {
-			cp.ctx = cp.ctx[:0]
-			cp.start = cp.start[:0]
-			cp.finish = cp.finish[:0]
-			cp.seq = cp.seq[:0]
-			cp.head = 0
-			heads[best] = sim.TimeMax
-		} else {
-			heads[best] = cp.finish[cp.head]
-			pr.headSeq[best] = cp.seq[cp.head]
+		h := &pr.heads[best]
+		if h.at, h.seq = pr.Cores[best].Next(); h.at == at && h.seq == seq {
+			return best, at, seq
 		}
-		pr.pending--
-		pr.completeMember(ctx, start, bestF)
-	}
-	if rearm && !pr.drain.Active() {
-		pr.armDrain(now)
 	}
 }
 
-// armDrain schedules the drain event at the latest remaining finish (each
-// core's tail is its max) so a wave of admissions costs O(1) drain events.
-func (pr *PodRuntime) armDrain(now sim.Time) {
-	if pr.pending == 0 {
+// cpuDone completes a packet's CPU service at now. A service-verdict drop
+// releases its reorder FIFO entry through the active drop flag (unless the
+// Fig. 12 ablation disables it, leaking the entry until its timeout);
+// otherwise the packet enters plb_reorder, which RSS packets pass straight
+// through to egress.
+func (pr *PodRuntime) cpuDone(item any) {
+	ctx := item.(*pktCtx)
+	now := pr.node.Engine.Now()
+	if ctx.probe != nil {
+		pr.probeDone(ctx, now)
 		return
 	}
-	var maxF sim.Time
-	for c := range pr.pend {
-		cp := &pr.pend[c]
-		if n := len(cp.finish); n > cp.head && cp.finish[n-1] > maxF {
-			maxF = cp.finish[n-1]
-		}
-	}
-	pr.drain = pr.node.Engine.AfterArg(maxF.Sub(now), podDrainEvent, pr)
-}
-
-// failPending settles core's admitted-but-unfinished members as lost at the
-// fail instant now — the burst counterpart of cpu.Core.Fail's queue sweep +
-// onLost. Leaving them queued until their computed finish would break the
-// per-core sorted order once the recovered core admits again: its backlog
-// restarts at now, ahead of the stale (possibly stall-slowed) finishes.
-func (pr *PodRuntime) failPending(core int, now sim.Time) {
-	if pr.pend == nil {
-		return
-	}
-	cp := &pr.pend[core]
-	c := pr.Cores[core]
 	pipe := &pr.pipe
-	for h := cp.head; h < len(cp.finish); h++ {
-		ctx := cp.ctx[h]
-		cp.ctx[h] = nil
-		pr.FaultLost++
-		c.ArithLost(cp.start[h], cp.finish[h])
-		pipe.counters[stageCPU].Drops++
-		pipe.resid[stageCPU].Record(int64(now.Sub(ctx.enterAt)))
-		if ctx.split {
-			pr.payload.Take(ctx.payID)
-		}
-		pr.putCtx(ctx)
-		pr.pending--
-	}
-	cp.ctx = cp.ctx[:0]
-	cp.start = cp.start[:0]
-	cp.finish = cp.finish[:0]
-	cp.seq = cp.seq[:0]
-	cp.head = 0
-	pr.headF[core] = sim.TimeMax
-}
-
-// completeMember is the burst equivalent of onCPUDone + the reorder/egress
-// continuation, with every timestamp taken from the computed finish time.
-func (pr *PodRuntime) completeMember(ctx *pktCtx, start, finish sim.Time) {
-	pipe := &pr.pipe
+	pr.CPULatency.Record(int64(now.Sub(ctx.queueAt)))
 	if ctx.drop {
 		pr.ServiceDrop++
-		pipe.counters[stageCPU].Drops++
-		pipe.resid[stageCPU].Record(int64(finish.Sub(ctx.enterAt)))
-		if ctx.viaPLB {
-			if ctx.split {
-				pr.payload.Take(ctx.payID)
-			}
-			if pr.cfg.DropFlagDisabled {
-				pr.putCtx(ctx)
-				return
-			}
-			meta := ctx.meta
-			meta.Flags |= packet.MetaFlagDrop
+		pipe.dropHere(ctx, now)
+		if !ctx.viaPLB {
 			pr.putCtx(ctx)
-			pr.PLB.ReturnAt(nil, meta, finish)
 			return
 		}
+		if ctx.split {
+			pr.payload.Take(ctx.payID) // release the parked payload
+		}
+		if pr.cfg.DropFlagDisabled {
+			pr.putCtx(ctx)
+			return
+		}
+		meta := ctx.meta
+		meta.Flags |= packet.MetaFlagDrop
+		pr.putCtx(ctx)
+		pr.PLB.Return(nil, meta)
+		return
+	}
+	pipe.leave(ctx, now)
+	pipe.enter(ctx, stageReorder, now)
+	if ctx.viaPLB {
+		pr.PLB.Return(ctx, ctx.meta)
+		return
+	}
+	pipe.pass(ctx)
+	pr.egressStart(ctx, now)
+}
+
+// onEmission handles packets leaving plb_reorder: it completes their
+// reorder stage.
+func (pr *PodRuntime) onEmission(em plb.Emission) {
+	ctx, ok := em.Item.(*pktCtx)
+	if !ok || ctx == nil {
+		return
+	}
+	if !em.InOrder && ctx.trace != nil {
+		// The reorder engine gave up waiting and released this packet
+		// best-effort — flag its journey for the flight recorder.
+		ctx.trace.timeout = true
+	}
+	if ctx.split && !pr.payload.Take(ctx.payID) {
+		// Egress reassembly: the PLB engine only emits header-only packets
+		// whose payload is retained, so a missing payload means the buffer
+		// evicted it between the legal check and emission — drop the header.
+		pr.HeaderDrops++
+		pr.pipe.dropHere(ctx, em.Time)
 		pr.putCtx(ctx)
 		return
 	}
-	pipe.counters[stageCPU].Out++
-	pipe.resid[stageCPU].Record(int64(finish.Sub(ctx.enterAt)))
-	pr.Cores[ctx.core].ArithDone()
-
-	ctx.stage = stageReorder
-	ctx.enterAt = finish
-	pipe.counters[stageReorder].In++
-	if ctx.viaPLB {
-		pr.PLB.ReturnAt(ctx, ctx.meta, finish)
-		return
-	}
-	pipe.counters[stageReorder].Out++
-	pipe.resid[stageReorder].RecordZero()
-	pr.burstEgress(ctx, finish)
+	pr.pipe.leave(ctx, em.Time)
+	pr.egressStart(ctx, em.Time)
 }
 
-// burstEmission completes the reorder stage for a PLB member using the
-// emission's logical time (the engine clock sits at the drain event, which
-// may be later).
-func (pr *PodRuntime) burstEmission(ctx *pktCtx, em plb.Emission) {
-	pipe := &pr.pipe
-	if ctx.split {
-		if !pr.payload.Take(ctx.payID) {
-			pr.HeaderDrops++
-			pipe.counters[stageReorder].Drops++
-			pipe.resid[stageReorder].Record(int64(em.Time.Sub(ctx.enterAt)))
-			pr.putCtx(ctx)
-			return
-		}
-	}
-	pipe.counters[stageReorder].Out++
-	pipe.resid[stageReorder].Record(int64(em.Time.Sub(ctx.enterAt)))
-	pr.burstEgress(ctx, em.Time)
-}
-
-// burstEgress retires a member through the egress stage arithmetically: PCIe
-// TX accounting at `at`, completion at `at + egress latency`.
-func (pr *PodRuntime) burstEgress(ctx *pktCtx, at sim.Time) {
-	pipe := &pr.pipe
-	ctx.stage = stageEgress
-	ctx.enterAt = at
-	pipe.counters[stageEgress].In++
-	class := nicsim.ClassRSS
-	if ctx.viaPLB {
-		class = nicsim.ClassPLB
-	}
+// egressStart is the egress NIC pipeline: PCIe TX DMA (headers only in
+// split mode), then the class-dependent egress latency.
+func (pr *PodRuntime) egressStart(ctx *pktCtx, now sim.Time) {
+	pr.pipe.enter(ctx, stageEgress, now)
 	if ctx.split {
 		pr.PCIeTxBytes += headerSplitBytes
 	} else {
 		pr.PCIeTxBytes += uint64(ctx.bytes) + packet.MetaLen
 	}
-	lat := pr.node.cfg.NIC.EgressLatency(class)
+	pr.queueEgress(ctx, now)
+}
+
+// queueEgress puts ctx into the NIC egress pipeline of its class at now.
+func (pr *PodRuntime) queueEgress(ctx *pktCtx, now sim.Time) {
+	class, k := nicsim.ClassRSS, 0
+	if ctx.viaPLB {
+		class, k = nicsim.ClassPLB, 1
+	}
+	ctx.due = completion{now.Add(pr.node.cfg.NIC.EgressLatency(class)), pr.node.Engine.Reserve()}
+	q := &pr.egress[k]
+	if q.head == nil {
+		pr.setHead(len(pr.Cores)+k, ctx.due)
+		pr.wake(ctx.due.at, ctx.due.seq)
+	}
+	q.push(ctx)
+}
+
+// egressDone completes a packet's egress NIC traversal at now.
+func (pr *PodRuntime) egressDone(ctx *pktCtx, now sim.Time) {
 	pr.Tx++
 	pr.TxPerTenant[ctx.flow.VNI]++
-	pr.Latency.Record(int64(at.Add(lat).Sub(ctx.t0)))
-	pipe.counters[stageEgress].Out++
-	pipe.resid[stageEgress].Record(int64(lat))
+	pr.Latency.Record(int64(now.Sub(ctx.t0)))
+	if ctx.probe != nil {
+		ctx.probe.report(now)
+		return
+	}
+	pr.pipe.exit(ctx, now)
 	pr.putCtx(ctx)
 }
 
-// corePend is one core's struct-of-arrays queue of arithmetically admitted
-// members. A core serializes its service, so finish (and seq) are appended
-// in increasing order; head marks the next member to retire.
-type corePend struct {
-	ctx    []*pktCtx
-	start  []sim.Time
-	finish []sim.Time
-	seq    []uint64
-	head   int
+// egressQueue is one class's egress pipeline, a FIFO of contexts linked
+// through pktCtx.next. The class's latency is constant and packets enter in
+// time order, so they leave in FIFO order.
+type egressQueue struct {
+	head, tail *pktCtx
+}
+
+func (q *egressQueue) push(ctx *pktCtx) {
+	if q.tail == nil {
+		q.head = ctx
+	} else {
+		q.tail.next = ctx
+	}
+	q.tail = ctx
+}
+
+func (q *egressQueue) pop() *pktCtx {
+	ctx := q.head
+	q.head = ctx.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	ctx.next = nil
+	return ctx
+}
+
+// next returns when the oldest entry leaves (time sim.TimeMax when none).
+func (q *egressQueue) next() completion {
+	if q.head == nil {
+		return completion{at: sim.TimeMax}
+	}
+	return q.head.due
 }

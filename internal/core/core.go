@@ -58,11 +58,10 @@ type NodeConfig struct {
 	// internal/flowtable.BackendNames). Empty leaves Ingress on the legacy
 	// first-pod path.
 	FlowBackend string
-	// Burst > 1 enables burst-batched dispatch (see burst.go): same-instant
-	// injections share one arrival event per Burst packets and complete via
-	// arithmetic admission + one per-pod drain event. Burst <= 1 keeps the
-	// legacy per-packet event path bit-for-bit. Burst > 1 disables the
-	// flight recorder.
+	// Burst is the dispatch batch size (see burst.go): up to Burst
+	// same-instant injections share one NIC arrival event. It changes how
+	// many events a run executes, never what the run reports; <= 1 is a
+	// burst of one.
 	Burst int
 }
 
@@ -239,7 +238,7 @@ type pktCtx struct {
 	class   nicsim.Class
 	queueAt sim.Time
 	core    int32    // core chosen by the dispatch stage
-	stage   int8     // pipeline chain slot currently holding the packet
+	stage   int8     // stage currently holding the packet
 	enterAt sim.Time // when the packet entered its current stage
 	fh      uint32   // cached flow.Tuple.Hash(); valid only when fhOK
 	fhOK    bool
@@ -247,6 +246,10 @@ type pktCtx struct {
 	split   bool
 	payID   uint64
 	probe   *probeState
+	// due is when the packet leaves the NIC egress pipeline, and next links
+	// it into its class's egress queue (see burst.go).
+	due  completion
+	next *pktCtx
 	// trace is the packet's flight-recorder journey; nil for unsampled
 	// packets (the common case — one nil check per stage).
 	trace *Journey
@@ -265,7 +268,7 @@ type PodRuntime struct {
 	cfg     PodConfig
 	rng     *sim.Rand
 	mode    pod.Mode // current mode; may change via FallbackToRSS
-	pipe    Pipeline // the staged ingress chain (see pipeline.go)
+	pipe    Pipeline // per-stage counters and residencies (see pipeline.go)
 	flight  *FlightRecorder
 	payload *nicsim.PayloadBuffer
 	nextPay uint64
@@ -283,23 +286,24 @@ type PodRuntime struct {
 	rxLossUntil []sim.Time
 	rxLossProb  []float64
 
-	// ctxFree recycles pktCtx values; cpuDoneFn is onCPUDone bound once so
-	// Enqueue calls do not allocate a method-value closure per packet.
-	ctxFree   []*pktCtx
-	cpuDoneFn func(any)
+	// ctxFree recycles pktCtx values.
+	ctxFree []*pktCtx
 
-	// Burst-batched dispatch state (see burst.go); idle when burst <= 1.
-	// openBurst is indexed by traffic class; pend holds each core's
-	// struct-of-arrays queue of admitted members awaiting the drain event.
+	// Dispatch and completion state (see burst.go). openBurst is indexed by
+	// traffic class; egress holds the packets in the NIC egress pipeline,
+	// RSS class then PLB class; heads holds the next completion of each
+	// core, then of each egress queue. timer is the pod's one completion
+	// timer, armed at (timerAt, timerSeq); timerAt is sim.TimeMax when idle.
 	burst     int
 	openBurst [3]*burst
 	burstFree []*burst
-	pend      []corePend
-	headF     []sim.Time // per-core merge head finish (TimeMax when idle)
-	headSeq   []uint64   // admission seq of each merge head
-	pending   int
-	admitSeq  uint64
-	drain     sim.Timer // the armed drain event; inactive when none is pending
+	heads     []completion
+	busy      uint64 // see setHead
+	egress    [2]egressQueue
+	timer     sim.Timer
+	timerAt   sim.Time
+	timerSeq  uint64
+	settling  bool
 
 	// Latency is the end-to-end (wire to wire) latency histogram.
 	Latency *stats.Histogram
@@ -395,12 +399,11 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 		cfg:         cfg,
 		rng:         sim.NewRand(n.cfg.Seed ^ uint64(p.ID)<<32 ^ 0xA1BA),
 		mode:        cfg.Spec.Mode,
-		pipe:        newPipeline(cfg.Spec.Mode),
+		pipe:        newPipeline(),
 		Latency:     stats.NewLatencyHistogram(),
 		CPULatency:  stats.NewLatencyHistogram(),
 		TxPerTenant: make(map[uint32]uint64),
 	}
-	pr.cpuDoneFn = pr.onCPUDone
 	traceEvery := cfg.TraceSampleEvery
 	switch {
 	case traceEvery == 0:
@@ -408,18 +411,12 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 	case traceEvery < 0:
 		traceEvery = 0 // disabled
 	}
-	if n.cfg.Burst > 1 {
-		// Burst mode: per-packet journeys assume per-packet events.
-		traceEvery = 0
-		pr.burst = n.cfg.Burst
-		pr.pipe.stages[stageIngress] = burstIngressStage{}
-		pr.pend = make([]corePend, cfg.Spec.DataCores)
-		pr.headF = make([]sim.Time, cfg.Spec.DataCores)
-		pr.headSeq = make([]uint64, cfg.Spec.DataCores)
-		for i := range pr.headF {
-			pr.headF[i] = sim.TimeMax
-		}
+	pr.burst = max(n.cfg.Burst, 1)
+	pr.heads = make([]completion, cfg.Spec.DataCores+len(pr.egress))
+	for i := range pr.heads {
+		pr.heads[i].at = sim.TimeMax
 	}
+	pr.timerAt = sim.TimeMax
 	pr.flight = newFlightRecorder(traceEvery, cfg.TraceRing)
 	if cfg.HeaderSplit {
 		pr.payload = nicsim.NewPayloadBuffer(cfg.PayloadBufferBytes)
@@ -461,9 +458,8 @@ func payloadID(m packet.Meta) uint64 {
 func (pr *PodRuntime) Mode() pod.Mode { return pr.mode }
 
 // FallbackToRSS dynamically switches the pod from PLB to RSS mode (paper
-// §4.1 item 5: the last-resort HOL remediation) by swapping the dispatch
-// stage of the ingress chain. New packets are hashed by flow; packets
-// already in flight keep their chain positions and drain through the
+// §4.1 item 5: the last-resort HOL remediation). New packets are hashed by
+// flow; packets already in flight keep their PLB meta and drain through the
 // reorder engine.
 func (pr *PodRuntime) FallbackToRSS() error {
 	if pr.mode == pod.ModeRSS {
@@ -477,7 +473,6 @@ func (pr *PodRuntime) FallbackToRSS() error {
 		pr.RSS = eng
 	}
 	pr.mode = pod.ModeRSS
-	pr.pipe.stages[stageDispatch] = rssDispatchStage{}
 	pr.Fallbacks++
 	return nil
 }
@@ -500,9 +495,9 @@ func (pr *PodRuntime) getCtx() *pktCtx {
 }
 
 // putCtx recycles a data-path context at the end of a packet's life. Every
-// terminal point of the packet — sync drops inside Process, async drops,
-// egress completion — funnels through here, so this is where a sampled
-// journey closes: a trace that never reached exitHere died in ctx.stage.
+// terminal point of the packet — drops in any stage, egress completion —
+// funnels through here, so this is where a sampled journey closes: a trace
+// that never reached exit died in ctx.stage.
 func (pr *PodRuntime) putCtx(c *pktCtx) {
 	if c.trace != nil {
 		j := c.trace
@@ -517,20 +512,8 @@ func (pr *PodRuntime) putCtx(c *pktCtx) {
 	pr.ctxFree = append(pr.ctxFree, c)
 }
 
-// egressEvent completes a packet's egress NIC traversal (the last async
-// hop of the chain).
-func egressEvent(arg any) {
-	c := arg.(*pktCtx)
-	pr := c.pr
-	pr.Tx++
-	pr.TxPerTenant[c.flow.VNI]++
-	pr.Latency.Record(int64(pr.node.Engine.Now().Sub(c.t0)))
-	pr.pipe.exitHere(c)
-	pr.putCtx(c)
-}
-
 // Inject runs one packet through the pod's full path: the node-level gates
-// (uplink state, pod lifecycle), then the staged ingress chain.
+// (uplink state, pod lifecycle), then the stages of pipeline.go.
 func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 	n := pr.node
 
@@ -565,25 +548,28 @@ func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 
 	pr.Rx++
 
+	now := n.Engine.Now()
 	ctx := pr.getCtx()
 	ctx.pr = pr
 	ctx.flow = f
 	ctx.bytes = bytes
-	ctx.t0 = n.Engine.Now()
+	ctx.t0 = now
 	if j := pr.flight.sample(); j != nil {
 		j.Flow = f
 		j.Bytes = bytes
-		j.T0 = ctx.t0
+		j.T0 = now
 		j.Core = -1
 		ctx.trace = j
 	}
 
-	pr.pipe.run(pr, ctx, stageClassify)
+	if pr.classify(ctx, now) && pr.meter(ctx, now) {
+		pr.ingress(ctx, now)
+	}
 }
 
 // serviceCost computes the packet's CPU demand and drop verdict. The tuple
-// hash is computed once per packet and cached on the context (the burst
-// path's warm pass fills it even earlier).
+// hash is computed once per packet and cached on the context (the arrival
+// event's warm pass fills it even earlier).
 func (pr *PodRuntime) serviceCost(ctx *pktCtx) (sim.Duration, bool) {
 	if !ctx.fhOK {
 		ctx.fh = ctx.flow.Tuple.Hash()
@@ -598,73 +584,6 @@ func (pr *PodRuntime) serviceCost(ctx *pktCtx) (sim.Duration, bool) {
 		cost += float64(pr.cfg.SlowPathCost)
 	}
 	return sim.Duration(cost), res.Drop
-}
-
-// onCPUDone is invoked in virtual time when a core finishes a packet; it
-// completes the chain's cpu stage.
-func (pr *PodRuntime) onCPUDone(item any) {
-	ctx := item.(*pktCtx)
-	now := pr.node.Engine.Now()
-	pr.CPULatency.Record(int64(now.Sub(ctx.queueAt)))
-
-	if ctx.drop {
-		// Service verdict: the CPU drops the packet. PLB-dispatched drops
-		// release their reorder FIFO entry via the active drop flag (unless
-		// the Fig. 12 ablation disables it, leaking the entry until its
-		// timeout).
-		pr.ServiceDrop++
-		pr.pipe.dropHere(ctx)
-		if ctx.viaPLB {
-			if ctx.split {
-				// Release the parked payload with the packet.
-				pr.payload.Take(ctx.payID)
-			}
-			if pr.cfg.DropFlagDisabled {
-				// Silent drop: reorder resources leak until timeout.
-				pr.putCtx(ctx)
-				return
-			}
-			meta := ctx.meta
-			meta.Flags |= packet.MetaFlagDrop
-			pr.putCtx(ctx)
-			pr.PLB.Return(nil, meta)
-			return
-		}
-		pr.putCtx(ctx)
-		return
-	}
-	pr.pipe.resumeNext(pr, ctx)
-}
-
-// onEmission handles packets leaving plb_reorder: it completes the chain's
-// reorder stage.
-func (pr *PodRuntime) onEmission(em plb.Emission) {
-	ctx, ok := em.Item.(*pktCtx)
-	if !ok || ctx == nil {
-		return
-	}
-	if pr.burst > 1 {
-		pr.burstEmission(ctx, em)
-		return
-	}
-	if !em.InOrder && ctx.trace != nil {
-		// The reorder engine gave up waiting and released this packet
-		// best-effort — flag its journey for the flight recorder.
-		ctx.trace.timeout = true
-	}
-	if ctx.split {
-		// Egress reassembly: rejoin the parked payload. The PLB engine only
-		// emits header-only packets whose payload is retained; a missing
-		// payload here means the buffer evicted it between the legal check
-		// and emission — drop the header.
-		if !pr.payload.Take(ctx.payID) {
-			pr.HeaderDrops++
-			pr.pipe.dropHere(ctx)
-			pr.putCtx(ctx)
-			return
-		}
-	}
-	pr.pipe.resumeNext(pr, ctx)
 }
 
 // UtilSamplers returns one utilization sampler per data core.

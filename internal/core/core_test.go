@@ -454,6 +454,35 @@ func TestInjectProbe(t *testing.T) {
 			t.Fatalf("probe %d stages %v != total %v", i, sum, r.Total)
 		}
 	}
+
+	// A probe queues behind the data its core already holds, however the
+	// data arrived: 200 packets injected at one instant onto a one-core RSS
+	// pod, then a probe 10 µs later.
+	for _, burst := range []int{1, 8} {
+		t.Run(fmt.Sprintf("queued-behind-burst/burst=%d", burst), func(t *testing.T) {
+			n, err := NewNode(NodeConfig{
+				Seed:  1,
+				Cache: cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
+				Burst: burst,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wf, sf := wflows(1000, 40)
+			pr := addPod(t, n, pod.ModeRSS, 1, sf, nil)
+			for i := 0; i < 200; i++ {
+				pr.Inject(wf[i], 256)
+			}
+			var got ProbeResult
+			n.Engine.At(sim.Time(10*sim.Microsecond), func() {
+				pr.InjectProbe(wf[0], func(r ProbeResult) { got = r })
+			})
+			n.RunFor(sim.Millisecond)
+			if got.QueueWait != 197883 || got.Total != 206174 {
+				t.Fatalf("probe behind 200 packets: %+v, want queue wait 197.883µs, total 206.174µs", got)
+			}
+		})
+	}
 }
 
 func TestProbeDroppedByLimiter(t *testing.T) {

@@ -104,9 +104,9 @@ func (pr *PodRuntime) onLost(item any) {
 	if ctx.split {
 		pr.payload.Take(ctx.payID)
 	}
-	// Charge the loss to whichever async stage held the packet (probes never
-	// enter the chain, so only data-path contexts reach here).
-	pr.pipe.dropHere(ctx)
+	// Charge the loss to the stage that held the packet (probes never enter
+	// the stages, so only data-path contexts reach here).
+	pr.pipe.dropHere(ctx, pr.node.Engine.Now())
 	pr.putCtx(ctx)
 }
 
@@ -150,10 +150,12 @@ func (n *Node) InjectCoreStall(podIdx, core int, factor float64, d sim.Duration)
 	pr.noteFaultWindow(d)
 	c := pr.Cores[core]
 	c.SetSlowFactor(factor)
+	pr.refresh(core)
 	n.Engine.After(d, func() {
 		// A later overlapping stall with a different factor wins.
 		if c.SlowFactor() == factor {
 			c.SetSlowFactor(1)
+			pr.refresh(core)
 		}
 	})
 	return nil
@@ -196,24 +198,12 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 }
 
 // failCores takes cores [lo, hi) offline at the current instant and counts
-// every packet they held — queued, in service, or (burst mode) admitted with
-// a computed finish still ahead — as fault-lost. Already-failed cores hold
-// nothing and are skipped by Fail.
+// every packet they held, queued or in service, as fault-lost. Already-failed
+// cores hold nothing and are skipped by Fail.
 func (pr *PodRuntime) failCores(lo, hi int) {
-	now := pr.node.Engine.Now()
-	// Burst mode: members whose computed finish precedes the failure already
-	// completed logically; retire them first so the failure only claims what
-	// the per-packet path would have lost.
-	pr.drainPendingThrough(now, false)
 	for i := lo; i < hi; i++ {
 		pr.FaultLost += uint64(pr.Cores[i].Fail(pr.onLost))
-		pr.failPending(i, now)
-	}
-	// The armed drain may sit at a swept member's stale finish; holding the
-	// healthy cores' completions back until then would time out their
-	// reorder entries.
-	if pr.drain.Stop() {
-		pr.armDrain(now)
+		pr.refresh(i)
 	}
 }
 

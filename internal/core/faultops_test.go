@@ -25,8 +25,8 @@ func windowDisorder(a, b plb.Stats) float64 {
 	return float64(be) / float64(in+be)
 }
 
-// faultBursts are the dispatch shapes the stall-then-fail tests run under with
-// identical expectations: the per-packet path and burst-batched dispatch.
+// faultBursts are the dispatch batch sizes the stall-then-fail tests run
+// under with identical expectations.
 var faultBursts = []int{1, 8}
 
 // TestCoreFailBoundedLoss is the core-eviction acceptance test: failing a

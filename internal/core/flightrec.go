@@ -10,16 +10,16 @@ import (
 
 // The packet flight recorder: a bounded, pooled, sampled trace ring per
 // pod. Every TraceSampleEvery-th injected data packet carries a Journey
-// that the stage chain fills with its per-stage timeline (enter/leave
+// that the stages fill with its per-stage timeline (enter/leave
 // virtual time, verdict, dispatch core, PLB PSN/order queue). When the
-// packet ends, journeys of interest — drops anywhere in the chain, and
+// packet ends, journeys of interest — drops anywhere on the path, and
 // packets the reorder engine released out of order after a timeout — are
 // committed into a fixed-size ring; the rest recycle silently. Sampling is
 // counter-based (every Nth packet, never randomized), so a fixed seed
 // replays the exact same journeys.
 //
 // The recorder is built for the hot path: live traces come from a free
-// list, steps live in a fixed-size array (the chain has 7 slots), and a
+// list, steps live in a fixed-size array (the path has 7 stages), and a
 // commit is a single struct copy into the preallocated ring. Steady-state
 // cost is one counter increment per packet plus a nil check per stage.
 
@@ -92,12 +92,12 @@ func (r JourneyReason) String() string {
 	}
 }
 
-// maxTraceSteps bounds a journey's timeline: one step per chain slot.
+// maxTraceSteps bounds a journey's timeline: one step per stage.
 const maxTraceSteps = numStages + 1
 
 // TraceStep is one stage visit of a traced packet.
 type TraceStep struct {
-	Stage   int8 // chain slot index (StageNames order)
+	Stage   int8 // stage index (StageNames order)
 	Verdict StepVerdict
 	Enter   sim.Time
 	Leave   sim.Time
@@ -125,7 +125,7 @@ type Journey struct {
 	NSteps uint8
 
 	// builder state (not meaningful in committed copies)
-	completed bool // reached exitHere (priority or egress completion)
+	completed bool // left through exit (priority or egress completion)
 	timeout   bool // reorder engine emitted it best-effort
 }
 
@@ -164,13 +164,13 @@ func (j *Journey) String() string {
 	return b.String()
 }
 
-// stageNames maps chain slot indices to the stable stage labels (the
-// dispatch slot keeps one name across PLB/RSS mode switches).
+// stageNames maps stage indices to the stable stage labels (dispatch keeps
+// one name across PLB/RSS mode switches).
 var stageNames = [numStages]string{
 	"classify", "gop", "nic-ingress", "dispatch", "cpu", "reorder", "nic-egress",
 }
 
-// StageNames returns the pipeline's stage labels in chain order.
+// StageNames returns the pipeline's stage labels in path order.
 func StageNames() []string { return stageNames[:] }
 
 // FlightRecorder samples packet journeys for one pod.
@@ -193,7 +193,7 @@ type FlightRecorder struct {
 
 	// Counters.
 	Sampled   uint64 // journeys attached to packets
-	Drops     uint64 // committed: packet died in the chain
+	Drops     uint64 // committed: packet died on the path
 	Timeouts  uint64 // committed: reorder released it best-effort
 	Triggered uint64 // committed: an operator trigger matched
 	Discarded uint64 // sampled journeys that ended uneventfully

@@ -4,53 +4,26 @@ import (
 	"albatross/internal/gop"
 	"albatross/internal/nicsim"
 	"albatross/internal/packet"
-	"albatross/internal/pod"
+	"albatross/internal/sim"
 	"albatross/internal/stats"
 )
 
-// This file is the staged ingress pipeline: the pod's packet path
-// (classify → GOP → dispatch → CPU → reorder → egress, mirroring Fig. 1)
-// expressed as a chain of composable Stages instead of one monolithic
-// dispatch function. Each chain slot carries a stats.StageCounter, so
-// per-stage conservation (In == Out + Drops once drained) is observable
-// and testable; the PLB-vs-RSS branching lives in which dispatch Stage
-// occupies the chain slot, not in hardcoded switches.
+// This file is the pod's packet path (classify → GOP → NIC ingress →
+// dispatch → CPU → reorder → NIC egress, mirroring Fig. 1). Each stage
+// carries a stats.StageCounter and a residency histogram, so per-stage
+// conservation (In == Out + Drops once drained) is observable and the
+// residencies partition end-to-end latency.
 //
-// Stages are stateless singletons — all per-packet state rides the pooled
-// pktCtx and all per-pod state lives on the PodRuntime — so the chain adds
-// no allocations to the hot path. Asynchronous hops (NIC DMA latency, CPU
-// service time, reorder parking) return StageConsumed; the event that
-// completes the hop re-enters the chain via resumeNext, which credits the
-// stage's Out counter so conservation accounting survives the async
-// boundary. A packet lost while parked inside an async stage is charged to
-// that stage by dropHere (see onLost in faultops.go).
+// Classify, GOP and dispatch are synchronous and occupy zero virtual time.
+// NIC ingress is the burst accumulator (burst.go): same-instant arrivals
+// share one NIC-DMA event. The CPU, reorder and egress stages schedule no
+// events of their own: cpu.Core computes when each packet finishes, and the
+// pod's one timer settles CPU and egress completions at their times
+// (burst.go). A packet lost inside a stage is charged to that stage by
+// dropHere (see onLost in faultops.go). All per-packet state rides the
+// pooled pktCtx, so the path allocates nothing.
 
-// StageVerdict is a Stage's disposition of one packet.
-type StageVerdict uint8
-
-const (
-	// StageNext passes the packet to the next stage synchronously.
-	StageNext StageVerdict = iota
-	// StageConsumed means the stage took ownership: the packet continues
-	// (or terminates) later via resumeNext / dropHere / an exit event.
-	StageConsumed
-	// StageDrop terminates the packet; the stage already did its drop
-	// bookkeeping (counter + context release).
-	StageDrop
-)
-
-// Stage is one slot of the ingress pipeline.
-type Stage interface {
-	// Name is the stage's counter label.
-	Name() string
-	// Process runs the packet through the stage.
-	Process(pr *PodRuntime, ctx *pktCtx) StageVerdict
-}
-
-// Chain slot indices. The chain has a fixed shape for both load-balancing
-// modes (the reorder stage passes RSS packets through untouched) so that
-// in-flight packets keep valid stage indices when FallbackToRSS swaps the
-// dispatch slot mid-run.
+// Stage slot indices, in path order.
 const (
 	stageClassify = iota
 	stageGOP
@@ -67,92 +40,63 @@ const (
 // stage. Stage residencies span ns to ms, so log-linear bucketing fits.
 const stageHistSubBits = 6
 
-// Pipeline is a pod's stage chain plus per-stage conservation counters and
-// residency-time histograms.
+// Pipeline is a pod's per-stage conservation counters and residency-time
+// histograms.
 type Pipeline struct {
-	stages   [numStages]Stage
 	counters [numStages]stats.StageCounter
 	// resid[i] holds stage i's residency (enter -> leave virtual time) for
-	// every packet that completed the stage, by any verdict. Synchronous
-	// stages record zero (their modeled FPGA latency rides the async NIC
-	// events); async stages (NIC DMA, CPU queue+service, reorder parking)
-	// record the real parked time, so the histograms partition the pod's
-	// end-to-end latency exactly: sum over stages of resid[i].Sum() equals
-	// Latency's sum when nothing drops.
+	// every packet that left the stage, by any verdict. Synchronous stages
+	// record zero (their modeled FPGA latency rides the NIC stages); the NIC,
+	// CPU (queue + service) and reorder stages record the real time, so the
+	// histograms partition the pod's end-to-end latency exactly: sum over
+	// stages of resid[i].Sum() equals Latency's sum when nothing drops.
 	resid [numStages]*stats.Histogram
 }
 
-// newPipeline builds the chain for the pod's initial mode.
-func newPipeline(mode pod.Mode) Pipeline {
-	p := Pipeline{stages: [numStages]Stage{
-		classifyStage{}, gopStage{}, ingressStage{},
-		plbDispatchStage{}, cpuStage{}, reorderStage{}, egressStage{},
-	}}
-	if mode == pod.ModeRSS {
-		p.stages[stageDispatch] = rssDispatchStage{}
-	}
+// newPipeline builds the counters and histograms.
+func newPipeline() Pipeline {
+	var p Pipeline
 	for i := range p.counters {
-		p.counters[i].Name = p.stages[i].Name()
+		p.counters[i].Name = stageNames[i]
 		p.resid[i] = stats.NewHistogram(stageHistSubBits)
 	}
-	// The dispatch slot is mode-dependent; give its counter a stable name
-	// so FallbackToRSS does not rename mid-run counters.
-	p.counters[stageDispatch].Name = "dispatch"
 	return p
 }
 
-// run advances ctx through the chain starting at stage `from`. Stages that
-// complete synchronously occupy zero virtual time — their residency records
-// through the RecordZero fast path; async stages stamp ctx.enterAt and
-// record the parked time when their completion event re-enters the chain.
-func (p *Pipeline) run(pr *PodRuntime, ctx *pktCtx, from int) {
-	now := pr.node.Engine.Now()
-	for i := from; i < numStages; i++ {
-		ctx.stage = int8(i)
-		ctx.enterAt = now
-		if ctx.trace != nil {
-			ctx.trace.enter(int8(i), now)
-		}
-		p.counters[i].In++
-		switch p.stages[i].Process(pr, ctx) {
-		case StageNext:
-			p.counters[i].Out++
-			p.resid[i].RecordZero()
-			if ctx.trace != nil {
-				ctx.trace.leave(now, StepNext)
-			}
-		case StageConsumed:
-			return
-		case StageDrop:
-			// The stage already released ctx (putCtx committed any trace
-			// with a drop verdict); only the aggregate accounting runs here.
-			p.counters[i].Drops++
-			p.resid[i].RecordZero()
-			return
-		}
+// enter opens stage i for ctx at now.
+func (p *Pipeline) enter(ctx *pktCtx, i int, now sim.Time) {
+	ctx.stage = int8(i)
+	ctx.enterAt = now
+	if ctx.trace != nil {
+		ctx.trace.enter(int8(i), now)
+	}
+	p.counters[i].In++
+}
+
+// pass completes ctx's synchronous stage: zero residency, verdict next.
+func (p *Pipeline) pass(ctx *pktCtx) {
+	i := ctx.stage
+	p.counters[i].Out++
+	p.resid[i].RecordZero()
+	if ctx.trace != nil {
+		ctx.trace.leave(ctx.enterAt, StepNext)
 	}
 }
 
-// resumeNext completes the async stage ctx is parked in (crediting its Out
-// and recording the parked residency) and continues the chain at the
-// following stage.
-func (p *Pipeline) resumeNext(pr *PodRuntime, ctx *pktCtx) {
-	i := int(ctx.stage)
-	now := pr.node.Engine.Now()
+// leave completes ctx's stage at now, recording the time it spent there.
+func (p *Pipeline) leave(ctx *pktCtx, now sim.Time) {
+	i := ctx.stage
 	p.counters[i].Out++
 	p.resid[i].Record(int64(now.Sub(ctx.enterAt)))
 	if ctx.trace != nil {
 		ctx.trace.leave(now, StepNext)
 	}
-	p.run(pr, ctx, i+1)
 }
 
-// exitHere completes the pipeline early at ctx's current stage (the
-// priority shortcut and the egress completion): the packet finished, it was
-// not dropped.
-func (p *Pipeline) exitHere(ctx *pktCtx) {
+// exit completes the path at ctx's stage at now (the priority shortcut and
+// the egress completion): the packet finished, it was not dropped.
+func (p *Pipeline) exit(ctx *pktCtx, now sim.Time) {
 	i := ctx.stage
-	now := ctx.pr.node.Engine.Now()
 	p.counters[i].Out++
 	p.resid[i].Record(int64(now.Sub(ctx.enterAt)))
 	if ctx.trace != nil {
@@ -161,119 +105,90 @@ func (p *Pipeline) exitHere(ctx *pktCtx) {
 	}
 }
 
-// dropHere charges a drop to the async stage ctx is parked in, including
-// its residency up to the moment of death. The trace (if any) commits when
-// the context returns to the pool.
-func (p *Pipeline) dropHere(ctx *pktCtx) {
+// dropHere charges a drop to ctx's stage at now, including its residency up
+// to the moment of death. The trace (if any) commits when the context
+// returns to the pool.
+func (p *Pipeline) dropHere(ctx *pktCtx, now sim.Time) {
 	i := ctx.stage
 	p.counters[i].Drops++
-	p.resid[i].Record(int64(ctx.pr.node.Engine.Now().Sub(ctx.enterAt)))
+	p.resid[i].Record(int64(now.Sub(ctx.enterAt)))
 }
 
-// Stages returns the per-stage conservation counters in chain order.
+// dropSync charges a drop to ctx's synchronous stage (zero residency).
+func (p *Pipeline) dropSync(ctx *pktCtx) {
+	i := ctx.stage
+	p.counters[i].Drops++
+	p.resid[i].RecordZero()
+}
+
+// Stages returns the per-stage conservation counters in path order.
 func (pr *PodRuntime) Stages() []stats.StageCounter { return pr.pipe.counters[:] }
 
-// StageResidency returns the per-stage residency histograms in chain order
+// StageResidency returns the per-stage residency histograms in path order
 // (index with the same positions as Stages; labels via StageNames).
 func (pr *PodRuntime) StageResidency() []*stats.Histogram { return pr.pipe.resid[:] }
 
-// classifyStage runs pkt_dir classification. Priority packets (BFD, BGP,
-// probes' control plane) exit here: they skip overload protection and the
-// data path, riding the priority queues to the ctrl cores.
-type classifyStage struct{}
-
-func (classifyStage) Name() string { return "classify" }
-
-func (classifyStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
+// classify runs pkt_dir classification. Priority packets (BFD, BGP) exit
+// here: they skip overload protection and the data path, riding the
+// priority queues to the ctrl cores. It reports whether ctx continues.
+func (pr *PodRuntime) classify(ctx *pktCtx, now sim.Time) bool {
+	pr.pipe.enter(ctx, stageClassify, now)
 	class, _ := pr.Classifier.ClassifyFlow(ctx.flow.Tuple)
 	ctx.class = class
 	if class == nicsim.ClassPriority {
 		pr.PriorityRx++
 		n := pr.node
 		n.Engine.AfterArg(n.cfg.NIC.RoundTrip(nicsim.ClassPriority), priorityDoneEvent, ctx)
-		return StageConsumed
+		return false
 	}
-	return StageNext
+	pr.pipe.pass(ctx)
+	return true
 }
 
 // priorityDoneEvent completes a priority packet's NIC round trip.
 func priorityDoneEvent(arg any) {
 	ctx := arg.(*pktCtx)
 	pr := ctx.pr
+	now := pr.node.Engine.Now()
 	pr.PriorityTx++
-	pr.Latency.Record(int64(pr.node.Engine.Now().Sub(ctx.t0)))
-	pr.pipe.exitHere(ctx)
+	pr.Latency.Record(int64(now.Sub(ctx.t0)))
+	pr.pipe.exit(ctx, now)
 	pr.putCtx(ctx)
 }
 
-// gopStage is gateway overload protection in the NIC pipeline: the
-// two-stage tenant meter hierarchy drops overloading tenants' excess.
-type gopStage struct{}
-
-func (gopStage) Name() string { return "gop" }
-
-func (gopStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	n := pr.node
-	if n.Limiter != nil {
-		if n.Limiter.Process(ctx.flow.VNI, n.Engine.Now()) == gop.VerdictDrop {
-			pr.NICDrops++
-			pr.putCtx(ctx)
-			return StageDrop
-		}
+// meter is gateway overload protection in the NIC pipeline: the two-stage
+// tenant meter hierarchy drops overloading tenants' excess. It reports
+// whether ctx continues.
+func (pr *PodRuntime) meter(ctx *pktCtx, now sim.Time) bool {
+	pr.pipe.enter(ctx, stageGOP, now)
+	if l := pr.node.Limiter; l != nil && l.Process(ctx.flow.VNI, now) == gop.VerdictDrop {
+		pr.NICDrops++
+		pr.pipe.dropSync(ctx)
+		pr.putCtx(ctx)
+		return false
 	}
-	return StageNext
+	pr.pipe.pass(ctx)
+	return true
 }
 
-// ingressStage models the NIC ingress pipeline + PCIe DMA: header-payload
-// split accounting and the class-dependent ingress latency.
-type ingressStage struct{}
-
-func (ingressStage) Name() string { return "nic-ingress" }
-
-func (ingressStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	n := pr.node
-	if pr.payload != nil && ctx.class == nicsim.ClassPLB && ctx.bytes > headerSplitBytes {
-		ctx.split = true
-		pr.nextPay++
-		ctx.payID = pr.nextPay // provisional; rekeyed to meta at dispatch
-		pr.PCIeRxBytes += headerSplitBytes
-	} else {
-		pr.PCIeRxBytes += uint64(ctx.bytes) + packet.MetaLen
-	}
-	n.Engine.AfterArg(n.cfg.NIC.IngressLatency(ctx.class), ingressDoneEvent, ctx)
-	return StageConsumed
-}
-
-// ingressDoneEvent fires when the packet lands in host memory.
-func ingressDoneEvent(arg any) {
-	ctx := arg.(*pktCtx)
-	ctx.pr.pipe.resumeNext(ctx.pr, ctx)
-}
-
-// plbDispatchStage is plb_dispatch: compute the service cost and verdict,
-// spray the packet to the least-loaded core, stamp the PLB meta trailer.
-type plbDispatchStage struct{}
-
-func (plbDispatchStage) Name() string { return "plb-dispatch" }
-
-func (plbDispatchStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	cost, drop := pr.serviceCost(ctx)
-	ctx.cost = cost
-	ctx.drop = drop
-	ctx.queueAt = pr.node.Engine.Now()
+// plbDispatch is plb_dispatch: compute the service cost and verdict, spray
+// the packet to the next core, stamp the PLB meta trailer. It reports
+// whether the packet survived; a refused packet is counted but still owns
+// its context.
+func (pr *PodRuntime) plbDispatch(ctx *pktCtx, now sim.Time) bool {
+	ctx.cost, ctx.drop = pr.serviceCost(ctx)
+	ctx.queueAt = now
 
 	core, meta, ok := pr.PLB.Dispatch(ctx.fh)
 	if !ok {
 		pr.PLBDrops++
-		pr.putCtx(ctx)
-		return StageDrop
+		return false
 	}
 	if pr.rxLossHit(core) {
 		// RX DMA loss after dispatch: the FIFO entry stays behind and
 		// must wait out the reorder timeout (a real HOL source).
 		pr.RxLost++
-		pr.putCtx(ctx)
-		return StageDrop
+		return false
 	}
 	if ctx.split {
 		meta.Flags |= packet.MetaFlagHeaderOnly
@@ -283,80 +198,19 @@ func (plbDispatchStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
 	ctx.meta = meta
 	ctx.viaPLB = true
 	ctx.core = int32(core)
-	return StageNext
+	return true
 }
 
-// rssDispatchStage is the 1st-gen baseline: hash the flow to a core.
-type rssDispatchStage struct{}
-
-func (rssDispatchStage) Name() string { return "rss-dispatch" }
-
-func (rssDispatchStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	cost, drop := pr.serviceCost(ctx)
-	ctx.cost = cost
-	ctx.drop = drop
-	ctx.queueAt = pr.node.Engine.Now()
+// rssDispatch is the 1st-gen baseline: hash the flow to a core.
+func (pr *PodRuntime) rssDispatch(ctx *pktCtx, now sim.Time) bool {
+	ctx.cost, ctx.drop = pr.serviceCost(ctx)
+	ctx.queueAt = now
 
 	q := pr.RSS.Queue(ctx.flow.Tuple)
 	if pr.rxLossHit(q) {
 		pr.RxLost++
-		pr.putCtx(ctx)
-		return StageDrop
+		return false
 	}
 	ctx.core = int32(q)
-	return StageNext
-}
-
-// cpuStage enqueues the packet on its core's RX queue; the core's service
-// completion resumes the chain.
-type cpuStage struct{}
-
-func (cpuStage) Name() string { return "cpu" }
-
-func (cpuStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	if !pr.Cores[ctx.core].Enqueue(ctx, ctx.cost, pr.cpuDoneFn) {
-		// RX queue overflow: the CPU never sees the packet; its FIFO
-		// entry (if PLB-dispatched) stays until the 100µs timeout — a
-		// real HOL source.
-		pr.QueueDrops++
-		pr.putCtx(ctx)
-		return StageDrop
-	}
-	return StageConsumed
-}
-
-// reorderStage is plb_reorder: PLB-sprayed packets park until their order
-// queue restores per-flow order; RSS packets need no reordering and pass
-// through.
-type reorderStage struct{}
-
-func (reorderStage) Name() string { return "reorder" }
-
-func (reorderStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	if !ctx.viaPLB {
-		return StageNext
-	}
-	pr.PLB.Return(ctx, ctx.meta)
-	return StageConsumed
-}
-
-// egressStage models the egress NIC pipeline: PCIe TX DMA (headers only in
-// split mode) and the class-dependent egress latency.
-type egressStage struct{}
-
-func (egressStage) Name() string { return "nic-egress" }
-
-func (egressStage) Process(pr *PodRuntime, ctx *pktCtx) StageVerdict {
-	n := pr.node
-	class := nicsim.ClassRSS
-	if ctx.viaPLB {
-		class = nicsim.ClassPLB
-	}
-	if ctx.split {
-		pr.PCIeTxBytes += headerSplitBytes
-	} else {
-		pr.PCIeTxBytes += uint64(ctx.bytes) + packet.MetaLen
-	}
-	n.Engine.AfterArg(n.cfg.NIC.EgressLatency(class), egressEvent, ctx)
-	return StageConsumed
+	return true
 }

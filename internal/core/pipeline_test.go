@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"albatross/internal/cachesim"
+	"albatross/internal/cpu"
 	"albatross/internal/faults"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
@@ -130,8 +131,8 @@ func stageConservationUnderFaults(t *testing.T, burst int) {
 }
 
 // TestStageConservationAcrossFallback switches PLB→RSS mid-run with
-// packets in flight: the fixed chain shape must keep every in-flight
-// packet's stage index valid and the counters balanced.
+// packets in flight: in-flight PLB packets must still drain through the
+// reorder stage and the counters balance.
 func TestStageConservationAcrossFallback(t *testing.T) {
 	n := smallNode(t, nil)
 	wf, sf := wflows(2000, 1)
@@ -150,8 +151,31 @@ func TestStageConservationAcrossFallback(t *testing.T) {
 		t.Fatal("fallback did not switch mode")
 	}
 	assertStageConservation(t, pr)
-	// The dispatch slot keeps its stable counter name across the swap.
+	// The dispatch stage keeps its stable counter name across the switch.
 	if name := pr.Stages()[stageDispatch].Name; name != "dispatch" {
 		t.Fatalf("dispatch stage renamed to %q across fallback", name)
 	}
+}
+
+// A pod with more completion sources (cores plus two egress queues) than
+// the pod's busy mask has bits shares mask bits between sources and still
+// delivers every packet with balanced stages.
+func TestWidePodDrains(t *testing.T) {
+	srv := pod.DefaultServerConfig()
+	srv.Topology = cpu.Topology{Nodes: 1, CoresPerNode: 80}
+	n, err := NewNode(NodeConfig{
+		Seed:   1,
+		Cache:  cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
+		Server: srv,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, sf := wflows(2000, 1)
+	pr := addPod(t, n, pod.ModePLB, 70, sf, nil)
+	runStageTraffic(t, n, pr, wf, 5*sim.Millisecond)
+	if pr.Tx == 0 || pr.Tx != pr.Rx {
+		t.Fatalf("tx=%d rx=%d", pr.Tx, pr.Rx)
+	}
+	assertStageConservation(t, pr)
 }

@@ -58,12 +58,13 @@ func (pr *PodRuntime) InjectProbe(f workload.Flow, done func(ProbeResult)) {
 	n.Engine.After(n.cfg.NIC.IngressLatency(nicsim.ClassRSS), func() { pr.probeDispatch(ctx) })
 }
 
+// probeDispatch admits the probe to its flow's core, behind whatever data
+// that core already holds.
 func (pr *PodRuntime) probeDispatch(ctx *pktCtx) {
 	now := pr.node.Engine.Now()
 	ctx.probe.dispatchAt = now
 	ctx.queueAt = now
-	cost, drop := pr.serviceCost(ctx)
-	ctx.drop = drop
+	ctx.cost, ctx.drop = pr.serviceCost(ctx)
 
 	var q int
 	if pr.RSS != nil {
@@ -71,42 +72,36 @@ func (pr *PodRuntime) probeDispatch(ctx *pktCtx) {
 	} else {
 		q = int(ctx.flow.Tuple.Hash() % uint32(len(pr.Cores)))
 	}
-	core := pr.Cores[q]
-	// Stamp the service start by subtracting the known cost at completion;
-	// queue wait = (doneAt - cost) - dispatchAt.
-	ctx.probe.startAt = 0 // computed at completion
-	probeCost := cost
-	if !core.Enqueue(ctx, cost, func(item any) {
-		c := item.(*pktCtx)
-		nowDone := pr.node.Engine.Now()
-		c.probe.cpuDoneAt = nowDone
-		c.probe.startAt = nowDone.Add(-probeCost)
-		pr.probeEgress(c)
-	}) {
+	if !pr.Cores[q].Admit(ctx, ctx.cost) {
 		pr.QueueDrops++
-		ctx.probe.done(ProbeResult{Dropped: true})
-	}
-}
-
-func (pr *PodRuntime) probeEgress(ctx *pktCtx) {
-	n := pr.node
-	if ctx.drop {
-		pr.ServiceDrop++
 		ctx.probe.done(ProbeResult{Dropped: true})
 		return
 	}
-	n.Engine.After(n.cfg.NIC.EgressLatency(nicsim.ClassRSS), func() {
-		now := n.Engine.Now()
-		pr.Tx++
-		pr.TxPerTenant[ctx.flow.VNI]++
-		pr.Latency.Record(int64(now.Sub(ctx.t0)))
-		st := ctx.probe
-		st.done(ProbeResult{
-			NICIngress: st.dispatchAt.Sub(st.t0),
-			QueueWait:  st.startAt.Sub(st.dispatchAt),
-			Service:    st.cpuDoneAt.Sub(st.startAt),
-			NICEgress:  now.Sub(st.cpuDoneAt),
-			Total:      now.Sub(st.t0),
-		})
+	pr.admitted(q)
+}
+
+// probeDone completes the probe's CPU service at now. The service start is
+// stamped as the finish less the probe's demand, so queue wait and service
+// partition the CPU time.
+func (pr *PodRuntime) probeDone(ctx *pktCtx, now sim.Time) {
+	st := ctx.probe
+	st.cpuDoneAt = now
+	st.startAt = now.Add(-ctx.cost)
+	if ctx.drop {
+		pr.ServiceDrop++
+		st.done(ProbeResult{Dropped: true})
+		return
+	}
+	pr.queueEgress(ctx, now)
+}
+
+// report delivers the breakdown once the probe leaves the NIC at now.
+func (st *probeState) report(now sim.Time) {
+	st.done(ProbeResult{
+		NICIngress: st.dispatchAt.Sub(st.t0),
+		QueueWait:  st.startAt.Sub(st.dispatchAt),
+		Service:    st.cpuDoneAt.Sub(st.startAt),
+		NICEgress:  now.Sub(st.cpuDoneAt),
+		Total:      now.Sub(st.t0),
 	})
 }

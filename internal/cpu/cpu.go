@@ -7,6 +7,15 @@
 // front, drops on queue overflow. Service times are supplied by the caller
 // (the gateway service cost model); the core adds queueing delay and
 // occasional stalls.
+//
+// A core schedules no events. It computes when each admitted packet starts
+// and finishes, and its owner retires packets at their finish times (Next,
+// Retire). Stall and SetSlowFactor re-time the packets that have not
+// started and extend the one in service. Each completion carries an engine
+// sequence number (sim.Engine.Reserve), taken when a core that scheduled
+// its completions as events would have scheduled it, so an owner that
+// retires in (time, sequence) order interleaves completions with the
+// engine's own events exactly as such a core would.
 package cpu
 
 import (
@@ -15,11 +24,13 @@ import (
 	"albatross/internal/sim"
 )
 
-// work is one queued packet.
-type work struct {
+// member is one admitted packet. service is its demand before the slow
+// factor, kept so a later SetSlowFactor can re-time it.
+type member struct {
 	item    any
 	service sim.Duration
-	done    func(item any)
+	start   sim.Time
+	finish  sim.Time
 }
 
 // Core is a simulated CPU core with a bounded FIFO RX queue.
@@ -27,31 +38,23 @@ type Core struct {
 	ID     int
 	engine *sim.Engine
 
-	queue      []work
 	queueDepth int
-	busy       bool
-	current    work
-	completion sim.Timer
-	finishAt   sim.Time
+	// ring holds the admitted, not yet retired packets in FIFO order at the
+	// absolute positions [head, tail); slot = position & (len(ring)-1). Only
+	// the head can be in service: it is once its start time has come. seq
+	// orders the head's completion among the engine's events.
+	ring       []member
+	head, tail int
+	seq        uint64
 
 	stallUntil sim.Time
 	failed     bool
-
-	// Arithmetic admission state (burst mode): instead of a completion event
-	// per packet, Admit computes start/finish times in place. arithFree is
-	// when the arithmetically-admitted backlog ends; arithRing holds the
-	// start times of admitted-but-not-yet-started packets (the virtual RX
-	// queue) so the depth bound still applies.
-	arithFree sim.Time
-	arithRing []sim.Time
-	arithHead int
-	arithLen  int
-	// slow multiplies service demands while > 0 and != 1 (the fault layer's
-	// service-time blowup). It applies to packets started after it is set;
-	// an in-service packet keeps its original completion.
+	// slow multiplies the service demand of packets that start while it is
+	// > 0 and != 1 (the fault layer's service-time blowup).
 	slow float64
 
-	// busyNS accumulates time spent serving (including stall extensions).
+	// busyNS is the service time of retired and lost packets (including
+	// stall extensions); BusyTime adds the packet in service.
 	busyNS sim.Duration
 
 	// Stats
@@ -71,13 +74,43 @@ func NewCore(engine *sim.Engine, id, queueDepth int) *Core {
 	return &Core{ID: id, engine: engine, queueDepth: queueDepth}
 }
 
-// BusyTime returns cumulative service time.
-func (c *Core) BusyTime() sim.Duration { return c.busyNS }
+// at returns the member at absolute position i.
+func (c *Core) at(i int) *member { return &c.ring[i&(len(c.ring)-1)] }
 
-// Enqueue admits a packet with the given service demand; done is invoked
-// when processing completes. It returns false (and counts a drop) when the
-// RX queue is full.
-func (c *Core) Enqueue(item any, service sim.Duration, done func(any)) bool {
+// serving returns the packet in service at now, or nil.
+func (c *Core) serving(now sim.Time) *member {
+	if c.head == c.tail {
+		return nil
+	}
+	if m := c.at(c.head); m.start <= now {
+		return m
+	}
+	return nil
+}
+
+// scaled applies the slow factor to a service demand.
+func (c *Core) scaled(service sim.Duration) sim.Duration {
+	if c.slow > 0 && c.slow != 1 {
+		return sim.Duration(float64(service) * c.slow)
+	}
+	return service
+}
+
+// BusyTime returns cumulative service time: a packet counts in full from
+// the instant it starts, stall extensions included.
+func (c *Core) BusyTime() sim.Duration {
+	busy := c.busyNS
+	if m := c.serving(c.engine.Now()); m != nil {
+		busy += m.finish.Sub(m.start)
+	}
+	return busy
+}
+
+// Admit queues item with the given service demand. It starts when the
+// packet ahead of it finishes, or now if the core is idle, but not before a
+// stall ends. It returns false (and counts a drop) when the core is offline
+// or the packet would wait behind a full RX queue.
+func (c *Core) Admit(item any, service sim.Duration) bool {
 	if c.failed {
 		c.Drops++
 		return false
@@ -85,152 +118,95 @@ func (c *Core) Enqueue(item any, service sim.Duration, done func(any)) bool {
 	if service < 0 {
 		service = 0
 	}
-	w := work{item: item, service: service, done: done}
-	if c.busy || c.engine.Now() < c.stallUntil {
-		if len(c.queue) >= c.queueDepth {
+	now := c.engine.Now()
+	start := now
+	if c.head < c.tail || now < c.stallUntil {
+		// Busy or stalled: the packet waits.
+		waiting := c.tail - c.head
+		if c.serving(now) != nil {
+			waiting--
+		}
+		if waiting >= c.queueDepth {
 			c.Drops++
 			return false
 		}
-		c.queue = append(c.queue, w)
-		if !c.busy {
-			// Core idle but stalled: ensure a wake-up is scheduled.
-			c.scheduleWake()
+		if c.head < c.tail {
+			start = c.at(c.tail - 1).finish
 		}
-		return true
+		if c.stallUntil > start {
+			start = c.stallUntil
+		}
 	}
-	c.start(w)
+	if c.tail-c.head == len(c.ring) {
+		c.grow()
+	}
+	*c.at(c.tail) = member{item: item, service: service, start: start, finish: start.Add(c.scaled(service))}
+	c.tail++
+	if c.tail-c.head == 1 {
+		c.seq = c.engine.Reserve()
+	}
 	return true
 }
 
-// Admit is the burst-mode counterpart of Enqueue: it applies the same
-// admission rules (offline refusal, stall, bounded queue, slow factor) but
-// computes the packet's start and finish times arithmetically instead of
-// scheduling a completion event. The caller records the finish time and
-// settles the packet later with ArithDone or ArithLost.
-//
-// Fidelity caveats vs Enqueue, by construction: the slow factor and stall
-// state are sampled at admission (a SetSlowFactor/Stall landing inside the
-// already-computed window does not stretch it), and Processed/busyNS move at
-// admission/settle time rather than at the exact service instants.
-func (c *Core) Admit(service sim.Duration) (start, finish sim.Time, ok bool) {
-	if c.failed {
-		c.Drops++
-		return 0, 0, false
+// grow doubles the ring, keeping every member at its absolute position.
+func (c *Core) grow() {
+	old := c.ring
+	n := 2 * len(old)
+	if n == 0 {
+		n = 4
 	}
-	if service < 0 {
-		service = 0
-	}
-	if c.slow > 0 && c.slow != 1 {
-		service = sim.Duration(float64(service) * c.slow)
-	}
-	now := c.engine.Now()
-	for c.arithLen > 0 && c.arithRing[c.arithHead] <= now {
-		c.arithHead++
-		if c.arithHead == len(c.arithRing) {
-			c.arithHead = 0
-		}
-		c.arithLen--
-	}
-	if c.arithFree > now || now < c.stallUntil {
-		if c.arithLen >= c.queueDepth {
-			c.Drops++
-			return 0, 0, false
-		}
-	}
-	start = now
-	if c.arithFree > start {
-		start = c.arithFree
-	}
-	if c.stallUntil > start {
-		start = c.stallUntil
-	}
-	finish = start.Add(service)
-	c.arithFree = finish
-	c.busyNS += service
-	if start > now {
-		if c.arithRing == nil {
-			c.arithRing = make([]sim.Time, c.queueDepth+1)
-		}
-		tail := c.arithHead + c.arithLen
-		if tail >= len(c.arithRing) {
-			tail -= len(c.arithRing)
-		}
-		c.arithRing[tail] = start
-		c.arithLen++
-	}
-	return start, finish, true
-}
-
-// ArithDone settles a successfully drained arithmetic admission.
-func (c *Core) ArithDone() { c.Processed++ }
-
-// ArithLost settles, at the instant the core fails, an arithmetic admission
-// whose finish still lies ahead: the un-served part of its busy time is
-// refunded (all of it if the packet has not started) and it counts as Lost,
-// the same accounting Fail applies to evented packets.
-func (c *Core) ArithLost(start, finish sim.Time) {
-	if now := c.engine.Now(); now > start {
-		start = now
-	}
-	if refund := finish.Sub(start); refund > 0 {
-		c.busyNS -= refund
-	}
-	c.Lost++
-}
-
-// coreWake and coreFinish are the engine callbacks in arg form, so
-// scheduling them reuses pooled events without a per-call closure.
-func coreWake(arg any) {
-	c := arg.(*Core)
-	if !c.busy && c.engine.Now() >= c.stallUntil {
-		c.next()
+	c.ring = make([]member, n)
+	for i := c.head; i < c.tail; i++ {
+		c.ring[i&(n-1)] = old[i&(len(old)-1)]
 	}
 }
 
-func coreFinish(arg any) { arg.(*Core).finish() }
+// Pending returns the number of admitted packets not yet retired.
+func (c *Core) Pending() int { return c.tail - c.head }
 
-// scheduleWake arms a timer to begin work when the stall ends.
-func (c *Core) scheduleWake() {
-	c.engine.AtArg(c.stallUntil, coreWake, c)
-}
-
-func (c *Core) start(w work) {
-	if c.slow > 0 && c.slow != 1 {
-		w.service = sim.Duration(float64(w.service) * c.slow)
+// Next returns the finish time and engine sequence number of the oldest
+// admitted packet's completion, or sim.TimeMax when none is pending.
+func (c *Core) Next() (sim.Time, uint64) {
+	if c.head == c.tail {
+		return sim.TimeMax, 0
 	}
-	c.busy = true
-	c.current = w
-	c.busyNS += w.service
-	c.finishAt = c.engine.Now().Add(w.service)
-	c.completion = c.engine.AtArg(c.finishAt, coreFinish, c)
+	return c.at(c.head).finish, c.seq
 }
 
-func (c *Core) finish() {
-	c.completion = sim.Timer{}
-	c.busy = false
+// Retire completes the oldest admitted packet, which finishes now: it is
+// counted processed and handed to done, and then the next packet starts,
+// so its completion is ordered after whatever done scheduled.
+func (c *Core) Retire(done func(item any)) {
+	m := c.at(c.head)
+	item := m.item
+	c.busyNS += m.finish.Sub(m.start)
+	*m = member{}
+	c.head++
 	c.Processed++
-	w := c.current
-	c.current = work{}
-	if w.done != nil {
-		w.done(w.item)
+	next := c.head < c.tail
+	done(item)
+	if next {
+		c.seq = c.engine.Reserve()
 	}
-	c.next()
 }
 
-func (c *Core) next() {
-	if c.busy || c.failed || len(c.queue) == 0 {
-		return
+// retime recomputes start and finish of every packet not in service at
+// now: each starts when its predecessor finishes, but not before the stall
+// ends, and runs at the current slow factor.
+func (c *Core) retime(now sim.Time) {
+	i, prev := c.head, now
+	if m := c.serving(now); m != nil {
+		i, prev = i+1, m.finish
 	}
-	if now := c.engine.Now(); now < c.stallUntil {
-		c.scheduleWake()
-		return
+	for ; i < c.tail; i++ {
+		m := c.at(i)
+		m.start = prev
+		if c.stallUntil > m.start {
+			m.start = c.stallUntil
+		}
+		m.finish = m.start.Add(c.scaled(m.service))
+		prev = m.finish
 	}
-	w := c.queue[0]
-	// Shift without retaining references.
-	copy(c.queue, c.queue[1:])
-	c.queue[len(c.queue)-1] = work{}
-	c.queue = c.queue[:len(c.queue)-1]
-	c.start(w)
 }
 
 // Stall freezes the core for d (e.g. a numa_balancing task migration). If a
@@ -242,56 +218,40 @@ func (c *Core) Stall(d sim.Duration) {
 	}
 	c.Stalls++
 	now := c.engine.Now()
-	end := now.Add(d)
-	if end > c.stallUntil {
+	if end := now.Add(d); end > c.stallUntil {
 		c.stallUntil = end
 	}
-	if c.busy {
-		// Extend the in-flight completion.
-		c.completion.Stop()
-		c.finishAt = c.finishAt.Add(d)
-		c.busyNS += d
-		c.completion = c.engine.AtArg(c.finishAt, coreFinish, c)
-	} else if len(c.queue) > 0 {
-		c.scheduleWake()
+	if m := c.serving(now); m != nil {
+		m.finish = m.finish.Add(d)
+		c.seq = c.engine.Reserve() // the completion moves: it re-enters the order now
 	}
+	c.retime(now)
 }
 
 // Fail takes the core offline immediately: the in-service packet and every
-// queued packet are discarded (onLost is invoked for each, so callers can
-// reclaim per-packet state), Enqueue refuses new work, and the completion
-// timer is cancelled. It returns the number of packets lost, which is
-// bounded by QueueDepth+1. Fail on an already-failed core is a no-op.
+// queued packet are discarded (onLost is invoked for each, oldest first, so
+// callers can reclaim per-packet state) and Admit refuses new work. It
+// returns the number of packets lost, which is bounded by QueueDepth+1. Fail
+// on an already-failed core is a no-op.
 func (c *Core) Fail(onLost func(item any)) int {
 	if c.failed {
 		return 0
 	}
 	c.failed = true
-	// Arithmetic admissions are settled by their owner right after Fail (via
-	// ArithLost); here we just stop treating them as backlog.
-	c.arithFree = c.engine.Now()
-	c.arithHead, c.arithLen = 0, 0
-	lost := 0
-	if c.busy {
-		c.completion.Stop()
-		c.completion = sim.Timer{}
-		c.busy = false
-		// Un-account the service time the packet will never finish.
-		c.busyNS -= c.finishAt.Sub(c.engine.Now())
-		if onLost != nil {
-			onLost(c.current.item)
-		}
-		c.current = work{}
-		lost++
+	now := c.engine.Now()
+	if m := c.serving(now); m != nil {
+		// Only the part served before the failure counts as busy.
+		c.busyNS += min(m.finish, now).Sub(m.start)
 	}
-	for i := range c.queue {
+	lost := c.tail - c.head
+	for ; c.head < c.tail; c.head++ {
+		m := c.at(c.head)
+		item := m.item
+		*m = member{}
 		if onLost != nil {
-			onLost(c.queue[i].item)
+			onLost(item)
 		}
-		c.queue[i] = work{}
-		lost++
 	}
-	c.queue = c.queue[:0]
 	c.Lost += uint64(lost)
 	return lost
 }
@@ -310,13 +270,15 @@ func (c *Core) Recover() {
 func (c *Core) Failed() bool { return c.failed }
 
 // SetSlowFactor scales the service time of packets started from now on
-// (the fault layer's service-time blowup). factor <= 0 or 1 restores
-// normal speed. The in-service packet keeps its original completion time.
+// (the fault layer's service-time blowup): queued packets are re-timed, the
+// in-service packet keeps its completion time. factor <= 0 or 1 restores
+// normal speed.
 func (c *Core) SetSlowFactor(factor float64) {
 	if factor <= 0 {
 		factor = 1
 	}
 	c.slow = factor
+	c.retime(c.engine.Now())
 }
 
 // SlowFactor returns the active service-time multiplier (1 = healthy).

@@ -7,14 +7,69 @@ import (
 	"albatross/internal/sim"
 )
 
+// owner retires a core's packets the way a pod does: one timer, armed at
+// the (time, sequence) of the core's next completion, so completions
+// interleave with the engine's events as a per-packet event walk's would.
+// done (optional) sees each retired packet with its start time.
+type owner struct {
+	c        *Core
+	timer    sim.Timer
+	at       sim.Time
+	seq      uint64
+	start    sim.Time
+	done     func(item any, start sim.Time)
+	retireFn func(item any)
+}
+
+func newOwner(c *Core, done func(item any, start sim.Time)) *owner {
+	o := &owner{c: c, at: sim.TimeMax, done: done}
+	o.retireFn = func(item any) {}
+	if done != nil {
+		o.retireFn = func(item any) { o.done(item, o.start) }
+	}
+	return o
+}
+
+func ownerFire(arg any) {
+	o := arg.(*owner)
+	o.at = sim.TimeMax
+	for {
+		at, seq := o.c.Next()
+		if at > o.c.engine.Now() || !o.c.engine.Precedes(at, seq) {
+			break
+		}
+		o.start = o.c.at(o.c.head).start
+		o.c.Retire(o.retireFn)
+	}
+	o.arm()
+}
+
+// admit admits item and re-arms the timer if item completes first.
+func (o *owner) admit(item any, service sim.Duration) bool {
+	ok := o.c.Admit(item, service)
+	o.arm()
+	return ok
+}
+
+// arm keeps the timer at the core's next completion.
+func (o *owner) arm() {
+	at, seq := o.c.Next()
+	if at == sim.TimeMax || (at == o.at && seq == o.seq) {
+		return
+	}
+	o.timer.Stop()
+	o.at, o.seq = at, seq
+	o.timer = o.c.engine.AtArgSeq(at, seq, ownerFire, o)
+}
+
 func TestCoreProcessesFIFO(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 16)
 	var done []int
+	o := newOwner(c, func(item any, _ sim.Time) { done = append(done, item.(int)) })
 	for i := 0; i < 5; i++ {
-		i := i
-		if !c.Enqueue(i, 1000, func(any) { done = append(done, i) }) {
-			t.Fatal("enqueue failed")
+		if !o.admit(i, 1000) {
+			t.Fatal("admit failed")
 		}
 	}
 	e.Run()
@@ -37,18 +92,19 @@ func TestCoreProcessesFIFO(t *testing.T) {
 func TestCoreQueueOverflowDrops(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 2)
-	ok1 := c.Enqueue("a", 1000, nil) // in service
-	ok2 := c.Enqueue("b", 1000, nil) // queued
-	ok3 := c.Enqueue("c", 1000, nil) // queued
-	ok4 := c.Enqueue("d", 1000, nil) // dropped
+	o := newOwner(c, nil)
+	ok1 := o.admit("a", 1000) // in service
+	ok2 := o.admit("b", 1000) // queued
+	ok3 := o.admit("c", 1000) // queued
+	ok4 := o.admit("d", 1000) // dropped
 	if !ok1 || !ok2 || !ok3 || ok4 {
 		t.Fatalf("admission = %v %v %v %v", ok1, ok2, ok3, ok4)
 	}
 	if c.Drops != 1 {
 		t.Fatalf("drops = %d", c.Drops)
 	}
-	if len(c.queue)+c.arithLen != 2 || !c.busy {
-		t.Fatalf("queue=%d busy=%v", len(c.queue)+c.arithLen, c.busy)
+	if c.Pending() != 3 || c.serving(e.Now()) == nil {
+		t.Fatalf("pending=%d, want one in service and two queued", c.Pending())
 	}
 	e.Run()
 	if c.Processed != 3 {
@@ -67,8 +123,9 @@ func TestCoreZeroServiceTime(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 4)
 	n := 0
-	c.Enqueue(nil, 0, func(any) { n++ })
-	c.Enqueue(nil, -5, func(any) { n++ })
+	o := newOwner(c, func(any, sim.Time) { n++ })
+	o.admit(nil, 0)
+	o.admit(nil, -5)
 	e.Run()
 	if n != 2 {
 		t.Fatalf("processed %d", n)
@@ -81,8 +138,9 @@ func TestCoreZeroServiceTime(t *testing.T) {
 func TestCoreBusyTime(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 16)
-	c.Enqueue(nil, 3000, nil)
-	c.Enqueue(nil, 2000, nil)
+	o := newOwner(c, nil)
+	o.admit(nil, 3000)
+	o.admit(nil, 2000)
 	e.Run()
 	if c.BusyTime() != 5000 {
 		t.Fatalf("busy = %v", c.BusyTime())
@@ -93,7 +151,8 @@ func TestCoreStallExtendsInService(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 16)
 	var finished sim.Time
-	c.Enqueue(nil, 1000, func(any) { finished = e.Now() })
+	o := newOwner(c, func(any, sim.Time) { finished = e.Now() })
+	o.admit(nil, 1000)
 	e.At(500, func() { c.Stall(2000) })
 	e.Run()
 	if finished != 3000 {
@@ -109,9 +168,8 @@ func TestCoreStallWhileIdleDelaysNextWork(t *testing.T) {
 	c := NewCore(e, 0, 16)
 	e.At(100, func() { c.Stall(1000) })
 	var finished sim.Time
-	e.At(200, func() {
-		c.Enqueue(nil, 500, func(any) { finished = e.Now() })
-	})
+	o := newOwner(c, func(any, sim.Time) { finished = e.Now() })
+	e.At(200, func() { o.admit(nil, 500) })
 	e.Run()
 	if finished != 1600 {
 		t.Fatalf("finished at %v, want 1600 (wait till 1100, then 500)", finished)
@@ -131,11 +189,12 @@ func TestCoreStallNoopOnNonPositive(t *testing.T) {
 func TestUtilSampler(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 1024)
+	o := newOwner(c, nil)
 	s := NewUtilSampler(c)
 	// 50% duty cycle: 1µs work every 2µs.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * 2000
-		e.At(at, func() { c.Enqueue(nil, 1000, nil) })
+		e.At(at, func() { o.admit(nil, 1000) })
 	}
 	e.RunUntil(200_000)
 	util := s.Sample()
@@ -183,6 +242,7 @@ func TestDefaultPenalties(t *testing.T) {
 func TestBalancerStallsLoadedCores(t *testing.T) {
 	e := sim.NewEngine()
 	core := NewCore(e, 0, 1<<16)
+	o := newOwner(core, nil)
 	// Saturate the core: service 1µs, arrivals every 1µs for 1 virtual s.
 	var feed func()
 	n := 0
@@ -191,7 +251,7 @@ func TestBalancerStallsLoadedCores(t *testing.T) {
 			return
 		}
 		n++
-		core.Enqueue(nil, 10*sim.Microsecond, nil)
+		o.admit(nil, 10*sim.Microsecond)
 		e.After(10*sim.Microsecond, feed)
 	}
 	feed()
@@ -213,10 +273,11 @@ func TestBalancerStallsLoadedCores(t *testing.T) {
 func TestBalancerSparesIdleCores(t *testing.T) {
 	e := sim.NewEngine()
 	core := NewCore(e, 0, 1024)
+	o := newOwner(core, nil)
 	// ~5% load.
 	for i := 0; i < 100; i++ {
 		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		e.At(at, func() { core.Enqueue(nil, 50*sim.Microsecond, nil) })
+		e.At(at, func() { o.admit(nil, 50*sim.Microsecond) })
 	}
 	b := NewBalancer(e, []*Core{core}, 7)
 	b.Interval = 5 * sim.Millisecond
@@ -228,12 +289,13 @@ func TestBalancerSparesIdleCores(t *testing.T) {
 	}
 }
 
-func BenchmarkCoreEnqueueProcess(b *testing.B) {
+func BenchmarkCoreAdmitRetire(b *testing.B) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 1<<20)
+	o := newOwner(c, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Enqueue(nil, 1000, nil)
+		o.admit(nil, 1000)
 		if i%1024 == 1023 {
 			e.Run()
 		}

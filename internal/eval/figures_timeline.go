@@ -46,9 +46,6 @@ func runTimeline(cfg Config) *Result {
 	podCfg := core.PodConfig{
 		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 4, CtrlCores: 1, Mode: pod.ModePLB},
 		Flows: workload.ServiceFlows(wf, 0),
-		// Burst > 1 forces the flight recorder off, so disable it everywhere:
-		// the burst-identity comparison below is then exact.
-		TraceSampleEvery: -1,
 	}
 	build := func(shards, burst int) *cluster.Cluster {
 		cl, err := cluster.New(cluster.Config{

@@ -263,39 +263,3 @@ func (t *Table) Delete(prefix uint32, plen int) bool {
 	}
 	return true
 }
-
-// Walk visits every installed route in unspecified order. Return false from
-// fn to stop early.
-func (t *Table) Walk(fn func(prefix uint32, plen int, val uint32) bool) {
-	var walk func(n *node, acc uint32, level int) bool
-	walk = func(n *node, acc uint32, level int) bool {
-		for rk, val := range n.rmap {
-			p := acc
-			if int(rk.plen) > level*stride {
-				p |= uint32(rk.base) << uint(32-stride*(level+1))
-			}
-			if !fn(p, int(rk.plen), val) {
-				return false
-			}
-		}
-		if n.children != nil {
-			for i, c := range n.children {
-				if c == nil {
-					continue
-				}
-				childAcc := acc | uint32(i)<<uint(32-stride*(level+1))
-				if !walk(c, childAcc, level+1) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(t.root, 0, 0)
-}
-
-// PrefixString formats a prefix for diagnostics, e.g. "10.0.0.0/8".
-func PrefixString(prefix uint32, plen int) string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d",
-		byte(prefix>>24), byte(prefix>>16), byte(prefix>>8), byte(prefix), plen)
-}

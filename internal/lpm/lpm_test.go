@@ -10,7 +10,7 @@ import (
 func mustInsert(t testing.TB, tbl *Table, prefix uint32, plen int, val uint32) {
 	t.Helper()
 	if err := tbl.Insert(prefix, plen, val); err != nil {
-		t.Fatalf("Insert(%s, %d): %v", PrefixString(prefix, plen), val, err)
+		t.Fatalf("Insert(%#08x/%d, %d): %v", prefix, plen, val, err)
 	}
 }
 
@@ -212,38 +212,6 @@ func TestDeleteMissing(t *testing.T) {
 	}
 	if tbl.Delete(0x0b000000, 8) {
 		t.Fatal("delete of absent prefix succeeded")
-	}
-}
-
-func TestWalk(t *testing.T) {
-	tbl := New()
-	routes := map[string]uint32{}
-	ins := func(p uint32, l int, v uint32) {
-		mustInsert(t, tbl, p, l, v)
-		routes[PrefixString(p, l)] = v
-	}
-	ins(0, 0, 1)
-	ins(0x0a000000, 8, 2)
-	ins(0x0a014000, 18, 3)
-	ins(0x0a010101, 32, 4)
-	got := map[string]uint32{}
-	tbl.Walk(func(p uint32, l int, v uint32) bool {
-		got[PrefixString(p, l)] = v
-		return true
-	})
-	if len(got) != len(routes) {
-		t.Fatalf("walk visited %d routes, want %d: %v", len(got), len(routes), got)
-	}
-	for k, v := range routes {
-		if got[k] != v {
-			t.Errorf("route %s = %d, want %d", k, got[k], v)
-		}
-	}
-	// Early stop.
-	n := 0
-	tbl.Walk(func(uint32, int, uint32) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
 	}
 }
 

@@ -86,23 +86,3 @@ func StripMeta(pkt []byte, m *Meta) ([]byte, error) {
 	m.IngressNS = int64(binary.BigEndian.Uint64(tail[8:16]))
 	return pkt[:len(pkt)-MetaLen], nil
 }
-
-// PeekMeta decodes the trailer without removing it.
-func PeekMeta(pkt []byte, m *Meta) error {
-	_, err := StripMeta(pkt, m)
-	return err
-}
-
-// UpdateMetaFlags rewrites the flag byte of an in-place trailer. The GW pod
-// uses this to set the drop flag without copying the packet.
-func UpdateMetaFlags(pkt []byte, flags MetaFlags) error {
-	if len(pkt) < MetaLen {
-		return ErrNoMeta
-	}
-	tail := pkt[len(pkt)-MetaLen:]
-	if binary.BigEndian.Uint16(tail[0:2]) != metaMagic {
-		return ErrNoMeta
-	}
-	tail[5] = uint8(flags)
-	return nil
-}

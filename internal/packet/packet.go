@@ -48,11 +48,6 @@ func (f FiveTuple) String() string {
 	return fmt.Sprintf("%v:%d->%v:%d/%d", f.Src, f.SPort, f.Dst, f.DPort, f.Proto)
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (f FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: f.Dst, Dst: f.Src, Proto: f.Proto, SPort: f.DPort, DPort: f.SPort}
-}
-
 // Hash returns a 32-bit hash of the tuple (FNV-1a over the canonical
 // 13-byte encoding). Both PLB order-queue selection and RSS indirection use
 // this when Toeplitz hashing is not configured.

@@ -28,17 +28,6 @@ func TestFiveTupleHashStability(t *testing.T) {
 	}
 }
 
-func TestFiveTupleReverse(t *testing.T) {
-	f := FiveTuple{Src: IPv4Addr{1, 1, 1, 1}, Dst: IPv4Addr{2, 2, 2, 2}, Proto: IPProtocolUDP, SPort: 10, DPort: 20}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src || r.SPort != f.DPort || r.DPort != f.SPort {
-		t.Fatalf("reverse = %v", r)
-	}
-	if r.Reverse() != f {
-		t.Fatal("double reverse != identity")
-	}
-}
-
 func TestFiveTupleHashDistribution(t *testing.T) {
 	// Hash must spread sequential flows across buckets reasonably evenly.
 	const flows, buckets = 100000, 64
@@ -89,23 +78,6 @@ func TestMetaMissing(t *testing.T) {
 	junk := make([]byte, 32)
 	if _, err := StripMeta(junk, &m); err != ErrNoMeta {
 		t.Fatalf("bad magic err = %v", err)
-	}
-}
-
-func TestUpdateMetaFlags(t *testing.T) {
-	tagged := AppendMeta([]byte{9}, &Meta{PSN: 7})
-	if err := UpdateMetaFlags(tagged, MetaFlagDrop); err != nil {
-		t.Fatal(err)
-	}
-	var m Meta
-	if err := PeekMeta(tagged, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Flags != MetaFlagDrop || m.PSN != 7 {
-		t.Fatalf("meta after update = %+v", m)
-	}
-	if err := UpdateMetaFlags([]byte{1, 2}, MetaFlagDrop); err != ErrNoMeta {
-		t.Fatalf("short update err = %v", err)
 	}
 }
 

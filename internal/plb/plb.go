@@ -352,15 +352,7 @@ func (p *PLB) inWindow(psn, head, tail uint16) bool {
 // path). The legal check either admits it into BUF/BITMAP or transmits it
 // best-effort; then the reorder check drains the FIFO head.
 func (p *PLB) Return(item any, meta packet.Meta) {
-	p.ReturnAt(item, meta, p.engine.Now())
-}
-
-// ReturnAt is Return evaluated at virtual time at <= now: the burst drain
-// settles packets whose service finished earlier in the current event, and
-// every age/emission computation uses the packet's own finish time so
-// outcomes do not depend on when the drain event actually ran.
-func (p *PLB) ReturnAt(item any, meta packet.Meta, at sim.Time) {
-	now := at
+	now := p.engine.Now()
 	if int(meta.OrdQ) >= len(p.queues) {
 		// Corrupt meta: treat as best-effort.
 		p.emitBestEffort(item, meta, now)
@@ -380,7 +372,7 @@ func (p *PLB) ReturnAt(item any, meta packet.Meta, at sim.Time) {
 			return
 		}
 		p.emitBestEffort(item, meta, now)
-		p.drainAt(meta.OrdQ, now)
+		p.drain(meta.OrdQ)
 		return
 	}
 	idx := meta.PSN & p.mask
@@ -390,7 +382,7 @@ func (p *PLB) ReturnAt(item any, meta packet.Meta, at sim.Time) {
 	slot.item = item
 	slot.meta = meta
 	slot.dropped = meta.Flags&packet.MetaFlagDrop != 0
-	p.drainAt(meta.OrdQ, now)
+	p.drain(meta.OrdQ)
 }
 
 func (p *PLB) emitBestEffort(item any, meta packet.Meta, now sim.Time) {
@@ -401,10 +393,8 @@ func (p *PLB) emitBestEffort(item any, meta packet.Meta, now sim.Time) {
 }
 
 // drain runs the reorder check at queue qi's FIFO head until it blocks.
-func (p *PLB) drain(qi uint8) { p.drainAt(qi, p.engine.Now()) }
-
-// drainAt is drain evaluated at virtual time at (see ReturnAt).
-func (p *PLB) drainAt(qi uint8, now sim.Time) {
+func (p *PLB) drain(qi uint8) {
+	now := p.engine.Now()
 	q := &p.queues[qi]
 	for q.head != q.tail {
 		idx := q.head & p.mask

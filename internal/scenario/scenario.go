@@ -85,9 +85,9 @@ type Fleet struct {
 	// flows to pods ("" = legacy first-pod injection; "session" or
 	// "othello").
 	Backend string
-	// Burst batches same-instant packet arrivals through one NIC event per
-	// burst (0 or 1 = legacy per-packet path). Burst > 1 disables the
-	// flight recorder, so it rejects trace-sampling observability.
+	// Burst is the dispatch batch size: up to Burst same-instant arrivals
+	// share one NIC event (0 or 1 = one event per packet). It changes the
+	// event count, never the report.
 	Burst int
 }
 
@@ -843,13 +843,6 @@ func (s *Scenario) Validate() error {
 	}
 	if f.Burst < 0 {
 		return bad(0, "%s: fleet.burst must be >= 0", s.Name)
-	}
-	if f.Burst > 1 {
-		o := &s.Observability
-		if o.TraceSample > 0 || o.TraceDump != "" || o.TraceLatencyOver > 0 ||
-			o.TraceVNI >= 0 || o.TraceFaultWindow {
-			return bad(0, "%s: fleet.burst > 1 disables the flight recorder; remove the trace observability keys", s.Name)
-		}
 	}
 	w := &s.Workload
 	if w.Replay == "" {

@@ -85,8 +85,10 @@ type Engine struct {
 	free []*event // recycled events
 	live int      // heap entries not marked dead
 	dead int      // heap entries marked dead (lazy cancellation debt)
+	// limit is the latest time the running Run/RunUntil may reach: the
+	// bound on Advance.
+	limit Time
 
-	stopped bool
 	// executed counts events processed; useful to detect livelock in tests.
 	executed uint64
 
@@ -111,10 +113,10 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // SchedSeq returns the sequence number the next scheduled event will get.
-// Because seq increments on every AtArg/AfterArg, comparing SchedSeq across
-// two points in a callback detects whether anything was scheduled in between
-// — the burst dispatcher uses it to decide if an open burst can still absorb
-// a packet without reordering against interleaved events.
+// Because seq increments on every AtArg/AfterArg/Reserve, comparing SchedSeq
+// across two points in a callback detects whether anything was scheduled in
+// between — the burst dispatcher uses it to decide if an open burst can
+// still absorb a packet without reordering against interleaved events.
 func (e *Engine) SchedSeq() uint64 { return e.seq }
 
 // Timer is a value handle to a scheduled event; it can be cancelled. The
@@ -143,12 +145,6 @@ func (t Timer) Stop() bool {
 	t.e.dead++
 	t.e.maybeCompact()
 	return true
-}
-
-// Active reports whether the timer is scheduled and not yet fired or
-// stopped.
-func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.dead
 }
 
 func (e *Engine) alloc() *event {
@@ -190,15 +186,30 @@ func (e *Engine) After(d Duration, fn func()) Timer {
 // fn this amortizes to zero allocations: the event comes from the free list
 // and the Timer handle is a value.
 func (e *Engine) AtArg(at Time, fn func(any), arg any) Timer {
+	return e.AtArgSeq(at, e.Reserve(), fn, arg)
+}
+
+// Reserve takes the sequence number the next scheduled event would get, for
+// an event a model keeps to itself — a completion time it computes rather
+// than schedules. Scheduled later with AtArgSeq, the event runs exactly
+// where scheduling it at the reservation would have put it among events at
+// the same time.
+func (e *Engine) Reserve() uint64 {
+	s := e.seq
+	e.seq++
+	return s
+}
+
+// AtArgSeq is AtArg with a sequence number taken earlier from Reserve.
+func (e *Engine) AtArgSeq(at Time, seq uint64, fn func(any), arg any) Timer {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	ev.fn = fn
 	ev.arg = arg
-	e.seq++
 	e.heap = append(e.heap, ev)
 	e.siftUp(len(e.heap) - 1)
 	e.live++
@@ -333,21 +344,21 @@ func (e *Engine) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	prev := e.limit // a model may run the engine from inside an event
+	e.limit = TimeMax
+	for e.Step() {
 	}
+	e.limit = prev
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
 // to deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
-		if len(e.heap) == 0 {
-			break
-		}
+	prev := e.limit
+	e.limit = deadline
+	for len(e.heap) > 0 {
 		next := e.heap[0]
 		if next.dead {
 			e.dead--
@@ -362,13 +373,11 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.now < deadline {
 		e.now = deadline
 	}
+	e.limit = prev
 }
 
 // RunFor advances the simulation by d virtual nanoseconds.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
-
-// Stop halts Run/RunUntil after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Pending returns the number of live queued events. It is O(1): the engine
 // maintains the count across push/pop/cancel. On an engine attached to a
@@ -389,17 +398,45 @@ func (e *Engine) markShared() {
 	e.pendingAtomic.Store(int64(e.live))
 }
 
-// NextEventTime returns the timestamp of the earliest live pending event,
-// skipping (and reclaiming) cancelled shells at the heap root.
+// NextEventTime returns the timestamp of the earliest live pending event.
 func (e *Engine) NextEventTime() (Time, bool) {
+	if ev := e.peek(); ev != nil {
+		return ev.at, true
+	}
+	return 0, false
+}
+
+// Advance moves the clock to at from inside an event, when an event at
+// (at, seq) would be the next to run: no pending event precedes it and the
+// running Run/RunUntil would reach it. A model that computes its own event
+// times uses it to run its next one without scheduling it. It reports
+// whether the clock now stands at at.
+func (e *Engine) Advance(at Time, seq uint64) bool {
+	if at < e.now || at > e.limit || !e.Precedes(at, seq) {
+		return false
+	}
+	e.now = at
+	return true
+}
+
+// Precedes reports whether an event at (at, seq) would run before every
+// pending event.
+func (e *Engine) Precedes(at Time, seq uint64) bool {
+	ev := e.peek()
+	return ev == nil || at < ev.at || (at == ev.at && seq < ev.seq)
+}
+
+// peek returns the earliest live pending event (nil when none), skipping
+// (and reclaiming) cancelled shells at the heap root.
+func (e *Engine) peek() *event {
 	for len(e.heap) > 0 {
 		if ev := e.heap[0]; !ev.dead {
-			return ev.at, true
+			return ev
 		}
 		e.dead--
 		e.recycle(e.pop())
 	}
-	return 0, false
+	return nil
 }
 
 // Rand is a deterministic pseudo-random source for simulation components.
@@ -478,19 +515,6 @@ func (r *Rand) Norm(mean, stddev float64) float64 {
 	}
 	u2 := r.Float64()
 	return mean + stddev*math.Sqrt(-2*math.Log(u1))*math.Cos(2*math.Pi*u2)
-}
-
-// Perm fills a permutation of [0, n) deterministically (Fisher-Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Zipf draws from a Zipf distribution over [0, n) with exponent s > 0 using

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -123,18 +124,45 @@ func TestTimerStopAfterFire(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
+// A reserved sequence number puts an event exactly where scheduling it at
+// the reservation would have: after events scheduled before, ahead of
+// events scheduled after, at the same instant.
+func TestReserveOrdersLikeScheduling(t *testing.T) {
 	e := NewEngine()
-	n := 0
-	e.At(10, func() { n++; e.Stop() })
-	e.At(20, func() { n++ })
-	e.Run()
-	if n != 1 {
-		t.Fatalf("n = %d, want 1 (Stop should halt Run)", n)
+	var got []string
+	e.At(10, func() { got = append(got, "before") })
+	seq := e.Reserve()
+	e.At(10, func() { got = append(got, "after") })
+	if e.Precedes(10, seq) {
+		t.Fatal("reserved event precedes one scheduled before the reservation")
 	}
+	e.AtArgSeq(10, seq, func(any) { got = append(got, "reserved") }, nil)
 	e.Run()
-	if n != 2 {
-		t.Fatalf("n = %d, want 2 after resuming", n)
+	if want := "[before reserved after]"; fmt.Sprint(got) != want {
+		t.Fatalf("order %v, want %s", got, want)
+	}
+}
+
+// Advance moves the clock inside an event only forward, only to an instant
+// no pending event precedes, and never past the running deadline.
+func TestAdvance(t *testing.T) {
+	e := NewEngine()
+	var got []bool
+	e.At(5, func() {
+		got = append(got, e.Advance(7, e.Reserve()), e.Now() == 7) // nothing pending before 7
+		got = append(got, e.Advance(11, e.Reserve()))              // the event at 10 comes first
+		got = append(got, e.Advance(6, e.Reserve()))               // backwards
+	})
+	e.At(10, func() {
+		got = append(got, e.Advance(13, e.Reserve())) // past the deadline
+		got = append(got, e.Advance(12, e.Reserve()))
+	})
+	e.RunUntil(12)
+	if want := "[true true false false false true]"; fmt.Sprint(got) != want {
+		t.Fatalf("advance results %v, want %s", got, want)
+	}
+	if e.Advance(20, e.Reserve()) {
+		t.Fatal("advanced outside a run")
 	}
 }
 
@@ -261,18 +289,6 @@ func TestRandNormMoments(t *testing.T) {
 	}
 }
 
-func TestRandPerm(t *testing.T) {
-	r := NewRand(17)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := NewRand(19)
 	z := NewZipf(r, 1000, 1.1)
@@ -336,27 +352,6 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTimerActive(t *testing.T) {
-	e := NewEngine()
-	var zero Timer
-	if zero.Active() {
-		t.Fatal("zero Timer reports active")
-	}
-	tm := e.At(10, func() {})
-	if !tm.Active() {
-		t.Fatal("pending timer not active")
-	}
-	tm.Stop()
-	if tm.Active() {
-		t.Fatal("stopped timer still active")
-	}
-	tm2 := e.At(20, func() {})
-	e.Run()
-	if tm2.Active() {
-		t.Fatal("fired timer still active")
 	}
 }
 

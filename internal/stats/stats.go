@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -405,30 +404,6 @@ func StddevAcross(series []*Series) *Series {
 		out.Append(series[0].T[i], w.Stddev())
 	}
 	return out
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of a float slice
-// by sorting a copy (exact, for small sample sets).
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), vals...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := p / 100 * float64(len(c)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return c[lo]
-	}
-	frac := rank - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
 }
 
 // Table renders aligned text tables for experiment reports.

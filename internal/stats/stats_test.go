@@ -283,28 +283,6 @@ func TestStddevAcrossMisalignedPanics(t *testing.T) {
 	})
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []float64{15, 20, 35, 40, 50}
-	if p := Percentile(vals, 0); p != 15 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(vals, 100); p != 50 {
-		t.Fatalf("p100 = %v", p)
-	}
-	if p := Percentile(vals, 50); p != 35 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty percentile = %v", p)
-	}
-	// Input must not be mutated.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Fatal("Percentile mutated input")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Service", "Mpps")
 	tb.AddRow("VPC-VPC", 128.8)

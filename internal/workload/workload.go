@@ -191,13 +191,3 @@ func (s *Source) emit() {
 	s.Generated++
 	s.Sink(s.Flows[idx], s.PacketBytes)
 }
-
-// TenantSource generates traffic for exactly one tenant (all packets carry
-// its VNI) — the building block of the Fig. 13/14 experiments.
-func TenantSource(vni uint32, nFlows int, rate RateFn, seed uint64, sink func(Flow, int)) *Source {
-	flows := GenerateFlows(nFlows, 1, seed)
-	for i := range flows {
-		flows[i].VNI = vni
-	}
-	return &Source{Flows: flows, Rate: rate, Seed: seed ^ 0x9e37, Sink: sink}
-}

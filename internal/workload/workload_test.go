@@ -212,19 +212,6 @@ func TestSourceZipfSkew(t *testing.T) {
 	}
 }
 
-func TestTenantSource(t *testing.T) {
-	e := sim.NewEngine()
-	got := map[uint32]int{}
-	src := TenantSource(42, 50, ConstantRate(1e6), 9, func(f Flow, _ int) { got[f.VNI]++ })
-	if err := src.Start(e); err != nil {
-		t.Fatal(err)
-	}
-	e.RunUntil(sim.Time(10 * sim.Millisecond))
-	if len(got) != 1 || got[42] == 0 {
-		t.Fatalf("tenant source VNIs = %v", got)
-	}
-}
-
 func TestSourcePacketSizeDefault(t *testing.T) {
 	e := sim.NewEngine()
 	var size int

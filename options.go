@@ -122,11 +122,9 @@ func WithFlowBackend(name string) Option {
 	return func(c *Config) { c.Node.FlowBackend = name }
 }
 
-// WithBurst enables burst-batched dispatch: up to n same-instant injections
-// share one NIC arrival event and complete through arithmetic CPU admission
-// plus one per-pod drain event. n <= 1 (the default) keeps the per-packet
-// event path bit-for-bit; outcomes at n > 1 are invariant in n for a fixed
-// backend. Burst mode disables the flight recorder.
+// WithBurst sets the dispatch batch size: up to n same-instant injections
+// share one NIC arrival event. n changes how many events a run executes,
+// never what it reports; n <= 1 (the default) is a burst of one.
 func WithBurst(n int) Option {
 	return func(c *Config) { c.Node.Burst = n }
 }

@@ -83,6 +83,9 @@ gameday: build
 #                its reference LRU (the committed seeds alone run in `go test`).
 #   cpu-fuzz     ten seconds of native fuzzing of the core queue model against
 #                its event-driven reference (committed seeds run in `go test`).
+#   lpm-fuzz     ten seconds of native fuzzing of the routing trie against its
+#                brute-force reference: lookups, route and node counts, and the
+#                modelled footprint (committed seeds run in `go test`).
 #   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
@@ -115,6 +118,7 @@ check: build
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
+		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \
 	; do \

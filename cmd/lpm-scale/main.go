@@ -3,7 +3,7 @@
 // tables cluster) into the DRAM-backed trie, then measure lookup
 // throughput and memory. Sailfish's SRAM holds 0.2M.
 //
-//	lpm-scale                # 10M routes (needs ~2GB RAM, ~30s)
+//	lpm-scale                # 10M routes (107 MB heap, ~1 s install on 2 Xeon vCPUs)
 //	lpm-scale -routes 2e6    # smaller machines
 package main
 

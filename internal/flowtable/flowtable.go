@@ -83,10 +83,14 @@ func (x *Index) Len() int { return x.count }
 // Insert adds key and returns its ordinal; fresh is false when the key was
 // already present (its ordinal is unchanged and no new one is consumed).
 func (x *Index) Insert(key packet.FiveTuple) (ord uint64, fresh bool) {
+	return x.InsertHash(key, key.Hash())
+}
+
+// InsertHash is Insert with the caller-precomputed key.Hash().
+func (x *Index) InsertHash(key packet.FiveTuple, h uint32) (ord uint64, fresh bool) {
 	if x.count*4 >= len(x.slots)*3 {
 		x.grow()
 	}
-	h := key.Hash()
 	i := h & x.mask
 	for {
 		s := &x.slots[i]
@@ -119,8 +123,8 @@ func (x *Index) LookupHash(key packet.FiveTuple, h uint32) (ord uint64, ok bool)
 }
 
 // WarmHash reads the head of hash h's probe chain without looking anything
-// up — a host-cache prefetch for burst-batched callers (sum the return value
-// into a sink so the load is not elided).
+// up — a host-cache prefetch for batched callers: burst dispatch and grouped
+// builds (sum the return value into a sink so the load is not elided).
 func (x *Index) WarmHash(h uint32) uint64 {
 	return uint64(x.slots[h&x.mask].hash)
 }

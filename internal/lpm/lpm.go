@@ -6,11 +6,14 @@
 // package provides the DRAM-style structure: a four-level stride-8 multibit
 // trie with controlled prefix expansion inside each node. The trie is *not*
 // leaf-pushed: a lookup walks at most four nodes, remembering the best match
-// seen on the path, so inserts and deletes touch exactly one node and cost
-// at most a 256-slot expansion.
+// seen on the path, so an insert writes exactly one node (creating the empty
+// ones on its path) and costs at most a 256-slot expansion.
 package lpm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // NoRoute is returned by Lookup when no prefix matches.
 const NoRoute = ^uint32(0)
@@ -21,22 +24,18 @@ const (
 	levels    = 32 / stride
 )
 
-// routeKey identifies a route terminating in a node: the canonical base
-// slot of its expansion range and its prefix length.
-type routeKey struct {
-	base uint16
-	plen int8
-}
-
 // node is one stride of the trie. vals/plens hold the controlled prefix
 // expansion of routes terminating inside this stride; children (lazily
-// allocated) descend to the next stride. rmap records the authoritative
-// (route -> value) set for delete restoration.
+// allocated) descend to the next stride. routes (allocated with the node's
+// first route) has one bit per route terminating here: a route with r of its
+// bits inside the stride and expansion base slot b is bit (1<<r)-1 + b>>(8-r),
+// one bit for each of the 511 (r, b) pairs. It keeps Len's count exact
+// across replacements and feeds MemoryBytes; lookups never read it.
 type node struct {
 	vals     [slotCount]uint32
 	plens    [slotCount]int8 // prefix length of the stored route, -1 = none
 	children *[slotCount]*node
-	rmap     map[routeKey]uint32
+	routes   *[8]uint64
 }
 
 func newNode() *node {
@@ -66,12 +65,15 @@ func (t *Table) Len() int { return t.count }
 // NodeCount returns the number of allocated trie nodes (memory proxy).
 func (t *Table) NodeCount() int { return t.nodes }
 
-// MemoryBytes estimates resident memory of the trie structure.
+// MemoryBytes is the modelled footprint of the trie: per node, vals (1 KB),
+// plens (256 B), a 48 B header, 16 B of bookkeeping per route terminating in
+// it and 2 KB of child pointers once it has children. The 16 B per route is a
+// modelled cost that keeps Tab. 6's B/route stable, not what this
+// implementation spends (one bit).
 func (t *Table) MemoryBytes() int64 {
 	var walk func(n *node) int64
 	walk = func(n *node) int64 {
-		// vals (1KB) + plens (256B) + header/map overhead.
-		size := int64(slotCount*4+slotCount+48) + int64(len(n.rmap))*16
+		size := int64(slotCount*4+slotCount+48) + int64(n.routeCount())*16
 		if n.children != nil {
 			size += slotCount * 8
 			for _, c := range n.children {
@@ -111,8 +113,11 @@ func Mask(plen int) uint32 {
 func Canonical(addr uint32, plen int) uint32 { return addr & Mask(plen) }
 
 // locate walks to the node owning prefix/plen, creating nodes on the way,
-// and returns it plus the expansion base slot and span.
-func (t *Table) locate(prefix uint32, plen int) (n *node, base, span int) {
+// and returns it with r, the prefix's bits inside that node's stride (0..8),
+// and base, the stride's byte of prefix: the first slot of the route's
+// controlled prefix expansion, which spans 1<<(stride-r) slots (prefix is
+// canonical, so base's low stride-r bits are clear).
+func (t *Table) locate(prefix uint32, plen int) (n *node, r, base int) {
 	n = t.root
 	level := 0
 	for plen > (level+1)*stride {
@@ -127,18 +132,7 @@ func (t *Table) locate(prefix uint32, plen int) (n *node, base, span int) {
 		n = n.children[idx]
 		level++
 	}
-	base, span = expansion(prefix, plen, level)
-	return n, base, span
-}
-
-// expansion returns the base slot and span of prefix/plen's controlled
-// prefix expansion inside the node it terminates in at the given level.
-func expansion(prefix uint32, plen, level int) (base, span int) {
-	r := plen - level*stride // bits of the prefix inside this stride, 0..8
-	if r > 0 {
-		base = int(byte(prefix>>uint(32-stride*(level+1)))) &^ (1<<(stride-r) - 1)
-	}
-	return base, 1 << (stride - r)
+	return n, plen - level*stride, int(byte(prefix >> uint(32-stride*(level+1))))
 }
 
 // Insert adds or replaces the route (prefix/plen -> val). prefix must be in
@@ -150,22 +144,34 @@ func (t *Table) Insert(prefix uint32, plen int, val uint32) error {
 	if val == NoRoute {
 		return fmt.Errorf("lpm: value %#x is the NoRoute sentinel", val)
 	}
-	n, base, span := t.locate(prefix, plen)
-	for i := base; i < base+span; i++ {
+	n, r, base := t.locate(prefix, plen)
+	for i := base; i < base+1<<(stride-r); i++ {
 		if n.plens[i] <= int8(plen) {
 			n.plens[i] = int8(plen)
 			n.vals[i] = val
 		}
 	}
-	rk := routeKey{uint16(base), int8(plen)}
-	if n.rmap == nil {
-		n.rmap = make(map[routeKey]uint32)
+	bit := 1<<r - 1 + base>>(stride-r)
+	if n.routes == nil {
+		n.routes = new([8]uint64)
 	}
-	if _, existed := n.rmap[rk]; !existed {
+	if w, m := &n.routes[bit/64], uint64(1)<<(bit%64); *w&m == 0 {
+		*w |= m
 		t.count++
 	}
-	n.rmap[rk] = val
 	return nil
+}
+
+// routeCount returns the number of routes terminating in n.
+func (n *node) routeCount() int {
+	if n.routes == nil {
+		return 0
+	}
+	c := 0
+	for _, w := range n.routes {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 // Lookup returns the value of the longest matching prefix for addr, or
@@ -188,78 +194,4 @@ func (t *Table) Lookup(addr uint32) (uint32, bool) {
 		n = c
 	}
 	return best, best != NoRoute
-}
-
-// Delete removes the route (prefix/plen). It reports whether the route was
-// present.
-func (t *Table) Delete(prefix uint32, plen int) bool {
-	if validate(prefix, plen) != nil {
-		return false
-	}
-	// Walk to the owning node, creating nothing, and keep the (parent,
-	// child index) steps taken for pruning.
-	type step struct {
-		n   *node
-		idx byte
-	}
-	var path []step
-	n := t.root
-	for plen > (len(path)+1)*stride {
-		idx := byte(prefix >> uint(32-stride*(len(path)+1)))
-		if n.children == nil || n.children[idx] == nil {
-			return false
-		}
-		path = append(path, step{n, idx})
-		n = n.children[idx]
-	}
-	level := len(path)
-	base, span := expansion(prefix, plen, level)
-	rk := routeKey{uint16(base), int8(plen)}
-	if _, ok := n.rmap[rk]; !ok {
-		return false
-	}
-	delete(n.rmap, rk)
-	t.count--
-
-	// Restore the expansion range to the next-best route terminating in
-	// this node (longest plen' < plen whose range covers each slot).
-	for i := base; i < base+span; i++ {
-		if n.plens[i] != int8(plen) {
-			continue // a longer route owns this slot; leave it
-		}
-		bestPlen := int8(-1)
-		bestVal := NoRoute
-		for cand, val := range n.rmap {
-			if cand.plen >= int8(plen) || cand.plen <= bestPlen {
-				continue
-			}
-			cspan := 1 << (stride - (int(cand.plen) - level*stride))
-			if i >= int(cand.base) && i < int(cand.base)+cspan {
-				bestPlen = cand.plen
-				bestVal = val
-			}
-		}
-		n.plens[i] = bestPlen
-		n.vals[i] = bestVal
-	}
-
-	// Prune now-empty nodes up the path.
-	for len(path) > 0 && len(n.rmap) == 0 && n.children == nil {
-		last := path[len(path)-1]
-		last.n.children[last.idx] = nil
-		t.nodes--
-		path = path[:len(path)-1]
-		n = last.n
-		empty := true
-		for _, c := range n.children {
-			if c != nil {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			n.children = nil
-		}
-	}
-	return true
 }

@@ -164,25 +164,52 @@ type Tables struct {
 	routes *lpm.Table
 	// denied holds the flows the ACL drops.
 	denied map[packet.FiveTuple]bool
+
+	// warmSink absorbs BuildTables' warm reads so they are not elided.
+	warmSink uint64
 }
+
+// buildGroup is how many flows BuildTables hashes and warms before it
+// inserts them: up to that many slot-array misses are in flight at once.
+const buildGroup = 16
 
 // BuildTables installs flows: one index entry per distinct tuple (a repeated
 // tuple keeps its first ordinal), plus the /24 route of every destination.
+//
+// Flows go in one at a time, in order, so every ordinal and the slot array
+// are what sequential Insert makes. They are taken buildGroup at a time:
+// hash each once, read each probe head in one tight loop so the index's DRAM
+// misses overlap instead of serializing, then insert. A warm read interleaved
+// with the inserts overlaps only the misses of the few inserts the host's
+// reorder window holds: at 750k flows that form took 160 ms to this one's
+// 86 ms on a 2-vCPU Xeon.
 func BuildTables(flows []Flow) *Tables {
 	t := &Tables{
 		index:  flowtable.NewIndex(len(flows)),
 		routes: lpm.New(),
 		denied: make(map[packet.FiveTuple]bool),
 	}
-	for i, f := range flows {
-		t.index.Insert(f.Tuple)
-		if f.Denied {
-			t.denied[f.Tuple] = true
+	var hashes [buildGroup]uint32
+	var sink uint64
+	for lo := 0; lo < len(flows); lo += buildGroup {
+		group := flows[lo:min(lo+buildGroup, len(flows))]
+		for k := range group {
+			hashes[k] = group[k].Tuple.Hash()
 		}
-		// Destination subnet route (idempotent across flows sharing /24s).
-		prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
-		_ = t.routes.Insert(prefix, 24, uint32(i%(1<<20)))
+		for _, h := range hashes[:len(group)] {
+			sink += t.index.WarmHash(h)
+		}
+		for k, f := range group {
+			t.index.InsertHash(f.Tuple, hashes[k])
+			if f.Denied {
+				t.denied[f.Tuple] = true
+			}
+			// Destination subnet route (idempotent across flows sharing /24s).
+			prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
+			_ = t.routes.Insert(prefix, 24, uint32((lo+k)%(1<<20)))
+		}
 	}
+	t.warmSink = sink
 	return t
 }
 

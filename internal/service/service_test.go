@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"albatross/internal/cachesim"
+	"albatross/internal/flowtable"
 	"albatross/internal/packet"
 	"albatross/internal/sim"
 )
@@ -319,6 +320,53 @@ func benchProcess(b *testing.B, typ Type) {
 
 func BenchmarkProcessVPCVPC(b *testing.B)      { benchProcess(b, VPCVPC) }
 func BenchmarkProcessVPCInternet(b *testing.B) { benchProcess(b, VPCInternet) }
+
+// BenchmarkBuildTables times BuildTables on the two shapes above: 10k flows
+// build a slot array that fits the host cache, 750k a 32 MB one that does not.
+func BenchmarkBuildTables(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		flows int
+	}{{"10k", 10_000}, {"750k", 750_000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			flows := testFlows(bc.flows, 12)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildTables(flows)
+			}
+		})
+	}
+}
+
+// BuildTables' grouping changes when each flow is hashed, not the order flows
+// go in: every flow's ordinal and the key count equal those of an index
+// filled by one-at-a-time Insert. The small sizes straddle buildGroup, and
+// every fifth flow repeats one up to 19 places back, in its group or before.
+func TestBuildTablesMatchesSequentialInsert(t *testing.T) {
+	for _, n := range []int{0, 1, buildGroup - 1, buildGroup, buildGroup + 1, 10_000, 100_000} {
+		flows := testFlows(n, uint64(n)+5)
+		for i := range flows {
+			if i%5 == 4 {
+				flows[i].Tuple = flows[max(0, i-1-i%19)].Tuple
+			}
+		}
+		seq := flowtable.NewIndex(len(flows))
+		want := make([]uint64, len(flows))
+		for i, f := range flows {
+			want[i], _ = seq.Insert(f.Tuple)
+		}
+		got := BuildTables(flows).index
+		if got.Len() != seq.Len() {
+			t.Fatalf("%d flows: Len = %d, sequential Insert %d", n, got.Len(), seq.Len())
+		}
+		for i, f := range flows {
+			if ord, ok := got.LookupHash(f.Tuple, f.Tuple.Hash()); !ok || ord != want[i] {
+				t.Fatalf("%d flows: flow %d has ordinal %d (found %v), sequential Insert %d", n, i, ord, ok, want[i])
+			}
+		}
+	}
+}
 
 // Populate gives the /24 of flow i the next hop i mod 2^20, so flows in
 // different /24s resolve to different next hops. ProcessHash discards the

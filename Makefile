@@ -74,7 +74,8 @@ gameday: build
 #                exported series too.
 #   concury      the flow-table backend experiment in quick mode: backend
 #                agreement, zero-disruption pool updates, the session-vs-othello
-#                memory ratio, cluster byte-identity with othello + burst.
+#                memory ratio (cluster identity with othello + burst is the
+#                concury-churn drill's, under gameday).
 #   artefacts    every experiment in quick mode must pass, and print as many
 #                experiment headers ("== ") and checks ("check [") as the
 #                committed experiments_output.txt — so the report cannot go

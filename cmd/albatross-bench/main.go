@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"albatross/internal/eval"
-	"albatross/internal/metrics"
 )
 
 // jsonRecord is the -json per-experiment entry for tracking the perf
@@ -53,7 +52,6 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments and exit")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool size")
 		jsonOut  = flag.String("json", "", "write per-experiment wall time and pass/fail to this file")
-		metOut   = flag.String("metrics", "", "write the metrics snapshots of experiments that take one to this JSON file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	)
 	flag.Parse()
@@ -131,29 +129,6 @@ func main() {
 		data = append(data, '\n')
 		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-			os.Exit(2)
-		}
-	}
-
-	if *metOut != "" {
-		type metRecord struct {
-			ID      string            `json:"id"`
-			Metrics *metrics.Snapshot `json:"metrics"`
-		}
-		mrecs := make([]metRecord, 0, len(recs))
-		for _, rec := range recs {
-			if rec.Result.Metrics != nil {
-				mrecs = append(mrecs, metRecord{ID: rec.Exp.ID, Metrics: rec.Result.Metrics})
-			}
-		}
-		data, err := json.MarshalIndent(mrecs, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encoding -metrics output: %v\n", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*metOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *metOut, err)
 			os.Exit(2)
 		}
 	}

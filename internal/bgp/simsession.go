@@ -103,9 +103,6 @@ func (s *SimSession) RouteUp() bool { return s.routeUp }
 // LinkUp reports whether the physical link is up (no flap in progress).
 func (s *SimSession) LinkUp() bool { return s.engine.Now() >= s.linkDownUntil }
 
-// BFDUp reports whether BFD considers the session alive.
-func (s *SimSession) BFDUp() bool { return s.bfdUp }
-
 // Stats returns a snapshot of the counters.
 func (s *SimSession) Stats() SimSessionStats { return s.stats }
 

@@ -54,9 +54,9 @@ func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
 	for at := sim.Time(0); at <= sim.Time(8*sim.Second); at = at.Add(25 * sim.Millisecond) {
 		engBare.RunUntil(at)
 		engFab.RunUntil(at)
-		if bare.RouteUp() != observed.RouteUp() || bare.BFDUp() != observed.BFDUp() || bare.LinkUp() != observed.LinkUp() {
+		if bare.RouteUp() != observed.RouteUp() || bare.bfdUp != observed.bfdUp || bare.LinkUp() != observed.LinkUp() {
 			t.Fatalf("state diverged at %v: bare(route=%v bfd=%v link=%v) observed(route=%v bfd=%v link=%v)",
-				at, bare.RouteUp(), bare.BFDUp(), bare.LinkUp(), observed.RouteUp(), observed.BFDUp(), observed.LinkUp())
+				at, bare.RouteUp(), bare.bfdUp, bare.LinkUp(), observed.RouteUp(), observed.bfdUp, observed.LinkUp())
 		}
 		if bare.NextTransition() != observed.NextTransition() {
 			t.Fatalf("lookahead diverged at %v: bare=%v observed=%v", at, bare.NextTransition(), observed.NextTransition())
@@ -133,7 +133,7 @@ func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 	if !session.RouteUp() {
 		t.Fatalf("admin drain must not touch the BFD eligibility view")
 	}
-	if !session.BFDUp() {
+	if !session.bfdUp {
 		t.Fatalf("admin drain must not touch BFD")
 	}
 	ps.SetAdmin(true)

@@ -15,20 +15,38 @@ import (
 
 const testSeed = 42
 
-func testCluster(t *testing.T, nodes int, plan *faults.Plan) (*Cluster, []workload.Flow) {
+// testCluster builds a cluster of one PLB pod per member over a 2000-flow
+// set; tune, when given, adjusts the pod config first.
+func testCluster(t *testing.T, nodes int, plan *faults.Plan, tune ...func(*core.PodConfig)) (*Cluster, []workload.Flow) {
 	t.Helper()
 	c, err := New(Config{Nodes: nodes, Seed: testSeed, Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wf := workload.GenerateFlows(2000, 100, testSeed)
-	if err := c.AddPod(core.PodConfig{
+	pc := core.PodConfig{
 		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 4, CtrlCores: 1, Mode: pod.ModePLB},
 		Flows: workload.ServiceFlows(wf, 0),
-	}); err != nil {
+	}
+	for _, f := range tune {
+		f(&pc)
+	}
+	if err := c.AddPod(pc); err != nil {
 		t.Fatal(err)
 	}
 	return c, wf
+}
+
+// stageIndex resolves a pipeline stage label to its residency slot.
+func stageIndex(t *testing.T, name string) int {
+	t.Helper()
+	for i, s := range core.StageNames() {
+		if s == name {
+			return i
+		}
+	}
+	t.Fatalf("unknown stage %q", name)
+	return -1
 }
 
 // ownersOf snapshots the current ECMP owner per flow.
@@ -113,7 +131,9 @@ func TestNodeCrashRemapBoundAndRecovery(t *testing.T) {
 
 func TestNodeCrashBoundedLoss(t *testing.T) {
 	plan := (&faults.Plan{}).NodeCrash(30*sim.Millisecond, 1, 500*sim.Millisecond)
-	c, wf := testCluster(t, 3, plan)
+	c, wf := testCluster(t, 3, plan, func(pc *core.PodConfig) {
+		pc.TraceSampleEvery = 128 // flight-record any casualty inside a survivor
+	})
 	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(3e5), Seed: testSeed + 1, Sink: c.Sink()}
 	if err := src.Start(c.Engine); err != nil {
 		t.Fatal(err)
@@ -138,7 +158,11 @@ func TestNodeCrashBoundedLoss(t *testing.T) {
 		t.Fatalf("fault log has %d events, want 1", len(c.FaultLog()))
 	}
 	// Surviving nodes keep per-flow order: their PLB reorder engines see no
-	// best-effort (out-of-order) emissions caused by the failover.
+	// best-effort (out-of-order) emissions caused by the failover. Their NIC
+	// stages stay at the healthy Tab. 4 RX/TX pipeline sums, and the loss
+	// lives at the switch, never inside a surviving pipeline: the survivors'
+	// sampling flight recorders commit no journey.
+	nicIn, nicEg := stageIndex(t, "nic-ingress"), stageIndex(t, "nic-egress")
 	for _, m := range c.Members() {
 		if m.Index == 1 {
 			continue
@@ -146,6 +170,14 @@ func TestNodeCrashBoundedLoss(t *testing.T) {
 		pr := m.Node.Pods()[0]
 		if pr.DisorderRate() != 0 {
 			t.Fatalf("survivor %d disorder rate %g, want 0", m.Index, pr.DisorderRate())
+		}
+		resid := pr.StageResidency()
+		if in, eg := resid[nicIn].Max(), resid[nicEg].Max(); in != 3900 || eg != 4170 {
+			t.Fatalf("survivor %d NIC residency max ingress %dns egress %dns, want 3900/4170", m.Index, in, eg)
+		}
+		if fr := pr.Flight(); fr.Sampled == 0 || fr.Drops+fr.Timeouts+fr.Triggered != 0 {
+			t.Fatalf("survivor %d sampled %d, committed %d drop / %d timeout / %d trigger journeys, want none",
+				m.Index, fr.Sampled, fr.Drops, fr.Timeouts, fr.Triggered)
 		}
 	}
 }

@@ -65,10 +65,6 @@ func (s podState) String() string {
 // State returns the pod's lifecycle state name.
 func (pr *PodRuntime) State() string { return pr.state.String() }
 
-// Live returns the number of data-path packet contexts currently in flight
-// through the pod (NIC, queues, cores, reorder).
-func (pr *PodRuntime) Live() int { return pr.live }
-
 // podAt resolves a fault plan's pod index.
 func (n *Node) podAt(i int) (*PodRuntime, error) {
 	if i < 0 || i >= len(n.pods) {

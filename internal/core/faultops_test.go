@@ -25,6 +25,17 @@ func windowDisorder(a, b plb.Stats) float64 {
 	return float64(be) / float64(in+be)
 }
 
+// upCores counts the pod's cores in the PLB spray mask.
+func upCores(pr *PodRuntime) int {
+	up := 0
+	for c := range pr.Cores {
+		if pr.PLB.CoreUp(c) {
+			up++
+		}
+	}
+	return up
+}
+
 // faultBursts are the dispatch batch sizes the stall-then-fail tests run
 // under with identical expectations.
 var faultBursts = []int{1, 8}
@@ -69,13 +80,13 @@ func coreFailBoundedLoss(t *testing.T, burst int) {
 	if err := n.InjectCoreFail(0, 2, 10*sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if pr.PLB.CoreUp(2) || pr.PLB.UpCores() != 3 {
-		t.Fatalf("core 2 not evicted from spray mask (up=%d)", pr.PLB.UpCores())
+	if pr.PLB.CoreUp(2) || upCores(pr) != 3 {
+		t.Fatalf("core 2 not evicted from spray mask (up=%d)", upCores(pr))
 	}
 	s0 := pr.PLB.Stats()           // right after eviction
 	n.RunFor(19 * sim.Millisecond) // fault + recovery
-	if !pr.PLB.CoreUp(2) {
-		t.Fatal("core 2 not restored to spray mask after recovery")
+	if upCores(pr) != 4 {
+		t.Fatalf("spray mask not restored after recovery (up=%d)", upCores(pr))
 	}
 	s1 := pr.PLB.Stats()
 
@@ -105,8 +116,8 @@ func coreFailBoundedLoss(t *testing.T, burst int) {
 	if pr.Rx != accounted {
 		t.Fatalf("rx=%d but accounted=%d (lost track of packets)", pr.Rx, accounted)
 	}
-	if pr.Live() != 0 {
-		t.Fatalf("%d contexts still live after drain", pr.Live())
+	if pr.live != 0 {
+		t.Fatalf("%d contexts still live after drain", pr.live)
 	}
 
 	// Disorder rate back at baseline after recovery. The healthy run's
@@ -161,6 +172,11 @@ func TestPodCrashRedirectsAndRestarts(t *testing.T) {
 	if p0.CrashDrops != 0 {
 		t.Fatalf("CrashDrops = %d with a live sibling", p0.CrashDrops)
 	}
+	// An abrupt crash loses only what was in flight: at most every core's
+	// RX queue plus its in-service packet.
+	if bound := uint64(len(p0.Cores) * (p0.cfg.QueueDepth + 1)); p0.FaultLost == 0 || p0.FaultLost > bound {
+		t.Fatalf("FaultLost = %d, want in [1, %d]", p0.FaultLost, bound)
+	}
 
 	n.RunFor(15 * sim.Millisecond) // past restart
 	if p0.State() != "active" || p0.Restarts != 1 {
@@ -172,6 +188,9 @@ func TestPodCrashRedirectsAndRestarts(t *testing.T) {
 	n.RunFor(5 * sim.Millisecond)
 	if p0.Rx <= rxAtRestart {
 		t.Fatal("pod not processing traffic after restart")
+	}
+	if p1.Tx == 0 {
+		t.Fatal("sibling delivered none of the redirected traffic")
 	}
 }
 
@@ -202,8 +221,8 @@ func TestGracefulDrainLosesNothing(t *testing.T) {
 	if p0.Redirected == 0 || p1.Tx == 0 {
 		t.Fatalf("drain did not redirect (redirected=%d, sibling tx=%d)", p0.Redirected, p1.Tx)
 	}
-	if p0.State() != "active" {
-		t.Fatalf("state = %s after upgrade, want active", p0.State())
+	if p0.State() != "active" || p0.Restarts != 1 {
+		t.Fatalf("state = %s restarts = %d after upgrade, want active after 1", p0.State(), p0.Restarts)
 	}
 	// All of p0's own in-flight packets completed.
 	if p0.Rx != p0.Tx+p0.NICDrops+p0.QueueDrops+p0.PLBDrops+p0.ServiceDrop {
@@ -211,41 +230,75 @@ func TestGracefulDrainLosesNothing(t *testing.T) {
 	}
 }
 
+// TestAutoFallbackOnReorderStress holds every order-queue head past the
+// 100µs reorder timeout and requires the watchdog to switch the pod to RSS.
+// A twin run without the stress is the baseline: it stays in PLB with
+// reorder residency well under the bound, while the stressed pod's
+// residency p99 reaches the bound, its timeout releases storm, and its
+// sampling flight recorder commits timeout-release journeys.
 func TestAutoFallbackOnReorderStress(t *testing.T) {
-	n := smallNode(t, nil)
-	wf, sf := wflows(1000, 1)
-	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-	pr.EnableAutoFallback(0, 0) // defaults: 1ms window, 5%
+	type outcome struct {
+		pr  *PodRuntime
+		dTO uint64 // timeout releases over the 20ms stress window
+		p99 int64  // reorder-stage residency p99 at the window's end
+	}
+	drive := func(stress bool) outcome {
+		n := smallNode(t, nil)
+		wf, sf := wflows(1000, 1)
+		pr := addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) { c.TraceSampleEvery = 64 })
+		pr.EnableAutoFallback(0, 0) // defaults: 1ms window, 5%
 
-	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e6), Seed: 2, Sink: pr.Sink()}
-	if err := src.Start(n.Engine); err != nil {
-		t.Fatal(err)
-	}
-	n.RunFor(5 * sim.Millisecond)
-	if pr.Mode() != pod.ModePLB {
-		t.Fatal("healthy pod fell back prematurely")
-	}
-	// Force every head to wait out the timeout on all order queues.
-	nq := pr.PLB.Config().NumOrderQueues
-	for q := 0; q < nq; q++ {
-		if err := n.InjectReorderStress(0, q, 20*sim.Millisecond, true, 0); err != nil {
+		src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e6), Seed: 2, Sink: pr.Sink()}
+		if err := src.Start(n.Engine); err != nil {
 			t.Fatal(err)
 		}
+		n.RunFor(5 * sim.Millisecond)
+		if pr.Mode() != pod.ModePLB {
+			t.Fatal("healthy pod fell back prematurely")
+		}
+		to0 := pr.PLB.Stats().TimeoutReleases
+		if stress {
+			// Force every head to wait out the timeout on all order queues.
+			for q := 0; q < pr.Pod.ReorderQueues; q++ {
+				if err := n.InjectReorderStress(0, q, 20*sim.Millisecond, true, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n.RunFor(20 * sim.Millisecond)
+		toAtEnd := pr.PLB.Stats().TimeoutReleases
+		o := outcome{pr: pr, dTO: toAtEnd - to0, p99: pr.StageResidency()[stageReorder].Quantile(0.99)}
+		n.RunFor(20 * sim.Millisecond)
+		src.Stop()
+		n.RunFor(5 * sim.Millisecond)
+		// After fallback, new packets bypass the reorder engine entirely.
+		if to := pr.PLB.Stats().TimeoutReleases; to < toAtEnd {
+			t.Fatalf("timeout releases went backwards: %d -> %d", toAtEnd, to)
+		}
+		if pr.Tx == 0 {
+			t.Fatal("no traffic delivered")
+		}
+		return o
 	}
-	n.RunFor(20 * sim.Millisecond)
-	if pr.Mode() != pod.ModeRSS || pr.Fallbacks != 1 {
+	healthy, stressed := drive(false), drive(true)
+
+	if pr := healthy.pr; pr.Mode() != pod.ModePLB || pr.Fallbacks != 0 {
+		t.Fatalf("healthy pod left PLB (mode=%v fallbacks=%d)", pr.Mode(), pr.Fallbacks)
+	}
+	if pr := stressed.pr; pr.Mode() != pod.ModeRSS || pr.Fallbacks != 1 {
 		t.Fatalf("watchdog did not fall back (mode=%v fallbacks=%d)", pr.Mode(), pr.Fallbacks)
 	}
-	toAtFallback := pr.PLB.Stats().TimeoutReleases
-	n.RunFor(20 * sim.Millisecond)
-	src.Stop()
-	n.RunFor(5 * sim.Millisecond)
-	// After fallback, new packets bypass the reorder engine entirely.
-	if to := pr.PLB.Stats().TimeoutReleases; to < toAtFallback {
-		t.Fatalf("timeout releases went backwards: %d -> %d", toAtFallback, to)
+	if stressed.dTO <= healthy.dTO*10+100 {
+		t.Fatalf("stress forced no timeout storm: %d timeout releases vs %d healthy", stressed.dTO, healthy.dTO)
 	}
-	if pr.Tx == 0 {
-		t.Fatal("no traffic after fallback")
+	if stressed.p99 < int64(90*sim.Microsecond) || healthy.p99 >= int64(50*sim.Microsecond) {
+		t.Fatalf("reorder residency p99 stressed %dns (want >= 90µs), healthy %dns (want < 50µs)",
+			stressed.p99, healthy.p99)
+	}
+	sf, hf := stressed.pr.Flight(), healthy.pr.Flight()
+	if sf.Timeouts == 0 || len(sf.Journeys()) == 0 || hf.Timeouts != 0 {
+		t.Fatalf("flight recorder timeout journeys: stressed %d (%d retained), healthy %d",
+			sf.Timeouts, len(sf.Journeys()), hf.Timeouts)
 	}
 }
 
@@ -278,8 +331,8 @@ func TestRxLossLeavesHOLEntries(t *testing.T) {
 	if pr.Rx != pr.Tx+pr.NICDrops+pr.QueueDrops+pr.PLBDrops+pr.ServiceDrop+pr.RxLost {
 		t.Fatal("rx-loss accounting leak")
 	}
-	if pr.Live() != 0 {
-		t.Fatalf("%d contexts leaked", pr.Live())
+	if pr.live != 0 {
+		t.Fatalf("%d contexts leaked", pr.live)
 	}
 }
 
@@ -315,9 +368,9 @@ func TestBGPFlapBlackholeAndProxy(t *testing.T) {
 	if st.LastDetectNS < 150*sim.Millisecond || st.LastDetectNS > 200*sim.Millisecond {
 		t.Fatalf("detection latency = %v, want [150ms, 200ms]", st.LastDetectNS)
 	}
-	// Blackholed during detection, proxied after withdrawal.
-	if n.Blackholed == 0 || n.Proxied == 0 {
-		t.Fatalf("blackholed=%d proxied=%d, want both positive", n.Blackholed, n.Proxied)
+	// Blackholed only during detection, proxied after withdrawal.
+	if n.Blackholed == 0 || n.Blackholed >= n.Proxied {
+		t.Fatalf("blackholed=%d proxied=%d, want 0 < blackholed < proxied", n.Blackholed, n.Proxied)
 	}
 	if !n.Uplink().RouteUp() {
 		t.Fatal("route not re-advertised after flap")
@@ -350,8 +403,8 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 	if err := pr.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if !(pr.state == podStopped) || pr.Live() != 0 {
-		t.Fatalf("state=%s live=%d after Stop", pr.State(), pr.Live())
+	if !(pr.state == podStopped) || pr.live != 0 {
+		t.Fatalf("state=%s live=%d after Stop", pr.State(), pr.live)
 	}
 	if err := pr.Stop(); !errors.Is(err, errs.Closed) {
 		t.Fatalf("second Stop = %v, want errs.Closed", err)

@@ -331,12 +331,9 @@ func (f *FlightRecorder) commit(j *Journey) {
 	}
 }
 
-// Committed returns the number of journeys committed to the ring over the
-// recorder's lifetime (drops, timeout releases, and trigger matches).
-func (f *FlightRecorder) Committed() uint64 { return f.Drops + f.Timeouts + f.Triggered }
-
 // Journeys returns the retained journeys, oldest first. The ring bounds
-// retention to its size; Committed() counts everything ever recorded.
+// retention to its size; Drops + Timeouts + Triggered counts everything
+// ever recorded.
 func (f *FlightRecorder) Journeys() []Journey {
 	if !f.wrap {
 		out := make([]Journey, f.next)

@@ -18,11 +18,11 @@ import (
 func drainPod(t *testing.T, n *Node, pr *PodRuntime, src *workload.Source) {
 	t.Helper()
 	src.Stop()
-	for i := 0; i < 100 && pr.Live() > 0; i++ {
+	for i := 0; i < 100 && pr.live > 0; i++ {
 		n.RunFor(sim.Millisecond)
 	}
-	if pr.Live() != 0 {
-		t.Fatalf("pipeline did not drain: %d contexts live", pr.Live())
+	if pr.live != 0 {
+		t.Fatalf("pipeline did not drain: %d contexts live", pr.live)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestStageConservationRSS(t *testing.T) {
 	assertStageConservation(t, pr)
 }
 
-// TestStageConservationUnderFaults drives the faultcore shape (a stall
+// TestStageConservationUnderFaults drives the core-fail drill shape (a stall
 // then a core failure) plus service drops and asserts the counters still
 // balance: packets lost inside async stages are charged to the stage that
 // held them.

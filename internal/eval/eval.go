@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"albatross/internal/metrics"
 	"albatross/internal/stats"
 )
 
@@ -45,9 +44,6 @@ type Result struct {
 	Notes []string
 	// Checks are the shape assertions.
 	Checks []Check
-	// Metrics, when non-nil, is the experiment's final metrics snapshot
-	// (exported by albatross-bench -metrics).
-	Metrics *metrics.Snapshot
 }
 
 // Passed reports whether every check held.

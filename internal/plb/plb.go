@@ -252,9 +252,6 @@ func New(engine *sim.Engine, cfg Config, emit func(Emission)) (*PLB, error) {
 // Stats returns a snapshot of the counters.
 func (p *PLB) Stats() Stats { return p.stats }
 
-// Config returns the active configuration.
-func (p *PLB) Config() Config { return p.cfg }
-
 // windowBits is log2(QueueDepth): the number of PSN bits the legal check
 // compares (12 at the paper's 4K depth).
 func (p *PLB) windowBits() int { return bits.TrailingZeros16(p.mask + 1) }
@@ -568,9 +565,6 @@ func (p *PLB) RestoreCore(core int) {
 func (p *PLB) CoreUp(core int) bool {
 	return core >= 0 && core < len(p.coreUp) && p.coreUp[core]
 }
-
-// UpCores returns the number of cores currently in the spray mask.
-func (p *PLB) UpCores() int { return p.upCount }
 
 // StressQueue applies reorder-engine stress to order queue q for duration d
 // (fault injection). holdHeads forces every FIFO head to wait out the full

@@ -63,7 +63,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := p.Config()
+	c := p.cfg
 	if c.QueueDepth != 4096 || c.Timeout != 100*sim.Microsecond || c.HOLThreshold != 10*sim.Microsecond {
 		t.Fatalf("defaults not applied: %+v", c)
 	}

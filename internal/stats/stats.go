@@ -277,26 +277,6 @@ func (h *Histogram) DeltaQuantile(q float64, prev []uint64) int64 {
 	return h.lowerBound(len(h.buckets) - 1)
 }
 
-// Merge adds all samples of other into h. Histograms must share subBits.
-func (h *Histogram) Merge(other *Histogram) {
-	if h.subBits != other.subBits {
-		panic("stats: merging histograms with different precision")
-	}
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-	}
-}
-
 // Reset clears all recorded samples.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {

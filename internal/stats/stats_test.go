@@ -90,32 +90,15 @@ func TestHistogramFractionAbove(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeAndReset(t *testing.T) {
-	a, b := NewHistogram(8), NewHistogram(8)
+func TestHistogramReset(t *testing.T) {
+	h := NewHistogram(8)
 	for i := int64(0); i < 50; i++ {
-		a.Record(i)
-		b.Record(1000 + i)
+		h.Record(1000 + i)
 	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("merged count = %d", a.Count())
-	}
-	if a.Min() != 0 || a.Max() != 1049 {
-		t.Fatalf("merged min/max = %d/%d", a.Min(), a.Max())
-	}
-	a.Reset()
-	if a.Count() != 0 || a.Quantile(0.9) != 0 {
+	h.Reset()
+	if h.Count() != 0 || h.Quantile(0.9) != 0 {
 		t.Fatal("reset did not clear histogram")
 	}
-}
-
-func TestHistogramMergePrecisionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched merge did not panic")
-		}
-	}()
-	NewHistogram(8).Merge(NewHistogram(4))
 }
 
 func TestHistogramQuantileMonotoneProperty(t *testing.T) {

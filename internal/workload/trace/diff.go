@@ -72,18 +72,6 @@ func (d *DiffReport) Empty() bool {
 	return len(d.Changed) == 0 && len(d.OnlyA) == 0 && len(d.OnlyB) == 0
 }
 
-// ChangedKeys returns the keys of all differing lines (changed plus
-// one-sided), in report order.
-func (d *DiffReport) ChangedKeys() []string {
-	keys := make([]string, 0, len(d.Changed)+len(d.OnlyA)+len(d.OnlyB))
-	for _, c := range d.Changed {
-		keys = append(keys, c.Key)
-	}
-	keys = append(keys, d.OnlyA...)
-	keys = append(keys, d.OnlyB...)
-	return keys
-}
-
 // String renders the stable textual diff report.
 func (d *DiffReport) String() string {
 	var b strings.Builder

@@ -53,7 +53,7 @@ func crashScenario(t *testing.T) (healthy, crashed string) {
 	podCfg := core.PodConfig{
 		Spec:             pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 2, CtrlCores: 1, Mode: pod.ModePLB},
 		Flows:            workload.ServiceFlows(wf, 0),
-		JitterSigma:      -1, // schedule-determined outcomes (see figures_replay.go)
+		JitterSigma:      -1, // schedule-determined outcomes (see cluster.TestReplayAcrossSeedsAndCrashPlan)
 		TraceSampleEvery: 64,
 	}
 	totalLen := 300 * sim.Millisecond
@@ -121,7 +121,11 @@ func TestDiffGolden(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("node-crash replay produced an identical outcome report")
 	}
-	for _, k := range d.ChangedKeys() {
+	keys := append(append([]string(nil), d.OnlyA...), d.OnlyB...)
+	for _, c := range d.Changed {
+		keys = append(keys, c.Key)
+	}
+	for _, k := range keys {
 		if k != "cluster/traffic" && k != "metrics/fnv64a" && !strings.HasPrefix(k, "node1/") {
 			t.Fatalf("diff leaked outside the crashed node's lines: %q", k)
 		}

@@ -28,12 +28,13 @@ vet:
 
 # Race-checks the packages with intentional cross-goroutine sharing (the
 # eval worker pool, the shared/sharded session tables, the service tables
-# every cluster member reads) plus the packet path itself: the node pipeline
-# and the multi-node cluster layer.
+# every cluster member reads, the histograms the metrics handlers read while
+# their rows grow) plus the packet path itself: the node pipeline, the PLB
+# reorder engine and the multi-node cluster layer.
 # The race detector slows the eval experiments ~10x, so the default 10m
 # per-package test timeout is not enough headroom.
 race:
-	$(GO) test -race -timeout 30m ./internal/sim/ ./internal/eval/ ./internal/flowtable/ ./internal/service/ ./internal/cluster/ ./internal/core/ ./internal/workload/trace/ ./internal/scenario/ ./internal/metrics/ ./internal/controlplane/ ./internal/bgp/
+	$(GO) test -race -timeout 30m ./internal/sim/ ./internal/eval/ ./internal/flowtable/ ./internal/service/ ./internal/cluster/ ./internal/core/ ./internal/workload/trace/ ./internal/scenario/ ./internal/metrics/ ./internal/controlplane/ ./internal/bgp/ ./internal/stats/ ./internal/plb/
 
 # Gameday gate: every committed scenario must validate, run with all of
 # its declared assertions passing, and print byte-identical stdout on a
@@ -87,6 +88,10 @@ gameday: build
 #   lpm-fuzz     ten seconds of native fuzzing of the routing trie against its
 #                brute-force reference: lookups, route and node counts, and the
 #                modelled footprint (committed seeds run in `go test`).
+#   hist-fuzz    ten seconds of native fuzzing of the histogram's first-touch
+#                row layout against the dense 64-row reference: every query,
+#                and deltas over snapshots taken around row growth and Reset
+#                (committed seeds run in `go test`).
 #   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
@@ -118,6 +123,7 @@ check: build
 		"concury|$(GO) run ./cmd/albatross-bench -exp concury -quick" \
 		"artefacts|timeout 240 $(GO) run ./cmd/albatross-bench -quick -parallel 1 > $$tmp/exp.txt && [ \$$(counts $$tmp/exp.txt) = \$$(counts experiments_output.txt) ]" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
+		"hist-fuzz|$(GO) test -run '^\$$' -fuzz FuzzHistogramMatchesDense -fuzztime 10s ./internal/stats" \
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
 		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \

@@ -41,17 +41,21 @@ func sharesTables(t *testing.T, c *Cluster) {
 
 // TestClusterSharesPodTables pins what Cluster.AddPod costs per member. With
 // one set of tables per template, a member's share of a 10 000-flow pod is
-// its runtime — cores, PLB, histograms, a 1 MB cache model — about 0.85 MB of
-// heap. A private copy of the tables (a 16 384-slot index, the /24 trie)
-// makes it 1.8 MB, and made it 3.9 MB when every modelled table had its own.
+// its runtime — cores, PLB, histograms, a 1 MB cache model — about 0.33 MB of
+// heap, and 0.37 MB after a block of traffic (histogram rows are allocated
+// as latencies first land in them). It was 0.85 MB while every histogram held
+// all 64 magnitude rows and every BUF slot a copy of its packet's meta. A
+// private copy of the tables (a 16 384-slot index, the /24 trie) adds about
+// 1 MB, and every modelled table having its own made it 3.9 MB.
 func TestClusterSharesPodTables(t *testing.T) {
-	const nodes, perMemberBound = 64, 1280 << 10
+	const nodes, perMemberBound = 64, 2 << 20 / 5 // 0.40 MB
 	c, err := New(Config{Nodes: nodes, Seed: testSeed, Shards: 1,
 		Node: core.NodeConfig{Cache: cachesim.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := workload.ServiceFlows(workload.GenerateFlows(10_000, 100, testSeed), 0)
+	gen := workload.GenerateFlows(10_000, 100, testSeed)
+	flows := workload.ServiceFlows(gen, 0)
 	before := heapAfterGC()
 	if err := c.AddPod(core.PodConfig{
 		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 4, CtrlCores: 1, Mode: pod.ModePLB},
@@ -64,6 +68,20 @@ func TestClusterSharesPodTables(t *testing.T) {
 	if perMember > perMemberBound {
 		t.Fatalf("AddPod grew the heap by %d bytes per member, bound %d: are the tables still shared?",
 			perMember, perMemberBound)
+	}
+
+	// One block of traffic: 10 ms at 2 Mpps spread over the members.
+	src := &workload.Source{Flows: gen, Rate: workload.ConstantRate(2e6), Seed: testSeed + 1, Sink: c.Sink()}
+	if err := src.Start(c.Engine); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(10 * sim.Millisecond)
+	src.Stop()
+	c.RunFor(5 * sim.Millisecond)
+	perMember = (heapAfterGC() - before) / nodes
+	t.Logf("after 10 ms of traffic: %.2f MB of heap per member", float64(perMember)/(1<<20))
+	if perMember > perMemberBound {
+		t.Fatalf("the pod grew the heap by %d bytes per member after traffic, bound %d", perMember, perMemberBound)
 	}
 
 	// Members and pods added later adopt the recorded tables too.

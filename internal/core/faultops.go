@@ -7,7 +7,6 @@ import (
 	"albatross/internal/bgp"
 	"albatross/internal/errs"
 	"albatross/internal/faults"
-	"albatross/internal/packet"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
 )
@@ -105,9 +104,6 @@ func (pr *PodRuntime) onLost(item any) {
 	pr.pipe.dropHere(ctx, pr.node.Engine.Now())
 	pr.putCtx(ctx)
 }
-
-// onFlush adapts onLost to the PLB.Flush callback shape.
-func (pr *PodRuntime) onFlush(item any, _ packet.Meta) { pr.onLost(item) }
 
 // rxLossHit reports whether an injected RX-loss window eats the packet
 // dispatched to core.
@@ -229,7 +225,7 @@ func (n *Node) InjectPodCrash(podIdx int, graceful bool, restartAfter sim.Durati
 		pr.state = podCrashed
 		pr.failCores(0, len(pr.Cores))
 		if pr.PLB != nil {
-			pr.PLB.Flush(pr.onFlush)
+			pr.PLB.Flush(pr.onLost)
 		}
 	}
 	n.Engine.After(restartAfter, pr.completeRestart)
@@ -411,7 +407,7 @@ func (pr *PodRuntime) Stop() error {
 	}
 	pr.failCores(0, len(pr.Cores)) // discard stragglers
 	if pr.PLB != nil {
-		pr.PLB.Flush(pr.onFlush)
+		pr.PLB.Flush(pr.onLost)
 	}
 	pr.state = podStopped
 	pr.redirect = nil

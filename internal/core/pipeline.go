@@ -36,8 +36,9 @@ const (
 )
 
 // stageHistSubBits is the precision of the per-stage residency histograms:
-// 64 sub-buckets per magnitude, relative error <= 1/64 (~1.6%), 32KB per
-// stage. Stage residencies span ns to ms, so log-linear bucketing fits.
+// 64 sub-buckets per magnitude, relative error <= 1/64 (~1.6%), 512 B per
+// magnitude row a residency has landed in. Stage residencies span ns to ms,
+// so log-linear bucketing fits, and a stage touches a handful of rows.
 const stageHistSubBits = 6
 
 // Pipeline is a pod's per-stage conservation counters and residency-time

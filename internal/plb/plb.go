@@ -80,6 +80,10 @@ func DefaultConfig(podID uint16, cores int) Config {
 // Emission is a packet leaving the egress pipeline.
 type Emission struct {
 	Item any
+	// Meta is the header the packet left with. A packet the legal check
+	// sent straight out keeps the meta it returned with; one released from
+	// BUF carries only its PSN, order queue and pod, which is all the reorder
+	// engine keeps of it.
 	Meta packet.Meta
 	Time sim.Time
 	// InOrder is true for case-4 transmissions; false for best-effort
@@ -124,12 +128,13 @@ type reorderInfo struct {
 	enq     sim.Time
 }
 
+// bufSlot is one BUF entry. It holds no copy of the returned meta: an
+// emission from BUF rebuilds the header from psn and the queue index.
 type bufSlot struct {
 	valid   bool
 	dropped bool // drop flag set by the GW pod
 	psn     uint16
 	item    any
-	meta    packet.Meta
 }
 
 // ordQueue is one order-preserving queue: FIFO + BUF + BITMAP. The BITMAP
@@ -377,9 +382,13 @@ func (p *PLB) Return(item any, meta packet.Meta) {
 	slot.valid = true
 	slot.psn = meta.PSN
 	slot.item = item
-	slot.meta = meta
 	slot.dropped = meta.Flags&packet.MetaFlagDrop != 0
 	p.drain(meta.OrdQ)
+}
+
+// slotMeta rebuilds the header of a packet buffered in queue qi.
+func (p *PLB) slotMeta(slot *bufSlot, qi uint8) packet.Meta {
+	return packet.Meta{PSN: slot.psn, OrdQ: qi, PodID: p.cfg.PodID}
 }
 
 func (p *PLB) emitBestEffort(item any, meta packet.Meta, now sim.Time) {
@@ -412,7 +421,7 @@ func (p *PLB) drain(qi uint8) {
 			p.stats.TimeoutReleases++
 			if slot.valid {
 				if !slot.dropped {
-					p.emitBestEffort(slot.item, slot.meta, now)
+					p.emitBestEffort(slot.item, p.slotMeta(slot, qi), now)
 				}
 				slot.valid = false
 				slot.item = nil
@@ -430,7 +439,7 @@ func (p *PLB) drain(qi uint8) {
 			} else {
 				p.stats.EmittedInOrder++
 				if p.emit != nil {
-					p.emit(Emission{Item: slot.item, Meta: slot.meta, Time: now, InOrder: true})
+					p.emit(Emission{Item: slot.item, Meta: p.slotMeta(slot, qi), Time: now, InOrder: true})
 				}
 			}
 			slot.valid = false
@@ -440,7 +449,7 @@ func (p *PLB) drain(qi uint8) {
 			// Case 3: a stale (timed-out) packet aliased through the legal
 			// check. Send it best-effort; keep waiting for the real head.
 			p.stats.StaleEmissions++
-			p.emitBestEffort(slot.item, slot.meta, now)
+			p.emitBestEffort(slot.item, p.slotMeta(slot, qi), now)
 			slot.valid = false
 			slot.item = nil
 			if info.evicted {
@@ -594,11 +603,11 @@ func (p *PLB) StressQueue(q int, d sim.Duration, holdHeads bool, depthClamp int)
 }
 
 // Flush abandons all reorder state (the abrupt pod-crash path): buffered
-// packets are handed to onItem for resource reclamation instead of being
-// emitted, every FIFO resets to empty, and stress windows clear. It returns
-// the number of FIFO entries discarded. Pending queue timers fire as no-ops
-// on the emptied queues.
-func (p *PLB) Flush(onItem func(item any, meta packet.Meta)) int {
+// packets that carry no drop flag are handed to onItem for resource
+// reclamation instead of being emitted, every FIFO resets to empty, and
+// stress windows clear. It returns the number of FIFO entries discarded.
+// Pending queue timers fire as no-ops on the emptied queues.
+func (p *PLB) Flush(onItem func(item any)) int {
 	flushed := 0
 	for qi := range p.queues {
 		q := &p.queues[qi]
@@ -607,7 +616,7 @@ func (p *PLB) Flush(onItem func(item any, meta packet.Meta)) int {
 			slot := &q.buf[idx]
 			if slot.valid {
 				if onItem != nil && !slot.dropped {
-					onItem(slot.item, slot.meta)
+					onItem(slot.item)
 				}
 				slot.valid = false
 				slot.item = nil

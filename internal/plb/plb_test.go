@@ -447,9 +447,16 @@ func TestHeadWaitAccounting(t *testing.T) {
 	}
 }
 
-// Property: for any pattern of return delays (including losses), the
-// in-order emissions of each queue appear in strictly increasing PSN order,
-// and accounting conserves packets.
+// sent is a test packet: the PSN and order queue it was dispatched with.
+type sent struct {
+	psn  uint16
+	ordQ uint8
+}
+
+// Property: for any pattern of return delays (including losses and a
+// forced head-of-line hold), the in-order emissions of each queue appear in
+// strictly increasing PSN order, every emission carries the PSN and order
+// queue its packet was dispatched with, and accounting conserves packets.
 func TestOrderAndConservationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := sim.NewRand(seed)
@@ -478,15 +485,25 @@ func TestOrderAndConservationProperty(t *testing.T) {
 					return
 				}
 				dispatched++
+				item := sent{psn: m.PSN, ordQ: m.OrdQ}
 				switch r.Intn(10) {
 				case 0: // silent CPU loss
 					lost++
 				case 1: // ACL drop with drop flag
 					m.Flags |= packet.MetaFlagDrop
 					dropped++
-					e.After(r.Exp(20*sim.Microsecond), func() { p.Return(nil, m) })
+					e.After(r.Exp(20*sim.Microsecond), func() { p.Return(item, m) })
 				default:
-					e.After(r.Exp(30*sim.Microsecond), func() { p.Return(m.PSN, m) })
+					e.After(r.Exp(30*sim.Microsecond), func() { p.Return(item, m) })
+				}
+			})
+		}
+		if seed%2 == 0 {
+			// Half the runs hold queue 0's heads from mid-dispatch on: its
+			// buffered packets leave best-effort through the timeout path.
+			e.At(500, func() {
+				if err := p.StressQueue(0, 300*sim.Microsecond, true, 0); err != nil {
+					t.Error(err)
 				}
 			})
 		}
@@ -501,6 +518,14 @@ func TestOrderAndConservationProperty(t *testing.T) {
 		}
 		if accounted < uint64(dispatched-dropped-lost) {
 			return false
+		}
+		// Every emission, in-order or best-effort, carries its dispatch
+		// PSN and order queue.
+		for _, em := range out {
+			if em.Item != (sent{psn: em.Meta.PSN, ordQ: em.Meta.OrdQ}) {
+				t.Logf("emission %+v carries PSN %d queue %d", em.Item, em.Meta.PSN, em.Meta.OrdQ)
+				return false
+			}
 		}
 		// Per-queue in-order PSN monotonicity.
 		lastPSN := map[uint8]int{}
@@ -525,6 +550,74 @@ func TestOrderAndConservationProperty(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Flush hands every buffered packet that carries no drop flag
+// back exactly once — each packet returned before the flush either was
+// emitted or comes back from Flush, never both — and discards every FIFO
+// entry.
+func TestFlushHandsBackBufferedOnceProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := sim.NewRand(seed)
+		e := sim.NewEngine()
+		emitted := map[sent]int{}
+		p, err := New(e, Config{NumOrderQueues: 1 + int(seed%4), QueueDepth: 64, NumCores: 4},
+			func(em Emission) { emitted[em.Item.(sent)]++ })
+		if err != nil {
+			return false
+		}
+		if seed%2 == 0 {
+			// Queue 0 holds its heads past the flush: even a returned head
+			// packet is still buffered when Flush runs.
+			if err := p.StressQueue(0, 200*sim.Microsecond, true, 0); err != nil {
+				t.Error(err)
+			}
+		}
+		// Dispatch and return well inside the 100µs timeout, in random
+		// order, so nothing leaves by timeout or aliases a slot.
+		returned := map[sent]bool{} // value: returned with the drop flag
+		inFlight := 0
+		for i := 0; i < 200; i++ {
+			_, m, ok := p.Dispatch(r.Uint32())
+			if !ok {
+				continue
+			}
+			inFlight++
+			item := sent{psn: m.PSN, ordQ: m.OrdQ}
+			switch r.Intn(4) {
+			case 0: // still on a core at the flush
+			case 1:
+				m.Flags |= packet.MetaFlagDrop
+				returned[item] = true
+				e.After(sim.Duration(r.Intn(20_000)), func() { p.Return(item, m) })
+			default:
+				returned[item] = false
+				e.After(sim.Duration(r.Intn(20_000)), func() { p.Return(item, m) })
+			}
+		}
+		e.RunUntil(sim.Time(30 * sim.Microsecond))
+		handed := map[sent]int{}
+		discarded := p.Flush(func(item any) { handed[item.(sent)]++ })
+		for item, drop := range returned {
+			n := emitted[item] + handed[item]
+			if drop && n != 0 || !drop && n != 1 {
+				t.Logf("packet %+v (drop flag %v): emitted %d, handed back %d", item, drop, emitted[item], handed[item])
+				return false
+			}
+		}
+		for item := range handed {
+			if _, ok := returned[item]; !ok {
+				t.Logf("Flush handed back %+v, which never returned", item)
+				return false
+			}
+		}
+		s := p.Stats()
+		released := s.EmittedInOrder + s.DropFlagReleases
+		return uint64(discarded) == uint64(inFlight)-released && s.Flushed == uint64(discarded)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

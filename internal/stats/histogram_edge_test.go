@@ -54,16 +54,3 @@ func TestHistogramRecordZeroMatchesRecord(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkHistogramRecordZero measures the synchronous-stage fast path.
-func BenchmarkHistogramRecordZero(b *testing.B) {
-	h := NewHistogram(6)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.RecordZero()
-	}
-	if testing.AllocsPerRun(1000, h.RecordZero) != 0 {
-		b.Fatal("Histogram.RecordZero allocates")
-	}
-}

@@ -15,8 +15,21 @@ import (
 // are bucketed by their magnitude (power-of-two exponent) and a fixed number
 // of linear sub-buckets per magnitude. It records int64 values (nanoseconds
 // in most Albatross experiments) with bounded relative error.
+//
+// The 64 magnitude rows of 1<<subBits counters each are allocated on first
+// touch: row indexes a compact buckets slice that holds only the rows some
+// value has landed in, in the order they were first touched. A latency
+// histogram therefore costs a few rows, not the 64 that cover all of int64.
+// Rows are only ever appended, so an earlier BucketSnapshot is a prefix of
+// the current layout.
 type Histogram struct {
 	subBits uint // sub-buckets per magnitude = 1<<subBits
+	// row[r] is 1 + the index in buckets of magnitude row r's first
+	// counter, or 0 while no value has landed in that row. Row 0 (values
+	// below 1<<subBits) is allocated by NewHistogram, so row[0] == 1
+	// always. An index rather than a row position keeps a shift off the
+	// recording path.
+	row     [64]int32
 	buckets []uint64
 	count   uint64
 	sum     int64
@@ -30,20 +43,22 @@ func NewHistogram(subBits uint) *Histogram {
 	if subBits < 1 || subBits > 12 {
 		panic(fmt.Sprintf("stats: subBits %d out of [1,12]", subBits))
 	}
-	// 64 magnitudes cover the full int64 range.
-	return &Histogram{
+	h := &Histogram{
 		subBits: subBits,
-		buckets: make([]uint64, 64<<subBits),
+		buckets: make([]uint64, 1<<subBits),
 		min:     math.MaxInt64,
 		max:     math.MinInt64,
 	}
+	h.row[0] = 1
+	return h
 }
 
 // NewLatencyHistogram returns the standard histogram used for latency
 // measurements (256 sub-buckets, <0.4% relative error).
 func NewLatencyHistogram() *Histogram { return NewHistogram(8) }
 
-// index maps a non-negative value to its bucket index.
+// index maps a non-negative value to its bucket index in the dense layout
+// of 64 rows: row index>>subBits, sub-bucket index&(1<<subBits-1).
 func (h *Histogram) index(v int64) int {
 	if v < 0 {
 		v = 0
@@ -58,7 +73,7 @@ func (h *Histogram) index(v int64) int {
 	return (mag+1)<<h.subBits + int(subIdx)
 }
 
-// lowerBound returns the smallest value that maps to bucket i.
+// lowerBound returns the smallest value that maps to dense bucket i.
 func (h *Histogram) lowerBound(i int) int64 {
 	sub := 1 << h.subBits
 	if i < sub*2 {
@@ -69,16 +84,59 @@ func (h *Histogram) lowerBound(i int) int64 {
 	return (int64(sub) + int64(subIdx)) << uint(mag)
 }
 
+// reservedRows is the room addRow makes when buckets first outgrows row
+// 0. A latency distribution spans a handful of magnitudes (at most 7 rows
+// in any of a pod's histograms under load), so the rows it touches after
+// its first do not allocate on the packet path.
+const reservedRows = 8
+
+// addRow appends magnitude row r's counters to buckets and returns its
+// row entry. It stays out of line so that Record's common path, a touched
+// row, carries no growth code.
+//
+//go:noinline
+func (h *Histogram) addRow(r int) int32 {
+	start := len(h.buckets)
+	n := start + 1<<h.subBits
+	if n > cap(h.buckets) {
+		grown := make([]uint64, start, max(2*start, reservedRows<<h.subBits))
+		copy(grown, h.buckets)
+		h.buckets = grown
+	}
+	// Capacity past len has never been written: rows are never removed.
+	h.buckets = h.buckets[:n]
+	h.row[r] = int32(start + 1)
+	return h.row[r]
+}
+
+// rowCounts returns magnitude row r's counters, or nil while it is
+// untouched.
+func (h *Histogram) rowCounts(r int) []uint64 {
+	p := int(h.row[r])
+	if p == 0 {
+		return nil
+	}
+	return h.buckets[p-1 : p-1+1<<h.subBits]
+}
+
 // Record adds a value to the histogram. Negative values clamp to zero.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	i := h.index(v)
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
+	// The &63 masks are no-ops (subBits <= 12, mag <= 62) that let the
+	// compiler drop its shift-overflow and bounds fixups.
+	sb := h.subBits & 63
+	r, s := 0, v
+	if v >= 1<<sb {
+		mag := uint(63-bits.LeadingZeros64(uint64(v))) - sb
+		r, s = int(mag&63)+1, (v>>(mag&63))&(1<<sb-1)
 	}
-	h.buckets[i]++
+	p := h.row[r&63]
+	if p == 0 {
+		p = h.addRow(r)
+	}
+	h.buckets[int(p)-1+int(s)]++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -91,7 +149,8 @@ func (h *Histogram) Record(v int64) {
 
 // RecordZero adds a zero-valued sample. It is Record(0) minus the bucket
 // index computation — the fast path for synchronous pipeline stages, whose
-// residency is always zero virtual time.
+// residency is always zero virtual time. Row 0 is always allocated and
+// always first, so zero's bucket is buckets[0].
 func (h *Histogram) RecordZero() {
 	h.buckets[0]++
 	h.count++
@@ -113,11 +172,18 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if v < 0 {
 		v = 0
 	}
-	i := h.index(v)
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
+	// Bucket lookup as in Record.
+	sb := h.subBits & 63
+	r, s := 0, v
+	if v >= 1<<sb {
+		mag := uint(63-bits.LeadingZeros64(uint64(v))) - sb
+		r, s = int(mag&63)+1, (v>>(mag&63))&(1<<sb-1)
 	}
-	h.buckets[i] += n
+	p := h.row[r&63]
+	if p == 0 {
+		p = h.addRow(r)
+	}
+	h.buckets[int(p)-1+int(s)] += n
 	h.count += n
 	h.sum += v * int64(n)
 	if v < h.min {
@@ -179,17 +245,19 @@ func (h *Histogram) Quantile(q float64) int64 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			lb := h.lowerBound(i)
-			if lb < h.min {
-				lb = h.min
+	for r := range h.row {
+		for s, c := range h.rowCounts(r) {
+			cum += c
+			if cum >= target {
+				lb := h.lowerBound(r<<h.subBits + s)
+				if lb < h.min {
+					lb = h.min
+				}
+				if lb > h.max {
+					lb = h.max
+				}
+				return lb
 			}
-			if lb > h.max {
-				lb = h.max
-			}
-			return lb
 		}
 	}
 	return h.max
@@ -203,8 +271,12 @@ func (h *Histogram) FractionAbove(v int64) float64 {
 	}
 	idx := h.index(v)
 	var above uint64
-	for i := idx + 1; i < len(h.buckets); i++ {
-		above += h.buckets[i]
+	for r := idx >> h.subBits; r < len(h.row); r++ {
+		for s, c := range h.rowCounts(r) {
+			if r<<h.subBits+s > idx {
+				above += c
+			}
+		}
 	}
 	return float64(above) / float64(h.count)
 }
@@ -218,7 +290,9 @@ func (h *Histogram) FractionBetween(lo, hi int64) float64 {
 // growing it if needed, and returns the slice. A snapshot taken before a
 // batch of Records and passed to DeltaCount/DeltaQuantile later yields
 // statistics over exactly the samples recorded in between — the
-// primitive behind per-tick timeline quantiles.
+// primitive behind per-tick timeline quantiles. The copy holds only the
+// touched rows; rows touched later are appended after it, so the snapshot
+// stays a prefix of the histogram's layout.
 func (h *Histogram) BucketSnapshot(dst []uint64) []uint64 {
 	if cap(dst) < len(h.buckets) {
 		dst = make([]uint64, len(h.buckets))
@@ -228,15 +302,28 @@ func (h *Histogram) BucketSnapshot(dst []uint64) []uint64 {
 	return dst
 }
 
+// delta returns bucket i's count since prev, a prefix snapshot: a bucket
+// past the end of prev was untouched when it was taken.
+func (h *Histogram) delta(i int, prev []uint64) uint64 {
+	if i < len(prev) {
+		return h.buckets[i] - prev[i]
+	}
+	return h.buckets[i]
+}
+
+func (h *Histogram) checkSnapshot(prev []uint64) {
+	if len(prev) > len(h.buckets) {
+		panic(fmt.Sprintf("stats: bucket snapshot length %d > %d", len(prev), len(h.buckets)))
+	}
+}
+
 // DeltaCount returns the number of samples recorded since prev, a bucket
 // snapshot of this histogram taken earlier with BucketSnapshot.
 func (h *Histogram) DeltaCount(prev []uint64) uint64 {
-	if len(prev) != len(h.buckets) {
-		panic(fmt.Sprintf("stats: bucket snapshot length %d != %d", len(prev), len(h.buckets)))
-	}
+	h.checkSnapshot(prev)
 	var total uint64
-	for i, c := range h.buckets {
-		total += c - prev[i]
+	for i := range h.buckets {
+		total += h.delta(i, prev)
 	}
 	return total
 }
@@ -247,13 +334,7 @@ func (h *Histogram) DeltaCount(prev []uint64) uint64 {
 // resolution; unlike Quantile there is no min/max clamp, because the delta
 // window's extremes are not tracked.
 func (h *Histogram) DeltaQuantile(q float64, prev []uint64) int64 {
-	if len(prev) != len(h.buckets) {
-		panic(fmt.Sprintf("stats: bucket snapshot length %d != %d", len(prev), len(h.buckets)))
-	}
-	var total uint64
-	for i, c := range h.buckets {
-		total += c - prev[i]
-	}
+	total := h.DeltaCount(prev)
 	if total == 0 {
 		return 0
 	}
@@ -268,20 +349,25 @@ func (h *Histogram) DeltaQuantile(q float64, prev []uint64) int64 {
 		target = 1
 	}
 	var cum uint64
-	for i, c := range h.buckets {
-		cum += c - prev[i]
-		if cum >= target {
-			return h.lowerBound(i)
+	for r, p := range h.row {
+		if p == 0 {
+			continue
+		}
+		base := int(p - 1)
+		for s := 0; s < 1<<h.subBits; s++ {
+			cum += h.delta(base+s, prev)
+			if cum >= target {
+				return h.lowerBound(r<<h.subBits + s)
+			}
 		}
 	}
-	return h.lowerBound(len(h.buckets) - 1)
+	return h.lowerBound(len(h.row)<<h.subBits - 1)
 }
 
-// Reset clears all recorded samples.
+// Reset clears all recorded samples. The touched rows stay allocated, so
+// a snapshot taken before Reset is still a prefix of the layout.
 func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i] = 0
-	}
+	clear(h.buckets)
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxInt64

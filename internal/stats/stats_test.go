@@ -292,18 +292,36 @@ func TestHistogramString(t *testing.T) {
 	}
 }
 
-// BenchmarkHistogramRecord guards the pipeline's per-stage recording cost:
-// Record must stay allocation-free at any magnitude.
+// BenchmarkHistogramRecord measures the pipeline's per-stage recording
+// cost on the packet path's patterns: zero is the synchronous stages'
+// RecordZero, one-row the latencies of a steady load (one magnitude),
+// spread-64 values over all 64 magnitudes, every row already touched.
+// TestHistogramRecordAllocs pins that none of them allocates.
 func BenchmarkHistogramRecord(b *testing.B) {
-	h := NewLatencyHistogram()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Record(int64(i)%100000 + 1)
-	}
-	b.StopTimer()
-	if testing.AllocsPerRun(1000, func() { h.Record(123456) }) != 0 {
-		b.Fatal("Histogram.Record allocates")
-	}
+	b.Run("zero", func(b *testing.B) {
+		h := NewLatencyHistogram()
+		for i := 0; i < b.N; i++ {
+			h.RecordZero()
+		}
+	})
+	b.Run("one-row", func(b *testing.B) {
+		h := NewLatencyHistogram()
+		for i := 0; i < b.N; i++ {
+			h.Record(4096 + int64(i&4095))
+		}
+	})
+	b.Run("spread-64", func(b *testing.B) {
+		h := NewLatencyHistogram()
+		vals := make([]int64, 1024)
+		for i := range vals {
+			vals[i] = int64(uint64(0x9e3779b97f4a7c15)*uint64(i+1)>>1) >> (i % 64)
+			h.Record(vals[i])
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.Record(vals[i&1023])
+		}
+	})
 }
 
 func BenchmarkHistogramQuantile(b *testing.B) {
@@ -348,12 +366,23 @@ func TestHistogramBucketSnapshotDeltas(t *testing.T) {
 	if full := h.Quantile(0.5); full >= 900_000 {
 		t.Fatalf("full p50 = %d, want < 900000 (dominated by first batch)", full)
 	}
-	// Reusing the destination slice must not allocate a fresh one.
+	// The batch touched a new row, so prev is a strict prefix of the layout
+	// now; re-snapshotting into it grows it to the current layout.
 	prev2 := h.BucketSnapshot(prev)
-	if &prev2[0] != &prev[0] {
-		t.Fatal("BucketSnapshot did not reuse the destination slice")
+	if len(prev2) != len(h.buckets) || len(prev) >= len(prev2) {
+		t.Fatalf("re-snapshot len %d after %d, want the layout's %d", len(prev2), len(prev), len(h.buckets))
 	}
 	if got := h.DeltaCount(prev2); got != 0 {
+		t.Fatalf("delta count after re-snapshot = %d, want 0", got)
+	}
+	// Reusing a destination that covers the layout must not allocate a
+	// fresh one.
+	h.Record(1_000_001)
+	prev3 := h.BucketSnapshot(prev2)
+	if &prev3[0] != &prev2[0] {
+		t.Fatal("BucketSnapshot did not reuse the destination slice")
+	}
+	if got := h.DeltaCount(prev3); got != 0 {
 		t.Fatalf("delta count after re-snapshot = %d, want 0", got)
 	}
 }
@@ -361,7 +390,9 @@ func TestHistogramBucketSnapshotDeltas(t *testing.T) {
 func TestHistogramDeltaLengthMismatchPanics(t *testing.T) {
 	h := NewHistogram(5)
 	h.Record(1)
-	bad := make([]uint64, 3)
+	// A snapshot is a prefix of the layout, so only a longer one is
+	// foreign to this histogram.
+	bad := make([]uint64, len(h.buckets)+1)
 	for name, f := range map[string]func(){
 		"DeltaCount":    func() { h.DeltaCount(bad) },
 		"DeltaQuantile": func() { h.DeltaQuantile(0.5, bad) },

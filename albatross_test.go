@@ -89,7 +89,7 @@ func TestPublicAPIExperimentsRegistry(t *testing.T) {
 }
 
 // TestExperimentShapeChecks runs the cheap experiments through the public
-// API (the expensive ones are covered by internal/eval tests and benches).
+// API (internal/eval's golden test holds every experiment's full report).
 func TestExperimentShapeChecks(t *testing.T) {
 	for _, id := range []string{"tab4", "tab5", "fig7", "fig15", "gopmem"} {
 		exp, ok := FindExperiment(id)

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"albatross/internal/cachesim"
-	"albatross/internal/ring"
 	"albatross/internal/sim"
 	"albatross/internal/stats"
 )
@@ -23,18 +22,18 @@ func runDriver(cfg Config) *Result {
 	// drains at 1/3 line rate (the NIC-to-CPU speed mismatch during
 	// bursts).
 	burstLoss := func(depth int) float64 {
-		rg, err := ring.New[int](depth)
+		rg, err := newDescRing[int](depth)
 		if err != nil {
 			panic(err)
 		}
 		const burst = 3000
 		dropped := 0
 		for i := 0; i < burst; i++ {
-			if !rg.Enqueue(i) {
+			if !rg.enqueue(i) {
 				dropped++
 			}
 			if i%3 == 0 {
-				rg.Dequeue() // consumer at 1/3 producer rate
+				rg.dequeue() // consumer at 1/3 producer rate
 			}
 		}
 		return float64(dropped) / burst * 100
@@ -68,7 +67,7 @@ func runDriver(cfg Config) *Result {
 	// allocation overhead.
 	const refillNS = 200.0
 	allocOverhead := func(cacheSize int) float64 {
-		m, err := ring.NewMempool(8192, 4, cacheSize)
+		m, err := newMempool(8192, 4, cacheSize)
 		if err != nil {
 			panic(err)
 		}
@@ -80,18 +79,18 @@ func runDriver(cfg Config) *Result {
 		for i := 0; i < iters; i++ {
 			core := i % 4
 			for j := 0; j < 32; j++ {
-				id, ok := m.Get(core)
+				id, ok := m.get(core)
 				if !ok {
 					panic("mempool exhausted")
 				}
 				held[core] = append(held[core], id)
 			}
 			for _, id := range held[core] {
-				m.Put(core, id)
+				m.put(core, id)
 			}
 			held[core] = held[core][:0]
 		}
-		return m.RefillRate() * refillNS
+		return m.refillRate() * refillNS
 	}
 
 	poolTable := stats.NewTable("Mempool cache", "Alloc overhead ns/pkt")

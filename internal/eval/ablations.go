@@ -141,28 +141,37 @@ func runStateful(cfg Config) *Result {
 	}
 
 	measure := func(goroutines int, shared bool) float64 {
-		sh := flowtable.NewSharedSessionTable(0, 0)
-		sd := flowtable.NewShardedSessionTable(goroutines, 0, 0)
+		// Shared state: one table behind one lock, as every core of a
+		// write-heavy NF under PLB sees it. Local state: one table per
+		// worker, owned outright (flows are pinned, state never
+		// migrates), so the write path takes no lock at all.
+		var mu sync.Mutex
+		sharedTable := flowtable.NewSessionTable(0, 0)
+		local := make([]*flowtable.SessionTable, goroutines)
+		for g := range local {
+			local[g] = flowtable.NewSessionTable(0, 0)
+		}
+		touch := func(st *flowtable.SessionTable, key packet.FiveTuple) {
+			s := st.Lookup(key, 0)
+			if s == nil {
+				s = st.Create(key, 0)
+			}
+			s.Packets++
+		}
 		var wg sync.WaitGroup
 		start := time.Now()
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				// Per-core local state: each worker owns its shard outright
-				// (the table's contract — flows are pinned, state never
-				// migrates), so the write path takes no lock at all.
-				local := sd.Shard(g)
 				for i := 0; i < opsPerG; i++ {
 					f := flows[(i+g*31)&1023]
 					if shared {
-						sh.Touch(f.Tuple, 0, func(s *flowtable.Session) { s.Packets++ })
+						mu.Lock()
+						touch(sharedTable, f.Tuple)
+						mu.Unlock()
 					} else {
-						s := local.Lookup(f.Tuple, 0)
-						if s == nil {
-							s = local.Create(f.Tuple, 0)
-						}
-						s.Packets++
+						touch(local[g], f.Tuple)
 					}
 				}
 			}(g)

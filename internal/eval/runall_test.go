@@ -3,71 +3,19 @@ package eval
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
-// deterministicExperiments returns every registered experiment except the
-// volatile ones (host wall-clock microbenchmarks), whose printed tables
-// legitimately vary run to run.
-func deterministicExperiments() []Experiment {
-	var out []Experiment
-	for _, e := range Experiments() {
-		if !e.Volatile {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func renderAll(recs []RunRecord) string {
-	var b strings.Builder
-	for _, r := range recs {
-		b.WriteString(r.Result.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// TestRunAllParallelMatchesSerial is the determinism contract: running the
-// full quick-scale experiment suite across a worker pool must produce
-// byte-identical reports to the serial run, because every experiment owns
-// its engine and seeded generators and shares nothing mutable.
-func TestRunAllParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick suite twice")
-	}
-	exps := deterministicExperiments()
-	cfg := Config{Seed: 1, Quick: true}
-
-	serial := RunAll(exps, cfg, 1)
-	parallel := RunAll(exps, cfg, 8)
-
-	if len(serial) != len(exps) || len(parallel) != len(exps) {
-		t.Fatalf("record counts: serial %d, parallel %d, want %d", len(serial), len(parallel), len(exps))
-	}
-	s, p := renderAll(serial), renderAll(parallel)
-	if s == p {
-		return
-	}
-	sl, pl := strings.Split(s, "\n"), strings.Split(p, "\n")
-	for i := 0; i < len(sl) && i < len(pl); i++ {
-		if sl[i] != pl[i] {
-			t.Fatalf("parallel output diverges from serial at line %d:\nserial:   %q\nparallel: %q", i+1, sl[i], pl[i])
-		}
-	}
-	t.Fatalf("parallel output length differs: serial %d lines, parallel %d lines", len(sl), len(pl))
-}
-
-// TestRunAllOrderAndParallelismClamp covers the harness plumbing on a tiny
-// subset: results come back in input order and degenerate parallelism
-// values are clamped rather than rejected.
+// TestRunAllOrderAndParallelismClamp covers the harness plumbing on stub
+// experiments that finish in reverse order: results come back in input
+// order and degenerate parallelism values are clamped rather than rejected.
 func TestRunAllOrderAndParallelismClamp(t *testing.T) {
 	var subset []Experiment
-	for _, id := range []string{"tab5", "tab4", "fig15"} {
-		e, ok := Find(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		subset = append(subset, e)
+	for i, id := range []string{"c", "a", "b"} {
+		subset = append(subset, Experiment{ID: id, Run: func(Config) *Result {
+			time.Sleep(time.Duration(3-i) * time.Millisecond)
+			return &Result{ID: id}
+		}})
 	}
 	cfg := Config{Seed: 1, Quick: true}
 	for _, par := range []int{0, 1, 16} {
@@ -90,13 +38,48 @@ func TestRunAllOrderAndParallelismClamp(t *testing.T) {
 }
 
 // TestVolatileMarking pins which experiments opt out of the determinism
-// contract; adding a wall-clock-measuring driver without marking it breaks
-// TestRunAllParallelMatchesSerial flakily, so keep this list honest.
+// contract: TestQuickReportMatchesGolden skips them, and so does the `make
+// check` artefacts row, which reads the flag from albatross-bench's -json
+// record. A wall-clock-measuring driver left unmarked makes both flaky.
 func TestVolatileMarking(t *testing.T) {
 	want := map[string]bool{"meta": true, "stateful": true}
 	for _, e := range Experiments() {
 		if want[e.ID] != e.Volatile {
 			t.Errorf("experiment %s: Volatile = %v, want %v", e.ID, e.Volatile, want[e.ID])
 		}
+	}
+}
+
+func TestRegistrySorted(t *testing.T) {
+	exps := Experiments()
+	if len(exps) < 4 {
+		t.Fatalf("registry has %d experiments", len(exps))
+	}
+	for i := 1; i < len(exps); i++ {
+		if exps[i].ID < exps[i-1].ID {
+			t.Fatal("registry not sorted")
+		}
+	}
+	if _, ok := Find("definitely-not-there"); ok {
+		t.Fatal("phantom experiment found")
+	}
+}
+
+func TestResultRendering(t *testing.T) {
+	r := &Result{ID: "x", Title: "t"}
+	r.check("good", true, "ok")
+	r.check("bad", false, "boom")
+	r.notef("a note")
+	out := r.String()
+	for _, want := range []string{"PASS", "FAIL", "a note", "== x: t =="} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+	if r.Passed() {
+		t.Fatal("Passed with failing check")
+	}
+	if len(r.FailedChecks()) != 1 {
+		t.Fatal("FailedChecks count")
 	}
 }

@@ -6,10 +6,6 @@
 // (internal/cachesim) can model which cache lines a lookup touches — the
 // mechanism behind the paper's Fig. 4/5 observation that multi-GB tables
 // make PLB and RSS equally cache-hostile.
-//
-// Two concurrency models mirror the paper's §7 stateful-NF lesson:
-// SharedSessionTable (one lock, write-heavy NFs contend) and
-// ShardedSessionTable (per-core local state, write-light NFs scale).
 package flowtable
 
 import (
@@ -375,97 +371,4 @@ func (st *SessionTable) Delete(key packet.FiveTuple) bool {
 	}
 	delete(st.m, key)
 	return true
-}
-
-// SharedSessionTable is a lock-protected session table shared by all cores:
-// the paper's "write-heavy NF with PLB" configuration where per-packet
-// counter updates contend on one lock and one set of cache lines.
-type SharedSessionTable struct {
-	mu sync.Mutex
-	st *SessionTable
-}
-
-// NewSharedSessionTable wraps a session table for concurrent use.
-func NewSharedSessionTable(capacity int, idle sim.Duration) *SharedSessionTable {
-	return &SharedSessionTable{st: NewSessionTable(capacity, idle)}
-}
-
-// Touch looks up or creates the session for key and applies fn under the
-// table lock. It reports whether the session already existed.
-func (sh *SharedSessionTable) Touch(key packet.FiveTuple, now sim.Time, fn func(*Session)) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s := sh.st.Lookup(key, now)
-	existed := s != nil
-	if s == nil {
-		s = sh.st.Create(key, now)
-	}
-	if fn != nil {
-		fn(s)
-	}
-	return existed
-}
-
-// Len returns the number of live sessions.
-func (sh *SharedSessionTable) Len() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.st.Len()
-}
-
-// ShardedSessionTable keeps one session table per core — the paper's
-// recommended transformation of shared state into local state for
-// write-heavy NFs. Flows are pinned to shards by tuple hash so a flow's
-// state never migrates (requires RSS-style flow affinity or core-group
-// spraying).
-type ShardedSessionTable struct {
-	shards []*SessionTable
-}
-
-// NewShardedSessionTable creates n per-core shards.
-func NewShardedSessionTable(n, capacityPerShard int, idle sim.Duration) *ShardedSessionTable {
-	if n <= 0 {
-		n = 1
-	}
-	s := &ShardedSessionTable{shards: make([]*SessionTable, n)}
-	for i := range s.shards {
-		s.shards[i] = NewSessionTable(capacityPerShard, idle)
-	}
-	return s
-}
-
-// Shard returns shard i.
-func (s *ShardedSessionTable) Shard(i int) *SessionTable { return s.shards[i] }
-
-// ShardFor returns the shard index for a flow.
-func (s *ShardedSessionTable) ShardFor(key packet.FiveTuple) int {
-	return int(key.Hash() % uint32(len(s.shards)))
-}
-
-// NumShards returns the shard count.
-func (s *ShardedSessionTable) NumShards() int { return len(s.shards) }
-
-// Touch looks up or creates the session in the flow's shard and applies fn.
-// Unlike SharedSessionTable, no lock is taken: each shard is owned by one
-// core. It reports whether the session already existed.
-func (s *ShardedSessionTable) Touch(key packet.FiveTuple, now sim.Time, fn func(*Session)) bool {
-	st := s.shards[s.ShardFor(key)]
-	sess := st.Lookup(key, now)
-	existed := sess != nil
-	if sess == nil {
-		sess = st.Create(key, now)
-	}
-	if fn != nil {
-		fn(sess)
-	}
-	return existed
-}
-
-// Len returns the total number of live sessions across shards.
-func (s *ShardedSessionTable) Len() int {
-	n := 0
-	for _, st := range s.shards {
-		n += st.Len()
-	}
-	return n
 }

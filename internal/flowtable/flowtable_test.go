@@ -1,9 +1,7 @@
 package flowtable
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"albatross/internal/packet"
 	"albatross/internal/sim"
@@ -131,119 +129,6 @@ func TestSessionStateString(t *testing.T) {
 	}
 }
 
-func TestSharedSessionTableTouch(t *testing.T) {
-	sh := NewSharedSessionTable(0, 0)
-	k := tuple(3)
-	existed := sh.Touch(k, 0, func(s *Session) { s.Packets++ })
-	if existed {
-		t.Fatal("first touch reported existing")
-	}
-	existed = sh.Touch(k, 1, func(s *Session) { s.Packets++ })
-	if !existed {
-		t.Fatal("second touch reported new")
-	}
-	var pkts uint64
-	sh.Touch(k, 2, func(s *Session) { pkts = s.Packets })
-	if pkts != 2 {
-		t.Fatalf("packets = %d", pkts)
-	}
-	if sh.Len() != 1 {
-		t.Fatalf("len = %d", sh.Len())
-	}
-}
-
-func TestSharedSessionTableConcurrent(t *testing.T) {
-	sh := NewSharedSessionTable(0, 0)
-	const goroutines, perG = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				sh.Touch(tuple(i%50), 0, func(s *Session) {
-					s.Packets++
-					s.Bytes += 256
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	if sh.Len() != 50 {
-		t.Fatalf("len = %d, want 50", sh.Len())
-	}
-	var total uint64
-	for i := 0; i < 50; i++ {
-		sh.Touch(tuple(i), 0, func(s *Session) { total += s.Packets })
-	}
-	if total != goroutines*perG {
-		t.Fatalf("total packets = %d, want %d", total, goroutines*perG)
-	}
-}
-
-func TestShardedSessionTable(t *testing.T) {
-	s := NewShardedSessionTable(4, 0, 0)
-	if s.NumShards() != 4 {
-		t.Fatalf("shards = %d", s.NumShards())
-	}
-	// Same flow always maps to the same shard.
-	k := tuple(9)
-	sh := s.ShardFor(k)
-	for i := 0; i < 10; i++ {
-		if s.ShardFor(k) != sh {
-			t.Fatal("shard not stable")
-		}
-	}
-	s.Touch(k, 0, nil)
-	s.Touch(k, 1, func(sess *Session) { sess.Packets++ })
-	if s.Len() != 1 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	if s.Shard(sh).Len() != 1 {
-		t.Fatal("session not in expected shard")
-	}
-}
-
-func TestShardedSessionTableDistribution(t *testing.T) {
-	s := NewShardedSessionTable(8, 0, 0)
-	for i := 0; i < 8000; i++ {
-		s.Touch(tuple(i), 0, nil)
-	}
-	for i := 0; i < 8; i++ {
-		n := s.Shard(i).Len()
-		if n < 700 || n > 1300 {
-			t.Fatalf("shard %d has %d sessions, want ~1000", i, n)
-		}
-	}
-}
-
-func TestShardedMinimumOneShard(t *testing.T) {
-	s := NewShardedSessionTable(0, 0, 0)
-	if s.NumShards() != 1 {
-		t.Fatalf("shards = %d, want 1", s.NumShards())
-	}
-}
-
-func TestTouchSemanticsEquivalentProperty(t *testing.T) {
-	// Shared and sharded tables agree on existence semantics for any
-	// sequence of touches.
-	f := func(keys []uint8) bool {
-		sh := NewSharedSessionTable(0, 0)
-		sd := NewShardedSessionTable(3, 0, 0)
-		for i, k := range keys {
-			a := sh.Touch(tuple(int(k)), sim.Time(i), nil)
-			b := sd.Touch(tuple(int(k)), sim.Time(i), nil)
-			if a != b {
-				return false
-			}
-		}
-		return sh.Len() == sd.Len()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkTableLookup(b *testing.B) {
 	tb := NewTableIn(nil, "bench", 256)
 	for i := 0; i < 100000; i++ {
@@ -254,22 +139,6 @@ func BenchmarkTableLookup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := tuple(i % 100000)
 		_ = tb.LookupHash(k, k.Hash())
-	}
-}
-
-func BenchmarkSharedTouch(b *testing.B) {
-	sh := NewSharedSessionTable(0, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sh.Touch(tuple(i%1000), 0, func(s *Session) { s.Packets++ })
-	}
-}
-
-func BenchmarkShardedTouch(b *testing.B) {
-	sd := NewShardedSessionTable(8, 0, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sd.Touch(tuple(i%1000), 0, func(s *Session) { s.Packets++ })
 	}
 }
 

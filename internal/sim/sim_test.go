@@ -486,6 +486,28 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTimerChurn measures the schedule/cancel hot loop the PLB
+// order-queue timers and CPU completions exercise: a sliding window of
+// pending timers where every iteration cancels one and re-arms it. With the
+// event pool and lazy cancellation this runs allocation-free; the 4-ary
+// heap keeps sift depth shallow at this window size.
+func BenchmarkEngineTimerChurn(b *testing.B) {
+	const window = 1024
+	e := NewEngine()
+	fn := func(any) {}
+	timers := make([]Timer, window)
+	for i := range timers {
+		timers[i] = e.AfterArg(Duration(i+1)*Microsecond, fn, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i % window
+		timers[slot].Stop()
+		timers[slot] = e.AfterArg(Duration(slot+1)*Microsecond, fn, nil)
+	}
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	for i := 0; i < b.N; i++ {

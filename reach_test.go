@@ -68,7 +68,7 @@ func TestReachGateCatchesPlantedFaults(t *testing.T) {
 
 // TestReachDumpQuirks pins how linker symbols are matched to declarations.
 func TestReachDumpQuirks(t *testing.T) {
-	const p = "albatross/internal/ring"
+	const p = "example.com/pkg"
 	if got := stripShapes(p + ".(*Ring[go.shape.struct { a []uint8 }]).Enqueue"); got != p+".(*Ring).Enqueue" {
 		t.Errorf("generic method: %s", got)
 	}

@@ -83,7 +83,14 @@ gameday: build
 #                holds every deterministic experiment, the concury backend
 #                checks among them, to internal/eval/testdata/quick-seed1.txt.
 #   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
-#                its reference LRU (the committed seeds alone run in `go test`).
+#                its reference LRU, prefetcher on and off, through both host
+#                layouts — pooled set blocks and, once a model fills, the dense
+#                tag array — and the switch between them (the committed seeds
+#                alone run in `go test`; the cross-* ones cross the switch).
+#   bgp-fuzz     ten seconds of native fuzzing of the BGP message decoders the
+#                bgp-proxy runs on TCP bytes: no input panics, and every
+#                message the encoders produce decodes and encodes back to
+#                itself (committed seeds run in `go test`).
 #   cpu-fuzz     ten seconds of native fuzzing of the core queue model against
 #                its event-driven reference (committed seeds run in `go test`).
 #   lpm-fuzz     ten seconds of native fuzzing of the routing trie against its
@@ -128,6 +135,7 @@ check: build
 		"burst-invariance|invariant" \
 		"artefacts|artefacts" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
+		"bgp-fuzz|$(GO) test -run '^\$$' -fuzz FuzzDecodeMessages -fuzztime 10s ./internal/bgp" \
 		"hist-fuzz|$(GO) test -run '^\$$' -fuzz FuzzHistogramMatchesDense -fuzztime 10s ./internal/stats" \
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
 		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \

@@ -120,6 +120,7 @@ const (
 const (
 	flagTransitive = 0x40
 	flagOptional   = 0x80
+	flagExtLength  = 0x10 // a two-byte value length follows the type code
 )
 
 // appendHeader writes the 19-byte header for a body of length bodyLen.
@@ -186,33 +187,40 @@ func decodePrefixes(data []byte) ([]Prefix, error) {
 	return out, nil
 }
 
+// appendAttr writes one well-known transitive path attribute, with the
+// extended (two-byte) length when its value passes 255 bytes.
+func appendAttr(buf []byte, code uint8, val []byte) []byte {
+	if len(val) > 255 {
+		buf = append(buf, flagTransitive|flagExtLength, code, byte(len(val)>>8), byte(len(val)))
+	} else {
+		buf = append(buf, flagTransitive, code, byte(len(val)))
+	}
+	return append(buf, val...)
+}
+
 // EncodeUpdate serializes an UPDATE message.
 func EncodeUpdate(u Update) []byte {
 	withdrawn := encodePrefixes(nil, u.Withdrawn)
 
 	var attrs []byte
 	if len(u.NLRI) > 0 {
-		// ORIGIN
-		attrs = append(attrs, flagTransitive, attrOrigin, 1, u.Attrs.Origin)
-		// AS_PATH: one AS_SEQUENCE segment.
-		seg := []byte{2, byte(len(u.Attrs.ASPath))}
-		for _, as := range u.Attrs.ASPath {
-			seg = append(seg, byte(as>>8), byte(as))
+		attrs = appendAttr(attrs, attrOrigin, []byte{u.Attrs.Origin})
+		// AS_PATH: AS_SEQUENCE segments of at most 255 ASes each; an empty
+		// path is a zero-length value.
+		var seg []byte
+		for path := u.Attrs.ASPath; len(path) > 0; {
+			n := min(len(path), 255)
+			seg = append(seg, 2, byte(n))
+			for _, as := range path[:n] {
+				seg = append(seg, byte(as>>8), byte(as))
+			}
+			path = path[n:]
 		}
-		if len(u.Attrs.ASPath) == 0 {
-			seg = nil // empty AS_PATH attribute has zero-length value
-		}
-		attrs = append(attrs, flagTransitive, attrASPath, byte(len(seg)))
-		attrs = append(attrs, seg...)
-		// NEXT_HOP
-		attrs = append(attrs, flagTransitive, attrNextHop, 4)
-		attrs = append(attrs, u.Attrs.NextHop[:]...)
+		attrs = appendAttr(attrs, attrASPath, seg)
+		attrs = appendAttr(attrs, attrNextHop, u.Attrs.NextHop[:])
 		// LOCAL_PREF (iBGP)
 		if u.Attrs.HasLP {
-			lp := make([]byte, 4)
-			binary.BigEndian.PutUint32(lp, u.Attrs.LocalPref)
-			attrs = append(attrs, flagTransitive, attrLocalPref, 4)
-			attrs = append(attrs, lp...)
+			attrs = appendAttr(attrs, attrLocalPref, binary.BigEndian.AppendUint32(nil, u.Attrs.LocalPref))
 		}
 	}
 
@@ -304,7 +312,7 @@ func DecodeUpdate(body []byte) (Update, error) {
 		code := attrs[1]
 		var vlen int
 		var voff int
-		if flags&0x10 != 0 { // extended length
+		if flags&flagExtLength != 0 {
 			if len(attrs) < 4 {
 				return u, ErrTruncated
 			}

@@ -41,10 +41,12 @@ func sharesTables(t *testing.T, c *Cluster) {
 
 // TestClusterSharesPodTables pins what Cluster.AddPod costs per member. With
 // one set of tables per template, a member's share of a 10 000-flow pod is
-// its runtime — cores, PLB, histograms, a 1 MB cache model — about 0.33 MB of
-// heap, and 0.37 MB after a block of traffic (histogram rows are allocated
-// as latencies first land in them). It was 0.85 MB while every histogram held
-// all 64 magnitude rows and every BUF slot a copy of its packet's meta. A
+// its runtime — cores, PLB, histograms, a 1 MB cache model — about 0.20 MB of
+// heap, and 0.26 MB after a block of traffic (histogram rows are allocated
+// as latencies first land in them, cache-model blocks as lines do). It was
+// 0.33 MB while the cache model held its 128 KB dense tag array from New,
+// and 0.85 MB while every histogram held all 64 magnitude rows and every BUF
+// slot a copy of its packet's meta. A
 // private copy of the tables (a 16 384-slot index, the /24 trie) adds about
 // 1 MB, and every modelled table having its own made it 3.9 MB.
 func TestClusterSharesPodTables(t *testing.T) {

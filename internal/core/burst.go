@@ -107,7 +107,7 @@ func arrivalEvent(arg any) {
 	pr.pipe.resid[stageDispatch].RecordN(0, n)
 
 	// Software-pipelined dispatch: hash + probe-head loads issue two members
-	// ahead, the dependent reads of the cache model's tag sets (128 B per
+	// ahead, the dependent reads of the cache model's tag sets (one set per
 	// entry or LPM line touched) one ahead, so each member's host cache
 	// misses resolve while its predecessor computes. Warm passes touch no
 	// model state; outcomes are bit-identical with or without them.

@@ -307,9 +307,11 @@ func (s *Service) WarmProbes(fh uint32) {
 }
 
 // Warm pre-touches the host cache lines ProcessHash(flow, vni, fh) will
-// need — the cache model's tag sets (two host lines per 16-way set) that
-// the exact-match entries and the LPM nodes map to — without mutating any
-// model state (LookupHash is read-only and Cache.Warm reorders nothing).
+// need — the cache model's tag sets that the exact-match entries and the
+// LPM nodes map to (a directory word and a block sized to the set's lines,
+// or up to two host lines per 16-way set once the model is dense) —
+// without mutating any model state (LookupHash is read-only and Cache.Warm
+// reorders nothing).
 // Burst-batched dispatch calls WarmProbes two members ahead and Warm one
 // member ahead, so each member's memory is in flight while its predecessor
 // computes; results are bit-identical either way.

@@ -74,6 +74,11 @@ gameday: build
 #                is a batch size and changes event counts only. The report
 #                carries the outcome and series checksums, so this covers the
 #                exported series too.
+#   shard-invariance  every committed drill but regionscale (which asserts
+#                shards 1 and 4 itself) prints the same report, filtered as
+#                burst-invariance filters it, at -shards 1 and 3: the worker
+#                count decides which goroutine advances a member's engine,
+#                never what it executes.
 #   artefacts    the full-scale report at seed 1 (~45 s on 2 vCPUs) must pass
 #                and equal the committed experiments_output.txt line for line,
 #                except what the host decides: the "(id in …)" timings, the
@@ -87,6 +92,10 @@ gameday: build
 #                layouts — pooled set blocks and, once a model fills, the dense
 #                tag array — and the switch between them (the committed seeds
 #                alone run in `go test`; the cross-* ones cross the switch).
+#   spec-fuzz    ten seconds of native fuzzing of the standalone desired-state
+#                loader (`reconcile -spec`): no input panics, rejections wrap
+#                errs.BadConfig, and an accepted spec re-validates and loads
+#                back from its own rendering (committed seeds run in `go test`).
 #   bgp-fuzz     ten seconds of native fuzzing of the BGP message decoders the
 #                bgp-proxy runs on TCP bytes: no input panics, and every
 #                message the encoders produce decodes and encodes back to
@@ -124,6 +133,9 @@ check: build
 	report() { $$asim run -burst $$1 $$2 2>/dev/null | grep -v '^  dataplane ' > $$tmp/burst$$1; }; \
 	invariant() { for f in scenarios/*.yaml; do report 1 $$f; report 8 $$f; \
 		cmp -s $$tmp/burst1 $$tmp/burst8 || return 1; done; }; \
+	workers() { $$asim run -shards $$1 $$2 2>/dev/null | grep -v '^  dataplane ' > $$tmp/shards$$1; }; \
+	shardinv() { for f in scenarios/*.yaml; do case $$f in */regionscale.yaml) continue;; esac; \
+		workers 1 $$f; workers 3 $$f; cmp -s $$tmp/shards1 $$tmp/shards3 || return 1; done; }; \
 	for row in \
 		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
 		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
@@ -133,8 +145,10 @@ check: build
 		"series-repeat|$$asim run -series-out $$tmp/b $$conv && same b" \
 		"series-shards|$$asim run -shards 3 -series-out $$tmp/c $$conv && same c" \
 		"burst-invariance|invariant" \
+		"shard-invariance|shardinv" \
 		"artefacts|artefacts" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
+		"spec-fuzz|$(GO) test -run '^\$$' -fuzz FuzzLoadSpec -fuzztime 10s ./internal/scenario" \
 		"bgp-fuzz|$(GO) test -run '^\$$' -fuzz FuzzDecodeMessages -fuzztime 10s ./internal/bgp" \
 		"hist-fuzz|$(GO) test -run '^\$$' -fuzz FuzzHistogramMatchesDense -fuzztime 10s ./internal/stats" \
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \

@@ -129,7 +129,8 @@ func StageNames() []string { return core.StageNames() }
 type (
 	// Cluster is a multi-node deployment: N servers behind consistent-hash
 	// ECMP, each with a modeled BGP uplink, advancing under one epoch
-	// protocol (a control engine plus k ≥ 1 shard engines).
+	// protocol (a control engine plus one engine per member, advanced by
+	// k ≥ 1 workers).
 	Cluster = cluster.Cluster
 	// ClusterConfig parameterizes a cluster (NewCluster builds it from
 	// options; the struct form is cluster.New's input).

@@ -70,7 +70,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	var (
 		seed     = fs.Uint64("seed", 0, "override scenario seed")
 		nodes    = fs.Int("nodes", 0, "override fleet.nodes")
-		shards   = fs.Int("shards", 0, "override fleet.shards (0 = auto; report stays byte-identical at any value)")
+		shards   = fs.Int("shards", 0, "override fleet.shards, the workers that advance the members' engines (0 = auto; report stays byte-identical at any value)")
 		flows    = fs.Int("flows", 0, "override workload.flows")
 		rate     = fs.Float64("rate", 0, "override workload.rate (packets/second)")
 		duration = fs.Duration("duration", 0, "override scenario duration")
@@ -205,7 +205,7 @@ func validateCmd(args []string, stdout, stderr io.Writer) int {
 // shell one-liner.
 func replayDiffCmd(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("replay-diff", stderr, "usage: albatross-sim replay-diff [-shards N] A B  (outcome reports from run -outcome-out)")
-	shards := fs.Int("shards", 0, "label differing node lines with the shard engine that owned them in an N-shard run")
+	shards := fs.Int("shards", 0, "label differing node lines with the worker that advanced them in an N-shard run")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}

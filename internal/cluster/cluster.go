@@ -1,12 +1,12 @@
 // Package cluster is the multi-node Albatross deployment: N containerized
 // gateway servers (core.Node) behind one ToR switch, advancing in virtual
-// time under one protocol — a control engine plus k ≥ 1 shard engines (see
-// sharded.go). Ingress flows are sprayed across nodes with
-// consistent-hash ECMP (flow-affine, bounded remap on membership churn),
-// and each node's reachability is governed by its modeled BGP uplink — so
-// a node crash is only *observed* by the ECMP layer once BFD misses
-// DetectMult probes and the route is withdrawn, exactly the paper's
-// bounded-loss failover story, while gray upgrades withdraw
+// time under one protocol — a control engine plus one engine per member,
+// advanced by k ≥ 1 workers (see sharded.go). Ingress flows are sprayed
+// across nodes with consistent-hash ECMP (flow-affine, bounded remap on
+// membership churn), and each node's reachability is governed by its
+// modeled BGP uplink — so a node crash is only *observed* by the ECMP layer
+// once BFD misses DetectMult probes and the route is withdrawn, exactly the
+// paper's bounded-loss failover story, while gray upgrades withdraw
 // administratively first (make-before-break, zero loss).
 //
 // The package implements faults.NodeTarget, extending the deterministic
@@ -37,7 +37,6 @@ import (
 	"albatross/internal/service"
 	"albatross/internal/sim"
 	"albatross/internal/workload"
-	"albatross/internal/workload/trace"
 )
 
 // Config parameterizes a cluster.
@@ -48,8 +47,8 @@ type Config struct {
 	// deterministic seed from it).
 	Seed uint64
 	// Node is the per-member template. Its Seed/Engine/Faults fields are
-	// overridden: seeds derive from Config.Seed, a member runs on its
-	// shard's engine, and fault plans are cluster-level (Config.Faults).
+	// overridden: seeds derive from Config.Seed, a member runs on its own
+	// lane's engine, and fault plans are cluster-level (Config.Faults).
 	Node core.NodeConfig
 	// VNodesPerNode is the consistent-hash vnode count per member
 	// (default 64; higher = tighter remap bound, bigger table).
@@ -57,16 +56,17 @@ type Config struct {
 	// Faults, when non-nil, arms a deterministic cluster-level fault plan
 	// (node- and pod-level kinds; Fault.Node selects the member).
 	Faults *faults.Plan
-	// Shards partitions the members onto k shard engines driven by a
-	// control engine under the conservative epoch protocol (see
+	// Shards is the number of workers that advance the members' engines
+	// at each epoch barrier of the conservative epoch protocol (see
 	// internal/sim.ShardedEngine), so a run uses multiple cores: 0 = auto
 	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = exactly k (capped at Nodes).
-	// Outcome reports and metrics exports are byte-identical at any shard
-	// count.
+	// Every member has its own engine whatever k is; worker j advances
+	// members j, j+k, … one at a time. Outcome reports and metrics exports
+	// are byte-identical at any worker count.
 	Shards int
 	// SnapshotEvery, when positive, samples a telemetry timeline every
 	// SnapshotEvery of virtual time: RunFor slices its advance at tick
-	// boundaries (an epoch barrier under the sharded protocol) and records
+	// boundaries (an epoch barrier under the epoch protocol) and records
 	// per-tick deltas of the cluster-level series into Timeline(). Zero
 	// disables sampling; the packet path is untouched either way.
 	SnapshotEvery sim.Duration
@@ -121,8 +121,6 @@ type Member struct {
 	Drains  uint64
 	Crashes uint64
 
-	// shard is the engine shard owning this member.
-	shard int
 	// proxied is the real-BGP fabric mirroring the member's uplink session.
 	proxied *bgp.ProxiedSession
 }
@@ -160,10 +158,10 @@ type Cluster struct {
 	// eligibleFn is the ring's eligibility probe, bound once so Inject
 	// stays allocation-free.
 	eligibleFn func(int) bool
-	// sharded is the epoch-protocol driver; mail holds the per-shard
-	// injection mailboxes.
+	// sharded is the epoch-protocol driver, lane i member i's engine; mail
+	// holds the per-member injection mailboxes.
 	sharded *sim.ShardedEngine
-	mail    []shardMailbox
+	mail    []mailbox
 	// switchModel is the shared uplink switch every member's proxy peers
 	// with.
 	switchModel *bgp.Switch
@@ -218,22 +216,21 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("cluster: SnapshotEvery %d must be >= 0: %w", cfg.SnapshotEvery, errs.BadConfig)
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
+	// cfg keeps the resolved worker count.
+	if cfg.Shards == 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
+	if cfg.Shards > cfg.Nodes {
+		cfg.Shards = cfg.Nodes
 	}
 	c := &Cluster{
 		cfg:         cfg,
 		ring:        newRing(cfg.VNodesPerNode),
-		sharded:     sim.NewShardedEngine(shards),
-		mail:        make([]shardMailbox, shards),
+		sharded:     sim.NewShardedEngine(cfg.Shards),
 		switchModel: bgp.NewSwitch(65000, 0xFFFF0001),
 	}
 	c.Engine = c.sharded.Control()
-	c.sharded.SetAdvance(c.advanceShard)
+	c.sharded.SetAdvance(c.advanceLane)
 	c.sharded.SetBoundary(c.nextBoundary)
 	c.switchModel.Manual = true
 	c.eligibleFn = c.eligible
@@ -252,19 +249,20 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// addMember builds, uplinks, and ring-registers the next member.
+// addMember builds, uplinks, and ring-registers the next member on a new
+// lane, whose index is the member's.
 func (c *Cluster) addMember() (*Member, error) {
 	i := len(c.members)
-	shard := trace.ShardOfNode(i, c.sharded.NumShards())
 	ncfg := c.cfg.Node
 	ncfg.Seed = memberSeed(c.cfg.Seed, i)
-	ncfg.Engine = c.sharded.Shard(shard)
+	ncfg.Engine = c.sharded.AddLane()
 	ncfg.Faults = nil
+	c.mail = append(c.mail, mailbox{})
 	n, err := core.NewNode(ncfg)
 	if err != nil {
 		return nil, err
 	}
-	m := &Member{Index: i, Node: n, shard: shard, weight: 1}
+	m := &Member{Index: i, Node: n, weight: 1}
 	// At cluster scope the failover path is re-ECMP to survivors, not a
 	// sibling re-advertisement of the same prefix, so the core-level proxy
 	// detour stays off.
@@ -286,9 +284,9 @@ func (c *Cluster) addMember() (*Member, error) {
 // only ~1/(N+1) of flows remap onto the new member. Returns the new
 // member's index.
 func (c *Cluster) AddNode() (int, error) {
-	// The new member's uplink (and pods) arm events on its shard's engine,
-	// which may lag the control clock mid-run: bring it current first so
-	// nothing is scheduled in the shard's past.
+	// The new member's lane starts at the horizon, which may lag the
+	// control clock mid-run: bring every lane current first so the new one
+	// starts at the control clock and its uplink (and pods) arm events there.
 	c.sharded.SyncShards()
 	m, err := c.addMember()
 	if err != nil {
@@ -335,8 +333,8 @@ func (c *Cluster) MemberAt(i int) (*Member, error) { return c.memberAt(i) }
 
 // NodeAt resolves member i as a pod-level fault target. Implements
 // faults.NodeTarget. The target is wrapped so every pod-level fault
-// synchronizes the shards to the control clock first — the fault mutates
-// node state owned by a shard engine.
+// synchronizes the lanes to the control clock first — the fault mutates
+// node state owned by the member's lane.
 func (c *Cluster) NodeAt(i int) (faults.Target, error) {
 	m, err := c.memberAt(i)
 	if err != nil {
@@ -348,7 +346,7 @@ func (c *Cluster) NodeAt(i int) (faults.Target, error) {
 // SetWeight sets member node's ECMP weight: weight w owns round(w×vnodes)
 // ring points (min 1 while positive; 0 removes the member's points without
 // retiring the slot). A pure control-plane mutation — the ring is only read
-// on the control engine, so no shard synchronization is needed — and the
+// on the control engine, so no lane synchronization is needed — and the
 // canonical canary primitive: shift a member 0.1 → 0.5 → 1.0 while watching
 // availability.
 func (c *Cluster) SetWeight(node int, w float64) error {
@@ -405,7 +403,7 @@ func (c *Cluster) RemoveNode(node int) error {
 	if m.state == memberRemoved {
 		return fmt.Errorf("cluster: node %d already removed: %w", node, errs.BadState)
 	}
-	// Pod stops arm timers on the owning shard's engine.
+	// Pod stops arm timers on the member's lane.
 	c.sharded.SyncShards()
 	m.state = memberRemoved
 	m.adminUntil = c.Engine.Now().Add(foreverDuration)
@@ -436,7 +434,7 @@ func (c *Cluster) ScalePods(node, want int) error {
 	if m.state == memberRemoved {
 		return fmt.Errorf("cluster: node %d is removed: %w", node, errs.BadState)
 	}
-	// Pod deploys and stops mutate shard-owned state.
+	// Pod deploys and stops mutate lane-owned state.
 	c.sharded.SyncShards()
 	for m.ActivePods() < want {
 		if len(c.pods) == 0 {
@@ -477,7 +475,7 @@ func (c *Cluster) SetNodeFlowBackend(node int, name string) error {
 	if m.state == memberRemoved {
 		return fmt.Errorf("cluster: node %d is removed: %w", node, errs.BadState)
 	}
-	// The swap rebuilds shard-owned steering state.
+	// The swap rebuilds lane-owned steering state.
 	c.sharded.SyncShards()
 	return m.Node.SetFlowBackend(name)
 }
@@ -528,9 +526,9 @@ func (c *Cluster) Route(f workload.Flow) (home, owner int) {
 // pod. Packets with no eligible member are dropped at the switch. The
 // routing decision and ECMP counters happen here on the control clock
 // (eligibility is frozen below the lookahead horizon, so the decision is
-// exact), while the pod pipeline work is buffered into the owning shard's
-// mailbox and executed by the shard worker (Node.Ingress: pod 0 without a
-// flow-table backend, the backend's pinned pod with one).
+// exact), while the pod pipeline work is buffered into the owning member's
+// mailbox and executed on its lane at the next barrier (Node.Ingress: pod 0
+// without a flow-table backend, the backend's pinned pod with one).
 func (c *Cluster) Inject(f workload.Flow, bytes int) {
 	c.Sprayed++
 	home, owner := c.ring.lookup(flowHash(f), c.eligibleFn)
@@ -557,7 +555,7 @@ func (c *Cluster) Sink() func(workload.Flow, int) {
 }
 
 // RunFor advances the cluster's virtual clock under the epoch protocol
-// (control plus all shards, in parallel).
+// (control plus every member's lane, on the workers).
 func (c *Cluster) RunFor(d sim.Duration) {
 	c.RunUntil(c.Engine.Now().Add(d))
 }
@@ -566,7 +564,7 @@ func (c *Cluster) RunFor(d sim.Duration) {
 // set, the advance is sliced at timeline tick boundaries: every engine is
 // driven to quiescence at exactly the tick time (an epoch barrier — see
 // DESIGN.md §14) before the sampler reads, so
-// the recorded series are byte-identical at any shard count and any
+// the recorded series are byte-identical at any worker count and any
 // dispatch burst size. Slicing is semantically free: RunUntil(a) then
 // RunUntil(b) executes the identical event schedule as RunUntil(b).
 func (c *Cluster) RunUntil(deadline sim.Time) {
@@ -673,9 +671,9 @@ func (c *Cluster) injectNodeCrash(node int, d sim.Duration) error {
 	if d <= 0 {
 		d = foreverDuration
 	}
-	// The crash mutates shard-owned state (the uplink session, pod
-	// lifecycles): bring every shard to the control clock first so the
-	// mutation lands after every earlier shard-local event.
+	// The crash mutates lane-owned state (the uplink session, pod
+	// lifecycles): bring every lane to the control clock first so the
+	// mutation lands after every earlier lane-local event.
 	c.sharded.SyncShards()
 	m.state = memberCrashed
 	m.Crashes++
@@ -710,7 +708,7 @@ func (c *Cluster) injectNodeDrain(node int, d sim.Duration) error {
 	if m.state != memberActive {
 		return fmt.Errorf("cluster: node %d is %v, not active: %w", node, m.state, errs.BadState)
 	}
-	// Pod drains arm timers on the owning shard's engine.
+	// Pod drains arm timers on the member's lane.
 	c.sharded.SyncShards()
 	m.state = memberDraining
 	m.Drains++
@@ -734,8 +732,8 @@ func (c *Cluster) injectNodeDrain(node int, d sim.Duration) error {
 // without touching its pods (drain-the-uplink). Eligibility only moves
 // adminUntil, a control-plane time threshold the ECMP layer evaluates
 // exactly at each arrival's own timestamp; the withdrawal is additionally
-// mirrored through the real fabric (which synchronizes the shards — the
-// fabric's speakers are shard-owned).
+// mirrored through the real fabric (which synchronizes the lanes — the
+// fabric's speakers are lane-owned).
 func (c *Cluster) injectUplinkWithdraw(node int, d sim.Duration) error {
 	m, err := c.memberAt(node)
 	if err != nil {
@@ -761,7 +759,7 @@ func (c *Cluster) adminWithdraw(m *Member, d sim.Duration) {
 	if until := c.Engine.Now().Add(d); until > m.adminUntil {
 		m.adminUntil = until
 	}
-	// The mirror pumps shard-owned speakers: shards must be quiescent at
+	// The mirror pumps lane-owned speakers: lanes must be quiescent at
 	// the control clock.
 	c.sharded.SyncShards()
 	m.proxied.SetAdmin(false)

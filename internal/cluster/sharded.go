@@ -1,37 +1,38 @@
 package cluster
 
-// The engine protocol, at every shard count: the cluster's members are
-// partitioned across the k ≥ 1 shard engines of a sim.ShardedEngine (member i on shard i mod k, the
-// canonical trace.ShardOfNode assignment), while everything that couples
-// members — the workload arrival process, the fault injector, the ECMP
-// spray decision — runs on the control engine.
+// The engine protocol, at every worker count: each cluster member runs on
+// its own lane — member i owns lane i of a sim.ShardedEngine, one engine
+// per member — and k ≥ 1 workers advance the lanes at each epoch barrier,
+// worker j taking members j, j+k, … one at a time (the canonical
+// trace.ShardOfNode assignment). Everything that couples members — the
+// workload arrival process, the fault injector, the ECMP spray decision —
+// runs on the control engine.
 //
 // Members interact with the rest of the cluster at exactly two points, and
 // both already flow through the control plane:
 //
 //   - The ECMP ring reads each member's route eligibility (BGP RouteUp
 //     plus the administrative adminUntil threshold) when an arrival is
-//     sprayed. RouteUp only changes inside shard-local BFD probe and
+//     sprayed. RouteUp only changes inside lane-local BFD probe and
 //     re-advertisement events, and each session exposes a conservative
 //     lower bound on its next possible change (bgp.SimSession.
 //     NextTransition). The minimum over members is the cluster's lookahead
 //     horizon: arrivals strictly below it can be routed on the control
-//     engine without advancing any shard, which is what lets thousands of
-//     routing decisions amortize one shard barrier.
+//     engine without advancing any lane, which is what lets thousands of
+//     routing decisions amortize one epoch barrier.
 //   - Packet delivery into the owning member's ingress pod. Deliveries are
-//     value-typed mailbox entries (no boxing, no per-packet allocation)
-//     consumed by the owning shard's worker in (timestamp, control order)
-//     — a deterministic merge, since the control engine is the only
+//     value-typed entries in the member's own mailbox (no boxing, no
+//     per-packet allocation) consumed by its worker in (timestamp, control
+//     order) — a deterministic merge, since the control engine is the only
 //     producer and it runs single-threaded.
 //
-// Node-granularity faults mutate shard-owned state (uplink sessions, pod
-// lifecycles), so they first bring every shard to the control clock
+// Node-granularity faults mutate lane-owned state (uplink sessions, pod
+// lifecycles), so they first bring every lane to the control clock
 // (SyncShards), which also invalidates the cached horizon — the only way a
 // session's bound moves earlier is InjectFlap, and it only runs here.
-// Everything else — ECMP
-// counters, member lifecycle bookkeeping, recovery timers — is
-// control-plane state and never races a shard worker: shards are quiescent
-// (parked at the epoch barrier) whenever control events run.
+// Everything else — ECMP counters, member lifecycle bookkeeping, recovery
+// timers — is control-plane state and never races a worker: workers are
+// quiescent (parked at the epoch barrier) whenever control events run.
 
 import (
 	"albatross/internal/core"
@@ -40,48 +41,46 @@ import (
 	"albatross/internal/workload"
 )
 
-// mailEntry is one buffered cross-shard packet delivery.
+// mailEntry is one buffered control→lane packet delivery.
 type mailEntry struct {
-	at     sim.Time
-	member int32
-	bytes  int32
-	flow   workload.Flow
+	at    sim.Time
+	bytes int32
+	flow  workload.Flow
 }
 
-// shardMailbox buffers control→shard deliveries between epoch barriers.
-// The control goroutine appends while the shard worker is parked; the
-// worker consumes while the control goroutine waits at the barrier — the
-// spawn/join edges of each epoch order the two. The backing array is
-// recycled once fully drained.
-type shardMailbox struct {
+// mailbox buffers control→lane deliveries to one member between epoch
+// barriers. The control goroutine appends while the member's worker is
+// parked; the worker consumes while the control goroutine waits at the
+// barrier — the spawn/join edges of each epoch order the two. The backing
+// array is recycled once fully drained.
+type mailbox struct {
 	queue []mailEntry
 	next  int
 }
 
-// post buffers a delivery for m's shard at the current control time.
+// post buffers a delivery for member m at the current control time.
 func (c *Cluster) post(m *Member, f workload.Flow, bytes int) {
-	mb := &c.mail[m.shard]
+	mb := &c.mail[m.Index]
 	if mb.next > 0 && mb.next == len(mb.queue) {
 		mb.queue = mb.queue[:0]
 		mb.next = 0
 	}
 	mb.queue = append(mb.queue, mailEntry{
-		at:     c.Engine.Now(),
-		member: int32(m.Index),
-		bytes:  int32(bytes),
-		flow:   f,
+		at:    c.Engine.Now(),
+		bytes: int32(bytes),
+		flow:  f,
 	})
 }
 
-// advanceShard is the ShardedEngine advance hook: move one shard to target,
-// interleaving its mailbox with its event loop. Each delivery lands after
-// every shard-local event at or before its timestamp: the pipeline and
-// probe timers racing an arrival were armed earlier. Runs on the shard's
-// worker goroutine at the epoch barrier (or on the control goroutine
+// advanceLane is the ShardedEngine advance hook: move member lane's engine
+// to target, interleaving its mailbox with its event loop. Each delivery
+// lands after every lane-local event at or before its timestamp: the
+// pipeline and probe timers racing an arrival were armed earlier. Runs on
+// the member's worker at the epoch barrier (or on the control goroutine
 // inside a SyncShards).
-func (c *Cluster) advanceShard(shard int, target sim.Time) {
-	mb := &c.mail[shard]
-	eng := c.sharded.Shard(shard)
+func (c *Cluster) advanceLane(lane int, target sim.Time) {
+	mb := &c.mail[lane]
+	eng := c.sharded.Lane(lane)
 	for mb.next < len(mb.queue) {
 		e := &mb.queue[mb.next]
 		if e.at > target {
@@ -89,7 +88,7 @@ func (c *Cluster) advanceShard(shard int, target sim.Time) {
 		}
 		mb.next++
 		eng.RunUntil(e.at)
-		c.members[e.member].Node.Ingress(e.flow, int(e.bytes))
+		c.members[lane].Node.Ingress(e.flow, int(e.bytes))
 	}
 	eng.RunUntil(target)
 }
@@ -109,8 +108,8 @@ func (c *Cluster) nextBoundary() sim.Time {
 }
 
 // syncedTarget wraps a member node's pod-level fault target so every
-// injection synchronizes the shards to the control clock first: the fault
-// arms timers on (and mutates state of) the owning shard's engine.
+// injection synchronizes the lanes to the control clock first: the fault
+// arms timers on (and mutates state of) the member's lane.
 type syncedTarget struct {
 	c *Cluster
 	n *core.Node

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -163,9 +164,9 @@ func TestShardedRecordReplay(t *testing.T) {
 }
 
 // TestClusterInjectZeroAllocs: in steady state Inject + RunFor allocates
-// nothing per packet at any shard count — the mailbox recycles its backing
-// array and the node path pools its contexts. What is left is per epoch (the
-// barrier's goroutines at shards > 1), so it must not grow with the packets
+// nothing per packet at any worker count — the mailboxes recycle their
+// backing arrays and the node path pools its contexts. What is left is per
+// epoch (the barrier's goroutines at shards > 1), so it must not grow with the packets
 // in the epoch.
 func TestClusterInjectZeroAllocs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
@@ -198,36 +199,53 @@ func TestClusterInjectZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardAssignment pins the canonical member→shard mapping and the
-// Shards accessor, including the auto (0) and clamped (k > nodes) cases.
+// TestShardAssignment pins the lane contract: every member, including one
+// added by AddNode, runs on its own lane — lane i is member i's engine, and
+// a lane added mid-run starts at the control clock — and Shards counts the
+// workers, auto-sized and clamped to the node count. Worker w advances
+// lanes w, w+k, … (sim.TestShardedWorkerLanes), so member i runs on worker
+// trace.ShardOfNode(i, k), the rule replay-diff labels node lines with.
 func TestShardAssignment(t *testing.T) {
-	c, err := New(Config{Nodes: 5, Seed: testSeed, Shards: 3})
-	if err != nil {
+	c, _ := shardedCluster(t, 5, 3, nil)
+	if c.cfg.Shards != 3 {
+		t.Fatalf("workers = %d, want 3", c.cfg.Shards)
+	}
+	c.RunFor(3 * sim.Millisecond)
+	if _, err := c.AddNode(); err != nil {
 		t.Fatal(err)
 	}
-	if c.sharded.NumShards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", c.sharded.NumShards())
-	}
+	seen := map[*sim.Engine]int{c.Engine: -1}
 	for _, m := range c.Members() {
-		if want := trace.ShardOfNode(m.Index, 3); m.shard != want {
-			t.Fatalf("member %d on shard %d, want %d", m.Index, m.shard, want)
+		eng := m.Node.Engine
+		if eng != c.sharded.Lane(m.Index) {
+			t.Fatalf("member %d does not run on lane %d", m.Index, m.Index)
+		}
+		if prev, dup := seen[eng]; dup {
+			t.Fatalf("member %d shares an engine with %d", m.Index, prev)
+		}
+		seen[eng] = m.Index
+		if w := trace.ShardOfNode(m.Index, 3); w != m.Index%3 {
+			t.Fatalf("ShardOfNode(%d, 3) = %d, want the lane stride's %d", m.Index, w, m.Index%3)
 		}
 	}
-	// Shard count never exceeds the node count.
+	if added := c.Members()[5].Node.Engine; added.Now() != c.Engine.Now() {
+		t.Fatalf("added lane at %v, control at %v", added.Now(), c.Engine.Now())
+	}
+	// The worker count never exceeds the node count.
 	c2, err := New(Config{Nodes: 2, Seed: testSeed, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.sharded.NumShards() > 2 {
-		t.Fatalf("Shards() = %d, want <= nodes", c2.sharded.NumShards())
+	if c2.cfg.Shards != 2 {
+		t.Fatalf("workers = %d, want the node count 2", c2.cfg.Shards)
 	}
-	// Auto sizing picks at least one shard.
+	// Auto sizing picks min(GOMAXPROCS, nodes).
 	c3, err := New(Config{Nodes: 3, Seed: testSeed, Shards: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c3.sharded.NumShards() < 1 {
-		t.Fatalf("auto Shards() = %d", c3.sharded.NumShards())
+	if want := min(runtime.GOMAXPROCS(0), 3); c3.cfg.Shards != want {
+		t.Fatalf("auto workers = %d, want %d", c3.cfg.Shards, want)
 	}
 	if _, err := New(Config{Nodes: 3, Seed: testSeed, Shards: -1}); !errors.Is(err, errs.BadConfig) {
 		t.Fatalf("negative shards accepted: %v", err)
@@ -278,5 +296,106 @@ func TestShardedPendingConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Pending() == 0 {
 		t.Fatal("pending = 0 with BFD probe grids armed")
+	}
+}
+
+// runAddNodeMidRun drives a 4-node cluster on the given worker count through
+// a node crash and a drain, growing it by three members mid-run: two from
+// control events inside an epoch (their lanes start at the horizon the event
+// synced to) and one between RunFor calls, each followed by a burst of
+// same-instant injections. It returns the outcome report and the Prometheus
+// export.
+func runAddNodeMidRun(t *testing.T, workers int) (string, string) {
+	t.Helper()
+	plan := (&faults.Plan{}).
+		NodeCrash(6*sim.Millisecond, 1, 30*sim.Millisecond).
+		NodeDrain(14*sim.Millisecond, 2, 20*sim.Millisecond)
+	c, wf := shardedCluster(t, 4, workers, plan)
+	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e5), Seed: testSeed + 1, Sink: c.Sink()}
+	if err := src.Start(c.Engine); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	burst := func() {
+		for k := 0; k < 256; k++ {
+			c.Inject(wf[next%len(wf)], 256)
+			next++
+		}
+	}
+	addNode := func() {
+		if _, err := c.AddNode(); err != nil {
+			t.Error(err)
+		}
+		burst()
+	}
+	c.Engine.At(sim.Time(10*sim.Millisecond)+123, addNode)
+	c.Engine.At(sim.Time(20*sim.Millisecond)+7, addNode)
+	c.RunFor(25 * sim.Millisecond)
+	addNode()
+	c.RunFor(25 * sim.Millisecond)
+	src.Stop()
+	c.RunFor(5 * sim.Millisecond)
+	if n := len(c.Members()); n != 7 {
+		t.Fatalf("cluster has %d members, want 7", n)
+	}
+	for _, m := range c.Members()[4:] {
+		if m.Rx == 0 {
+			t.Fatalf("added member %d received no traffic", m.Index)
+		}
+	}
+	return c.Outcome(), c.Metrics().Prometheus()
+}
+
+// TestAddNodeMidRunAcrossWorkers covers a lane created mid-run: members
+// added by AddNode between bursts, under a node crash and a drain, leave
+// the outcome and the metrics export byte-identical at any worker count.
+func TestAddNodeMidRunAcrossWorkers(t *testing.T) {
+	baseOut, baseProm := runAddNodeMidRun(t, 1)
+	for _, k := range []int{2, 3, 4} {
+		out, prom := runAddNodeMidRun(t, k)
+		if out != baseOut {
+			t.Fatalf("workers=%d outcome differs from workers=1:\n%s", k,
+				trace.Diff("workers=1", baseOut, "workers", out).String())
+		}
+		if prom != baseProm {
+			t.Fatalf("workers=%d metrics export differs from workers=1", k)
+		}
+	}
+}
+
+// TestLaneEventsPerPacket is an exact-count guard on the lane layout: 8
+// members at burst 1 on one worker, fed 256-packet batches each drained for
+// 100µs, execute at most 1.1 events per packet across the control engine
+// and every lane. On its own lane a member's pipeline completions settle in
+// the timer firing that reaches them; one engine shared by all members
+// interleaved the others' events between them and fired once per
+// completion (2.2 events per packet).
+func TestLaneEventsPerPacket(t *testing.T) {
+	c, err := New(Config{Nodes: 8, Seed: testSeed, Shards: 1, Node: core.NodeConfig{Burst: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf := workload.GenerateFlows(10000, 100, testSeed)
+	if err := c.AddPod(core.PodConfig{
+		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 8, CtrlCores: 2},
+		Flows: workload.ServiceFlows(wf, 0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const batches, batch = 64, 256
+	next := 0
+	for b := 0; b < batches; b++ {
+		for k := 0; k < batch; k++ {
+			c.Inject(wf[next%len(wf)], 256)
+			next++
+		}
+		c.RunFor(100 * sim.Microsecond)
+	}
+	events := c.Engine.Executed()
+	for _, m := range c.Members() {
+		events += m.Node.Engine.Executed()
+	}
+	if perPkt := float64(events) / (batches * batch); perPkt > 1.1 {
+		t.Fatalf("%.3f events per packet (%d over %d packets), want <= 1.1", perPkt, events, batches*batch)
 	}
 }

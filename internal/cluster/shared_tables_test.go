@@ -185,9 +185,9 @@ func TestSharedTablesWithDivergedAddrSpaces(t *testing.T) {
 }
 
 // TestShardsReadSharedTablesConcurrently runs the diverged cluster on four
-// shard goroutines over one set of tables; under -race this is the check that
-// nothing on the packet path writes to them. The outcome must match one
-// shard's.
+// worker goroutines over one set of tables; under -race this is the check
+// that nothing on the packet path writes to them. The outcome must match one
+// worker's.
 func TestShardsReadSharedTablesConcurrently(t *testing.T) {
 	if got, want := divergedCluster(t, 4, true).Outcome(), divergedCluster(t, 1, true).Outcome(); got != want {
 		t.Fatal("outcome over shared tables differs between 4 shards and 1")

@@ -109,7 +109,7 @@ func TestTimelineRecordsCrashTrajectory(t *testing.T) {
 
 // TestTimelineShardCountInvariance pins the tentpole determinism claim at
 // the cluster layer: the CSV and JSON series exports are byte-identical
-// whether the run used one shard engine or four.
+// whether the run used one worker or four.
 func TestTimelineShardCountInvariance(t *testing.T) {
 	a := runTimeline(t, 1)
 	b := runTimeline(t, 4)

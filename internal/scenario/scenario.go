@@ -57,9 +57,9 @@ type Fleet struct {
 	// a cluster behind consistent-hash ECMP, so outcome reports and
 	// assertions apply uniformly from 1 node to regionscale.
 	Nodes int
-	// Shards partitions the cluster across engine shards (0 = auto).
-	// Purely an execution strategy: outputs are byte-identical at any
-	// value.
+	// Shards is the number of workers that advance the members' engines
+	// (0 = auto). Purely an execution strategy: outputs are byte-identical
+	// at any value.
 	Shards int
 	// Pods deploys this many identical pods per node (default 1; crash /
 	// drain drills want ≥ 2 so tenants have a redirect sibling).

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// shardedHarness models the smallest owner: each shard holds one periodic
+// shardedHarness models the smallest owner: each lane holds one periodic
 // timer (the stand-in for a node's probe grid), the control engine holds an
-// arrival process, and arrivals are posted into per-shard mailboxes drained
+// arrival process, and arrivals are posted into per-lane mailboxes drained
 // by an advance hook — the same protocol the cluster layer uses. Every
-// execution is logged as "kind@t/shard" so runs can be compared exactly.
+// execution is logged as "kind@t/lane" so runs can be compared exactly.
 type shardedHarness struct {
 	g    *ShardedEngine
 	mail [][]Time
@@ -20,15 +20,15 @@ type shardedHarness struct {
 	log []string
 }
 
-func newShardedHarness(shards int, period Duration) *shardedHarness {
+func newShardedHarness(workers, lanes int, period Duration) *shardedHarness {
 	h := &shardedHarness{
-		g:    NewShardedEngine(shards),
-		mail: make([][]Time, shards),
-		next: make([]int, shards),
+		g:    NewShardedEngine(workers),
+		mail: make([][]Time, lanes),
+		next: make([]int, lanes),
 	}
-	for i := 0; i < shards; i++ {
+	for i := 0; i < lanes; i++ {
 		i := i
-		eng := h.g.Shard(i)
+		eng := h.g.AddLane()
 		var tick func(any)
 		tick = func(any) {
 			h.record(fmt.Sprintf("tick@%d/%d", eng.Now(), i))
@@ -36,16 +36,16 @@ func newShardedHarness(shards int, period Duration) *shardedHarness {
 		}
 		eng.AfterArg(period, tick, nil)
 	}
-	h.g.SetAdvance(func(shard int, target Time) {
-		eng := h.g.Shard(shard)
-		for h.next[shard] < len(h.mail[shard]) {
-			at := h.mail[shard][h.next[shard]]
+	h.g.SetAdvance(func(lane int, target Time) {
+		eng := h.g.Lane(lane)
+		for h.next[lane] < len(h.mail[lane]) {
+			at := h.mail[lane][h.next[lane]]
 			if at > target {
 				break
 			}
-			h.next[shard]++
+			h.next[lane]++
 			eng.RunUntil(at)
-			h.record(fmt.Sprintf("mail@%d/%d", at, shard))
+			h.record(fmt.Sprintf("mail@%d/%d", at, lane))
 		}
 		eng.RunUntil(target)
 	})
@@ -58,16 +58,16 @@ func (h *shardedHarness) record(s string) {
 	h.mu.Unlock()
 }
 
-func (h *shardedHarness) post(shard int, at Time) {
-	h.mail[shard] = append(h.mail[shard], at)
+func (h *shardedHarness) post(lane int, at Time) {
+	h.mail[lane] = append(h.mail[lane], at)
 }
 
-// shardLog filters the interleaved log down to one shard's entries — the
-// per-shard order is what determinism guarantees; the cross-shard
+// laneLog filters the interleaved log down to one lane's entries — the
+// per-lane order is what determinism guarantees; the cross-lane
 // interleaving in the slice is arbitrary (workers run in parallel).
-func (h *shardedHarness) shardLog(shard int) []string {
+func (h *shardedHarness) laneLog(lane int) []string {
 	var out []string
-	suffix := fmt.Sprintf("/%d", shard)
+	suffix := fmt.Sprintf("/%d", lane)
 	for _, s := range h.log {
 		if len(s) > len(suffix) && s[len(s)-len(suffix):] == suffix {
 			out = append(out, s)
@@ -77,11 +77,11 @@ func (h *shardedHarness) shardLog(shard int) []string {
 }
 
 // TestShardedMailMergeOrder checks the core delivery invariant: each mailbox
-// entry lands after every shard-local event at or before its timestamp, and
+// entry lands after every lane-local event at or before its timestamp, and
 // entries with equal timestamps keep posting order.
 func TestShardedMailMergeOrder(t *testing.T) {
-	h := newShardedHarness(2, 100)
-	// Control process: every 30ns post an arrival to shard 0 at control time.
+	h := newShardedHarness(2, 2, 100)
+	// Control process: every 30ns post an arrival to lane 0 at control time.
 	src := h.g.Control()
 	var emit func(any)
 	n := 0
@@ -106,18 +106,18 @@ func TestShardedMailMergeOrder(t *testing.T) {
 		"mail@300/0", // posted at t=300 by a control event: after the tick
 		"tick@400/0",
 	}
-	got := h.shardLog(0)
+	got := h.laneLog(0)
 	if len(got) != len(want) {
-		t.Fatalf("shard 0 log = %v, want %v", got, want)
+		t.Fatalf("lane 0 log = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("shard 0 log[%d] = %q, want %q (full: %v)", i, got[i], want[i], got)
+			t.Fatalf("lane 0 log[%d] = %q, want %q (full: %v)", i, got[i], want[i], got)
 		}
 	}
-	// Shard 1 got no mail: just its probe grid.
-	if got := h.shardLog(1); len(got) != 4 {
-		t.Fatalf("shard 1 log = %v, want 4 ticks", got)
+	// Lane 1 got no mail: just its probe grid.
+	if got := h.laneLog(1); len(got) != 4 {
+		t.Fatalf("lane 1 log = %v, want 4 ticks", got)
 	}
 	if h.g.control.Now() != 400 {
 		t.Fatalf("control clock = %v, want 400", h.g.control.Now())
@@ -125,14 +125,14 @@ func TestShardedMailMergeOrder(t *testing.T) {
 }
 
 // TestShardedBoundaryTieOrder pins the epoch tie rule: a control event
-// exactly at the boundary runs after the shard transition at that time (the
-// shard timer was armed earlier).
+// exactly at the boundary runs after the lane transition at that time (the
+// lane timer was armed earlier).
 func TestShardedBoundaryTieOrder(t *testing.T) {
-	h := newShardedHarness(1, 100)
+	h := newShardedHarness(1, 1, 100)
 	h.g.SetBoundary(func() Time {
 		// Next tick of the period-100 grid, computed from the horizon (the
-		// time every shard has reached — the real owner derives this from
-		// shard state, which is frozen at the horizon).
+		// time every lane has reached — the real owner derives this from
+		// lane state, which is frozen at the horizon).
 		return (h.g.horizon/100 + 1) * 100
 	})
 	src := h.g.Control()
@@ -140,22 +140,26 @@ func TestShardedBoundaryTieOrder(t *testing.T) {
 	h.g.RunUntil(150)
 
 	want := []string{"tick@100/0", "mail@100/0"}
-	got := h.shardLog(0)
+	got := h.laneLog(0)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("boundary tie order = %v, want %v", got, want)
 	}
 }
 
-// TestShardedDeterministicAcrossShardCounts runs the same system at 1, 2,
-// and 4 shards and requires identical per-component execution traces.
+// TestShardedDeterministicAcrossShardCounts runs the same four lanes on
+// 1, 2, 3 and 4 workers and requires every lane's execution trace to be
+// identical: a lane's events depend only on the lane and its mailbox, so
+// which worker advances it, and which lanes it shares that worker with,
+// cannot change them.
 func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
-	run := func(shards int) map[int][]string {
-		h := newShardedHarness(shards, 70)
+	const lanes = 4
+	run := func(workers int) [][]string {
+		h := newShardedHarness(workers, lanes, 70)
 		src := h.g.Control()
 		n := 0
 		var emit func(any)
 		emit = func(any) {
-			h.post(n%shards, src.Now())
+			h.post(n%lanes, src.Now())
 			n++
 			if n < 200 {
 				src.AfterArg(13, emit, nil)
@@ -164,64 +168,116 @@ func TestShardedDeterministicAcrossShardCounts(t *testing.T) {
 		src.AfterArg(13, emit, nil)
 		h.g.chunk = 500
 		h.g.RunUntil(3000)
-		out := map[int][]string{}
-		for i := 0; i < shards; i++ {
-			out[i] = h.shardLog(i)
+		out := make([][]string, lanes)
+		for i := range out {
+			out[i] = h.laneLog(i)
 		}
 		return out
 	}
-	// Component c at shard count k lives on shard c%k. Compare each
-	// component's merged (tick, mail) stream across shard counts by
-	// replaying the 1-shard run's posting pattern: with shards=1 all mail
-	// lands on shard 0, so instead compare the k=2 and k=4 runs shard by
-	// shard against a serial re-simulation — simplest exact check: the
-	// k=2 run's shard 0 saw components {0}, and k=4's shards 0..3 split the
-	// same posting sequence. Equality of per-shard logs between k=2 and
-	// k=4 holds only for shards with identical component sets, so check
-	// the invariants directly: mail total and tick counts.
-	for _, k := range []int{1, 2, 4} {
-		logs := run(k)
-		mails, ticks := 0, 0
-		for i := 0; i < k; i++ {
-			for _, s := range logs[i] {
-				if s[0] == 'm' {
-					mails++
-				} else {
-					ticks++
-				}
+	base := run(1)
+	mails := 0
+	for i, log := range base {
+		ticks := 0
+		for _, s := range log {
+			if s[0] == 'm' {
+				mails++
+			} else {
+				ticks++
 			}
 		}
-		if mails != 200 {
-			t.Fatalf("k=%d delivered %d of 200 mails", k, mails)
+		if ticks != 42 {
+			t.Fatalf("lane %d ran %d ticks, want 42", i, ticks)
 		}
-		if want := 42 * k; ticks != want {
-			t.Fatalf("k=%d ran %d ticks, want %d", k, ticks, want)
+	}
+	if mails != 200 {
+		t.Fatalf("delivered %d of 200 mails", mails)
+	}
+	for _, k := range []int{2, 3, 4} {
+		got := run(k)
+		for i := range base {
+			if fmt.Sprint(got[i]) != fmt.Sprint(base[i]) {
+				t.Fatalf("workers=%d lane %d log = %v, want %v", k, i, got[i], base[i])
+			}
 		}
 	}
 }
 
-// TestShardedSyncShards checks that SyncShards brings every shard exactly to
+// TestShardedWorkerLanes pins the lane→worker rule: worker w advances lanes
+// w, w+k, w+2k, … in index order and no other lane.
+func TestShardedWorkerLanes(t *testing.T) {
+	g := NewShardedEngine(3)
+	for i := 0; i < 7; i++ {
+		g.AddLane()
+	}
+	var order []int
+	g.SetAdvance(func(lane int, target Time) {
+		order = append(order, lane)
+		g.Lane(lane).RunUntil(target)
+	})
+	g.advanceWorker(1, 50)
+	if fmt.Sprint(order) != "[1 4]" {
+		t.Fatalf("worker 1 advanced lanes %v, want [1 4]", order)
+	}
+	for i := 0; i < 7; i++ {
+		want := Time(0)
+		if i%3 == 1 {
+			want = 50
+		}
+		if got := g.Lane(i).Now(); got != want {
+			t.Fatalf("lane %d at %v after worker 1's advance, want %v", i, got, want)
+		}
+	}
+}
+
+// TestShardedAddLaneAtHorizon checks a lane added mid-run: it starts at the
+// horizon, so what it arms relative to now lands at the control clock's
+// offsets, and the next epochs advance it with the others.
+func TestShardedAddLaneAtHorizon(t *testing.T) {
+	h := newShardedHarness(2, 2, 100)
+	var added *Engine
+	var fired Time
+	ctl := h.g.Control()
+	ctl.AtArg(250, func(any) {
+		h.g.SyncShards()
+		added = h.g.AddLane()
+		h.mail = append(h.mail, nil)
+		h.next = append(h.next, 0)
+		added.AfterArg(30, func(any) { fired = added.Now() }, nil)
+	}, nil)
+	h.g.RunUntil(400)
+	if added == nil {
+		t.Fatal("control event did not run")
+	}
+	if fired != 280 {
+		t.Fatalf("event armed 30ns after adding the lane at 250 fired at %v, want 280", fired)
+	}
+	if got := added.Now(); got != 400 {
+		t.Fatalf("added lane at %v after RunUntil(400), want 400", got)
+	}
+}
+
+// TestShardedSyncShards checks that SyncShards brings every lane exactly to
 // the control clock (with pending mail delivered) and that the next epoch
 // resumes cleanly.
 func TestShardedSyncShards(t *testing.T) {
-	h := newShardedHarness(2, 100)
+	h := newShardedHarness(2, 2, 100)
 	src := h.g.Control()
 	src.AtArg(50, func(any) { h.post(1, src.Now()) }, nil)
 	src.AtArg(130, func(any) {
 		h.g.SyncShards()
-		if got := h.g.Shard(0).Now(); got != 130 {
-			t.Errorf("shard 0 clock after sync = %v, want 130", got)
+		if got := h.g.Lane(0).Now(); got != 130 {
+			t.Errorf("lane 0 clock after sync = %v, want 130", got)
 		}
-		if got := h.g.Shard(1).Now(); got != 130 {
-			t.Errorf("shard 1 clock after sync = %v, want 130", got)
+		if got := h.g.Lane(1).Now(); got != 130 {
+			t.Errorf("lane 1 clock after sync = %v, want 130", got)
 		}
 	}, nil)
 	h.g.RunUntil(250)
 
 	want := []string{"mail@50/1", "tick@100/1", "tick@200/1"}
-	got := h.shardLog(1)
+	got := h.laneLog(1)
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("shard 1 log = %v, want %v", got, want)
+		t.Fatalf("lane 1 log = %v, want %v", got, want)
 	}
 }
 
@@ -246,6 +302,8 @@ func TestShardedStaleBoundaryPanics(t *testing.T) {
 // event introduces through SyncShards mid-epoch still shortens that epoch.
 func TestShardedBoundaryCached(t *testing.T) {
 	g := NewShardedEngine(2)
+	g.AddLane()
+	g.AddLane()
 	g.chunk = 10
 	calls := 0
 	flap := Time(0) // a transition the owner only learns of mid-run
@@ -266,19 +324,19 @@ func TestShardedBoundaryCached(t *testing.T) {
 		t.Fatalf("boundary asked %d times after the horizon passed it once, want 2", calls)
 	}
 
-	// Inside the epoch [1500, 1510] a control event syncs the shards and
-	// moves the boundary to 1507: the event at 1508 must find the shards
+	// Inside the epoch [1500, 1510] a control event syncs the lanes and
+	// moves the boundary to 1507: the event at 1508 must find the lanes
 	// advanced through 1507, not parked at the sync point.
 	ctl := g.Control()
 	ctl.AtArg(1503, func(any) {
 		g.SyncShards()
 		flap = 1507
 	}, nil)
-	var shardAt Time
-	ctl.AtArg(1508, func(any) { shardAt = g.Shard(0).Now() }, nil)
+	var laneAt Time
+	ctl.AtArg(1508, func(any) { laneAt = g.Lane(0).Now() }, nil)
 	g.RunUntil(1510)
-	if shardAt != 1507 {
-		t.Fatalf("control event past the new boundary saw shard 0 at %v, want 1507", shardAt)
+	if laneAt != 1507 {
+		t.Fatalf("control event past the new boundary saw lane 0 at %v, want 1507", laneAt)
 	}
 	// Once for the sync, once when the horizon reached 1507.
 	if calls != 4 {
@@ -290,7 +348,7 @@ func TestShardedBoundaryCached(t *testing.T) {
 // while the epoch loop runs — the satellite-1 fix. Under -race this fails
 // loudly if Pending still reads engine internals unsynchronized.
 func TestShardedPendingConcurrent(t *testing.T) {
-	h := newShardedHarness(4, 50)
+	h := newShardedHarness(2, 4, 50)
 	src := h.g.Control()
 	n := 0
 	var emit func(any)

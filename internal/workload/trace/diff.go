@@ -27,15 +27,16 @@ type DiffReport struct {
 	// OnlyA and OnlyB hold keys present in one report only, in report
 	// order.
 	OnlyA, OnlyB []string
-	// shards, when > 1, annotates rendered node lines with the owning
-	// shard (see AnnotateShards).
+	// shards, when > 1, annotates rendered node lines with the node's
+	// worker (see AnnotateShards).
 	shards int
 }
 
-// ShardOfNode is the canonical node→shard assignment of a sharded cluster
-// run: member i lives on shard i mod shards. The cluster layer and the
-// diff renderer both use it, so diff labels always name the engine that
-// actually executed the node.
+// ShardOfNode is the canonical node→worker assignment of a sharded cluster
+// run: member i runs on its own engine, which worker i mod shards advances
+// at each epoch barrier (sim.ShardedEngine's lane stride). The diff
+// renderer labels with it, so diff labels name the worker that actually
+// executed the node.
 func ShardOfNode(node, shards int) int {
 	if shards <= 1 {
 		return 0
@@ -43,11 +44,11 @@ func ShardOfNode(node, shards int) int {
 	return node % shards
 }
 
-// AnnotateShards makes String() label every nodeN line with its owning
-// shard under the given shard count — so a diff of sharded-run outcomes
-// stays line-keyed (keys are untouched; outcome reports are byte-identical
-// at any shard count) while showing which shard engine owned each differing
-// node. shards <= 1 disables the labels.
+// AnnotateShards makes String() label every nodeN line with its worker
+// under the given shard count — so a diff of sharded-run outcomes stays
+// line-keyed (keys are untouched; outcome reports are byte-identical at any
+// shard count) while showing which worker advanced each differing node.
+// shards <= 1 disables the labels.
 func (d *DiffReport) AnnotateShards(shards int) { d.shards = shards }
 
 // shardLabel returns the " [shard N]" suffix for a key, or "".

@@ -39,9 +39,10 @@ type Config struct {
 	// Nodes is the deployment width: 1 = a single Node (New), >1 = a
 	// multi-node Cluster behind consistent-hash ECMP (NewCluster).
 	Nodes int
-	// Shards partitions a cluster across engine shards: 0 = auto
-	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = k shard engines. Outcomes are
-	// byte-identical at any shard count.
+	// Shards is the number of workers that advance a cluster's members,
+	// each on its own engine, at every epoch barrier: 0 = auto
+	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = k workers. Outcomes are
+	// byte-identical at any worker count.
 	Shards int
 	// SnapshotEvery samples a telemetry timeline every this much virtual
 	// time on NewCluster deployments (0 = off). See WithSnapshotEvery.
@@ -92,11 +93,12 @@ func WithNodes(n int) Option {
 	return func(c *Config) { c.Nodes = n }
 }
 
-// WithShards partitions a NewCluster deployment across n engine shards so
-// a run uses up to n cores: 0 (the default) auto-sizes to
-// min(GOMAXPROCS, nodes), 1 runs every member on one shard. Sharding is
-// a pure execution strategy — Outcome reports and metrics exports are
-// byte-identical at any shard count.
+// WithShards sets how many workers advance a NewCluster deployment's
+// members — each on its own engine — at every epoch barrier, so a run
+// uses up to n cores: 0 (the default) auto-sizes to min(GOMAXPROCS,
+// nodes), 1 advances every member on the calling goroutine. The worker
+// count is a pure execution strategy — Outcome reports and metrics
+// exports are byte-identical at any value.
 func WithShards(n int) Option {
 	return func(c *Config) { c.Shards = n }
 }

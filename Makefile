@@ -113,6 +113,9 @@ gameday: build
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
 #                built its own tables).
+#   examples     each examples/* program builds and exits 0 within 60 s (all
+#                seven take about 10 s): `go build ./...` compiles them, this
+#                runs them.
 #   reach        every exported function or method in non-test internal/ code
 #                is linked into some main package (the linker's -dumpdep over
 #                cmd/*, examples/*, bench) or named with its contract in
@@ -136,6 +139,7 @@ check: build
 	workers() { $$asim run -shards $$1 $$2 2>/dev/null | grep -v '^  dataplane ' > $$tmp/shards$$1; }; \
 	shardinv() { for f in scenarios/*.yaml; do case $$f in */regionscale.yaml) continue;; esac; \
 		workers 1 $$f; workers 3 $$f; cmp -s $$tmp/shards1 $$tmp/shards3 || return 1; done; }; \
+	examples() { for d in examples/*/; do $(GO) build -o $$tmp/example ./$$d && timeout 60 $$tmp/example || return 1; done; }; \
 	for row in \
 		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
 		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
@@ -154,6 +158,7 @@ check: build
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
 		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
+		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \
 	; do \
 		name=$${row%%|*}; cmd=$${row#*|}; \

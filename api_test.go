@@ -39,6 +39,11 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := albatross.New(albatross.WithFaultPlan(bad)); !errors.Is(err, albatross.ErrBadConfig) {
 		t.Fatalf("New(bad fault plan) = %v, want ErrBadConfig", err)
 	}
+	// ErrBadConfig: a node-level fault needs a cluster.
+	crash := (&albatross.FaultPlan{}).NodeCrash(albatross.Millisecond, 0, 0)
+	if _, err := albatross.New(albatross.WithFaultPlan(crash)); !errors.Is(err, albatross.ErrBadConfig) {
+		t.Fatalf("New(node-crash plan) = %v, want ErrBadConfig", err)
+	}
 	// ErrBadConfig: an invalid pod spec is rejected at AddPod.
 	n := newFacadeNode(t, albatross.WithSeed(1))
 	if _, err := n.AddPod(albatross.PodConfig{

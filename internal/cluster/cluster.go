@@ -9,11 +9,10 @@
 // paper's bounded-loss failover story, while gray upgrades withdraw
 // administratively first (make-before-break, zero loss).
 //
-// The package implements faults.NodeTarget, extending the deterministic
-// fault plans of internal/faults to node granularity — one unified
-// InjectNodeFault entry point covering node crash, node drain, and uplink
-// withdraw — while still routing pod-level faults to member nodes via
-// Fault.Node.
+// The cluster is a faults.Target, extending the deterministic fault plans
+// of internal/faults to node granularity: its InjectFault applies node
+// crash, node drain and uplink withdraw through InjectNodeFault, and hands
+// a pod-level fault to member Fault.Node.
 //
 // Every member's uplink is a bgp.SimSession — the BFD timing model, and the
 // only thing eligibility reads — observed by the real BGP stack
@@ -50,9 +49,6 @@ type Config struct {
 	// overridden: seeds derive from Config.Seed, a member runs on its own
 	// lane's engine, and fault plans are cluster-level (Config.Faults).
 	Node core.NodeConfig
-	// VNodesPerNode is the consistent-hash vnode count per member
-	// (default 64; higher = tighter remap bound, bigger table).
-	VNodesPerNode int
 	// Faults, when non-nil, arms a deterministic cluster-level fault plan
 	// (node- and pod-level kinds; Fault.Node selects the member).
 	Faults *faults.Plan
@@ -176,8 +172,8 @@ type Cluster struct {
 	Drops    uint64
 
 	// timeline is the periodic sampler (nil unless Config.SnapshotEvery is
-	// set), armed lazily at the first RunFor so pods deployed via AddPod
-	// are visible to its probe histogram.
+	// set), armed lazily at the first RunFor so its ticks count from there.
+	// It samples the cluster-level counters and gauge of armTimeline only.
 	timeline *metrics.Timeline
 }
 
@@ -204,12 +200,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 node, got %d: %w", cfg.Nodes, errs.BadConfig)
 	}
-	if cfg.VNodesPerNode == 0 {
-		cfg.VNodesPerNode = 64
-	}
-	if cfg.VNodesPerNode < 1 {
-		return nil, fmt.Errorf("cluster: VNodesPerNode %d must be positive: %w", cfg.VNodesPerNode, errs.BadConfig)
-	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: Shards %d must be >= 0: %w", cfg.Shards, errs.BadConfig)
 	}
@@ -225,7 +215,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:         cfg,
-		ring:        newRing(cfg.VNodesPerNode),
+		ring:        &ring{},
 		sharded:     sim.NewShardedEngine(cfg.Shards),
 		switchModel: bgp.NewSwitch(65000, 0xFFFF0001),
 	}
@@ -326,21 +316,24 @@ func (c *Cluster) memberAt(i int) (*Member, error) {
 	return c.members[i], nil
 }
 
-// MemberAt returns member i — the typed accessor for callers that need
-// member state (weight, lifecycle, uplink), instead of type-asserting the
-// opaque faults.Target that NodeAt returns.
+// MemberAt returns member i: its state (weight, lifecycle, uplink) and its
+// node.
 func (c *Cluster) MemberAt(i int) (*Member, error) { return c.memberAt(i) }
 
-// NodeAt resolves member i as a pod-level fault target. Implements
-// faults.NodeTarget. The target is wrapped so every pod-level fault
-// synchronizes the lanes to the control clock first — the fault mutates
-// node state owned by the member's lane.
-func (c *Cluster) NodeAt(i int) (faults.Target, error) {
-	m, err := c.memberAt(i)
-	if err != nil {
-		return nil, err
+// InjectFault applies a fault of any kind: a node-level kind through
+// InjectNodeFault, a pod-level kind on member Fault.Node's node once every
+// lane is synchronized to the control clock — the fault mutates node state,
+// and arms timers, on the member's lane. Implements faults.Target.
+func (c *Cluster) InjectFault(f faults.Fault) error {
+	if f.Kind.NodeLevel() {
+		return c.InjectNodeFault(f.Kind, f.Node, f.Duration)
 	}
-	return &syncedTarget{c: c, n: m.Node}, nil
+	m, err := c.memberAt(f.Node)
+	if err != nil {
+		return err
+	}
+	c.sharded.SyncShards()
+	return m.Node.InjectFault(f)
 }
 
 // SetWeight sets member node's ECMP weight: weight w owns round(w×vnodes)
@@ -638,8 +631,8 @@ func (c *Cluster) Pending() int { return c.sharded.Pending() }
 
 // InjectNodeFault is the unified node-level fault entry point: it fires
 // kind (KindNodeCrash, KindNodeDrain, or KindUplinkWithdraw) against member
-// node. The reconciler, scenario runner, and fault injector all route
-// through here. Implements faults.NodeTarget.
+// node. The reconciler, scenario runner, and fault injector (through
+// InjectFault) all route through here.
 func (c *Cluster) InjectNodeFault(kind faults.Kind, node int, d sim.Duration) error {
 	switch kind {
 	case faults.KindNodeCrash:

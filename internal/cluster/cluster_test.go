@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"albatross/internal/core"
@@ -306,8 +307,8 @@ func TestClusterErrors(t *testing.T) {
 		t.Fatalf("Nodes=0 accepted: %v", err)
 	}
 	c, _ := testCluster(t, 2, nil)
-	if _, err := c.NodeAt(5); !errors.Is(err, errs.BadConfig) {
-		t.Fatalf("NodeAt(5) = %v, want BadConfig", err)
+	if err := c.InjectFault(faults.Fault{Kind: faults.KindPodCrash, Node: 5}); !errors.Is(err, errs.BadConfig) {
+		t.Fatalf("pod crash on member 5 = %v, want BadConfig", err)
 	}
 	if err := c.InjectNodeFault(faults.KindNodeDrain, 0, 0); !errors.Is(err, errs.BadConfig) {
 		t.Fatalf("zero-duration drain = %v, want BadConfig", err)
@@ -320,5 +321,53 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A cluster plan mixes node- and pod-level kinds, and Fault.Node selects the
+// member for both: node kinds reach the cluster's own handlers, pod kinds
+// the member's node, and a pod fault naming a missing member is logged with
+// its error.
+func TestInjectFaultRoutesNodeAndPodKinds(t *testing.T) {
+	plan := (&faults.Plan{}).
+		NodeCrash(1*sim.Millisecond, 0, sim.Second).
+		NodeDrain(2*sim.Millisecond, 1, sim.Second).
+		PodCrash(3*sim.Millisecond, 0, sim.Second)
+	plan.Faults[2].Node = 2
+	plan.Faults = append(plan.Faults,
+		faults.Fault{Kind: faults.KindCoreFail, At: 4 * sim.Millisecond, Node: 3, Core: 1},
+		faults.Fault{Kind: faults.KindPodCrash, At: 5 * sim.Millisecond, Node: 7})
+	c, _ := testCluster(t, 4, plan)
+	c.RunFor(10 * sim.Millisecond)
+
+	m := c.Members()
+	for i, want := range []string{"crashed", "draining", "active", "active"} {
+		if got := m[i].State(); got != want {
+			t.Fatalf("member %d is %s, want %s", i, got, want)
+		}
+	}
+	// Each member's pod shows the one fault aimed at it or at its node.
+	for i, want := range []string{"crashed", "draining", "crashed", "active"} {
+		if got := m[i].Node.Pods()[0].State(); got != want {
+			t.Fatalf("member %d's pod is %s, want %s", i, got, want)
+		}
+	}
+	if cores := m[3].Node.Pods()[0].Cores; !cores[1].Failed() || cores[0].Failed() {
+		t.Fatal("core fail did not reach member 3's core 1 alone")
+	}
+	log := c.FaultLog()
+	if len(log) != 5 {
+		t.Fatalf("log has %d events, want 5", len(log))
+	}
+	for i, e := range log[:4] {
+		if e.Err != nil {
+			t.Fatalf("event %d (%v): %v", i, e.Fault.Kind, e.Err)
+		}
+	}
+	if !errors.Is(log[4].Err, errs.BadConfig) {
+		t.Fatalf("pod crash on missing member 7 logged %v, want BadConfig", log[4].Err)
+	}
+	if s := log[0].String(); !strings.Contains(s, "inject node-crash node=0") {
+		t.Fatalf("node event rendering %q lacks kind and node index", s)
 	}
 }

@@ -38,9 +38,11 @@ type ringPoint struct {
 	member int32
 }
 
+// vnodesPerNode is a full-weight member's point count.
+const vnodesPerNode = 64
+
 type ring struct {
 	points []ringPoint // sorted by hash; out of date while dirty
-	vnodes int
 	// counts[member] is the member's current vnode count (0 = absent).
 	counts []int
 	// dirty is set when counts has changed since points was built.
@@ -58,17 +60,13 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func newRing(vnodesPerMember int) *ring {
-	return &ring{vnodes: vnodesPerMember}
-}
-
 // weightCount converts an ECMP weight to a vnode count: round(w×vnodes),
 // at least 1 while the weight is positive, 0 at weight 0.
 func (r *ring) weightCount(w float64) int {
 	if w <= 0 {
 		return 0
 	}
-	c := int(math.Round(w * float64(r.vnodes)))
+	c := int(math.Round(w * float64(vnodesPerNode)))
 	if c < 1 {
 		c = 1
 	}
@@ -76,7 +74,7 @@ func (r *ring) weightCount(w float64) int {
 }
 
 // add inserts member at full weight.
-func (r *ring) add(member int) { r.setCount(member, r.vnodes) }
+func (r *ring) add(member int) { r.setCount(member, vnodesPerNode) }
 
 // remove deletes every point the member owns.
 func (r *ring) remove(member int) { r.setCount(member, 0) }

@@ -35,8 +35,6 @@ package cluster
 // quiescent (parked at the epoch barrier) whenever control events run.
 
 import (
-	"albatross/internal/core"
-	"albatross/internal/faults"
 	"albatross/internal/sim"
 	"albatross/internal/workload"
 )
@@ -105,44 +103,4 @@ func (c *Cluster) nextBoundary() sim.Time {
 		}
 	}
 	return b
-}
-
-// syncedTarget wraps a member node's pod-level fault target so every
-// injection synchronizes the lanes to the control clock first: the fault
-// arms timers on (and mutates state of) the member's lane.
-type syncedTarget struct {
-	c *Cluster
-	n *core.Node
-}
-
-var _ faults.Target = (*syncedTarget)(nil)
-
-func (t *syncedTarget) InjectCoreStall(pod, core int, factor float64, d sim.Duration) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectCoreStall(pod, core, factor, d)
-}
-
-func (t *syncedTarget) InjectCoreFail(pod, core int, d sim.Duration) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectCoreFail(pod, core, d)
-}
-
-func (t *syncedTarget) InjectPodCrash(pod int, graceful bool, restartAfter sim.Duration) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectPodCrash(pod, graceful, restartAfter)
-}
-
-func (t *syncedTarget) InjectReorderStress(pod, queue int, d sim.Duration, holdHeads bool, depthClamp int) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectReorderStress(pod, queue, d, holdHeads, depthClamp)
-}
-
-func (t *syncedTarget) InjectRxLoss(pod, core int, prob float64, d sim.Duration) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectRxLoss(pod, core, prob, d)
-}
-
-func (t *syncedTarget) InjectBGPFlap(d sim.Duration) error {
-	t.c.sharded.SyncShards()
-	return t.n.InjectBGPFlap(d)
 }

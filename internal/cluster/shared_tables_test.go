@@ -199,7 +199,7 @@ func TestShardsReadSharedTablesConcurrently(t *testing.T) {
 // one with the same counts.
 func TestRingRebuildsOncePerBatch(t *testing.T) {
 	all := func(int) bool { return true }
-	r := newRing(64)
+	r := &ring{}
 	for m := 0; m < 100; m++ {
 		r.add(m)
 	}
@@ -226,7 +226,7 @@ func TestRingRebuildsOncePerBatch(t *testing.T) {
 				r.setCount(m, r.weightCount(rnd.Float64()*1.5))
 			}
 		}
-		fresh := newRing(64)
+		fresh := &ring{}
 		for m, count := range r.counts {
 			fresh.setCount(m, count)
 		}

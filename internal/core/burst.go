@@ -69,7 +69,7 @@ func (pr *PodRuntime) ingress(ctx *pktCtx, now sim.Time) {
 	b.class = ctx.class
 	b.t0 = now
 	b.members = append(b.members, ctx)
-	n.Engine.AfterArg(n.cfg.NIC.IngressLatency(ctx.class), arrivalEvent, b)
+	n.Engine.AfterArg(nicLatency.IngressLatency(ctx.class), arrivalEvent, b)
 	b.mark = n.Engine.SchedSeq()
 	pr.openBurst[ctx.class] = b
 }
@@ -148,7 +148,7 @@ func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
 		ctx.trace.enter(stageDispatch, now)
 	}
 	var ok bool
-	if pr.mode == pod.ModePLB {
+	if pr.mode == pod.ModePLB && ctx.class == nicsim.ClassPLB {
 		ok = pr.plbDispatch(ctx, now)
 	} else {
 		ok = pr.rssDispatch(ctx, now)
@@ -297,10 +297,6 @@ func (pr *PodRuntime) nextDue() (int, sim.Time, uint64) {
 func (pr *PodRuntime) cpuDone(item any) {
 	ctx := item.(*pktCtx)
 	now := pr.node.Engine.Now()
-	if ctx.probe != nil {
-		pr.probeDone(ctx, now)
-		return
-	}
 	pipe := &pr.pipe
 	pr.CPULatency.Record(int64(now.Sub(ctx.queueAt)))
 	if ctx.drop {
@@ -376,7 +372,7 @@ func (pr *PodRuntime) queueEgress(ctx *pktCtx, now sim.Time) {
 	if ctx.viaPLB {
 		class, k = nicsim.ClassPLB, 1
 	}
-	ctx.due = completion{now.Add(pr.node.cfg.NIC.EgressLatency(class)), pr.node.Engine.Reserve()}
+	ctx.due = completion{now.Add(nicLatency.EgressLatency(class)), pr.node.Engine.Reserve()}
 	q := &pr.egress[k]
 	if q.head == nil {
 		pr.setHead(len(pr.Cores)+k, ctx.due)
@@ -390,11 +386,14 @@ func (pr *PodRuntime) egressDone(ctx *pktCtx, now sim.Time) {
 	pr.Tx++
 	pr.TxPerTenant[ctx.flow.VNI]++
 	pr.Latency.Record(int64(now.Sub(ctx.t0)))
-	if ctx.probe != nil {
-		ctx.probe.report(now)
+	pr.pipe.exit(ctx, now)
+	if done := ctx.probe; done != nil {
+		r := ctx.probeResult(now)
+		ctx.probe = nil // delivered: putCtx must not report it dropped
+		pr.putCtx(ctx)
+		done(r)
 		return
 	}
-	pr.pipe.exit(ctx, now)
 	pr.putCtx(ctx)
 }
 

@@ -45,8 +45,6 @@ type NodeConfig struct {
 	Cache cachesim.Config
 	// Mem prices cache hits/misses (zero value: DDR5-4800).
 	Mem cachesim.MemLatency
-	// NIC is the pipeline latency model (zero value: Tab. 4).
-	NIC nicsim.LatencyModel
 	// Limiter enables gateway overload protection when non-nil.
 	Limiter *gop.Config
 	// Faults, when non-nil, arms a deterministic fault-injection schedule
@@ -116,9 +114,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Mem == (cachesim.MemLatency{}) {
 		cfg.Mem = cachesim.DefaultLatency()
 	}
-	if cfg.NIC == (nicsim.LatencyModel{}) {
-		cfg.NIC = nicsim.DefaultLatencyModel()
-	}
 	server, err := pod.NewServer(cfg.Server)
 	if err != nil {
 		return nil, err
@@ -141,6 +136,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	if cfg.Faults != nil {
+		for _, f := range cfg.Faults.Faults {
+			if f.Kind.NodeLevel() {
+				return nil, fmt.Errorf("core: %v needs a cluster: %w", f.Kind, errs.BadConfig)
+			}
+		}
 		n.injector, err = faults.NewInjector(n.Engine, n, cfg.Faults)
 		if err != nil {
 			return nil, err
@@ -217,16 +217,17 @@ const (
 	defaultTraceRing   = 64
 )
 
+// nicLatency is the NIC pipeline's per-module latency (Tab. 4).
+var nicLatency = nicsim.DefaultLatencyModel()
+
 // headerSplitBytes is the PCIe transfer size for a split packet: parsed
 // headers (outer Ethernet/IPv4/UDP/VXLAN + inner stack, ~110B) plus the
 // PLB meta trailer.
 const headerSplitBytes = 110 + packet.MetaLen
 
-// pktCtx follows one packet through the pod. Data-path contexts are pooled
-// on the PodRuntime: Inject takes one from the free list and every terminal
-// point of the packet's life (drop, egress completion) returns it. Probe
-// contexts are allocated fresh and never pooled (they are rare and their
-// completion runs user callbacks that may retain them).
+// pktCtx follows one packet through the pod. Contexts are pooled on the
+// PodRuntime: Inject takes one from the free list and every terminal point
+// of the packet's life (drop, egress completion) returns it.
 type pktCtx struct {
 	pr      *PodRuntime
 	flow    workload.Flow
@@ -245,7 +246,7 @@ type pktCtx struct {
 	viaPLB  bool
 	split   bool
 	payID   uint64
-	probe   *probeState
+	probe   probeFunc
 	// due is when the packet leaves the NIC egress pipeline, and next links
 	// it into its class's egress queue (see burst.go).
 	due  completion
@@ -494,10 +495,11 @@ func (pr *PodRuntime) getCtx() *pktCtx {
 	return &pktCtx{}
 }
 
-// putCtx recycles a data-path context at the end of a packet's life. Every
-// terminal point of the packet — drops in any stage, egress completion —
-// funnels through here, so this is where a sampled journey closes: a trace
-// that never reached exit died in ctx.stage.
+// putCtx recycles a context at the end of a packet's life. Every terminal
+// point of the packet — drops in any stage, egress completion — funnels
+// through here, so this is where a sampled journey closes (a trace that
+// never reached exit died in ctx.stage) and where a probe completes as
+// dropped (egressDone takes a delivered probe's callback first).
 func (pr *PodRuntime) putCtx(c *pktCtx) {
 	if c.trace != nil {
 		j := c.trace
@@ -507,14 +509,20 @@ func (pr *PodRuntime) putCtx(c *pktCtx) {
 		j.ViaPLB = c.viaPLB
 		pr.flight.finish(j, pr.node.Engine.Now())
 	}
+	done := c.probe
 	pr.live--
 	*c = pktCtx{}
 	pr.ctxFree = append(pr.ctxFree, c)
+	done.dropped()
 }
 
 // Inject runs one packet through the pod's full path: the node-level gates
 // (uplink state, pod lifecycle), then the stages of pipeline.go.
-func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
+func (pr *PodRuntime) Inject(f workload.Flow, bytes int) { pr.inject(f, bytes, nil) }
+
+// inject is Inject for a data packet (probe nil) or a telemetry probe; a
+// probe refused at a gate completes as dropped there.
+func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
 	n := pr.node
 
 	// BGP uplink state: while the link is down but the route still
@@ -524,11 +532,13 @@ func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 	if n.uplink != nil {
 		if !n.uplink.LinkUp() && n.uplink.RouteUp() {
 			n.Blackholed++
+			probe.dropped()
 			return
 		}
 		if !n.uplink.RouteUp() {
 			if !n.uplinkProxy {
 				n.Blackholed++
+				probe.dropped()
 				return
 			}
 			n.Proxied++
@@ -539,10 +549,11 @@ func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 	if pr.state != podActive {
 		if pr.redirect != nil && pr.redirect.state == podActive {
 			pr.Redirected++
-			pr.redirect.Inject(f, bytes)
+			pr.redirect.inject(f, bytes, probe)
 			return
 		}
 		pr.CrashDrops++
+		probe.dropped()
 		return
 	}
 
@@ -554,6 +565,7 @@ func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 	ctx.flow = f
 	ctx.bytes = bytes
 	ctx.t0 = now
+	ctx.probe = probe
 	if j := pr.flight.sample(); j != nil {
 		j.Flow = f
 		j.Bytes = bytes

@@ -12,8 +12,8 @@ import (
 )
 
 // This file implements the node's side of the fault-injection contract
-// (faults.Target), the graceful-degradation responses, and the pod/node
-// lifecycle.
+// (faults.Target: InjectFault applies a pod-level kind through its Inject*
+// method), the graceful-degradation responses, and the pod/node lifecycle.
 //
 // Pod lifecycle state machine:
 //
@@ -64,6 +64,27 @@ func (s podState) String() string {
 // State returns the pod's lifecycle state name.
 func (pr *PodRuntime) State() string { return pr.state.String() }
 
+// InjectFault applies a pod-level fault through the Inject* method of its
+// kind. A node-level kind needs a cluster and is rejected. Implements
+// faults.Target.
+func (n *Node) InjectFault(f faults.Fault) error {
+	switch f.Kind {
+	case faults.KindCoreStall:
+		return n.InjectCoreStall(f.Pod, f.Core, f.Factor, f.Duration)
+	case faults.KindCoreFail:
+		return n.InjectCoreFail(f.Pod, f.Core, f.Duration)
+	case faults.KindPodCrash, faults.KindPodDrain:
+		return n.InjectPodCrash(f.Pod, f.Kind == faults.KindPodDrain, f.Duration)
+	case faults.KindReorderStress:
+		return n.InjectReorderStress(f.Pod, f.Queue, f.Duration, f.HoldHeads, f.DepthClamp)
+	case faults.KindRxLoss:
+		return n.InjectRxLoss(f.Pod, f.Core, f.Factor, f.Duration)
+	case faults.KindBGPFlap:
+		return n.InjectBGPFlap(f.Duration)
+	}
+	return fmt.Errorf("core: %v is not a pod-level fault: %w", f.Kind, errs.BadConfig)
+}
+
 // podAt resolves a fault plan's pod index.
 func (n *Node) podAt(i int) (*PodRuntime, error) {
 	if i < 0 || i >= len(n.pods) {
@@ -84,23 +105,17 @@ func (n *Node) siblingOf(pr *PodRuntime) *PodRuntime {
 }
 
 // onLost reclaims a packet context discarded by a core failure or crash:
-// probes complete as dropped, split payloads are released, data-path
-// contexts return to the pool. The packet's reorder FIFO entry (if any) is
-// handled separately by PLB.EvictCore/Flush.
+// the loss is charged to the stage that held the packet, a split payload is
+// released and the context returns to the pool. The packet's reorder FIFO
+// entry (if any) is handled separately by PLB.EvictCore/Flush.
 func (pr *PodRuntime) onLost(item any) {
 	ctx, ok := item.(*pktCtx)
 	if !ok || ctx == nil {
 		return
 	}
-	if ctx.probe != nil {
-		ctx.probe.done(ProbeResult{Dropped: true})
-		return
-	}
 	if ctx.split {
 		pr.payload.Take(ctx.payID)
 	}
-	// Charge the loss to the stage that held the packet (probes never enter
-	// the stages, so only data-path contexts reach here).
 	pr.pipe.dropHere(ctx, pr.node.Engine.Now())
 	pr.putCtx(ctx)
 }
@@ -127,7 +142,7 @@ func (pr *PodRuntime) noteFaultWindow(d sim.Duration) {
 }
 
 // InjectCoreStall makes pod/core process factor× slower for d (the sick
-// core's service-time blowup). Implements faults.Target.
+// core's service-time blowup).
 func (n *Node) InjectCoreStall(podIdx, core int, factor float64, d sim.Duration) error {
 	pr, err := n.podAt(podIdx)
 	if err != nil {
@@ -157,7 +172,7 @@ func (n *Node) InjectCoreStall(podIdx, core int, factor float64, d sim.Duration)
 // packets (bounded by RX queue depth + 1) and immediately evicting it from
 // the PLB spray mask so its in-flight reorder entries release without
 // timeout storms. The core recovers and rejoins the mask after d (d <= 0:
-// permanent). Implements faults.Target.
+// permanent).
 func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 	pr, err := n.podAt(podIdx)
 	if err != nil {
@@ -205,7 +220,6 @@ func (pr *PodRuntime) failCores(lo, hi int) {
 // later (default pod.StartupTime). graceful=true is the gray-upgrade
 // drain: tenants redirect immediately, in-flight packets complete
 // normally (zero loss), and the replacement takes over after restartAfter.
-// Implements faults.Target.
 func (n *Node) InjectPodCrash(podIdx int, graceful bool, restartAfter sim.Duration) error {
 	pr, err := n.podAt(podIdx)
 	if err != nil {
@@ -253,7 +267,7 @@ func (pr *PodRuntime) completeRestart() {
 // InjectReorderStress stresses one of the pod's PLB order queues for d:
 // holdHeads forces every FIFO head to wait out the reorder timeout
 // (forced HOL / timeout storm); depthClamp shrinks the FIFO's effective
-// capacity (overflow drops). Implements faults.Target.
+// capacity (overflow drops).
 func (n *Node) InjectReorderStress(podIdx, queue int, d sim.Duration, holdHeads bool, depthClamp int) error {
 	pr, err := n.podAt(podIdx)
 	if err != nil {
@@ -272,7 +286,7 @@ func (n *Node) InjectReorderStress(podIdx, queue int, d sim.Duration, holdHeads 
 // InjectRxLoss drops packets dispatched to pod/core with probability prob
 // until d elapses. The PLB FIFO entries of lost packets stay behind and
 // release only by timeout — the degenerate HOL case the reorder engine's
-// 100µs bound exists for. Implements faults.Target.
+// 100µs bound exists for.
 func (n *Node) InjectRxLoss(podIdx, core int, prob float64, d sim.Duration) error {
 	pr, err := n.podAt(podIdx)
 	if err != nil {
@@ -297,8 +311,7 @@ func (n *Node) InjectRxLoss(podIdx, core int, prob float64, d sim.Duration) erro
 }
 
 // InjectBGPFlap takes the node's BGP uplink down for d. The uplink model
-// (with proxy re-advertisement) is armed on first use. Implements
-// faults.Target.
+// (with proxy re-advertisement) is armed on first use.
 func (n *Node) InjectBGPFlap(d sim.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("core: flap needs a positive duration: %w", errs.BadConfig)

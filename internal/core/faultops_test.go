@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"albatross/internal/cachesim"
@@ -483,5 +484,73 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 	if ev1 != 4 {
 		t.Fatalf("fault log has %d events, want 4", ev1)
+	}
+}
+
+// InjectFault is the node's one fault entry: every pod-level kind reaches
+// the Inject* method of its kind with the fault's fields, pod-drain as the
+// graceful crash, and a node-level kind is rejected — at fire time, and
+// before any fault is armed when NewNode sees one in its plan.
+func TestInjectFaultRoutesEveryKind(t *testing.T) {
+	n := smallNode(t, nil)
+	_, sf := wflows(100, 1)
+	var prs []*PodRuntime
+	for _, name := range []string{"gw0", "gw1", "gw2"} {
+		prs = append(prs, addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) { c.Spec.Name = name }))
+	}
+	ms := sim.Millisecond
+	for _, f := range []faults.Fault{
+		{Kind: faults.KindCoreStall, Pod: 0, Core: 1, Factor: 3, Duration: ms},
+		{Kind: faults.KindCoreFail, Pod: 0, Core: 2},
+		{Kind: faults.KindReorderStress, Pod: 0, Queue: 0, Duration: ms, DepthClamp: 2},
+		{Kind: faults.KindRxLoss, Pod: 0, Core: 3, Factor: 0.5, Duration: ms},
+		{Kind: faults.KindPodCrash, Pod: 1, Duration: ms},
+		{Kind: faults.KindPodDrain, Pod: 2, Duration: ms},
+		{Kind: faults.KindBGPFlap, Duration: ms},
+	} {
+		if err := n.InjectFault(f); err != nil {
+			t.Fatalf("%v: %v", f.Kind, err)
+		}
+	}
+	p0 := prs[0]
+	if got := p0.Cores[1].SlowFactor(); got != 3 {
+		t.Fatalf("core-stall: core 1 slow factor %v, want 3", got)
+	}
+	if !p0.Cores[2].Failed() || p0.PLB.CoreUp(2) {
+		t.Fatal("core-fail: core 2 still up")
+	}
+	if p0.rxLossProb == nil || p0.rxLossProb[3] != 0.5 || p0.rxLossUntil[3] != sim.Time(ms) {
+		t.Fatal("rx-loss: core 3 has no loss window")
+	}
+	if got := prs[1].State(); got != "crashed" {
+		t.Fatalf("pod-crash: pod 1 is %s", got)
+	}
+	if got := prs[2].State(); got != "draining" {
+		t.Fatalf("pod-drain: pod 2 is %s, want the graceful crash", got)
+	}
+	if n.Uplink() == nil || n.Uplink().LinkUp() {
+		t.Fatal("bgp-flap: uplink not down")
+	}
+	// The reorder-stress fields reach PLB.StressQueue: an unknown queue is its
+	// error.
+	err := n.InjectFault(faults.Fault{Kind: faults.KindReorderStress, Queue: 99, Duration: ms, HoldHeads: true})
+	if !errors.Is(err, errs.BadConfig) || !strings.Contains(err.Error(), "stress queue 99") {
+		t.Fatalf("reorder-stress on queue 99 = %v", err)
+	}
+	if err := n.InjectFault(faults.Fault{Kind: faults.KindCoreFail, Pod: 5}); !errors.Is(err, errs.BadConfig) {
+		t.Fatalf("core-fail on pod 5 = %v, want BadConfig", err)
+	}
+	for _, k := range []faults.Kind{faults.KindNodeCrash, faults.KindNodeDrain, faults.KindUplinkWithdraw} {
+		if err := n.InjectFault(faults.Fault{Kind: k, Duration: ms}); !errors.Is(err, errs.BadConfig) {
+			t.Fatalf("%v on a node = %v, want BadConfig", k, err)
+		}
+		eng := sim.NewEngine()
+		_, err := NewNode(NodeConfig{Engine: eng, Faults: &faults.Plan{Faults: []faults.Fault{{Kind: k, Duration: ms}}}})
+		if !errors.Is(err, errs.BadConfig) {
+			t.Fatalf("NewNode with a %v plan = %v, want BadConfig", k, err)
+		}
+		if eng.Pending() != 0 {
+			t.Fatalf("NewNode armed %d events before rejecting a %v plan", eng.Pending(), k)
+		}
 	}
 }

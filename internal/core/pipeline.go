@@ -129,17 +129,21 @@ func (pr *PodRuntime) Stages() []stats.StageCounter { return pr.pipe.counters[:]
 // (index with the same positions as Stages; labels via StageNames).
 func (pr *PodRuntime) StageResidency() []*stats.Histogram { return pr.pipe.resid[:] }
 
-// classify runs pkt_dir classification. Priority packets (BFD, BGP) exit
-// here: they skip overload protection and the data path, riding the
-// priority queues to the ctrl cores. It reports whether ctx continues.
+// classify runs pkt_dir classification; a telemetry probe is RSS class
+// whatever its flow. Priority packets (BFD, BGP) exit here: they skip
+// overload protection and the data path, riding the priority queues to the
+// ctrl cores. It reports whether ctx continues.
 func (pr *PodRuntime) classify(ctx *pktCtx, now sim.Time) bool {
 	pr.pipe.enter(ctx, stageClassify, now)
-	class, _ := pr.Classifier.ClassifyFlow(ctx.flow.Tuple)
+	class := nicsim.ClassRSS
+	if ctx.probe == nil {
+		class, _ = pr.Classifier.ClassifyFlow(ctx.flow.Tuple)
+	}
 	ctx.class = class
 	if class == nicsim.ClassPriority {
 		pr.PriorityRx++
 		n := pr.node
-		n.Engine.AfterArg(n.cfg.NIC.RoundTrip(nicsim.ClassPriority), priorityDoneEvent, ctx)
+		n.Engine.AfterArg(nicLatency.RoundTrip(nicsim.ClassPriority), priorityDoneEvent, ctx)
 		return false
 	}
 	pr.pipe.pass(ctx)
@@ -202,12 +206,19 @@ func (pr *PodRuntime) plbDispatch(ctx *pktCtx, now sim.Time) bool {
 	return true
 }
 
-// rssDispatch is the 1st-gen baseline: hash the flow to a core.
+// rssDispatch hashes the flow to a core: every packet of an RSS pod (the
+// 1st-gen baseline), and a PLB pod's RSS-class packets, which skip the
+// spray and the reorder engine.
 func (pr *PodRuntime) rssDispatch(ctx *pktCtx, now sim.Time) bool {
 	ctx.cost, ctx.drop = pr.serviceCost(ctx)
 	ctx.queueAt = now
 
-	q := pr.RSS.Queue(ctx.flow.Tuple)
+	var q int
+	if pr.RSS != nil {
+		q = pr.RSS.Queue(ctx.flow.Tuple)
+	} else {
+		q = int(ctx.fh % uint32(len(pr.Cores)))
+	}
 	if pr.rxLossHit(q) {
 		pr.RxLost++
 		return false

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"albatross/internal/gop"
-	"albatross/internal/nicsim"
 	"albatross/internal/sim"
 	"albatross/internal/workload"
 )
@@ -26,82 +24,38 @@ type ProbeResult struct {
 	Dropped bool
 }
 
-// probeState accumulates the stamps while the probe is in flight.
-type probeState struct {
-	t0         sim.Time
-	dispatchAt sim.Time
-	startAt    sim.Time
-	cpuDoneAt  sim.Time
-	done       func(ProbeResult)
+// probeFunc is a probe packet's completion callback (nil on data packets).
+type probeFunc func(ProbeResult)
+
+// dropped completes a probe that died on the path.
+func (done probeFunc) dropped() {
+	if done != nil {
+		done(ProbeResult{Dropped: true})
+	}
 }
 
-// InjectProbe sends one telemetry probe through the pod's RSS path and
-// invokes done (in virtual time) with the latency breakdown. Probes use
-// flow affinity like all stateful specials, so repeated probes of one flow
-// measure one core's queue.
+// InjectProbe sends one telemetry probe, a 128 B RSS-class packet of flow
+// f, through the pod's packet path and invokes done (in virtual time) with
+// its latency breakdown, or with Dropped set if the probe dies anywhere on
+// the path. Probes keep flow affinity like all RSS-class specials, so
+// repeated probes of one flow measure one core's queue.
 func (pr *PodRuntime) InjectProbe(f workload.Flow, done func(ProbeResult)) {
-	n := pr.node
-	now := n.Engine.Now()
-	pr.Rx++
-
-	if n.Limiter != nil {
-		if n.Limiter.Process(f.VNI, now) == gop.VerdictDrop {
-			pr.NICDrops++
-			done(ProbeResult{Dropped: true})
-			return
-		}
-	}
-	ctx := &pktCtx{
-		flow: f, bytes: 128, t0: now, class: nicsim.ClassRSS,
-		probe: &probeState{t0: now, done: done},
-	}
-	n.Engine.After(n.cfg.NIC.IngressLatency(nicsim.ClassRSS), func() { pr.probeDispatch(ctx) })
+	pr.inject(f, 128, done)
 }
 
-// probeDispatch admits the probe to its flow's core, behind whatever data
-// that core already holds.
-func (pr *PodRuntime) probeDispatch(ctx *pktCtx) {
-	now := pr.node.Engine.Now()
-	ctx.probe.dispatchAt = now
-	ctx.queueAt = now
-	ctx.cost, ctx.drop = pr.serviceCost(ctx)
-
-	var q int
-	if pr.RSS != nil {
-		q = pr.RSS.Queue(ctx.flow.Tuple)
-	} else {
-		q = int(ctx.flow.Tuple.Hash() % uint32(len(pr.Cores)))
+// probeResult reads a delivered probe's breakdown at egress completion (now)
+// from the stamps the path keeps: its injection (t0), its dispatch
+// (queueAt), its service demand and its egress entry. The service start is
+// the CPU finish — the egress entry, as RSS-class packets pass reorder
+// untouched — less the demand, so queue wait and service partition the CPU
+// time.
+func (ctx *pktCtx) probeResult(now sim.Time) ProbeResult {
+	cpuDoneAt := ctx.enterAt
+	return ProbeResult{
+		NICIngress: ctx.queueAt.Sub(ctx.t0),
+		QueueWait:  cpuDoneAt.Add(-ctx.cost).Sub(ctx.queueAt),
+		Service:    ctx.cost,
+		NICEgress:  now.Sub(cpuDoneAt),
+		Total:      now.Sub(ctx.t0),
 	}
-	if !pr.Cores[q].Admit(ctx, ctx.cost) {
-		pr.QueueDrops++
-		ctx.probe.done(ProbeResult{Dropped: true})
-		return
-	}
-	pr.admitted(q)
-}
-
-// probeDone completes the probe's CPU service at now. The service start is
-// stamped as the finish less the probe's demand, so queue wait and service
-// partition the CPU time.
-func (pr *PodRuntime) probeDone(ctx *pktCtx, now sim.Time) {
-	st := ctx.probe
-	st.cpuDoneAt = now
-	st.startAt = now.Add(-ctx.cost)
-	if ctx.drop {
-		pr.ServiceDrop++
-		st.done(ProbeResult{Dropped: true})
-		return
-	}
-	pr.queueEgress(ctx, now)
-}
-
-// report delivers the breakdown once the probe leaves the NIC at now.
-func (st *probeState) report(now sim.Time) {
-	st.done(ProbeResult{
-		NICIngress: st.dispatchAt.Sub(st.t0),
-		QueueWait:  st.startAt.Sub(st.dispatchAt),
-		Service:    st.cpuDoneAt.Sub(st.startAt),
-		NICEgress:  now.Sub(st.cpuDoneAt),
-		Total:      now.Sub(st.t0),
-	})
 }

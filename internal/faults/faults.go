@@ -1,6 +1,8 @@
 // Package faults is Albatross's deterministic fault-injection subsystem:
 // a declarative fault Plan scheduled on the virtual-time engine against a
-// Target (the node). Faults model the failure scenarios the paper's
+// Target, whose one method InjectFault applies each fault as it fires: a
+// node applies the pod-level kinds, a cluster also the node-level ones.
+// Faults model the failure scenarios the paper's
 // containerization story is built around — pod-level crashes and gray
 // upgrades (§ "Containerized gateways"), sick cores, reorder-engine stress,
 // RX DMA loss, and BGP uplink flaps with BFD detection (§4.3).
@@ -8,8 +10,8 @@
 // Everything runs on virtual time: a Plan fired against the same node
 // config and seed produces byte-identical traces across repetitions, the
 // same contract the eval harness established for healthy runs. The package
-// deliberately does not import internal/core; the node implements Target,
-// so the dependency arrow points core → faults.
+// deliberately does not import internal/core; the node and the cluster
+// implement Target, so the dependency arrows point at faults.
 package faults
 
 import (
@@ -58,16 +60,16 @@ const (
 	// KindNodeDrain gray-upgrades a whole node: its route is withdrawn
 	// administratively (make-before-break — the cluster re-ECMPs its flows
 	// to survivors first, zero loss), its pods drain, and the node rejoins
-	// Duration later. Requires a NodeTarget (the cluster).
+	// Duration later. Requires a cluster.
 	KindNodeDrain
 	// KindNodeCrash kills a whole node abruptly: the uplink goes down (BFD
 	// detects after the probe window, blackholing in-flight arrivals), every
 	// pod crashes, and the cluster re-ECMPs the node's flows to survivors.
-	// The node recovers Duration later (0 = never). Requires a NodeTarget.
+	// The node recovers Duration later (0 = never). Requires a cluster.
 	KindNodeCrash
 	// KindUplinkWithdraw administratively withdraws one node's route for
 	// Duration without touching its pods — the operator "drain the uplink"
-	// action. Requires a NodeTarget.
+	// action. Requires a cluster.
 	KindUplinkWithdraw
 )
 
@@ -108,9 +110,8 @@ type Fault struct {
 	// the restart/upgrade time. 0 means "use the kind's default" where a
 	// default exists (pod restart) or "permanent" (core failure).
 	Duration sim.Duration
-	// Node indexes the target node within a cluster (node-level kinds, and
-	// pod-level kinds fired against a NodeTarget). Single-node targets
-	// ignore it.
+	// Node indexes the target member within a cluster, for node- and
+	// pod-level kinds alike. A single node ignores it.
 	Node int
 	// Pod indexes the target pod (in deployment order).
 	Pod int
@@ -226,27 +227,12 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Target is what an injector drives for pod-level faults. internal/core's
-// Node implements it; the indirection keeps this package free of a core
-// dependency.
+// Target is what an injector drives: internal/core's Node applies the
+// pod-level kinds, internal/cluster's Cluster every kind (node-level kinds
+// itself, pod-level kinds on member Fault.Node). The indirection keeps this
+// package free of a core dependency.
 type Target interface {
-	InjectCoreStall(pod, core int, factor float64, d sim.Duration) error
-	InjectCoreFail(pod, core int, d sim.Duration) error
-	InjectPodCrash(pod int, graceful bool, restartAfter sim.Duration) error
-	InjectReorderStress(pod, queue int, d sim.Duration, holdHeads bool, depthClamp int) error
-	InjectRxLoss(pod, core int, prob float64, d sim.Duration) error
-	InjectBGPFlap(d sim.Duration) error
-}
-
-// NodeTarget is what an injector drives for node-level faults.
-// internal/cluster's Cluster implements it. InjectNodeFault is the single
-// entry point for every node-level kind (KindNodeCrash, KindNodeDrain,
-// KindUplinkWithdraw); NodeAt resolves a member node's pod-level Target, so
-// one cluster plan can mix node- and pod-level faults (Fault.Node selects
-// the member for both).
-type NodeTarget interface {
-	InjectNodeFault(kind Kind, node int, d sim.Duration) error
-	NodeAt(node int) (Target, error)
+	InjectFault(Fault) error
 }
 
 // Event is one injector log entry, recorded when a fault fires.
@@ -258,15 +244,16 @@ type Event struct {
 	Err error
 }
 
-// nodeKind reports whether k is a node-level fault kind.
-func nodeKind(k Kind) bool {
+// NodeLevel reports whether k is a node-level fault kind, which only a
+// cluster can apply.
+func (k Kind) NodeLevel() bool {
 	return k == KindNodeDrain || k == KindNodeCrash || k == KindUplinkWithdraw
 }
 
 // String renders the event for fault logs; the format is deterministic.
 func (e Event) String() string {
 	var s string
-	if nodeKind(e.Fault.Kind) {
+	if e.Fault.Kind.NodeLevel() {
 		s = fmt.Sprintf("t=%v inject %v node=%d", sim.Duration(e.At), e.Fault.Kind, e.Fault.Node)
 	} else {
 		s = fmt.Sprintf("t=%v inject %v pod=%d core=%d", sim.Duration(e.At), e.Fault.Kind, e.Fault.Pod, e.Fault.Core)
@@ -280,12 +267,11 @@ func (e Event) String() string {
 	return s
 }
 
-// Injector schedules a plan's faults on the engine and dispatches them to
-// the target when they fire.
+// Injector schedules a plan's faults on the engine and hands each to the
+// target when it fires.
 type Injector struct {
 	engine *sim.Engine
-	target Target     // pod-level target (nil when driving a pure NodeTarget)
-	nodes  NodeTarget // node-level target (nil when driving a single node)
+	target Target
 	events []Event
 }
 
@@ -296,70 +282,27 @@ type firing struct {
 }
 
 // NewInjector validates the plan and arms every fault at now+Fault.At.
-// target must implement Target (a single node), NodeTarget (a cluster), or
-// both. Against a NodeTarget, pod-level faults are resolved through
-// NodeAt(Fault.Node) at fire time.
-func NewInjector(engine *sim.Engine, target any, plan *Plan) (*Injector, error) {
+// Whether the target can apply a fault's kind is its own check, made when
+// the fault fires (and logged as the event's error).
+func NewInjector(engine *sim.Engine, target Target, plan *Plan) (*Injector, error) {
 	if engine == nil || target == nil {
 		return nil, fmt.Errorf("faults: nil engine or target: %w", errs.BadConfig)
 	}
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{engine: engine}
-	inj.target, _ = target.(Target)
-	inj.nodes, _ = target.(NodeTarget)
-	if inj.target == nil && inj.nodes == nil {
-		return nil, fmt.Errorf("faults: target %T implements neither Target nor NodeTarget: %w", target, errs.BadConfig)
-	}
+	inj := &Injector{engine: engine, target: target}
 	for _, f := range plan.Faults {
-		if nodeKind(f.Kind) && inj.nodes == nil {
-			return nil, fmt.Errorf("faults: %v needs a NodeTarget, target is %T: %w", f.Kind, target, errs.BadConfig)
-		}
 		engine.AfterArg(f.At, fireFault, &firing{inj: inj, fault: f})
 	}
 	return inj, nil
 }
 
-// podTarget resolves the pod-level target for fault f.
-func (inj *Injector) podTarget(f Fault) (Target, error) {
-	if inj.target != nil {
-		return inj.target, nil
-	}
-	return inj.nodes.NodeAt(f.Node)
-}
-
 func fireFault(arg any) {
 	fr := arg.(*firing)
-	inj, f := fr.inj, fr.fault
-	var err error
-	switch f.Kind {
-	case KindNodeCrash, KindNodeDrain, KindUplinkWithdraw:
-		err = inj.nodes.InjectNodeFault(f.Kind, f.Node, f.Duration)
-	default:
-		var t Target
-		t, err = inj.podTarget(f)
-		if err != nil {
-			break
-		}
-		switch f.Kind {
-		case KindCoreStall:
-			err = t.InjectCoreStall(f.Pod, f.Core, f.Factor, f.Duration)
-		case KindCoreFail:
-			err = t.InjectCoreFail(f.Pod, f.Core, f.Duration)
-		case KindPodCrash:
-			err = t.InjectPodCrash(f.Pod, false, f.Duration)
-		case KindPodDrain:
-			err = t.InjectPodCrash(f.Pod, true, f.Duration)
-		case KindReorderStress:
-			err = t.InjectReorderStress(f.Pod, f.Queue, f.Duration, f.HoldHeads, f.DepthClamp)
-		case KindRxLoss:
-			err = t.InjectRxLoss(f.Pod, f.Core, f.Factor, f.Duration)
-		case KindBGPFlap:
-			err = t.InjectBGPFlap(f.Duration)
-		}
-	}
-	inj.events = append(inj.events, Event{At: inj.engine.Now(), Fault: f, Err: err})
+	inj := fr.inj
+	err := inj.target.InjectFault(fr.fault)
+	inj.events = append(inj.events, Event{At: inj.engine.Now(), Fault: fr.fault, Err: err})
 }
 
 // Log returns the fired-fault log in fire order.

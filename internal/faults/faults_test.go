@@ -10,66 +10,18 @@ import (
 	"albatross/internal/sim"
 )
 
-// recTarget records calls; each Inject* appends an op string.
+// recTarget records every fault it is handed.
 type recTarget struct {
-	ops  []string
+	got  []Fault
 	fail bool
 }
 
-func (r *recTarget) rec(op string) error {
-	r.ops = append(r.ops, op)
+func (r *recTarget) InjectFault(f Fault) error {
+	r.got = append(r.got, f)
 	if r.fail {
 		return errors.New("boom")
 	}
 	return nil
-}
-
-func (r *recTarget) InjectCoreStall(pod, core int, factor float64, d sim.Duration) error {
-	return r.rec("stall")
-}
-func (r *recTarget) InjectCoreFail(pod, core int, d sim.Duration) error { return r.rec("fail") }
-func (r *recTarget) InjectPodCrash(pod int, graceful bool, restartAfter sim.Duration) error {
-	if graceful {
-		return r.rec("drain")
-	}
-	return r.rec("crash")
-}
-func (r *recTarget) InjectReorderStress(pod, queue int, d sim.Duration, holdHeads bool, depthClamp int) error {
-	return r.rec("stress")
-}
-func (r *recTarget) InjectRxLoss(pod, core int, prob float64, d sim.Duration) error {
-	return r.rec("rxloss")
-}
-func (r *recTarget) InjectBGPFlap(d sim.Duration) error { return r.rec("flap") }
-
-// recNodeTarget records node-level calls and resolves pod-level targets
-// per member, modeling the cluster shape.
-type recNodeTarget struct {
-	ops   []string
-	nodes []*recTarget
-}
-
-func (r *recNodeTarget) rec(op string, node int) error {
-	r.ops = append(r.ops, fmt.Sprintf("%s@%d", op, node))
-	return nil
-}
-func (r *recNodeTarget) InjectNodeFault(kind Kind, node int, d sim.Duration) error {
-	switch kind {
-	case KindNodeCrash:
-		return r.rec("nodecrash", node)
-	case KindNodeDrain:
-		return r.rec("nodedrain", node)
-	case KindUplinkWithdraw:
-		return r.rec("withdraw", node)
-	default:
-		return errors.New("not a node kind")
-	}
-}
-func (r *recNodeTarget) NodeAt(node int) (Target, error) {
-	if node < 0 || node >= len(r.nodes) {
-		return nil, errors.New("no such node")
-	}
-	return r.nodes[node], nil
 }
 
 func TestInjectorFiresPlanInOrder(t *testing.T) {
@@ -90,14 +42,10 @@ func TestInjectorFiresPlanInOrder(t *testing.T) {
 	}
 	eng.RunFor(10 * sim.Millisecond)
 
-	want := []string{"stall", "fail", "crash", "drain", "stress", "rxloss", "flap"}
-	if len(tgt.ops) != len(want) {
-		t.Fatalf("ops = %v, want %v", tgt.ops, want)
-	}
-	for i := range want {
-		if tgt.ops[i] != want[i] {
-			t.Fatalf("ops[%d] = %q, want %q", i, tgt.ops[i], want[i])
-		}
+	// The target gets each fault as planned, in plan order.
+	want := plan.Faults
+	if fmt.Sprint(tgt.got) != fmt.Sprint(want) {
+		t.Fatalf("target got %v, want %v", tgt.got, want)
 	}
 	log := inj.Log()
 	if len(log) != len(want) {
@@ -162,49 +110,26 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestNodeTargetRouting(t *testing.T) {
+// The injector hands node-level kinds to its target like any other: which
+// kinds a target can apply is the target's check (core.Node rejects them,
+// cluster.Cluster applies them), so only the plan's shape is checked here.
+func TestNodeKindPlansValidate(t *testing.T) {
 	eng := sim.NewEngine()
-	tgt := &recNodeTarget{nodes: []*recTarget{{}, {}}}
+	tgt := &recTarget{}
 	plan := (&Plan{}).
 		NodeCrash(1*sim.Millisecond, 0, 10*sim.Millisecond).
 		NodeDrain(2*sim.Millisecond, 1, 10*sim.Millisecond)
-	// Pod-level faults against a NodeTarget resolve through NodeAt(Node).
-	plan.Faults = append(plan.Faults,
-		Fault{Kind: KindUplinkWithdraw, At: 3 * sim.Millisecond, Duration: 10 * sim.Millisecond},
-		Fault{Kind: KindPodCrash, At: 4 * sim.Millisecond, Node: 1, Pod: 0},
-		Fault{Kind: KindPodCrash, At: 5 * sim.Millisecond, Node: 7, Pod: 0}) // bad node
+	plan.Faults = append(plan.Faults, Fault{Kind: KindUplinkWithdraw, At: 3 * sim.Millisecond, Duration: sim.Millisecond, Node: 2})
 	inj, err := NewInjector(eng, tgt, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(10 * sim.Millisecond)
-
-	want := []string{"nodecrash@0", "nodedrain@1", "withdraw@0"}
-	if fmt.Sprint(tgt.ops) != fmt.Sprint(want) {
-		t.Fatalf("node ops = %v, want %v", tgt.ops, want)
+	if fmt.Sprint(tgt.got) != fmt.Sprint(plan.Faults) {
+		t.Fatalf("target got %v, want %v", tgt.got, plan.Faults)
 	}
-	if fmt.Sprint(tgt.nodes[1].ops) != fmt.Sprint([]string{"crash"}) {
-		t.Fatalf("node 1 pod ops = %v, want [crash]", tgt.nodes[1].ops)
-	}
-	if len(tgt.nodes[0].ops) != 0 {
-		t.Fatalf("node 0 got pod ops %v", tgt.nodes[0].ops)
-	}
-	log := inj.Log()
-	if len(log) != 5 {
-		t.Fatalf("log has %d events, want 5", len(log))
-	}
-	if log[4].Err == nil {
-		t.Fatal("out-of-range NodeAt resolution did not surface as event error")
-	}
-	if s := log[0].String(); !strings.Contains(s, "node=0") {
-		t.Fatalf("node event rendering %q lacks node index", s)
-	}
-}
-
-func TestNodeKindsNeedNodeTarget(t *testing.T) {
-	_, err := NewInjector(sim.NewEngine(), &recTarget{}, (&Plan{}).NodeCrash(0, 0, 0))
-	if !errors.Is(err, errs.BadConfig) {
-		t.Fatalf("expected BadConfig for node kind against pod-only target, got %v", err)
+	if s := inj.Log()[1].String(); !strings.Contains(s, "inject node-drain node=1") {
+		t.Fatalf("node event rendering %q lacks kind and node index", s)
 	}
 	bad := []*Plan{
 		(&Plan{}).NodeDrain(0, 0, 0),                       // no duration
@@ -218,6 +143,9 @@ func TestNodeKindsNeedNodeTarget(t *testing.T) {
 	}
 	if err := ((&Plan{}).NodeCrash(0, 2, 0)).Validate(); err != nil {
 		t.Fatalf("permanent node crash rejected: %v", err)
+	}
+	if _, err := NewInjector(eng, nil, plan); !errors.Is(err, errs.BadConfig) {
+		t.Fatalf("nil target = %v, want BadConfig", err)
 	}
 }
 

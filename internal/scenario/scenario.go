@@ -268,13 +268,11 @@ func ServiceName(t service.Type) string {
 	return fmt.Sprintf("service(%d)", uint8(t))
 }
 
-// faultNames maps canonical and compact fault-kind spellings to kinds.
+// faultNames maps fault-kind wire names (faults.Kind.String) to kinds.
 var faultNames = func() map[string]faults.Kind {
 	m := map[string]faults.Kind{}
 	for k := faults.KindCoreStall; k <= faults.KindUplinkWithdraw; k++ {
-		name := k.String()
-		m[name] = k
-		m[strings.ReplaceAll(name, "-", "")] = k
+		m[k.String()] = k
 	}
 	return m
 }()

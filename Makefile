@@ -27,8 +27,8 @@ vet:
 	$(GO) vet ./...
 
 # Race-checks the packages with intentional cross-goroutine sharing (the
-# eval worker pool and its stateful ablation's locked session table, the
-# flow tables' shared address-space allocator, the service tables
+# eval worker pool, the flow tables' shared address-space allocator and the
+# locked session table their stateful-NF test shares, the service tables
 # every cluster member reads, the histograms the metrics handlers read while
 # their rows grow) plus the packet path itself: the node pipeline, the PLB
 # reorder engine and the multi-node cluster layer.
@@ -61,10 +61,8 @@ gameday: build
 
 # The gates that need more than `albatross-sim run DRILL`, one row each,
 # "name|command"; a row passes when its command exits 0 within its timeout.
-#   reconcile-*  the control-plane drills through the dedicated `reconcile`
-#                subcommand (assertions demand zero loss, one-tick convergence,
-#                shard and record<->replay identity), plus a -plan dry run of
-#                the diff path.
+#   reconcile-plan  a `reconcile -plan` dry run of the desired-state diff
+#                path (gameday runs the reconcile drills themselves).
 #   series-*     the convergence drill's sampled timeline must export
 #                byte-identical CSV and JSON across a repeat run and shards 1
 #                vs 3 — the axes the timeline's tick-boundary epoch barrier
@@ -81,12 +79,15 @@ gameday: build
 #                never what it executes.
 #   artefacts    the full-scale report at seed 1 (~45 s on 2 vCPUs) must pass
 #                and equal the committed experiments_output.txt line for line,
-#                except what the host decides: the "(id in …)" timings, the
-#                "total wall time" line and the bodies of the volatile
-#                experiments, which the -json record names (their "== "
-#                headers stay). Quick scale is tier-1's: TestQuickReportMatchesGolden
-#                holds every deterministic experiment, the concury backend
-#                checks among them, to internal/eval/testdata/quick-seed1.txt.
+#                except the two lines the host decides: the "(id in …)"
+#                timings and the "total wall time" line. Quick scale is
+#                tier-1's: TestQuickReportMatchesGolden holds every
+#                experiment, the concury backend checks among them, to
+#                internal/eval/testdata/quick-seed1.txt.
+#   bench-smoke  every benchmark of internal/packet and internal/flowtable runs
+#                once (`go test` never runs them), so the host-timing pairs
+#                that left the report — meta placement, shared vs per-worker
+#                session tables — cannot rot.
 #   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
 #                its reference LRU, prefetcher on and off, through both host
 #                layouts — pooled set blocks and, once a model fills, the dense
@@ -127,11 +128,9 @@ check: build
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \
 	asim="timeout 240 $$tmp/asim"; conv=scenarios/convergence-drill.yaml; \
 	same() { cmp $$tmp/a.csv $$tmp/$$1.csv && cmp $$tmp/a.json $$tmp/$$1.json; }; \
-	body() { awk -v vol=" $$2 " '/^\([a-z0-9-]+ in [^)]*\)$$/ || /^total wall time / { next } \
-		/^== / { id = $$2; sub(/:$$/, "", id); skip = index(vol, " " id " ") > 0; print; next } !skip' $$1; }; \
-	artefacts() { timeout 240 $(GO) run ./cmd/albatross-bench -seed 1 -json $$tmp/exp.json > $$tmp/exp.txt 2>&1 || return 1; \
-		vol=$$(awk -F'"' '$$2 == "id" { id = $$4 } $$2 == "volatile" { print id }' $$tmp/exp.json | tr '\n' ' '); \
-		body experiments_output.txt "$$vol" > $$tmp/want.txt; body $$tmp/exp.txt "$$vol" > $$tmp/got.txt; \
+	body() { grep -Ev '^\([a-z0-9-]+ in [^)]*\)$$|^total wall time ' $$1; }; \
+	artefacts() { timeout 240 $(GO) run ./cmd/albatross-bench -seed 1 > $$tmp/exp.txt 2>&1 || return 1; \
+		body experiments_output.txt > $$tmp/want.txt; body $$tmp/exp.txt > $$tmp/got.txt; \
 		diff $$tmp/want.txt $$tmp/got.txt; }; \
 	report() { $$asim run -burst $$1 $$2 2>/dev/null | grep -v '^  dataplane ' > $$tmp/burst$$1; }; \
 	invariant() { for f in scenarios/*.yaml; do report 1 $$f; report 8 $$f; \
@@ -141,9 +140,6 @@ check: build
 		workers 1 $$f; workers 3 $$f; cmp -s $$tmp/shards1 $$tmp/shards3 || return 1; done; }; \
 	examples() { for d in examples/*/; do $(GO) build -o $$tmp/example ./$$d && timeout 60 $$tmp/example || return 1; done; }; \
 	for row in \
-		"reconcile-canary|$$asim reconcile scenarios/reconcile-canary.yaml" \
-		"reconcile-drain|$$asim reconcile scenarios/reconcile-drain.yaml" \
-		"reconcile-scale|$$asim reconcile scenarios/reconcile-scale.yaml" \
 		"reconcile-plan|$$asim reconcile -plan scenarios/reconcile-canary.yaml" \
 		"series-base|$$asim run -series-out $$tmp/a $$conv" \
 		"series-repeat|$$asim run -series-out $$tmp/b $$conv && same b" \
@@ -151,6 +147,7 @@ check: build
 		"burst-invariance|invariant" \
 		"shard-invariance|shardinv" \
 		"artefacts|artefacts" \
+		"bench-smoke|$(GO) test -run '^\$$' -bench . -benchtime 1x ./internal/packet ./internal/flowtable" \
 		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
 		"spec-fuzz|$(GO) test -run '^\$$' -fuzz FuzzLoadSpec -fuzztime 10s ./internal/scenario" \
 		"bgp-fuzz|$(GO) test -run '^\$$' -fuzz FuzzDecodeMessages -fuzztime 10s ./internal/bgp" \

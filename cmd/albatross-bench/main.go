@@ -8,7 +8,6 @@
 //	albatross-bench -quick           # reduced scale (seconds, not minutes)
 //	albatross-bench -exp fig8,tab3
 //	albatross-bench -parallel 4      # worker-pool over independent experiments
-//	albatross-bench -json out.json   # machine-readable per-experiment record
 //	albatross-bench -cpuprofile cpu.prof -exp fig4   # where the host time went
 //	albatross-bench -list
 //
@@ -21,7 +20,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,17 +31,6 @@ import (
 	"albatross/internal/eval"
 )
 
-// jsonRecord is the -json per-experiment entry for tracking the perf
-// trajectory across commits.
-type jsonRecord struct {
-	ID           string   `json:"id"`
-	Title        string   `json:"title"`
-	WallMS       float64  `json:"wall_ms"`
-	Passed       bool     `json:"passed"`
-	FailedChecks []string `json:"failed_checks,omitempty"`
-	Volatile     bool     `json:"volatile,omitempty"`
-}
-
 func main() {
 	var (
 		expFlag  = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
@@ -51,7 +38,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "simulation seed")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		parallel = flag.Int("parallel", runtime.NumCPU(), "experiment worker-pool size")
-		jsonOut  = flag.String("json", "", "write per-experiment wall time and pass/fail to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	)
 	flag.Parse()
@@ -102,36 +88,14 @@ func main() {
 	}
 
 	failed := 0
-	jrecs := make([]jsonRecord, 0, len(recs))
 	for _, rec := range recs {
 		fmt.Println(rec.Result)
 		fmt.Fprintf(os.Stderr, "(%s in %v)\n\n", rec.Exp.ID, rec.Wall.Round(time.Millisecond))
 		if !rec.Result.Passed() {
 			failed++
 		}
-		jrecs = append(jrecs, jsonRecord{
-			ID:           rec.Exp.ID,
-			Title:        rec.Exp.Title,
-			WallMS:       float64(rec.Wall.Microseconds()) / 1e3,
-			Passed:       rec.Result.Passed(),
-			FailedChecks: rec.Result.FailedChecks(),
-			Volatile:     rec.Exp.Volatile,
-		})
 	}
 	fmt.Fprintf(os.Stderr, "total wall time %v with %d worker(s)\n", total.Round(time.Millisecond), *parallel)
-
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(jrecs, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encoding -json output: %v\n", err)
-			os.Exit(2)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonOut, err)
-			os.Exit(2)
-		}
-	}
 
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "%d experiment(s) failed shape checks\n", failed)

@@ -3,7 +3,7 @@
 //
 //	albatross-sim run scenarios/node-crash.yaml
 //	albatross-sim validate scenarios/*.yaml
-//	albatross-sim reconcile scenarios/reconcile-canary.yaml
+//	albatross-sim reconcile -plan scenarios/reconcile-canary.yaml
 //	albatross-sim replay-diff outcome-a.txt outcome-b.txt
 //
 // A scenario file declares the fleet, workload, timed fault script, and an
@@ -27,7 +27,7 @@ import (
 const usage = `Usage:
   albatross-sim run [overrides] scenario.yaml     execute a declarative gameday scenario
   albatross-sim validate scenario.yaml...         load-check scenarios without running them
-  albatross-sim reconcile [-plan] scenario.yaml   run (or -plan: dry-run) a desired-state reconcile drill
+  albatross-sim reconcile -plan scenario.yaml     dry-run a desired-state spec: print its reconcile plan
   albatross-sim replay-diff [-shards N] A B       compare two outcome reports (exit 1 on diff)
 
 Run "albatross-sim <subcommand> -h" for a subcommand's flags.

@@ -33,7 +33,8 @@ func TestExitCodes(t *testing.T) {
 		{"run unwritable cpuprofile", []string{"run", "-cpuprofile", "no-such-dir/cpu.prof", "../../scenarios/healthy-baseline.yaml"}, 2, "", "-cpuprofile: open no-such-dir/cpu.prof"},
 		{"run unknown backend", []string{"run", "-backend", "bogus", "../../scenarios/healthy-baseline.yaml"}, 1, "", `unknown flow-table backend "bogus"`},
 		{"reconcile dry run", []string{"reconcile", "-plan", "../../scenarios/reconcile-canary.yaml"}, 0, "reconcile plan:", ""},
-		{"reconcile without a spec", []string{"reconcile", "../../scenarios/node-crash.yaml"}, 1, "", "no spec: block"},
+		{"reconcile without a spec", []string{"reconcile", "-plan", "../../scenarios/node-crash.yaml"}, 1, "", "no spec: block"},
+		{"reconcile without -plan", []string{"reconcile", "../../scenarios/reconcile-canary.yaml"}, 2, "", "albatross-sim run scenario.yaml"},
 		{"replay-diff missing file", []string{"replay-diff", "no-such-a", "no-such-b"}, 1, "", "no-such-a"},
 	}
 	for _, tc := range cases {

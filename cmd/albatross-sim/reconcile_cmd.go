@@ -3,36 +3,35 @@ package main
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"albatross"
 )
 
-// reconcileCmd implements `albatross-sim reconcile`: the control-plane
-// runner. Two modes:
+// reconcileCmd implements `albatross-sim reconcile -plan`, a dry run of the
+// desired-state reconciler: it diffs the desired state against a freshly
+// deployed fleet and prints the unsequenced plan without running any
+// traffic. The desired state is a scenario file's spec: block, or -spec FILE
+// (with -nodes N in place of a scenario file). A reconcile drill itself runs
+// with `albatross-sim run`, like every other drill.
 //
-//	albatross-sim reconcile scenario.yaml
-//	    Execute a scenario whose fleet is driven by the desired-state
-//	    reconciler (the file's spec: block, or -spec FILE). Prints the
-//	    deterministic report — including the timed reconcile step log —
-//	    and returns 1 when any assertion fails or the reconciler did not
-//	    converge cleanly.
-//
+//	albatross-sim reconcile -plan scenarios/reconcile-canary.yaml
 //	albatross-sim reconcile -plan -spec spec.yaml -nodes 3
-//	    Dry run: diff the desired state against a freshly deployed fleet
-//	    of N members and print the unsequenced plan without running any
-//	    traffic. Also works with a scenario file in place of -nodes.
 func reconcileCmd(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("reconcile", stderr, "usage: albatross-sim reconcile [-plan] [-spec FILE] [scenario.yaml]\n"+
+	fs := newFlagSet("reconcile", stderr, "usage: albatross-sim reconcile -plan [-spec FILE] scenario.yaml\n"+
 		"       albatross-sim reconcile -plan -spec FILE -nodes N\n")
 	var (
 		specPath = fs.String("spec", "", "standalone desired-state file; replaces the scenario's spec: block")
-		plan     = fs.Bool("plan", false, "dry run: print the reconcile plan against a fresh fleet, don't run traffic")
-		nodes    = fs.Int("nodes", 0, "fleet width for -plan without a scenario file")
-		seed     = fs.Uint64("seed", 1, "simulation seed for -plan without a scenario file")
+		plan     = fs.Bool("plan", false, "print the reconcile plan against a fresh fleet (required)")
+		nodes    = fs.Int("nodes", 0, "fleet width without a scenario file")
+		seed     = fs.Uint64("seed", 1, "simulation seed without a scenario file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
+	}
+	if !*plan {
+		fmt.Fprintln(stderr, "reconcile prints a -plan only: run a reconcile drill with `albatross-sim run scenario.yaml`")
+		fs.Usage()
+		return 2
 	}
 	if fs.NArg() > 1 {
 		fs.Usage()
@@ -55,6 +54,7 @@ func reconcileCmd(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, err)
 		}
 	}
+	width, sd := *nodes, *seed
 	if s != nil {
 		if spec != nil {
 			s.Spec = spec
@@ -65,35 +65,16 @@ func reconcileCmd(args []string, stdout, stderr io.Writer) int {
 		if s.Spec == nil {
 			return fail(stderr, fmt.Errorf("%s has no spec: block; add one or pass -spec FILE", fs.Arg(0)))
 		}
+		width, sd, spec = s.Fleet.Nodes, s.Seed, s.Spec
 	}
-
-	if *plan {
-		width := *nodes
-		sd := *seed
-		if s != nil {
-			width, sd = s.Fleet.Nodes, s.Seed
-			spec = s.Spec
-		}
-		if spec == nil || width <= 0 {
-			fmt.Fprintln(stderr, "reconcile -plan needs a scenario file, or -spec FILE with -nodes N")
-			return 2
-		}
-		if err := printPlan(stdout, spec, width, sd); err != nil {
-			return fail(stderr, err)
-		}
-		return 0
-	}
-
-	if s == nil {
-		fs.Usage()
+	if spec == nil || width <= 0 {
+		fmt.Fprintln(stderr, "reconcile -plan needs a scenario file, or -spec FILE with -nodes N")
 		return 2
 	}
-	wall := time.Now()
-	res, err := s.Run()
-	if err != nil {
+	if err := printPlan(stdout, spec, width, sd); err != nil {
 		return fail(stderr, err)
 	}
-	return printResult(res, wall, stdout, stderr)
+	return 0
 }
 
 // printPlan deploys a bare fleet of width members, attaches the reconciler,

@@ -200,23 +200,3 @@ func (p *Proxy) Close() {
 	}
 	p.upstream.Close()
 }
-
-// PeerMath captures Fig. 7's arithmetic: how many BGP peers the uplink
-// switch must maintain with and without the proxy.
-type PeerMath struct {
-	Servers       int
-	PodsPerServer int
-	ProxiesPerSrv int // dual-proxy deployment uses 2
-}
-
-// SwitchPeersDirect returns the peer count with per-pod eBGP sessions.
-func (m PeerMath) SwitchPeersDirect() int { return m.Servers * m.PodsPerServer }
-
-// SwitchPeersProxied returns the peer count with the BGP proxy.
-func (m PeerMath) SwitchPeersProxied() int {
-	p := m.ProxiesPerSrv
-	if p <= 0 {
-		p = 1
-	}
-	return m.Servers * p
-}

@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 )
 
 // Switch models the uplink switch: a real passive eBGP endpoint (it
-// accepts peer sessions and accumulates routes in a RIB) combined with the
-// control-plane capacity model behind the paper's container-density
-// constraint — beyond ~64 peers, route convergence after failures degrades
-// to tens of minutes.
+// accepts peer sessions and accumulates routes in a RIB). Its peer count is
+// the paper's container-density constraint — beyond ~64 peers, route
+// convergence after failures degrades to tens of minutes (ExamplePeerMath).
 type Switch struct {
 	AS       uint16
 	RouterID uint32
@@ -107,38 +105,4 @@ func (sw *Switch) Close() {
 	for _, sp := range peers {
 		sp.Close()
 	}
-}
-
-// ConvergenceModel estimates route convergence time after a control-plane
-// event (switch restart, power loss) as a function of peer count. Within
-// the safe threshold convergence is linear (per-peer session re-sync);
-// beyond it the control-plane CPU saturates and convergence degrades
-// quadratically, reaching the paper's "tens of minutes".
-type ConvergenceModel struct {
-	PerPeer     time.Duration // linear cost per peer
-	SafePeers   int
-	OverPenalty time.Duration // quadratic coefficient beyond the threshold
-}
-
-// DefaultConvergenceModel matches the paper's anecdotes: 64 peers converge
-// in seconds; ~128 peers can take tens of minutes after abnormal events.
-func DefaultConvergenceModel() ConvergenceModel {
-	return ConvergenceModel{
-		PerPeer:     50 * time.Millisecond,
-		SafePeers:   64,
-		OverPenalty: 500 * time.Millisecond,
-	}
-}
-
-// Converge returns the modelled convergence time for n peers.
-func (m ConvergenceModel) Converge(n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	d := time.Duration(n) * m.PerPeer
-	if n > m.SafePeers {
-		over := n - m.SafePeers
-		d += time.Duration(over*over) * m.OverPenalty
-	}
-	return d
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"albatross/internal/core"
@@ -128,25 +129,25 @@ var burstFaultScenarios = []struct {
 	}},
 	{"rx-loss", lightLoad, func() *faults.Plan {
 		return &faults.Plan{Faults: []faults.Fault{{
-			Kind: faults.KindRxLoss, At: 25 * sim.Millisecond, Node: 0, Pod: 1,
+			Kind: faults.KindRxLoss, At: 25 * sim.Millisecond, Node: 0, Pod: 0,
 			Core: 0, Factor: 0.5, Duration: 20 * sim.Millisecond,
 		}}}
 	}},
 	{"reorder-stress", lightLoad, func() *faults.Plan {
 		return &faults.Plan{Faults: []faults.Fault{{
 			Kind: faults.KindReorderStress, At: 20 * sim.Millisecond, Node: 3, Pod: 0,
-			Queue: 1, HoldHeads: true, DepthClamp: 8, Duration: 30 * sim.Millisecond,
+			Queue: 0, HoldHeads: true, DepthClamp: 8, Duration: 30 * sim.Millisecond,
 		}}}
 	}},
 	{"pod-crash", lightLoad, func() *faults.Plan {
 		return &faults.Plan{Faults: []faults.Fault{{
-			Kind: faults.KindPodCrash, At: 25 * sim.Millisecond, Node: 0, Pod: 1,
+			Kind: faults.KindPodCrash, At: 25 * sim.Millisecond, Node: 0, Pod: 0,
 			Duration: 20 * sim.Millisecond,
 		}}}
 	}},
 	{"pod-drain", lightLoad, func() *faults.Plan {
 		return &faults.Plan{Faults: []faults.Fault{{
-			Kind: faults.KindPodDrain, At: 25 * sim.Millisecond, Node: 2, Pod: 1,
+			Kind: faults.KindPodDrain, At: 25 * sim.Millisecond, Node: 2, Pod: 0,
 			Duration: 20 * sim.Millisecond,
 		}}}
 	}},
@@ -224,6 +225,46 @@ func TestBurstByteIdenticalToUnbatched(t *testing.T) {
 							trace.Diff("per-packet walk", string(want), fmt.Sprintf("burst=%d", burst), out).String())
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestFaultRowsTouchPackets holds every faulted row to its purpose: its
+// golden outcome differs from the same load without faults in a line that
+// describes packets — traffic counts, flight tallies, stage residency or
+// latency — not only in a member's avail line or the export checksum. So the
+// fault lands where packets flow: backend "" sends every packet of a node to
+// its pod 0, and a fault on pod 1 would test nothing.
+func TestFaultRowsTouchPackets(t *testing.T) {
+	packetLines := func(outcome string) string {
+		var b strings.Builder
+		for _, line := range strings.SplitAfter(outcome, "\n") {
+			key, _, _ := strings.Cut(line, " | ")
+			if !strings.HasSuffix(key, "/avail") && key != "metrics/fnv64a" {
+				b.WriteString(line)
+			}
+		}
+		return b.String()
+	}
+	unfaulted := map[identityLoad]string{}
+	for _, sc := range burstFaultScenarios {
+		if sc.plan() == nil {
+			continue
+		}
+		t.Run(sc.name, func(t *testing.T) {
+			base, ok := unfaulted[sc.load]
+			if !ok {
+				base, _ = runBurstCluster(t, 1, 1, "", sc.load, nil)
+				unfaulted[sc.load] = base
+			}
+			golden := filepath.Join("testdata", "one-path", sc.name+".outcome")
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if packetLines(string(want)) == packetLines(base) {
+				t.Errorf("%s: only avail lines and the checksum differ from the same load without faults", golden)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 
 	"albatross/internal/cachesim"
 	"albatross/internal/gop"
+	"albatross/internal/nicsim"
 	"albatross/internal/packet"
 	"albatross/internal/pod"
 	"albatross/internal/service"
@@ -48,6 +49,24 @@ func addPod(t testing.TB, n *Node, mode pod.Mode, cores int, flows []service.Flo
 func wflows(n int, seed uint64) ([]workload.Flow, []service.Flow) {
 	wf := workload.GenerateFlows(n, 100, seed)
 	return wf, workload.ServiceFlows(wf, 0)
+}
+
+// TestIdlePacketSeesNICRoundTrip is Tab. 4 measured end to end: one packet
+// through an otherwise idle node spends at least the PLB class's NIC round
+// trip (3.90 µs in, 4.17 µs out) between arrival and departure.
+func TestIdlePacketSeesNICRoundTrip(t *testing.T) {
+	n, err := NewNode(NodeConfig{Seed: 1, Cache: cachesim.Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, sf := wflows(16, 1)
+	pr := addPod(t, n, pod.ModePLB, 2, sf, nil)
+	pr.Inject(wf[0], 256)
+	n.RunFor(sim.Millisecond)
+	rt := nicsim.DefaultLatencyModel().RoundTrip(nicsim.ClassPLB)
+	if pr.Tx != 1 || pr.Latency.Min() < int64(rt) {
+		t.Fatalf("tx=%d, min latency %dns, want one packet at >= the %dns NIC round trip", pr.Tx, pr.Latency.Min(), int64(rt))
+	}
 }
 
 func TestEndToEndPLB(t *testing.T) {

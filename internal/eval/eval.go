@@ -56,17 +56,6 @@ func (r *Result) Passed() bool {
 	return true
 }
 
-// FailedChecks lists the names of failed checks.
-func (r *Result) FailedChecks() []string {
-	var out []string
-	for _, c := range r.Checks {
-		if !c.OK {
-			out = append(out, fmt.Sprintf("%s (%s)", c.Name, c.Detail))
-		}
-	}
-	return out
-}
-
 func (r *Result) check(name string, ok bool, format string, args ...any) {
 	r.Checks = append(r.Checks, Check{Name: name, OK: ok, Detail: fmt.Sprintf(format, args...)})
 }
@@ -104,22 +93,12 @@ type Experiment struct {
 	ID    string
 	Title string
 	Run   func(Config) *Result
-	// Volatile marks drivers that measure real wall-clock time (host
-	// microbenchmarks with time.Now or OS goroutines): their printed tables
-	// vary run to run, so the determinism contract — identical output for
-	// identical (seed, scale) — applies only to non-volatile experiments.
-	Volatile bool
 }
 
 var registry []Experiment
 
 func register(id, title string, run func(Config) *Result) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
-}
-
-// registerVolatile registers a wall-clock-measuring driver.
-func registerVolatile(id, title string, run func(Config) *Result) {
-	registry = append(registry, Experiment{ID: id, Title: title, Run: run, Volatile: true})
 }
 
 // Experiments returns all registered experiments sorted by ID.
@@ -149,7 +128,7 @@ type RunRecord struct {
 // RunAll executes exps across up to `parallelism` worker goroutines and
 // returns records in the order the experiments were given, so a caller
 // printing Result strings in slice order emits byte-identical output for
-// any parallelism (volatile experiments excepted — they time the host).
+// any parallelism.
 //
 // Determinism contract: each driver builds its own Engine and seeded Rand
 // from cfg and shares nothing mutable, so experiments are independent and

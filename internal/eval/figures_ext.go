@@ -285,7 +285,7 @@ func runOffload(cfg Config) *Result {
 	r.check("offload restores >2x at 32 cores", speedup32 > 2, "%.1fx", speedup32)
 	r.check("session table fits FPGA memory headroom", fits,
 		"%d Mbit needed, %.0f%% BRAM free (plus URAM)", sessionBits>>20, head.BRAMPct)
-	r.notef("cache-coherence collapse for write-heavy NFs is measured in the 'stateful' ablation")
+	r.notef("cache-coherence collapse for write-heavy NFs is modelled in internal/flowtable's Example_coherenceModel")
 
 	// Cross-check the cost model against the simulator: a VPC-Internet pod
 	// (stateful) vs VPC-VPC (stateless) cost gap approximates updateNS.

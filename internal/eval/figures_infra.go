@@ -1,10 +1,6 @@
 package eval
 
 import (
-	"math"
-	"time"
-
-	"albatross/internal/bgp"
 	"albatross/internal/cachesim"
 	"albatross/internal/core"
 	"albatross/internal/cpu"
@@ -16,32 +12,8 @@ import (
 )
 
 func init() {
-	register("fig15", "AZ construction cost: legacy vs Albatross", runFig15)
 	register("fig16", "Cross-NUMA vs intra-NUMA performance", runFig16)
 	register("fig17", "Impact of automatic NUMA balancing at 90% load", runFig17)
-	register("fig7", "BGP proxy: switch peer count and convergence", runFig7)
-}
-
-func runFig15(cfg Config) *Result {
-	r := &Result{ID: "fig15", Title: "Availability-zone construction cost"}
-	m := pod.DefaultCostModel()
-	c := m.Compare()
-
-	table := stats.NewTable("Metric", "Legacy (1st/2nd gen)", "Albatross")
-	table.AddRow("Devices", c.LegacyGateways, c.AlbatrossServers)
-	table.AddRow("Relative cost", c.LegacyCost, c.AlbatrossCost)
-	table.AddRow("Power (W)", c.LegacyPowerW, c.AlbatrossPowerW)
-	r.Table = table
-
-	r.check("32 gateways onto 8 servers", c.LegacyGateways == 32 && c.AlbatrossServers == 8,
-		"%d -> %d", c.LegacyGateways, c.AlbatrossServers)
-	r.check("75% fewer devices", math.Abs(c.ServerReduction-0.75) < 1e-9,
-		"%.0f%%", c.ServerReduction*100)
-	r.check("50% cost reduction", math.Abs(c.CostReduction-0.5) < 1e-9,
-		"%.0f%%", c.CostReduction*100)
-	r.check("40% power reduction", math.Abs(c.PowerReduction-0.4) < 1e-9,
-		"%.0f%% (12000W -> 7200W)", c.PowerReduction*100)
-	return r
 }
 
 func runFig16(cfg Config) *Result {
@@ -136,30 +108,5 @@ func runFig17(cfg Config) *Result {
 		"max %.0fµs vs %.0fµs", onMax, offMax)
 	r.check("disabling removes the bursts", offMax < 500,
 		"max %.0fµs without balancing", offMax)
-	return r
-}
-
-func runFig7(cfg Config) *Result {
-	r := &Result{ID: "fig7", Title: "BGP proxy: uplink switch peer pressure"}
-
-	m := bgp.PeerMath{Servers: 32, PodsPerServer: 4, ProxiesPerSrv: 2}
-	conv := bgp.DefaultConvergenceModel()
-	direct := m.SwitchPeersDirect()
-	proxied := m.SwitchPeersProxied()
-
-	table := stats.NewTable("Scheme", "Switch BGP peers", "Within 64-peer limit", "Convergence after failure")
-	table.AddRow("Per-pod eBGP (original)", direct, direct <= 64, conv.Converge(direct).Round(time.Second).String())
-	table.AddRow("BGP proxy (dual)", proxied, proxied <= 64, conv.Converge(proxied).Round(time.Second).String())
-	r.Table = table
-
-	r.check("direct peering exceeds the safe threshold", direct > 64, "%d peers", direct)
-	r.check("proxy fits the safe threshold", proxied <= 64, "%d peers", proxied)
-	r.check("direct convergence degrades to tens of minutes",
-		conv.Converge(direct) > 10*time.Minute, "%v", conv.Converge(direct).Round(time.Second))
-	r.check("proxied convergence stays in seconds",
-		conv.Converge(proxied) < 10*time.Second, "%v", conv.Converge(proxied).Round(time.Second))
-	r.notef("peers per server drop from m=%d to %d via iBGP aggregation at the proxy pod",
-		m.PodsPerServer, m.ProxiesPerSrv)
-	r.notef("the live protocol path (OPEN/UPDATE/KEEPALIVE over TCP) is exercised by internal/bgp tests and examples/bgpproxy")
 	return r
 }

@@ -12,19 +12,6 @@ var update = flag.Bool("update", false, "rewrite testdata/quick-seed1.txt from a
 
 const goldenPath = "testdata/quick-seed1.txt"
 
-// deterministicExperiments returns every registered experiment except the
-// volatile ones (host wall-clock microbenchmarks), whose printed tables
-// legitimately vary run to run.
-func deterministicExperiments() []Experiment {
-	var out []Experiment
-	for _, e := range Experiments() {
-		if !e.Volatile {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func renderAll(recs []RunRecord) string {
 	var b strings.Builder
 	for _, r := range recs {
@@ -81,7 +68,7 @@ func firstDiff(got, want string) (i int, g, w string, ok bool) {
 }
 
 // TestQuickReportMatchesGolden is the report's content check and the
-// determinism contract in one run. Every deterministic experiment runs once,
+// determinism contract in one run. Every experiment runs once,
 // across eight workers, and its rendered result must equal its section of
 // the golden, which -update writes from a serial run — so any moved number,
 // renamed row or failed check fails here, and so does any output that
@@ -91,13 +78,13 @@ func firstDiff(got, want string) (i int, g, w string, ok bool) {
 //
 // and explain the golden's diff in the change.
 func TestQuickReportMatchesGolden(t *testing.T) {
-	exps := deterministicExperiments()
+	exps := Experiments()
 	cfg := Config{Seed: 1, Quick: true}
 	if *update {
 		recs := RunAll(exps, cfg, 1)
 		for _, rec := range recs {
 			if !rec.Result.Passed() {
-				t.Fatalf("not writing %s: %s failed checks: %v", goldenPath, rec.Exp.ID, rec.Result.FailedChecks())
+				t.Fatalf("not writing %s: %s failed a check:\n%s", goldenPath, rec.Exp.ID, rec.Result)
 			}
 		}
 		if err := os.WriteFile(goldenPath, []byte(renderAll(recs)), 0o644); err != nil {
@@ -114,7 +101,7 @@ func TestQuickReportMatchesGolden(t *testing.T) {
 	for _, rec := range recs {
 		t.Run(rec.Exp.ID, func(t *testing.T) {
 			if !rec.Result.Passed() {
-				t.Errorf("failed checks: %v", rec.Result.FailedChecks())
+				t.Errorf("failed a check:\n%s", rec.Result)
 			}
 			w, ok := want[rec.Exp.ID]
 			if !ok {
@@ -129,25 +116,6 @@ func TestQuickReportMatchesGolden(t *testing.T) {
 		delete(want, rec.Exp.ID)
 	}
 	for id, s := range want {
-		t.Errorf("%s:%d holds a section for %q, which is not a deterministic experiment", goldenPath, s.line, id)
-	}
-}
-
-// TestVolatileExperimentsPass runs the wall-clock experiments the golden
-// cannot hold. They always run, so the race detector sees stateful's
-// goroutines; their timing checks are required only without the detector,
-// whose instrumentation distorts relative timings beyond their tolerances.
-func TestVolatileExperimentsPass(t *testing.T) {
-	for _, e := range Experiments() {
-		if !e.Volatile {
-			continue
-		}
-		t.Run(e.ID, func(t *testing.T) {
-			r := e.Run(Config{Seed: 1, Quick: true})
-			t.Log("\n" + r.String())
-			if !raceEnabled && !r.Passed() {
-				t.Fatalf("failed checks: %v", r.FailedChecks())
-			}
-		})
+		t.Errorf("%s:%d holds a section for %q, which is not a registered experiment", goldenPath, s.line, id)
 	}
 }

@@ -37,19 +37,6 @@ func TestRunAllOrderAndParallelismClamp(t *testing.T) {
 	}
 }
 
-// TestVolatileMarking pins which experiments opt out of the determinism
-// contract: TestQuickReportMatchesGolden skips them, and so does the `make
-// check` artefacts row, which reads the flag from albatross-bench's -json
-// record. A wall-clock-measuring driver left unmarked makes both flaky.
-func TestVolatileMarking(t *testing.T) {
-	want := map[string]bool{"meta": true, "stateful": true}
-	for _, e := range Experiments() {
-		if want[e.ID] != e.Volatile {
-			t.Errorf("experiment %s: Volatile = %v, want %v", e.ID, e.Volatile, want[e.ID])
-		}
-	}
-}
-
 func TestRegistrySorted(t *testing.T) {
 	exps := Experiments()
 	if len(exps) < 4 {
@@ -71,15 +58,12 @@ func TestResultRendering(t *testing.T) {
 	r.check("bad", false, "boom")
 	r.notef("a note")
 	out := r.String()
-	for _, want := range []string{"PASS", "FAIL", "a note", "== x: t =="} {
+	for _, want := range []string{"check [PASS] good: ok", "check [FAIL] bad: boom", "note: a note", "== x: t =="} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
 		}
 	}
 	if r.Passed() {
 		t.Fatal("Passed with failing check")
-	}
-	if len(r.FailedChecks()) != 1 {
-		t.Fatal("FailedChecks count")
 	}
 }

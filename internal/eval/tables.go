@@ -6,7 +6,6 @@ import (
 	"albatross/internal/cachesim"
 	"albatross/internal/core"
 	"albatross/internal/lpm"
-	"albatross/internal/nicsim"
 	"albatross/internal/pod"
 	"albatross/internal/service"
 	"albatross/internal/sim"
@@ -16,8 +15,6 @@ import (
 
 func init() {
 	register("tab3", "Albatross throughput per gateway service", runTab3)
-	register("tab4", "NIC pipeline per-module latency", runTab4)
-	register("tab5", "NIC pipeline FPGA resource consumption", runTab5)
 	register("tab6", "Albatross vs Sailfish comparison", runTab6)
 }
 
@@ -104,70 +101,6 @@ func runTab3(cfg Config) *Result {
 			"ratio %.2f", rel)
 	}
 	r.notef("absolute Mpps depends on the calibrated memory model; the paper's testbed is a physical 2x48-core server")
-	return r
-}
-
-func runTab4(cfg Config) *Result {
-	r := &Result{ID: "tab4", Title: "NIC pipeline latency per module (µs)"}
-	m := nicsim.DefaultLatencyModel()
-	us := func(d sim.Duration) float64 { return d.Micros() }
-
-	table := stats.NewTable("Module", "RX (µs)", "TX (µs)")
-	table.AddRow("Basic Pipeline", us(m.Basic.RX), us(m.Basic.TX))
-	table.AddRow("Overload Det.", us(m.OverloadDet.RX), us(m.OverloadDet.TX))
-	table.AddRow("PLB", us(m.PLB.RX), us(m.PLB.TX))
-	table.AddRow("DMA", us(m.DMA.RX), us(m.DMA.TX))
-	table.AddRow("Sum", us(m.IngressLatency(nicsim.ClassPLB)), us(m.EgressLatency(nicsim.ClassPLB)))
-	r.Table = table
-
-	// Measured end-to-end check: one packet through an otherwise idle node
-	// must see at least the NIC round trip.
-	n, _ := core.NewNode(core.NodeConfig{Seed: cfg.Seed,
-		Cache: cachesim.Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64}})
-	wf := workload.GenerateFlows(16, 4, cfg.Seed)
-	pr, _ := n.AddPod(core.PodConfig{
-		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 2, CtrlCores: 2},
-		Flows: workload.ServiceFlows(wf, 0),
-	})
-	pr.Inject(wf[0], 256)
-	n.RunFor(sim.Duration(sim.Millisecond))
-	rt := m.RoundTrip(nicsim.ClassPLB)
-
-	r.check("RX sum = 3.90µs", us(m.IngressLatency(nicsim.ClassPLB)) == 3.90,
-		"%.2f", us(m.IngressLatency(nicsim.ClassPLB)))
-	r.check("TX sum = 4.17µs", us(m.EgressLatency(nicsim.ClassPLB)) == 4.17,
-		"%.2f", us(m.EgressLatency(nicsim.ClassPLB)))
-	r.check("PLB+det overhead ≈ 0.5µs",
-		us(m.OverloadDet.RX+m.PLB.RX+m.PLB.TX) == 0.50,
-		"%.2f", us(m.OverloadDet.RX+m.PLB.RX+m.PLB.TX))
-	r.check("packet latency >= NIC round trip", pr.Tx == 1 && pr.Latency.Min() >= int64(rt),
-		"min latency %dns vs RT %dns", pr.Latency.Min(), int64(rt))
-	r.check("DMA dominates", m.DMA.RX > m.Basic.RX+m.OverloadDet.RX+m.PLB.RX,
-		"DMA RX %.2fµs", us(m.DMA.RX))
-	return r
-}
-
-func runTab5(cfg Config) *Result {
-	r := &Result{ID: "tab5", Title: "FPGA resource consumption per module (%)"}
-	m := nicsim.DefaultResourceModel()
-	table := stats.NewTable("Module", "LUT %", "BRAM %")
-	for _, name := range []string{"basic", "overload", "plb", "dma"} {
-		res := m.Modules[name]
-		table.AddRow(name, res.LUTPct, res.BRAMPct)
-	}
-	s := m.Sum()
-	table.AddRow("Sum", s.LUTPct, s.BRAMPct)
-	r.Table = table
-
-	r.check("LUT sum = 60.0%", s.LUTPct == 60.0, "%.1f", s.LUTPct)
-	r.check("BRAM sum = 44.5%", s.BRAMPct == 44.5, "%.1f", s.BRAMPct)
-	plbBytes := nicsim.PLBBRAMBytes(8, 4096)
-	budget := int64(float64(m.TotalBRAMBits) * 0.05 / 8)
-	r.check("PLB structures fit 5% BRAM", plbBytes <= budget,
-		"%d B of %d B budget", plbBytes, budget)
-	h := m.Headroom()
-	r.check("headroom for future offloads", h.LUTPct >= 40 && h.BRAMPct >= 55,
-		"LUT %.1f%%, BRAM %.1f%% free", h.LUTPct, h.BRAMPct)
 	return r
 }
 

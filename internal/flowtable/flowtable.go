@@ -279,13 +279,8 @@ type SessionTable struct {
 	Expirations uint64
 }
 
-// NewSessionTable creates a session table with the given capacity and idle
-// timeout. capacity <= 0 means unbounded.
-func NewSessionTable(capacity int, idle sim.Duration) *SessionTable {
-	return NewSessionTableIn(nil, capacity, idle)
-}
-
-// NewSessionTableIn is NewSessionTable drawing its address base from the
+// NewSessionTableIn creates a session table with the given capacity
+// (<= 0 means unbounded) and idle timeout, drawing its address base from the
 // given address space (nil falls back to the process-global one).
 func NewSessionTableIn(space *AddrSpace, capacity int, idle sim.Duration) *SessionTable {
 	return &SessionTable{

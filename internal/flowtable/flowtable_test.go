@@ -70,7 +70,7 @@ func TestTableDefaultEntrySize(t *testing.T) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	st := NewSessionTable(0, 100*sim.Microsecond)
+	st := NewSessionTableIn(nil, 0, 100*sim.Microsecond)
 	k := tuple(7)
 	if st.Lookup(k, 0) != nil {
 		t.Fatal("lookup on empty")
@@ -98,7 +98,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionCapacityEviction(t *testing.T) {
-	st := NewSessionTable(10, 0)
+	st := NewSessionTableIn(nil, 10, 0)
 	for i := 0; i < 10; i++ {
 		s := st.Create(tuple(i), sim.Time(i))
 		s.State = StateEstablished

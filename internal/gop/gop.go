@@ -24,12 +24,6 @@ import (
 	"albatross/internal/sim"
 )
 
-// MeterEntryBytes is the modelled SRAM footprint of one meter entry. The
-// paper's arithmetic (">200MB for 1M tenants", "2MB for the two-stage
-// scheme") implies ~200B per entry including rate configuration, bucket
-// state and metadata.
-const MeterEntryBytes = 200
-
 // TokenBucket is a single-rate two-color meter in virtual time.
 type TokenBucket struct {
 	rate   float64 // tokens (packets) per second
@@ -190,15 +184,6 @@ func NewLimiter(cfg Config) (*Limiter, error) {
 
 // Stats returns a snapshot of the counters.
 func (l *Limiter) Stats() Stats { return l.stats }
-
-// SRAMBytes returns the modelled on-chip memory of the configured tables.
-func (l *Limiter) SRAMBytes() int64 {
-	entries := l.cfg.ColorEntries + l.cfg.MeterEntries + 2*l.cfg.PreEntries
-	return int64(entries) * MeterEntryBytes
-}
-
-// NaiveSRAMBytes returns the memory a per-tenant meter table would need.
-func NaiveSRAMBytes(tenants int) int64 { return int64(tenants) * MeterEntryBytes }
 
 // meterIndex hashes a VNI into the stage-2 table (the collision-prone
 // mapping the pre_check exists to compensate for).

@@ -207,15 +207,6 @@ func (r ResourceModel) Headroom() Resources {
 	return Resources{LUTPct: 100 - s.LUTPct, BRAMPct: 100 - s.BRAMPct}
 }
 
-// PLBBRAMBytes computes the on-chip memory PLB's reorder structures consume
-// for a pod allocation: per queue-entry, the FIFO reorder info (PSN 2B +
-// timestamp 6B), the BITMAP mirror (valid+PSN ≈ 2B), and a BUF descriptor
-// (16B; packet bytes themselves live in the card's payload memory).
-func PLBBRAMBytes(queues, depth int) int64 {
-	const perEntry = 2 + 6 + 2 + 16
-	return int64(queues) * int64(depth) * perEntry
-}
-
 // PayloadBuffer models the NIC payload memory for header-payload split: a
 // capacity-bounded store with FIFO eviction. Evicted payloads force the
 // plb_reorder to drop late headers (paper §4.1's "payload already

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"albatross/internal/packet"
-	"albatross/internal/sim"
 )
 
 func flow(proto packet.IPProtocol, dport uint16) packet.FiveTuple {
@@ -77,7 +76,6 @@ func TestClassifierHeaderOnlyMode(t *testing.T) {
 
 func TestLatencyModelTab4(t *testing.T) {
 	m := DefaultLatencyModel()
-	us := func(d sim.Duration) float64 { return d.Micros() }
 
 	// Tab. 4 sums: RX 3.90µs, TX 4.17µs for the PLB path.
 	rx := m.IngressLatency(ClassPLB)

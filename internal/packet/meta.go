@@ -1,10 +1,5 @@
 package packet
 
-import (
-	"encoding/binary"
-	"errors"
-)
-
 // Meta is the PLB meta header the FPGA NIC pipeline attaches to every data
 // packet before DMA-ing it to a CPU core, and which the GW pod returns with
 // the packet so plb_reorder can restore order and release resources.
@@ -49,40 +44,3 @@ const (
 
 // MetaLen is the encoded size of the meta trailer.
 const MetaLen = 16
-
-// metaMagic guards against stripping a trailer from a packet that has none.
-const metaMagic = 0xA1BA
-
-// ErrNoMeta reports that a packet does not end in a valid meta trailer.
-var ErrNoMeta = errors.New("packet: no PLB meta trailer")
-
-// AppendMeta appends the encoded meta trailer to pkt and returns the
-// extended slice (may reallocate, like append).
-func AppendMeta(pkt []byte, m *Meta) []byte {
-	var b [MetaLen]byte
-	binary.BigEndian.PutUint16(b[0:2], metaMagic)
-	binary.BigEndian.PutUint16(b[2:4], m.PSN)
-	b[4] = m.OrdQ
-	b[5] = uint8(m.Flags)
-	binary.BigEndian.PutUint16(b[6:8], m.PodID)
-	binary.BigEndian.PutUint64(b[8:16], uint64(m.IngressNS))
-	return append(pkt, b[:]...)
-}
-
-// StripMeta decodes and removes the meta trailer from pkt, returning the
-// packet body. It fails if the trailer is missing or corrupt.
-func StripMeta(pkt []byte, m *Meta) ([]byte, error) {
-	if len(pkt) < MetaLen {
-		return nil, ErrNoMeta
-	}
-	tail := pkt[len(pkt)-MetaLen:]
-	if binary.BigEndian.Uint16(tail[0:2]) != metaMagic {
-		return nil, ErrNoMeta
-	}
-	m.PSN = binary.BigEndian.Uint16(tail[2:4])
-	m.OrdQ = tail[4]
-	m.Flags = MetaFlags(tail[5])
-	m.PodID = binary.BigEndian.Uint16(tail[6:8])
-	m.IngressNS = int64(binary.BigEndian.Uint64(tail[8:16]))
-	return pkt[:len(pkt)-MetaLen], nil
-}

@@ -50,65 +50,10 @@ func TestFiveTupleHashDistribution(t *testing.T) {
 	}
 }
 
-func TestMetaRoundTrip(t *testing.T) {
-	pkt := []byte{1, 2, 3, 4, 5}
-	m := Meta{PSN: 0x8123, OrdQ: 3, Flags: MetaFlagDrop | MetaFlagHeaderOnly, PodID: 42, IngressNS: 123456789}
-	tagged := AppendMeta(pkt, &m)
-	if len(tagged) != len(pkt)+MetaLen {
-		t.Fatalf("tagged len = %d", len(tagged))
-	}
-	var got Meta
-	body, err := StripMeta(tagged, &got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Fatalf("meta mismatch: %+v != %+v", got, m)
-	}
-	if len(body) != 5 || body[0] != 1 {
-		t.Fatalf("body = %v", body)
-	}
-}
-
-func TestMetaMissing(t *testing.T) {
-	var m Meta
-	if _, err := StripMeta([]byte{1, 2, 3}, &m); err != ErrNoMeta {
-		t.Fatalf("short err = %v", err)
-	}
-	junk := make([]byte, 32)
-	if _, err := StripMeta(junk, &m); err != ErrNoMeta {
-		t.Fatalf("bad magic err = %v", err)
-	}
-}
-
-func TestAppendMetaDoesNotAlias(t *testing.T) {
-	// Append must behave like append: capacity-limited base slice stays
-	// intact.
-	base := make([]byte, 4, 4)
-	tagged := AppendMeta(base, &Meta{PSN: 1})
-	tagged[0] = 0xFF
-	if base[0] == 0xFF {
-		t.Skip("append reused capacity (allowed, mirrors stdlib append)")
-	}
-}
-
 func BenchmarkFiveTupleHash(b *testing.B) {
 	f := FiveTuple{Src: IPv4Addr{1, 2, 3, 4}, Dst: IPv4Addr{5, 6, 7, 8}, Proto: IPProtocolTCP, SPort: 80, DPort: 8080}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = f.Hash()
-	}
-}
-
-func BenchmarkMetaAppendStrip(b *testing.B) {
-	pkt := make([]byte, 256, 256+MetaLen)
-	m := Meta{PSN: 100, OrdQ: 1, PodID: 2, IngressNS: 42}
-	var out Meta
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tagged := AppendMeta(pkt, &m)
-		if _, err := StripMeta(tagged, &out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -48,9 +48,6 @@ const TimeMax = Time(math.MaxInt64)
 // Seconds returns the duration as floating-point seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Micros returns the duration as floating-point microseconds.
-func (d Duration) Micros() float64 { return float64(d) / float64(Microsecond) }
-
 func (d Duration) String() string { return time.Duration(d).String() }
 
 // Add returns the time d after t.

@@ -193,9 +193,6 @@ func TestDurationConversions(t *testing.T) {
 	if (1500 * Microsecond).Seconds() != 0.0015 {
 		t.Error("Seconds mismatch")
 	}
-	if (2500 * Nanosecond).Micros() != 2.5 {
-		t.Error("Micros mismatch")
-	}
 	tm := Time(0).Add(5 * Second)
 	if tm.Sub(Time(2*Second)) != 3*Second {
 		t.Error("Sub mismatch")

@@ -110,6 +110,12 @@ gameday: build
 #                row layout against the dense 64-row reference: every query,
 #                and deltas over snapshots taken around row growth and Reset
 #                (committed seeds run in `go test`).
+#   plb-fuzz     ten seconds of native fuzzing of the PLB reorder engine's
+#                growing FIFO/BUF rings against the full-depth rings they
+#                replace: dispatches, returns, drop flags, timeouts, core
+#                evictions, stress holds and clamps, Flush and PSN wrap must
+#                give the same emissions and counters (committed seeds run in
+#                `go test`; the grow-* ones cross every ring doubling).
 #   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
@@ -154,6 +160,7 @@ check: build
 		"hist-fuzz|$(GO) test -run '^\$$' -fuzz FuzzHistogramMatchesDense -fuzztime 10s ./internal/stats" \
 		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
 		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \
+		"plb-fuzz|$(GO) test -run '^\$$' -fuzz FuzzPLBRingsMatchFullDepth -fuzztime 10s ./internal/plb" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \

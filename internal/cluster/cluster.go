@@ -625,8 +625,8 @@ func (c *Cluster) armTimeline() {
 }
 
 // Pending returns the live scheduled-event count across every engine in
-// the cluster. Safe to call from any goroutine mid-run: the engines expose
-// the count through atomic mirrors.
+// the cluster: exact between runs, and safe to call from any goroutine
+// mid-run, where it trails by at most an epoch (sim.ShardedEngine.Pending).
 func (c *Cluster) Pending() int { return c.sharded.Pending() }
 
 // InjectNodeFault is the unified node-level fault entry point: it fires

@@ -14,13 +14,14 @@ import (
 // virtual time, verdict, dispatch core, PLB PSN/order queue). When the
 // packet ends, journeys of interest — drops anywhere on the path, and
 // packets the reorder engine released out of order after a timeout — are
-// committed into a fixed-size ring; the rest recycle silently. Sampling is
+// committed into a bounded ring; the rest recycle silently. Sampling is
 // counter-based (every Nth packet, never randomized), so a fixed seed
 // replays the exact same journeys.
 //
 // The recorder is built for the hot path: live traces come from a free
 // list, steps live in a fixed-size array (the path has 7 stages), and a
-// commit is a single struct copy into the preallocated ring. Steady-state
+// commit is a single struct copy into the ring, which grows by appends
+// until it holds TraceRing journeys and is overwritten after. Steady-state
 // cost is one counter increment per packet plus a nil check per stage.
 
 // StepVerdict is how a traced packet left a stage.
@@ -179,9 +180,11 @@ type FlightRecorder struct {
 	seen  uint64 // injected data packets observed
 
 	pool []*Journey // free journeys for in-flight traces
-	ring []Journey  // committed journeys, oldest overwritten first
-	next int        // ring write cursor
-	wrap bool       // ring has wrapped at least once
+	// ring holds the committed journeys: appended to until it holds size,
+	// then overwritten oldest first from next.
+	ring []Journey
+	size int
+	next int
 
 	// Operator-defined commit triggers. Zero values disable each trigger,
 	// keeping the default finish path identical to the built-in
@@ -210,7 +213,7 @@ func newFlightRecorder(every int, ringSize int) *FlightRecorder {
 	if ringSize <= 0 {
 		ringSize = defaultTraceRing
 	}
-	f := &FlightRecorder{ring: make([]Journey, ringSize)}
+	f := &FlightRecorder{size: ringSize}
 	if every > 0 {
 		f.every = uint64(every)
 	}
@@ -321,13 +324,17 @@ func (f *FlightRecorder) finish(j *Journey, now sim.Time) {
 	f.pool = append(f.pool, j)
 }
 
-// commit copies the journey into the ring (no allocation).
+// commit copies the journey into the ring. Only the ring's growth to its
+// size allocates; a full ring overwrites in place.
 func (f *FlightRecorder) commit(j *Journey) {
+	if len(f.ring) < f.size {
+		f.ring = append(f.ring, *j)
+		return
+	}
 	f.ring[f.next] = *j
 	f.next++
 	if f.next == len(f.ring) {
 		f.next = 0
-		f.wrap = true
 	}
 }
 
@@ -335,11 +342,6 @@ func (f *FlightRecorder) commit(j *Journey) {
 // retention to its size; Drops + Timeouts + Triggered counts everything
 // ever recorded.
 func (f *FlightRecorder) Journeys() []Journey {
-	if !f.wrap {
-		out := make([]Journey, f.next)
-		copy(out, f.ring[:f.next])
-		return out
-	}
 	out := make([]Journey, 0, len(f.ring))
 	out = append(out, f.ring[f.next:]...)
 	out = append(out, f.ring[:f.next]...)

@@ -13,6 +13,13 @@
 //   - BUF:  returned packets, indexed by psn[11:0].
 //   - BITMAP: a light mirror of BUF (valid bit + PSN) for O(1) head checks.
 //
+// The model's depth is QueueDepth (4K) entries; the host holds only what is
+// in flight. A queue's FIFO and BUF rings start at firstRing entries and
+// double when a dispatch finds them full, up to QueueDepth. A ring of len
+// entries indexes slot psn&(len-1); for any window of at most len contiguous
+// PSNs that is a one-to-one renaming of the model's psn[11:0] slots, so
+// nothing the model computes depends on the ring's size.
+//
 // The legal check validates returned packets by testing psn[11:0] against
 // the [head, tail) window — intentionally allowing rare aliasing of stale
 // packets, which the reorder check's PSN comparison (case 3) later catches.
@@ -148,16 +155,38 @@ type bufSlot struct {
 // the armed deadline so Dispatch can skip redundant re-arms entirely.
 type ordQueue struct {
 	head, tail uint16 // free-running PSN pointers; in-flight = tail-head
-	info       []reorderInfo
-	buf        []bufSlot
-	armed      bool
-	timerAt    sim.Time
-	ref        *queueRef // boxed once at New for allocation-free scheduling
+	// info and buf are the FIFO and BUF rings: a power of two of entries,
+	// at least tail-head and at most QueueDepth. PSN psn lives in slot
+	// psn&ringMask. Slots outside [head, tail) are always invalid, so grow
+	// copies the window alone.
+	info     []reorderInfo
+	buf      []bufSlot
+	ringMask uint16
+	armed    bool
+	timerAt  sim.Time
+	ref      *queueRef // boxed once at New for allocation-free scheduling
 
 	// Fault-injection stress knobs (see StressQueue). Zero values = healthy.
 	holdUntil  sim.Time // while now < holdUntil, heads release only by timeout
 	clampUntil sim.Time // while now < clampUntil, effective depth = depthClamp
 	depthClamp uint16
+}
+
+// firstRing is the entry count a queue's rings start at (or QueueDepth, if
+// smaller). A queue that never holds more than firstRing packets in flight
+// never grows.
+const firstRing = 16
+
+// newRings sizes q's rings to n entries, carrying over the window.
+func (q *ordQueue) newRings(n int) {
+	info := make([]reorderInfo, n)
+	buf := make([]bufSlot, n)
+	m := uint16(n - 1)
+	for psn := q.head; psn != q.tail; psn++ {
+		info[psn&m] = q.info[psn&q.ringMask]
+		buf[psn&m] = q.buf[psn&q.ringMask]
+	}
+	q.info, q.buf, q.ringMask = info, buf, m
 }
 
 // queueRef is the engine-callback argument identifying one queue.
@@ -179,7 +208,7 @@ type PLB struct {
 	engine *sim.Engine
 	emit   func(Emission)
 	queues []ordQueue
-	mask   uint16
+	mask   uint16 // QueueDepth-1: the legal check's PSN bits
 	qmask  uint32 // len(queues)-1 when a power of two, else 0
 	qpow2  bool
 	rr     int // round-robin core cursor
@@ -211,6 +240,12 @@ func (h *waitAgg) add(d sim.Duration) {
 // New creates a PLB unit. emit is invoked (synchronously, in virtual time)
 // for every packet leaving the egress.
 func New(engine *sim.Engine, cfg Config, emit func(Emission)) (*PLB, error) {
+	return newPLB(engine, cfg, emit, firstRing)
+}
+
+// newPLB is New with the rings' starting size; one of at least QueueDepth
+// allocates the model's full depth up front, so the rings never grow.
+func newPLB(engine *sim.Engine, cfg Config, emit func(Emission), ring int) (*PLB, error) {
 	if cfg.NumOrderQueues < 1 || cfg.NumOrderQueues > 64 {
 		return nil, fmt.Errorf("plb: NumOrderQueues %d out of [1,64]: %w", cfg.NumOrderQueues, errs.BadConfig)
 	}
@@ -247,8 +282,7 @@ func New(engine *sim.Engine, cfg Config, emit func(Emission)) (*PLB, error) {
 		p.qmask = uint32(cfg.NumOrderQueues - 1)
 	}
 	for i := range p.queues {
-		p.queues[i].info = make([]reorderInfo, cfg.QueueDepth)
-		p.queues[i].buf = make([]bufSlot, cfg.QueueDepth)
+		p.queues[i].newRings(min(ring, cfg.QueueDepth))
 		p.queues[i].ref = &queueRef{p: p, qi: uint8(i)}
 	}
 	return p, nil
@@ -294,10 +328,15 @@ func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 		p.stats.MaskDrops++
 		return 0, packet.Meta{}, false
 	}
+	if int(q.tail-q.head) == len(q.info) {
+		// depth caps tail-head, and len(info) <= QueueDepth: the ring is
+		// full below the model's depth, so it doubles.
+		q.newRings(2 * len(q.info))
+	}
 	psn := q.tail
 	q.tail++
-	idx := psn & p.mask
-	// A fresh FIFO entry must not see a stale BUF slot from 4K PSNs ago.
+	idx := psn & q.ringMask
+	// A fresh FIFO entry must not see a stale BUF slot from a lap ago.
 	q.buf[idx].valid = false
 	q.buf[idx].dropped = false
 
@@ -377,8 +416,9 @@ func (p *PLB) Return(item any, meta packet.Meta) {
 		p.drain(meta.OrdQ)
 		return
 	}
-	idx := meta.PSN & p.mask
-	slot := &q.buf[idx]
+	// The legal check passed, so meta.PSN aliases exactly one window PSN
+	// modulo QueueDepth, and so modulo the ring's size too.
+	slot := &q.buf[meta.PSN&q.ringMask]
 	slot.valid = true
 	slot.psn = meta.PSN
 	slot.item = item
@@ -403,7 +443,7 @@ func (p *PLB) drain(qi uint8) {
 	now := p.engine.Now()
 	q := &p.queues[qi]
 	for q.head != q.tail {
-		idx := q.head & p.mask
+		idx := q.head & q.ringMask
 		info := q.info[idx]
 		slot := &q.buf[idx]
 		age := now.Sub(info.enq)
@@ -503,8 +543,7 @@ func (p *PLB) armTimer(qi uint8) {
 	if q.head == q.tail || q.armed {
 		return
 	}
-	idx := q.head & p.mask
-	deadline := q.info[idx].enq.Add(p.cfg.Timeout)
+	deadline := q.info[q.head&q.ringMask].enq.Add(p.cfg.Timeout)
 	now := p.engine.Now()
 	if deadline < now {
 		deadline = now
@@ -549,7 +588,7 @@ func (p *PLB) EvictCore(core int) int {
 	for qi := range p.queues {
 		q := &p.queues[qi]
 		for psn := q.head; psn != q.tail; psn++ {
-			idx := psn & p.mask
+			idx := psn & q.ringMask
 			if q.info[idx].core == uint8(core) && !q.buf[idx].valid && !q.info[idx].evicted {
 				q.info[idx].evicted = true
 				marked++
@@ -612,8 +651,7 @@ func (p *PLB) Flush(onItem func(item any)) int {
 	for qi := range p.queues {
 		q := &p.queues[qi]
 		for psn := q.head; psn != q.tail; psn++ {
-			idx := psn & p.mask
-			slot := &q.buf[idx]
+			slot := &q.buf[psn&q.ringMask]
 			if slot.valid {
 				if onItem != nil && !slot.dropped {
 					onItem(slot.item)

@@ -162,8 +162,11 @@ type Config struct {
 type Tables struct {
 	index  *flowtable.Index
 	routes *lpm.Table
-	// denied holds the flows the ACL drops.
-	denied map[packet.FiveTuple]bool
+	// denied is the ACL's deny set: bit n is set when a flow with ordinal n
+	// in index is denied. Every flow is in index, so a denied tuple always
+	// has an ordinal, and a repeated tuple denied by any copy sets its
+	// first copy's bit. nil while no flow is denied.
+	denied []uint64
 
 	// warmSink absorbs BuildTables' warm reads so they are not elided.
 	warmSink uint64
@@ -187,7 +190,6 @@ func BuildTables(flows []Flow) *Tables {
 	t := &Tables{
 		index:  flowtable.NewIndex(len(flows)),
 		routes: lpm.New(),
-		denied: make(map[packet.FiveTuple]bool),
 	}
 	var hashes [buildGroup]uint32
 	var sink uint64
@@ -200,9 +202,9 @@ func BuildTables(flows []Flow) *Tables {
 			sink += t.index.WarmHash(h)
 		}
 		for k, f := range group {
-			t.index.InsertHash(f.Tuple, hashes[k])
+			ord, _ := t.index.InsertHash(f.Tuple, hashes[k])
 			if f.Denied {
-				t.denied[f.Tuple] = true
+				t.deny(ord)
 			}
 			// Destination subnet route (idempotent across flows sharing /24s).
 			prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
@@ -211,6 +213,21 @@ func BuildTables(flows []Flow) *Tables {
 	}
 	t.warmSink = sink
 	return t
+}
+
+// deny sets ordinal ord's bit in the deny set.
+func (t *Tables) deny(ord uint64) {
+	w := int(ord >> 6)
+	for w >= len(t.denied) {
+		t.denied = append(t.denied, 0)
+	}
+	t.denied[w] |= 1 << (ord & 63)
+}
+
+// isDenied reports whether ordinal ord's bit is set in the deny set.
+func (t *Tables) isDenied(ord uint64) bool {
+	w := ord >> 6
+	return w < uint64(len(t.denied)) && t.denied[w]&(1<<(ord&63)) != 0
 }
 
 // noTables is what a service holds until Populate or Adopt.
@@ -395,8 +412,6 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 	cpuNS := s.prof.baseNS * s.cfg.ComputeMult
 	cost := sim.Duration(memNS + cpuNS)
 
-	// The len guard skips the map hash entirely in the common no-deny-state
-	// case.
-	drop := !known || (len(t.denied) != 0 && t.denied[flow])
+	drop := !known || t.isDenied(ord)
 	return Result{Cost: cost, Drop: drop, Hits: hits, Misses: misses}
 }

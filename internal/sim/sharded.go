@@ -77,9 +77,8 @@ type ShardedEngine struct {
 const DefaultShardChunk = 5 * Millisecond
 
 // NewShardedEngine creates a control engine whose lanes (added with
-// AddLane) advance on the given number of workers. Every engine reports
-// Pending through atomic mirrors so progress is observable from any
-// goroutine mid-run.
+// AddLane) advance on the given number of workers. Every engine publishes
+// its pending count, so progress is observable from any goroutine mid-run.
 func NewShardedEngine(workers int) *ShardedEngine {
 	if workers < 1 {
 		panic(fmt.Sprintf("sim: ShardedEngine needs at least 1 worker, got %d", workers))
@@ -112,11 +111,14 @@ func (g *ShardedEngine) AddLane() *Engine {
 func (g *ShardedEngine) Lane(i int) *Engine { return g.lanes[i] }
 
 // Pending sums live queued events across the control and lane engines. It
-// reads atomic mirrors, so it is safe from any goroutine mid-run.
+// reads the counts each engine publishes: once per lane per epoch, once
+// per batch of control events, and on every change while an engine is at
+// rest. So it is safe from any goroutine mid-run, where it trails by at
+// most an epoch, and exact for the control goroutine between runs.
 func (g *ShardedEngine) Pending() int {
-	n := g.control.Pending()
+	n := g.control.published()
 	for _, e := range g.lanes {
-		n += e.Pending()
+		n += e.published()
 	}
 	return n
 }
@@ -204,18 +206,27 @@ func (g *ShardedEngine) advanceWorker(w int, target Time) {
 	}
 }
 
+// advanceLane moves lane i to target with its per-event mirror off, then
+// publishes its count once.
 func (g *ShardedEngine) advanceLane(i int, target Time) {
+	e := g.lanes[i]
+	e.mirror = false
 	if g.advance != nil {
 		g.advance(i, target)
-		return
+	} else {
+		e.RunUntil(target)
 	}
-	g.lanes[i].RunUntil(target)
+	e.mirror = true
+	e.publish()
 }
 
 // RunUntil advances the whole system — control engine and all lanes — to
 // the deadline under the epoch protocol. Results are byte-identical at any
 // worker count.
 func (g *ShardedEngine) RunUntil(deadline Time) {
+	// The control engine publishes once per batch, not per event.
+	g.control.mirror = false
+	defer g.control.markShared()
 	for g.horizon < deadline {
 		bound := g.nextBoundary()
 		target := deadline
@@ -247,6 +258,7 @@ func (g *ShardedEngine) RunUntil(deadline Time) {
 				}
 			}
 		}
+		g.control.publish()
 		g.advanceAll(target, true)
 	}
 	// Control events exactly at the deadline (deadline == boundary case)

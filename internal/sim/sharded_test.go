@@ -409,26 +409,65 @@ func TestEngineNextEventTime(t *testing.T) {
 	}
 }
 
-// TestEnginePendingAtomicMirror checks the shared-mode mirror tracks the
-// live count through schedule, cancel, and execution.
+// TestEnginePendingAtomicMirror checks the publication contract of an
+// attached engine: Pending is exact for its owner at every point; the
+// count other goroutines read is stored on every change while the engine is
+// at rest, held during an epoch advance (no per-event store), and published
+// once the advance ends, so ShardedEngine.Pending is exact between runs.
 func TestEnginePendingAtomicMirror(t *testing.T) {
-	e := NewEngine()
-	a := e.AfterArg(10, func(any) {}, nil)
-	e.markShared()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("pending after markShared = %d, want 1", got)
+	g := NewShardedEngine(1)
+	lane := g.AddLane()
+	ctl := g.Control()
+	check := func(when string, e *Engine, owner, published int) {
+		t.Helper()
+		if got := e.Pending(); got != owner {
+			t.Errorf("%s: Pending = %d, want %d", when, got, owner)
+		}
+		if got := e.published(); got != published {
+			t.Errorf("%s: published = %d, want %d", when, got, published)
+		}
 	}
-	b := e.AfterArg(20, func(any) {}, nil)
-	if got := e.Pending(); got != 2 {
-		t.Fatalf("pending = %d, want 2", got)
-	}
+
+	// At rest every change is published as it happens.
+	a := lane.AfterArg(10, func(any) {}, nil)
+	lane.AfterArg(20, func(any) {}, nil)
+	check("lane at rest", lane, 2, 2)
 	a.Stop()
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("pending after stop = %d, want 1", got)
+	check("lane after Stop", lane, 1, 1)
+
+	// During the advance the lane's count is exact for its owner and held
+	// for everyone else; the control engine's is held for its batch.
+	lane.AfterArg(30, func(any) {
+		for d := Duration(5); d < 8; d++ {
+			lane.AfterArg(d, func(any) {}, nil)
+		}
+		check("lane mid-advance", lane, 3, 2)
+	}, nil)
+	ctl.AfterArg(25, func(any) {
+		ctl.AfterArg(100, func(any) {}, nil)
+		ctl.AfterArg(200, func(any) {}, nil)
+		check("control mid-batch", ctl, 2, 1)
+	}, nil)
+	check("before the run", lane, 2, 2)
+	g.RunUntil(50)
+	check("lane after the run", lane, 0, 0)
+	check("control after the run", ctl, 2, 2)
+	if got := g.Pending(); got != 2 {
+		t.Errorf("ShardedEngine.Pending after the run = %d, want 2", got)
 	}
+
+	// A control-context call between runs (a fault after SyncShards) is
+	// visible at once.
+	g.SyncShards()
+	lane.AfterArg(1, func(any) {}, nil)
+	if got := g.Pending(); got != 3 {
+		t.Errorf("ShardedEngine.Pending after a control-context schedule = %d, want 3", got)
+	}
+
+	// A detached engine never publishes; Pending is its live count.
+	e := NewEngine()
+	e.AfterArg(1, func(any) {}, nil)
+	check("detached", e, 1, 0)
 	e.Run()
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("pending after run = %d, want 0", got)
-	}
-	_ = b
+	check("detached after Run", e, 0, 0)
 }

@@ -89,12 +89,17 @@ type Engine struct {
 	// executed counts events processed; useful to detect livelock in tests.
 	executed uint64
 
-	// shared marks an engine attached to a ShardedEngine: every live-count
-	// change is mirrored into pendingAtomic so Pending() can be read from
-	// other goroutines (coordinator, monitors) without racing the shard
-	// worker. Off the sharded path the mirror is never touched, so the
-	// single-engine hot path pays one predicted-not-taken branch.
-	shared        bool
+	// pendingAtomic publishes live for an engine attached to a
+	// ShardedEngine, whose Pending other goroutines (progress monitors)
+	// read mid-run. mirror is set while the engine is at rest: a
+	// control-context call that schedules onto it (a fault after
+	// SyncShards, the owner between runs) stores each change as it
+	// happens. While the epoch loop advances the engine mirror is off — a
+	// per-event atomic store is a full barrier on amd64 — and the
+	// ShardedEngine publishes the count once the advance ends. A detached
+	// engine never sets mirror, so its hot path pays one
+	// predicted-not-taken branch.
+	mirror        bool
 	pendingAtomic atomic.Int64
 }
 
@@ -136,8 +141,8 @@ func (t Timer) Stop() bool {
 	t.ev.fn = nil
 	t.ev.arg = nil // free the reference now; the shell stays queued
 	t.e.live--
-	if t.e.shared {
-		t.e.pendingAtomic.Store(int64(t.e.live))
+	if t.e.mirror {
+		t.e.publish()
 	}
 	t.e.dead++
 	t.e.maybeCompact()
@@ -210,8 +215,8 @@ func (e *Engine) AtArgSeq(at Time, seq uint64, fn func(any), arg any) Timer {
 	e.heap = append(e.heap, ev)
 	e.siftUp(len(e.heap) - 1)
 	e.live++
-	if e.shared {
-		e.pendingAtomic.Store(int64(e.live))
+	if e.mirror {
+		e.publish()
 	}
 	return Timer{e: e, ev: ev, gen: ev.gen}
 }
@@ -326,8 +331,8 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.live--
-		if e.shared {
-			e.pendingAtomic.Store(int64(e.live))
+		if e.mirror {
+			e.publish()
 		}
 		e.now = ev.at
 		e.executed++
@@ -377,22 +382,23 @@ func (e *Engine) RunUntil(deadline Time) {
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 
 // Pending returns the number of live queued events. It is O(1): the engine
-// maintains the count across push/pop/cancel. On an engine attached to a
-// ShardedEngine the count is read from an atomic mirror, so callers on
-// other goroutines (progress monitors, the coordinator) never race the
-// shard worker.
-func (e *Engine) Pending() int {
-	if e.shared {
-		return int(e.pendingAtomic.Load())
-	}
-	return e.live
-}
+// maintains the count across push/pop/cancel. It is exact for the engine's
+// owner; other goroutines read ShardedEngine.Pending, which sums the
+// published counts.
+func (e *Engine) Pending() int { return e.live }
 
-// markShared switches Pending() to the atomic mirror; called when the
-// engine is attached to a ShardedEngine.
+// publish stores the live count where ShardedEngine.Pending reads it.
+func (e *Engine) publish() { e.pendingAtomic.Store(int64(e.live)) }
+
+// published returns the last published live count; safe from any
+// goroutine.
+func (e *Engine) published() int { return int(e.pendingAtomic.Load()) }
+
+// markShared attaches the engine to a ShardedEngine: it publishes its
+// count now and, at rest, on every change.
 func (e *Engine) markShared() {
-	e.shared = true
-	e.pendingAtomic.Store(int64(e.live))
+	e.mirror = true
+	e.publish()
 }
 
 // NextEventTime returns the timestamp of the earliest live pending event.

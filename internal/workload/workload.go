@@ -152,6 +152,19 @@ func (s *Source) Start(engine *sim.Engine) error {
 // Stop halts the source.
 func (s *Source) Stop() { s.stopped = true }
 
+// sourcePoll and sourceArrival are the engine callbacks of a Source, which
+// rides as their argument: scheduling one allocates nothing.
+func sourcePoll(arg any) { arg.(*Source).scheduleNext() }
+
+func sourceArrival(arg any) {
+	s := arg.(*Source)
+	if s.stopped {
+		return
+	}
+	s.emit()
+	s.scheduleNext()
+}
+
 func (s *Source) scheduleNext() {
 	if s.stopped {
 		return
@@ -159,7 +172,7 @@ func (s *Source) scheduleNext() {
 	rate := s.Rate(s.engine.Now())
 	if rate <= 0 {
 		// Idle: poll again shortly (1ms) for the rate to come back.
-		s.engine.After(sim.Millisecond, s.scheduleNext)
+		s.engine.AfterArg(sim.Millisecond, sourcePoll, s)
 		return
 	}
 	mean := sim.Duration(float64(sim.Second) / rate)
@@ -172,13 +185,7 @@ func (s *Source) scheduleNext() {
 	if gap < 1 {
 		gap = 1
 	}
-	s.engine.After(gap, func() {
-		if s.stopped {
-			return
-		}
-		s.emit()
-		s.scheduleNext()
-	})
+	s.engine.AfterArg(gap, sourceArrival, s)
 }
 
 func (s *Source) emit() {

@@ -226,3 +226,36 @@ func TestSourcePacketSizeDefault(t *testing.T) {
 		t.Fatalf("default packet size = %d", size)
 	}
 }
+
+// A running Source allocates nothing per packet or per idle poll: its
+// arrival and poll events carry the Source itself as their argument.
+func TestSourceDoesNotAllocate(t *testing.T) {
+	e := sim.NewEngine()
+	n := 0
+	// 1 Mpps for the first half of every 4 ms, idle (polled) for the rest.
+	rate := func(now sim.Time) float64 {
+		if sim.Duration(now)%(4*sim.Millisecond) < 2*sim.Millisecond {
+			return 1e6
+		}
+		return 0
+	}
+	src := &Source{
+		Flows:        GenerateFlows(100, 10, 1),
+		Rate:         rate,
+		ZipfExponent: 1.1,
+		Seed:         5,
+		Sink:         func(Flow, int) { n++ },
+	}
+	if err := src.Start(e); err != nil {
+		t.Fatal(err)
+	}
+	e.RunFor(8 * sim.Millisecond) // warm the engine's event pool
+	before := n
+	allocs := testing.AllocsPerRun(20, func() { e.RunFor(4 * sim.Millisecond) })
+	if n-before < 20*1000 {
+		t.Fatalf("generated %d packets in 20 busy phases, want at least 20 000", n-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("a running Source allocates %v per 4 ms (about 2 000 packets and a poll), want 0", allocs)
+	}
+}

@@ -116,6 +116,10 @@ gameday: build
 #                evictions, stress holds and clamps, Flush and PSN wrap must
 #                give the same emissions and counters (committed seeds run in
 #                `go test`; the grow-* ones cross every ring doubling).
+#                Every *-fuzz row prints its last "execs: … new interesting: …"
+#                line, and minimises a new input for at most 10 runs
+#                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of
+#                minimising the first new input used up the whole -fuzztime.
 #   regionscale-30s  the 1000-node drill (three executions: the run, shards 1
 #                and 4) inside 30 s — fleet set-up must follow the distinct
 #                state, not the member count (it took 78 s when every member
@@ -145,6 +149,8 @@ check: build
 	shardinv() { for f in scenarios/*.yaml; do case $$f in */regionscale.yaml) continue;; esac; \
 		workers 1 $$f; workers 3 $$f; cmp -s $$tmp/shards1 $$tmp/shards3 || return 1; done; }; \
 	examples() { for d in examples/*/; do $(GO) build -o $$tmp/example ./$$d && timeout 60 $$tmp/example || return 1; done; }; \
+	fuzz() { $(GO) test -run '^\$$' -fuzz $$1 -fuzztime 10s -fuzzminimizetime 10x $$2 > $$tmp/fuzz.log 2>&1; frc=$$?; \
+		grep 'execs:' $$tmp/fuzz.log | tail -1 > $$tmp/fuzzline; return $$frc; }; \
 	for row in \
 		"reconcile-plan|$$asim reconcile -plan scenarios/reconcile-canary.yaml" \
 		"series-base|$$asim run -series-out $$tmp/a $$conv" \
@@ -154,13 +160,13 @@ check: build
 		"shard-invariance|shardinv" \
 		"artefacts|artefacts" \
 		"bench-smoke|$(GO) test -run '^\$$' -bench . -benchtime 1x ./internal/packet ./internal/flowtable" \
-		"cachesim-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCacheMatchesReferenceLRU -fuzztime 10s ./internal/cachesim" \
-		"spec-fuzz|$(GO) test -run '^\$$' -fuzz FuzzLoadSpec -fuzztime 10s ./internal/scenario" \
-		"bgp-fuzz|$(GO) test -run '^\$$' -fuzz FuzzDecodeMessages -fuzztime 10s ./internal/bgp" \
-		"hist-fuzz|$(GO) test -run '^\$$' -fuzz FuzzHistogramMatchesDense -fuzztime 10s ./internal/stats" \
-		"cpu-fuzz|$(GO) test -run '^\$$' -fuzz FuzzCoreMatchesReference -fuzztime 10s ./internal/cpu" \
-		"lpm-fuzz|$(GO) test -run '^\$$' -fuzz FuzzTrieMatchesReference -fuzztime 10s ./internal/lpm" \
-		"plb-fuzz|$(GO) test -run '^\$$' -fuzz FuzzPLBRingsMatchFullDepth -fuzztime 10s ./internal/plb" \
+		"cachesim-fuzz|fuzz FuzzCacheMatchesReferenceLRU ./internal/cachesim" \
+		"spec-fuzz|fuzz FuzzLoadSpec ./internal/scenario" \
+		"bgp-fuzz|fuzz FuzzDecodeMessages ./internal/bgp" \
+		"hist-fuzz|fuzz FuzzHistogramMatchesDense ./internal/stats" \
+		"cpu-fuzz|fuzz FuzzCoreMatchesReference ./internal/cpu" \
+		"lpm-fuzz|fuzz FuzzTrieMatchesReference ./internal/lpm" \
+		"plb-fuzz|fuzz FuzzPLBRingsMatchFullDepth ./internal/plb" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \
@@ -168,6 +174,7 @@ check: build
 		name=$${row%%|*}; cmd=$${row#*|}; \
 		if eval "$$cmd" >/dev/null 2>&1; then echo "check: $$name ok"; \
 		else echo "check: $$name FAILED: $$cmd"; rc=1; fi; \
+		if [ -s $$tmp/fuzzline ]; then sed 's/^/  /' $$tmp/fuzzline; rm -f $$tmp/fuzzline; fi; \
 	done; \
 	rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "check: gate failed"; exit 1; fi; \

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"albatross/internal/core"
+	"albatross/internal/metrics"
 	"albatross/internal/workload"
 	"albatross/internal/workload/trace"
 )
@@ -61,10 +61,12 @@ func (c *Cluster) Outcome() string {
 			id, agg.latP50, agg.latP99, agg.latP999)
 	}
 
-	prom := c.Metrics().Prometheus()
-	sum := fnv.New64a()
-	sum.Write([]byte(prom))
-	fmt.Fprintf(&b, "metrics/fnv64a | %#016x bytes=%d\n", sum.Sum64(), len(prom))
+	// The export is streamed into the hash: a fleet's Prometheus text is
+	// megabytes that nothing else reads.
+	reg := metrics.New()
+	c.RegisterMetrics(reg)
+	msum, mn := reg.Checksum()
+	fmt.Fprintf(&b, "metrics/fnv64a | %#016x bytes=%d\n", msum, mn)
 	// With sampling enabled, fingerprint the timeline CSV too: the
 	// byte_identity/replay_identity assertions compare Outcome strings, so
 	// this one line extends their coverage to the full series export.

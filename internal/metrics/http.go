@@ -38,7 +38,7 @@ func readOnly(contentType string, body func(w http.ResponseWriter)) http.Handler
 // a live registry, or a closure over a frozen post-run snapshot.
 func Handler(snap func() *Snapshot) http.Handler {
 	return readOnly(PrometheusContentType, func(w http.ResponseWriter) {
-		w.Write([]byte(snap().Prometheus()))
+		snap().writePrometheus(w)
 	})
 }
 

@@ -17,8 +17,8 @@ package metrics
 
 import (
 	"fmt"
-	"regexp"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"albatross/internal/stats"
@@ -66,7 +66,21 @@ type Label struct {
 // L is shorthand for building a label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+// validName reports whether s matches [a-zA-Z_:][a-zA-Z0-9_:]*, the
+// exposition syntax of metric names and label keys.
+func validName(s string) bool {
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		letter := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c == ':'
+		if !letter && (i == 0 || c < '0' || c > '9') {
+			return false
+		}
+	}
+	return true
+}
 
 // series is one registered time series.
 type series struct {
@@ -95,46 +109,38 @@ type family struct {
 // label sets — these are programming errors, caught at wiring time.
 type Registry struct {
 	families map[string]*family
+	scratch  []byte // signature buffer, reused across registrations
 }
 
 // New creates an empty registry.
 func New() *Registry { return &Registry{families: make(map[string]*family)} }
 
-// signature renders labels canonically (sorted by key) for ordering.
-func signature(labels []Label) string {
+// signature renders sorted labels canonically, key="value" pairs joined by
+// commas, for ordering and the duplicate check.
+func (r *Registry) signature(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	var b strings.Builder
+	b := r.scratch[:0]
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return b.String()
-}
-
-// sortLabels returns a sorted copy of the label set.
-func sortLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	r.scratch = b
+	return string(b)
 }
 
 func (r *Registry) register(name, help string, kind Kind, s *series) {
-	if !nameRe.MatchString(name) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
-	}
-	for _, l := range s.labels {
-		if !nameRe.MatchString(l.Key) {
-			panic(fmt.Sprintf("metrics: invalid label key %q on %q", l.Key, name))
-		}
-	}
-	s.labels = sortLabels(s.labels)
-	s.sig = signature(s.labels)
 	f := r.families[name]
 	if f == nil {
+		// A family's name is checked once, when its first series arrives.
+		if !validName(name) {
+			panic(fmt.Sprintf("metrics: invalid metric name %q", name))
+		}
 		f = &family{name: name, help: help, kind: kind, sigs: make(map[string]struct{})}
 		r.families[name] = f
 	} else {
@@ -145,11 +151,32 @@ func (r *Registry) register(name, help string, kind Kind, s *series) {
 			panic(fmt.Sprintf("metrics: %q registered with conflicting help", name))
 		}
 	}
+	for _, l := range s.labels {
+		if !validName(l.Key) {
+			panic(fmt.Sprintf("metrics: invalid label key %q on %q", l.Key, name))
+		}
+	}
+	s.labels = append([]Label(nil), s.labels...)
+	slices.SortStableFunc(s.labels, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	s.sig = r.signature(s.labels)
 	if _, dup := f.sigs[s.sig]; dup {
 		panic(fmt.Sprintf("metrics: duplicate series %s{%s}", name, s.sig))
 	}
 	f.sigs[s.sig] = struct{}{}
 	f.series = append(f.series, s)
+}
+
+// ordered returns the families sorted by name, each with its series sorted
+// by label signature: the one export order of Snapshot, WritePrometheus and
+// NewTimeline.
+func (r *Registry) ordered() []*family {
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+		slices.SortFunc(f.series, func(a, b *series) int { return strings.Compare(a.sig, b.sig) })
+	}
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	return fams
 }
 
 // Counter registers a monotonically increasing series read from fn.

@@ -62,6 +62,8 @@ func TestRegistryPanicsOnAbuse(t *testing.T) {
 	}
 	c := func() uint64 { return 0 }
 	expectPanic("invalid name", func() { New().Counter("bad name!", "", c) })
+	expectPanic("name starting with a digit", func() { New().Counter("1m", "", c) })
+	expectPanic("empty name", func() { New().Counter("", "", c) })
 	expectPanic("invalid label key", func() { New().Counter("ok", "", c, L("bad key", "v")) })
 	expectPanic("nil counter fn", func() { New().Counter("ok", "", nil) })
 	expectPanic("nil histogram", func() { New().Histogram("ok", "", nil) })
@@ -205,8 +207,8 @@ func TestPromLabelsEscaping(t *testing.T) {
 		{"extra-escaped", nil, "q", "v\"w", `{q="v\"w"}`},
 	}
 	for _, tc := range cases {
-		if got := promLabels(tc.labels, tc.extraK, tc.extraV); got != tc.want {
-			t.Errorf("%s: promLabels = %s, want %s", tc.name, got, tc.want)
+		if got := string(appendLabels(nil, tc.labels, tc.extraK, tc.extraV)); got != tc.want {
+			t.Errorf("%s: appendLabels = %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

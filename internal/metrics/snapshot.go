@@ -2,15 +2,14 @@ package metrics
 
 import (
 	"encoding/json"
-	"sort"
+	"hash"
+	"hash/fnv"
+	"io"
 	"strconv"
 	"strings"
 
 	"albatross/internal/stats"
 )
-
-// quantiles exported for every histogram series.
-var quantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
 // HistValue is a histogram series' exported summary.
 type HistValue struct {
@@ -34,26 +33,11 @@ func histValue(h *stats.Histogram) HistValue {
 	}
 }
 
-func (v HistValue) quantile(q float64) int64 {
-	switch q {
-	case 0.5:
-		return v.P50
-	case 0.9:
-		return v.P90
-	case 0.99:
-		return v.P99
-	default:
-		return v.P999
-	}
-}
-
 // SeriesValue is one series' frozen state.
 type SeriesValue struct {
 	Labels []Label    `json:"labels,omitempty"`
 	Value  float64    `json:"value,omitempty"`
 	Hist   *HistValue `json:"hist,omitempty"`
-
-	sig string
 }
 
 // FamilyValue is one metric family's frozen state.
@@ -73,18 +57,13 @@ type Snapshot struct {
 // copy. Reading is cheap (counters and gauges are closure calls; histogram
 // quantiles scan buckets) and never mutates simulator state.
 func (r *Registry) Snapshot() *Snapshot {
-	snap := &Snapshot{Families: make([]FamilyValue, 0, len(r.families))}
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := r.families[name]
+	fams := r.ordered()
+	snap := &Snapshot{Families: make([]FamilyValue, 0, len(fams))}
+	for _, f := range fams {
 		fv := FamilyValue{Name: f.name, Help: f.help, Kind: f.kind.String(),
 			Series: make([]SeriesValue, 0, len(f.series))}
 		for _, s := range f.series {
-			sv := SeriesValue{Labels: s.labels, sig: s.sig}
+			sv := SeriesValue{Labels: s.labels}
 			switch f.kind {
 			case KindCounter:
 				sv.Value = float64(s.counter())
@@ -96,92 +75,157 @@ func (r *Registry) Snapshot() *Snapshot {
 			}
 			fv.Series = append(fv.Series, sv)
 		}
-		sort.Slice(fv.Series, func(i, j int) bool { return fv.Series[i].sig < fv.Series[j].sig })
 		snap.Families = append(snap.Families, fv)
 	}
 	return snap
 }
 
-// formatFloat renders a float the same way on every platform.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendFloat renders a float the same way on every platform.
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
-// promLabels renders a sorted label set (plus an optional extra pair) in
-// exposition syntax: {a="x",b="y"} or the empty string.
-func promLabels(labels []Label, extraKey, extraVal string) string {
+// appendLabels renders a sorted label set (plus an optional extra pair) in
+// exposition syntax: {a="x",b="y"}, or nothing.
+func appendLabels(b []byte, labels []Label, extraKey, extraVal string) []byte {
 	if len(labels) == 0 && extraKey == "" {
-		return ""
+		return b
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
 	if extraKey != "" {
 		if len(labels) > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(extraKey)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(extraVal))
+		b = append(b, extraKey...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, extraVal)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
+}
+
+// promWriter is the one Prometheus text renderer. It writes each line to w
+// as soon as it is built, through one reused buffer, so an export costs
+// its longest line, not the document. Histograms export as summaries:
+// precomputed quantiles plus _sum/_count. The first write error sticks.
+type promWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (p *promWriter) line() {
+	p.buf = append(p.buf, '\n')
+	if p.err == nil {
+		_, p.err = p.w.Write(p.buf)
+	}
+	p.buf = p.buf[:0]
+}
+
+// family writes a family's HELP and TYPE lines; typ is the exposition
+// type (a histogram's is summary).
+func (p *promWriter) family(name, help, typ string) {
+	p.buf = append(append(append(append(p.buf, "# HELP "...), name...), ' '), help...)
+	p.line()
+	p.buf = append(append(append(append(p.buf, "# TYPE "...), name...), ' '), typ...)
+	p.line()
+}
+
+func (p *promWriter) value(name string, labels []Label, v float64) {
+	p.buf = appendLabels(append(p.buf, name...), labels, "", "")
+	p.buf = appendFloat(append(p.buf, ' '), v)
+	p.line()
+}
+
+func (p *promWriter) hist(name string, labels []Label, h *HistValue) {
+	for _, q := range [...]struct {
+		label string
+		v     int64
+	}{{"0.5", h.P50}, {"0.9", h.P90}, {"0.99", h.P99}, {"0.999", h.P999}} {
+		p.buf = appendLabels(append(p.buf, name...), labels, "quantile", q.label)
+		p.buf = strconv.AppendInt(append(p.buf, ' '), q.v, 10)
+		p.line()
+	}
+	p.buf = appendLabels(append(append(p.buf, name...), "_sum"...), labels, "", "")
+	p.buf = strconv.AppendInt(append(p.buf, ' '), h.Sum, 10)
+	p.line()
+	p.buf = appendLabels(append(append(p.buf, name...), "_count"...), labels, "", "")
+	p.buf = strconv.AppendUint(append(p.buf, ' '), h.Count, 10)
+	p.line()
+}
+
+// WritePrometheus streams the registry's Prometheus text exposition to w,
+// reading every series as it goes: no snapshot and no whole-document
+// string are built. The bytes equal Snapshot().Prometheus().
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	p := promWriter{w: w}
+	for _, f := range r.ordered() {
+		p.family(f.name, f.help, f.kind.promKind())
+		for _, s := range f.series {
+			switch f.kind {
+			case KindCounter:
+				p.value(f.name, s.labels, float64(s.counter()))
+			case KindGauge:
+				p.value(f.name, s.labels, s.gauge())
+			case KindHistogram:
+				h := histValue(s.hist)
+				p.hist(f.name, s.labels, &h)
+			}
+		}
+	}
+	return p.err
+}
+
+// Checksum returns the FNV-64a hash and length of the Prometheus export,
+// streamed: the metrics fingerprint embedded in Cluster.Outcome().
+func (r *Registry) Checksum() (uint64, int) {
+	d := digest{h: fnv.New64a()}
+	r.WritePrometheus(&d)
+	return d.h.Sum64(), d.n
+}
+
+// digest is an io.Writer that FNV-64a hashes and counts what it is given.
+// Its Write never fails (a hash.Hash never returns an error), so the
+// checksums ignore the writers' error results.
+type digest struct {
+	h hash.Hash64
+	n int
+}
+
+func (d *digest) Write(b []byte) (int, error) {
+	d.n += len(b)
+	return d.h.Write(b)
+}
+
+// writePrometheus renders the frozen snapshot through the same renderer.
+func (s *Snapshot) writePrometheus(w io.Writer) error {
+	p := promWriter{w: w}
+	for _, f := range s.Families {
+		typ := f.Kind
+		if typ == KindHistogram.String() {
+			typ = KindHistogram.promKind()
+		}
+		p.family(f.Name, f.Help, typ)
+		for _, sv := range f.Series {
+			if sv.Hist == nil {
+				p.value(f.Name, sv.Labels, sv.Value)
+			} else {
+				p.hist(f.Name, sv.Labels, sv.Hist)
+			}
+		}
+	}
+	return p.err
 }
 
 // Prometheus renders the snapshot in Prometheus text exposition format.
-// Histograms export as summaries: precomputed quantiles plus _sum/_count.
 func (s *Snapshot) Prometheus() string {
 	var b strings.Builder
-	for _, f := range s.Families {
-		b.WriteString("# HELP ")
-		b.WriteString(f.Name)
-		b.WriteByte(' ')
-		b.WriteString(f.Help)
-		b.WriteByte('\n')
-		b.WriteString("# TYPE ")
-		b.WriteString(f.Name)
-		b.WriteByte(' ')
-		if f.Kind == KindHistogram.String() {
-			b.WriteString(KindHistogram.promKind())
-		} else {
-			b.WriteString(f.Kind)
-		}
-		b.WriteByte('\n')
-		for _, sv := range f.Series {
-			if sv.Hist == nil {
-				b.WriteString(f.Name)
-				b.WriteString(promLabels(sv.Labels, "", ""))
-				b.WriteByte(' ')
-				b.WriteString(formatFloat(sv.Value))
-				b.WriteByte('\n')
-				continue
-			}
-			for _, q := range quantiles {
-				b.WriteString(f.Name)
-				b.WriteString(promLabels(sv.Labels, "quantile", formatFloat(q)))
-				b.WriteByte(' ')
-				b.WriteString(strconv.FormatInt(sv.Hist.quantile(q), 10))
-				b.WriteByte('\n')
-			}
-			b.WriteString(f.Name)
-			b.WriteString("_sum")
-			b.WriteString(promLabels(sv.Labels, "", ""))
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatInt(sv.Hist.Sum, 10))
-			b.WriteByte('\n')
-			b.WriteString(f.Name)
-			b.WriteString("_count")
-			b.WriteString(promLabels(sv.Labels, "", ""))
-			b.WriteByte(' ')
-			b.WriteString(strconv.FormatUint(sv.Hist.Count, 10))
-			b.WriteByte('\n')
-		}
-	}
+	s.writePrometheus(&b)
 	return b.String()
 }
 

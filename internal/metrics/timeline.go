@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"io"
 	"strings"
 
 	"albatross/internal/sim"
@@ -122,19 +122,11 @@ func NewTimeline(reg *Registry, every sim.Duration) *Timeline {
 		panic(fmt.Sprintf("metrics: timeline period %d must be positive", every))
 	}
 	tl := &Timeline{every: every, byKey: make(map[string]*column)}
-	names := make([]string, 0, len(reg.families))
-	for name := range reg.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := reg.families[name]
-		ordered := append([]*series(nil), f.series...)
-		sort.Slice(ordered, func(i, j int) bool { return ordered[i].sig < ordered[j].sig })
-		for _, s := range ordered {
-			key := name
+	for _, f := range reg.ordered() {
+		for _, s := range f.series {
+			key := f.name
 			if s.sig != "" {
-				key = name + "{" + s.sig + "}"
+				key = f.name + "{" + s.sig + "}"
 			}
 			switch f.kind {
 			case KindCounter:
@@ -265,21 +257,34 @@ func csvQuote(s string) string {
 // same platform-stable float formatting as the other exporters.
 func (tl *Timeline) CSV() string {
 	var b strings.Builder
-	b.WriteString("t_ms")
-	for _, c := range tl.cols {
-		b.WriteByte(',')
-		b.WriteString(csvQuote(c.key))
-	}
-	b.WriteByte('\n')
-	for i, t := range tl.ticks {
-		b.WriteString(formatFloat(float64(t) / 1e6))
-		for _, c := range tl.cols {
-			b.WriteByte(',')
-			b.WriteString(formatFloat(c.vals[i]))
-		}
-		b.WriteByte('\n')
-	}
+	tl.writeCSV(&b)
 	return b.String()
+}
+
+// writeCSV streams the CSV export to w one row at a time, through one
+// reused buffer. The first write error sticks.
+func (tl *Timeline) writeCSV(w io.Writer) error {
+	var err error
+	b := []byte("t_ms")
+	row := func() {
+		b = append(b, '\n')
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		b = b[:0]
+	}
+	for _, c := range tl.cols {
+		b = append(append(b, ','), csvQuote(c.key)...)
+	}
+	row()
+	for i, t := range tl.ticks {
+		b = appendFloat(b, float64(t)/1e6)
+		for _, c := range tl.cols {
+			b = appendFloat(append(b, ','), c.vals[i])
+		}
+		row()
+	}
+	return err
 }
 
 // timelineJSON is the JSON export shape.
@@ -315,12 +320,12 @@ func (tl *Timeline) JSON() ([]byte, error) {
 	return json.MarshalIndent(out, "", "  ")
 }
 
-// Checksum returns the FNV-1a hash and length of the CSV export — the
-// series identity fingerprint embedded in Cluster.Outcome(), which the
-// byte_identity and replay_identity assertions compare across runs.
+// Checksum returns the FNV-64a hash and length of the CSV export, streamed
+// row by row into the hash — the series identity fingerprint embedded in
+// Cluster.Outcome(), which the byte_identity and replay_identity
+// assertions compare across runs.
 func (tl *Timeline) Checksum() (uint64, int) {
-	csv := tl.CSV()
-	h := fnv.New64a()
-	h.Write([]byte(csv))
-	return h.Sum64(), len(csv)
+	d := digest{h: fnv.New64a()}
+	tl.writeCSV(&d)
+	return d.h.Sum64(), d.n
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -160,6 +161,12 @@ func TestTimelineCSVAndJSON(t *testing.T) {
 	sum2, n2 := tl.Checksum()
 	if sum1 != sum2 || n1 != n2 || n1 != len(csv) {
 		t.Fatalf("Checksum not stable: (%x,%d) vs (%x,%d), csv len %d", sum1, n1, sum2, n2, len(csv))
+	}
+	// The checksum is streamed: it must still be the FNV-64a of the CSV text.
+	want := fnv.New64a()
+	want.Write([]byte(csv))
+	if sum1 != want.Sum64() {
+		t.Fatalf("Checksum %#x, want the CSV's FNV-64a %#x", sum1, want.Sum64())
 	}
 }
 

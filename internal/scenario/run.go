@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/gop"
+	"albatross/internal/metrics"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
 	"albatross/internal/workload"
@@ -528,15 +530,33 @@ func (s *Scenario) renderReport(st *runState, res *Result) string {
 	return b.String()
 }
 
+// writePrometheus streams reg's Prometheus export into the file at path.
+func writePrometheus(path string, reg *metrics.Registry) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	err = reg.WritePrometheus(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // writeArtifacts writes the configured observability outputs.
 func (s *Scenario) writeArtifacts(st *runState) error {
 	o := &s.Observability
 	if o.MetricsOut != "" {
-		snap := st.cl.Metrics()
-		if err := os.WriteFile(o.MetricsOut+".prom", []byte(snap.Prometheus()), 0o644); err != nil {
+		reg := metrics.New()
+		st.cl.RegisterMetrics(reg)
+		if err := writePrometheus(o.MetricsOut+".prom", reg); err != nil {
 			return err
 		}
-		j, err := snap.JSON()
+		j, err := reg.Snapshot().JSON()
 		if err != nil {
 			return err
 		}

@@ -17,24 +17,25 @@ import (
 // in most Albatross experiments) with bounded relative error.
 //
 // The 64 magnitude rows of 1<<subBits counters each are allocated on first
-// touch: row indexes a compact buckets slice that holds only the rows some
-// value has landed in, in the order they were first touched. A latency
-// histogram therefore costs a few rows, not the 64 that cover all of int64.
-// Rows are only ever appended, so an earlier BucketSnapshot is a prefix of
-// the current layout.
+// touch: a compact buckets slice holds only the rows some value has landed
+// in, in the order they were first touched, with its capacity rounded up to
+// a power of two of rows (addRow). A latency histogram therefore costs a
+// few rows, not the 64 that cover all of int64. Rows are only ever
+// appended, so an earlier BucketSnapshot is a prefix of the current layout.
 type Histogram struct {
-	subBits uint // sub-buckets per magnitude = 1<<subBits
-	// row[r] is 1 + the index in buckets of magnitude row r's first
-	// counter, or 0 while no value has landed in that row. Row 0 (values
-	// below 1<<subBits) is allocated by NewHistogram, so row[0] == 1
-	// always. An index rather than a row position keeps a shift off the
-	// recording path.
-	row     [64]int32
+	// The fields Record writes come first; with the one-byte row table the
+	// header is 128 bytes, two cache lines.
 	buckets []uint64
 	count   uint64
 	sum     int64
 	min     int64
 	max     int64
+	subBits uint // sub-buckets per magnitude = 1<<subBits
+	// row[r] is 1 + the ordinal in buckets of magnitude row r (its counters
+	// start at buckets[(row[r]-1)<<subBits]), or 0 while no value has
+	// landed in that row. Row 0 (values below 1<<subBits) is allocated by
+	// NewHistogram, so row[0] == 1 always.
+	row [64]uint8
 }
 
 // NewHistogram returns a histogram with 1<<subBits linear sub-buckets per
@@ -84,28 +85,24 @@ func (h *Histogram) lowerBound(i int) int64 {
 	return (int64(sub) + int64(subIdx)) << uint(mag)
 }
 
-// reservedRows is the room addRow makes when buckets first outgrows row
-// 0. A latency distribution spans a handful of magnitudes (at most 7 rows
-// in any of a pod's histograms under load), so the rows it touches after
-// its first do not allocate on the packet path.
-const reservedRows = 8
-
 // addRow appends magnitude row r's counters to buckets and returns its
-// row entry. It stays out of line so that Record's common path, a touched
-// row, carries no growth code.
+// row entry. Capacity doubles when the rows fill it, so cap(buckets) is
+// the touched rows rounded up to a power of two, times the row width: a
+// histogram holds at most twice the rows it touched, and the copies it
+// left behind add up to less than it holds. It stays out of line so that
+// Record's common path, a touched row, carries no growth code.
 //
 //go:noinline
-func (h *Histogram) addRow(r int) int32 {
-	start := len(h.buckets)
-	n := start + 1<<h.subBits
-	if n > cap(h.buckets) {
-		grown := make([]uint64, start, max(2*start, reservedRows<<h.subBits))
+func (h *Histogram) addRow(r int) uint8 {
+	n := len(h.buckets)
+	if n == cap(h.buckets) {
+		grown := make([]uint64, n, 2*n)
 		copy(grown, h.buckets)
 		h.buckets = grown
 	}
 	// Capacity past len has never been written: rows are never removed.
-	h.buckets = h.buckets[:n]
-	h.row[r] = int32(start + 1)
+	h.buckets = h.buckets[:n+1<<h.subBits]
+	h.row[r] = uint8(n>>h.subBits + 1)
 	return h.row[r]
 }
 
@@ -116,7 +113,7 @@ func (h *Histogram) rowCounts(r int) []uint64 {
 	if p == 0 {
 		return nil
 	}
-	return h.buckets[p-1 : p-1+1<<h.subBits]
+	return h.buckets[(p-1)<<h.subBits : p<<h.subBits]
 }
 
 // Record adds a value to the histogram. Negative values clamp to zero.
@@ -136,7 +133,7 @@ func (h *Histogram) Record(v int64) {
 	if p == 0 {
 		p = h.addRow(r)
 	}
-	h.buckets[int(p)-1+int(s)]++
+	h.buckets[(int(p)-1)<<sb+int(s)]++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -183,7 +180,7 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if p == 0 {
 		p = h.addRow(r)
 	}
-	h.buckets[int(p)-1+int(s)] += n
+	h.buckets[(int(p)-1)<<sb+int(s)] += n
 	h.count += n
 	h.sum += v * int64(n)
 	if v < h.min {
@@ -353,7 +350,7 @@ func (h *Histogram) DeltaQuantile(q float64, prev []uint64) int64 {
 		if p == 0 {
 			continue
 		}
-		base := int(p - 1)
+		base := (int(p) - 1) << h.subBits
 		for s := 0; s < 1<<h.subBits; s++ {
 			cum += h.delta(base+s, prev)
 			if cum >= target {

@@ -116,6 +116,12 @@ gameday: build
 #                evictions, stress holds and clamps, Flush and PSN wrap must
 #                give the same emissions and counters (committed seeds run in
 #                `go test`; the grow-* ones cross every ring doubling).
+#   index-fuzz   ten seconds of native fuzzing of the exact-match index's
+#                8-byte (hash, ordinal+1) slots over a dense key array against
+#                the 32-byte key-carrying slots they replace: ordinals, Len and
+#                hit/miss per operation and the slot arrays slot for slot, under
+#                the real hash and three colliding ones, across every doubling
+#                (committed seeds run in `go test`).
 #                Every *-fuzz row prints its last "execs: … new interesting: …"
 #                line, and minimises a new input for at most 10 runs
 #                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of
@@ -167,6 +173,7 @@ check: build
 		"cpu-fuzz|fuzz FuzzCoreMatchesReference ./internal/cpu" \
 		"lpm-fuzz|fuzz FuzzTrieMatchesReference ./internal/lpm" \
 		"plb-fuzz|fuzz FuzzPLBRingsMatchFullDepth ./internal/plb" \
+		"index-fuzz|fuzz FuzzIndexMatchesReference ./internal/flowtable" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \

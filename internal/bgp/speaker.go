@@ -104,11 +104,14 @@ func NewSpeaker(conn net.Conn, cfg SpeakerConfig) *Speaker {
 		cfg.NextHop = packet.IPv4FromUint32(0x0a000000 | cfg.RouterID&0xffffff)
 	}
 	// In-memory transports carry a handful of small control messages per
-	// session; at cluster scale (four speakers per member, thousands of
-	// members) a 64 KB reader per speaker is pure waste.
+	// session — in the committed drills none longer than 48 bytes, never
+	// more than 29 bytes buffered — and at cluster scale (four speakers per
+	// member, thousands of members) a large reader per speaker is pure
+	// waste. 512 bytes holds ten such messages; a longer one (up to the 4 KB
+	// limit) is read through it by io.ReadFull.
 	bufSize := 1 << 16
 	if _, ok := conn.(*MemConn); ok {
-		bufSize = 1 << 12
+		bufSize = 512
 	}
 	return &Speaker{
 		cfg:   cfg,

@@ -296,3 +296,42 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatalf("switch peers = %d", sw.PeerCount())
 	}
 }
+
+// TestPumpReadsPastItsReader: an in-memory speaker's reader is 512 bytes, but
+// Pump still drains an UPDATE several times that long, and the small
+// messages around it, without blocking, and stops when the transport and the
+// reader are both empty.
+func TestPumpReadsPastItsReader(t *testing.T) {
+	ca, cb := NewMemPipe()
+	sa := NewSpeaker(ca, SpeakerConfig{AS: 65001, RouterID: 1, Manual: true})
+	sb := NewSpeaker(cb, SpeakerConfig{AS: 65002, RouterID: 2, Manual: true})
+	errB := make(chan error, 1)
+	go func() { errB <- sb.Start() }()
+	if err := sa.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sa.Close(); sb.Close() })
+
+	many := make([]Prefix, 600) // 600 /24s: a 2.4 KB UPDATE
+	for i := range many {
+		many[i] = pfx(10, byte(i>>8), byte(i), 0, 24)
+	}
+	small := pfx(203, 0, 113, 0, 24)
+	for _, ps := range [][]Prefix{{small}, many, {small}} {
+		if err := sa.Announce(ps, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sb.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.AdjIn().Len(); got != len(many)+1 {
+		t.Fatalf("adj-rib-in holds %d routes, want %d", got, len(many)+1)
+	}
+	if n := sb.br.Buffered(); n != 0 || cb.ReadAvailable() != 0 {
+		t.Fatalf("Pump left %d bytes buffered and %d on the transport", n, cb.ReadAvailable())
+	}
+}

@@ -179,7 +179,8 @@ type Cluster struct {
 
 // podTemplate is one AddPod call: the config and the tables built from its
 // flows, which every member's copy of the pod adopts — a homogeneous rack
-// holds one set of tenant tables, however many members serve it.
+// holds one set of tenant tables, however many members serve it. The config
+// keeps no flow list: the tables are all that members added later need.
 type podTemplate struct {
 	cfg    core.PodConfig
 	tables *service.Tables
@@ -296,6 +297,7 @@ func (c *Cluster) AddNode() (int, error) {
 // not the member count.
 func (c *Cluster) AddPod(cfg core.PodConfig) error {
 	t := podTemplate{cfg: cfg, tables: service.BuildTables(cfg.Flows)}
+	t.cfg.Flows = nil
 	for _, m := range c.members {
 		if _, err := m.Node.AddPodWithTables(t.cfg, t.tables); err != nil {
 			return fmt.Errorf("cluster: node %d: %w", m.Index, err)

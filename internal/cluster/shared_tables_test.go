@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"weak"
 
 	"albatross/internal/cachesim"
 	"albatross/internal/core"
@@ -250,4 +251,34 @@ func TestRingRebuildsOncePerBatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAddPodKeepsNoFlowList: Cluster.AddPod builds the template's tables
+// once and keeps no reference to the caller's flow slice, neither in the
+// template members added later deploy from nor in any member's pod.
+func TestAddPodKeepsNoFlowList(t *testing.T) {
+	c, err := New(Config{Nodes: 3, Seed: testSeed, Shards: 1,
+		Node: core.NodeConfig{Cache: cachesim.Config{SizeBytes: 1 << 20, Ways: 16, LineBytes: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows := func() weak.Pointer[service.Flow] {
+		sf := workload.ServiceFlows(workload.GenerateFlows(1000, 100, testSeed), 0)
+		if err := c.AddPod(core.PodConfig{
+			Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 2, CtrlCores: 1, Mode: pod.ModePLB},
+			Flows: sf,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(&sf[0])
+	}()
+	if _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if flows.Value() != nil {
+		t.Fatal("the cluster still holds the flow slice AddPod was given")
+	}
+	sharesTables(t, c)
+	runtime.KeepAlive(c)
 }

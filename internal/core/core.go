@@ -176,7 +176,8 @@ func (n *Node) RunFor(d sim.Duration) { n.Engine.RunFor(d) }
 // PodConfig describes a gateway pod deployment.
 type PodConfig struct {
 	Spec pod.Spec
-	// Flows the pod's tables must know (its tenant state).
+	// Flows the pod's tables must know (its tenant state). AddPod reads
+	// them into the tables and keeps no reference to the slice.
 	Flows []service.Flow
 	// QueueDepth is the per-core RX queue (default 1024 packets).
 	QueueDepth int
@@ -391,6 +392,7 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 		tables = service.BuildTables(cfg.Flows)
 	}
 	svc.Adopt(tables)
+	cfg.Flows = nil // the tables hold what the pod needs of them
 
 	pr := &PodRuntime{
 		node:        n,

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"weak"
 
 	"albatross/internal/cachesim"
 	"albatross/internal/gop"
@@ -577,4 +579,21 @@ func TestCacheModelBuiltOnFirstUse(t *testing.T) {
 	if c := n.Cache(other); c == nil || c.Hits()+c.Misses() != 0 || c.String() != fresh {
 		t.Fatalf("Cache(%d) on the unused NUMA node = %v", other, c)
 	}
+}
+
+// TestAddPodKeepsNoFlowList: once AddPod has built a pod's tables, the
+// caller's flow slice is garbage as soon as the caller drops it — the node
+// holds the tables, not the list they were built from.
+func TestAddPodKeepsNoFlowList(t *testing.T) {
+	n := smallNode(t, nil)
+	flows := func() weak.Pointer[service.Flow] {
+		_, sf := wflows(1000, 7)
+		addPod(t, n, pod.ModePLB, 2, sf, nil)
+		return weak.Make(&sf[0])
+	}()
+	runtime.GC()
+	if flows.Value() != nil {
+		t.Fatal("the node still holds the flow slice AddPod was given")
+	}
+	runtime.KeepAlive(n)
 }

@@ -25,7 +25,8 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, base ...metrics.Label) {
 		"Packets carried by the sibling proxy path during an uplink outage.",
 		func() uint64 { return n.Proxied }, base...)
 	if n.backend != nil {
-		be := with(base, "backend", n.backend.Name())
+		var beSc, sc labelScratch
+		be := beSc.with(base, "backend", n.backend.Name())
 		for _, ev := range []struct {
 			event string
 			fn    func() uint64
@@ -38,7 +39,7 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, base ...metrics.Label) {
 			{"rebuild", func() uint64 { return n.backend.Stats().Rebuilds }},
 		} {
 			reg.Counter("albatross_backend_ops_total",
-				"Flow-table backend operations, by event.", ev.fn, with(be, "event", ev.event)...)
+				"Flow-table backend operations, by event.", ev.fn, sc.with(be, "event", ev.event)...)
 		}
 	}
 	for i, pr := range n.pods {
@@ -56,12 +57,20 @@ func (n *Node) Metrics() *metrics.Snapshot {
 	return reg.Snapshot()
 }
 
-// with returns the pod's label set extended by one pair.
-func with(labels []metrics.Label, key, value string) []metrics.Label {
-	return append(append([]metrics.Label(nil), labels...), metrics.L(key, value))
+// labelScratch builds the label sets of one registration pass in one reused
+// buffer. Registry.register copies the labels it keeps, so a set need only
+// live until the registration call it is passed to returns.
+type labelScratch []metrics.Label
+
+// with returns labels extended by one pair, built in the scratch buffer;
+// labels may be the set the previous call returned.
+func (sc *labelScratch) with(labels []metrics.Label, key, value string) []metrics.Label {
+	*sc = append(append((*sc)[:0], labels...), metrics.L(key, value))
+	return *sc
 }
 
 func (pr *PodRuntime) registerMetrics(reg *metrics.Registry, labels ...metrics.Label) {
+	var sc, stageSc labelScratch
 	reg.Counter("albatross_pod_rx_packets_total", "Packets entering the pod.",
 		func() uint64 { return pr.Rx }, labels...)
 	reg.Counter("albatross_pod_tx_packets_total", "Packets completing egress.",
@@ -81,17 +90,17 @@ func (pr *PodRuntime) registerMetrics(reg *metrics.Registry, labels ...metrics.L
 		{"fault", func() uint64 { return pr.FaultLost }},
 		{"crash", func() uint64 { return pr.CrashDrops }},
 	} {
-		reg.Counter("albatross_pod_drops_total", dropHelp, d.fn, with(labels, "reason", d.reason)...)
+		reg.Counter("albatross_pod_drops_total", dropHelp, d.fn, sc.with(labels, "reason", d.reason)...)
 	}
 
 	reg.Counter("albatross_pod_priority_packets_total", "Priority-path packets, by direction.",
-		func() uint64 { return pr.PriorityRx }, with(labels, "dir", "rx")...)
+		func() uint64 { return pr.PriorityRx }, sc.with(labels, "dir", "rx")...)
 	reg.Counter("albatross_pod_priority_packets_total", "Priority-path packets, by direction.",
-		func() uint64 { return pr.PriorityTx }, with(labels, "dir", "tx")...)
+		func() uint64 { return pr.PriorityTx }, sc.with(labels, "dir", "tx")...)
 	reg.Counter("albatross_pod_pcie_bytes_total", "Bytes DMA'd across PCIe, by direction.",
-		func() uint64 { return pr.PCIeRxBytes }, with(labels, "dir", "rx")...)
+		func() uint64 { return pr.PCIeRxBytes }, sc.with(labels, "dir", "rx")...)
 	reg.Counter("albatross_pod_pcie_bytes_total", "Bytes DMA'd across PCIe, by direction.",
-		func() uint64 { return pr.PCIeTxBytes }, with(labels, "dir", "tx")...)
+		func() uint64 { return pr.PCIeTxBytes }, sc.with(labels, "dir", "tx")...)
 	reg.Counter("albatross_pod_fallbacks_total", "PLB-to-RSS mode switches.",
 		func() uint64 { return pr.Fallbacks }, labels...)
 	reg.Counter("albatross_pod_redirected_packets_total", "Packets redirected to the sibling pod.",
@@ -116,16 +125,16 @@ func (pr *PodRuntime) registerMetrics(reg *metrics.Registry, labels ...metrics.L
 
 	resid := pr.StageResidency()
 	for i, name := range StageNames() {
-		stage := with(labels, "stage", name)
+		stage := stageSc.with(labels, "stage", name)
 		reg.Histogram("albatross_stage_residency_ns",
 			"Virtual time spent inside each pipeline stage.", resid[i], stage...)
 		c := &pr.pipe.counters[i]
 		reg.Counter("albatross_stage_packets_total", "Per-stage packet flow, by event.",
-			func() uint64 { return c.In }, with(stage, "event", "in")...)
+			func() uint64 { return c.In }, sc.with(stage, "event", "in")...)
 		reg.Counter("albatross_stage_packets_total", "Per-stage packet flow, by event.",
-			func() uint64 { return c.Out }, with(stage, "event", "out")...)
+			func() uint64 { return c.Out }, sc.with(stage, "event", "out")...)
 		reg.Counter("albatross_stage_packets_total", "Per-stage packet flow, by event.",
-			func() uint64 { return c.Drops }, with(stage, "event", "drop")...)
+			func() uint64 { return c.Drops }, sc.with(stage, "event", "drop")...)
 	}
 
 	fr := pr.flight
@@ -139,7 +148,7 @@ func (pr *PodRuntime) registerMetrics(reg *metrics.Registry, labels ...metrics.L
 		{"discarded", func() uint64 { return fr.Discarded }},
 	} {
 		reg.Counter("albatross_trace_journeys_total",
-			"Flight-recorder journeys, by outcome.", tj.fn, with(labels, "event", tj.event)...)
+			"Flight-recorder journeys, by outcome.", tj.fn, sc.with(labels, "event", tj.event)...)
 	}
 
 	if pr.PLB != nil {

@@ -33,28 +33,39 @@ type Entry struct {
 // one Index serves any number of modelled tables holding the same key set
 // (see internal/service), and Table is an Index plus per-entry values.
 //
-// Storage is a linear-probing open-addressed array rather than a Go map:
-// the packet path probes it once per packet, and an inline probe over
-// 32-byte (key, hash, ordinal) slots — two to a host cache line, none
-// straddling one — beats the runtime map's generic bucket walk by roughly 2x
-// here. Keys are never removed, so the n-th key's ordinal is n-1.
+// Storage is two arrays rather than a Go map. The first is a
+// linear-probing open-addressed array of 8-byte (hash, ordinal+1) slots —
+// eight to a host cache line, none straddling one — that the packet path
+// probes once per packet; the second is the keys themselves, dense and in
+// ordinal order. A probe compares hashes in the slot array and reads a key
+// only on a hash match, so a hit costs one slot line and one key load, a
+// miss usually the slot line alone, and the index holds about 35 bytes per
+// key (TestIndexBytesPerKey). Keys are never removed, so the n-th key's
+// ordinal is n-1.
+//
+// An Index holds at most 2^32−1 keys: a slot stores ordinal+1 in 32 bits,
+// 0 meaning empty. InsertHash panics past that.
 //
 // Not safe for concurrent mutation. LookupHash and WarmHash only read, so an
 // Index nobody inserts into any more may be shared freely.
 type Index struct {
 	slots []indexSlot
+	keys  []packet.FiveTuple // by ordinal
 	mask  uint32
-	count int // keys, and the ordinal of the next fresh one
 }
 
+// indexSlot is one probe slot: the key's hash and its ordinal plus one, so
+// the zero slot is empty.
 type indexSlot struct {
-	key  packet.FiveTuple
 	hash uint32
-	full bool
-	ord  uint64
+	ordp uint32
 }
 
-const indexMinSlots = 16
+const (
+	indexMinSlots = 16
+	// indexMaxKeys is the largest key count a 32-bit ordinal+1 can hold.
+	indexMaxKeys = 1<<32 - 1
+)
 
 // NewIndex returns an empty index sized to take capacity keys without
 // rehashing (0 is fine: it grows on demand).
@@ -70,11 +81,12 @@ func (x *Index) init(capacity int) {
 		size *= 2
 	}
 	x.slots = make([]indexSlot, size)
+	x.keys = make([]packet.FiveTuple, 0, capacity)
 	x.mask = uint32(size - 1)
 }
 
 // Len returns the number of keys.
-func (x *Index) Len() int { return x.count }
+func (x *Index) Len() int { return len(x.keys) }
 
 // Insert adds key and returns its ordinal; fresh is false when the key was
 // already present (its ordinal is unchanged and no new one is consumed).
@@ -84,20 +96,23 @@ func (x *Index) Insert(key packet.FiveTuple) (ord uint64, fresh bool) {
 
 // InsertHash is Insert with the caller-precomputed key.Hash().
 func (x *Index) InsertHash(key packet.FiveTuple, h uint32) (ord uint64, fresh bool) {
-	if x.count*4 >= len(x.slots)*3 {
+	if len(x.keys)*4 >= len(x.slots)*3 {
 		x.grow()
 	}
 	i := h & x.mask
 	for {
 		s := &x.slots[i]
-		if !s.full {
-			ord = uint64(x.count)
-			x.count++
-			s.key, s.hash, s.full, s.ord = key, h, true, ord
+		if s.ordp == 0 {
+			if uint64(len(x.keys)) == indexMaxKeys {
+				panic("flowtable: Index holds 2^32-1 keys")
+			}
+			ord = uint64(len(x.keys))
+			x.keys = append(x.keys, key)
+			s.hash, s.ordp = h, uint32(ord+1)
 			return ord, true
 		}
-		if s.hash == h && s.key == key {
-			return s.ord, false
+		if s.hash == h && x.keys[s.ordp-1] == key {
+			return uint64(s.ordp - 1), false
 		}
 		i = (i + 1) & x.mask
 	}
@@ -107,12 +122,12 @@ func (x *Index) InsertHash(key packet.FiveTuple, h uint32) (ord uint64, fresh bo
 func (x *Index) LookupHash(key packet.FiveTuple, h uint32) (ord uint64, ok bool) {
 	i := h & x.mask
 	for {
-		s := &x.slots[i]
-		if !s.full {
+		s := x.slots[i]
+		if s.ordp == 0 {
 			return 0, false
 		}
-		if s.hash == h && s.key == key {
-			return s.ord, true
+		if s.hash == h && x.keys[s.ordp-1] == key {
+			return uint64(s.ordp - 1), true
 		}
 		i = (i + 1) & x.mask
 	}
@@ -120,9 +135,11 @@ func (x *Index) LookupHash(key packet.FiveTuple, h uint32) (ord uint64, ok bool)
 
 // WarmHash reads the head of hash h's probe chain without looking anything
 // up — a host-cache prefetch for batched callers: burst dispatch and grouped
-// builds (sum the return value into a sink so the load is not elided).
+// builds (sum the return value into a sink so the load is not elided). The
+// value is the head slot, hash in the high half and ordinal+1 in the low.
 func (x *Index) WarmHash(h uint32) uint64 {
-	return uint64(x.slots[h&x.mask].hash)
+	s := x.slots[h&x.mask]
+	return uint64(s.hash)<<32 | uint64(s.ordp)
 }
 
 func (x *Index) grow() {
@@ -130,16 +147,15 @@ func (x *Index) grow() {
 	old := x.slots
 	x.slots = make([]indexSlot, size)
 	x.mask = uint32(size - 1)
-	for oi := range old {
-		s := &old[oi]
-		if !s.full {
+	for _, s := range old {
+		if s.ordp == 0 {
 			continue
 		}
 		i := s.hash & x.mask
-		for x.slots[i].full {
+		for x.slots[i].ordp != 0 {
 			i = (i + 1) & x.mask
 		}
-		x.slots[i] = *s
+		x.slots[i] = s
 	}
 }
 

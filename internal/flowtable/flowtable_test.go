@@ -145,6 +145,8 @@ func BenchmarkTableLookup(b *testing.B) {
 // TestIndexMatchesMap drives an Index and a map through random inserts and
 // re-inserts over a small key universe: ordinals count fresh inserts, a key
 // keeps its ordinal, and a pre-sized index agrees with one grown from empty.
+// In both, the dense key array is the map's keys in ordinal order and the
+// full slots are exactly one (key hash, ordinal+1) pair per key.
 func TestIndexMatchesMap(t *testing.T) {
 	r := sim.NewRand(5)
 	grown, sized := NewIndex(0), NewIndex(3000)
@@ -169,10 +171,35 @@ func TestIndexMatchesMap(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		k := tuple(i)
-		ord, ok := grown.LookupHash(k, k.Hash())
 		wantOrd, wantOK := want[k]
-		if ok != wantOK || (ok && ord != wantOrd) {
-			t.Fatalf("LookupHash(%d) = %d/%v, want %d/%v", i, ord, ok, wantOrd, wantOK)
+		for _, x := range []*Index{grown, sized} {
+			ord, ok := x.LookupHash(k, k.Hash())
+			if ok != wantOK || (ok && ord != wantOrd) {
+				t.Fatalf("LookupHash(%d) = %d/%v, want %d/%v", i, ord, ok, wantOrd, wantOK)
+			}
+		}
+	}
+	for _, x := range []*Index{grown, sized} {
+		for k, ord := range want {
+			if x.keys[ord] != k {
+				t.Fatalf("keys[%d] = %v, want %v", ord, x.keys[ord], k)
+			}
+		}
+		seen := make([]bool, len(want))
+		for i, s := range x.slots {
+			if s.ordp == 0 {
+				continue
+			}
+			ord := s.ordp - 1
+			if int(ord) >= len(want) || seen[ord] || s.hash != x.keys[ord].Hash() {
+				t.Fatalf("slot %d = %+v: ordinal out of range, repeated, or hash not its key's", i, s)
+			}
+			seen[ord] = true
+		}
+		for ord, ok := range seen {
+			if !ok {
+				t.Fatalf("no slot holds ordinal %d", ord)
+			}
 		}
 	}
 }

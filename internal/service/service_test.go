@@ -340,9 +340,10 @@ func BenchmarkBuildTables(b *testing.B) {
 }
 
 // BuildTables' grouping changes when each flow is hashed, not the order flows
-// go in: every flow's ordinal and the key count equal those of an index
-// filled by one-at-a-time Insert. The small sizes straddle buildGroup, and
-// every fifth flow repeats one up to 19 places back, in its group or before.
+// go in: every flow's ordinal, the key count and every probe slot's (hash,
+// ordinal+1), read through WarmHash, equal those of an index filled by
+// one-at-a-time Insert. The small sizes straddle buildGroup, and every fifth
+// flow repeats one up to 19 places back, in its group or before.
 func TestBuildTablesMatchesSequentialInsert(t *testing.T) {
 	for _, n := range []int{0, 1, buildGroup - 1, buildGroup, buildGroup + 1, 10_000, 100_000} {
 		flows := testFlows(n, uint64(n)+5)
@@ -363,6 +364,13 @@ func TestBuildTablesMatchesSequentialInsert(t *testing.T) {
 		for i, f := range flows {
 			if ord, ok := got.LookupHash(f.Tuple, f.Tuple.Hash()); !ok || ord != want[i] {
 				t.Fatalf("%d flows: flow %d has ordinal %d (found %v), sequential Insert %d", n, i, ord, ok, want[i])
+			}
+		}
+		// Slot arrays hold fewer than 4n+16 slots, so these heads cover each
+		// of them, wrapping.
+		for h := uint32(0); h < uint32(4*n+16); h++ {
+			if a, b := got.WarmHash(h), seq.WarmHash(h); a != b {
+				t.Fatalf("%d flows: probe head %d holds %#x, sequential Insert %#x", n, h, a, b)
 			}
 		}
 	}

@@ -5,6 +5,11 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -12,6 +17,12 @@ import (
 // replaced: all 64 magnitude rows of 1<<subBits counters, allocated up
 // front, with snapshots the full dense array. It is the oracle the compact
 // layout must agree with on every query.
+//
+// Its queries read running sums of the buckets, built once after each
+// change (cum, valid while cumOK), so a check's hundreds of queries cost one
+// pass over 64<<subBits buckets instead of one each. The walk* methods are
+// the per-query bucket walks they replaced, kept to pin them
+// (TestRefHistogramMatchesWalk).
 type refHistogram struct {
 	subBits uint
 	buckets []uint64
@@ -19,6 +30,8 @@ type refHistogram struct {
 	sum     int64
 	min     int64
 	max     int64
+	cum     runningSums
+	cumOK   bool
 }
 
 func newRefHistogram(subBits uint) *refHistogram {
@@ -65,6 +78,7 @@ func (h *refHistogram) RecordN(v int64, n uint64) {
 		i = len(h.buckets) - 1
 	}
 	h.buckets[i] += n
+	h.cumOK = false
 	h.count += n
 	h.sum += v * int64(n)
 	if v < h.min {
@@ -96,7 +110,94 @@ func (h *refHistogram) Max() int64 {
 	return h.max
 }
 
+// runningSums are the running sums of a histogram's buckets, or of their
+// differences from a snapshot. rising is false when some bucket is below
+// its snapshot (a Reset came between): the uint64 differences wrap, the
+// sums are not sorted and must be scanned.
+type runningSums struct {
+	cum    []uint64
+	rising bool
+}
+
+// cumulate writes the running sums of buckets minus prev (of buckets alone
+// when prev is nil) into dst, reusing its storage.
+func (h *refHistogram) cumulate(dst *runningSums, prev []uint64) {
+	dst.cum, dst.rising = dst.cum[:0], true
+	var cum uint64
+	for i, c := range h.buckets {
+		if prev != nil {
+			dst.rising = dst.rising && c >= prev[i]
+			c -= prev[i]
+		}
+		cum += c
+		dst.cum = append(dst.cum, cum)
+	}
+}
+
+// prefix returns the running sums of the buckets, rebuilt only after a
+// change.
+func (h *refHistogram) prefix() *runningSums {
+	if !h.cumOK {
+		h.cumulate(&h.cum, nil)
+		h.cumOK = true
+	}
+	return &h.cum
+}
+
+// total is the last running sum: the count, or the count since the
+// snapshot.
+func (rs *runningSums) total() uint64 { return rs.cum[len(rs.cum)-1] }
+
+// reach returns the first bucket whose running sum reaches q of the total:
+// len(cum) if none does.
+func (rs *runningSums) reach(q float64) int {
+	q = math.Max(0, math.Min(1, q))
+	target := uint64(math.Ceil(q * float64(rs.total())))
+	if target == 0 {
+		target = 1
+	}
+	if rs.rising {
+		return sort.Search(len(rs.cum), func(i int) bool { return rs.cum[i] >= target })
+	}
+	for i, c := range rs.cum {
+		if c >= target {
+			return i
+		}
+	}
+	return len(rs.cum)
+}
+
 func (h *refHistogram) Quantile(q float64) int64 {
+	if h.count == 0 {
+		return 0
+	}
+	if i := h.prefix().reach(q); i < len(h.buckets) {
+		return min(max(h.lowerBound(i), h.min), h.max)
+	}
+	return h.max
+}
+
+func (h *refHistogram) FractionAbove(v int64) float64 {
+	if h.count == 0 {
+		return 0
+	}
+	cum := h.prefix().cum
+	above := cum[len(cum)-1] - cum[min(h.index(v), len(cum)-1)]
+	return float64(above) / float64(h.count)
+}
+
+// DeltaCount and DeltaQuantile answer for the running sums of the buckets
+// minus a snapshot, built by cumulate.
+func (h *refHistogram) DeltaCount(delta *runningSums) uint64 { return delta.total() }
+
+func (h *refHistogram) DeltaQuantile(q float64, delta *runningSums) int64 {
+	if delta.total() == 0 {
+		return 0
+	}
+	return h.lowerBound(min(delta.reach(q), len(h.buckets)-1))
+}
+
+func (h *refHistogram) walkQuantile(q float64) int64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -115,7 +216,7 @@ func (h *refHistogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-func (h *refHistogram) FractionAbove(v int64) float64 {
+func (h *refHistogram) walkFractionAbove(v int64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -126,7 +227,7 @@ func (h *refHistogram) FractionAbove(v int64) float64 {
 	return float64(above) / float64(h.count)
 }
 
-func (h *refHistogram) DeltaCount(prev []uint64) uint64 {
+func (h *refHistogram) walkDeltaCount(prev []uint64) uint64 {
 	var total uint64
 	for i, c := range h.buckets {
 		total += c - prev[i]
@@ -134,8 +235,8 @@ func (h *refHistogram) DeltaCount(prev []uint64) uint64 {
 	return total
 }
 
-func (h *refHistogram) DeltaQuantile(q float64, prev []uint64) int64 {
-	total := h.DeltaCount(prev)
+func (h *refHistogram) walkDeltaQuantile(q float64, prev []uint64) int64 {
+	total := h.walkDeltaCount(prev)
 	if total == 0 {
 		return 0
 	}
@@ -156,6 +257,7 @@ func (h *refHistogram) DeltaQuantile(q float64, prev []uint64) int64 {
 
 func (h *refHistogram) Reset() {
 	clear(h.buckets)
+	h.cumOK = false
 	h.count, h.sum = 0, 0
 	h.min, h.max = math.MaxInt64, math.MinInt64
 }
@@ -170,6 +272,8 @@ func (h *refHistogram) String() string {
 type snapPair struct {
 	got  []uint64
 	want []uint64
+	// delta is the oracle's running sums since want, rebuilt at each check.
+	delta runningSums
 }
 
 // denseDiff drives a Histogram and a refHistogram through the same
@@ -182,6 +286,9 @@ type denseDiff struct {
 	// probes are the FractionAbove arguments: edge values plus every value
 	// recorded so far, capped.
 	probes []int64
+	// walk has every check also hold the oracle's answers to its per-query
+	// bucket walks.
+	walk bool
 }
 
 func newDenseDiff(t *testing.T, subBits uint) *denseDiff {
@@ -254,13 +361,47 @@ func (d *denseDiff) check(where string) {
 	if got, want := h.String(), ref.String(); got != want {
 		t.Fatalf("%s: String() = %q, dense %q", where, got, want)
 	}
-	for si, s := range d.snaps {
-		if got, want := h.DeltaCount(s.got), ref.DeltaCount(s.want); got != want {
+	for si := range d.snaps {
+		s := &d.snaps[si]
+		ref.cumulate(&s.delta, s.want)
+		if got, want := h.DeltaCount(s.got), ref.DeltaCount(&s.delta); got != want {
 			t.Fatalf("%s: DeltaCount(snapshot %d) = %d, dense %d", where, si, got, want)
 		}
 		for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
-			if got, want := h.DeltaQuantile(q, s.got), ref.DeltaQuantile(q, s.want); got != want {
+			if got, want := h.DeltaQuantile(q, s.got), ref.DeltaQuantile(q, &s.delta); got != want {
 				t.Fatalf("%s: DeltaQuantile(%v, snapshot %d) = %d, dense %d", where, q, si, got, want)
+			}
+		}
+	}
+	if d.walk {
+		d.checkWalk(where)
+	}
+}
+
+// checkWalk fails unless the oracle's running-sum answers to every query of
+// check equal its per-query bucket walks.
+func (d *denseDiff) checkWalk(where string) {
+	t, ref := d.t, d.ref
+	t.Helper()
+	for i := -1; i <= 101; i++ {
+		q := float64(i) / 100
+		if got, want := ref.Quantile(q), ref.walkQuantile(q); got != want {
+			t.Fatalf("%s: dense Quantile(%v) = %d, walk %d", where, q, got, want)
+		}
+	}
+	for _, v := range d.probes {
+		if got, want := ref.FractionAbove(v), ref.walkFractionAbove(v); got != want {
+			t.Fatalf("%s: dense FractionAbove(%d) = %v, walk %v", where, v, got, want)
+		}
+	}
+	for si := range d.snaps {
+		s := &d.snaps[si]
+		if got, want := ref.DeltaCount(&s.delta), ref.walkDeltaCount(s.want); got != want {
+			t.Fatalf("%s: dense DeltaCount(snapshot %d) = %d, walk %d", where, si, got, want)
+		}
+		for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
+			if got, want := ref.DeltaQuantile(q, &s.delta), ref.walkDeltaQuantile(q, s.want); got != want {
+				t.Fatalf("%s: dense DeltaQuantile(%v, snapshot %d) = %d, walk %d", where, q, si, got, want)
 			}
 		}
 	}
@@ -322,40 +463,89 @@ func TestHistogramMatchesDense(t *testing.T) {
 	}
 }
 
-// FuzzHistogramMatchesDense interprets ops as a program of records,
-// snapshots and resets, in 4-byte instructions [op, shift, value, count],
-// and checks the compact histogram against the dense one after each
-// snapshot and at the end.
-func FuzzHistogramMatchesDense(f *testing.F) {
-	f.Add(uint8(0), []byte("\x00\x00\xff\x01\x03\x00\x00\x00\x00\x3f\x80\x01"))
-	f.Add(uint8(5), []byte("\x03\x00\x00\x00\x00\x30\x10\x01\x03\x00\x00\x00\x00\x08\x80\x02\x04\x00\x00\x00\x00\x30\x10\x01"))
-	f.Add(uint8(7), []byte("\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x80\x00\x00\x3f\x01\x07"))
-	f.Fuzz(func(t *testing.T, subBits uint8, ops []byte) {
-		d := newDenseDiff(t, 1+uint(subBits)%12)
-		checks := 0
-		for ; len(ops) >= 4; ops = ops[4:] {
-			// The value byte is the top byte, so values >= 0x80 are
-			// negative; the shift byte picks the magnitude.
-			v := int64(uint64(ops[2])<<56|0x00fedcba98765432) >> (ops[1] % 64)
-			switch ops[0] % 5 {
-			case 0:
-				d.record(v, 1)
-			case 1:
-				d.record(v, uint64(ops[3]%4))
-			case 2:
-				d.recordZero()
-			case 3:
-				d.snapshot()
-				if checks < 8 {
-					checks++
-					d.check("snapshot")
-				}
-			case 4:
-				d.reset()
+// histSeeds are FuzzHistogramMatchesDense's seeds besides the committed
+// files under testdata/fuzz.
+var histSeeds = []struct {
+	subBits uint8
+	ops     []byte
+}{
+	{0, []byte("\x00\x00\xff\x01\x03\x00\x00\x00\x00\x3f\x80\x01")},
+	{5, []byte("\x03\x00\x00\x00\x00\x30\x10\x01\x03\x00\x00\x00\x00\x08\x80\x02\x04\x00\x00\x00\x00\x30\x10\x01")},
+	{7, []byte("\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x80\x00\x00\x3f\x01\x07")},
+}
+
+// runHistProgram interprets ops as a program of records, snapshots and
+// resets, in 4-byte instructions [op, shift, value, count], and checks the
+// compact histogram against the dense one after each of the first 8
+// snapshots and at the end; walk also pins the dense one to its walks.
+func runHistProgram(t *testing.T, subBits uint8, ops []byte, walk bool) {
+	d := newDenseDiff(t, 1+uint(subBits)%12)
+	d.walk = walk
+	checks := 0
+	for ; len(ops) >= 4; ops = ops[4:] {
+		// The value byte is the top byte, so values >= 0x80 are
+		// negative; the shift byte picks the magnitude.
+		v := int64(uint64(ops[2])<<56|0x00fedcba98765432) >> (ops[1] % 64)
+		switch ops[0] % 5 {
+		case 0:
+			d.record(v, 1)
+		case 1:
+			d.record(v, uint64(ops[3]%4))
+		case 2:
+			d.recordZero()
+		case 3:
+			d.snapshot()
+			if checks < 8 {
+				checks++
+				d.check("snapshot")
 			}
+		case 4:
+			d.reset()
 		}
-		d.check("end")
-	})
+	}
+	d.check("end")
+}
+
+// FuzzHistogramMatchesDense runs fuzzed programs through runHistProgram.
+func FuzzHistogramMatchesDense(f *testing.F) {
+	for _, s := range histSeeds {
+		f.Add(s.subBits, s.ops)
+	}
+	f.Fuzz(func(t *testing.T, subBits uint8, ops []byte) { runHistProgram(t, subBits, ops, false) })
+}
+
+// TestRefHistogramMatchesWalk pins the dense oracle's running-sum queries to
+// the per-query bucket walks they replaced, on every seed of
+// FuzzHistogramMatchesDense, the committed files included.
+func TestRefHistogramMatchesWalk(t *testing.T) {
+	seeds := histSeeds
+	files, err := filepath.Glob("testdata/fuzz/FuzzHistogramMatchesDense/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed seeds (%v)", err)
+	}
+	for _, name := range files {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1", then uint8(N), then []byte("...").
+		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+		if len(lines) != 3 {
+			t.Fatalf("%s: %d lines, want 3", name, len(lines))
+		}
+		n, err1 := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(lines[1], "uint8("), ")"), 0, 8)
+		ops, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: %v %v", name, err1, err2)
+		}
+		seeds = append(seeds, struct {
+			subBits uint8
+			ops     []byte
+		}{uint8(n), []byte(ops)})
+	}
+	for i, s := range seeds {
+		t.Run(fmt.Sprint(i), func(t *testing.T) { runHistProgram(t, s.subBits, s.ops, true) })
+	}
 }
 
 // TestHistogramFootprint pins the first-touch layout: a new histogram

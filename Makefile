@@ -109,7 +109,9 @@ gameday: build
 #   hist-fuzz    ten seconds of native fuzzing of the histogram's first-touch
 #                row layout against the dense 64-row reference: every query,
 #                and deltas over snapshots taken around row growth and Reset
-#                (committed seeds run in `go test`).
+#                (committed seeds run in `go test`; the reference's snapshots
+#                hold its nonzero buckets only, so a check costs what the
+#                program recorded).
 #   plb-fuzz     ten seconds of native fuzzing of the PLB reorder engine's
 #                growing FIFO/BUF rings against the full-depth rings they
 #                replace: dispatches, returns, drop flags, timeouts, core
@@ -122,6 +124,14 @@ gameday: build
 #                hit/miss per operation and the slot arrays slot for slot, under
 #                the real hash and three colliding ones, across every doubling
 #                (committed seeds run in `go test`).
+#   session-fuzz ten seconds of native fuzzing of the session table's 8-byte
+#                slots over paged records against the Go-map table they
+#                replace, each under a session backend: the session each
+#                Create, Lookup, Peek and Delete returns, Len, evictions, idle
+#                expiries, the set Range visits, and backend selects and pool
+#                updates, under the real hash and three colliding ones
+#                (committed seeds run in `go test`; they cross every slot
+#                doubling and page, and reuse every freed ordinal).
 #                Every *-fuzz row prints its last "execs: … new interesting: …"
 #                line, and minimises a new input for at most 10 runs
 #                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of
@@ -174,6 +184,7 @@ check: build
 		"lpm-fuzz|fuzz FuzzTrieMatchesReference ./internal/lpm" \
 		"plb-fuzz|fuzz FuzzPLBRingsMatchFullDepth ./internal/plb" \
 		"index-fuzz|fuzz FuzzIndexMatchesReference ./internal/flowtable" \
+		"session-fuzz|fuzz FuzzSessionMatchesReference ./internal/flowtable" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \

@@ -82,7 +82,7 @@ func run(withLimiter bool) {
 		node.RunFor(window)
 		fmt.Printf("%6.0f", node.Engine.Now().Seconds()*1000)
 		for t := 1; t <= 4; t++ {
-			cur := pod.TxPerTenant[uint32(t)]
+			cur := pod.TenantTx(uint32(t))
 			fmt.Printf("  %8.1f", float64(cur-prev[t])/window.Seconds()/1e3)
 			prev[t] = cur
 		}

@@ -384,7 +384,7 @@ func (pr *PodRuntime) queueEgress(ctx *pktCtx, now sim.Time) {
 // egressDone completes a packet's egress NIC traversal at now.
 func (pr *PodRuntime) egressDone(ctx *pktCtx, now sim.Time) {
 	pr.Tx++
-	pr.TxPerTenant[ctx.flow.VNI]++
+	pr.countTenantTx(ctx.flow.VNI)
 	pr.Latency.Record(int64(now.Sub(ctx.t0)))
 	pr.pipe.exit(ctx, now)
 	if done := ctx.probe; done != nil {

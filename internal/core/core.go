@@ -323,8 +323,12 @@ type PodRuntime struct {
 	PriorityRx  uint64
 	PriorityTx  uint64
 
-	// TxPerTenant counts egress packets per VNI.
-	TxPerTenant map[uint32]uint64
+	// Egress packets per tenant, read through TenantTx: txTenant by the
+	// tenant ordinal of the pod's tables (service.Tables.TenantOrdinal),
+	// txOther by VNI for VNIs the tables do not know.
+	tables   *service.Tables
+	txTenant []uint64
+	txOther  map[uint32]uint64
 
 	// PCIe accounting (bytes DMA'd between NIC and CPU).
 	PCIeRxBytes uint64
@@ -395,17 +399,18 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 	cfg.Flows = nil // the tables hold what the pod needs of them
 
 	pr := &PodRuntime{
-		node:        n,
-		Pod:         p,
-		Svc:         svc,
-		Classifier:  nicsim.DefaultClassifier(),
-		cfg:         cfg,
-		rng:         sim.NewRand(n.cfg.Seed ^ uint64(p.ID)<<32 ^ 0xA1BA),
-		mode:        cfg.Spec.Mode,
-		pipe:        newPipeline(),
-		Latency:     stats.NewLatencyHistogram(),
-		CPULatency:  stats.NewLatencyHistogram(),
-		TxPerTenant: make(map[uint32]uint64),
+		node:       n,
+		Pod:        p,
+		Svc:        svc,
+		Classifier: nicsim.DefaultClassifier(),
+		cfg:        cfg,
+		rng:        sim.NewRand(n.cfg.Seed ^ uint64(p.ID)<<32 ^ 0xA1BA),
+		mode:       cfg.Spec.Mode,
+		pipe:       newPipeline(),
+		Latency:    stats.NewLatencyHistogram(),
+		CPULatency: stats.NewLatencyHistogram(),
+		tables:     tables,
+		txTenant:   make([]uint64, tables.Tenants()),
 	}
 	traceEvery := cfg.TraceSampleEvery
 	switch {
@@ -450,6 +455,26 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 	n.pods = append(n.pods, pr)
 	n.refreshBackendPool()
 	return pr, nil
+}
+
+// TenantTx returns the egress packets of tenant vni so far.
+func (pr *PodRuntime) TenantTx(vni uint32) uint64 {
+	if ord, ok := pr.tables.TenantOrdinal(vni); ok {
+		return pr.txTenant[ord]
+	}
+	return pr.txOther[vni]
+}
+
+// countTenantTx counts one egress packet of tenant vni.
+func (pr *PodRuntime) countTenantTx(vni uint32) {
+	if ord, ok := pr.tables.TenantOrdinal(vni); ok {
+		pr.txTenant[ord]++
+		return
+	}
+	if pr.txOther == nil {
+		pr.txOther = make(map[uint32]uint64)
+	}
+	pr.txOther[vni]++
 }
 
 // payloadID derives the payload-buffer key from a PLB meta header.

@@ -180,6 +180,32 @@ func TestTenantRateLimiting(t *testing.T) {
 	}
 }
 
+// TestTenantTxCountsEveryVNI holds the per-tenant egress counter: tenants
+// of the pod's tables and a VNI the tables never saw (the tables key flows
+// by tuple alone, so its packets are served) are all counted, and the
+// counts add up to Tx.
+func TestTenantTxCountsEveryVNI(t *testing.T) {
+	n := smallNode(t, nil)
+	wf, sf := wflows(300, 11)
+	for i := range wf {
+		sf[i].VNI = uint32(3 + 6*(i%2))
+		wf[i].VNI = sf[i].VNI
+		if i%3 == 0 {
+			wf[i].VNI = 77
+		}
+	}
+	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
+	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(5e5), Seed: 12, Sink: pr.Sink()}
+	src.Start(n.Engine)
+	n.RunFor(20 * sim.Millisecond)
+	src.Stop()
+	n.RunFor(5 * sim.Millisecond)
+	t3, t9, t77 := pr.TenantTx(3), pr.TenantTx(9), pr.TenantTx(77)
+	if t3 == 0 || t9 == 0 || t77 == 0 || t3+t9+t77 != pr.Tx || pr.TenantTx(4) != 0 {
+		t.Fatalf("TenantTx 3/9/77/4 = %d/%d/%d/%d, Tx %d", t3, t9, t77, pr.TenantTx(4), pr.Tx)
+	}
+}
+
 func TestACLDropWithDropFlag(t *testing.T) {
 	n := smallNode(t, nil)
 	wf := workload.GenerateFlows(1000, 10, 9)

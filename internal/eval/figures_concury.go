@@ -79,7 +79,7 @@ func runConcury(cfg Config) *Result {
 	lat := cachesim.DefaultLatency()
 	const aBase, bBase = uint64(0x5a) << 40, uint64(0x5b) << 40
 	touch := func(t packet.FiveTuple) {
-		s := sessTab.Peek(t)
+		s := sessTab.Peek(t, t.Hash())
 		cacheS.Access(s.Addr, 128)
 		ia, ib := othMap.Slots(t)
 		cacheO.Access(aBase+uint64(ia)*2, 2)
@@ -142,7 +142,7 @@ func runConcury(cfg Config) *Result {
 		if assign[i] == dead {
 			continue
 		}
-		if p, ok := othB.Lookup(f.Tuple, 0); ok && p == int(assign[i]) {
+		if p, ok := othB.Lookup(f.Tuple, f.Tuple.Hash(), 0); ok && p == int(assign[i]) {
 			stable++
 		}
 	}

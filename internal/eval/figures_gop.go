@@ -118,7 +118,7 @@ func runTenantOverload(cfg Config, withGOP bool) *Result {
 	for now := sim.Duration(0); now < total; now += window {
 		n.RunFor(window)
 		for i := 0; i < 4; i++ {
-			cur := pr.TxPerTenant[uint32(i+1)]
+			cur := pr.TenantTx(uint32(i + 1))
 			rate := float64(cur-prev[i+1]) / window.Seconds()
 			series[i].Append(n.Engine.Now().Seconds(), rate/capacity)
 			prev[i+1] = cur

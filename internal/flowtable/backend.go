@@ -25,12 +25,14 @@ import (
 type Backend interface {
 	// Name returns the backend's registry name (metrics label).
 	Name() string
-	// Lookup returns the pod pinned for key, refreshing any liveness state.
-	// ok=false means the backend holds no pinning for key.
-	Lookup(key packet.FiveTuple, now sim.Time) (pod int, ok bool)
-	// Insert pins key to a pod chosen by AssignPod over the current pool and
-	// returns it, or -1 when the pool is empty (nothing is pinned then).
-	Insert(key packet.FiveTuple, now sim.Time) int
+	// Lookup returns the pod pinned for key, refreshing any liveness state;
+	// h is the caller-computed key.Hash(). ok=false means the backend holds
+	// no pinning for key.
+	Lookup(key packet.FiveTuple, h uint32, now sim.Time) (pod int, ok bool)
+	// Insert pins key (h = key.Hash()) to the pod AssignPod(pool, h) picks
+	// over the current pool and returns it, or -1 when the pool is empty
+	// (nothing is pinned then).
+	Insert(key packet.FiveTuple, h uint32, now sim.Time) int
 	// Update replaces the pod pool. Pinnings to surviving pods are kept;
 	// pinnings to removed pods are re-assigned over the new pool (or dropped
 	// when it is empty). It returns the number of flows whose pod changed.
@@ -67,23 +69,25 @@ func CheckBackendName(name string) error {
 		name, strings.Join(BackendNames(), "|"), errs.BadConfig)
 }
 
-// AssignPod is the shared new-flow assignment: a pure hash of the tuple over
-// the pool. Every backend uses it for misses, which is what makes backends
-// agree on healthy static pools. Returns -1 on an empty pool.
-func AssignPod(pool []int, key packet.FiveTuple) int {
+// AssignPod is the shared new-flow assignment: the tuple's hash h
+// (key.Hash()) over the pool. Every backend uses it for misses, which is
+// what makes backends agree on healthy static pools. Returns -1 on an empty
+// pool.
+func AssignPod(pool []int, h uint32) int {
 	if len(pool) == 0 {
 		return -1
 	}
-	return pool[int(key.Hash()%uint32(len(pool)))]
+	return pool[int(h%uint32(len(pool)))]
 }
 
 // Select is the dataplane entry point: look up the pinning for key or create
-// one. Returns -1 when the pool is empty.
+// one, hashing key once for both. Returns -1 when the pool is empty.
 func Select(b Backend, key packet.FiveTuple, now sim.Time) int {
-	if pod, ok := b.Lookup(key, now); ok {
+	h := key.Hash()
+	if pod, ok := b.Lookup(key, h, now); ok {
 		return pod
 	}
-	return b.Insert(key, now)
+	return b.Insert(key, h, now)
 }
 
 // NewBackend constructs a backend by name over an initial pool. The session
@@ -140,8 +144,8 @@ func (p *podSet) has(idx int) bool {
 	return idx >= 0 && idx < len(p.in) && p.in[idx]
 }
 
-// sessionBackend pins flows in a stateful session table: one 128-byte record
-// per flow, capacity-bounded eviction, idle expiry. Evicted or expired flows
+// sessionBackend pins flows in a stateful session table: one record per
+// flow (128 bytes modelled), capacity-bounded eviction, idle expiry. Evicted or expired flows
 // lose their pinning and are re-hashed on the next packet — the disruption
 // mode of classic software LBs under table pressure.
 type sessionBackend struct {
@@ -158,9 +162,9 @@ func (b *sessionBackend) setPool(pool []int) {
 	b.live.set(b.pool)
 }
 
-func (b *sessionBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) {
+func (b *sessionBackend) Lookup(key packet.FiveTuple, h uint32, now sim.Time) (int, bool) {
 	b.stats.Lookups++
-	s := b.st.Lookup(key, now)
+	s := b.st.Lookup(key, h, now)
 	if s == nil {
 		return -1, false
 	}
@@ -168,9 +172,9 @@ func (b *sessionBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) 
 	pod := int(s.Pod)
 	if !b.live.has(pod) {
 		// Pinned pod left the pool between Updates; re-hash in place.
-		pod = AssignPod(b.pool, key)
+		pod = AssignPod(b.pool, h)
 		if pod < 0 {
-			b.st.Delete(key)
+			b.st.Delete(key, h)
 			return -1, false
 		}
 		s.Pod = int32(pod)
@@ -179,12 +183,12 @@ func (b *sessionBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) 
 	return pod, true
 }
 
-func (b *sessionBackend) Insert(key packet.FiveTuple, now sim.Time) int {
-	pod := AssignPod(b.pool, key)
+func (b *sessionBackend) Insert(key packet.FiveTuple, h uint32, now sim.Time) int {
+	pod := AssignPod(b.pool, h)
 	if pod < 0 {
 		return -1
 	}
-	s := b.st.Create(key, now)
+	s := b.st.Create(key, h, now)
 	s.Pod = int32(pod)
 	b.stats.Inserts++
 	return pod
@@ -195,14 +199,14 @@ func (b *sessionBackend) Update(pool []int) int {
 	moved := 0
 	if len(b.pool) == 0 {
 		b.st.Range(func(s *Session) bool {
-			b.st.Delete(s.Key)
+			b.st.Delete(s.Key, s.hash)
 			moved++
 			return true
 		})
 	} else {
 		b.st.Range(func(s *Session) bool {
 			if !b.live.has(int(s.Pod)) {
-				s.Pod = int32(AssignPod(b.pool, s.Key))
+				s.Pod = int32(AssignPod(b.pool, s.hash))
 				moved++
 			}
 			return true
@@ -241,7 +245,7 @@ func (b *othelloBackend) setPool(pool []int) {
 	b.live.set(b.pool)
 }
 
-func (b *othelloBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) {
+func (b *othelloBackend) Lookup(key packet.FiveTuple, h uint32, now sim.Time) (int, bool) {
 	b.stats.Lookups++
 	if !b.o.Contains(key) {
 		return -1, false
@@ -249,7 +253,7 @@ func (b *othelloBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) 
 	b.stats.Hits++
 	pod := int(b.o.Get(key))
 	if !b.live.has(pod) {
-		pod = AssignPod(b.pool, key)
+		pod = AssignPod(b.pool, h)
 		if pod < 0 {
 			b.o.Remove(key)
 			return -1, false
@@ -260,8 +264,8 @@ func (b *othelloBackend) Lookup(key packet.FiveTuple, now sim.Time) (int, bool) 
 	return pod, true
 }
 
-func (b *othelloBackend) Insert(key packet.FiveTuple, now sim.Time) int {
-	pod := AssignPod(b.pool, key)
+func (b *othelloBackend) Insert(key packet.FiveTuple, h uint32, now sim.Time) int {
+	pod := AssignPod(b.pool, h)
 	if pod < 0 {
 		return -1
 	}
@@ -280,7 +284,7 @@ func (b *othelloBackend) Update(pool []int) int {
 		for _, k := range b.o.Keys() {
 			v, _ := b.o.ValueOf(k)
 			if !b.live.has(int(v)) {
-				b.o.Put(k, uint16(AssignPod(b.pool, k)))
+				b.o.Put(k, uint16(AssignPod(b.pool, k.Hash())))
 				moved++
 			}
 		}

@@ -50,7 +50,7 @@ func TestBackendsAgreeOnStaticPool(t *testing.T) {
 			if ps != po {
 				t.Fatalf("pass %d flow %d: session->%d othello->%d", pass, i, ps, po)
 			}
-			if want := AssignPod(pool, k); ps != want {
+			if want := AssignPod(pool, k.Hash()); ps != want {
 				t.Fatalf("flow %d: assigned %d, AssignPod says %d", i, ps, want)
 			}
 			if pass == 0 {
@@ -95,7 +95,7 @@ func TestOthelloBackendZeroDisruptionUpdate(t *testing.T) {
 		t.Fatalf("Update moved %d flows, want exactly the %d on pod 3", moved, onDead)
 	}
 	for k, pod := range before {
-		got, ok := b.Lookup(k, 0)
+		got, ok := b.Lookup(k, k.Hash(), 0)
 		if !ok {
 			t.Fatalf("flow %v lost its pinning across the update", k)
 		}

@@ -243,48 +243,53 @@ func (t *Table) LookupHash(key packet.FiveTuple, h uint32) *Entry {
 	return t.entries[ord]
 }
 
-// SessionState is the lifecycle state of a stateful NF session.
-type SessionState uint8
-
-// Session states.
-const (
-	StateNew SessionState = iota
-	StateEstablished
-	StateClosing
-)
-
-func (s SessionState) String() string {
-	switch s {
-	case StateNew:
-		return "new"
-	case StateEstablished:
-		return "established"
-	case StateClosing:
-		return "closing"
-	default:
-		return "invalid"
-	}
-}
-
-// Session is per-flow NF state (e.g. a backend pinning). Counters make the
-// session "write-heavy" when updated per packet.
+// Session is one flow's record in a SessionTable: the pod it is pinned to
+// and when it was last active. On the host a record is 40 bytes; the model
+// prices a session at 128 (Addr advances by 128 per Create).
 type Session struct {
-	Key        packet.FiveTuple
-	State      SessionState
-	Packets    uint64
-	Bytes      uint64
-	Created    sim.Time
-	LastActive sim.Time
-	Addr       uint64 // synthetic address for cache modelling
+	Key packet.FiveTuple
 	// Pod is the backend pod assignment when the session table serves as a
-	// load-balancing Backend; unused (zero) on the NF state path.
+	// load-balancing Backend.
 	Pod int32
+	// hash is the caller's hash of Key, kept in what would be padding so
+	// eviction can find the record's slot and a pool update can re-assign
+	// the session without hashing Key again.
+	hash       uint32
+	LastActive sim.Time
+	// Addr is a synthetic address for cache modelling: the table's base
+	// plus 128 × the number of sessions created before this one. It is
+	// never 0 for a live record, so 0 marks a free one.
+	Addr uint64
 }
 
-// SessionTable stores sessions with capacity-bounded LRU-ish eviction and
-// idle expiry. Not safe for concurrent use.
+// SessionTable stores sessions with capacity-bounded LRU eviction and idle
+// expiry. Not safe for concurrent use.
+//
+// It uses Index's layout with deletion added. A linear-probing array of
+// 8-byte (hash, ordinal+1) slots, doubled at 3/4 load, points into records
+// held in fixed-size pages that are allocated on demand and never moved.
+// Delete, idle expiry and eviction shift the slots behind the freed one
+// back (no tombstones, so probe chains stay as short as the live load
+// makes them) and put the record's ordinal on a free list that the next
+// Create reuses. A table of 100 000 sessions holds about 63 bytes per
+// session (TestSessionBytesPerSession).
+//
+// A *Session returned by Lookup, Create or Peek, or passed to Range, stays
+// valid until that session is deleted, expires or is evicted; after that
+// its record may be reused by a later Create for another key. Inserting
+// other sessions never moves a record.
+//
+// Every method that takes a key takes h, the caller's hash of it: any
+// function of the key will do, as long as the caller uses the same one for
+// every call (the session backend uses key.Hash()).
 type SessionTable struct {
-	m        map[packet.FiveTuple]*Session
+	slots []indexSlot
+	mask  uint32
+	pages []*sessionPage
+	used  uint32   // ordinals handed out so far, freed ones included
+	free  []uint32 // freed ordinals; the last freed is reused first
+	live  int
+
 	capacity int
 	idle     sim.Duration
 	addrBase uint64
@@ -295,12 +300,21 @@ type SessionTable struct {
 	Expirations uint64
 }
 
+// sessionPageBits sizes a page at 64 records, 2 560 bytes: a table of a few
+// dozen sessions, as each member of a large fleet holds, costs one page,
+// and a page of a large table costs one pointer per 64 records.
+const sessionPageBits = 6
+
+// sessionPage holds the records of 1<<sessionPageBits consecutive ordinals.
+type sessionPage [1 << sessionPageBits]Session
+
 // NewSessionTableIn creates a session table with the given capacity
 // (<= 0 means unbounded) and idle timeout, drawing its address base from the
 // given address space (nil falls back to the process-global one).
 func NewSessionTableIn(space *AddrSpace, capacity int, idle sim.Duration) *SessionTable {
 	return &SessionTable{
-		m:        make(map[packet.FiveTuple]*Session),
+		slots:    make([]indexSlot, indexMinSlots),
+		mask:     indexMinSlots - 1,
 		capacity: capacity,
 		idle:     idle,
 		addrBase: space.NextBase(),
@@ -308,17 +322,40 @@ func NewSessionTableIn(space *AddrSpace, capacity int, idle sim.Duration) *Sessi
 }
 
 // Len returns the number of live sessions.
-func (st *SessionTable) Len() int { return len(st.m) }
+func (st *SessionTable) Len() int { return st.live }
+
+// record returns ordinal ord's record.
+func (st *SessionTable) record(ord uint32) *Session {
+	return &st.pages[ord>>sessionPageBits][ord&(1<<sessionPageBits-1)]
+}
+
+// find returns key's slot and record, or the empty slot ending its probe
+// chain and nil.
+func (st *SessionTable) find(key packet.FiveTuple, h uint32) (uint32, *Session) {
+	i := h & st.mask
+	for {
+		sl := st.slots[i]
+		if sl.ordp == 0 {
+			return i, nil
+		}
+		if sl.hash == h {
+			if s := st.record(sl.ordp - 1); s.Key == key {
+				return i, s
+			}
+		}
+		i = (i + 1) & st.mask
+	}
+}
 
 // Lookup returns the session for key and refreshes its activity timestamp,
 // or nil if absent.
-func (st *SessionTable) Lookup(key packet.FiveTuple, now sim.Time) *Session {
-	s := st.m[key]
+func (st *SessionTable) Lookup(key packet.FiveTuple, h uint32, now sim.Time) *Session {
+	i, s := st.find(key, h)
 	if s == nil {
 		return nil
 	}
 	if st.idle > 0 && now.Sub(s.LastActive) > st.idle {
-		delete(st.m, key)
+		st.remove(i)
 		st.Expirations++
 		return nil
 	}
@@ -327,45 +364,122 @@ func (st *SessionTable) Lookup(key packet.FiveTuple, now sim.Time) *Session {
 }
 
 // Create inserts a session for key, evicting the least-recently-active
-// session if at capacity. It returns the new session.
-func (st *SessionTable) Create(key packet.FiveTuple, now sim.Time) *Session {
-	if st.capacity > 0 && len(st.m) >= st.capacity {
+// session if at capacity, and returns it with Pod 0. A live session for key
+// is replaced in place.
+func (st *SessionTable) Create(key packet.FiveTuple, h uint32, now sim.Time) *Session {
+	if st.capacity > 0 && st.live >= st.capacity {
 		st.evictOldest()
 	}
-	s := &Session{
-		Key:        key,
-		State:      StateNew,
-		Created:    now,
-		LastActive: now,
-		Addr:       st.addrBase + st.nextAddr*128, // sessions model 128B entries
+	i, s := st.find(key, h)
+	if s == nil {
+		if st.live*4 >= len(st.slots)*3 {
+			st.grow()
+			i, _ = st.find(key, h)
+		}
+		ord := st.alloc()
+		st.slots[i] = indexSlot{hash: h, ordp: ord + 1}
+		st.live++
+		s = st.record(ord)
 	}
+	*s = Session{Key: key, hash: h, LastActive: now, Addr: st.addrBase + st.nextAddr*128}
 	st.nextAddr++
-	st.m[key] = s
 	return s
 }
 
-func (st *SessionTable) evictOldest() {
-	var oldest *Session
-	for _, s := range st.m {
-		// Break LastActive ties by insertion order (Addr is monotone in
-		// creation) so eviction never depends on map iteration order.
-		if oldest == nil || s.LastActive < oldest.LastActive ||
-			(s.LastActive == oldest.LastActive && s.Addr < oldest.Addr) {
-			oldest = s
-		}
+// alloc returns a free ordinal, the last one freed if any, else a fresh one
+// (adding a page when it starts one).
+func (st *SessionTable) alloc() uint32 {
+	if n := len(st.free); n > 0 {
+		ord := st.free[n-1]
+		st.free = st.free[:n-1]
+		return ord
 	}
-	if oldest != nil {
-		delete(st.m, oldest.Key)
-		st.Evictions++
+	if st.used == indexMaxKeys {
+		panic("flowtable: SessionTable holds 2^32-1 sessions")
+	}
+	ord := st.used
+	st.used++
+	if int(ord>>sessionPageBits) == len(st.pages) {
+		st.pages = append(st.pages, new(sessionPage))
+	}
+	return ord
+}
+
+func (st *SessionTable) grow() {
+	size := len(st.slots) * 2
+	old := st.slots
+	st.slots = make([]indexSlot, size)
+	st.mask = uint32(size - 1)
+	for _, sl := range old {
+		if sl.ordp == 0 {
+			continue
+		}
+		i := sl.hash & st.mask
+		for st.slots[i].ordp != 0 {
+			i = (i + 1) & st.mask
+		}
+		st.slots[i] = sl
 	}
 }
 
-// Range calls fn for every live session until fn returns false. Iteration
-// order is unspecified (map order); callers needing determinism must make
-// per-session decisions independent of order.
+// remove deletes the session in slot i: the slots behind it in the probe
+// run shift back over the hole, and its record goes to the free list.
+func (st *SessionTable) remove(i uint32) {
+	ord := st.slots[i].ordp - 1
+	*st.record(ord) = Session{}
+	st.free = append(st.free, ord)
+	st.live--
+	for {
+		st.slots[i] = indexSlot{}
+		j := i
+		for {
+			j = (j + 1) & st.mask
+			sl := st.slots[j]
+			if sl.ordp == 0 {
+				return
+			}
+			// sl may fill the hole unless its home slot lies after the
+			// hole, cyclically, up to j.
+			if (j-sl.hash)&st.mask >= (j-i)&st.mask {
+				st.slots[i] = sl
+				i = j
+				break
+			}
+		}
+	}
+}
+
+// evictOldest removes the least-recently-active session, breaking
+// LastActive ties by creation order (Addr is monotone in it).
+func (st *SessionTable) evictOldest() {
+	var oldest *Session
+	var ord uint32
+	for o := uint32(0); o < st.used; o++ {
+		s := st.record(o)
+		if s.Addr != 0 && (oldest == nil || s.LastActive < oldest.LastActive ||
+			(s.LastActive == oldest.LastActive && s.Addr < oldest.Addr)) {
+			oldest, ord = s, o
+		}
+	}
+	if oldest == nil {
+		return
+	}
+	i := oldest.hash & st.mask
+	for st.slots[i].ordp != ord+1 {
+		i = (i + 1) & st.mask
+	}
+	st.remove(i)
+	st.Evictions++
+}
+
+// Range calls fn for every live session, in ordinal order, until fn
+// returns false. Ordinals are reused, so the order is neither creation nor
+// key order; callers needing determinism must make per-session decisions
+// independent of order. fn may Delete the session it is given and nothing
+// else.
 func (st *SessionTable) Range(fn func(*Session) bool) {
-	for _, s := range st.m {
-		if !fn(s) {
+	for o := uint32(0); o < st.used; o++ {
+		if s := st.record(o); s.Addr != 0 && !fn(s) {
 			return
 		}
 	}
@@ -373,13 +487,17 @@ func (st *SessionTable) Range(fn func(*Session) bool) {
 
 // Peek returns the session for key without refreshing activity or
 // applying idle expiry (management-plane access).
-func (st *SessionTable) Peek(key packet.FiveTuple) *Session { return st.m[key] }
+func (st *SessionTable) Peek(key packet.FiveTuple, h uint32) *Session {
+	_, s := st.find(key, h)
+	return s
+}
 
 // Delete removes a session outright, reporting whether it existed.
-func (st *SessionTable) Delete(key packet.FiveTuple) bool {
-	if _, ok := st.m[key]; !ok {
+func (st *SessionTable) Delete(key packet.FiveTuple, h uint32) bool {
+	i, s := st.find(key, h)
+	if s == nil {
 		return false
 	}
-	delete(st.m, key)
+	st.remove(i)
 	return true
 }

@@ -72,21 +72,22 @@ func TestTableDefaultEntrySize(t *testing.T) {
 func TestSessionLifecycle(t *testing.T) {
 	st := NewSessionTableIn(nil, 0, 100*sim.Microsecond)
 	k := tuple(7)
-	if st.Lookup(k, 0) != nil {
+	h := k.Hash()
+	if st.Lookup(k, h, 0) != nil {
 		t.Fatal("lookup on empty")
 	}
-	s := st.Create(k, 10)
-	if s.State != StateNew || s.Created != 10 {
+	s := st.Create(k, h, 10)
+	if s.Key != k || s.LastActive != 10 || s.Pod != 0 {
 		t.Fatalf("session = %+v", s)
 	}
-	s.State = StateEstablished
+	s.Pod = 3
 	// Within idle window: refreshed.
-	got := st.Lookup(k, 50)
-	if got == nil || got.LastActive != 50 || got.State != StateEstablished {
+	got := st.Lookup(k, h, 50)
+	if got == nil || got.LastActive != 50 || got.Pod != 3 {
 		t.Fatalf("refresh failed: %+v", got)
 	}
 	// Past idle window: expired.
-	if st.Lookup(k, 50+sim.Time(101*sim.Microsecond)) != nil {
+	if st.Lookup(k, h, 50+sim.Time(101*sim.Microsecond)) != nil {
 		t.Fatal("expired session returned")
 	}
 	if st.Expirations != 1 {
@@ -99,33 +100,26 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestSessionCapacityEviction(t *testing.T) {
 	st := NewSessionTableIn(nil, 10, 0)
+	lookup := func(i int, now sim.Time) *Session { return st.Lookup(tuple(i), tuple(i).Hash(), now) }
 	for i := 0; i < 10; i++ {
-		s := st.Create(tuple(i), sim.Time(i))
-		s.State = StateEstablished
+		st.Create(tuple(i), tuple(i).Hash(), sim.Time(i))
 	}
 	// Touch session 0 so it's most recent; oldest is now tuple(1).
-	if st.Lookup(tuple(0), 100) == nil {
+	if lookup(0, 100) == nil {
 		t.Fatal("session 0 missing")
 	}
-	st.Create(tuple(99), 200)
+	st.Create(tuple(99), tuple(99).Hash(), 200)
 	if st.Len() != 10 {
 		t.Fatalf("len = %d, want 10", st.Len())
 	}
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d", st.Evictions)
 	}
-	if st.Lookup(tuple(1), 201) != nil {
+	if lookup(1, 201) != nil {
 		t.Fatal("LRU eviction removed wrong session (1 should be gone)")
 	}
-	if st.Lookup(tuple(0), 201) == nil {
+	if lookup(0, 201) == nil {
 		t.Fatal("recently used session evicted")
-	}
-}
-
-func TestSessionStateString(t *testing.T) {
-	if StateNew.String() != "new" || StateEstablished.String() != "established" ||
-		StateClosing.String() != "closing" || SessionState(9).String() != "invalid" {
-		t.Fatal("state strings wrong")
 	}
 }
 

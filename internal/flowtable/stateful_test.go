@@ -8,10 +8,13 @@ import (
 	"testing"
 	"text/tabwriter"
 	"time"
+
+	"albatross/internal/sim"
 )
 
 // touchSessions is §7's write-heavy stateful NF: workers goroutines each
-// look up (creating on a miss) and count ops packets over 1024 flows. shared
+// look up (creating on a miss) ops packets over 1024 flows, and every lookup
+// writes the session's activity stamp. shared
 // puts every worker on one table behind one lock, as every core of a
 // write-heavy NF under PLB sees its state; otherwise each worker owns its
 // table outright (flows pinned per core, state never migrates) and the
@@ -34,14 +37,13 @@ func touchSessions(workers, ops int, shared bool) {
 			st := tables[w]
 			for i := 0; i < ops; i++ {
 				key := tuple((i + w*31) & 1023)
+				h := key.Hash()
 				if shared {
 					mu.Lock()
 				}
-				s := st.Lookup(key, 0)
-				if s == nil {
-					s = st.Create(key, 0)
+				if st.Lookup(key, h, sim.Time(i)) == nil {
+					st.Create(key, h, sim.Time(i))
 				}
-				s.Packets++
 				if shared {
 					mu.Unlock()
 				}

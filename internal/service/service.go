@@ -167,10 +167,17 @@ type Tables struct {
 	// has an ordinal, and a repeated tuple denied by any copy sets its
 	// first copy's bit. nil while no flow is denied.
 	denied []uint64
+	// tenants maps a VNI to its tenant ordinal, the order in which
+	// BuildTables first met it: a linear-probing array of (VNI,
+	// ordinal+1) pairs, at most half full. nTenants counts the VNIs.
+	tenants  []tenantSlot
+	nTenants int
 
 	// warmSink absorbs BuildTables' warm reads so they are not elided.
 	warmSink uint64
 }
+
+type tenantSlot struct{ vni, ordp uint32 }
 
 // buildGroup is how many flows BuildTables hashes and warms before it
 // inserts them: up to that many slot-array misses are in flight at once.
@@ -206,6 +213,7 @@ func BuildTables(flows []Flow) *Tables {
 			if f.Denied {
 				t.deny(ord)
 			}
+			t.addTenant(f.VNI)
 			// Destination subnet route (idempotent across flows sharing /24s).
 			prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
 			_ = t.routes.Insert(prefix, 24, uint32((lo+k)%(1<<20)))
@@ -213,6 +221,60 @@ func BuildTables(flows []Flow) *Tables {
 	}
 	t.warmSink = sink
 	return t
+}
+
+// tenantHome returns vni's first probe slot in a tenant array of len mask+1.
+func tenantHome(vni, mask uint32) uint32 {
+	h := vni * 0x9e3779b1
+	return (h ^ h>>16) & mask
+}
+
+// addTenant gives vni the next tenant ordinal unless it has one.
+func (t *Tables) addTenant(vni uint32) {
+	if _, ok := t.TenantOrdinal(vni); ok {
+		return
+	}
+	if 2*(t.nTenants+1) > len(t.tenants) {
+		old := t.tenants
+		t.tenants = make([]tenantSlot, max(16, 2*len(old)))
+		for _, s := range old {
+			if s.ordp != 0 {
+				t.placeTenant(s)
+			}
+		}
+	}
+	t.nTenants++
+	t.placeTenant(tenantSlot{vni, uint32(t.nTenants)})
+}
+
+func (t *Tables) placeTenant(s tenantSlot) {
+	mask := uint32(len(t.tenants) - 1)
+	i := tenantHome(s.vni, mask)
+	for t.tenants[i].ordp != 0 {
+		i = (i + 1) & mask
+	}
+	t.tenants[i] = s
+}
+
+// Tenants returns the number of distinct VNIs among the flows.
+func (t *Tables) Tenants() int { return t.nTenants }
+
+// TenantOrdinal returns vni's tenant ordinal, in [0, Tenants()): the number
+// of distinct VNIs BuildTables met before vni's first flow. ok is false for
+// a VNI that no flow carries.
+func (t *Tables) TenantOrdinal(vni uint32) (ord int, ok bool) {
+	if len(t.tenants) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(t.tenants) - 1)
+	for i := tenantHome(vni, mask); ; i = (i + 1) & mask {
+		switch s := t.tenants[i]; {
+		case s.ordp == 0:
+			return 0, false
+		case s.vni == vni:
+			return int(s.ordp - 1), true
+		}
+	}
 }
 
 // deny sets ordinal ord's bit in the deny set.

@@ -391,3 +391,33 @@ func TestPopulateInstallsDistinctNextHops(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantOrdinals holds BuildTables' tenant ordinals to a map built in
+// flow order: each distinct VNI gets the next ordinal on its first flow,
+// across every growth of the tenant array, and a VNI no flow carries has
+// none.
+func TestTenantOrdinals(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 3000} {
+		flows := testFlows(n, uint64(n))
+		for i := range flows {
+			flows[i].VNI %= 1500 // repeats, and VNI 0
+		}
+		tb := BuildTables(flows)
+		want := map[uint32]int{}
+		for _, f := range flows {
+			if _, ok := want[f.VNI]; !ok {
+				want[f.VNI] = len(want)
+			}
+		}
+		if tb.Tenants() != len(want) {
+			t.Fatalf("%d flows: Tenants() = %d, want %d", n, tb.Tenants(), len(want))
+		}
+		for vni := uint32(0); vni < 1600; vni++ {
+			ord, ok := tb.TenantOrdinal(vni)
+			wantOrd, wantOK := want[vni]
+			if ok != wantOK || ord != wantOrd {
+				t.Fatalf("%d flows: TenantOrdinal(%d) = %d/%v, want %d/%v", n, vni, ord, ok, wantOrd, wantOK)
+			}
+		}
+	}
+}

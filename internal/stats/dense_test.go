@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,17 +16,21 @@ import (
 
 // refHistogram is the dense Histogram that rows allocated on first touch
 // replaced: all 64 magnitude rows of 1<<subBits counters, allocated up
-// front, with snapshots the full dense array. It is the oracle the compact
-// layout must agree with on every query.
+// front. It is the oracle the compact layout must agree with on every
+// query.
 //
-// Its queries read running sums of the buckets, built once after each
-// change (cum, valid while cumOK), so a check's hundreds of queries cost one
-// pass over 64<<subBits buckets instead of one each. The walk* methods are
-// the per-query bucket walks they replaced, kept to pin them
+// It also lists the buckets that are nonzero (nz, unordered; a bucket joins
+// when it leaves zero, and Reset clears only these), so a snapshot is the
+// nonzero buckets alone and its queries read running sums over the buckets
+// nonzero now or then: a check costs what the program recorded, not
+// 64<<subBits buckets per snapshot. Running sums are built once after each
+// change (cum, valid while cumOK). The walk* methods are the per-query walks
+// over every bucket that they replaced, kept to pin them
 // (TestRefHistogramMatchesWalk).
 type refHistogram struct {
 	subBits uint
 	buckets []uint64
+	nz      []int
 	count   uint64
 	sum     int64
 	min     int64
@@ -77,6 +82,9 @@ func (h *refHistogram) RecordN(v int64, n uint64) {
 	if i >= len(h.buckets) {
 		i = len(h.buckets) - 1
 	}
+	if h.buckets[i] == 0 {
+		h.nz = append(h.nz, i)
+	}
 	h.buckets[i] += n
 	h.cumOK = false
 	h.count += n
@@ -110,26 +118,72 @@ func (h *refHistogram) Max() int64 {
 	return h.max
 }
 
+// refSnapshot is a snapshot of a refHistogram: its nonzero buckets, by
+// ascending index.
+type refSnapshot struct {
+	idx []int
+	val []uint64
+}
+
+// snapshot returns the nonzero buckets.
+func (h *refHistogram) snapshot() refSnapshot {
+	slices.Sort(h.nz)
+	s := refSnapshot{idx: slices.Clone(h.nz), val: make([]uint64, len(h.nz))}
+	for k, i := range s.idx {
+		s.val[k] = h.buckets[i]
+	}
+	return s
+}
+
+// dense returns the snapshot as n buckets.
+func (s refSnapshot) dense(n int) []uint64 {
+	b := make([]uint64, n)
+	for k, i := range s.idx {
+		b[i] = s.val[k]
+	}
+	return b
+}
+
 // runningSums are the running sums of a histogram's buckets, or of their
-// differences from a snapshot. rising is false when some bucket is below
-// its snapshot (a Reset came between): the uint64 differences wrap, the
-// sums are not sorted and must be scanned.
+// differences from a snapshot, at the buckets in idx (ascending): every
+// bucket missing from idx adds zero. n is the bucket count. rising is false
+// when some bucket is below its snapshot (a Reset came between): the uint64
+// differences wrap, the sums are not sorted and must be scanned.
 type runningSums struct {
+	idx    []int
 	cum    []uint64
+	n      int
 	rising bool
 }
 
 // cumulate writes the running sums of buckets minus prev (of buckets alone
-// when prev is nil) into dst, reusing its storage.
-func (h *refHistogram) cumulate(dst *runningSums, prev []uint64) {
-	dst.cum, dst.rising = dst.cum[:0], true
+// when prev is nil) into dst, reusing its storage. The buckets summed are
+// those nonzero now or in prev.
+func (h *refHistogram) cumulate(dst *runningSums, prev *refSnapshot) {
+	slices.Sort(h.nz)
+	dst.idx, dst.cum, dst.n, dst.rising = dst.idx[:0], dst.cum[:0], len(h.buckets), true
+	var was refSnapshot
+	if prev != nil {
+		was = *prev
+	}
 	var cum uint64
-	for i, c := range h.buckets {
-		if prev != nil {
-			dst.rising = dst.rising && c >= prev[i]
-			c -= prev[i]
+	for a, b := 0, 0; a < len(h.nz) || b < len(was.idx); {
+		var i int
+		var c, p uint64
+		switch {
+		case b == len(was.idx) || a < len(h.nz) && h.nz[a] < was.idx[b]:
+			i, c = h.nz[a], h.buckets[h.nz[a]]
+			a++
+		case a == len(h.nz) || was.idx[b] < h.nz[a]:
+			i, p = was.idx[b], was.val[b]
+			b++
+		default:
+			i, c, p = h.nz[a], h.buckets[h.nz[a]], was.val[b]
+			a, b = a+1, b+1
 		}
-		cum += c
+		dst.rising = dst.rising && c >= p
+		cum += c - p
+		dst.idx = append(dst.idx, i)
 		dst.cum = append(dst.cum, cum)
 	}
 }
@@ -146,25 +200,41 @@ func (h *refHistogram) prefix() *runningSums {
 
 // total is the last running sum: the count, or the count since the
 // snapshot.
-func (rs *runningSums) total() uint64 { return rs.cum[len(rs.cum)-1] }
+func (rs *runningSums) total() uint64 { return rs.at(rs.n - 1) }
+
+// at returns the running sum through bucket i.
+func (rs *runningSums) at(i int) uint64 {
+	k := sort.SearchInts(rs.idx, i+1)
+	if k == 0 {
+		return 0
+	}
+	return rs.cum[k-1]
+}
 
 // reach returns the first bucket whose running sum reaches q of the total:
-// len(cum) if none does.
+// the bucket count if none does. A running sum changes only at a bucket of
+// idx, so that is where it first reaches any target.
 func (rs *runningSums) reach(q float64) int {
 	q = math.Max(0, math.Min(1, q))
 	target := uint64(math.Ceil(q * float64(rs.total())))
 	if target == 0 {
 		target = 1
 	}
+	k := len(rs.cum)
 	if rs.rising {
-		return sort.Search(len(rs.cum), func(i int) bool { return rs.cum[i] >= target })
-	}
-	for i, c := range rs.cum {
-		if c >= target {
-			return i
+		k = sort.Search(len(rs.cum), func(k int) bool { return rs.cum[k] >= target })
+	} else {
+		for j, c := range rs.cum {
+			if c >= target {
+				k = j
+				break
+			}
 		}
 	}
-	return len(rs.cum)
+	if k == len(rs.cum) {
+		return rs.n
+	}
+	return rs.idx[k]
 }
 
 func (h *refHistogram) Quantile(q float64) int64 {
@@ -181,8 +251,8 @@ func (h *refHistogram) FractionAbove(v int64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	cum := h.prefix().cum
-	above := cum[len(cum)-1] - cum[min(h.index(v), len(cum)-1)]
+	cum := h.prefix()
+	above := cum.total() - cum.at(min(h.index(v), len(h.buckets)-1))
 	return float64(above) / float64(h.count)
 }
 
@@ -256,7 +326,10 @@ func (h *refHistogram) walkDeltaQuantile(q float64, prev []uint64) int64 {
 }
 
 func (h *refHistogram) Reset() {
-	clear(h.buckets)
+	for _, i := range h.nz {
+		h.buckets[i] = 0
+	}
+	h.nz = h.nz[:0]
 	h.cumOK = false
 	h.count, h.sum = 0, 0
 	h.min, h.max = math.MaxInt64, math.MinInt64
@@ -267,11 +340,11 @@ func (h *refHistogram) String() string {
 		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 }
 
-// snapPair is one BucketSnapshot of the histogram under test and the dense
+// snapPair is one BucketSnapshot of the histogram under test and the
 // snapshot of its oracle taken at the same point.
 type snapPair struct {
 	got  []uint64
-	want []uint64
+	want refSnapshot
 	// delta is the oracle's running sums since want, rebuilt at each check.
 	delta runningSums
 }
@@ -316,8 +389,7 @@ func (d *denseDiff) recordZero() {
 }
 
 func (d *denseDiff) snapshot() {
-	d.snaps = append(d.snaps, snapPair{got: d.h.BucketSnapshot(nil),
-		want: append([]uint64(nil), d.ref.buckets...)})
+	d.snaps = append(d.snaps, snapPair{got: d.h.BucketSnapshot(nil), want: d.ref.snapshot()})
 	if len(d.snaps) > 6 {
 		d.snaps = d.snaps[1:]
 	}
@@ -363,7 +435,7 @@ func (d *denseDiff) check(where string) {
 	}
 	for si := range d.snaps {
 		s := &d.snaps[si]
-		ref.cumulate(&s.delta, s.want)
+		ref.cumulate(&s.delta, &s.want)
 		if got, want := h.DeltaCount(s.got), ref.DeltaCount(&s.delta); got != want {
 			t.Fatalf("%s: DeltaCount(snapshot %d) = %d, dense %d", where, si, got, want)
 		}
@@ -396,11 +468,12 @@ func (d *denseDiff) checkWalk(where string) {
 	}
 	for si := range d.snaps {
 		s := &d.snaps[si]
-		if got, want := ref.DeltaCount(&s.delta), ref.walkDeltaCount(s.want); got != want {
+		prev := s.want.dense(len(ref.buckets))
+		if got, want := ref.DeltaCount(&s.delta), ref.walkDeltaCount(prev); got != want {
 			t.Fatalf("%s: dense DeltaCount(snapshot %d) = %d, walk %d", where, si, got, want)
 		}
 		for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
-			if got, want := ref.DeltaQuantile(q, &s.delta), ref.walkDeltaQuantile(q, s.want); got != want {
+			if got, want := ref.DeltaQuantile(q, &s.delta), ref.walkDeltaQuantile(q, prev); got != want {
 				t.Fatalf("%s: dense DeltaQuantile(%v, snapshot %d) = %d, walk %d", where, q, si, got, want)
 			}
 		}

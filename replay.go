@@ -2,7 +2,6 @@ package albatross
 
 import (
 	"io"
-	"net/http"
 
 	"albatross/internal/metrics"
 	"albatross/internal/workload"
@@ -90,36 +89,8 @@ func DiffOutcomes(labelA, reportA, labelB, reportB string) *ReplayDiff {
 	return trace.Diff(labelA, reportA, labelB, reportB)
 }
 
-// MetricsHandler serves a metrics snapshot as Prometheus text exposition;
-// snap is called per request, off the simulation's hot path.
-func MetricsHandler(snap func() *MetricsSnapshot) http.Handler { return metrics.Handler(snap) }
-
-// MetricsJSONHandler serves the same snapshot as MetricsHandler in JSON
-// form (the /metrics.json endpoint).
-func MetricsJSONHandler(snap func() *MetricsSnapshot) http.Handler { return metrics.JSONHandler(snap) }
-
 // Timeline is the virtual-time telemetry sampler: per-tick metric series
 // recorded every WithSnapshotEvery of virtual time (Cluster.Timeline),
 // exported as CSV/JSON. Series are byte-identical at any shard count and
 // burst size for a fixed seed.
 type Timeline = metrics.Timeline
-
-// SeriesHandler serves a timeline as CSV (the /series endpoint); tl is
-// called per request and may return nil (404) while sampling is off.
-func SeriesHandler(tl func() *Timeline) http.Handler { return metrics.SeriesHandler(tl) }
-
-// SeriesJSONHandler serves a timeline as JSON (the /series.json endpoint),
-// with the same nil-means-404 contract as SeriesHandler.
-func SeriesJSONHandler(tl func() *Timeline) http.Handler { return metrics.SeriesJSONHandler(tl) }
-
-// Content types served by the metrics/series HTTP handlers.
-const (
-	// MetricsContentType is the Prometheus text exposition content type
-	// served by MetricsHandler.
-	MetricsContentType = metrics.PrometheusContentType
-	// MetricsJSONContentType is served by MetricsJSONHandler and
-	// SeriesJSONHandler.
-	MetricsJSONContentType = metrics.JSONContentType
-	// SeriesContentType is the CSV content type served by SeriesHandler.
-	SeriesContentType = metrics.CSVContentType
-)

@@ -1,6 +1,7 @@
 package lpm
 
 import (
+	"runtime"
 	"testing"
 
 	"albatross/internal/sim"
@@ -160,34 +161,43 @@ func TestLPMInsertDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestScaleClusteredRoutes(t *testing.T) {
-	// A scaled-down version of the Tab. 6 capacity experiment: clustered
-	// tenant routes (how VXLAN routing tables look in production).
-	tbl := New()
-	r := sim.NewRand(1)
-	const subnets = 512
-	const perSubnet = 200
-	n := 0
+// installClustered installs tenant routes clustered the way production
+// VXLAN routing tables cluster: for each of subnets /24s upward from
+// 10.0.0.0, the /24 itself and perSubnet /32 hosts drawn at random inside
+// it (repeats collapse, so a /24 holds ~140 routes at perSubnet 200).
+func installClustered(tb testing.TB, tbl *Table, subnets, perSubnet int, r *sim.Rand) {
 	for s := 0; s < subnets; s++ {
-		base := 0x0a000000 | uint32(s)<<8
-		mustInsert(t, tbl, base, 24, uint32(s))
-		n++
-		for h := 0; h < perSubnet; h++ {
+		base := 0x0a000000 + uint32(s)<<8
+		err := tbl.Insert(base, 24, uint32(s))
+		for h := 0; h < perSubnet && err == nil; h++ {
 			host := base | uint32(1+r.Intn(254))
-			if err := tbl.Insert(host, 32, uint32(s)*1000+uint32(h)); err != nil {
-				t.Fatal(err)
-			}
+			err = tbl.Insert(host, 32, uint32(s)*1000+uint32(h))
+		}
+		if err != nil {
+			tb.Fatalf("subnet %d: %v", s, err)
 		}
 	}
-	if tbl.Len() < subnets {
+}
+
+// Tab. 6's clustered shape at test scale: 512 subnets x 200 host draws.
+const (
+	clusteredSubnets   = 512
+	clusteredPerSubnet = 200
+)
+
+func TestScaleClusteredRoutes(t *testing.T) {
+	// A scaled-down version of the Tab. 6 capacity experiment.
+	tbl := New()
+	installClustered(t, tbl, clusteredSubnets, clusteredPerSubnet, sim.NewRand(1))
+	if tbl.Len() < clusteredSubnets {
 		t.Fatalf("len = %d", tbl.Len())
 	}
 	// All /24 network addresses resolve.
-	for s := 0; s < subnets; s++ {
+	for s := 0; s < clusteredSubnets; s++ {
 		base := 0x0a000000 | uint32(s)<<8
 		if v, ok := tbl.Lookup(base | 0xfe); !ok {
 			t.Fatalf("subnet %d unreachable", s)
-		} else if v >= subnets && v < 1000 {
+		} else if v >= clusteredSubnets && v < 1000 {
 			t.Fatalf("unexpected value %d", v)
 		}
 	}
@@ -195,6 +205,64 @@ func TestScaleClusteredRoutes(t *testing.T) {
 		t.Fatal("memory estimate not positive")
 	}
 }
+
+// TestClusteredBytesPerRoute holds Tab. 6's memory claim at the clustered
+// shape: the modelled trie costs at most 28 B per route, so 10 M routes
+// fit in 280 MB of DRAM where Sailfish's SRAM holds 0.2 M. It reads 25.7
+// (BenchmarkTab6 reads 25.6 at 10 M routes).
+func TestClusteredBytesPerRoute(t *testing.T) {
+	tbl := New()
+	installClustered(t, tbl, clusteredSubnets, clusteredPerSubnet, sim.NewRand(1))
+	perRoute := float64(tbl.MemoryBytes()) / float64(tbl.Len())
+	t.Logf("%d routes, %d nodes, %.1f modelled B/route", tbl.Len(), tbl.NodeCount(), perRoute)
+	if perRoute > 28 {
+		t.Fatalf("%.1f modelled B/route, bound 28", perRoute)
+	}
+}
+
+// tab6Subnets clustered /24s hold ~10 M routes: Tab. 6's capacity claim
+// installed literally (~1 s and ~110 MB of heap on a 2-vCPU Xeon VM).
+const tab6Subnets = 72_000
+
+// BenchmarkTab6 times Tab. 6's claim at full size. install builds the
+// ~10 M-route clustered table per op and reports routes/s, the modelled
+// B/route and the live heap; lookup probes addresses biased into the
+// installed /24s, as gateway traffic is (ns/op per lookup).
+//
+//	go test -run '^$' -bench Tab6 ./internal/lpm
+func BenchmarkTab6(b *testing.B) {
+	b.Run("install", func(b *testing.B) {
+		var tbl *Table
+		for i := 0; i < b.N; i++ {
+			tbl = New()
+			installClustered(b, tbl, tab6Subnets, clusteredPerSubnet, sim.NewRand(1))
+		}
+		b.ReportMetric(float64(tbl.Len())*float64(b.N)/b.Elapsed().Seconds(), "routes/s")
+		b.ReportMetric(float64(tbl.Len()), "routes")
+		b.ReportMetric(float64(tbl.MemoryBytes())/float64(tbl.Len()), "B/route")
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		runtime.KeepAlive(tbl)
+		b.ReportMetric(float64(ms.HeapAlloc)/1e6, "heap-MB")
+	})
+	b.Run("lookup", func(b *testing.B) {
+		tbl := New()
+		r := sim.NewRand(1)
+		installClustered(b, tbl, tab6Subnets, clusteredPerSubnet, r)
+		addrs := make([]uint32, 1<<16)
+		for i := range addrs {
+			addrs[i] = 0x0a000000 + uint32(r.Intn(tab6Subnets))<<8 | uint32(r.Intn(256))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			lookupSink, _ = tbl.Lookup(addrs[i&(1<<16-1)])
+		}
+	})
+}
+
+// lookupSink keeps BenchmarkTab6's lookups from being optimised away.
+var lookupSink uint32
 
 func BenchmarkLookup(b *testing.B) {
 	tbl := New()

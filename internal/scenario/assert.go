@@ -76,10 +76,11 @@ func (m *measurement) podDrops() uint64 {
 		m.headerDrops + m.rxLost + m.faultLost + m.crashDrops
 }
 
-// evaluate runs the scenario's assertion block against a completed run.
-// Identity assertions re-execute the scenario (fresh clusters, same
-// seed), so their cost is opt-in per scenario.
-func (s *Scenario) evaluate(st *runState, outcome string) []Check {
+// evaluate runs the scenario's assertion block against the primary run,
+// one Check per assertion in declaration order. Identity assertions are
+// only placed: their verdicts compare re-executions (fresh clusters, same
+// seed) that Run collects, so their cost is opt-in per scenario.
+func (s *Scenario) evaluate(st *runState) []Check {
 	cl := st.cl
 	m := measure(cl)
 	delivered := m.tx
@@ -125,10 +126,6 @@ func (s *Scenario) evaluate(st *runState, outcome string) []Check {
 			c.OK, c.Detail = s.checkConverge(st, a)
 		case "window_max":
 			c.OK, c.Detail = s.checkWindowMax(st, a)
-		case "byte_identity":
-			c.OK, c.Detail = s.checkByteIdentity(a, st)
-		case "replay_identity":
-			c.OK, c.Detail = s.checkReplayIdentity(st)
 		case "reconciled":
 			c.OK, c.Detail = checkReconciled(st)
 		}
@@ -297,59 +294,58 @@ func (s *Scenario) checkWindowMax(st *runState, a Assertion) (bool, string) {
 		a.Series, worst, a.From, to, n, a.MaxValue)
 }
 
-// checkByteIdentity re-executes the scenario (fresh deployments, same
-// seed) a.Runs-1 extra times and once per extra shard count, requiring
-// every identity document — outcome report plus reconciler step log — to
-// match the first byte for byte.
-func (s *Scenario) checkByteIdentity(a Assertion, st *runState) (bool, string) {
-	doc := st.identityDoc()
-	for run := 1; run < a.Runs; run++ {
-		st2, err := s.exec(s.Fleet.Shards, false, nil)
-		if err != nil {
-			return false, fmt.Sprintf("repeat run %d failed: %v", run, err)
+// byteIdentityVerdict judges a byte_identity assertion: runs are its
+// re-executions in declaration order — a.Runs-1 repeat runs, then one per
+// listed shard count — and every identity document (outcome report plus
+// reconciler step log) must match the primary's doc byte for byte. The
+// first failure in declaration order is reported, whatever order the
+// runs finished in.
+func byteIdentityVerdict(a Assertion, doc string, runs []identityRun) (bool, string) {
+	for j, r := range runs {
+		if run := j + 1; run < a.Runs {
+			if r.err != nil {
+				return false, fmt.Sprintf("repeat run %d failed: %v", run, r.err)
+			}
+			if r.doc != doc {
+				return false, fmt.Sprintf("repeat run %d outcome diverged (%d vs %d bytes)",
+					run, len(r.doc), len(doc))
+			}
+			continue
 		}
-		if got := st2.identityDoc(); got != doc {
-			return false, fmt.Sprintf("repeat run %d outcome diverged (%d vs %d bytes)",
-				run, len(got), len(doc))
+		k := a.Shards[j-(a.Runs-1)]
+		if r.err != nil {
+			return false, fmt.Sprintf("shards=%d run failed: %v", k, r.err)
 		}
-	}
-	for _, k := range a.Shards {
-		st2, err := s.exec(k, false, nil)
-		if err != nil {
-			return false, fmt.Sprintf("shards=%d run failed: %v", k, err)
-		}
-		if got := st2.identityDoc(); got != doc {
+		if r.doc != doc {
 			return false, fmt.Sprintf("shards=%d outcome diverged (%d vs %d bytes)",
-				k, len(got), len(doc))
+				k, len(r.doc), len(doc))
 		}
 	}
 	return true, fmt.Sprintf("%d run(s) and shard counts %v byte-identical (outcome %d bytes)",
 		a.Runs, a.Shards, len(doc))
 }
 
-// checkReplayIdentity replays the run's recorded injection schedule into
-// a fresh deployment and requires the identity document — outcome plus
-// reconciler step log — to match the live run.
-func (s *Scenario) checkReplayIdentity(st *runState) (bool, string) {
-	if st.rec == nil {
+// replayIdentityVerdict judges a replay_identity assertion: r replayed
+// the live run's recorded events (recorded of them; < 0 when nothing was
+// recorded) into a fresh deployment, and its identity document must match
+// the live run's doc.
+func replayIdentityVerdict(doc string, recorded int, r identityRun) (bool, string) {
+	if recorded < 0 {
 		return false, "no recorded trace (internal error)"
 	}
-	doc := st.identityDoc()
-	tr := st.rec.Trace()
-	rerun, err := s.exec(s.Fleet.Shards, false, tr)
-	if err != nil {
-		return false, fmt.Sprintf("replay run failed: %v", err)
+	if r.err != nil {
+		return false, fmt.Sprintf("replay run failed: %v", r.err)
 	}
-	if rerun.replayed != len(tr.Events) {
+	if r.replayed != recorded {
 		return false, fmt.Sprintf("replay injected %d of %d recorded events (raise duration)",
-			rerun.replayed, len(tr.Events))
+			r.replayed, recorded)
 	}
-	if got := rerun.identityDoc(); got != doc {
+	if r.doc != doc {
 		return false, fmt.Sprintf("replayed outcome diverged from live run (%d vs %d bytes)",
-			len(got), len(doc))
+			len(r.doc), len(doc))
 	}
 	return true, fmt.Sprintf("replayed %d recorded events, outcome byte-identical (%d bytes)",
-		len(tr.Events), len(doc))
+		recorded, len(doc))
 }
 
 // checkReconciled verifies the control plane finished its job: the

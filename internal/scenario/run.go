@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"albatross/internal/cachesim"
@@ -146,8 +147,8 @@ type runState struct {
 // identityDoc is the byte-identity comparand: the cluster outcome plus,
 // when a reconciler ran, its timed step log — so identity assertions also
 // gate the control plane's exact convergence trajectory.
-func (st *runState) identityDoc() string {
-	doc := st.cl.Outcome()
+func (st *runState) identityDoc(outcome string) string {
+	doc := outcome
 	if st.recon != nil {
 		doc += "== reconcile ==\n" + st.recon.StepLog()
 		for _, e := range st.specErrs {
@@ -157,37 +158,124 @@ func (st *runState) identityDoc() string {
 	return doc
 }
 
-// Run validates and executes the scenario, evaluates its assertions
-// (possibly re-executing for identity checks), writes any configured
-// observability artifacts, and returns the deterministic result.
+// identityRun is what an identity re-execution keeps: its identity
+// document or the error that stopped it, and how many recorded events a
+// replay injected. Its fleet is garbage once the run returns.
+type identityRun struct {
+	doc      string
+	err      error
+	replayed int
+}
+
+// reexec executes the scenario once more (at shards, replaying replayOf
+// when non-nil) and keeps only what an identity verdict reads.
+func (s *Scenario) reexec(shards int, replayOf *trace.Trace) identityRun {
+	st, err := s.exec(shards, false, replayOf)
+	if err != nil {
+		return identityRun{err: err}
+	}
+	return identityRun{doc: st.identityDoc(st.cl.Outcome()), replayed: st.replayed}
+}
+
+// Run validates and executes the scenario, evaluates its assertions,
+// writes any configured observability artifacts, and returns the
+// deterministic result.
+//
+// All of the scenario's executions — the primary run, each byte_identity
+// re-execution and the replay_identity run — share one pool of
+// runtime.GOMAXPROCS(0) slots. The primary takes its slot first and
+// holds it while its fleet is needed: the non-identity checks, the report
+// (but for its assertion lines) and the artifacts. Re-executions start at
+// once and keep only their identity document; the replay starts when the
+// primary's trace exists. Identity verdicts and the assertion lines come
+// last, in declaration order, so the result does not depend on the slot
+// count or on the order re-executions finish in. At most GOMAXPROCS
+// fleets are live at once; with one slot the executions run one after
+// another, as a serial loop would.
 func (s *Scenario) Run() (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	p := newPool(runtime.GOMAXPROCS(0))
+	// runs[i] holds assertion i's re-executions in declaration order:
+	// byte_identity's repeat runs then its shard counts, or the one replay.
+	runs := make([][]identityRun, len(s.Assertions))
+	var replayOf *trace.Trace
+	var replays []*poolJob
 	needRecord := s.Observability.Record != ""
-	for _, a := range s.Assertions {
-		if a.Type == "replay_identity" {
+	for i, a := range s.Assertions {
+		switch a.Type {
+		case "byte_identity":
+			shards := make([]int, 0, a.Runs-1+len(a.Shards))
+			for run := 1; run < a.Runs; run++ {
+				shards = append(shards, s.Fleet.Shards)
+			}
+			shards = append(shards, a.Shards...)
+			runs[i] = make([]identityRun, len(shards))
+			for j, k := range shards {
+				out := &runs[i][j]
+				p.add(true, func() { *out = s.reexec(k, nil) })
+			}
+		case "replay_identity":
 			needRecord = true
+			runs[i] = make([]identityRun, 1)
+			out := &runs[i][0]
+			replays = append(replays, p.add(false, func() { *out = s.reexec(s.Fleet.Shards, replayOf) }))
 		}
 	}
-	st, err := s.exec(s.Fleet.Shards, needRecord, nil)
-	if err != nil {
+	// fail stops the pool and waits out every started execution, so no
+	// execution outlives Run.
+	fail := func(err error) (*Result, error) {
+		p.stop()
+		p.release()
+		p.wait()
 		return nil, err
 	}
+
+	st, err := s.exec(s.Fleet.Shards, needRecord, nil)
+	if err != nil {
+		return fail(err)
+	}
+	if st.rec != nil {
+		replayOf = st.rec.Trace()
+		for _, j := range replays {
+			p.markReady(j)
+		}
+	}
 	res := &Result{Scenario: s, Outcome: st.cl.Outcome()}
-	checks := s.evaluate(st, res.Outcome)
-	res.Checks = checks
-	for _, c := range checks {
+	res.Checks = s.evaluate(st)
+	doc := st.identityDoc(res.Outcome)
+	head := s.reportHead(st)
+	var tail string
+	if s.Observability.Report {
+		tail = "\n" + st.cl.Report()
+	}
+	if err := s.writeArtifacts(st, replayOf); err != nil {
+		return fail(err)
+	}
+	// Nothing reads the primary's fleet from here on: free its slot.
+	p.release()
+	p.wait()
+
+	recorded := -1
+	if replayOf != nil {
+		recorded = len(replayOf.Events)
+	}
+	for i := range res.Checks {
+		c := &res.Checks[i]
+		switch c.Assertion.Type {
+		case "byte_identity":
+			c.OK, c.Detail = byteIdentityVerdict(c.Assertion, doc, runs[i])
+		case "replay_identity":
+			c.OK, c.Detail = replayIdentityVerdict(doc, recorded, runs[i][0])
+		}
 		if c.OK {
 			res.Passed++
 		} else {
 			res.Failed++
 		}
 	}
-	res.Report = s.renderReport(st, res)
-	if err := s.writeArtifacts(st); err != nil {
-		return nil, err
-	}
+	res.Report = head + s.reportChecks(res) + tail
 	return res, nil
 }
 
@@ -447,10 +535,10 @@ func (ev Event) describe() string {
 	return b.String()
 }
 
-// renderReport builds the deterministic run report: configuration echo,
-// scripted events, fired-fault log, traffic and latency summary, and one
-// line per assertion. Wall-clock never appears here.
-func (s *Scenario) renderReport(st *runState, res *Result) string {
+// reportHead renders the deterministic run report up to its assertion
+// lines: configuration echo, scripted events, fired-fault log, traffic and
+// latency summary. Wall-clock never appears in the report.
+func (s *Scenario) reportHead(st *runState) string {
 	var b strings.Builder
 	f, w := &s.Fleet, &s.Workload
 	fmt.Fprintf(&b, "scenario %s: %d node(s), %v %s, %d pod(s) x %d cores, seed %d\n",
@@ -510,6 +598,13 @@ func (s *Scenario) renderReport(st *runState, res *Result) string {
 		fmt.Fprintf(&b, "  series      every=%v ticks=%d fnv64a=%#016x bytes=%d\n",
 			tl.Every(), tl.Len(), sum, n)
 	}
+	return b.String()
+}
+
+// reportChecks renders the report's assertion lines, in declaration
+// order, and its verdict line.
+func (s *Scenario) reportChecks(res *Result) string {
+	var b strings.Builder
 	for _, c := range res.Checks {
 		verdict := "PASS"
 		if !c.OK {
@@ -523,10 +618,6 @@ func (s *Scenario) renderReport(st *runState, res *Result) string {
 	}
 	fmt.Fprintf(&b, "scenario %s: %s (%d/%d assertions)\n",
 		s.Name, overall, res.Passed, res.Passed+res.Failed)
-	if s.Observability.Report {
-		b.WriteString("\n")
-		b.WriteString(st.cl.Report())
-	}
 	return b.String()
 }
 
@@ -547,8 +638,9 @@ func writePrometheus(path string, reg *metrics.Registry) error {
 	return err
 }
 
-// writeArtifacts writes the configured observability outputs.
-func (s *Scenario) writeArtifacts(st *runState) error {
+// writeArtifacts writes the configured observability outputs; rec is the
+// run's recorded trace (nil when nothing was recorded).
+func (s *Scenario) writeArtifacts(st *runState, rec *trace.Trace) error {
 	o := &s.Observability
 	if o.MetricsOut != "" {
 		reg := metrics.New()
@@ -569,8 +661,8 @@ func (s *Scenario) writeArtifacts(st *runState) error {
 			return err
 		}
 	}
-	if o.Record != "" && st.rec != nil {
-		if err := st.rec.Trace().WriteFile(o.Record); err != nil {
+	if o.Record != "" && rec != nil {
+		if err := rec.WriteFile(o.Record); err != nil {
 			return err
 		}
 	}

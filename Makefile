@@ -82,8 +82,7 @@ gameday: build
 #                except the two lines the host decides: the "(id in …)"
 #                timings and the "total wall time" line. Quick scale is
 #                tier-1's: TestQuickReportMatchesGolden holds every
-#                experiment, the concury backend checks among them, to
-#                internal/eval/testdata/quick-seed1.txt.
+#                experiment to internal/eval/testdata/quick-seed1.txt.
 #   bench-smoke  every benchmark of internal/packet and internal/flowtable runs
 #                once (`go test` never runs them), so the host-timing pairs
 #                that left the report — meta placement, shared vs per-worker
@@ -144,11 +143,12 @@ gameday: build
 #                seven take about 10 s): `go build ./...` compiles them, this
 #                runs them.
 #   reach        every exported function or method in non-test internal/ code
-#                is linked into some main package (the linker's -dumpdep over
-#                cmd/*, examples/*, bench) or named with its contract in
-#                internal/reach-allow.txt, and no allowlist line is stale; a
-#                self-test plants an unreached export and stale lines through
-#                `go build -overlay` and requires the gate to name each.
+#                and in the root (facade) package is linked into some main
+#                package (the linker's -dumpdep over cmd/*, examples/*, bench)
+#                or named with its contract in internal/reach-allow.txt, and
+#                no allowlist line is stale; a self-test plants an unreached
+#                internal export, an unreached facade function and stale lines
+#                through `go build -overlay` and requires the gate to name each.
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \

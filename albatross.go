@@ -115,12 +115,6 @@ type (
 	JourneyStep = core.TraceStep
 )
 
-// NewMetricsRegistry creates an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.New() }
-
-// MetricL builds a metric label.
-func MetricL(key, value string) MetricLabel { return metrics.L(key, value) }
-
 // StageNames returns the pipeline's stage labels in chain order, aligned
 // with PodRuntime.Stages and PodRuntime.StageResidency.
 func StageNames() []string { return core.StageNames() }

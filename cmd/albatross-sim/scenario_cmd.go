@@ -75,7 +75,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		rate     = fs.Float64("rate", 0, "override workload.rate (packets/second)")
 		duration = fs.Duration("duration", 0, "override scenario duration")
 		cacheMB  = fs.Int("cache-mb", 0, "override fleet.cache_mb")
-		backend  = fs.String("backend", "", "override fleet.backend (session | othello)")
+		backend  = fs.String("backend", "", "override fleet.backend (session)")
 		burst    = fs.Int("burst", 0, "override fleet.burst (dispatch batch size; changes event counts only)")
 		report   = fs.Bool("report", false, "override observability.report (print the full cluster report)")
 		metrics  = fs.String("metrics-out", "", "override observability.metrics_out")

@@ -43,13 +43,6 @@ const (
 	AdminRemoved = controlplane.AdminRemoved
 )
 
-// NewReconciler attaches a desired-state reconciler to a cluster and arms
-// its tick loop on the cluster engine. The spec must cover every existing
-// member. The reconciler registers itself as the cluster's controller.
-func NewReconciler(c *Cluster, spec ClusterSpec, cfg ReconcilerConfig) (*Reconciler, error) {
-	return controlplane.NewReconciler(c, spec, cfg)
-}
-
 // LoadSpec parses and validates a standalone desired-state document (a
 // spec: block at top level). Every parse or schema error wraps
 // ErrBadConfig and names the offending line.

@@ -270,7 +270,7 @@ func TestFaultRowsTouchPackets(t *testing.T) {
 	}
 }
 
-// TestBurstBackendCombined layers the othello flow-table backend under
+// TestBurstBackendCombined layers the session flow-table backend under
 // burst dispatch through a pod crash: the backend changes which pod each
 // flow enters, so identity is checked across burst sizes and shard counts
 // with the same backend.
@@ -281,13 +281,13 @@ func TestBurstBackendCombined(t *testing.T) {
 			Duration: 20 * sim.Millisecond,
 		}}}
 	}
-	baseOut, baseProm := runBurstCluster(t, 1, 1, "othello", lightLoad, plan())
+	baseOut, baseProm := runBurstCluster(t, 1, 1, "session", lightLoad, plan())
 	for _, v := range []struct {
 		shards, burst int
 	}{
 		{1, 32}, {4, 8},
 	} {
-		out, prom := runBurstCluster(t, v.shards, v.burst, "othello", lightLoad, plan())
+		out, prom := runBurstCluster(t, v.shards, v.burst, "session", lightLoad, plan())
 		if out != baseOut {
 			t.Fatalf("shards=%d burst=%d outcome differs from burst 1:\n%s",
 				v.shards, v.burst, trace.Diff("burst=1", baseOut, "burst", out).String())
@@ -300,7 +300,7 @@ func TestBurstBackendCombined(t *testing.T) {
 	// The backend must actually have steered: flows land on both pods of
 	// node 0, and the crash moved the dead pod's flows.
 	c, err := New(Config{Nodes: 4, Seed: testSeed, Faults: plan(),
-		Node: core.NodeConfig{FlowBackend: "othello"}})
+		Node: core.NodeConfig{FlowBackend: "session"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Fatalf("spec %d: %v", i, err)
 		}
 	}
-	ok := ClusterSpec{Members: []MemberSpec{{}, {Weight: 0.5, Pods: 2, Admin: AdminDrained, Backend: "othello"}}}
+	ok := ClusterSpec{Members: []MemberSpec{{}, {Weight: 0.5, Pods: 2, Admin: AdminDrained, Backend: "session"}}}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}

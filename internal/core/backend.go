@@ -9,13 +9,11 @@ import (
 // Node.Ingress consults it to pick the pod for each flow instead of the
 // legacy first-pod path. The backend's pool tracks the node's Active pods by
 // slot index and is refreshed on every lifecycle transition (deploy, crash,
-// restart, stop); the stateless Othello backend remaps only the flows whose
-// pod left the pool — the Concury zero-disruption property — while the
-// session backend re-hashes them on their next lookup.
+// restart, stop); an update remaps only the flows whose pod left the pool.
 
 // Backend returns the node's flow-table backend (nil when NodeConfig left
 // FlowBackend empty).
-func (n *Node) Backend() flowtable.Backend { return n.backend }
+func (n *Node) Backend() *flowtable.Backend { return n.backend }
 
 // refreshBackendPool rebuilds the backend's pod pool from the current
 // lifecycle states. Flows whose pod left the pool are remapped (counted in
@@ -74,10 +72,7 @@ func (n *Node) SetFlowBackend(name string) error {
 		n.cfg.FlowBackend = ""
 		return nil
 	}
-	b, err := flowtable.NewBackend(name, nil, flowtable.BackendConfig{
-		Seed:  n.cfg.Seed ^ 0xF10B,
-		Space: n.addrs,
-	})
+	b, err := flowtable.NewBackend(name, nil, flowtable.BackendConfig{Space: n.addrs})
 	if err != nil {
 		return err
 	}

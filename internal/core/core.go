@@ -52,8 +52,8 @@ type NodeConfig struct {
 	// node creation.
 	Faults *faults.Plan
 	// FlowBackend selects the node-level flow-table backend steering
-	// Node.Ingress traffic across pods ("session" or "othello"; see
-	// internal/flowtable.BackendNames). Empty leaves Ingress on the legacy
+	// Node.Ingress traffic across pods: "session", the per-flow session
+	// table of internal/flowtable. Empty leaves Ingress on the legacy
 	// first-pod path.
 	FlowBackend string
 	// Burst is the dispatch batch size (see burst.go): up to Burst
@@ -99,7 +99,7 @@ type Node struct {
 	// backend steers Node.Ingress traffic across active pods (see
 	// backend.go); nil without NodeConfig.FlowBackend. BackendMoved counts
 	// flows remapped by pool updates (pod lifecycle changes).
-	backend      flowtable.Backend
+	backend      *flowtable.Backend
 	BackendMoved uint64
 }
 
@@ -147,10 +147,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	if cfg.FlowBackend != "" {
-		n.backend, err = flowtable.NewBackend(cfg.FlowBackend, nil, flowtable.BackendConfig{
-			Seed:  cfg.Seed ^ 0xF10B,
-			Space: n.addrs,
-		})
+		n.backend, err = flowtable.NewBackend(cfg.FlowBackend, nil, flowtable.BackendConfig{Space: n.addrs})
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, base ...metrics.Label) {
 			{"insert", func() uint64 { return n.backend.Stats().Inserts }},
 			{"eviction", func() uint64 { return n.backend.Stats().Evictions }},
 			{"moved", func() uint64 { return n.backend.Stats().Moved }},
-			{"rebuild", func() uint64 { return n.backend.Stats().Rebuilds }},
 		} {
 			reg.Counter("albatross_backend_ops_total",
 				"Flow-table backend operations, by event.", ev.fn, sc.with(be, "event", ev.event)...)

@@ -274,7 +274,7 @@ type Session struct {
 // Create reuses. A table of 100 000 sessions holds about 63 bytes per
 // session (TestSessionBytesPerSession).
 //
-// A *Session returned by Lookup, Create or Peek, or passed to Range, stays
+// A *Session returned by Lookup or Create, or passed to Range, stays
 // valid until that session is deleted, expires or is evicted; after that
 // its record may be reused by a later Create for another key. Inserting
 // other sessions never moves a record.
@@ -483,13 +483,6 @@ func (st *SessionTable) Range(fn func(*Session) bool) {
 			return
 		}
 	}
-}
-
-// Peek returns the session for key without refreshing activity or
-// applying idle expiry (management-plane access).
-func (st *SessionTable) Peek(key packet.FiveTuple, h uint32) *Session {
-	_, s := st.find(key, h)
-	return s
 }
 
 // Delete removes a session outright, reporting whether it existed.

@@ -80,7 +80,14 @@ func (st *refSessionTable) Delete(key packet.FiveTuple) bool {
 	return true
 }
 
-// refSessionBackend is sessionBackend over refSessionTable.
+// peek returns the session for key without refreshing activity or applying
+// idle expiry.
+func peek(st *SessionTable, key packet.FiveTuple, h uint32) *Session {
+	_, s := st.find(key, h)
+	return s
+}
+
+// refSessionBackend is Backend over refSessionTable.
 type refSessionBackend struct {
 	st    *refSessionTable
 	pool  []int
@@ -117,7 +124,7 @@ func (b *refSessionBackend) Select(key packet.FiveTuple, h uint32, now sim.Time)
 	return pod
 }
 
-// Update is sessionBackend.Update; hashOf is the program's hash function.
+// Update is Backend.Update; hashOf is the program's hash function.
 func (b *refSessionBackend) Update(pool []int, hashOf func(packet.FiveTuple) uint32) int {
 	b.setPool(pool)
 	moved := 0
@@ -151,7 +158,7 @@ var sessionProgramKeys = [len(indexHashes)]int{6144, 512, 512, 512}
 const (
 	sessCreate  = iota // Create universe key arg, Pod arg%8
 	sessLookup         // Lookup universe key arg
-	sessPeek           // Peek universe key arg
+	sessPeek           // peek universe key arg
 	sessDelete         // Delete universe key arg
 	sessBulk           // Create (arg+1)×8 fresh keys, up to the cap (see fresh)
 	sessDrop           // Delete the (arg+1)×8 oldest fresh keys still unvisited
@@ -194,7 +201,7 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 	x := NewSessionTableIn(space, capacity, idle)
 	ref := newRefSessionTable(x.addrBase, capacity, idle)
 	pool := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	b := &sessionBackend{st: x}
+	b := &Backend{st: x}
 	rb := &refSessionBackend{st: ref}
 	b.setPool(pool)
 	rb.setPool(pool)
@@ -251,7 +258,7 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 			same(op, "Lookup", k, x.Lookup(k, hashFn(k), now), ref.Lookup(k, now))
 		case sessPeek:
 			k := universe(arg)
-			same(op, "Peek", k, x.Peek(k, hashFn(k)), ref.m[k])
+			same(op, "Peek", k, peek(x, k, hashFn(k)), ref.m[k])
 		case sessDelete:
 			del(op, universe(arg))
 		case sessBulk:
@@ -293,13 +300,13 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 				got = b.Insert(k, h, now)
 			}
 			want := rb.Select(k, h, now)
-			if s := x.Peek(k, h); s != nil {
+			if s := peek(x, k, h); s != nil {
 				held[k] = s
 			}
 			if got != want || b.Stats() != rb.Stats() {
 				t.Fatalf("op %d: Lookup/Insert(%v) = %d (%+v), reference %d (%+v)", op, k, got, b.Stats(), want, rb.Stats())
 			}
-			same(op, "Select", k, x.Peek(k, h), ref.m[k])
+			same(op, "Select", k, peek(x, k, h), ref.m[k])
 		case sessUpdate:
 			var np []int
 			for pod := range 8 {

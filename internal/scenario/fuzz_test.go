@@ -49,7 +49,7 @@ func FuzzLoadScenario(f *testing.F) {
 // validation again, and rendered back to a document it loads to the same
 // spec. Seeds beyond the ones added here live in testdata/fuzz/FuzzLoadSpec.
 func FuzzLoadSpec(f *testing.F) {
-	f.Add([]byte("interval: 2ms\nsteps_per_tick: 3\nmembers:\n  - weight: 0.25\n    pods: 2\n    backend: othello\n  - default\n  - admin: drained\n  - admin: removed\n"))
+	f.Add([]byte("interval: 2ms\nsteps_per_tick: 3\nmembers:\n  - weight: 0.25\n    pods: 2\n    backend: session\n  - default\n  - admin: drained\n  - admin: removed\n"))
 	f.Add([]byte("members:\n  - default\n"))
 	f.Add([]byte("members: []\n"))
 	f.Add([]byte("members:\n  - weight: 1e-3\n  - weight: -0\n"))

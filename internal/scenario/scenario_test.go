@@ -235,7 +235,51 @@ func TestUnknownBackendRejected(t *testing.T) {
 			if !errors.Is(err, errs.BadConfig) {
 				t.Fatalf("error does not wrap ErrBadConfig: %v", err)
 			}
-			if want := `unknown flow-table backend "bogus" (want session|othello)`; !strings.Contains(err.Error(), want) {
+			if want := `unknown flow-table backend "bogus" (want session)`; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not contain %q", err, want)
+			}
+		})
+	}
+}
+
+// TestOthelloSpellingReadsAsSession: fleet.backend in a scenario file is the
+// one place "othello" is still read, as "session"; the -backend override, a
+// spec member and a spec_update entry reject it like any unknown name.
+func TestOthelloSpellingReadsAsSession(t *testing.T) {
+	valid := "name: x\nduration: 10ms\nworkload:\n  flows: 10\n  rate: 1e5\n"
+	s, err := Load([]byte(valid + "fleet:\n  backend: othello\n"))
+	if err != nil {
+		t.Fatalf("fleet.backend: othello: %v", err)
+	}
+	if s.Fleet.Backend != "session" {
+		t.Fatalf("fleet.backend: othello loaded as %q, want session", s.Fleet.Backend)
+	}
+
+	rejected := []struct {
+		name     string
+		validate func() error
+	}{
+		{"-backend override", func() error {
+			othello := "othello"
+			return s.Apply(Overrides{Backend: &othello}).Validate()
+		}},
+		{"spec_update", func() error {
+			_, err := Load([]byte(valid + "spec:\n  members:\n    - default\n" +
+				"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: othello\n"))
+			return err
+		}},
+		{"spec member", func() error {
+			_, err := LoadSpec([]byte("members:\n  - backend: othello\n"))
+			return err
+		}},
+	}
+	for _, tc := range rejected {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.validate()
+			if !errors.Is(err, errs.BadConfig) {
+				t.Fatalf("error does not wrap ErrBadConfig: %v", err)
+			}
+			if want := `unknown flow-table backend "othello" (want session)`; !strings.Contains(err.Error(), want) {
 				t.Errorf("error %q does not contain %q", err, want)
 			}
 		})

@@ -20,7 +20,7 @@ steps_per_tick: 3
 members:
   - weight: 0.25
     pods: 2
-    backend: othello
+    backend: session
   - default
   - admin: drained
   - admin: removed
@@ -36,7 +36,7 @@ members:
 		t.Fatalf("got %d members, want 4", len(r.Members))
 	}
 	m0 := r.Members[0]
-	if m0.Weight != 0.25 || m0.Pods != 2 || m0.Backend != "othello" {
+	if m0.Weight != 0.25 || m0.Pods != 2 || m0.Backend != "session" {
 		t.Errorf("member 0 = %+v", m0)
 	}
 	if m1 := r.Members[1]; m1 != (controlplane.MemberSpec{}) {
@@ -49,7 +49,7 @@ members:
 	if err := cs.Validate(); err != nil {
 		t.Errorf("converted ClusterSpec invalid: %v", err)
 	}
-	if got := cs.String(); got != "spec[4]{0: w=0.25 pods=2 backend=othello; 1: w=1; 2: w=1 drained; 3: removed}" {
+	if got := cs.String(); got != "spec[4]{0: w=0.25 pods=2 backend=session; 1: w=1; 2: w=1 drained; 3: removed}" {
 		t.Errorf("ClusterSpec.String() = %q", got)
 	}
 	cfg := r.Config()

@@ -64,11 +64,6 @@ func WithSeed(seed uint64) Option {
 	return func(c *Config) { c.Node.Seed = seed }
 }
 
-// WithServerConfig sets the server hardware description.
-func WithServerConfig(sc ServerConfig) Option {
-	return func(c *Config) { c.Node.Server = sc }
-}
-
 // WithCache sets the per-NUMA L3 cache geometry.
 func WithCache(cc CacheConfig) Option {
 	return func(c *Config) { c.Node.Cache = cc }
@@ -117,9 +112,8 @@ func WithSnapshotEvery(d Duration) Option {
 
 // WithFlowBackend selects the node-level flow-table backend steering
 // Node.Ingress (and cluster member ingress) across pods: "session" keeps a
-// per-flow session table, "othello" is the Concury-style stateless
-// minimal-perfect-hash map with zero-disruption pool updates. Empty (the
-// default) keeps the legacy first-pod path.
+// per-flow session table whose pool updates move only the flows of a pod
+// that left. Empty (the default) keeps the legacy first-pod path.
 func WithFlowBackend(name string) Option {
 	return func(c *Config) { c.Node.FlowBackend = name }
 }

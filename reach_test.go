@@ -1,10 +1,11 @@
 //go:build reach
 
 // The reachability gate: every exported function or method declared in
-// non-test internal/ code must be linked into at least one main package of
-// the module (cmd/*, examples/*, bench), or be named in
-// internal/reach-allow.txt with the contract that keeps it. A line there
-// that names a symbol which is reached, or no longer declared, fails too.
+// non-test internal/ code or in the root (facade) package must be linked
+// into at least one main package of the module (cmd/*, examples/*, bench),
+// or be named in internal/reach-allow.txt with the contract that keeps it.
+// A line there that names a symbol which is reached, or no longer
+// declared, fails too.
 //
 //	go test -tags reach -run TestReach -count=1 .
 //
@@ -49,10 +50,12 @@ func TestReachGateCatchesPlantedFaults(t *testing.T) {
 		"packet.NoSuchSymbol  stale: never declared\n"
 	problems := reachProblems(t, map[string]string{
 		"internal/packet/planted.go": "package packet\n\n// PlantedUnreached is linked by no binary.\nfunc PlantedUnreached() int { return 1 }\n",
+		"planted.go":                 "package albatross\n\n// PlantedFacade is linked by no binary.\nfunc PlantedFacade() int { return 1 }\n",
 		reachAllowFile:               stale,
 	})
 	for _, want := range []string{
 		"unreached: packet.PlantedUnreached",
+		"unreached: albatross.PlantedFacade",
 		"allowlisted but reached: packet.FiveTuple.Hash",
 		"allowlisted but not declared: packet.NoSuchSymbol",
 	} {
@@ -92,24 +95,31 @@ func reachProblems(t *testing.T, overlay map[string]string) []string {
 	ov := newOverlay(t, overlay)
 
 	var mains []string
+	var facade string                  // the root package's import path
 	var declared = map[string]string{} // linker symbol → allowlist name
 	for _, p := range ov.list(t) {
+		short := ""
 		switch {
 		case p.Name == "main":
 			mains = append(mains, p.ImportPath)
+		case p.Dir == ov.root:
+			facade, short = p.ImportPath, p.Name
 		case strings.Contains(p.ImportPath, "/internal/"):
-			short := p.ImportPath[strings.Index(p.ImportPath, "/internal/")+len("/internal/"):]
-			for _, f := range p.GoFiles {
-				for sym, name := range exportedFuncs(t, ov.read(t, filepath.Join(p.Dir, f)), p.ImportPath, short) {
-					declared[sym] = name
-				}
+			short = p.ImportPath[strings.Index(p.ImportPath, "/internal/")+len("/internal/"):]
+		}
+		if short == "" {
+			continue
+		}
+		for _, f := range p.GoFiles {
+			for sym, name := range exportedFuncs(t, ov.read(t, filepath.Join(p.Dir, f)), p.ImportPath, short) {
+				declared[sym] = name
 			}
 		}
 	}
-	if len(mains) == 0 || len(declared) == 0 {
-		t.Fatalf("found %d main packages and %d exported internal functions", len(mains), len(declared))
+	if len(mains) == 0 || len(declared) == 0 || facade == "" {
+		t.Fatalf("found %d main packages, %d exported functions and facade %q", len(mains), len(declared), facade)
 	}
-	linked := ov.linkedSymbols(t, mains)
+	linked := ov.linkedSymbols(t, mains, facade)
 
 	allowed := map[string]bool{}
 	var problems []string
@@ -142,7 +152,7 @@ func reachProblems(t *testing.T, overlay map[string]string) []string {
 		}
 	}
 	sort.Strings(problems)
-	t.Logf("%d exported internal functions and methods, %d main packages, %d allowlisted", len(declared), len(mains), len(allowed))
+	t.Logf("%d exported internal and facade functions and methods, %d main packages, %d allowlisted", len(declared), len(mains), len(allowed))
 	return problems
 }
 
@@ -295,8 +305,9 @@ func (ov *overlay) list(t *testing.T) []listedPackage {
 }
 
 // linkedSymbols links every main package with the linker's dependency dump
-// on and returns the set of symbols it kept, generic shapes stripped.
-func (ov *overlay) linkedSymbols(t *testing.T, mains []string) map[string]bool {
+// on and returns the set of internal/ and facade symbols it kept, generic
+// shapes stripped.
+func (ov *overlay) linkedSymbols(t *testing.T, mains []string, facade string) map[string]bool {
 	t.Helper()
 	args := append([]string{"build", "-o", t.TempDir(), "-gcflags=all=-l", "-ldflags=-dumpdep"}, ov.flag...)
 	out := ov.goCmd(t, true, append(args, mains...)...)
@@ -309,7 +320,7 @@ func (ov *overlay) linkedSymbols(t *testing.T, mains []string) map[string]bool {
 			continue
 		}
 		for _, sym := range [2]string{from, to} {
-			if strings.Contains(sym, "/internal/") {
+			if strings.Contains(sym, "/internal/") || strings.HasPrefix(sym, facade+".") {
 				linked[stripShapes(sym)] = true
 			}
 		}

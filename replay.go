@@ -1,8 +1,6 @@
 package albatross
 
 import (
-	"io"
-
 	"albatross/internal/metrics"
 	"albatross/internal/workload"
 	"albatross/internal/workload/trace"
@@ -66,23 +64,6 @@ type (
 
 // ErrBadTrace reports a malformed trace artifact (wraps ErrBadConfig).
 var ErrBadTrace = trace.ErrBadTrace
-
-// NewTraceRecorder creates a recorder; virtual timestamps are relative to
-// the engine's current time.
-func NewTraceRecorder(engine *Engine) *TraceRecorder { return trace.NewRecorder(engine) }
-
-// ReadTrace decodes a trace artifact from r.
-func ReadTrace(r io.Reader) (*Trace, error) { return trace.Read(r) }
-
-// ReadTraceFile loads a trace artifact saved by Trace.WriteFile.
-func ReadTraceFile(path string) (*Trace, error) { return trace.ReadFile(path) }
-
-// ReplayTraceInto replays t into an arbitrary sink on engine — the
-// low-level form of Cluster.ReplayTrace for single-node runs
-// (PodRuntime.Sink).
-func ReplayTraceInto(engine *Engine, t *Trace, sink func(Flow, int)) (*TraceReplayer, error) {
-	return trace.Replay(engine, t, sink)
-}
 
 // DiffOutcomes compares two outcome reports line by line.
 func DiffOutcomes(labelA, reportA, labelB, reportB string) *ReplayDiff {

@@ -123,14 +123,14 @@ gameday: build
 #                hit/miss per operation and the slot arrays slot for slot, under
 #                the real hash and three colliding ones, across every doubling
 #                (committed seeds run in `go test`).
-#   session-fuzz ten seconds of native fuzzing of the session table's 8-byte
-#                slots over paged records against the Go-map table they
-#                replace, each under a session backend: the session each
-#                Create, Lookup, Peek and Delete returns, Len, evictions, idle
-#                expiries, the set Range visits, and backend selects and pool
-#                updates, under the real hash and three colliding ones
-#                (committed seeds run in `go test`; they cross every slot
-#                doubling and page, and reuse every freed ordinal).
+#   session-fuzz ten seconds of native fuzzing of the session backend's
+#                insert-only table (8-byte slots over paged records) against
+#                a Go map from key to pod: the pod each insert, lookup and
+#                select returns, Len, Stats, every pinning and the slot
+#                invariants after pool updates, an empty pool included, under
+#                the real hash and three colliding ones (committed seeds run
+#                in `go test`; they cross every slot doubling and page, and
+#                empty the pool and refill the table).
 #                Every *-fuzz row prints its last "execs: … new interesting: …"
 #                line, and minimises a new input for at most 10 runs
 #                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of

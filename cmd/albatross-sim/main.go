@@ -13,7 +13,8 @@
 // see where the host time of a run went (go tool pprof).
 //
 // Exit codes: 0 success, 1 a scenario failed to load, run or hold its
-// assertions (or replay-diff found a difference), 2 bad command line or an
+// assertions (or replay-diff found a difference), 2 bad command line (an
+// override that makes the loaded scenario invalid included) or an
 // unwritable -cpuprofile file.
 package main
 

@@ -9,9 +9,10 @@ import (
 )
 
 // TestExitCodes pins the command line's contract: 2 for a bad command line
-// (with the usage, and for a former flat flag a pointer to `run`), 1 for a
-// scenario that does not load or an override out of range (one line, no
-// runtime crash), 0 for one that does.
+// (with the usage, and for a former flat flag a pointer to `run`), including
+// an override that makes a loaded scenario invalid; 1 for a scenario that
+// does not load (one line, no runtime crash) or fails an assertion; 0 for
+// one that loads and passes.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -28,10 +29,14 @@ func TestExitCodes(t *testing.T) {
 		{"run without a file", []string{"run"}, 2, "", "usage: albatross-sim run"},
 		{"validate committed drill", []string{"validate", "../../scenarios/node-crash.yaml"}, 0, "node-crash.yaml: OK", ""},
 		{"validate invalid file", []string{"validate", "../../internal/scenario/testdata/invalid/unknown-key.yaml"}, 1, "INVALID", ""},
-		{"run cache_mb over the ceiling", []string{"run", "-cache-mb", "1000000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.cache_mb must be in [0,4096]"},
-		{"run nodes over the ceiling", []string{"run", "-nodes", "100000", "../../scenarios/healthy-baseline.yaml"}, 1, "", "fleet.nodes must be in [1,65536]"},
+		{"run cache_mb over the ceiling", []string{"run", "-cache-mb", "1000000", "../../scenarios/healthy-baseline.yaml"}, 2, "", "fleet.cache_mb must be in [0,4096]"},
+		{"run nodes over the ceiling", []string{"run", "-nodes", "100000", "../../scenarios/healthy-baseline.yaml"}, 2, "", "fleet.nodes must be in [1,65536]"},
 		{"run unwritable cpuprofile", []string{"run", "-cpuprofile", "no-such-dir/cpu.prof", "../../scenarios/healthy-baseline.yaml"}, 2, "", "-cpuprofile: open no-such-dir/cpu.prof"},
-		{"run unknown backend", []string{"run", "-backend", "bogus", "../../scenarios/healthy-baseline.yaml"}, 1, "", `unknown flow-table backend "bogus"`},
+		{"run unknown backend", []string{"run", "-backend", "bogus", "../../scenarios/healthy-baseline.yaml"}, 2, "", `unknown flow-table backend "bogus"`},
+		{"run non-positive duration", []string{"run", "-duration", "-1ms", "../../scenarios/healthy-baseline.yaml"}, 2, "", "duration must be positive"},
+		{"run invalid file", []string{"run", "../../internal/scenario/testdata/invalid/unknown-key.yaml"}, 1, "", `unknown key "packets"`},
+		{"run failed assertion", []string{"run", "-rate", "1000", "../../scenarios/healthy-baseline.yaml"}, 1, "assert FAIL min_tx", ""},
+		{"run committed drill", []string{"run", "../../scenarios/healthy-baseline.yaml"}, 0, "scenario healthy-baseline: PASS", ""},
 		{"reconcile dry run", []string{"reconcile", "-plan", "../../scenarios/reconcile-canary.yaml"}, 0, "reconcile plan:", ""},
 		{"reconcile without a spec", []string{"reconcile", "-plan", "../../scenarios/node-crash.yaml"}, 1, "", "no spec: block"},
 		{"reconcile without -plan", []string{"reconcile", "../../scenarios/reconcile-canary.yaml"}, 2, "", "albatross-sim run scenario.yaml"},

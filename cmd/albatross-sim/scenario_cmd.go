@@ -61,7 +61,9 @@ func startCPUProfile(path string) (stop func() error, err error) {
 
 // runCmd implements `albatross-sim run [overrides] scenario.yaml`: load,
 // apply flag overrides, execute, print the deterministic report, and return
-// 1 when any assertion fails. An unset flag keeps the scenario file's value.
+// 1 when the file does not load or an assertion fails. An unset flag keeps
+// the scenario file's value; an override that makes the scenario invalid is
+// a bad command line and returns 2.
 // -cpuprofile is not an override: it profiles the host while the scenario
 // runs, prints nothing, and returns 2 when the file cannot be written.
 func runCmd(args []string, stdout, stderr io.Writer) int {
@@ -141,6 +143,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	})
 
+	s = s.Apply(ov)
+	if err := s.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		fs.Usage()
+		return 2
+	}
+
 	stopProfile, err := startCPUProfile(*cpuProf)
 	if err != nil {
 		fmt.Fprintf(stderr, "-cpuprofile: %v\n", err)
@@ -148,7 +157,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	wall := time.Now()
-	res, err := s.Apply(ov).Run()
+	res, err := s.Run()
 	if perr := stopProfile(); perr != nil {
 		fmt.Fprintf(stderr, "-cpuprofile: %v\n", perr)
 		return 2

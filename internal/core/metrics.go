@@ -34,7 +34,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, base ...metrics.Label) {
 			{"lookup", func() uint64 { return n.backend.Stats().Lookups }},
 			{"hit", func() uint64 { return n.backend.Stats().Hits }},
 			{"insert", func() uint64 { return n.backend.Stats().Inserts }},
-			{"eviction", func() uint64 { return n.backend.Stats().Evictions }},
 			{"moved", func() uint64 { return n.backend.Stats().Moved }},
 		} {
 			reg.Counter("albatross_backend_ops_total",

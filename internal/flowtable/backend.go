@@ -10,14 +10,12 @@ import (
 
 // Backend is the flow-table tier for packet-level load balancing: given a
 // five-tuple, pick the pod that owns the flow, keeping flows pinned across
-// lookups and across pod pool changes. It routes every packet through a
-// stateful session table (per-flow record, capacity eviction, idle expiry —
-// the classic software-LB design). New flows are assigned by AssignPod; a
-// pool update moves only the flows whose pod left. Evicted or expired flows
-// lose their pinning and are re-hashed on the next packet — the disruption
-// mode of classic software LBs under table pressure.
+// lookups and across pod pool changes. It routes every packet through an
+// insert-only session table (one record per flow, the classic software-LB
+// design). New flows are assigned by AssignPod; a pool update moves only
+// the flows whose pod left, and an empty pool forgets every pinning.
 type Backend struct {
-	st    *SessionTable
+	st    *sessionTable
 	pool  []int
 	live  podSet
 	stats BackendStats
@@ -25,11 +23,10 @@ type Backend struct {
 
 // BackendStats are the backend's counters exported as metrics.
 type BackendStats struct {
-	Lookups   uint64 // pinning lookups
-	Hits      uint64 // lookups that found a pinning
-	Inserts   uint64 // new pinnings
-	Evictions uint64 // pinnings lost to capacity eviction or idle expiry
-	Moved     uint64 // pinnings re-assigned by pool updates
+	Lookups uint64 // pinning lookups
+	Hits    uint64 // lookups that found a pinning
+	Inserts uint64 // new pinnings
+	Moved   uint64 // pinnings re-assigned or dropped by pool updates
 }
 
 // backendName is the one registered backend name.
@@ -56,31 +53,31 @@ func AssignPod(pool []int, h uint32) int {
 
 // Select is the dataplane entry point: look up the pinning for key or create
 // one, hashing key once for both. Returns -1 when the pool is empty.
+// now is unused; bench/layers.go still passes it (ROADMAP 4(f)).
 func Select(b *Backend, key packet.FiveTuple, now sim.Time) int {
 	h := key.Hash()
-	if pod, ok := b.Lookup(key, h, now); ok {
+	if pod, ok := b.Lookup(key, h); ok {
 		return pod
 	}
-	return b.Insert(key, h, now)
+	return b.Insert(key, h)
 }
 
-// NewBackend constructs the named backend over an initial pool, taking its
-// capacity and idle timeout from cfg (zero values mean unbounded/never).
-// Any name but "session" is an error wrapping errs.BadConfig.
+// NewBackend constructs the named backend over an initial pool. Any name
+// but "session" is an error wrapping errs.BadConfig.
 func NewBackend(name string, pool []int, cfg BackendConfig) (*Backend, error) {
 	if err := CheckBackendName(name); err != nil {
 		return nil, err
 	}
-	b := &Backend{st: NewSessionTableIn(cfg.Space, cfg.Capacity, cfg.Idle)}
+	// Reserve a range the table never uses: later tables' bases, and so cachesim's sets, count ranges.
+	cfg.Space.NextBase()
+	b := &Backend{st: newSessionTable()}
 	b.setPool(pool)
 	return b, nil
 }
 
 // BackendConfig parameterizes NewBackend.
 type BackendConfig struct {
-	Capacity int          // max pinned flows (<=0 unbounded)
-	Idle     sim.Duration // idle expiry (0 never)
-	Space    *AddrSpace   // synthetic address space (nil = global)
+	Space *AddrSpace // address space NewBackend reserves one range from (nil = global)
 }
 
 // podSet answers pool membership in O(1) for the small dense pod-index
@@ -116,63 +113,49 @@ func (b *Backend) setPool(pool []int) {
 	b.live.set(b.pool)
 }
 
-// Lookup returns the pod pinned for key, refreshing its idle timer; h is the
-// caller-computed key.Hash(). ok=false means no pinning is held for key.
-func (b *Backend) Lookup(key packet.FiveTuple, h uint32, now sim.Time) (pod int, ok bool) {
+// Lookup returns the pod pinned for key; h is the caller-computed
+// key.Hash(). ok=false means no pinning is held for key. A pinned pod is
+// always in the pool: Update re-assigns the pinnings of every pod it drops.
+func (b *Backend) Lookup(key packet.FiveTuple, h uint32) (pod int, ok bool) {
 	b.stats.Lookups++
-	s := b.st.Lookup(key, h, now)
+	s := b.st.lookup(key, h)
 	if s == nil {
 		return -1, false
 	}
 	b.stats.Hits++
-	pod = int(s.Pod)
-	if !b.live.has(pod) {
-		// Pinned pod left the pool between Updates; re-hash in place.
-		pod = AssignPod(b.pool, h)
-		if pod < 0 {
-			b.st.Delete(key, h)
-			return -1, false
-		}
-		s.Pod = int32(pod)
-		b.stats.Moved++
-	}
-	return pod, true
+	return int(s.pod), true
 }
 
 // Insert pins key (h = key.Hash()) to the pod AssignPod(pool, h) picks over
 // the current pool and returns it, or -1 when the pool is empty (nothing is
 // pinned then).
-func (b *Backend) Insert(key packet.FiveTuple, h uint32, now sim.Time) int {
+func (b *Backend) Insert(key packet.FiveTuple, h uint32) int {
 	pod := AssignPod(b.pool, h)
 	if pod < 0 {
 		return -1
 	}
-	s := b.st.Create(key, h, now)
-	s.Pod = int32(pod)
+	b.st.insert(key, h, int32(pod))
 	b.stats.Inserts++
 	return pod
 }
 
 // Update replaces the pod pool. Pinnings to surviving pods are kept;
-// pinnings to removed pods are re-assigned over the new pool (or dropped
-// when it is empty). It returns the number of flows whose pod changed.
+// pinnings to removed pods are re-assigned over the new pool, and an empty
+// pool forgets every pinning. It returns the number of flows whose pod
+// changed or whose pinning was dropped.
 func (b *Backend) Update(pool []int) int {
 	b.setPool(pool)
 	moved := 0
 	if len(b.pool) == 0 {
-		b.st.Range(func(s *Session) bool {
-			b.st.Delete(s.Key, s.hash)
-			moved++
-			return true
-		})
+		moved = b.st.Len()
+		b.st.reset()
 	} else {
-		b.st.Range(func(s *Session) bool {
-			if !b.live.has(int(s.Pod)) {
-				s.Pod = int32(AssignPod(b.pool, s.hash))
+		for o := range uint32(b.st.Len()) {
+			if s := b.st.record(o); !b.live.has(int(s.pod)) {
+				s.pod = int32(AssignPod(b.pool, s.hash))
 				moved++
 			}
-			return true
-		})
+		}
 	}
 	b.stats.Moved += uint64(moved)
 	return moved
@@ -182,8 +165,4 @@ func (b *Backend) Update(pool []int) int {
 func (b *Backend) Pool() []int { return b.pool }
 
 // Stats returns cumulative backend counters.
-func (b *Backend) Stats() BackendStats {
-	st := b.stats
-	st.Evictions = b.st.Evictions + b.st.Expirations
-	return st
-}
+func (b *Backend) Stats() BackendStats { return b.stats }

@@ -89,7 +89,7 @@ func TestSessionBackendZeroDisruptionUpdate(t *testing.T) {
 	}
 	after := make(map[packet.FiveTuple]int, flows)
 	for k, pod := range before {
-		got, ok := b.Lookup(k, k.Hash(), 0)
+		got, ok := b.Lookup(k, k.Hash())
 		if !ok {
 			t.Fatalf("flow %v lost its pinning across the update", k)
 		}
@@ -113,18 +113,41 @@ func TestSessionBackendZeroDisruptionUpdate(t *testing.T) {
 	}
 }
 
-// The session backend loses pinnings under capacity pressure: re-hashing
-// after eviction is the disruption mode of a stateful software LB.
-func TestSessionBackendCapacityEviction(t *testing.T) {
-	pool := []int{0, 1, 2, 3}
-	b := mustBackend(t, pool, BackendConfig{Capacity: 100})
-	for i := 0; i < 500; i++ {
-		Select(b, testTuple(i, 0xCAFE), sim.Time(i*100))
+// An update to an empty pool forgets every pinning at once and returns how
+// many it dropped; after a refill every flow pins again by AssignPod over
+// the new pool.
+func TestSessionBackendEmptyPoolForgetsPinnings(t *testing.T) {
+	b := mustBackend(t, []int{0, 1, 2, 3}, BackendConfig{})
+	const flows = 1000
+	for i := 0; i < flows; i++ {
+		Select(b, testTuple(i, 0xCAFE), 0)
 	}
-	if st := b.Stats(); st.Evictions == 0 {
-		t.Fatalf("expected capacity evictions, got %+v", st)
+	if dropped := b.Update(nil); dropped != flows {
+		t.Fatalf("Update(nil) dropped %d pinnings, want %d", dropped, flows)
 	}
-	if b.st.Len() != 100 {
-		t.Fatalf("table holds %d sessions, capacity is 100", b.st.Len())
+	if n := b.st.Len(); n != 0 {
+		t.Fatalf("table holds %d sessions after the pool emptied", n)
+	}
+	for i := 0; i < flows; i++ {
+		k := testTuple(i, 0xCAFE)
+		if pod, ok := b.Lookup(k, k.Hash()); ok {
+			t.Fatalf("flow %d still pinned to %d after the pool emptied", i, pod)
+		}
+		if pod := Select(b, k, 0); pod != -1 {
+			t.Fatalf("flow %d pinned to %d on an empty pool", i, pod)
+		}
+	}
+	refill := []int{4, 5, 6}
+	if moved := b.Update(refill); moved != 0 {
+		t.Fatalf("refilling an empty table moved %d pinnings", moved)
+	}
+	for i := 0; i < flows; i++ {
+		k := testTuple(i, 0xCAFE)
+		if pod, want := Select(b, k, 0), AssignPod(refill, k.Hash()); pod != want {
+			t.Fatalf("flow %d pinned to %d after the refill, AssignPod says %d", i, pod, want)
+		}
+	}
+	if n := b.st.Len(); n != flows {
+		t.Fatalf("table holds %d sessions after the refill, want %d", n, flows)
 	}
 }

@@ -1,18 +1,18 @@
-// Package flowtable implements the exact-match flow and session tables the
-// gateway dataplane uses: VM-NC mappings, backend pinnings, connection state
-// for stateful network functions.
+// Package flowtable implements the exact-match tables the gateway dataplane
+// uses: Index and Table for VM-NC mappings and service state, and Backend,
+// which pins flows to pods in an insert-only session table.
 //
-// Entries carry a stable synthetic memory address so the cache simulator
-// (internal/cachesim) can model which cache lines a lookup touches — the
-// mechanism behind the paper's Fig. 4/5 observation that multi-GB tables
-// make PLB and RSS equally cache-hostile.
+// Table entries carry a stable synthetic memory address so the cache
+// simulator (internal/cachesim) can model which cache lines a lookup
+// touches — the mechanism behind the paper's Fig. 4/5 observation that
+// multi-GB tables make PLB and RSS equally cache-hostile. The session
+// table is host-only and models no addresses.
 package flowtable
 
 import (
 	"sync"
 
 	"albatross/internal/packet"
-	"albatross/internal/sim"
 )
 
 // Entry is an exact-match table entry.
@@ -143,20 +143,26 @@ func (x *Index) WarmHash(h uint32) uint64 {
 }
 
 func (x *Index) grow() {
-	size := len(x.slots) * 2
-	old := x.slots
-	x.slots = make([]indexSlot, size)
-	x.mask = uint32(size - 1)
+	x.slots = grownSlots(x.slots)
+	x.mask = uint32(len(x.slots) - 1)
+}
+
+// grownSlots returns a probe array of twice old's size holding old's full
+// slots, each re-probed from its home.
+func grownSlots(old []indexSlot) []indexSlot {
+	slots := make([]indexSlot, len(old)*2)
+	mask := uint32(len(slots) - 1)
 	for _, s := range old {
 		if s.ordp == 0 {
 			continue
 		}
-		i := s.hash & x.mask
-		for x.slots[i].ordp != 0 {
-			i = (i + 1) & x.mask
+		i := s.hash & mask
+		for slots[i].ordp != 0 {
+			i = (i + 1) & mask
 		}
-		x.slots[i] = s
+		slots[i] = s
 	}
+	return slots
 }
 
 // Table is an exact-match table keyed by five-tuple: an Index whose ordinals
@@ -243,95 +249,57 @@ func (t *Table) LookupHash(key packet.FiveTuple, h uint32) *Entry {
 	return t.entries[ord]
 }
 
-// Session is one flow's record in a SessionTable: the pod it is pinned to
-// and when it was last active. On the host a record is 40 bytes; the model
-// prices a session at 128 (Addr advances by 128 per Create).
-type Session struct {
-	Key packet.FiveTuple
-	// Pod is the backend pod assignment when the session table serves as a
-	// load-balancing Backend.
-	Pod int32
-	// hash is the caller's hash of Key, kept in what would be padding so
-	// eviction can find the record's slot and a pool update can re-assign
-	// the session without hashing Key again.
-	hash       uint32
-	LastActive sim.Time
-	// Addr is a synthetic address for cache modelling: the table's base
-	// plus 128 × the number of sessions created before this one. It is
-	// never 0 for a live record, so 0 marks a free one.
-	Addr uint64
+// session is one flow's pinning in a sessionTable: its key, the pod it is
+// pinned to, and the caller's hash of the key, kept in what would be padding
+// so a pool update can re-assign the flow without hashing the key again.
+// A record is 24 bytes.
+type session struct {
+	key  packet.FiveTuple
+	pod  int32
+	hash uint32
 }
 
-// SessionTable stores sessions with capacity-bounded LRU eviction and idle
-// expiry. Not safe for concurrent use.
-//
-// It uses Index's layout with deletion added. A linear-probing array of
-// 8-byte (hash, ordinal+1) slots, doubled at 3/4 load, points into records
-// held in fixed-size pages that are allocated on demand and never moved.
-// Delete, idle expiry and eviction shift the slots behind the freed one
-// back (no tombstones, so probe chains stay as short as the live load
-// makes them) and put the record's ordinal on a free list that the next
-// Create reuses. A table of 100 000 sessions holds about 63 bytes per
-// session (TestSessionBytesPerSession).
-//
-// A *Session returned by Lookup or Create, or passed to Range, stays
-// valid until that session is deleted, expires or is evicted; after that
-// its record may be reused by a later Create for another key. Inserting
-// other sessions never moves a record.
+// sessionTable is Backend's pinning store. It is insert-only: it uses
+// Index's layout, a linear-probing array of 8-byte (hash, ordinal+1) slots
+// doubled at 3/4 load, over records held in fixed-size pages that are
+// allocated on demand and never moved, so the n-th session inserted is
+// ordinal n-1 and the live ordinals are 0 .. Len()-1. The only removal is
+// reset, which forgets every session at once. A table of 100 000 sessions
+// holds about 45 bytes per session (TestSessionBytesPerSession).
 //
 // Every method that takes a key takes h, the caller's hash of it: any
 // function of the key will do, as long as the caller uses the same one for
-// every call (the session backend uses key.Hash()).
-type SessionTable struct {
+// every call (Backend uses key.Hash()). Not safe for concurrent use.
+type sessionTable struct {
 	slots []indexSlot
 	mask  uint32
 	pages []*sessionPage
-	used  uint32   // ordinals handed out so far, freed ones included
-	free  []uint32 // freed ordinals; the last freed is reused first
-	live  int
-
-	capacity int
-	idle     sim.Duration
-	addrBase uint64
-	nextAddr uint64
-
-	// Evictions counts capacity evictions; Expirations counts idle expiry.
-	Evictions   uint64
-	Expirations uint64
+	n     uint32 // sessions, which hold ordinals 0 .. n-1
 }
 
-// sessionPageBits sizes a page at 64 records, 2 560 bytes: a table of a few
+// sessionPageBits sizes a page at 64 records, 1 536 bytes: a table of a few
 // dozen sessions, as each member of a large fleet holds, costs one page,
 // and a page of a large table costs one pointer per 64 records.
 const sessionPageBits = 6
 
 // sessionPage holds the records of 1<<sessionPageBits consecutive ordinals.
-type sessionPage [1 << sessionPageBits]Session
+type sessionPage [1 << sessionPageBits]session
 
-// NewSessionTableIn creates a session table with the given capacity
-// (<= 0 means unbounded) and idle timeout, drawing its address base from the
-// given address space (nil falls back to the process-global one).
-func NewSessionTableIn(space *AddrSpace, capacity int, idle sim.Duration) *SessionTable {
-	return &SessionTable{
-		slots:    make([]indexSlot, indexMinSlots),
-		mask:     indexMinSlots - 1,
-		capacity: capacity,
-		idle:     idle,
-		addrBase: space.NextBase(),
-	}
+func newSessionTable() *sessionTable {
+	return &sessionTable{slots: make([]indexSlot, indexMinSlots), mask: indexMinSlots - 1}
 }
 
-// Len returns the number of live sessions.
-func (st *SessionTable) Len() int { return st.live }
+// Len returns the number of sessions.
+func (st *sessionTable) Len() int { return int(st.n) }
 
 // record returns ordinal ord's record.
-func (st *SessionTable) record(ord uint32) *Session {
+func (st *sessionTable) record(ord uint32) *session {
 	return &st.pages[ord>>sessionPageBits][ord&(1<<sessionPageBits-1)]
 }
 
 // find returns key's slot and record, or the empty slot ending its probe
 // chain and nil.
-func (st *SessionTable) find(key packet.FiveTuple, h uint32) (uint32, *Session) {
+func (st *sessionTable) find(key packet.FiveTuple, h uint32) (uint32, *session) {
 	i := h & st.mask
 	for {
 		sl := st.slots[i]
@@ -339,7 +307,7 @@ func (st *SessionTable) find(key packet.FiveTuple, h uint32) (uint32, *Session) 
 			return i, nil
 		}
 		if sl.hash == h {
-			if s := st.record(sl.ordp - 1); s.Key == key {
+			if s := st.record(sl.ordp - 1); s.key == key {
 				return i, s
 			}
 		}
@@ -347,150 +315,42 @@ func (st *SessionTable) find(key packet.FiveTuple, h uint32) (uint32, *Session) 
 	}
 }
 
-// Lookup returns the session for key and refreshes its activity timestamp,
-// or nil if absent.
-func (st *SessionTable) Lookup(key packet.FiveTuple, h uint32, now sim.Time) *Session {
-	i, s := st.find(key, h)
-	if s == nil {
-		return nil
-	}
-	if st.idle > 0 && now.Sub(s.LastActive) > st.idle {
-		st.remove(i)
-		st.Expirations++
-		return nil
-	}
-	s.LastActive = now
+// lookup returns the session for key, or nil if absent.
+func (st *sessionTable) lookup(key packet.FiveTuple, h uint32) *session {
+	_, s := st.find(key, h)
 	return s
 }
 
-// Create inserts a session for key, evicting the least-recently-active
-// session if at capacity, and returns it with Pod 0. A live session for key
-// is replaced in place.
-func (st *SessionTable) Create(key packet.FiveTuple, h uint32, now sim.Time) *Session {
-	if st.capacity > 0 && st.live >= st.capacity {
-		st.evictOldest()
-	}
+// insert pins key to pod, appending a session when key is absent, and
+// returns the session.
+func (st *sessionTable) insert(key packet.FiveTuple, h uint32, pod int32) *session {
 	i, s := st.find(key, h)
-	if s == nil {
-		if st.live*4 >= len(st.slots)*3 {
-			st.grow()
-			i, _ = st.find(key, h)
-		}
-		ord := st.alloc()
-		st.slots[i] = indexSlot{hash: h, ordp: ord + 1}
-		st.live++
-		s = st.record(ord)
+	if s != nil {
+		s.pod = pod
+		return s
 	}
-	*s = Session{Key: key, hash: h, LastActive: now, Addr: st.addrBase + st.nextAddr*128}
-	st.nextAddr++
-	return s
-}
-
-// alloc returns a free ordinal, the last one freed if any, else a fresh one
-// (adding a page when it starts one).
-func (st *SessionTable) alloc() uint32 {
-	if n := len(st.free); n > 0 {
-		ord := st.free[n-1]
-		st.free = st.free[:n-1]
-		return ord
+	if int(st.n)*4 >= len(st.slots)*3 {
+		st.slots = grownSlots(st.slots)
+		st.mask = uint32(len(st.slots) - 1)
+		i, _ = st.find(key, h)
 	}
-	if st.used == indexMaxKeys {
-		panic("flowtable: SessionTable holds 2^32-1 sessions")
+	if st.n == indexMaxKeys {
+		panic("flowtable: session table holds 2^32-1 sessions")
 	}
-	ord := st.used
-	st.used++
+	ord := st.n
+	st.n++
 	if int(ord>>sessionPageBits) == len(st.pages) {
 		st.pages = append(st.pages, new(sessionPage))
 	}
-	return ord
+	st.slots[i] = indexSlot{hash: h, ordp: ord + 1}
+	s = st.record(ord)
+	*s = session{key: key, pod: pod, hash: h}
+	return s
 }
 
-func (st *SessionTable) grow() {
-	size := len(st.slots) * 2
-	old := st.slots
-	st.slots = make([]indexSlot, size)
-	st.mask = uint32(size - 1)
-	for _, sl := range old {
-		if sl.ordp == 0 {
-			continue
-		}
-		i := sl.hash & st.mask
-		for st.slots[i].ordp != 0 {
-			i = (i + 1) & st.mask
-		}
-		st.slots[i] = sl
-	}
-}
-
-// remove deletes the session in slot i: the slots behind it in the probe
-// run shift back over the hole, and its record goes to the free list.
-func (st *SessionTable) remove(i uint32) {
-	ord := st.slots[i].ordp - 1
-	*st.record(ord) = Session{}
-	st.free = append(st.free, ord)
-	st.live--
-	for {
-		st.slots[i] = indexSlot{}
-		j := i
-		for {
-			j = (j + 1) & st.mask
-			sl := st.slots[j]
-			if sl.ordp == 0 {
-				return
-			}
-			// sl may fill the hole unless its home slot lies after the
-			// hole, cyclically, up to j.
-			if (j-sl.hash)&st.mask >= (j-i)&st.mask {
-				st.slots[i] = sl
-				i = j
-				break
-			}
-		}
-	}
-}
-
-// evictOldest removes the least-recently-active session, breaking
-// LastActive ties by creation order (Addr is monotone in it).
-func (st *SessionTable) evictOldest() {
-	var oldest *Session
-	var ord uint32
-	for o := uint32(0); o < st.used; o++ {
-		s := st.record(o)
-		if s.Addr != 0 && (oldest == nil || s.LastActive < oldest.LastActive ||
-			(s.LastActive == oldest.LastActive && s.Addr < oldest.Addr)) {
-			oldest, ord = s, o
-		}
-	}
-	if oldest == nil {
-		return
-	}
-	i := oldest.hash & st.mask
-	for st.slots[i].ordp != ord+1 {
-		i = (i + 1) & st.mask
-	}
-	st.remove(i)
-	st.Evictions++
-}
-
-// Range calls fn for every live session, in ordinal order, until fn
-// returns false. Ordinals are reused, so the order is neither creation nor
-// key order; callers needing determinism must make per-session decisions
-// independent of order. fn may Delete the session it is given and nothing
-// else.
-func (st *SessionTable) Range(fn func(*Session) bool) {
-	for o := uint32(0); o < st.used; o++ {
-		if s := st.record(o); s.Addr != 0 && !fn(s) {
-			return
-		}
-	}
-}
-
-// Delete removes a session outright, reporting whether it existed.
-func (st *SessionTable) Delete(key packet.FiveTuple, h uint32) bool {
-	i, s := st.find(key, h)
-	if s == nil {
-		return false
-	}
-	st.remove(i)
-	return true
+// reset forgets every session, keeping the slot array and pages for the
+// sessions inserted after it.
+func (st *sessionTable) reset() {
+	clear(st.slots)
+	st.n = 0
 }

@@ -69,57 +69,33 @@ func TestTableDefaultEntrySize(t *testing.T) {
 	}
 }
 
+// A session is inserted once and found by later lookups at the same
+// record; re-inserting its key re-pins that record, and reset forgets it.
+// After a reset an insert reuses the first record with the new pinning.
 func TestSessionLifecycle(t *testing.T) {
-	st := NewSessionTableIn(nil, 0, 100*sim.Microsecond)
+	st := newSessionTable()
 	k := tuple(7)
 	h := k.Hash()
-	if st.Lookup(k, h, 0) != nil {
+	if st.lookup(k, h) != nil {
 		t.Fatal("lookup on empty")
 	}
-	s := st.Create(k, h, 10)
-	if s.Key != k || s.LastActive != 10 || s.Pod != 0 {
+	s := st.insert(k, h, 3)
+	if s.key != k || s.hash != h || s.pod != 3 {
 		t.Fatalf("session = %+v", s)
 	}
-	s.Pod = 3
-	// Within idle window: refreshed.
-	got := st.Lookup(k, h, 50)
-	if got == nil || got.LastActive != 50 || got.Pod != 3 {
-		t.Fatalf("refresh failed: %+v", got)
+	if got := st.lookup(k, h); got != s {
+		t.Fatalf("lookup = %+v, want the inserted record %+v", got, s)
 	}
-	// Past idle window: expired.
-	if st.Lookup(k, h, 50+sim.Time(101*sim.Microsecond)) != nil {
-		t.Fatal("expired session returned")
+	if got := st.insert(k, h, 5); got != s || got.pod != 5 || st.Len() != 1 {
+		t.Fatalf("re-insert = %+v with Len %d, want the live record on pod 5 and Len 1", got, st.Len())
 	}
-	if st.Expirations != 1 {
-		t.Fatalf("expirations = %d", st.Expirations)
+	st.reset()
+	if st.Len() != 0 || st.lookup(k, h) != nil {
+		t.Fatalf("after reset: Len %d, lookup %+v", st.Len(), st.lookup(k, h))
 	}
-	if st.Len() != 0 {
-		t.Fatalf("len = %d", st.Len())
-	}
-}
-
-func TestSessionCapacityEviction(t *testing.T) {
-	st := NewSessionTableIn(nil, 10, 0)
-	lookup := func(i int, now sim.Time) *Session { return st.Lookup(tuple(i), tuple(i).Hash(), now) }
-	for i := 0; i < 10; i++ {
-		st.Create(tuple(i), tuple(i).Hash(), sim.Time(i))
-	}
-	// Touch session 0 so it's most recent; oldest is now tuple(1).
-	if lookup(0, 100) == nil {
-		t.Fatal("session 0 missing")
-	}
-	st.Create(tuple(99), tuple(99).Hash(), 200)
-	if st.Len() != 10 {
-		t.Fatalf("len = %d, want 10", st.Len())
-	}
-	if st.Evictions != 1 {
-		t.Fatalf("evictions = %d", st.Evictions)
-	}
-	if lookup(1, 201) != nil {
-		t.Fatal("LRU eviction removed wrong session (1 should be gone)")
-	}
-	if lookup(0, 201) == nil {
-		t.Fatal("recently used session evicted")
+	k2 := tuple(8)
+	if got := st.insert(k2, k2.Hash(), 0); got != s || *got != (session{key: k2, hash: k2.Hash()}) {
+		t.Fatalf("insert after reset = %p %+v, want record %p holding only the new key", got, got, s)
 	}
 }
 

@@ -8,23 +8,21 @@ import (
 	"testing"
 	"text/tabwriter"
 	"time"
-
-	"albatross/internal/sim"
 )
 
 // touchSessions is §7's write-heavy stateful NF: workers goroutines each
-// look up (creating on a miss) ops packets over 1024 flows, and every lookup
-// writes the session's activity stamp. shared
+// look up (inserting on a miss) ops packets over 1024 flows, and every lookup
+// writes the pod of the session it finds. shared
 // puts every worker on one table behind one lock, as every core of a
 // write-heavy NF under PLB sees its state; otherwise each worker owns its
 // table outright (flows pinned per core, state never migrates) and the
 // write path takes no lock.
 func touchSessions(workers, ops int, shared bool) {
 	var mu sync.Mutex
-	tables := make([]*SessionTable, workers)
+	tables := make([]*sessionTable, workers)
 	for w := range tables {
 		if w == 0 || !shared {
-			tables[w] = NewSessionTableIn(nil, 0, 0)
+			tables[w] = newSessionTable()
 		} else {
 			tables[w] = tables[0]
 		}
@@ -41,8 +39,10 @@ func touchSessions(workers, ops int, shared bool) {
 				if shared {
 					mu.Lock()
 				}
-				if st.Lookup(key, h, sim.Time(i)) == nil {
-					st.Create(key, h, sim.Time(i))
+				if s := st.lookup(key, h); s != nil {
+					s.pod = int32(i)
+				} else {
+					st.insert(key, h, 0)
 				}
 				if shared {
 					mu.Unlock()

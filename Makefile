@@ -125,12 +125,22 @@ gameday: build
 #                (committed seeds run in `go test`).
 #   session-fuzz ten seconds of native fuzzing of the session backend's
 #                insert-only table (8-byte slots over paged records) against
-#                a Go map from key to pod: the pod each insert, lookup and
-#                select returns, Len, Stats, every pinning and the slot
-#                invariants after pool updates, an empty pool included, under
+#                pinnings held in insertion order beside a Go map from key
+#                to pinning: the pod each insert, lookup and select returns,
+#                Len, Stats, and after every pool update, an empty pool
+#                included, every pinning (one walk over the two arrays) and
+#                the slot invariants (when the slots changed), under
 #                the real hash and three colliding ones (committed seeds run
 #                in `go test`; they cross every slot doubling and page, and
 #                empty the pool and refill the table).
+#   engine-fuzz  ten seconds of native fuzzing of the event engine's FIFO
+#                beside its heap against the heap-only engine it replaced:
+#                the events run, in order and at their times, and every
+#                Step, Stop, Advance, Precedes and query answer, through
+#                same-delay trains, reserved sequence numbers, cancellation
+#                storms that compact both structures and Advance from inside
+#                events (committed seeds run in `go test`; they reach each
+#                of those cases).
 #                Every *-fuzz row prints its last "execs: … new interesting: …"
 #                line, and minimises a new input for at most 10 runs
 #                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of
@@ -185,6 +195,7 @@ check: build
 		"plb-fuzz|fuzz FuzzPLBRingsMatchFullDepth ./internal/plb" \
 		"index-fuzz|fuzz FuzzIndexMatchesReference ./internal/flowtable" \
 		"session-fuzz|fuzz FuzzSessionMatchesReference ./internal/flowtable" \
+		"engine-fuzz|fuzz FuzzEngineMatchesReference ./internal/sim" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \

@@ -23,10 +23,11 @@ import (
 // a (time, engine sequence number) pair: the sequence number is reserved
 // (sim.Engine.Reserve) when an event walk would have scheduled the
 // completion — when its packet starts service, or enters egress. The pod
-// keeps one timer, armed at the earliest such pair over its cores and its
-// egress queues. When it fires it completes that one, and goes on through
-// the next ones for as long as each would also be the engine's next event,
-// moving the clock to it; then it re-arms. Completions therefore
+// keeps each source's next pair (its cores, then its egress queues) in a
+// winner tree whose root is the earliest, and one timer,
+// armed at that pair. When it fires it completes that one, and goes on
+// through the next ones for as long as each would also be the engine's next
+// event, moving the clock to it; then it re-arms. Completions therefore
 // interleave with arrivals, PLB timeouts, faults and stress windows exactly
 // as per-packet events would, the flight recorder stamps every step from
 // the engine clock, and Burst only changes how many events run, never what
@@ -191,30 +192,30 @@ type completion struct {
 	seq uint64
 }
 
-// refresh re-reads core i's next completion into pr.heads and moves the pod
-// timer to it if it comes first.
+// refresh re-reads core i's next completion into the pod's winner tree and
+// moves the pod timer to it if it comes first.
 func (pr *PodRuntime) refresh(i int) {
 	at, seq := pr.Cores[i].Next()
 	pr.setHead(i, completion{at, seq})
 	pr.wake(at, seq)
 }
 
-// setHead records source i's next completion, keeping pr.busy: bit b is set
-// while any source i with i%64 == b has one pending, so nextDue visits only
-// sources with work.
+// setHead records source i's next completion in its leaf of the winner
+// tree and replays the leaf's path: each node on the way to the root takes
+// the earlier of the path's winner and the winner its sibling holds. Two
+// sources' keys tie only when both are idle (at sim.TimeMax), so a tie
+// never decides which completion runs next.
 func (pr *PodRuntime) setHead(i int, h completion) {
-	pr.heads[i] = h
-	b := uint64(1) << uint(i%64)
-	if h.at != sim.TimeMax {
-		pr.busy |= b
-		return
-	}
-	for j := i % 64; j < len(pr.heads); j += 64 {
-		if pr.heads[j].at != sim.TimeMax {
-			return
+	t := pr.tree
+	k := len(t)/2 + i
+	w := headNode{h, int32(i)}
+	t[k] = w
+	for ; k > 1; k >>= 1 {
+		if s := &t[k^1]; s.at < w.at || (s.at == w.at && s.seq < w.seq) {
+			w = *s
 		}
+		t[k>>1] = w
 	}
-	pr.busy &^= b
 }
 
 // wake moves the pod timer to the completion (at, seq) if that comes before
@@ -265,27 +266,50 @@ func (pr *PodRuntime) settle() {
 }
 
 // nextDue returns the source, time and sequence number of the pod's next
-// completion (time sim.TimeMax when none is pending). Sources are the
-// cores, then the egress queues, as indexed in pr.heads. A Stall (the NUMA
-// balancer stalls cores directly) can leave a core's entry early, never
-// late, so it re-reads the core it picks.
+// completion (time sim.TimeMax when none is pending): the winner tree's
+// root. A Stall (the NUMA balancer stalls cores directly) can leave a
+// core's leaf early, never late, so it re-reads the core it picks.
 func (pr *PodRuntime) nextDue() (int, sim.Time, uint64) {
 	for {
-		best, at, seq := -1, sim.TimeMax, uint64(0)
-		for m := pr.busy; m != 0; m &= m - 1 {
-			for i := bits.TrailingZeros64(m); i < len(pr.heads); i += 64 {
-				if h := &pr.heads[i]; h.at < at || (h.at == at && h.seq < seq) {
-					best, at, seq = i, h.at, h.seq
-				}
-			}
+		w := pr.tree[1]
+		if w.at == sim.TimeMax {
+			return -1, sim.TimeMax, 0
 		}
-		if best < 0 || best >= len(pr.Cores) {
+		best := int(w.src)
+		if best >= len(pr.Cores) {
+			return best, w.at, w.seq
+		}
+		at, seq := pr.Cores[best].Next()
+		if at == w.at && seq == w.seq {
 			return best, at, seq
 		}
-		h := &pr.heads[best]
-		if h.at, h.seq = pr.Cores[best].Next(); h.at == at && h.seq == seq {
-			return best, at, seq
-		}
+		pr.setHead(best, completion{at, seq})
+	}
+}
+
+// headNode is a node of the winner tree over a pod's completion sources:
+// the completion that wins there and its source.
+type headNode struct {
+	completion
+	src int32
+}
+
+// initHeads builds the winner tree for sources sources, all idle. Its n
+// leaves are the sources (the cores, then the egress queues) padded to a
+// power of two: pr.tree[n+i] holds source i's next completion, and
+// pr.tree[k] for 1 <= k < n the earlier of pr.tree[2k] and pr.tree[2k+1],
+// so pr.tree[1] is the earliest.
+func (pr *PodRuntime) initHeads(sources int) {
+	n := 1 << bits.Len(uint(sources-1))
+	pr.tree = make([]headNode, 2*n)
+	for k := range pr.tree {
+		pr.tree[k].at = sim.TimeMax
+	}
+	for j := range n {
+		pr.tree[n+j].src = int32(j)
+	}
+	for k := n - 1; k > 0; k-- {
+		pr.tree[k] = pr.tree[2*k]
 	}
 }
 

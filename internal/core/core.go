@@ -290,14 +290,14 @@ type PodRuntime struct {
 
 	// Dispatch and completion state (see burst.go). openBurst is indexed by
 	// traffic class; egress holds the packets in the NIC egress pipeline,
-	// RSS class then PLB class; heads holds the next completion of each
-	// core, then of each egress queue. timer is the pod's one completion
-	// timer, armed at (timerAt, timerSeq); timerAt is sim.TimeMax when idle.
+	// RSS class then PLB class; tree is the winner tree over the next
+	// completion of each core, then of each egress queue (see initHeads),
+	// whose root is the earliest. timer is the pod's one completion timer,
+	// armed at (timerAt, timerSeq); timerAt is sim.TimeMax when idle.
 	burst     int
 	openBurst [3]*burst
 	burstFree []*burst
-	heads     []completion
-	busy      uint64 // see setHead
+	tree      []headNode
 	egress    [2]egressQueue
 	timer     sim.Timer
 	timerAt   sim.Time
@@ -417,10 +417,7 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 		traceEvery = 0 // disabled
 	}
 	pr.burst = max(n.cfg.Burst, 1)
-	pr.heads = make([]completion, cfg.Spec.DataCores+len(pr.egress))
-	for i := range pr.heads {
-		pr.heads[i].at = sim.TimeMax
-	}
+	pr.initHeads(cfg.Spec.DataCores + len(pr.egress))
 	pr.timerAt = sim.TimeMax
 	pr.flight = newFlightRecorder(traceEvery, cfg.TraceRing)
 	if cfg.HeaderSplit {

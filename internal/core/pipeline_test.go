@@ -157,9 +157,8 @@ func TestStageConservationAcrossFallback(t *testing.T) {
 	}
 }
 
-// A pod with more completion sources (cores plus two egress queues) than
-// the pod's busy mask has bits shares mask bits between sources and still
-// delivers every packet with balanced stages.
+// A pod with many completion sources (70 cores plus two egress queues, a
+// winner tree over 128 leaves) delivers every packet with balanced stages.
 func TestWidePodDrains(t *testing.T) {
 	srv := pod.DefaultServerConfig()
 	srv.Topology = cpu.Topology{Nodes: 1, CoresPerNode: 80}

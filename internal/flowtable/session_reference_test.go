@@ -10,18 +10,27 @@ import (
 	"albatross/internal/sim"
 )
 
-// refSessionBackend is Backend over a Go map from key to pinned pod: the
-// oracle the insert-only slot table must agree with, pinning for pinning.
-// It uses the caller's hash only to assign pods.
+// refSessionBackend is Backend as a Go map from key to insertion index
+// over the pinnings in insertion order, the order of the table's
+// ordinals: the oracle the insert-only slot table must agree with, pinning
+// for pinning. It keeps the caller's hash of each key to assign its pod.
 type refSessionBackend struct {
-	m     map[packet.FiveTuple]int32
+	ord   map[packet.FiveTuple]int
+	pins  []refPin
 	pool  []int
 	live  podSet
 	stats BackendStats
 }
 
+// refPin is one pinning of refSessionBackend.
+type refPin struct {
+	key  packet.FiveTuple
+	pod  int32
+	hash uint32
+}
+
 func newRefSessionBackend(pool []int) *refSessionBackend {
-	b := &refSessionBackend{m: map[packet.FiveTuple]int32{}}
+	b := &refSessionBackend{ord: map[packet.FiveTuple]int{}}
 	b.setPool(pool)
 	return b
 }
@@ -33,12 +42,12 @@ func (b *refSessionBackend) setPool(pool []int) {
 
 func (b *refSessionBackend) Lookup(key packet.FiveTuple) (int, bool) {
 	b.stats.Lookups++
-	pod, ok := b.m[key]
+	o, ok := b.ord[key]
 	if !ok {
 		return -1, false
 	}
 	b.stats.Hits++
-	return int(pod), true
+	return int(b.pins[o].pod), true
 }
 
 func (b *refSessionBackend) Insert(key packet.FiveTuple, h uint32) int {
@@ -46,22 +55,28 @@ func (b *refSessionBackend) Insert(key packet.FiveTuple, h uint32) int {
 	if pod < 0 {
 		return -1
 	}
-	b.m[key] = int32(pod)
+	if o, ok := b.ord[key]; ok {
+		b.pins[o].pod = int32(pod)
+	} else {
+		b.ord[key] = len(b.pins)
+		b.pins = append(b.pins, refPin{key, int32(pod), h})
+	}
 	b.stats.Inserts++
 	return pod
 }
 
-// Update is Backend.Update; hashOf is the program's hash function.
-func (b *refSessionBackend) Update(pool []int, hashOf func(packet.FiveTuple) uint32) int {
+// Update is Backend.Update.
+func (b *refSessionBackend) Update(pool []int) int {
 	b.setPool(pool)
 	moved := 0
-	for k, pod := range b.m {
-		switch {
-		case len(b.pool) == 0:
-			delete(b.m, k)
-			moved++
-		case !b.live.has(int(pod)):
-			b.m[k] = int32(AssignPod(b.pool, hashOf(k)))
+	if len(b.pool) == 0 {
+		moved = len(b.pins)
+		clear(b.ord)
+		b.pins = b.pins[:0]
+	}
+	for i := range b.pins {
+		if p := &b.pins[i]; !b.live.has(int(p.pod)) {
+			p.pod = int32(AssignPod(b.pool, p.hash))
 			moved++
 		}
 	}
@@ -112,23 +127,34 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 	}
 	ref := newRefSessionBackend(pool)
 	x := b.st
-	// held is every record insert returned for a live key: records must
-	// never move.
-	held := map[packet.FiveTuple]*session{}
+	// held[o] is the record insert returned for the reference's pinning o:
+	// records must never move.
+	var held []*session
+	// compare compares the pinnings, and the slot invariants unless the
+	// slot array is as the last check found it: an update that keeps a
+	// pool moves pods, never slots, and a reset is checked as it happens.
+	var checkedN uint32
+	checkedSize := 0
+	compare := func(op int) {
+		slots := x.n != checkedN || len(x.slots) != checkedSize
+		compareSessions(t, op, x, ref, held, slots)
+		checkedN, checkedSize = x.n, len(x.slots)
+	}
 	run.slotSizes = []int{len(x.slots)}
 	reset := false
 	next := 256 // fresh keys start past the universe
 	universe := func(arg byte) packet.FiveTuple { return tuple(int(arg)) }
 
+	// same runs once per operation; t.Helper's stack walk would be most of
+	// its cost, so a failure reports the op number instead.
 	same := func(op int, what string, k packet.FiveTuple, got, want int) {
-		t.Helper()
-		if got != want || b.Stats() != ref.stats || x.Len() != len(ref.m) {
+		if got != want || b.Stats() != ref.stats || x.Len() != len(ref.pins) {
 			t.Fatalf("op %d: %s(%v) = %d (%+v, Len %d), reference %d (%+v, Len %d)",
-				op, what, k, got, b.Stats(), x.Len(), want, ref.stats, len(ref.m))
+				op, what, k, got, b.Stats(), x.Len(), want, ref.stats, len(ref.pins))
 		}
 		if len(x.slots) != run.slotSizes[len(run.slotSizes)-1] {
 			run.slotSizes = append(run.slotSizes, len(x.slots))
-			compareSessions(t, op, x, ref, held, hashFn)
+			compare(op)
 		}
 		run.pages = max(run.pages, len(x.pages))
 		if reset {
@@ -140,10 +166,20 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 		if s == nil {
 			return
 		}
-		if prev, ok := held[k]; ok && prev != s {
-			t.Fatalf("op %d: %v's record moved", op, k)
+		o, ok := ref.ord[k]
+		if !ok {
+			t.Fatalf("op %d: %v has a record and no reference pinning", op, k)
 		}
-		held[k] = s
+		if o < len(held) {
+			if held[o] != s {
+				t.Fatalf("op %d: %v's record moved", op, k)
+			}
+			return
+		}
+		if o != len(held) {
+			t.Fatalf("op %d: %v is reference pinning %d, after %d held records", op, k, o, len(held))
+		}
+		held = append(held, s)
 	}
 	insert := func(op int, k packet.FiveTuple) {
 		h := hashFn(k)
@@ -193,9 +229,9 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 				}
 			}
 			moved := b.Update(np)
-			same(op, "Update", packet.FiveTuple{}, moved, ref.Update(np, hashFn))
+			same(op, "Update", packet.FiveTuple{}, moved, ref.Update(np))
 			if len(np) == 0 {
-				clear(held)
+				held = held[:0]
 				if moved > 0 {
 					run.resets++
 					reset = true
@@ -203,30 +239,31 @@ func runSessionProgram(t *testing.T, data []byte) sessionRun {
 			} else {
 				run.moves += moved
 			}
-			compareSessions(t, op, x, ref, held, hashFn)
+			compare(op)
 		}
 	}
-	compareSessions(t, len(ops)/2, x, ref, held, hashFn)
+	compareSessions(t, len(ops)/2, x, ref, held, true)
 	return run
 }
 
-// compareSessions fails unless x holds ref's pinnings: ordinals 0 .. Len-1
-// hold one record per pinned key, with ref's pod, the key's hash, and the
-// address insert returned for it; every record has exactly one slot,
-// holding its hash and reachable from its home slot without crossing an
-// empty one.
-func compareSessions(t *testing.T, op int, x *sessionTable, ref *refSessionBackend, held map[packet.FiveTuple]*session, hashFn func(packet.FiveTuple) uint32) {
+// compareSessions fails unless x holds ref's pinnings: ordinal o holds
+// ref's pinning o, with its key, pod and hash, and the address insert
+// returned for it. With slots, it also fails unless every record has
+// exactly one slot, holding its hash and reachable from its home slot
+// without crossing an empty one.
+func compareSessions(t *testing.T, op int, x *sessionTable, ref *refSessionBackend, held []*session, slots bool) {
 	t.Helper()
-	if x.Len() != len(ref.m) {
-		t.Fatalf("op %d: Len %d, reference %d", op, x.Len(), len(ref.m))
+	if x.Len() != len(ref.pins) || len(held) != len(ref.pins) {
+		t.Fatalf("op %d: Len %d, reference %d, %d records held", op, x.Len(), len(ref.pins), len(held))
 	}
-	// held[key] is one record, so no two ordinals pass with the same key.
-	for o := range uint32(x.Len()) {
-		s := x.record(o)
-		pod, ok := ref.m[s.key]
-		if !ok || s.pod != pod || s.hash != hashFn(s.key) || held[s.key] != s {
-			t.Fatalf("op %d: ordinal %d holds %+v; reference pod %d (pinned %v)", op, o, s, pod, ok)
+	for o, p := range ref.pins {
+		s := x.record(uint32(o))
+		if s.key != p.key || s.pod != p.pod || s.hash != p.hash || held[o] != s {
+			t.Fatalf("op %d: ordinal %d holds %+v; reference %+v", op, o, s, p)
 		}
+	}
+	if !slots {
+		return
 	}
 	// run is the number of full slots up to and including slot i, counted
 	// from the empty slot before them: a slot is reachable from its home

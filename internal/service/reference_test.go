@@ -5,7 +5,6 @@ import (
 
 	"albatross/internal/cachesim"
 	"albatross/internal/flowtable"
-	"albatross/internal/lpm"
 	"albatross/internal/packet"
 	"albatross/internal/sim"
 )
@@ -35,7 +34,6 @@ type refService struct {
 	cfg    Config
 	prof   profile
 	tables []*refTable
-	routes *lpm.Table
 	denied map[packet.FiveTuple]bool
 }
 
@@ -54,16 +52,14 @@ func (s *refService) Populate(flows []Flow) {
 	for _, tb := range s.tables {
 		tb.next, tb.addr = 0, make(map[packet.FiveTuple]uint64)
 	}
-	s.routes = lpm.New()
 	s.denied = make(map[packet.FiveTuple]bool)
-	for i, f := range flows {
+	for _, f := range flows {
 		for _, tb := range s.tables {
 			tb.insert(f.Tuple)
 		}
 		if f.Denied {
 			s.denied[f.Tuple] = true
 		}
-		_ = s.routes.Insert(lpm.Canonical(f.Tuple.Dst.Uint32(), 24), 24, uint32(i%(1<<20)))
 	}
 }
 
@@ -148,9 +144,6 @@ func checkAgainstReferenceChain(t testing.TB, typ Type, skip int, ops []chainOp)
 			if got := svc.TableMemoryBytes(); got != want || svc.NumTables() != len(ref.tables) {
 				t.Fatalf("%v op %d: %d tables of %d bytes, reference %d of %d",
 					typ, i, svc.NumTables(), got, len(ref.tables), want)
-			}
-			if svc.tables.routes.Len() != ref.routes.Len() {
-				t.Fatalf("%v op %d: RouteCount = %d, reference %d", typ, i, svc.tables.routes.Len(), ref.routes.Len())
 			}
 			continue
 		}
@@ -260,7 +253,6 @@ func TestPopulateReplaces(t *testing.T) {
 	a, b := testFlows(100, 1), testFlows(40, 2)
 	a[0].Denied = true
 	s := newService(t, VPCInternet, a)
-	routes := s.tables.routes.Len()
 	s.Populate(b)
 	if res := s.Process(a[1].Tuple, a[1].VNI); !res.Drop || res.Hits+res.Misses != 6 {
 		t.Fatalf("flow of the replaced set: %+v, want an unknown-flow drop with LPM accesses only", res)
@@ -271,9 +263,8 @@ func TestPopulateReplaces(t *testing.T) {
 	if got, want := s.TableMemoryBytes(), int64(len(b)*s.NumTables()*128); got != want {
 		t.Fatalf("TableMemoryBytes = %d after the second Populate, want %d", got, want)
 	}
-	if s.tables.routes.Len() >= routes || len(s.tables.denied) != 0 {
-		t.Fatalf("routes %d -> %d, %d denied flows: the first set's state survived",
-			routes, s.tables.routes.Len(), len(s.tables.denied))
+	if len(s.tables.denied) != 0 {
+		t.Fatalf("%d denied flows: the first set's deny set survived", len(s.tables.denied))
 	}
 }
 

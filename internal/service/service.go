@@ -1,10 +1,12 @@
 // Package service implements the CPU-side gateway dataplane: the four
 // representative cloud gateway services of the paper's Tab. 2 (VPC-VPC,
 // VPC-Internet, VPC-IDC, VPC-CloudService), each a modelled chain of
-// exact-match tables plus real LPM lookups over the flowtable/lpm
-// substrates. The chained tables of one service hold the same key set, so
-// the host probes one shared index per packet (see Tables) and derives every
-// modelled table's entry address from the flow's ordinal.
+// exact-match tables over the flowtable index plus LPM route lookups,
+// modelled by the trie-node lines a lookup touches (the real trie, and its
+// Tab. 6 scale, is internal/lpm's). The chained tables of one service hold
+// the same key set, so the host probes one shared index per packet (see
+// Tables) and derives every modelled table's entry address from the flow's
+// ordinal.
 //
 // Per-packet cost is *derived*, not asserted: every lookup touches its
 // entry's synthetic memory addresses through the shared L3 cache model, and
@@ -21,7 +23,6 @@ import (
 
 	"albatross/internal/cachesim"
 	"albatross/internal/flowtable"
-	"albatross/internal/lpm"
 	"albatross/internal/packet"
 	"albatross/internal/sim"
 )
@@ -154,14 +155,13 @@ type Config struct {
 }
 
 // Tables is the populated state of a flow set: the exact-match index (flow
-// → insertion ordinal), the /24 routes covering flow destinations and the
-// ACL deny set. It depends on the flows alone — not on the service type, the
-// cache or the address space — and is immutable once BuildTables returns, so
-// any number of services, on any goroutines, may adopt the same Tables
-// without locks: every member of a homogeneous cluster does.
+// → insertion ordinal), the ACL deny set and the tenant numbering. It
+// depends on the flows alone — not on the service type, the cache or the
+// address space — and is immutable once BuildTables returns, so any number
+// of services, on any goroutines, may adopt the same Tables without locks:
+// every member of a homogeneous cluster does.
 type Tables struct {
-	index  *flowtable.Index
-	routes *lpm.Table
+	index *flowtable.Index
 	// denied is the ACL's deny set: bit n is set when a flow with ordinal n
 	// in index is denied. Every flow is in index, so a denied tuple always
 	// has an ordinal, and a repeated tuple denied by any copy sets its
@@ -184,7 +184,7 @@ type tenantSlot struct{ vni, ordp uint32 }
 const buildGroup = 16
 
 // BuildTables installs flows: one index entry per distinct tuple (a repeated
-// tuple keeps its first ordinal), plus the /24 route of every destination.
+// tuple keeps its first ordinal), plus its deny bit and tenant.
 //
 // Flows go in one at a time, in order, so every ordinal and the slot array
 // are what sequential Insert makes. They are taken buildGroup at a time:
@@ -194,10 +194,7 @@ const buildGroup = 16
 // reorder window holds: at 750k flows that form took 160 ms to this one's
 // 86 ms on a 2-vCPU Xeon.
 func BuildTables(flows []Flow) *Tables {
-	t := &Tables{
-		index:  flowtable.NewIndex(len(flows)),
-		routes: lpm.New(),
-	}
+	t := &Tables{index: flowtable.NewIndex(len(flows))}
 	var hashes [buildGroup]uint32
 	var sink uint64
 	for lo := 0; lo < len(flows); lo += buildGroup {
@@ -214,9 +211,6 @@ func BuildTables(flows []Flow) *Tables {
 				t.deny(ord)
 			}
 			t.addTenant(f.VNI)
-			// Destination subnet route (idempotent across flows sharing /24s).
-			prefix := lpm.Canonical(f.Tuple.Dst.Uint32(), 24)
-			_ = t.routes.Insert(prefix, 24, uint32((lo+k)%(1<<20)))
 		}
 	}
 	t.warmSink = sink
@@ -357,8 +351,7 @@ func (s *Service) NumTables() int { return len(s.chain) }
 func (s *Service) LPMLookups() int { return s.prof.lpmLookups }
 
 // Populate replaces the service's table state with BuildTables(flows): one
-// entry per flow in each chained table, plus /24 routes covering flow
-// destinations. Flows installed by an earlier Populate or Adopt are gone.
+// entry per flow in each chained table. Flows installed by an earlier Populate or Adopt are gone.
 func (s *Service) Populate(flows []Flow) { s.Adopt(BuildTables(flows)) }
 
 // Adopt replaces the service's table state with t, which may be shared with
@@ -452,7 +445,7 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 		}
 	}
 
-	// LPM route lookups.
+	// LPM route lookups: the cost is the trie-node lines each touches.
 	var addrs [3]uint64
 	for i := 0; i < s.prof.lpmLookups; i++ {
 		dst := flow.Dst.Uint32()
@@ -461,7 +454,6 @@ func (s *Service) ProcessHash(flow packet.FiveTuple, vni uint32, fh uint32) Resu
 			// path); keeps the two lookups from being identical.
 			dst = flow.Src.Uint32()
 		}
-		_, _ = t.routes.Lookup(dst)
 		s.lpmAccessAddrs(dst, &addrs)
 		for _, a := range addrs {
 			h, m := s.cfg.Cache.Access(a, 64)

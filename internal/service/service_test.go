@@ -243,17 +243,11 @@ func TestCacheHitRateInPaperRange(t *testing.T) {
 	}
 }
 
-func TestTableMemoryAndRoutes(t *testing.T) {
+func TestTableMemory(t *testing.T) {
 	flows := testFlows(1000, 10)
 	s := newService(t, VPCVPC, flows)
 	if s.TableMemoryBytes() < int64(1000*3*100) {
 		t.Fatalf("table memory = %d", s.TableMemoryBytes())
-	}
-	if s.tables.routes.Len() == 0 {
-		t.Fatal("no routes installed")
-	}
-	if s.tables.routes.Len() > 1000 {
-		t.Fatal("route count exceeds flow count (aggregation expected)")
 	}
 }
 
@@ -372,22 +366,6 @@ func TestBuildTablesMatchesSequentialInsert(t *testing.T) {
 			if a, b := got.WarmHash(h), seq.WarmHash(h); a != b {
 				t.Fatalf("%d flows: probe head %d holds %#x, sequential Insert %#x", n, h, a, b)
 			}
-		}
-	}
-}
-
-// Populate gives the /24 of flow i the next hop i mod 2^20, so flows in
-// different /24s resolve to different next hops. ProcessHash discards the
-// looked-up value, so nothing else would notice them all being equal.
-func TestPopulateInstallsDistinctNextHops(t *testing.T) {
-	flows := testFlows(2, 10)
-	flows[0].Tuple.Dst = packet.IPv4FromUint32(0x30000101)
-	flows[1].Tuple.Dst = packet.IPv4FromUint32(0x30000201)
-	s := newService(t, VPCVPC, flows)
-	for i, f := range flows {
-		hop, ok := s.tables.routes.Lookup(f.Tuple.Dst.Uint32())
-		if !ok || hop != uint32(i) {
-			t.Fatalf("flow %d: next hop %d (found %v), want %d", i, hop, ok, i)
 		}
 	}
 }

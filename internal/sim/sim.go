@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // All Albatross timing experiments run on virtual time: an int64 nanosecond
-// clock advanced by an event heap. Components schedule callbacks at absolute
+// clock advanced by an event queue. Components schedule callbacks at absolute
 // or relative virtual times; the engine executes them in (time, sequence)
 // order so runs are fully deterministic for a given seed.
 //
@@ -11,12 +11,17 @@
 // Harness-level parallelism (internal/eval.RunAll) runs many engines side
 // by side, one per experiment, never sharing one engine across goroutines.
 //
-// The scheduling hot path is allocation-free in steady state: events are
-// recycled through a free list, the heap is a flat 4-ary array, timers are
-// value handles validated by generation counters, and cancellation is lazy
-// (dead events are dropped on pop, compacted only when they dominate the
-// heap). Use AtArg/AfterArg with a non-capturing func and an arg to avoid
-// the caller-side closure allocation that At/After require.
+// The queue is two structures under one (time, sequence) order: a FIFO
+// ring that takes every new event not earlier than its tail — a train of
+// same-latency arrivals or probes lands there without a sift — and a flat
+// 4-ary heap that takes the rest. The next event is the lesser of the two
+// heads. The scheduling hot path is allocation-free in steady state:
+// events are recycled through a free list, timers are value handles
+// validated by generation counters, and cancellation is lazy (dead events
+// are dropped when they reach a head, compacted out of both structures
+// only when they dominate the queue). Use AtArg/AfterArg with a
+// non-capturing func and an arg to avoid the caller-side closure
+// allocation that At/After require.
 package sim
 
 import (
@@ -70,7 +75,18 @@ type event struct {
 	fn   func(any)
 	arg  any
 	gen  uint32
-	dead bool // cancelled; dropped lazily on pop or compaction
+	dead bool // cancelled; dropped lazily at a head or by compaction
+}
+
+// key is an event's place in the run order.
+type key struct {
+	at  Time
+	seq uint64
+}
+
+// later reports whether an event at k runs after one at (at, seq).
+func (k key) later(at Time, seq uint64) bool {
+	return at < k.at || (at == k.at && seq < k.seq)
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
@@ -79,9 +95,19 @@ type Engine struct {
 	now  Time
 	seq  uint64
 	heap []*event // flat 4-ary heap ordered by (at, seq)
-	free []*event // recycled events
-	live int      // heap entries not marked dead
-	dead int      // heap entries marked dead (lazy cancellation debt)
+	// fifo is a ring of events in (at, seq) order, oldest at fifo[head];
+	// its capacity is zero or a power of two. A new event joins it when it
+	// is not earlier than the ring's tail, and the heap otherwise. While
+	// count > 0, headKey and tailKey are the keys of its head and tail,
+	// kept here so that comparing against them loads no event: an engine
+	// among hundreds, as a fleet's lanes are, is cold in the host cache.
+	fifo             []*event
+	head             int
+	count            int // entries in fifo
+	headKey, tailKey key
+	free             []*event // recycled events
+	live             int      // queued entries not marked dead
+	dead             int      // queued entries marked dead (lazy cancellation debt)
 	// limit is the latest time the running Run/RunUntil may reach: the
 	// bound on Advance.
 	limit Time
@@ -131,7 +157,7 @@ type Timer struct {
 	gen uint32
 }
 
-// Stop cancels the timer in O(1) by marking the event dead; the heap drops
+// Stop cancels the timer in O(1) by marking the event dead; the queue drops
 // it lazily. It reports whether the event had not yet fired.
 func (t Timer) Stop() bool {
 	if t.ev == nil || t.ev.gen != t.gen || t.ev.dead {
@@ -212,8 +238,12 @@ func (e *Engine) AtArgSeq(at Time, seq uint64, fn func(any), arg any) Timer {
 	ev.seq = seq
 	ev.fn = fn
 	ev.arg = arg
-	e.heap = append(e.heap, ev)
-	e.siftUp(len(e.heap) - 1)
+	if e.count == 0 || !e.tailKey.later(at, seq) {
+		e.pushFIFO(ev)
+	} else {
+		e.heap = append(e.heap, ev)
+		e.siftUp(len(e.heap) - 1)
+	}
 	e.live++
 	if e.mirror {
 		e.publish()
@@ -229,12 +259,29 @@ func (e *Engine) AfterArg(d Duration, fn func(any), arg any) Timer {
 	return e.AtArg(e.now.Add(d), fn, arg)
 }
 
-// less orders heap entries by (at, seq).
-func (e *Engine) less(a, b *event) bool {
+// less orders queued events by (at, seq).
+func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// pushFIFO appends ev at the ring's tail, doubling the ring when full.
+func (e *Engine) pushFIFO(ev *event) {
+	if e.count == len(e.fifo) {
+		ring := make([]*event, max(2*len(e.fifo), 64))
+		for i := 0; i < e.count; i++ {
+			ring[i] = e.fifo[(e.head+i)&(len(e.fifo)-1)]
+		}
+		e.fifo, e.head = ring, 0
+	}
+	e.fifo[(e.head+e.count)&(len(e.fifo)-1)] = ev
+	if e.count == 0 {
+		e.headKey = key{ev.at, ev.seq}
+	}
+	e.tailKey = key{ev.at, ev.seq}
+	e.count++
 }
 
 func (e *Engine) siftUp(i int) {
@@ -242,7 +289,7 @@ func (e *Engine) siftUp(i int) {
 	ev := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !e.less(ev, h[p]) {
+		if !less(ev, h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -266,11 +313,11 @@ func (e *Engine) siftDown(i int) {
 		}
 		min := c
 		for j := c + 1; j < end; j++ {
-			if e.less(h[j], h[min]) {
+			if less(h[j], h[min]) {
 				min = j
 			}
 		}
-		if !e.less(h[min], ev) {
+		if !less(h[min], ev) {
 			break
 		}
 		h[i] = h[min]
@@ -279,10 +326,31 @@ func (e *Engine) siftDown(i int) {
 	h[i] = ev
 }
 
-// pop removes and returns the minimum event (live or dead).
-func (e *Engine) pop() *event {
+// first returns the earliest queued event, live or dead (nil when none),
+// and whether it is the FIFO's head rather than the heap's root.
+func (e *Engine) first() (*event, bool) {
+	if len(e.heap) > 0 {
+		if h := e.heap[0]; e.count == 0 || e.headKey.later(h.at, h.seq) {
+			return h, false
+		}
+	} else if e.count == 0 {
+		return nil, false
+	}
+	return e.fifo[e.head], true
+}
+
+// remove takes the event first returned out of its structure.
+func (e *Engine) remove(fromFIFO bool) {
+	if fromFIFO {
+		e.fifo[e.head] = nil
+		e.head = (e.head + 1) & (len(e.fifo) - 1)
+		if e.count--; e.count > 0 {
+			f := e.fifo[e.head]
+			e.headKey = key{f.at, f.seq}
+		}
+		return
+	}
 	h := e.heap
-	ev := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
@@ -290,12 +358,25 @@ func (e *Engine) pop() *event {
 	if n > 1 {
 		e.siftDown(0)
 	}
-	return ev
 }
 
-// maybeCompact sweeps dead events out of the heap once they outnumber live
-// ones (and there are enough to be worth a pass), bounding both memory and
-// the dead-skip work on pop.
+// next returns the earliest live event (nil when none) and whether it is
+// the FIFO's head, reclaiming the cancelled shells ahead of it.
+func (e *Engine) next() (*event, bool) {
+	for {
+		ev, fromFIFO := e.first()
+		if ev == nil || !ev.dead {
+			return ev, fromFIFO
+		}
+		e.remove(fromFIFO)
+		e.dead--
+		e.recycle(ev)
+	}
+}
+
+// maybeCompact sweeps dead events out of the heap and the FIFO once they
+// outnumber live ones (and there are enough to be worth a pass), bounding
+// both memory and the dead-skip work at the heads.
 func (e *Engine) maybeCompact() {
 	if e.dead <= 64 || e.dead <= e.live {
 		return
@@ -309,41 +390,60 @@ func (e *Engine) maybeCompact() {
 		e.heap[w] = ev
 		w++
 	}
-	for i := w; i < len(e.heap); i++ {
-		e.heap[i] = nil
-	}
+	clear(e.heap[w:])
 	e.heap = e.heap[:w]
-	e.dead = 0
 	// Rebuild heap order bottom-up.
 	for i := (w - 2) >> 2; i >= 0; i-- {
 		e.siftDown(i)
 	}
+	// The FIFO keeps its order: survivors close up toward the head.
+	mask := len(e.fifo) - 1
+	w = 0
+	for i := 0; i < e.count; i++ {
+		ev := e.fifo[(e.head+i)&mask]
+		if ev.dead {
+			e.recycle(ev)
+			continue
+		}
+		e.fifo[(e.head+w)&mask] = ev
+		w++
+	}
+	for i := w; i < e.count; i++ {
+		e.fifo[(e.head+i)&mask] = nil
+	}
+	e.count = w
+	if w > 0 {
+		f, l := e.fifo[e.head], e.fifo[(e.head+w-1)&mask]
+		e.headKey, e.tailKey = key{f.at, f.seq}, key{l.at, l.seq}
+	}
+	e.dead = 0
 }
 
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ev := e.pop()
-		if ev.dead {
-			e.dead--
-			e.recycle(ev)
-			continue
-		}
-		e.live--
-		if e.mirror {
-			e.publish()
-		}
-		e.now = ev.at
-		e.executed++
-		fn, arg := ev.fn, ev.arg
-		// Recycle before the callback so fn can reuse the slot when it
-		// schedules follow-up work.
-		e.recycle(ev)
-		fn(arg)
-		return true
+	ev, fromFIFO := e.next()
+	if ev == nil {
+		return false
 	}
-	return false
+	e.fire(ev, fromFIFO)
+	return true
+}
+
+// fire removes the live event next returned and runs it.
+func (e *Engine) fire(ev *event, fromFIFO bool) {
+	e.remove(fromFIFO)
+	e.live--
+	if e.mirror {
+		e.publish()
+	}
+	e.now = ev.at
+	e.executed++
+	fn, arg := ev.fn, ev.arg
+	// Recycle before the callback so fn can reuse the slot when it
+	// schedules follow-up work.
+	e.recycle(ev)
+	fn(arg)
 }
 
 // Run executes events until the queue drains.
@@ -360,17 +460,12 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	prev := e.limit
 	e.limit = deadline
-	for len(e.heap) > 0 {
-		next := e.heap[0]
-		if next.dead {
-			e.dead--
-			e.recycle(e.pop())
-			continue
-		}
-		if next.at > deadline {
+	for {
+		ev, fromFIFO := e.next()
+		if ev == nil || ev.at > deadline {
 			break
 		}
-		e.Step()
+		e.fire(ev, fromFIFO)
 	}
 	if e.now < deadline {
 		e.now = deadline
@@ -403,7 +498,7 @@ func (e *Engine) markShared() {
 
 // NextEventTime returns the timestamp of the earliest live pending event.
 func (e *Engine) NextEventTime() (Time, bool) {
-	if ev := e.peek(); ev != nil {
+	if ev, _ := e.next(); ev != nil {
 		return ev.at, true
 	}
 	return 0, false
@@ -425,21 +520,8 @@ func (e *Engine) Advance(at Time, seq uint64) bool {
 // Precedes reports whether an event at (at, seq) would run before every
 // pending event.
 func (e *Engine) Precedes(at Time, seq uint64) bool {
-	ev := e.peek()
+	ev, _ := e.next()
 	return ev == nil || at < ev.at || (at == ev.at && seq < ev.seq)
-}
-
-// peek returns the earliest live pending event (nil when none), skipping
-// (and reclaiming) cancelled shells at the heap root.
-func (e *Engine) peek() *event {
-	for len(e.heap) > 0 {
-		if ev := e.heap[0]; !ev.dead {
-			return ev
-		}
-		e.dead--
-		e.recycle(e.pop())
-	}
-	return nil
 }
 
 // Rand is a deterministic pseudo-random source for simulation components.

@@ -472,15 +472,62 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// BenchmarkEngineScheduleRun times the engine on three patterns:
+// ascending-100 builds an engine, schedules 100 events at ascending times
+// and runs them (one op); closed-loop-256 is the closed-loop harness, 256
+// events that each re-arm at the same NIC latency when they run plus one
+// timer that re-arms at a shorter delay (the pod's completion timer); and
+// mixed-delays is the open-loop shape of a faulted node, arrivals at
+// random gaps that each cancel the oldest of 64 pending 100 µs head timers
+// and arm a new one. The last two time one event run per op.
 func BenchmarkEngineScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 100; j++ {
-			e.At(Time(j), func() {})
+	b.Run("ascending-100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := NewEngine()
+			for j := 0; j < 100; j++ {
+				e.At(Time(j), func() {})
+			}
+			e.Run()
 		}
-		e.Run()
-	}
+	})
+	b.Run("closed-loop-256", func(b *testing.B) {
+		e := NewEngine()
+		var arrive, timer func(any)
+		arrive = func(any) { e.AfterArg(3900, arrive, nil) }
+		timer = func(any) { e.AfterArg(700, timer, nil) }
+		for i := range 256 {
+			e.AfterArg(Duration(i), arrive, nil)
+		}
+		e.AfterArg(0, timer, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			e.Step()
+		}
+	})
+	b.Run("mixed-delays", func(b *testing.B) {
+		e := NewEngine()
+		r := NewRand(1)
+		var heads [64]Timer
+		next := 0
+		nop := func(any) {}
+		var arrive func(any)
+		arrive = func(any) {
+			heads[next].Stop()
+			heads[next] = e.AfterArg(100*Microsecond, nop, nil)
+			next = (next + 1) % len(heads)
+			e.AfterArg(Duration(1+r.Intn(2000)), arrive, nil)
+		}
+		for i := range 16 {
+			e.AfterArg(Duration(i*100), arrive, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			e.Step()
+		}
+	})
 }
 
 // BenchmarkEngineTimerChurn measures the schedule/cancel hot loop the PLB

@@ -141,6 +141,17 @@ gameday: build
 #                storms that compact both structures and Advance from inside
 #                events (committed seeds run in `go test`; they reach each
 #                of those cases).
+#   scenario-fuzz  ten seconds of native fuzzing of the drill loader: no
+#                document panics, rejections wrap errs.BadConfig, and an
+#                accepted scenario re-validates (seeds run in `go test`).
+#   trace-fuzz   ten seconds of native fuzzing of the packet-trace decoder
+#                record/replay runs on: no input panics, rejections wrap
+#                ErrBadTrace and errs.BadConfig, and an accepted trace
+#                re-encodes canonically (seeds run in `go test`).
+#   service-fuzz  ten seconds of native fuzzing of the gateway service chain
+#                against its reference chain: packet for packet, every
+#                verdict, cost and modelled cache access (seeds run in
+#                `go test`).
 #                Every *-fuzz row prints its last "execs: … new interesting: …"
 #                line, and minimises a new input for at most 10 runs
 #                (-fuzzminimizetime 10x): on 2 vCPUs the default 60 s of
@@ -196,6 +207,9 @@ check: build
 		"index-fuzz|fuzz FuzzIndexMatchesReference ./internal/flowtable" \
 		"session-fuzz|fuzz FuzzSessionMatchesReference ./internal/flowtable" \
 		"engine-fuzz|fuzz FuzzEngineMatchesReference ./internal/sim" \
+		"scenario-fuzz|fuzz FuzzLoadScenario ./internal/scenario" \
+		"trace-fuzz|fuzz FuzzRead ./internal/workload/trace" \
+		"service-fuzz|fuzz FuzzServiceMatchesReferenceChain ./internal/service" \
 		"regionscale-30s|timeout 30 $$tmp/asim run scenarios/regionscale.yaml" \
 		"examples|examples" \
 		"reach|$(GO) test -tags reach -run TestReach -count=1 ." \

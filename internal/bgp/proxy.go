@@ -24,9 +24,7 @@ type Proxy struct {
 	refs map[Prefix]int
 	pods map[*Speaker]bool
 
-	// Announced counts upstream announcements; Withdrawn upstream
-	// withdrawals (for tests and metrics).
-	Announced uint64
+	// Withdrawn counts upstream withdrawals.
 	Withdrawn uint64
 }
 
@@ -131,11 +129,10 @@ func (p *Proxy) acquire(prefix Prefix) {
 	first := p.refs[prefix] == 1
 	p.mu.Unlock()
 	if first {
-		if err := p.upstream.Announce([]Prefix{prefix}, nil); err == nil {
-			p.mu.Lock()
-			p.Announced++
-			p.mu.Unlock()
-		}
+		// Announce fails only while the upstream session is not
+		// established, an outage its own teardown reports; this route
+		// callback has no caller to hand the error to.
+		_ = p.upstream.Announce([]Prefix{prefix}, nil)
 	}
 }
 

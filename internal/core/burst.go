@@ -155,7 +155,6 @@ func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
 		ok = pr.rssDispatch(ctx, now)
 	}
 	if !ok {
-		pipe.counters[stageDispatch].Drops++
 		pr.putCtx(ctx)
 		return
 	}
@@ -169,8 +168,7 @@ func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
 		// RX queue overflow (or a failed core): the CPU never sees the
 		// packet; its FIFO entry (if PLB-dispatched) stays until the 100µs
 		// timeout — a real HOL source.
-		pr.QueueDrops++
-		pipe.dropSync(ctx)
+		pipe.drop(ctx, now, &pr.QueueDrops)
 		pr.putCtx(ctx)
 		return
 	}
@@ -324,8 +322,7 @@ func (pr *PodRuntime) cpuDone(item any) {
 	pipe := &pr.pipe
 	pr.CPULatency.Record(int64(now.Sub(ctx.queueAt)))
 	if ctx.drop {
-		pr.ServiceDrop++
-		pipe.dropHere(ctx, now)
+		pipe.drop(ctx, now, &pr.ServiceDrop)
 		if !ctx.viaPLB {
 			pr.putCtx(ctx)
 			return
@@ -354,7 +351,7 @@ func (pr *PodRuntime) cpuDone(item any) {
 }
 
 // onEmission handles packets leaving plb_reorder: it completes their
-// reorder stage.
+// reorder stage, or drops a header whose payload is gone.
 func (pr *PodRuntime) onEmission(em plb.Emission) {
 	ctx, ok := em.Item.(*pktCtx)
 	if !ok || ctx == nil {
@@ -366,11 +363,10 @@ func (pr *PodRuntime) onEmission(em plb.Emission) {
 		ctx.trace.timeout = true
 	}
 	if ctx.split && !pr.payload.Take(ctx.payID) {
-		// Egress reassembly: the PLB engine only emits header-only packets
-		// whose payload is retained, so a missing payload means the buffer
-		// evicted it between the legal check and emission — drop the header.
-		pr.HeaderDrops++
-		pr.pipe.dropHere(ctx, em.Time)
+		// Egress reassembly, the one place a header is dropped: the payload
+		// buffer evicted this packet's payload while it was away, whether it
+		// leaves in order or best-effort after the legal check failed.
+		pr.pipe.drop(ctx, em.Time, &pr.HeaderDrops)
 		pr.putCtx(ctx)
 		return
 	}

@@ -198,7 +198,8 @@ type PodConfig struct {
 	// until egress reassembly.
 	HeaderSplit bool
 	// PayloadBufferBytes sizes the NIC payload buffer for split mode
-	// (default 64MB). Undersizing it forces header drops on late returns.
+	// (default 64MB). A payload the buffer evicts before its header returns
+	// drops that header at egress reassembly (HeaderDrops).
 	PayloadBufferBytes int64
 	// TraceSampleEvery samples every Nth injected packet into the flight
 	// recorder (counter-based, deterministic). 0 uses the default (1024);
@@ -310,7 +311,11 @@ type PodRuntime struct {
 	// latency).
 	CPULatency *stats.Histogram
 
-	// Counters.
+	// Counters. The drop reasons (NICDrops, QueueDrops, PLBDrops,
+	// ServiceDrop, HeaderDrops, FaultLost, RxLost) are views the pipeline
+	// keeps: Pipeline.drop alone counts them, each together with the stage
+	// that held the packet, so a drained pod has Rx == Tx + PriorityTx +
+	// their sum. CrashDrops and Redirected count packets refused before Rx.
 	Rx          uint64
 	Tx          uint64
 	NICDrops    uint64 // tenant overload rate limiting
@@ -431,11 +436,6 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 	case pod.ModePLB:
 		pcfg := plb.DefaultConfig(p.ID, cfg.Spec.DataCores)
 		pcfg.NumOrderQueues = p.ReorderQueues
-		if pr.payload != nil {
-			pcfg.PayloadRetained = func(m packet.Meta, now sim.Time) bool {
-				return pr.payload.Has(payloadID(m))
-			}
-		}
 		pr.PLB, err = plb.New(n.Engine, pcfg, pr.onEmission)
 		if err != nil {
 			return nil, err

@@ -394,6 +394,8 @@ func TestHeaderSplitReducesPCIe(t *testing.T) {
 	if splitPr.HeaderDrops != 0 {
 		t.Fatalf("header drops = %d with an ample payload buffer", splitPr.HeaderDrops)
 	}
+	checkLedger(t, full)
+	checkLedger(t, splitPr)
 }
 
 func TestHeaderSplitSmallBufferDropsHeaders(t *testing.T) {
@@ -415,10 +417,22 @@ func TestHeaderSplitSmallBufferDropsHeaders(t *testing.T) {
 	if pr.payload.Evictions == 0 {
 		t.Fatal("tiny payload buffer never evicted")
 	}
-	// Evicted payloads surface as header drops (either at the PLB legal
-	// check or at egress reassembly).
-	if pr.HeaderDrops+pr.PLB.Stats().HeaderDrops == 0 {
+	// Evicted payloads surface as header drops at egress reassembly, for
+	// in-order and late (legal-check-failed) headers alike.
+	if pr.HeaderDrops == 0 {
 		t.Fatal("no header drops despite payload evictions")
+	}
+	src.Stop()
+	n.RunFor(50 * sim.Millisecond)
+	checkLedger(t, pr)
+	// A drained pod stops at once: Stop never waits out its drain cap for
+	// contexts nothing will return.
+	start := n.Engine.Now()
+	if err := pr.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if took := n.Engine.Now().Sub(start); took >= stopDrainCap {
+		t.Fatalf("Stop on a drained split pod took %v, its full drain cap", took)
 	}
 }
 

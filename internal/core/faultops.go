@@ -105,9 +105,10 @@ func (n *Node) siblingOf(pr *PodRuntime) *PodRuntime {
 }
 
 // onLost reclaims a packet context discarded by a core failure or crash:
-// the loss is charged to the stage that held the packet, a split payload is
-// released and the context returns to the pool. The packet's reorder FIFO
-// entry (if any) is handled separately by PLB.EvictCore/Flush.
+// the loss is charged as FaultLost to the stage that held the packet, a
+// split payload is released and the context returns to the pool. The
+// packet's reorder FIFO entry (if any) is handled separately by
+// PLB.EvictCore/Flush.
 func (pr *PodRuntime) onLost(item any) {
 	ctx, ok := item.(*pktCtx)
 	if !ok || ctx == nil {
@@ -116,7 +117,7 @@ func (pr *PodRuntime) onLost(item any) {
 	if ctx.split {
 		pr.payload.Take(ctx.payID)
 	}
-	pr.pipe.dropHere(ctx, pr.node.Engine.Now())
+	pr.pipe.drop(ctx, pr.node.Engine.Now(), &pr.FaultLost)
 	pr.putCtx(ctx)
 }
 
@@ -204,12 +205,12 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 	return nil
 }
 
-// failCores takes cores [lo, hi) offline at the current instant and counts
-// every packet they held, queued or in service, as fault-lost. Already-failed
-// cores hold nothing and are skipped by Fail.
+// failCores takes cores [lo, hi) offline at the current instant; onLost
+// counts every packet they held, queued or in service, as fault-lost.
+// Already-failed cores hold nothing and are skipped by Fail.
 func (pr *PodRuntime) failCores(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		pr.FaultLost += uint64(pr.Cores[i].Fail(pr.onLost))
+		pr.Cores[i].Fail(pr.onLost)
 		pr.refresh(i)
 	}
 }

@@ -113,13 +113,7 @@ func coreFailBoundedLoss(t *testing.T, burst int) {
 		t.Fatalf("post-fail window caused %d timeout releases; eviction should prevent them", dTO)
 	}
 	// Conservation: every received packet is accounted for.
-	accounted := pr.Tx + pr.NICDrops + pr.QueueDrops + pr.PLBDrops + pr.ServiceDrop + pr.FaultLost
-	if pr.Rx != accounted {
-		t.Fatalf("rx=%d but accounted=%d (lost track of packets)", pr.Rx, accounted)
-	}
-	if pr.live != 0 {
-		t.Fatalf("%d contexts still live after drain", pr.live)
-	}
+	checkLedger(t, pr)
 
 	// Disorder rate back at baseline after recovery. The healthy run's
 	// disorder at this load is ~0; allow the same slack as TestEndToEndPLB.
@@ -193,6 +187,10 @@ func TestPodCrashRedirectsAndRestarts(t *testing.T) {
 	if p1.Tx == 0 {
 		t.Fatal("sibling delivered none of the redirected traffic")
 	}
+	// The crash flushed the reorder engine too: every packet it held is
+	// fault-lost, once.
+	checkLedger(t, p0)
+	checkLedger(t, p1)
 }
 
 func TestGracefulDrainLosesNothing(t *testing.T) {
@@ -226,9 +224,8 @@ func TestGracefulDrainLosesNothing(t *testing.T) {
 		t.Fatalf("state = %s restarts = %d after upgrade, want active after 1", p0.State(), p0.Restarts)
 	}
 	// All of p0's own in-flight packets completed.
-	if p0.Rx != p0.Tx+p0.NICDrops+p0.QueueDrops+p0.PLBDrops+p0.ServiceDrop {
-		t.Fatalf("drain lost packets: rx=%d tx=%d", p0.Rx, p0.Tx)
-	}
+	checkLedger(t, p0)
+	checkLedger(t, p1)
 }
 
 // TestAutoFallbackOnReorderStress holds every order-queue head past the
@@ -329,12 +326,7 @@ func TestRxLossLeavesHOLEntries(t *testing.T) {
 	if dTO := s1.TimeoutReleases - s0.TimeoutReleases; dTO < pr.RxLost {
 		t.Fatalf("timeout releases %d < rx losses %d", dTO, pr.RxLost)
 	}
-	if pr.Rx != pr.Tx+pr.NICDrops+pr.QueueDrops+pr.PLBDrops+pr.ServiceDrop+pr.RxLost {
-		t.Fatal("rx-loss accounting leak")
-	}
-	if pr.live != 0 {
-		t.Fatalf("%d contexts leaked", pr.live)
-	}
+	checkLedger(t, pr)
 }
 
 func TestBGPFlapBlackholeAndProxy(t *testing.T) {
@@ -407,6 +399,7 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 	if !(pr.state == podStopped) || pr.live != 0 {
 		t.Fatalf("state=%s live=%d after Stop", pr.State(), pr.live)
 	}
+	checkLedger(t, pr)
 	if err := pr.Stop(); !errors.Is(err, errs.Closed) {
 		t.Fatalf("second Stop = %v, want errs.Closed", err)
 	}
@@ -428,6 +421,7 @@ func TestStopAndCloseLifecycle(t *testing.T) {
 	if !(pr2.state == podStopped) {
 		t.Fatal("Close did not stop remaining pods")
 	}
+	checkLedger(t, pr2)
 	if err := n.Close(); !errors.Is(err, errs.Closed) {
 		t.Fatalf("second Close = %v, want errs.Closed", err)
 	}
@@ -474,6 +468,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		n.RunFor(500 * sim.Millisecond)
 		src.Stop()
 		n.RunFor(5 * sim.Millisecond)
+		checkLedger(t, pr)
 		return pr.Tx, pr.FaultLost, pr.RxLost, n.Blackholed, len(n.FaultLog())
 	}
 	tx1, fl1, rx1, bh1, ev1 := run()

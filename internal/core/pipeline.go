@@ -19,9 +19,12 @@ import (
 // share one NIC-DMA event. The CPU, reorder and egress stages schedule no
 // events of their own: cpu.Core computes when each packet finishes, and the
 // pod's one timer settles CPU and egress completions at their times
-// (burst.go). A packet lost inside a stage is charged to that stage by
-// dropHere (see onLost in faultops.go). All per-packet state rides the
-// pooled pktCtx, so the path allocates nothing.
+// (burst.go). Every packet ends exactly once: egress completion or the
+// priority shortcut counts it delivered (exit), and every drop — a stage's
+// own verdict, or a loss inside a stage to a fault (onLost in faultops.go)
+// — goes through drop, which charges the stage and the pod's reason
+// counter together. All per-packet state rides the pooled pktCtx, so the
+// path allocates nothing.
 
 // Stage slot indices, in path order.
 const (
@@ -106,20 +109,20 @@ func (p *Pipeline) exit(ctx *pktCtx, now sim.Time) {
 	}
 }
 
-// dropHere charges a drop to ctx's stage at now, including its residency up
-// to the moment of death. The trace (if any) commits when the context
-// returns to the pool.
-func (p *Pipeline) dropHere(ctx *pktCtx, now sim.Time) {
+// drop ends ctx's journey at its stage at now. It is the one place a
+// packet's drop is counted: the stage counts the drop and the time the
+// packet spent there, and reason — the PodRuntime field that names why it
+// died (QueueDrops, FaultLost, ...) — counts it once. The dispatch stage's
+// residency was recorded for the whole burst at arrival, so a dispatch drop
+// records none. The trace (if any) commits when the context returns to the
+// pool.
+func (p *Pipeline) drop(ctx *pktCtx, now sim.Time, reason *uint64) {
 	i := ctx.stage
 	p.counters[i].Drops++
-	p.resid[i].Record(int64(now.Sub(ctx.enterAt)))
-}
-
-// dropSync charges a drop to ctx's synchronous stage (zero residency).
-func (p *Pipeline) dropSync(ctx *pktCtx) {
-	i := ctx.stage
-	p.counters[i].Drops++
-	p.resid[i].RecordZero()
+	*reason++
+	if i != stageDispatch {
+		p.resid[i].Record(int64(now.Sub(ctx.enterAt)))
+	}
 }
 
 // Stages returns the per-stage conservation counters in path order.
@@ -167,8 +170,7 @@ func priorityDoneEvent(arg any) {
 func (pr *PodRuntime) meter(ctx *pktCtx, now sim.Time) bool {
 	pr.pipe.enter(ctx, stageGOP, now)
 	if l := pr.node.Limiter; l != nil && l.Process(ctx.flow.VNI, now) == gop.VerdictDrop {
-		pr.NICDrops++
-		pr.pipe.dropSync(ctx)
+		pr.pipe.drop(ctx, now, &pr.NICDrops)
 		pr.putCtx(ctx)
 		return false
 	}
@@ -178,21 +180,21 @@ func (pr *PodRuntime) meter(ctx *pktCtx, now sim.Time) bool {
 
 // plbDispatch is plb_dispatch: compute the service cost and verdict, spray
 // the packet to the next core, stamp the PLB meta trailer. It reports
-// whether the packet survived; a refused packet is counted but still owns
-// its context.
+// whether the packet survived; a refused packet is counted dropped but
+// still owns its context.
 func (pr *PodRuntime) plbDispatch(ctx *pktCtx, now sim.Time) bool {
 	ctx.cost, ctx.drop = pr.serviceCost(ctx)
 	ctx.queueAt = now
 
 	core, meta, ok := pr.PLB.Dispatch(ctx.fh)
 	if !ok {
-		pr.PLBDrops++
+		pr.pipe.drop(ctx, now, &pr.PLBDrops)
 		return false
 	}
 	if pr.rxLossHit(core) {
 		// RX DMA loss after dispatch: the FIFO entry stays behind and
 		// must wait out the reorder timeout (a real HOL source).
-		pr.RxLost++
+		pr.pipe.drop(ctx, now, &pr.RxLost)
 		return false
 	}
 	if ctx.split {
@@ -220,7 +222,7 @@ func (pr *PodRuntime) rssDispatch(ctx *pktCtx, now sim.Time) bool {
 		q = int(ctx.fh % uint32(len(pr.Cores)))
 	}
 	if pr.rxLossHit(q) {
-		pr.RxLost++
+		pr.pipe.drop(ctx, now, &pr.RxLost)
 		return false
 	}
 	ctx.core = int32(q)

@@ -26,12 +26,12 @@ func drainPod(t *testing.T, n *Node, pr *PodRuntime, src *workload.Source) {
 	}
 }
 
-// assertStageConservation checks the drained-pipeline invariants: every
-// stage balanced (In == Out + Drops), and adjacent stages consistent
-// (stage i's Out feeds stage i+1's In, modulo the priority early exit at
-// classify).
+// assertStageConservation checks the drained-pipeline invariants: the
+// ledger (checkLedger), and adjacent stages consistent (stage i's Out feeds
+// stage i+1's In, modulo the priority early exit at classify).
 func assertStageConservation(t *testing.T, pr *PodRuntime) {
 	t.Helper()
+	checkLedger(t, pr)
 	st := pr.Stages()
 	if bad, ok := stats.StageBalance(st); !ok {
 		t.Fatalf("unbalanced stage after drain: %s", bad)

@@ -56,13 +56,6 @@ type Core struct {
 	// busyNS is the service time of retired and lost packets (including
 	// stall extensions); BusyTime adds the packet in service.
 	busyNS sim.Duration
-
-	// Stats
-	Processed uint64
-	Drops     uint64
-	Stalls    uint64
-	// Lost counts packets discarded by Fail (queued or in service).
-	Lost uint64
 }
 
 // NewCore creates a core with the given RX queue depth (packets waiting,
@@ -108,11 +101,10 @@ func (c *Core) BusyTime() sim.Duration {
 
 // Admit queues item with the given service demand. It starts when the
 // packet ahead of it finishes, or now if the core is idle, but not before a
-// stall ends. It returns false (and counts a drop) when the core is offline
-// or the packet would wait behind a full RX queue.
+// stall ends. It returns false when the core is offline or the packet would
+// wait behind a full RX queue; the owner counts the drop.
 func (c *Core) Admit(item any, service sim.Duration) bool {
 	if c.failed {
-		c.Drops++
 		return false
 	}
 	if service < 0 {
@@ -127,7 +119,6 @@ func (c *Core) Admit(item any, service sim.Duration) bool {
 			waiting--
 		}
 		if waiting >= c.queueDepth {
-			c.Drops++
 			return false
 		}
 		if c.head < c.tail {
@@ -174,15 +165,14 @@ func (c *Core) Next() (sim.Time, uint64) {
 }
 
 // Retire completes the oldest admitted packet, which finishes now: it is
-// counted processed and handed to done, and then the next packet starts,
-// so its completion is ordered after whatever done scheduled.
+// handed to done, and then the next packet starts, so its completion is
+// ordered after whatever done scheduled.
 func (c *Core) Retire(done func(item any)) {
 	m := c.at(c.head)
 	item := m.item
 	c.busyNS += m.finish.Sub(m.start)
 	*m = member{}
 	c.head++
-	c.Processed++
 	next := c.head < c.tail
 	done(item)
 	if next {
@@ -216,7 +206,6 @@ func (c *Core) Stall(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.Stalls++
 	now := c.engine.Now()
 	if end := now.Add(d); end > c.stallUntil {
 		c.stallUntil = end
@@ -230,12 +219,12 @@ func (c *Core) Stall(d sim.Duration) {
 
 // Fail takes the core offline immediately: the in-service packet and every
 // queued packet are discarded (onLost is invoked for each, oldest first, so
-// callers can reclaim per-packet state) and Admit refuses new work. It
-// returns the number of packets lost, which is bounded by QueueDepth+1. Fail
-// on an already-failed core is a no-op.
-func (c *Core) Fail(onLost func(item any)) int {
+// callers can reclaim and count per-packet state; at most QueueDepth+1 are
+// lost) and Admit refuses new work. Fail on an already-failed core is a
+// no-op.
+func (c *Core) Fail(onLost func(item any)) {
 	if c.failed {
-		return 0
+		return
 	}
 	c.failed = true
 	now := c.engine.Now()
@@ -243,7 +232,6 @@ func (c *Core) Fail(onLost func(item any)) int {
 		// Only the part served before the failure counts as busy.
 		c.busyNS += min(m.finish, now).Sub(m.start)
 	}
-	lost := c.tail - c.head
 	for ; c.head < c.tail; c.head++ {
 		m := c.at(c.head)
 		item := m.item
@@ -252,8 +240,6 @@ func (c *Core) Fail(onLost func(item any)) int {
 			onLost(item)
 		}
 	}
-	c.Lost += uint64(lost)
-	return lost
 }
 
 // Recover brings a failed core back online with an empty queue. It also

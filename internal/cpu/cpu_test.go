@@ -84,15 +84,13 @@ func TestCoreProcessesFIFO(t *testing.T) {
 	if e.Now() != 5000 {
 		t.Fatalf("finish time = %v, want 5000 (serialized)", e.Now())
 	}
-	if c.Processed != 5 {
-		t.Fatalf("processed counter = %d", c.Processed)
-	}
 }
 
 func TestCoreQueueOverflowDrops(t *testing.T) {
 	e := sim.NewEngine()
 	c := NewCore(e, 0, 2)
-	o := newOwner(c, nil)
+	processed := 0
+	o := newOwner(c, func(any, sim.Time) { processed++ })
 	ok1 := o.admit("a", 1000) // in service
 	ok2 := o.admit("b", 1000) // queued
 	ok3 := o.admit("c", 1000) // queued
@@ -100,15 +98,12 @@ func TestCoreQueueOverflowDrops(t *testing.T) {
 	if !ok1 || !ok2 || !ok3 || ok4 {
 		t.Fatalf("admission = %v %v %v %v", ok1, ok2, ok3, ok4)
 	}
-	if c.Drops != 1 {
-		t.Fatalf("drops = %d", c.Drops)
-	}
 	if c.Pending() != 3 || c.serving(e.Now()) == nil {
 		t.Fatalf("pending=%d, want one in service and two queued", c.Pending())
 	}
 	e.Run()
-	if c.Processed != 3 {
-		t.Fatalf("processed = %d", c.Processed)
+	if processed != 3 {
+		t.Fatalf("processed = %d", processed)
 	}
 }
 
@@ -158,9 +153,6 @@ func TestCoreStallExtendsInService(t *testing.T) {
 	if finished != 3000 {
 		t.Fatalf("finished at %v, want 3000 (1000 + 2000 stall)", finished)
 	}
-	if c.Stalls != 1 {
-		t.Fatalf("stalls = %d", c.Stalls)
-	}
 }
 
 func TestCoreStallWhileIdleDelaysNextWork(t *testing.T) {
@@ -181,8 +173,12 @@ func TestCoreStallNoopOnNonPositive(t *testing.T) {
 	c := NewCore(e, 0, 16)
 	c.Stall(0)
 	c.Stall(-5)
-	if c.Stalls != 0 {
-		t.Fatal("non-positive stalls counted")
+	var finished sim.Time
+	o := newOwner(c, func(any, sim.Time) { finished = e.Now() })
+	o.admit(nil, 500)
+	e.Run()
+	if c.stallUntil != 0 || finished != 500 {
+		t.Fatalf("non-positive stalls took effect: stalled until %v, finished at %v", c.stallUntil, finished)
 	}
 }
 
@@ -259,13 +255,13 @@ func TestBalancerStallsLoadedCores(t *testing.T) {
 	b.Interval = 2 * sim.Millisecond
 	b.Start()
 	e.RunUntil(sim.Time(150 * sim.Millisecond))
-	if core.Stalls == 0 {
+	if core.stallUntil == 0 {
 		t.Fatal("balancer never stalled a saturated core")
 	}
-	stallsAt := core.Stalls
+	stalledUntil := core.stallUntil
 	b.enabled = false // numa_balancing=0
 	e.RunUntil(sim.Time(400 * sim.Millisecond))
-	if core.Stalls != stallsAt {
+	if core.stallUntil != stalledUntil {
 		t.Fatal("balancer stalled after Stop")
 	}
 }
@@ -284,8 +280,8 @@ func TestBalancerSparesIdleCores(t *testing.T) {
 	b.Start()
 	e.RunUntil(sim.Time(100 * sim.Millisecond))
 	b.enabled = false // numa_balancing=0
-	if core.Stalls != 0 {
-		t.Fatalf("idle core stalled %d times", core.Stalls)
+	if core.stallUntil != 0 {
+		t.Fatalf("idle core stalled until %v", core.stallUntil)
 	}
 }
 

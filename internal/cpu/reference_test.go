@@ -28,8 +28,6 @@ type refCore struct {
 
 	// started is called with each packet as its service begins.
 	started func(item any)
-
-	Processed, Drops, Stalls, Lost uint64
 }
 
 type refWork struct {
@@ -47,7 +45,6 @@ func newRefCore(engine *sim.Engine, queueDepth int) *refCore {
 
 func (c *refCore) Enqueue(item any, service sim.Duration, done func(any)) bool {
 	if c.failed {
-		c.Drops++
 		return false
 	}
 	if service < 0 {
@@ -56,7 +53,6 @@ func (c *refCore) Enqueue(item any, service sim.Duration, done func(any)) bool {
 	w := refWork{item: item, service: service, done: done}
 	if c.busy || c.engine.Now() < c.stallUntil {
 		if len(c.queue) >= c.queueDepth {
-			c.Drops++
 			return false
 		}
 		c.queue = append(c.queue, w)
@@ -97,7 +93,6 @@ func (c *refCore) start(w refWork) {
 func (c *refCore) finish() {
 	c.completion = sim.Timer{}
 	c.busy = false
-	c.Processed++
 	w := c.current
 	c.current = refWork{}
 	if w.done != nil {
@@ -125,7 +120,6 @@ func (c *refCore) Stall(d sim.Duration) {
 	if d <= 0 {
 		return
 	}
-	c.Stalls++
 	end := c.engine.Now().Add(d)
 	if end > c.stallUntil {
 		c.stallUntil = end
@@ -140,12 +134,11 @@ func (c *refCore) Stall(d sim.Duration) {
 	}
 }
 
-func (c *refCore) Fail(onLost func(item any)) int {
+func (c *refCore) Fail(onLost func(item any)) {
 	if c.failed {
-		return 0
+		return
 	}
 	c.failed = true
-	lost := 0
 	if c.busy {
 		c.completion.Stop()
 		c.completion = sim.Timer{}
@@ -155,18 +148,14 @@ func (c *refCore) Fail(onLost func(item any)) int {
 			onLost(c.current.item)
 		}
 		c.current = refWork{}
-		lost++
 	}
 	for i := range c.queue {
 		if onLost != nil {
 			onLost(c.queue[i].item)
 		}
 		c.queue[i] = refWork{}
-		lost++
 	}
 	c.queue = c.queue[:0]
-	c.Lost += uint64(lost)
-	return lost
 }
 
 func (c *refCore) Recover() {
@@ -193,7 +182,7 @@ const (
 	opSlow
 	opFail
 	opRecover
-	opRead // compare counters
+	opRead // compare tallies
 )
 
 // coreOp happens gap ns after the previous op. An admit carries one service
@@ -216,17 +205,25 @@ type pktFate struct {
 	start, finish sim.Time
 }
 
-// coreReading is the counters at one instant.
+// tally is what the owner of a core counts from the model's own answers:
+// admissions refused (Admit's result), packets retired (the Retire
+// callback) and packets lost (the Fail callback).
+type tally struct {
+	processed, drops, lost uint64
+}
+
+// coreReading is the tallies and the busy time at one instant.
 type coreReading struct {
-	at                             sim.Time
-	processed, drops, stalls, lost uint64
-	busy                           sim.Duration
+	at sim.Time
+	tally
+	busy sim.Duration
 }
 
 // coreRun is everything a differential run observes.
 type coreRun struct {
 	fates    []pktFate
 	readings []coreReading
+	tally
 }
 
 // opOrder is where an op runs among the completions that share its instant.
@@ -280,10 +277,16 @@ func runRef(depth int, ops []coreOp, order opOrder) coreRun {
 	c := newRefCore(e, depth)
 	var run coreRun
 	c.started = func(item any) { run.fates[item.(int)].start = e.Now() }
-	done := func(item any) { run.fates[item.(int)].finish = e.Now() }
-	lost := func(item any) { run.fates[item.(int)] = pktFate{lost: true} }
+	done := func(item any) {
+		run.fates[item.(int)].finish = e.Now()
+		run.processed++
+	}
+	lost := func(item any) {
+		run.fates[item.(int)] = pktFate{lost: true}
+		run.lost++
+	}
 	read := func() {
-		run.readings = append(run.readings, coreReading{e.Now(), c.Processed, c.Drops, c.Stalls, c.Lost, c.busyNS})
+		run.readings = append(run.readings, coreReading{e.Now(), run.tally, c.busyNS})
 	}
 	schedule(e, ops, order, func(op coreOp) {
 		switch op.kind {
@@ -293,6 +296,7 @@ func runRef(depth int, ops []coreOp, order opOrder) coreRun {
 				run.fates = append(run.fates, pktFate{})
 				if !c.Enqueue(id, s, done) {
 					run.fates[id].dropped = true
+					run.drops++
 				}
 			}
 		case opStall:
@@ -307,14 +311,14 @@ func runRef(depth int, ops []coreOp, order opOrder) coreRun {
 		read()
 	})
 	e.Run()
-	final(&run, c.Processed, c.Drops, c.Stalls, c.Lost, c.busyNS)
+	final(&run, c.busyNS)
 	return run
 }
 
-// final appends the counters once the engine ran dry. Its instant is not
+// final appends the tallies once the engine ran dry. Its instant is not
 // compared: a stale timer may run on after the last packet.
-func final(run *coreRun, processed, drops, stalls, lost uint64, busy sim.Duration) {
-	run.readings = append(run.readings, coreReading{0, processed, drops, stalls, lost, busy})
+func final(run *coreRun, busy sim.Duration) {
+	run.readings = append(run.readings, coreReading{0, run.tally, busy})
 }
 
 // runCore drives Core through ops, retiring packets at their finish times
@@ -326,10 +330,14 @@ func runCore(depth int, ops []coreOp, order opOrder) coreRun {
 	o := newOwner(c, func(item any, start sim.Time) {
 		f := &run.fates[item.(int)]
 		f.start, f.finish = start, e.Now()
+		run.processed++
 	})
-	lost := func(item any) { run.fates[item.(int)].lost = true }
+	lost := func(item any) {
+		run.fates[item.(int)].lost = true
+		run.lost++
+	}
 	read := func() {
-		run.readings = append(run.readings, coreReading{e.Now(), c.Processed, c.Drops, c.Stalls, c.Lost, c.BusyTime()})
+		run.readings = append(run.readings, coreReading{e.Now(), run.tally, c.BusyTime()})
 	}
 	schedule(e, ops, order, func(op coreOp) {
 		switch op.kind {
@@ -339,6 +347,7 @@ func runCore(depth int, ops []coreOp, order opOrder) coreRun {
 				run.fates = append(run.fates, pktFate{})
 				if !o.admit(id, s) {
 					run.fates[id].dropped = true
+					run.drops++
 				}
 			}
 		case opStall:
@@ -354,14 +363,14 @@ func runCore(depth int, ops []coreOp, order opOrder) coreRun {
 		read()
 	})
 	e.Run()
-	final(&run, c.Processed, c.Drops, c.Stalls, c.Lost, c.BusyTime())
+	final(&run, c.BusyTime())
 	return run
 }
 
 // checkAgainstReference runs ops through both models, with ops running
 // ahead of and behind completions at shared instants (or in the orders
-// given), and requires every packet's fate and every counter reading to
-// agree.
+// given), and requires every packet's fate and every reading of the
+// tallies and the busy time to agree.
 func checkAgainstReference(t *testing.T, depth int, ops []coreOp, orders ...opOrder) {
 	t.Helper()
 	if len(orders) == 0 {
@@ -391,7 +400,7 @@ var slowFactors = []float64{1, 0, -1, 0.5, 1.7, 3, 8, 100}
 
 // randomOps generates n ops over one core: bursts of admissions, stalls
 // while busy or idle, slow factors set and reset mid-backlog, failures and
-// recoveries, and counter reads, with gaps that land inside service times.
+// recoveries, and tally reads, with gaps that land inside service times.
 func randomOps(r *sim.Rand, n int) []coreOp {
 	ops := make([]coreOp, 0, n)
 	for len(ops) < n {

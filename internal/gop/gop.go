@@ -122,13 +122,11 @@ func DefaultConfig() Config {
 type Stats struct {
 	Bypassed      uint64 // pre_check top-tier bypass
 	PreMetered    uint64 // packets metered in pre_meter
-	PreMeterDrops uint64
 	Stage1Conform uint64 // passed the color table
 	Stage2Conform uint64 // marked, passed the meter table
 	Stage2Drops   uint64
 	HeavyInstalls uint64 // tenants promoted to pre_meter
 	SamplesTaken  uint64
-	PreTableFull  uint64 // promotions skipped for lack of space
 }
 
 // preEntry is a pre_check row.
@@ -222,7 +220,6 @@ func (l *Limiter) InstallHeavyHitter(vni uint32, rate float64) error {
 		return nil
 	}
 	if len(l.pre) >= l.cfg.PreEntries {
-		l.stats.PreTableFull++
 		return fmt.Errorf("gop: pre tables full (%d entries): %w", l.cfg.PreEntries, errs.Exhausted)
 	}
 	l.pre[vni] = &preEntry{vni: vni, meter: NewTokenBucket(rate, l.cfg.Burst)}
@@ -243,7 +240,6 @@ func (l *Limiter) Process(vni uint32, now sim.Time) Verdict {
 		if e.meter.Allow(now) {
 			return VerdictPass
 		}
-		l.stats.PreMeterDrops++
 		return VerdictDrop
 	}
 

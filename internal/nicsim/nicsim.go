@@ -208,8 +208,8 @@ func (r ResourceModel) Headroom() Resources {
 }
 
 // PayloadBuffer models the NIC payload memory for header-payload split: a
-// capacity-bounded store with FIFO eviction. Evicted payloads force the
-// plb_reorder to drop late headers (paper §4.1's "payload already
+// capacity-bounded store with FIFO eviction. A header whose payload was
+// evicted is dropped at egress reassembly (paper §4.1's "payload already
 // released").
 type PayloadBuffer struct {
 	capacity int64
@@ -217,7 +217,6 @@ type PayloadBuffer struct {
 	entries  map[uint64]int // id -> size
 	order    []uint64       // FIFO eviction order
 
-	Stores    uint64
 	Evictions uint64
 }
 
@@ -250,7 +249,6 @@ func (b *PayloadBuffer) Store(id uint64, size int) bool {
 	b.entries[id] = size
 	b.order = append(b.order, id)
 	b.used += int64(size)
-	b.Stores++
 	return true
 }
 
@@ -264,12 +262,6 @@ func (b *PayloadBuffer) Take(id uint64) bool {
 	delete(b.entries, id)
 	b.used -= int64(sz)
 	return true
-}
-
-// Has reports residency without removing.
-func (b *PayloadBuffer) Has(id uint64) bool {
-	_, ok := b.entries[id]
-	return ok
 }
 
 // PCIeSavings returns the fraction of PCIe bandwidth header-payload split

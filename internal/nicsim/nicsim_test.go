@@ -151,7 +151,7 @@ func TestPayloadBufferStoreTake(t *testing.T) {
 	if b.Store(1, 100) {
 		t.Fatal("duplicate id accepted")
 	}
-	if !b.Has(1) || !b.Take(1) {
+	if !b.Take(1) {
 		t.Fatal("take failed")
 	}
 	if b.Take(1) {
@@ -170,10 +170,10 @@ func TestPayloadBufferEviction(t *testing.T) {
 	if !b.Store(3, 400) {
 		t.Fatal("store with eviction failed")
 	}
-	if b.Has(1) {
+	if b.Take(1) {
 		t.Fatal("oldest payload not evicted")
 	}
-	if !b.Has(2) || !b.Has(3) {
+	if !b.Take(2) || !b.Take(3) {
 		t.Fatal("wrong payloads evicted")
 	}
 	if b.Evictions != 1 {

@@ -38,7 +38,12 @@ import (
 	"albatross/internal/sim"
 )
 
-// Config parameterizes a pod's PLB unit.
+// Config parameterizes a pod's PLB unit. Nothing in it concerns
+// header-only packets (header-payload split): the unit reorders and emits
+// them like any other, and whether a header's payload is still in the NIC
+// payload buffer is decided past the emission, at the pod's egress
+// reassembly — the one place a header is dropped (paper §4.1's "payload
+// already released").
 type Config struct {
 	// NumOrderQueues is the number of order-preserving queues (paper: 1-8,
 	// proportional to the pod's core count).
@@ -56,11 +61,6 @@ type Config struct {
 	NumCores int
 	// PodID tags emitted meta headers.
 	PodID uint16
-	// PayloadRetained, if set, is consulted when a header-only packet fails
-	// the legal check: if the NIC payload buffer no longer retains the
-	// payload, the header is dropped instead of sent (paper §4.1). nil
-	// means payloads are always retained.
-	PayloadRetained func(m packet.Meta, now sim.Time) bool
 }
 
 // DefaultConfig returns the paper's production parameters for a pod with
@@ -104,14 +104,11 @@ type Stats struct {
 	DispatchDrops     uint64 // FIFO full at dispatch (heavy hitter overrun)
 	EmittedInOrder    uint64 // case 4
 	EmittedBestEffort uint64 // legal-check fail or case 3 (disordered)
-	HeaderDrops       uint64 // header-only packet whose payload was gone
 	DropFlagReleases  uint64 // resources freed by the active drop flag
 	TimeoutReleases   uint64 // case 1: head released after Timeout
 	HOLEvents         uint64 // head waits exceeding HOLThreshold
 	StaleEmissions    uint64 // case 3 occurrences specifically
 	EvictedReleases   uint64 // FIFO entries released by EvictCore (failed core)
-	Flushed           uint64 // entries discarded by Flush (pod crash)
-	MaskDrops         uint64 // dispatch with every core evicted
 }
 
 // DisorderRate returns disordered emissions / all emissions.
@@ -308,8 +305,9 @@ func (p *PLB) OrdQueueFor(flowHash uint32) uint8 {
 // Dispatch admits a packet into PLB: it selects the order queue by flow
 // hash, assigns the PSN, appends reorder info to the FIFO, and picks the
 // next core round-robin. It returns the target core and the meta header to
-// attach. ok=false means the FIFO was full and the packet must be dropped
-// (the heavy-hitter overrun case, paper constraint C1).
+// attach. ok=false means the packet must be dropped: the FIFO was full
+// (the heavy-hitter overrun case, paper constraint C1, counted in
+// DispatchDrops) or every core is evicted from the spray mask.
 func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 	now := p.engine.Now()
 	qi := p.OrdQueueFor(flowHash)
@@ -325,7 +323,6 @@ func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 	}
 	if p.upCount == 0 {
 		// Every core evicted from the spray mask: nowhere to send.
-		p.stats.MaskDrops++
 		return 0, packet.Meta{}, false
 	}
 	if int(q.tail-q.head) == len(q.info) {
@@ -401,13 +398,7 @@ func (p *PLB) Return(item any, meta packet.Meta) {
 	}
 	q := &p.queues[meta.OrdQ]
 	if !p.inWindow(meta.PSN, q.head, q.tail) {
-		// Legal-check failure: a timed-out packet. Best-effort transmit,
-		// except header-only packets whose payload is gone.
-		if meta.Flags&packet.MetaFlagHeaderOnly != 0 && p.cfg.PayloadRetained != nil &&
-			!p.cfg.PayloadRetained(meta, now) {
-			p.stats.HeaderDrops++
-			return
-		}
+		// Legal-check failure: a timed-out packet. Best-effort transmit.
 		if meta.Flags&packet.MetaFlagDrop != 0 {
 			// Dropped by the pod and already timed out: nothing to free.
 			return
@@ -666,6 +657,5 @@ func (p *PLB) Flush(onItem func(item any)) int {
 		q.clampUntil = 0
 		q.depthClamp = 0
 	}
-	p.stats.Flushed += uint64(flushed)
 	return flushed
 }

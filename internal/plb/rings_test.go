@@ -59,9 +59,10 @@ type ringDrive struct {
 
 // decodeRingsFuzz turns the fuzz geometry into a small PLB: 1–4 order
 // queues, QueueDepth 8 (below the first ring), 32, 64 or 128, 1–8 cores, a
-// 20 µs timeout so packets outlive it, and with bit 7 set a payload buffer
-// that forgets some header-only packets. The high byte is the PSN every
-// queue starts at, over 256, so a short op stream can wrap it.
+// 20 µs timeout so packets outlive it. Bit 7 is unused: it once added a
+// payload buffer that forgot some header-only packets, and the committed
+// seeds that set it decode to their geometry without it. The high byte is
+// the PSN every queue starts at, over 256, so a short op stream can wrap it.
 func decodeRingsFuzz(geometry uint16) (cfg Config, start uint16) {
 	depths := [...]int{8, 32, 64, 128}
 	cfg = Config{
@@ -71,9 +72,6 @@ func decodeRingsFuzz(geometry uint16) (cfg Config, start uint16) {
 		Timeout:        20 * sim.Microsecond,
 		HOLThreshold:   5 * sim.Microsecond,
 		PodID:          7,
-	}
-	if geometry&0x80 != 0 {
-		cfg.PayloadRetained = func(m packet.Meta, now sim.Time) bool { return (m.PSN^uint16(now))&3 != 0 }
 	}
 	return cfg, geometry &^ 0xff
 }

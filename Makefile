@@ -83,10 +83,11 @@ gameday: build
 #                timings and the "total wall time" line. Quick scale is
 #                tier-1's: TestQuickReportMatchesGolden holds every
 #                experiment to internal/eval/testdata/quick-seed1.txt.
-#   bench-smoke  every benchmark of internal/packet and internal/flowtable runs
-#                once (`go test` never runs them), so the host-timing pairs
-#                that left the report — meta placement, shared vs per-worker
-#                session tables — cannot rot.
+#   bench-smoke  every benchmark under internal/ runs once (`go test` never
+#                runs them; ~10 s on 2 vCPUs), so the host-timing pairs that
+#                left the report — meta placement, shared vs per-worker
+#                session tables — and the engine, settle, histogram, cache
+#                model, trie and service-chain timings cannot rot.
 #   cachesim-fuzz  ten seconds of native fuzzing of the cache model against
 #                its reference LRU, prefetcher on and off, through both host
 #                layouts — pooled set blocks and, once a model fills, the dense
@@ -196,7 +197,7 @@ check: build
 		"burst-invariance|invariant" \
 		"shard-invariance|shardinv" \
 		"artefacts|artefacts" \
-		"bench-smoke|$(GO) test -run '^\$$' -bench . -benchtime 1x ./internal/packet ./internal/flowtable" \
+		"bench-smoke|$(GO) test -run '^\$$' -bench . -benchtime 1x ./internal/..." \
 		"cachesim-fuzz|fuzz FuzzCacheMatchesReferenceLRU ./internal/cachesim" \
 		"spec-fuzz|fuzz FuzzLoadSpec ./internal/scenario" \
 		"bgp-fuzz|fuzz FuzzDecodeMessages ./internal/bgp" \

@@ -74,8 +74,7 @@ func main() {
 		primary.Rx, primary.Tx, primary.FaultLost, primary.Redirected, primary.Restarts, primary.State())
 	fmt.Printf("sibling: rx=%d tx=%d\n", sibling.Rx, sibling.Tx)
 	s := primary.PLB.Stats()
-	fmt.Printf("plb:     evicted-releases=%d timeouts=%d disorder=%.2e\n",
-		s.EvictedReleases, s.TimeoutReleases, s.DisorderRate())
+	fmt.Printf("plb:     timeouts=%d disorder=%.2e\n", s.TimeoutReleases, s.DisorderRate())
 	up := node.Uplink().Stats()
 	fmt.Printf("uplink:  detections=%d detect-latency=%.0fms blackholed=%d proxied=%d downtime=%.0fms\n",
 		up.Detections, float64(up.LastDetectNS)/1e6, node.Blackholed, node.Proxied,

@@ -23,9 +23,6 @@ type Proxy struct {
 	mu   sync.Mutex
 	refs map[Prefix]int
 	pods map[*Speaker]bool
-
-	// Withdrawn counts upstream withdrawals.
-	Withdrawn uint64
 }
 
 // ProxyConfig parameterizes a proxy pod.
@@ -149,11 +146,9 @@ func (p *Proxy) release(prefix Prefix) {
 	}
 	p.mu.Unlock()
 	if last {
-		if err := p.upstream.Withdraw([]Prefix{prefix}); err == nil {
-			p.mu.Lock()
-			p.Withdrawn++
-			p.mu.Unlock()
-		}
+		// Withdraw fails only while the upstream session is not
+		// established, an outage its own teardown reports.
+		_ = p.upstream.Withdraw([]Prefix{prefix})
 	}
 }
 

@@ -68,12 +68,9 @@ type ProxiedSession struct {
 
 	keepaliveEvery sim.Duration
 
-	// AdminWithdraws / AdminRestores count SetAdmin transitions; Desyncs
-	// counts refreshes where the switch RIB disagreed with the wanted state
-	// after pumping (always 0 unless the fabric breaks).
-	AdminWithdraws uint64
-	AdminRestores  uint64
-	Desyncs        uint64
+	// Desyncs counts refreshes where the switch RIB disagreed with the
+	// wanted state after pumping (always 0 unless the fabric breaks).
+	Desyncs uint64
 }
 
 type sessionResult struct {
@@ -216,10 +213,5 @@ func (s *ProxiedSession) SetAdmin(up bool) {
 		return
 	}
 	s.adminUp = up
-	if up {
-		s.AdminRestores++
-	} else {
-		s.AdminWithdraws++
-	}
 	s.refresh()
 }

@@ -140,8 +140,8 @@ func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("admin restore not re-advertised")
 	}
-	if ps.AdminWithdraws != 1 || ps.AdminRestores != 1 || ps.Desyncs != 0 {
-		t.Fatalf("counters: %+v %+v %+v", ps.AdminWithdraws, ps.AdminRestores, ps.Desyncs)
+	if ps.Desyncs != 0 {
+		t.Fatalf("desyncs = %d", ps.Desyncs)
 	}
 
 	// Keepalives flow on the virtual clock without disturbing anything.
@@ -179,7 +179,16 @@ func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 	_ = res.sp.Pump()
 	ps.pump()
 
-	before := ps.proxy.Withdrawn
+	// Count the withdrawals the switch receives, so a spurious withdraw
+	// that a re-announce papers over in the RIB still shows.
+	withdrawn := 0
+	onRoute := ps.swPeer.cfg.OnRoute
+	ps.swPeer.cfg.OnRoute = func(p Prefix, a PathAttrs, w bool) {
+		if w {
+			withdrawn++
+		}
+		onRoute(p, a, w)
+	}
 	// Primary pod withdraws: refcount drops 2→1, upstream must NOT withdraw.
 	if err := ps.pod.Withdraw([]Prefix{pfx}); err != nil {
 		t.Fatalf("withdraw: %v", err)
@@ -188,8 +197,8 @@ func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("upstream withdrew with a pod still advertising")
 	}
-	if ps.proxy.Withdrawn != before {
-		t.Fatalf("upstream withdraw count moved: %d → %d", before, ps.proxy.Withdrawn)
+	if withdrawn != 0 {
+		t.Fatalf("switch received %d withdrawals with a pod still advertising", withdrawn)
 	}
 
 	// Last pod withdraws: now the upstream withdraw goes out.
@@ -201,7 +210,7 @@ func TestProxiedSessionMultiPodRefcount(t *testing.T) {
 	if sw.RIB().PathCount(pfx) != 0 {
 		t.Fatalf("last-pod withdraw not propagated")
 	}
-	if ps.proxy.Withdrawn != before+1 {
-		t.Fatalf("upstream withdraws = %d, want %d", ps.proxy.Withdrawn, before+1)
+	if withdrawn != 1 {
+		t.Fatalf("switch received %d withdrawals, want 1", withdrawn)
 	}
 }

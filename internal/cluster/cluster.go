@@ -590,18 +590,10 @@ func (c *Cluster) Timeline() *metrics.Timeline { return c.timeline }
 // completion latency histograms — is not sampled.
 func (c *Cluster) armTimeline() {
 	reg := metrics.New()
-	reg.Counter("albatross_cluster_sprayed_packets_total",
-		"Ingress packets offered to the ECMP layer.",
-		func() uint64 { return c.Sprayed })
+	c.registerECMP(reg)
 	reg.Counter("albatross_cluster_admitted_packets_total",
 		"Packets the ToR forwarded to a live member (sprayed minus switch drops and blackhole loss).",
 		func() uint64 { return c.Sprayed - c.Drops - c.Blackholed() })
-	reg.Counter("albatross_cluster_remapped_packets_total",
-		"Packets delivered away from their ring home (failover spillover).",
-		func() uint64 { return c.Remapped })
-	reg.Counter("albatross_cluster_switch_drops_total",
-		"Packets with no eligible member.",
-		func() uint64 { return c.Drops })
 	reg.Counter("albatross_cluster_blackholed_packets_total",
 		"Packets lost at dead links (BFD detection-window loss).",
 		func() uint64 { return c.Blackholed() })
@@ -815,6 +807,19 @@ func (c *Cluster) Close() error {
 // RegisterMetrics registers every member node's metric series into reg,
 // each labeled node=<index>, plus the cluster-level ECMP counters.
 func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
+	c.registerECMP(reg)
+	for _, m := range c.members {
+		label := metrics.L("node", strconv.Itoa(m.Index))
+		m.Node.RegisterMetrics(reg, label)
+		reg.Counter("albatross_cluster_member_rx_packets_total",
+			"Packets ECMP delivered to the member.",
+			func() uint64 { return m.Rx }, label)
+	}
+}
+
+// registerECMP registers the ECMP layer's counters, which both the full
+// export and the timeline carry.
+func (c *Cluster) registerECMP(reg *metrics.Registry) {
 	reg.Counter("albatross_cluster_sprayed_packets_total",
 		"Ingress packets offered to the ECMP layer.",
 		func() uint64 { return c.Sprayed })
@@ -824,13 +829,6 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	reg.Counter("albatross_cluster_switch_drops_total",
 		"Packets with no eligible member.",
 		func() uint64 { return c.Drops })
-	for _, m := range c.members {
-		label := metrics.L("node", strconv.Itoa(m.Index))
-		m.Node.RegisterMetrics(reg, label)
-		reg.Counter("albatross_cluster_member_rx_packets_total",
-			"Packets ECMP delivered to the member.",
-			func() uint64 { return m.Rx }, label)
-	}
 }
 
 // Metrics builds a fresh registry over the cluster and snapshots it.

@@ -44,14 +44,14 @@ type burst struct {
 
 // ingress is the NIC ingress stage: header-payload split accounting, then
 // the packet joins the open burst of its class or opens one, whose arrival
-// event fires after the class's ingress latency.
+// event fires after the class's ingress latency. Only a packet the PLB
+// will spray is split: plbDispatch parks its payload, and rssDispatch has
+// nowhere to park one.
 func (pr *PodRuntime) ingress(ctx *pktCtx, now sim.Time) {
 	n := pr.node
 	pr.pipe.enter(ctx, stageIngress, now)
-	if pr.payload != nil && ctx.class == nicsim.ClassPLB && ctx.bytes > headerSplitBytes {
+	if pr.payload != nil && pr.sprays(ctx.class) && ctx.bytes > headerSplitBytes {
 		ctx.split = true
-		pr.nextPay++
-		ctx.payID = pr.nextPay // provisional; rekeyed to meta at dispatch
 		pr.PCIeRxBytes += headerSplitBytes
 	} else {
 		pr.PCIeRxBytes += uint64(ctx.bytes) + packet.MetaLen
@@ -138,6 +138,12 @@ func arrivalEvent(arg any) {
 	pr.burstFree = append(pr.burstFree, b)
 }
 
+// sprays reports whether the dispatch stage sends a packet of class through
+// the PLB: a PLB pod's PLB-class traffic, until FallbackToRSS.
+func (pr *PodRuntime) sprays(class nicsim.Class) bool {
+	return pr.mode == pod.ModePLB && class == nicsim.ClassPLB
+}
+
 // dispatch runs one arrived member through the dispatch stage (whose In and
 // residency the arrival batched) and admits it to its core.
 func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
@@ -149,9 +155,15 @@ func (pr *PodRuntime) dispatch(ctx *pktCtx, now sim.Time) {
 		ctx.trace.enter(stageDispatch, now)
 	}
 	var ok bool
-	if pr.mode == pod.ModePLB && ctx.class == nicsim.ClassPLB {
+	if pr.sprays(ctx.class) {
 		ok = pr.plbDispatch(ctx, now)
 	} else {
+		if ctx.split {
+			// The pod fell back to RSS after the packet's ingress: the
+			// payload it left behind crosses PCIe now.
+			ctx.split = false
+			pr.PCIeRxBytes += uint64(ctx.bytes) + packet.MetaLen - headerSplitBytes
+		}
 		ok = pr.rssDispatch(ctx, now)
 	}
 	if !ok {
@@ -320,7 +332,6 @@ func (pr *PodRuntime) cpuDone(item any) {
 	ctx := item.(*pktCtx)
 	now := pr.node.Engine.Now()
 	pipe := &pr.pipe
-	pr.CPULatency.Record(int64(now.Sub(ctx.queueAt)))
 	if ctx.drop {
 		pipe.drop(ctx, now, &pr.ServiceDrop)
 		if !ctx.viaPLB {

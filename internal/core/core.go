@@ -271,7 +271,6 @@ type PodRuntime struct {
 	pipe    Pipeline // per-stage counters and residencies (see pipeline.go)
 	flight  *FlightRecorder
 	payload *nicsim.PayloadBuffer
-	nextPay uint64
 
 	// Lifecycle (see the state machine in faultops.go). live counts
 	// data-path contexts in flight; redirect receives this pod's traffic
@@ -307,8 +306,11 @@ type PodRuntime struct {
 
 	// Latency is the end-to-end (wire to wire) latency histogram.
 	Latency *stats.Histogram
-	// CPULatency covers dispatch to CPU-return (the Fig. 11 processing
-	// latency).
+	// CPULatency is the CPU stage's residency histogram itself (the same
+	// pointer as StageResidency()[stageCPU]): dispatch to CPU return, the
+	// Fig. 11 processing latency. Besides the packets the CPU finished, it
+	// holds each admission the core refused (as zero) and each packet a
+	// core failure lost (with its time in the stage).
 	CPULatency *stats.Histogram
 
 	// Counters. The drop reasons (NICDrops, QueueDrops, PLBDrops,
@@ -410,10 +412,10 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 		mode:       cfg.Spec.Mode,
 		pipe:       newPipeline(),
 		Latency:    stats.NewLatencyHistogram(),
-		CPULatency: stats.NewLatencyHistogram(),
 		tables:     tables,
 		txTenant:   make([]uint64, tables.Tenants()),
 	}
+	pr.CPULatency = pr.pipe.resid[stageCPU]
 	traceEvery := cfg.TraceSampleEvery
 	switch {
 	case traceEvery == 0:
@@ -432,16 +434,17 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 		pr.Cores = append(pr.Cores, cpu.NewCore(n.Engine, p.CoreIDs[i], cfg.QueueDepth))
 	}
 
-	switch cfg.Spec.Mode {
-	case pod.ModePLB:
+	// Every pod hashes by RSS what it does not spray: all of an RSS pod's
+	// traffic, a PLB pod's RSS-class packets, and everything after
+	// FallbackToRSS.
+	pr.RSS, err = rss.NewEngine(cfg.Spec.DataCores, 128)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Spec.Mode == pod.ModePLB {
 		pcfg := plb.DefaultConfig(p.ID, cfg.Spec.DataCores)
 		pcfg.NumOrderQueues = p.ReorderQueues
 		pr.PLB, err = plb.New(n.Engine, pcfg, pr.onEmission)
-		if err != nil {
-			return nil, err
-		}
-	case pod.ModeRSS:
-		pr.RSS, err = rss.NewEngine(cfg.Spec.DataCores, 128)
 		if err != nil {
 			return nil, err
 		}
@@ -483,20 +486,12 @@ func (pr *PodRuntime) Mode() pod.Mode { return pr.mode }
 // §4.1 item 5: the last-resort HOL remediation). New packets are hashed by
 // flow; packets already in flight keep their PLB meta and drain through the
 // reorder engine.
-func (pr *PodRuntime) FallbackToRSS() error {
+func (pr *PodRuntime) FallbackToRSS() {
 	if pr.mode == pod.ModeRSS {
-		return nil
-	}
-	if pr.RSS == nil {
-		eng, err := rss.NewEngine(len(pr.Cores), 128)
-		if err != nil {
-			return err
-		}
-		pr.RSS = eng
+		return
 	}
 	pr.mode = pod.ModeRSS
 	pr.Fallbacks++
-	return nil
 }
 
 // Sink adapts the pod to a workload.Source sink.

@@ -398,6 +398,44 @@ func TestHeaderSplitReducesPCIe(t *testing.T) {
 	checkLedger(t, splitPr)
 }
 
+// TestHeaderSplitOnlyWherePayloadParks: only a sprayed packet parks its
+// payload in the NIC buffer, so only a sprayed packet is split. An RSS pod's
+// packets cross PCIe whole from ingress on; a PLB pod's packets that arrive
+// after FallbackToRSS (here all of them: the fallback lands between their
+// ingress and their arrival) are not sprayed, and the rest of their bytes
+// cross at dispatch. Both ways, every packet is charged whole.
+func TestHeaderSplitOnlyWherePayloadParks(t *testing.T) {
+	const sent, bytes = 16, 1500
+	n := smallNode(t, nil)
+	wf, sf := wflows(sent, 27)
+	split := func(c *PodConfig) { c.HeaderSplit = true }
+	pods := []*PodRuntime{
+		addPod(t, n, pod.ModeRSS, 2, sf, split),
+		addPod(t, n, pod.ModePLB, 2, sf, split),
+	}
+	for _, pr := range pods {
+		for _, f := range wf {
+			pr.Inject(f, bytes)
+		}
+	}
+	want := uint64(sent * (bytes + packet.MetaLen))
+	if rx := pods[0].PCIeRxBytes; rx != want {
+		t.Fatalf("RSS pod charged %d B of PCIe RX at ingress, want %d", rx, want)
+	}
+	pods[1].FallbackToRSS()
+	n.RunFor(sim.Millisecond)
+	if d := pods[1].PLB.Stats().Dispatched; d != 0 {
+		t.Fatalf("fallen-back pod sprayed %d packets (and parked their payloads)", d)
+	}
+	for _, pr := range pods {
+		if pr.Tx != sent || pr.PCIeRxBytes != want || pr.PCIeTxBytes != want {
+			t.Fatalf("pod %d: tx %d, PCIe rx %d tx %d B, want %d packets and %d B each way",
+				pr.Pod.ID, pr.Tx, pr.PCIeRxBytes, pr.PCIeTxBytes, sent, want)
+		}
+		checkLedger(t, pr)
+	}
+}
+
 func TestHeaderSplitSmallBufferDropsHeaders(t *testing.T) {
 	n := smallNode(t, nil)
 	wf, sf := wflows(2000, 23)
@@ -414,13 +452,10 @@ func TestHeaderSplitSmallBufferDropsHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RunFor(60 * sim.Millisecond)
-	if pr.payload.Evictions == 0 {
-		t.Fatal("tiny payload buffer never evicted")
-	}
 	// Evicted payloads surface as header drops at egress reassembly, for
 	// in-order and late (legal-check-failed) headers alike.
 	if pr.HeaderDrops == 0 {
-		t.Fatal("no header drops despite payload evictions")
+		t.Fatal("tiny payload buffer dropped no headers")
 	}
 	src.Stop()
 	n.RunFor(50 * sim.Millisecond)
@@ -451,9 +486,7 @@ func TestFallbackToRSS(t *testing.T) {
 		t.Fatal("no PLB traffic before fallback")
 	}
 
-	if err := pr.FallbackToRSS(); err != nil {
-		t.Fatal(err)
-	}
+	pr.FallbackToRSS()
 	if pr.Mode() != pod.ModeRSS || pr.Fallbacks != 1 {
 		t.Fatalf("mode=%v fallbacks=%d", pr.Mode(), pr.Fallbacks)
 	}
@@ -471,7 +504,7 @@ func TestFallbackToRSS(t *testing.T) {
 		t.Fatalf("loss across fallback: tx=%d rx=%d", pr.Tx, pr.Rx)
 	}
 	// Idempotent.
-	if err := pr.FallbackToRSS(); err != nil || pr.Fallbacks != 1 {
+	if pr.FallbackToRSS(); pr.Fallbacks != 1 {
 		t.Fatal("fallback not idempotent")
 	}
 }

@@ -389,7 +389,7 @@ func (pr *PodRuntime) EnableAutoFallback(interval sim.Duration, frac float64) {
 		lastTO, lastDisp = s.TimeoutReleases, s.Dispatched
 		// Require a handful of releases so an idle pod never trips.
 		if dTO >= 8 && float64(dTO) >= frac*float64(dDisp+dTO) {
-			_ = pr.FallbackToRSS()
+			pr.FallbackToRSS()
 			return
 		}
 		pr.node.Engine.After(interval, tick)

@@ -105,9 +105,12 @@ func coreFailBoundedLoss(t *testing.T, burst int) {
 	}
 	// Eviction released the dead core's un-returned reorder entries (those
 	// not already timeout-released during the stall), and the post-fail
-	// window saw no timeout storm.
-	if s2.EvictedReleases == 0 || s2.EvictedReleases > pr.FaultLost {
-		t.Fatalf("EvictedReleases = %d, want in [1, FaultLost=%d]", s2.EvictedReleases, pr.FaultLost)
+	// window saw no timeout storm. With the FIFOs drained, every dispatched
+	// entry left by an in-order emission, a drop flag or a timeout, except
+	// those the eviction released.
+	evicted := s2.Dispatched - s2.EmittedInOrder - s2.DropFlagReleases - s2.TimeoutReleases
+	if evicted == 0 || evicted > pr.FaultLost {
+		t.Fatalf("%d FIFO entries left without emission or timeout, want in [1, FaultLost=%d]", evicted, pr.FaultLost)
 	}
 	if dTO := s1.TimeoutReleases - s0.TimeoutReleases; dTO > 0 {
 		t.Fatalf("post-fail window caused %d timeout releases; eviction should prevent them", dTO)

@@ -118,8 +118,6 @@ func (pr *PodRuntime) registerMetrics(reg *metrics.Registry, labels ...metrics.L
 
 	reg.Histogram("albatross_pod_latency_ns", "End-to-end (wire to wire) packet latency.",
 		pr.Latency, labels...)
-	reg.Histogram("albatross_pod_cpu_latency_ns", "Dispatch-to-CPU-return latency.",
-		pr.CPULatency, labels...)
 
 	resid := pr.StageResidency()
 	for i, name := range StageNames() {

@@ -41,7 +41,10 @@ const (
 // stageHistSubBits is the precision of the per-stage residency histograms:
 // 64 sub-buckets per magnitude, relative error <= 1/64 (~1.6%), 512 B per
 // magnitude row a residency has landed in. Stage residencies span ns to ms,
-// so log-linear bucketing fits, and a stage touches a handful of rows.
+// so log-linear bucketing fits, and a stage touches a handful of rows. The
+// CPU stage is the exception: its residency is the Fig. 11 processing
+// latency (PodRuntime.CPULatency), kept at stats.NewLatencyHistogram's 256
+// sub-buckets.
 const stageHistSubBits = 6
 
 // Pipeline is a pod's per-stage conservation counters and residency-time
@@ -62,7 +65,11 @@ func newPipeline() Pipeline {
 	var p Pipeline
 	for i := range p.counters {
 		p.counters[i].Name = stageNames[i]
-		p.resid[i] = stats.NewHistogram(stageHistSubBits)
+		if i == stageCPU {
+			p.resid[i] = stats.NewLatencyHistogram()
+		} else {
+			p.resid[i] = stats.NewHistogram(stageHistSubBits)
+		}
 	}
 	return p
 }
@@ -208,19 +215,15 @@ func (pr *PodRuntime) plbDispatch(ctx *pktCtx, now sim.Time) bool {
 	return true
 }
 
-// rssDispatch hashes the flow to a core: every packet of an RSS pod (the
-// 1st-gen baseline), and a PLB pod's RSS-class packets, which skip the
-// spray and the reorder engine.
+// rssDispatch hashes the flow to a core with the pod's Toeplitz engine:
+// every packet of an RSS pod (the 1st-gen baseline, or a PLB pod after
+// FallbackToRSS), and a PLB pod's RSS-class packets, which skip the spray
+// and the reorder engine.
 func (pr *PodRuntime) rssDispatch(ctx *pktCtx, now sim.Time) bool {
 	ctx.cost, ctx.drop = pr.serviceCost(ctx)
 	ctx.queueAt = now
 
-	var q int
-	if pr.RSS != nil {
-		q = pr.RSS.Queue(ctx.flow.Tuple)
-	} else {
-		q = int(ctx.fh % uint32(len(pr.Cores)))
-	}
+	q := pr.RSS.Queue(ctx.flow.Tuple)
 	if pr.rxLossHit(q) {
 		pr.pipe.drop(ctx, now, &pr.RxLost)
 		return false

@@ -142,9 +142,7 @@ func TestStageConservationAcrossFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.RunFor(10 * sim.Millisecond)
-	if err := pr.FallbackToRSS(); err != nil {
-		t.Fatal(err)
-	}
+	pr.FallbackToRSS()
 	n.RunFor(10 * sim.Millisecond)
 	drainPod(t, n, pr, src)
 	if pr.Mode() != pod.ModeRSS {

@@ -31,7 +31,7 @@ func TestRSSClassSkipsSprayInPLBPod(t *testing.T) {
 	if d := pr.PLB.Stats().Dispatched; d != 0 {
 		t.Fatalf("PLB dispatched %d RSS-class packets", d)
 	}
-	home := int(icmp.Tuple.Hash() % uint32(len(pr.Cores)))
+	home := pr.RSS.Queue(icmp.Tuple)
 	for i, c := range pr.Cores {
 		if busy := c.BusyTime() > 0; busy != (i == home) {
 			t.Fatalf("core %d busy = %v; every packet belongs on core %d", i, busy, home)

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"albatross/internal/metrics"
 	"albatross/internal/nicsim"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
+	"albatross/internal/stats"
 	"albatross/internal/workload"
 )
 
@@ -20,6 +22,50 @@ func assertResidencyCounts(t *testing.T, pr *PodRuntime) {
 		if want := st[i].Out + st[i].Drops; h.Count() != want {
 			t.Fatalf("stage %q residency count %d != out+drops %d", st[i].Name, h.Count(), want)
 		}
+	}
+}
+
+// TestCPULatencyIsTheCPUStage holds the Fig. 11 instrument to the pipeline:
+// PodRuntime.CPULatency is the CPU stage's residency histogram itself, at
+// the latency histograms' 256 sub-buckets, and it holds one sample per
+// packet that left the stage — each admission the core refused (as zero)
+// included — so nothing records into it a second time. The export carries
+// it once, as the CPU stage's residency.
+func TestCPULatencyIsTheCPUStage(t *testing.T) {
+	n := smallNode(t, nil)
+	wf, sf := wflows(16, 3)
+	pr := addPod(t, n, pod.ModeRSS, 1, sf, func(c *PodConfig) { c.QueueDepth = 2 })
+	cpuResid := pr.StageResidency()[stageCPU]
+	if pr.CPULatency != cpuResid {
+		t.Fatal("CPULatency is not the CPU stage's residency histogram")
+	}
+	if got, want := cpuResid.RelativeError(), stats.NewLatencyHistogram().RelativeError(); got != want {
+		t.Fatalf("CPU stage residency relative error %g, want the latency histograms' %g", got, want)
+	}
+	for _, f := range wf[:8] { // eight at one instant onto one core of depth 2
+		pr.Inject(f, 256)
+	}
+	n.RunFor(sim.Millisecond)
+	checkLedger(t, pr)
+	st := pr.Stages()[stageCPU]
+	if pr.QueueDrops == 0 || st.Out == 0 {
+		t.Fatalf("need refused and served packets: queue drops %d, cpu out %d", pr.QueueDrops, st.Out)
+	}
+	if c := pr.CPULatency.Count(); c != st.Out+st.Drops || c != st.In {
+		t.Fatalf("CPULatency count %d, want the CPU stage's out+drops %d (in %d)", c, st.Out+st.Drops, st.In)
+	}
+	if pr.CPULatency.Min() != 0 {
+		t.Fatalf("CPULatency min %d ns, want a refused admission's 0", pr.CPULatency.Min())
+	}
+
+	snap := n.Metrics()
+	if strings.Contains(snap.Prometheus(), "albatross_pod_cpu_latency_ns") {
+		t.Fatal("export still carries a second CPU latency family")
+	}
+	sv, ok := snap.Find("albatross_stage_residency_ns",
+		metrics.L("pod", "gw"), metrics.L("slot", "0"), metrics.L("stage", stageNames[stageCPU]))
+	if !ok || sv.Hist == nil || sv.Hist.Count != pr.CPULatency.Count() {
+		t.Fatalf("CPU stage residency series = %+v ok=%v, want count %d", sv, ok, pr.CPULatency.Count())
 	}
 }
 

@@ -38,17 +38,20 @@ func runOrdQ(cfg Config) *Result {
 			panic(err)
 		}
 		const burst = 24000
+		var drops uint64
 		for i := 0; i < burst; i++ {
 			// Same flow hash: one queue takes the whole burst.
-			if _, m, ok := p.Dispatch(42); ok {
-				// CPU far behind: returns happen ~1ms later (past timeout,
-				// so nothing frees the FIFO during the burst).
-				m := m
-				e.After(sim.Millisecond, func() { p.Return(nil, m) })
+			_, m, ok := p.Dispatch(42)
+			if !ok {
+				drops++
+				continue
 			}
+			// CPU far behind: returns happen ~1ms later (past timeout, so
+			// nothing frees the FIFO during the burst).
+			e.After(sim.Millisecond, func() { p.Return(nil, m) })
 		}
 		e.Run()
-		return p.Stats().DispatchDrops
+		return drops
 	}
 
 	// --- C2: HOL blast radius of a silent drop ------------------------

@@ -120,7 +120,6 @@ func DefaultConfig() Config {
 
 // Stats counts rate limiter decisions.
 type Stats struct {
-	Bypassed      uint64 // pre_check top-tier bypass
 	PreMetered    uint64 // packets metered in pre_meter
 	Stage1Conform uint64 // passed the color table
 	Stage2Conform uint64 // marked, passed the meter table
@@ -233,7 +232,6 @@ func (l *Limiter) Process(vni uint32, now sim.Time) Verdict {
 	// Pre-check stage.
 	if e, ok := l.pre[vni]; ok {
 		if e.bypass {
-			l.stats.Bypassed++
 			return VerdictPass
 		}
 		l.stats.PreMetered++

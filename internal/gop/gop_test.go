@@ -169,12 +169,14 @@ func TestBypassTenantNeverLimited(t *testing.T) {
 	if err := l.ConfigureBypass(5); err != nil {
 		t.Fatal(err)
 	}
+	// 50 Mpps is far above both stage rates (8 + 2 Mpps): every packet
+	// passes, and none of them reaches a meter.
 	passed, dropped := offer(l, 5, 50e6, 0, sim.Second/20)
-	if dropped != 0 {
+	if dropped != 0 || passed == 0 {
 		t.Fatalf("bypass tenant dropped %d of %d", dropped, passed+dropped)
 	}
-	if l.Stats().Bypassed == 0 {
-		t.Fatal("bypass counter zero")
+	if s := l.Stats(); s.PreMetered != 0 || s.Stage1Conform != 0 || s.Stage2Conform != 0 || s.Stage2Drops != 0 {
+		t.Fatalf("bypassed packets were metered: %+v", s)
 	}
 }
 

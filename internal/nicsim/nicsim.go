@@ -216,8 +216,6 @@ type PayloadBuffer struct {
 	used     int64
 	entries  map[uint64]int // id -> size
 	order    []uint64       // FIFO eviction order
-
-	Evictions uint64
 }
 
 // NewPayloadBuffer creates a buffer of the given capacity in bytes.
@@ -243,7 +241,6 @@ func (b *PayloadBuffer) Store(id uint64, size int) bool {
 		if sz, ok := b.entries[oldest]; ok {
 			delete(b.entries, oldest)
 			b.used -= int64(sz)
-			b.Evictions++
 		}
 	}
 	b.entries[id] = size

@@ -176,9 +176,6 @@ func TestPayloadBufferEviction(t *testing.T) {
 	if !b.Take(2) || !b.Take(3) {
 		t.Fatal("wrong payloads evicted")
 	}
-	if b.Evictions != 1 {
-		t.Fatalf("evictions = %d", b.Evictions)
-	}
 	// Oversized store rejected outright.
 	if b.Store(9, 2000) {
 		t.Fatal("oversized store accepted")

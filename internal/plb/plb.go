@@ -101,14 +101,11 @@ type Emission struct {
 // Stats are PLB counters. All are cumulative.
 type Stats struct {
 	Dispatched        uint64 // packets sprayed to cores
-	DispatchDrops     uint64 // FIFO full at dispatch (heavy hitter overrun)
 	EmittedInOrder    uint64 // case 4
 	EmittedBestEffort uint64 // legal-check fail or case 3 (disordered)
 	DropFlagReleases  uint64 // resources freed by the active drop flag
 	TimeoutReleases   uint64 // case 1: head released after Timeout
 	HOLEvents         uint64 // head waits exceeding HOLThreshold
-	StaleEmissions    uint64 // case 3 occurrences specifically
-	EvictedReleases   uint64 // FIFO entries released by EvictCore (failed core)
 }
 
 // DisorderRate returns disordered emissions / all emissions.
@@ -306,8 +303,8 @@ func (p *PLB) OrdQueueFor(flowHash uint32) uint8 {
 // hash, assigns the PSN, appends reorder info to the FIFO, and picks the
 // next core round-robin. It returns the target core and the meta header to
 // attach. ok=false means the packet must be dropped: the FIFO was full
-// (the heavy-hitter overrun case, paper constraint C1, counted in
-// DispatchDrops) or every core is evicted from the spray mask.
+// (the heavy-hitter overrun case, paper constraint C1) or every core is
+// evicted from the spray mask.
 func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 	now := p.engine.Now()
 	qi := p.OrdQueueFor(flowHash)
@@ -318,7 +315,6 @@ func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 		depth = q.depthClamp
 	}
 	if q.tail-q.head >= depth {
-		p.stats.DispatchDrops++
 		return 0, packet.Meta{}, false
 	}
 	if p.upCount == 0 {
@@ -479,13 +475,11 @@ func (p *PLB) drain(qi uint8) {
 		case slot.valid && slot.psn != info.psn:
 			// Case 3: a stale (timed-out) packet aliased through the legal
 			// check. Send it best-effort; keep waiting for the real head.
-			p.stats.StaleEmissions++
 			p.emitBestEffort(slot.item, p.slotMeta(slot, qi), now)
 			slot.valid = false
 			slot.item = nil
 			if info.evicted {
 				// The true packet died with its core: nothing to wait for.
-				p.stats.EvictedReleases++
 				q.head++
 				continue
 			}
@@ -504,7 +498,6 @@ func (p *PLB) drain(qi uint8) {
 				// never come. Release immediately instead of waiting out the
 				// 100µs timeout, so a core failure does not become a
 				// timeout storm for every tenant sharing the queue.
-				p.stats.EvictedReleases++
 				q.head++
 				continue
 			}

@@ -156,8 +156,8 @@ func TestFIFOFullDrops(t *testing.T) {
 	if _, _, ok := h.p.Dispatch(0); ok {
 		t.Fatal("dispatch beyond FIFO depth succeeded")
 	}
-	if h.p.Stats().DispatchDrops != 1 {
-		t.Fatalf("drops = %d", h.p.Stats().DispatchDrops)
+	if s := h.p.Stats(); s.Dispatched != 16 {
+		t.Fatalf("dispatched = %d, want 16 (the refused packet is not sprayed)", s.Dispatched)
 	}
 	if int(h.p.queues[0].tail-h.p.queues[0].head) != 16 {
 		t.Fatalf("inflight = %d", int(h.p.queues[0].tail-h.p.queues[0].head))
@@ -277,8 +277,8 @@ func TestStaleAliasCase3(t *testing.T) {
 	if h.out[1].Item != "real" || !h.out[1].InOrder {
 		t.Fatalf("real emission = %+v", h.out[1])
 	}
-	if h.p.Stats().StaleEmissions != 1 {
-		t.Fatalf("stale emissions = %d", h.p.Stats().StaleEmissions)
+	if s := h.p.Stats(); s.EmittedBestEffort != 1 || s.EmittedInOrder != 1 {
+		t.Fatalf("stats = %+v, want one best-effort and one in-order emission", s)
 	}
 }
 

@@ -164,13 +164,15 @@ gameday: build
 #   examples     each examples/* program builds and exits 0 within 60 s (all
 #                seven take about 10 s): `go build ./...` compiles them, this
 #                runs them.
-#   reach        every exported function or method in non-test internal/ code
-#                and in the root (facade) package is linked into some main
-#                package (the linker's -dumpdep over cmd/*, examples/*, bench)
-#                or named with its contract in internal/reach-allow.txt, and
-#                no allowlist line is stale; a self-test plants an unreached
-#                internal export, an unreached facade function and stale lines
-#                through `go build -overlay` and requires the gate to name each.
+#   reach        every function or method, exported or not, in non-test
+#                internal/ code and in the root (facade) package is linked
+#                into some main package (the linker's -dumpdep over cmd/*,
+#                examples/*, bench) or named with its contract in
+#                internal/reach-allow.txt, and no allowlist line is stale; a
+#                self-test plants an unreached internal export, an unreached
+#                unexported function, an unreached facade function and stale
+#                lines through `go build -overlay` and requires the gate to
+#                name each.
 check: build
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) build -o $$tmp/asim ./cmd/albatross-sim; \

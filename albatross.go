@@ -201,8 +201,6 @@ type (
 	// UplinkSession is the deterministic virtual-time model of a
 	// gateway↔switch BGP session guarded by BFD (fault-injection runs).
 	UplinkSession = bgp.SimSession
-	// UplinkConfig parameterizes it.
-	UplinkConfig = bgp.SimSessionConfig
 	// UplinkStats are its counters (flaps, detections, downtime).
 	UplinkStats = bgp.SimSessionStats
 )

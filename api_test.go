@@ -150,7 +150,6 @@ func TestAliasesResolve(t *testing.T) {
 		_ albatross.BGPProxy
 		_ albatross.BGPPrefix
 		_ albatross.UplinkSession
-		_ albatross.UplinkConfig
 		_ albatross.UplinkStats
 		_ albatross.Experiment
 		_ albatross.ExperimentConfig

@@ -29,7 +29,7 @@ const usage = `Usage:
   albatross-sim run [overrides] scenario.yaml     execute a declarative gameday scenario
   albatross-sim validate scenario.yaml...         load-check scenarios without running them
   albatross-sim reconcile -plan scenario.yaml     dry-run a desired-state spec: print its reconcile plan
-  albatross-sim replay-diff [-shards N] A B       compare two outcome reports (exit 1 on diff)
+  albatross-sim replay-diff A B                   compare two outcome reports (exit 1 on diff)
 
 Run "albatross-sim <subcommand> -h" for a subcommand's flags.
 `

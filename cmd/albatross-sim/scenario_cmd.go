@@ -208,13 +208,12 @@ func validateCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// replayDiffCmd implements `albatross-sim replay-diff [-shards N] A B`: load
+// replayDiffCmd implements `albatross-sim replay-diff A B`: load
 // two outcome reports (written by run -outcome-out), print their structural
 // diff, and return 1 when they differ — the gameday-drill assertion as a
 // shell one-liner.
 func replayDiffCmd(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("replay-diff", stderr, "usage: albatross-sim replay-diff [-shards N] A B  (outcome reports from run -outcome-out)")
-	shards := fs.Int("shards", 0, "label differing node lines with the worker that advanced them in an N-shard run")
+	fs := newFlagSet("replay-diff", stderr, "usage: albatross-sim replay-diff A B  (outcome reports from run -outcome-out)")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -232,7 +231,6 @@ func replayDiffCmd(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	d := albatross.DiffOutcomes(pathA, string(a), pathB, string(b))
-	d.AnnotateShards(*shards)
 	fmt.Fprint(stdout, d.String())
 	if !d.Empty() {
 		return 1

@@ -228,9 +228,7 @@ func ExampleNode_EnableUplink() {
 	if err != nil {
 		panic(err)
 	}
-	if _, err := node.EnableUplink(true); err != nil {
-		panic(err)
-	}
+	node.EnableUplink(true)
 	if err := node.InjectBGPFlap(400 * albatross.Millisecond); err != nil {
 		panic(err)
 	}

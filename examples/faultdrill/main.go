@@ -33,9 +33,7 @@ func main() {
 	// BFD-guarded uplink with the BGP proxy: after detection the proxy
 	// re-advertises, so traffic is only blackholed during the ~150ms
 	// detection window.
-	if _, err := node.EnableUplink(true); err != nil {
-		log.Fatal(err)
-	}
+	node.EnableUplink(true)
 
 	flows := albatross.GenerateFlows(5000, 500, 7)
 	sf := albatross.ServiceFlows(flows, 0)

@@ -1,32 +1,26 @@
 package bgp
 
-import (
-	"fmt"
-
-	"albatross/internal/errs"
-	"albatross/internal/sim"
-)
+import "albatross/internal/sim"
 
 // SimSession is a deterministic, virtual-time model of one gateway↔switch
 // BGP session guarded by BFD. It is the only BFD in the repository: BFD
-// here is a timing contract (probe grid, DetectMult detection, three-way
+// here is a timing contract (probe grid, detectMult detection, three-way
 // handshake, delayed re-advertisement) evaluated on the event engine, so
 // every run that detects a link failure stays byte-identical.
 //
-// The model: BFD probes arrive on a fixed grid every TxInterval. A link
+// The model: BFD probes arrive on a fixed grid every txInterval. A link
 // flap (InjectFlap) suppresses probes for its duration. The session
-// declares down at the first probe tick where DetectMult consecutive
-// probes have been missed — so detection latency is DetectMult×TxInterval
+// declares down at the first probe tick where detectMult consecutive
+// probes have been missed — so detection latency is detectMult×txInterval
 // quantized up to the probe grid, the paper's "losing three consecutive
 // BFD probe packets". Flaps shorter than the detection window are absorbed
 // entirely (no state change), which is exactly why BFD probes ride the NIC
 // priority queues. After the link returns, a three-way handshake (two
 // received probes) brings BFD up, and the route is re-advertised
-// ReestablishDelay later (BGP reconvergence), make-before-break style: the
+// reestablishDelay later (BGP reconvergence), make-before-break style: the
 // proxy path keeps forwarding until then.
 type SimSession struct {
 	engine *sim.Engine
-	cfg    SimSessionConfig
 
 	linkDownUntil sim.Time // probes are lost while now < linkDownUntil
 	flapActive    bool     // a flap is in progress (for absorbed accounting)
@@ -46,19 +40,18 @@ type SimSession struct {
 	stats SimSessionStats
 }
 
-// SimSessionConfig parameterizes the model. Zero values take the BFD
-// defaults used by the socket stack (50ms probes, DetectMult 3).
-type SimSessionConfig struct {
-	// TxInterval is the BFD probe interval. Default 50ms.
-	TxInterval sim.Duration
-	// DetectMult consecutive missed probes declare the session down.
-	// Default 3.
-	DetectMult int
-	// ReestablishDelay is the gap between BFD recovering and the route
+// The session's timing is the paper's uplink contract: 50ms BFD probes,
+// down after three consecutive lost.
+const (
+	// txInterval is the BFD probe interval.
+	txInterval = 50 * sim.Millisecond
+	// detectMult consecutive missed probes declare the session down.
+	detectMult = 3
+	// reestablishDelay is the gap between BFD recovering and the route
 	// being advertised again (BGP session re-establishment + UPDATE
-	// propagation). Default 1s.
-	ReestablishDelay sim.Duration
-}
+	// propagation).
+	reestablishDelay = 1 * sim.Second
+)
 
 // SimSessionStats are cumulative session counters.
 type SimSessionStats struct {
@@ -72,29 +65,16 @@ type SimSessionStats struct {
 
 // NewSimSession starts a session in the established state (link up, BFD up,
 // route advertised) and begins the probe grid at the current virtual time.
-func NewSimSession(engine *sim.Engine, cfg SimSessionConfig) (*SimSession, error) {
-	if cfg.TxInterval <= 0 {
-		cfg.TxInterval = 50 * sim.Millisecond
-	}
-	if cfg.DetectMult <= 0 {
-		cfg.DetectMult = 3
-	}
-	if cfg.DetectMult > 255 {
-		return nil, fmt.Errorf("bgp: DetectMult %d out of [1,255]: %w", cfg.DetectMult, errs.BadConfig)
-	}
-	if cfg.ReestablishDelay <= 0 {
-		cfg.ReestablishDelay = 1 * sim.Second
-	}
+func NewSimSession(engine *sim.Engine) *SimSession {
 	s := &SimSession{
-		engine:  engine,
-		cfg:     cfg,
-		bfdUp:   true,
-		routeUp: true,
-		lastRx:  engine.Now(),
+		engine:      engine,
+		bfdUp:       true,
+		routeUp:     true,
+		lastRx:      engine.Now(),
+		nextProbeAt: engine.Now().Add(txInterval),
 	}
-	s.nextProbeAt = engine.Now().Add(cfg.TxInterval)
-	engine.AfterArg(cfg.TxInterval, simSessionProbe, s)
-	return s, nil
+	engine.AfterArg(txInterval, simSessionProbe, s)
+	return s
 }
 
 // RouteUp reports whether the route is currently advertised.
@@ -127,9 +107,9 @@ func (s *SimSession) NextTransition() sim.Time {
 }
 
 // DetectionWindow returns the worst-case detection latency,
-// DetectMult×TxInterval plus up to one probe interval of grid quantization.
+// detectMult×txInterval plus up to one probe interval of grid quantization.
 func (s *SimSession) DetectionWindow() sim.Duration {
-	return sim.Duration(s.cfg.DetectMult+1) * s.cfg.TxInterval
+	return (detectMult + 1) * txInterval
 }
 
 // InjectFlap takes the link down for d: probes are lost until now+d. A flap
@@ -159,7 +139,7 @@ func simSessionProbe(arg any) {
 		if s.flapActive {
 			s.flapActive = false
 			if s.bfdUp {
-				// The flap ended before DetectMult probes were missed.
+				// The flap ended before detectMult probes were missed.
 				s.stats.Absorbed++
 			}
 		}
@@ -169,13 +149,13 @@ func simSessionProbe(arg any) {
 			s.goodRx++
 			if s.goodRx >= 2 {
 				s.bfdUp = true
-				s.readvertiseAt = now.Add(s.cfg.ReestablishDelay)
-				s.engine.AfterArg(s.cfg.ReestablishDelay, simSessionReadvertise, s)
+				s.readvertiseAt = now.Add(reestablishDelay)
+				s.engine.AfterArg(reestablishDelay, simSessionReadvertise, s)
 			}
 		}
 	} else if s.bfdUp &&
-		now.Sub(s.lastRx) >= sim.Duration(s.cfg.DetectMult)*s.cfg.TxInterval {
-		// DetectMult consecutive probes missed: declare down, withdraw.
+		now.Sub(s.lastRx) >= detectMult*txInterval {
+		// detectMult consecutive probes missed: declare down, withdraw.
 		s.bfdUp = false
 		s.routeUp = false
 		s.stats.Detections++
@@ -184,8 +164,8 @@ func simSessionProbe(arg any) {
 			s.onRouteChange()
 		}
 	}
-	s.nextProbeAt = now.Add(s.cfg.TxInterval)
-	s.engine.AfterArg(s.cfg.TxInterval, simSessionProbe, s)
+	s.nextProbeAt = now.Add(txInterval)
+	s.engine.AfterArg(txInterval, simSessionProbe, s)
 }
 
 func simSessionReadvertise(arg any) {

@@ -14,26 +14,14 @@ func MemberPrefix(i int) Prefix {
 	return Prefix{Addr: packet.IPv4FromUint32(0x0a000000 | uint32(i)<<8), Len: 24}
 }
 
-// ProxiedSessionConfig parameterizes one member's proxy fabric.
-type ProxiedSessionConfig struct {
-	// Prefix is the VIP the member's pod advertises. Zero value uses
-	// MemberPrefix(Member).
-	Prefix Prefix
-	// Member is the cluster member index; it seeds Prefix and RouterID
-	// defaults.
-	Member int
-	// LocalAS is the server-side AS shared by pod and proxy (iBGP).
-	// Default 64512.
-	LocalAS uint16
-	// RouterID identifies the proxy's upstream session. Zero value derives
-	// from Member (1-based, so member 0 is valid). The pod-session router
-	// ID is RouterID|0x80000000.
-	RouterID uint32
-	// KeepaliveEvery is the virtual-time KEEPALIVE cadence on all four
-	// speakers. Default 30s. Keepalives never change externally visible
-	// state, so they do not factor into SimSession.NextTransition.
-	KeepaliveEvery sim.Duration
-}
+const (
+	// localAS is the server-side AS shared by pod and proxy (iBGP).
+	localAS = 64512
+	// keepaliveEvery is the virtual-time KEEPALIVE cadence on all four
+	// speakers. Keepalives never change externally visible state, so they
+	// do not factor into SimSession.NextTransition.
+	keepaliveEvery = 30 * sim.Second
+)
 
 // ProxiedSession is the real BGP stack observing one member's uplink: a GW
 // pod speaker peers iBGP with a Proxy (paper §5: one proxy pod per server),
@@ -66,8 +54,6 @@ type ProxiedSession struct {
 	adminUp    bool
 	advertised bool
 
-	keepaliveEvery sim.Duration
-
 	// Desyncs counts refreshes where the switch RIB disagreed with the
 	// wanted state after pumping (always 0 unless the fabric breaks).
 	Desyncs uint64
@@ -78,34 +64,25 @@ type sessionResult struct {
 	err error
 }
 
-// NewProxiedSession wires pod↔proxy↔switch sessions for one member and
-// subscribes them to session's route transitions; the keepalive cadence runs
-// on the session's engine. The switch must be in Manual mode; all sessions
-// are established before returning and the VIP is advertised (and visible in
-// the switch RIB) when the session's route is up. A session takes one fabric:
-// a second replaces the first's subscription.
-func NewProxiedSession(sw *Switch, session *SimSession, cfg ProxiedSessionConfig) (*ProxiedSession, error) {
+// NewProxiedSession wires pod↔proxy↔switch sessions for cluster member
+// member and subscribes them to session's route transitions; the keepalive
+// cadence runs on the session's engine. The pod advertises
+// MemberPrefix(member); the proxy's router ID is member+1 (so member 0 is
+// valid) and the pod's is that with the top bit set. The switch must be in
+// Manual mode; all sessions are established before returning and the VIP
+// is advertised (and visible in the switch RIB) when the session's route is
+// up. A session takes one fabric: a second replaces the first's
+// subscription.
+func NewProxiedSession(sw *Switch, session *SimSession, member int) (*ProxiedSession, error) {
 	if !sw.Manual {
 		return nil, fmt.Errorf("bgp: proxied session requires a Manual switch")
 	}
-	if cfg.LocalAS == 0 {
-		cfg.LocalAS = 64512
-	}
-	if cfg.RouterID == 0 {
-		cfg.RouterID = uint32(cfg.Member) + 1
-	}
-	if cfg.Prefix == (Prefix{}) {
-		cfg.Prefix = MemberPrefix(cfg.Member)
-	}
-	if cfg.KeepaliveEvery <= 0 {
-		cfg.KeepaliveEvery = 30 * sim.Second
-	}
+	routerID := uint32(member) + 1
 	s := &ProxiedSession{
-		session:        session,
-		sw:             sw,
-		prefix:         cfg.Prefix.Canonical(),
-		adminUp:        true,
-		keepaliveEvery: cfg.KeepaliveEvery,
+		session: session,
+		sw:      sw,
+		prefix:  MemberPrefix(member),
+		adminUp: true,
 	}
 
 	// Switch ↔ proxy eBGP. The handshake needs both ends concurrent: each
@@ -117,9 +94,9 @@ func NewProxiedSession(sw *Switch, session *SimSession, cfg ProxiedSessionConfig
 		swCh <- sessionResult{sp, err}
 	}()
 	proxy, err := NewProxyConfig(up2, ProxyConfig{
-		LocalAS:  cfg.LocalAS,
+		LocalAS:  localAS,
 		SwitchAS: sw.AS,
-		RouterID: cfg.RouterID,
+		RouterID: routerID,
 		Manual:   true,
 	})
 	swRes := <-swCh
@@ -140,9 +117,9 @@ func NewProxiedSession(sw *Switch, session *SimSession, cfg ProxiedSessionConfig
 		podCh <- sessionResult{sp, err}
 	}()
 	pod := NewSpeaker(pd2, SpeakerConfig{
-		AS:       cfg.LocalAS,
-		RouterID: cfg.RouterID | 0x80000000,
-		PeerAS:   cfg.LocalAS,
+		AS:       localAS,
+		RouterID: routerID | 0x80000000,
+		PeerAS:   localAS,
 		Manual:   true,
 	})
 	podErr := pod.Start()
@@ -158,7 +135,7 @@ func NewProxiedSession(sw *Switch, session *SimSession, cfg ProxiedSessionConfig
 
 	session.onRouteChange = s.refresh
 	s.refresh()
-	session.engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
+	session.engine.AfterArg(keepaliveEvery, proxiedKeepalive, s)
 	return s, nil
 }
 
@@ -198,7 +175,7 @@ func proxiedKeepalive(arg any) {
 		_ = sp.SendKeepalive()
 	}
 	s.pump()
-	s.session.engine.AfterArg(s.keepaliveEvery, proxiedKeepalive, s)
+	s.session.engine.AfterArg(keepaliveEvery, proxiedKeepalive, s)
 }
 
 // SetAdmin drives administrative advertisement: SetAdmin(false) withdraws

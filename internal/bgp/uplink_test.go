@@ -13,11 +13,8 @@ func newTestFabric(t *testing.T, member int) (*sim.Engine, *Switch, *SimSession,
 	eng := sim.NewEngine()
 	sw := NewSwitch(65000, 0xFFFF0001)
 	sw.Manual = true
-	session, err := NewSimSession(eng, SimSessionConfig{})
-	if err != nil {
-		t.Fatalf("NewSimSession: %v", err)
-	}
-	ps, err := NewProxiedSession(sw, session, ProxiedSessionConfig{Member: member})
+	session := NewSimSession(eng)
+	ps, err := NewProxiedSession(sw, session, member)
 	if err != nil {
 		t.Fatalf("NewProxiedSession: %v", err)
 	}
@@ -29,10 +26,7 @@ func newTestFabric(t *testing.T, member int) (*sim.Engine, *Switch, *SimSession,
 // externally visible state at every sample point and identical stats.
 func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
 	engBare := sim.NewEngine()
-	bare, err := NewSimSession(engBare, SimSessionConfig{})
-	if err != nil {
-		t.Fatalf("NewSimSession: %v", err)
-	}
+	bare := NewSimSession(engBare)
 	engFab, _, observed, ps := newTestFabric(t, 0)
 
 	// An absorbed blip, a detected outage, overlapping flaps.
@@ -70,8 +64,34 @@ func TestProxiedSessionMatchesSimSessionTiming(t *testing.T) {
 	}
 }
 
+// The session keeps the paper's uplink contract: 50ms probes, down at the
+// third consecutive lost one, and the route back 1s after BFD recovers.
+// A flap at 1010ms loses the probes at 1050, 1100 and 1150ms, so the
+// route is withdrawn at 1150ms; the link returns at 1410ms, the probes at
+// 1450 and 1500ms bring BFD up, and the route returns at 2500ms.
+func TestSimSessionPaperTiming(t *testing.T) {
+	eng := sim.NewEngine()
+	s := NewSimSession(eng)
+	if got := s.DetectionWindow(); got != 200*sim.Millisecond {
+		t.Fatalf("detection window %v, want 200ms (three 50ms probes and one of grid)", got)
+	}
+	eng.At(sim.Time(1010*sim.Millisecond), func() { s.InjectFlap(400 * sim.Millisecond) })
+	for _, c := range []struct {
+		at sim.Duration
+		up bool
+	}{{1149 * sim.Millisecond, true}, {1150 * sim.Millisecond, false}, {2499 * sim.Millisecond, false}, {2500 * sim.Millisecond, true}} {
+		eng.RunUntil(sim.Time(c.at))
+		if s.RouteUp() != c.up {
+			t.Fatalf("route up at %v = %v, want %v", c.at, s.RouteUp(), c.up)
+		}
+	}
+	if st := s.Stats(); st.Detections != 1 || st.Recoveries != 1 {
+		t.Fatalf("stats %+v, want one detection and one recovery", st)
+	}
+}
+
 // Detection latency with the fabric attached must respect SimSession's
-// bounds: at least DetectMult probe intervals, at most the detection window
+// bounds: at least detectMult probe intervals, at most the detection window
 // (one extra interval of grid quantization).
 func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 	eng, sw, session, ps := newTestFabric(t, 3)
@@ -90,7 +110,7 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 	// Longer than the window: detected within bounds. Missed-probe counting
 	// runs from the last received probe, which can precede the flap by up
 	// to one interval — so latency from flap start spans
-	// [(DetectMult−1)×Tx, (DetectMult+1)×Tx].
+	// [(detectMult−1)×txInterval, (detectMult+1)×txInterval].
 	eng.At(sim.Time(1010*sim.Millisecond), func() { session.InjectFlap(400 * sim.Millisecond) })
 	eng.RunUntil(sim.Time(3 * sim.Second))
 	st := session.Stats()
@@ -108,9 +128,14 @@ func TestProxiedSessionDetectionWindowBounds(t *testing.T) {
 // the BFD eligibility view untouched.
 func TestProxiedSessionMirrorsSwitchRIB(t *testing.T) {
 	eng, sw, session, ps := newTestFabric(t, 1)
-	pfx := ps.prefix
+	pfx := MemberPrefix(1)
 	if sw.RIB().PathCount(pfx) != 1 {
 		t.Fatalf("initial advertisement missing from RIB")
+	}
+	// Member 1's proxy is router 2 (member 0 is router 1), its pod that
+	// with the top bit set.
+	if proxy, pod := ps.swPeer.PeerRouterID(), ps.podSrv.PeerRouterID(); proxy != 2 || pod != 0x80000002 {
+		t.Fatalf("router IDs: proxy %#x, pod %#x", proxy, pod)
 	}
 	if got := sw.PeerCount(); got != 1 {
 		t.Fatalf("switch peers = %d, want 1 (proxied)", got)

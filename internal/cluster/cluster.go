@@ -5,7 +5,7 @@
 // across nodes with consistent-hash ECMP (flow-affine, bounded remap on
 // membership churn), and each node's reachability is governed by its
 // modeled BGP uplink — so a node crash is only *observed* by the ECMP layer
-// once BFD misses DetectMult probes and the route is withdrawn, exactly the
+// once BFD misses three probes and the route is withdrawn, exactly the
 // paper's bounded-loss failover story, while gray upgrades withdraw
 // administratively first (make-before-break, zero loss).
 //
@@ -257,11 +257,7 @@ func (c *Cluster) addMember() (*Member, error) {
 	// At cluster scope the failover path is re-ECMP to survivors, not a
 	// sibling re-advertisement of the same prefix, so the core-level proxy
 	// detour stays off.
-	session, err := n.EnableUplink(false)
-	if err != nil {
-		return nil, err
-	}
-	m.proxied, err = bgp.NewProxiedSession(c.switchModel, session, bgp.ProxiedSessionConfig{Member: i})
+	m.proxied, err = bgp.NewProxiedSession(c.switchModel, n.EnableUplink(false), i)
 	if err != nil {
 		return nil, err
 	}

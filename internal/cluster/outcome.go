@@ -6,6 +6,7 @@ import (
 
 	"albatross/internal/core"
 	"albatross/internal/metrics"
+	"albatross/internal/stats"
 	"albatross/internal/workload"
 	"albatross/internal/workload/trace"
 )
@@ -40,25 +41,35 @@ func (c *Cluster) Outcome() string {
 		fmt.Fprintf(&b, "%s/uplink | route-up=%v flaps=%d detections=%d recoveries=%d downtime=%v\n",
 			id, m.Node.Uplink().RouteUp(), us.Flaps, us.Detections, us.Recoveries, us.DownTime)
 
-		agg := aggregatePods(m.Node.Pods())
+		var agg PodTotals
+		agg.add(m.Node.Pods())
 		fmt.Fprintf(&b, "%s/traffic | ecmp-rx=%d rx=%d tx=%d redirected=%d drops[nic=%d queue=%d plb=%d service=%d header=%d rxloss=%d fault=%d crash=%d] node[blackholed=%d proxied=%d]\n",
-			id, m.Rx, agg.rx, agg.tx, agg.redirected,
-			agg.nicDrops, agg.queueDrops, agg.plbDrops, agg.serviceDrops, agg.headerDrops,
-			agg.rxLost, agg.faultLost, agg.crashDrops, m.Node.Blackholed, m.Node.Proxied)
+			id, m.Rx, agg.Rx, agg.Tx, agg.Redirected,
+			agg.NICDrops, agg.QueueDrops, agg.PLBDrops, agg.ServiceDrops, agg.HeaderDrops,
+			agg.RxLost, agg.FaultLost, agg.CrashDrops, m.Node.Blackholed, m.Node.Proxied)
 		fmt.Fprintf(&b, "%s/flight | sampled=%d dropped=%d timeouts=%d triggered=%d discarded=%d\n",
 			id, agg.sampled, agg.frDrops, agg.frTimeouts, agg.frTriggered, agg.frDiscarded)
 
 		for si, name := range core.StageNames() {
-			st := agg.stages[si]
+			st := &agg.stages[si]
 			fmt.Fprintf(&b, "%s/conserve/%s | residual=%d balanced=%v\n",
-				id, name, int64(st.in)-int64(st.out)-int64(st.drops), st.in == st.out+st.drops)
+				id, name, int64(st.In)-int64(st.Out)-int64(st.Drops), st.Balanced())
+		}
+		// Quantiles come from the ingress pod (pod 0): siblings only carry
+		// redirected spillover and would blur the node's residency signature.
+		var residP50, residP99 [len(agg.stages)]int64
+		var latP50, latP99, latP999 int64
+		if pods := m.Node.Pods(); len(pods) > 0 {
+			for si, h := range pods[0].StageResidency() {
+				residP50[si], residP99[si] = h.Quantile(0.50), h.Quantile(0.99)
+			}
+			lat := pods[0].Latency
+			latP50, latP99, latP999 = lat.Quantile(0.50), lat.Quantile(0.99), lat.Quantile(0.999)
 		}
 		for si, name := range core.StageNames() {
-			fmt.Fprintf(&b, "%s/resid/%s | p50=%dns p99=%dns\n",
-				id, name, agg.residP50[si], agg.residP99[si])
+			fmt.Fprintf(&b, "%s/resid/%s | p50=%dns p99=%dns\n", id, name, residP50[si], residP99[si])
 		}
-		fmt.Fprintf(&b, "%s/latency | p50=%dns p99=%dns p999=%dns\n",
-			id, agg.latP50, agg.latP99, agg.latP999)
+		fmt.Fprintf(&b, "%s/latency | p50=%dns p99=%dns p999=%dns\n", id, latP50, latP99, latP999)
 	}
 
 	// The export is streamed into the hash: a fleet's Prometheus text is
@@ -77,33 +88,32 @@ func (c *Cluster) Outcome() string {
 	return b.String()
 }
 
-// podAggregate sums one member's pod-level telemetry; multi-pod members
-// (upgrade siblings) report as one node.
-type podAggregate struct {
-	rx, tx, redirected                           uint64
-	nicDrops, queueDrops, plbDrops, serviceDrops uint64
-	headerDrops, rxLost, faultLost, crashDrops   uint64
+// PodTotals sums pod-level telemetry over a set of pods: one member's in
+// Outcome, where multi-pod members (upgrade siblings) report as one node,
+// or the fleet's (Totals).
+type PodTotals struct {
+	Rx, Tx, Redirected                           uint64
+	NICDrops, QueueDrops, PLBDrops, ServiceDrops uint64
+	HeaderDrops, RxLost, FaultLost, CrashDrops   uint64
 	sampled, frDrops, frTimeouts, frTriggered    uint64
 	frDiscarded                                  uint64
-	stages                                       [7]struct{ in, out, drops uint64 }
-	residP50, residP99                           [7]int64
-	latP50, latP99, latP999                      int64
+	stages                                       [7]stats.StageCounter
 }
 
-func aggregatePods(pods []*core.PodRuntime) podAggregate {
-	var a podAggregate
+// add adds the pods' telemetry.
+func (a *PodTotals) add(pods []*core.PodRuntime) {
 	for _, pr := range pods {
-		a.rx += pr.Rx
-		a.tx += pr.Tx
-		a.redirected += pr.Redirected
-		a.nicDrops += pr.NICDrops
-		a.queueDrops += pr.QueueDrops
-		a.plbDrops += pr.PLBDrops
-		a.serviceDrops += pr.ServiceDrop
-		a.headerDrops += pr.HeaderDrops
-		a.rxLost += pr.RxLost
-		a.faultLost += pr.FaultLost
-		a.crashDrops += pr.CrashDrops
+		a.Rx += pr.Rx
+		a.Tx += pr.Tx
+		a.Redirected += pr.Redirected
+		a.NICDrops += pr.NICDrops
+		a.QueueDrops += pr.QueueDrops
+		a.PLBDrops += pr.PLBDrops
+		a.ServiceDrops += pr.ServiceDrop
+		a.HeaderDrops += pr.HeaderDrops
+		a.RxLost += pr.RxLost
+		a.FaultLost += pr.FaultLost
+		a.CrashDrops += pr.CrashDrops
 		fr := pr.Flight()
 		a.sampled += fr.Sampled
 		a.frDrops += fr.Drops
@@ -111,24 +121,46 @@ func aggregatePods(pods []*core.PodRuntime) podAggregate {
 		a.frTriggered += fr.Triggered
 		a.frDiscarded += fr.Discarded
 		for si, st := range pr.Stages() {
-			a.stages[si].in += st.In
-			a.stages[si].out += st.Out
-			a.stages[si].drops += st.Drops
+			a.stages[si].In += st.In
+			a.stages[si].Out += st.Out
+			a.stages[si].Drops += st.Drops
 		}
 	}
-	// Quantiles come from the ingress pod (pod 0): siblings only carry
-	// redirected spillover and would blur the node's residency signature.
-	if len(pods) > 0 {
-		resid := pods[0].StageResidency()
-		for si := range resid {
-			a.residP50[si] = resid[si].Quantile(0.50)
-			a.residP99[si] = resid[si].Quantile(0.99)
-		}
-		a.latP50 = pods[0].Latency.Quantile(0.50)
-		a.latP99 = pods[0].Latency.Quantile(0.99)
-		a.latP999 = pods[0].Latency.Quantile(0.999)
+}
+
+// Drops sums every in-pipeline drop category.
+func (a *PodTotals) Drops() uint64 {
+	return a.NICDrops + a.QueueDrops + a.PLBDrops + a.ServiceDrops +
+		a.HeaderDrops + a.RxLost + a.FaultLost + a.CrashDrops
+}
+
+// Balanced reports whether every stage's sums balance, In == Out + Drops.
+// No pod's stage ever holds a negative residual, so the sums balance
+// exactly when every pod's stages do.
+func (a *PodTotals) Balanced() bool {
+	_, ok := stats.StageBalance(a.stages[:])
+	return ok
+}
+
+// Totals sums every member's pod telemetry.
+func (c *Cluster) Totals() PodTotals {
+	var t PodTotals
+	for _, m := range c.members {
+		t.add(m.Node.Pods())
 	}
-	return a
+	return t
+}
+
+// WorstIngressLatency returns the highest q-quantile of end-to-end latency
+// over the members' ingress pods (pod 0).
+func (c *Cluster) WorstIngressLatency(q float64) int64 {
+	var worst int64
+	for _, m := range c.members {
+		if v := m.Node.Pods()[0].Latency.Quantile(q); v > worst {
+			worst = v
+		}
+	}
+	return worst
 }
 
 // RecordingSink returns an ingress sink that records every injection into

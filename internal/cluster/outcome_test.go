@@ -148,3 +148,42 @@ func TestOutcomeAllocatesLittlePerMember(t *testing.T) {
 			perMember, perMemberBound)
 	}
 }
+
+// TestTotalsSumEveryPodCounter gives every counter the totals read a
+// distinct power of two on each member's pod: each sum, Drops, the
+// fleet-wide stage balance and the worst ingress latency must see them all.
+func TestTotalsSumEveryPodCounter(t *testing.T) {
+	c, _ := testCluster(t, 2, nil)
+	for mi, m := range c.Members() {
+		pr := m.Node.Pods()[0]
+		for i, p := range []*uint64{&pr.Rx, &pr.Tx, &pr.Redirected, &pr.NICDrops, &pr.QueueDrops,
+			&pr.PLBDrops, &pr.ServiceDrop, &pr.HeaderDrops, &pr.RxLost, &pr.FaultLost, &pr.CrashDrops} {
+			*p = 1 << (2*i + mi)
+		}
+		pr.Latency.Record(int64(1000 + 4000*mi))
+	}
+	tot := c.Totals()
+	var drops uint64
+	for i, got := range []uint64{tot.Rx, tot.Tx, tot.Redirected, tot.NICDrops, tot.QueueDrops,
+		tot.PLBDrops, tot.ServiceDrops, tot.HeaderDrops, tot.RxLost, tot.FaultLost, tot.CrashDrops} {
+		if want := uint64(3) << (2 * i); got != want {
+			t.Fatalf("total %d = %#x, want %#x", i, got, want)
+		}
+		if i >= 3 {
+			drops += got
+		}
+	}
+	if tot.Drops() != drops {
+		t.Fatalf("Drops() = %#x, want %#x", tot.Drops(), drops)
+	}
+	if !tot.Balanced() {
+		t.Fatal("an idle fleet's stages do not balance")
+	}
+	tot.stages[len(tot.stages)-1].In++
+	if tot.Balanced() {
+		t.Fatal("a stage holding a packet reads balanced")
+	}
+	if got := c.WorstIngressLatency(0.5); got < 4000 {
+		t.Fatalf("worst ingress p50 = %d, want member 1's ~5000", got)
+	}
+}

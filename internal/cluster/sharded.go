@@ -3,10 +3,9 @@ package cluster
 // The engine protocol, at every worker count: each cluster member runs on
 // its own lane — member i owns lane i of a sim.ShardedEngine, one engine
 // per member — and k ≥ 1 workers advance the lanes at each epoch barrier,
-// worker j taking members j, j+k, … one at a time (the canonical
-// trace.ShardOfNode assignment). Everything that couples members — the
-// workload arrival process, the fault injector, the ECMP spray decision —
-// runs on the control engine.
+// worker j taking members j, j+k, … one at a time. Everything that couples
+// members — the workload arrival process, the fault injector, the ECMP
+// spray decision — runs on the control engine.
 //
 // Members interact with the rest of the cluster at exactly two points, and
 // both already flow through the control plane:

@@ -204,7 +204,7 @@ func TestClusterInjectZeroAllocs(t *testing.T) {
 // a lane added mid-run starts at the control clock — and Shards counts the
 // workers, auto-sized and clamped to the node count. Worker w advances
 // lanes w, w+k, … (sim.TestShardedWorkerLanes), so member i runs on worker
-// trace.ShardOfNode(i, k), the rule replay-diff labels node lines with.
+// i mod k.
 func TestShardAssignment(t *testing.T) {
 	c, _ := shardedCluster(t, 5, 3, nil)
 	if c.cfg.Shards != 3 {
@@ -224,9 +224,6 @@ func TestShardAssignment(t *testing.T) {
 			t.Fatalf("member %d shares an engine with %d", m.Index, prev)
 		}
 		seen[eng] = m.Index
-		if w := trace.ShardOfNode(m.Index, 3); w != m.Index%3 {
-			t.Fatalf("ShardOfNode(%d, 3) = %d, want the lane stride's %d", m.Index, w, m.Index%3)
-		}
 	}
 	if added := c.Members()[5].Node.Engine; added.Now() != c.Engine.Now() {
 		t.Fatalf("added lane at %v, control at %v", added.Now(), c.Engine.Now())

@@ -151,59 +151,77 @@ func reconcileTick(arg any) {
 	}
 }
 
-// nextStep computes the single highest-priority corrective step, scanning
-// members in index order and, within a member, in make-before-break order:
-// admin transitions before weight, weight before pods, pods before backend.
+// nextStep computes the single highest-priority corrective step: the first
+// of memberSteps, scanning members in index order. A removal waits out a
+// full Interval of drain soak, and a pod scale moves one pod at a time.
 // Growth comes last — existing members are healed before new ones join.
 // Returns ok=false when no step is applicable right now (which includes
 // "waiting out a drain soak": not applicable yet, but not converged).
 func (r *Reconciler) nextStep() (Step, bool) {
-	now := r.c.Engine.Now()
 	members := r.c.Members()
 	for i, m := range members {
-		if i >= len(r.spec.Members) {
-			break // SetSpec guarantees this cannot happen; belt and braces
+		steps := r.memberSteps(i, m)
+		if len(steps) == 0 {
+			continue
 		}
-		want := r.spec.Members[i]
-		if m.State() == "removed" {
-			continue // tombstone; SetSpec guarantees the spec agrees
-		}
-		switch want.NormAdmin() {
-		case AdminRemoved:
-			if r.adminUp[i] {
-				return Step{Node: i, Action: "drain", Detail: "make-before-break removal"}, true
+		s := steps[0]
+		switch s.Action {
+		case "remove":
+			if r.c.Engine.Now() < r.drainedAt[i].Add(r.cfg.Interval) {
+				continue // soaking; later actions are moot for this member
 			}
-			if now >= r.drainedAt[i].Add(r.cfg.Interval) {
-				return Step{Node: i, Action: "remove"}, true
-			}
-			continue // soaking; later actions are moot for this member
-		case AdminDrained:
-			if r.adminUp[i] {
-				return Step{Node: i, Action: "drain"}, true
-			}
-		case AdminUp:
-			if !r.adminUp[i] {
-				return Step{Node: i, Action: "restore"}, true
-			}
+		case "scale-up":
+			s.Detail = fmt.Sprintf("%d -> %d", m.ActivePods(), m.ActivePods()+1)
+		case "scale-down":
+			s.Detail = fmt.Sprintf("%d -> %d", m.ActivePods(), m.ActivePods()-1)
 		}
-		if got := m.Weight(); got != want.NormWeight() {
-			return Step{Node: i, Action: "weight", Detail: fmt.Sprintf("%g -> %g", got, want.NormWeight())}, true
-		}
-		if want.Pods > 0 {
-			if got := m.ActivePods(); got < want.Pods {
-				return Step{Node: i, Action: "scale-up", Detail: fmt.Sprintf("%d -> %d", got, got+1)}, true
-			} else if got > want.Pods {
-				return Step{Node: i, Action: "scale-down", Detail: fmt.Sprintf("%d -> %d", got, got-1)}, true
-			}
-		}
-		if want.Backend != "" && m.Node.FlowBackendName() != want.Backend {
-			return Step{Node: i, Action: "backend", Detail: want.Backend}, true
-		}
+		return s, true
 	}
 	if len(r.spec.Members) > len(members) {
 		return Step{Node: len(members), Action: "add"}, true
 	}
 	return Step{}, false
+}
+
+// memberSteps returns every corrective step member i needs, in
+// make-before-break order: admin transitions before weight, weight before
+// pods, pods before backend. A member the spec removes needs only its
+// drain and removal. A pod scale is one step over the whole difference.
+func (r *Reconciler) memberSteps(i int, m *cluster.Member) []Step {
+	if i >= len(r.spec.Members) || m.State() == "removed" {
+		return nil // a tombstone; SetSpec guarantees the spec agrees
+	}
+	var steps []Step
+	want := r.spec.Members[i]
+	switch want.NormAdmin() {
+	case AdminRemoved:
+		if r.adminUp[i] {
+			steps = append(steps, Step{Node: i, Action: "drain", Detail: "make-before-break removal"})
+		}
+		return append(steps, Step{Node: i, Action: "remove"})
+	case AdminDrained:
+		if r.adminUp[i] {
+			steps = append(steps, Step{Node: i, Action: "drain"})
+		}
+	case AdminUp:
+		if !r.adminUp[i] {
+			steps = append(steps, Step{Node: i, Action: "restore"})
+		}
+	}
+	if got := m.Weight(); got != want.NormWeight() {
+		steps = append(steps, Step{Node: i, Action: "weight", Detail: fmt.Sprintf("%g -> %g", got, want.NormWeight())})
+	}
+	if got := m.ActivePods(); want.Pods > 0 && got != want.Pods {
+		action := "scale-up"
+		if got > want.Pods {
+			action = "scale-down"
+		}
+		steps = append(steps, Step{Node: i, Action: action, Detail: fmt.Sprintf("%d -> %d", got, want.Pods)})
+	}
+	if want.Backend != "" && m.Node.FlowBackendName() != want.Backend {
+		steps = append(steps, Step{Node: i, Action: "backend", Detail: want.Backend})
+	}
+	return steps
 }
 
 // apply executes one step through the cluster's lifecycle APIs and records
@@ -281,39 +299,7 @@ func (r *Reconciler) Plan() []Step {
 	var plan []Step
 	members := r.c.Members()
 	for i, m := range members {
-		if i >= len(r.spec.Members) || m.State() == "removed" {
-			continue
-		}
-		want := r.spec.Members[i]
-		switch want.NormAdmin() {
-		case AdminRemoved:
-			if r.adminUp[i] {
-				plan = append(plan, Step{Node: i, Action: "drain", Detail: "make-before-break removal"})
-			}
-			plan = append(plan, Step{Node: i, Action: "remove"})
-			continue
-		case AdminDrained:
-			if r.adminUp[i] {
-				plan = append(plan, Step{Node: i, Action: "drain"})
-			}
-		case AdminUp:
-			if !r.adminUp[i] {
-				plan = append(plan, Step{Node: i, Action: "restore"})
-			}
-		}
-		if got := m.Weight(); got != want.NormWeight() {
-			plan = append(plan, Step{Node: i, Action: "weight", Detail: fmt.Sprintf("%g -> %g", got, want.NormWeight())})
-		}
-		if want.Pods > 0 && m.ActivePods() != want.Pods {
-			action := "scale-up"
-			if m.ActivePods() > want.Pods {
-				action = "scale-down"
-			}
-			plan = append(plan, Step{Node: i, Action: action, Detail: fmt.Sprintf("%d -> %d", m.ActivePods(), want.Pods)})
-		}
-		if want.Backend != "" && m.Node.FlowBackendName() != want.Backend {
-			plan = append(plan, Step{Node: i, Action: "backend", Detail: want.Backend})
-		}
+		plan = append(plan, r.memberSteps(i, m)...)
 	}
 	for i := len(members); i < len(r.spec.Members); i++ {
 		plan = append(plan, Step{Node: i, Action: "add"})

@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -332,5 +334,68 @@ func TestPlanIsDryRun(t *testing.T) {
 	}
 	if c.Controller() != cluster.Controller(r) {
 		t.Fatal("reconciler not attached as the cluster controller")
+	}
+}
+
+// TestNextStepWalksThePlan holds the live loop to the dry run: applied one
+// at a time at one instant, nextStep's steps are Plan's entries in order,
+// except that a pod scale moves one pod per step and a removal waits out a
+// full Interval of drain soak.
+func TestNextStepWalksThePlan(t *testing.T) {
+	c, err := cluster.New(cluster.Config{Nodes: 2, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf := workload.GenerateFlows(200, 10, testSeed)
+	if err := c.AddPod(core.PodConfig{
+		Spec:  pod.Spec{Name: "gw", Service: service.VPCVPC, DataCores: 4, CtrlCores: 1, Mode: pod.ModePLB},
+		Flows: workload.ServiceFlows(wf, 0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spec := allUp(2)
+	spec.Members[0] = MemberSpec{Admin: AdminDrained, Weight: 0.5, Pods: 3, Backend: "session"}
+	spec.Members[1].Admin = AdminRemoved
+	r, err := NewReconciler(c, spec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(steps []Step) []string {
+		var out []string
+		for _, s := range steps {
+			out = append(out, fmt.Sprintf("%d %s %s", s.Node, s.Action, s.Detail))
+		}
+		return out
+	}
+	want := []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 3", "0 backend session",
+		"1 drain make-before-break removal", "1 remove "}
+	if got := render(r.Plan()); !slices.Equal(got, want) {
+		t.Fatalf("plan %q, want %q", got, want)
+	}
+
+	for len(r.Steps()) < 10 {
+		s, ok := r.nextStep()
+		if !ok {
+			break
+		}
+		r.apply(s)
+	}
+	want = []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 2", "0 scale-up 2 -> 3", "0 backend session",
+		"1 drain make-before-break removal"}
+	if got := render(r.Steps()); !slices.Equal(got, want) {
+		t.Fatalf("live steps %q, want %q", got, want)
+	}
+	if r.Converged() {
+		t.Fatal("converged while member 1 soaks toward removal")
+	}
+	c.RunFor(r.Interval())
+	steps := r.Steps()
+	if last := steps[len(steps)-1]; last.Node != 1 || last.Action != "remove" || last.At != sim.Time(r.Interval()) || !r.Converged() {
+		t.Fatalf("after one interval: last step %+v, converged %v", last, r.Converged())
+	}
+	for _, s := range steps {
+		if s.Err != nil {
+			t.Fatalf("errored step: %v", s)
+		}
 	}
 }

@@ -205,15 +205,13 @@ type PodConfig struct {
 	// recorder (counter-based, deterministic). 0 uses the default (1024);
 	// negative disables tracing entirely.
 	TraceSampleEvery int
-	// TraceRing bounds retained journeys (default 64).
-	TraceRing int
 }
 
-// Flight-recorder defaults: sample one packet in 1024 and retain the last
-// 64 eventful journeys (drops and timeout releases).
+// Flight-recorder settings: sample one packet in 1024 by default and retain
+// the last 64 eventful journeys (drops and timeout releases).
 const (
 	defaultTraceSample = 1024
-	defaultTraceRing   = 64
+	traceRing          = 64
 )
 
 // nicLatency is the NIC pipeline's per-module latency (Tab. 4).
@@ -426,7 +424,7 @@ func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRunt
 	pr.burst = max(n.cfg.Burst, 1)
 	pr.initHeads(cfg.Spec.DataCores + len(pr.egress))
 	pr.timerAt = sim.TimeMax
-	pr.flight = newFlightRecorder(traceEvery, cfg.TraceRing)
+	pr.flight = newFlightRecorder(traceEvery)
 	if cfg.HeaderSplit {
 		pr.payload = nicsim.NewPayloadBuffer(cfg.PayloadBufferBytes)
 	}

@@ -318,9 +318,7 @@ func (n *Node) InjectBGPFlap(d sim.Duration) error {
 		return fmt.Errorf("core: flap needs a positive duration: %w", errs.BadConfig)
 	}
 	if n.uplink == nil {
-		if _, err := n.EnableUplink(true); err != nil {
-			return err
-		}
+		n.EnableUplink(true)
 	}
 	n.uplink.InjectFlap(d)
 	// The outage is node-scoped: every pod's journeys through it are
@@ -331,21 +329,17 @@ func (n *Node) InjectBGPFlap(d sim.Duration) error {
 	return nil
 }
 
-// EnableUplink arms the node's modeled BGP uplink session (default BFD
-// timing: 50ms probes, DetectMult 3, 1s re-establishment). withProxy
+// EnableUplink arms the node's modeled BGP uplink session (BFD timing:
+// 50ms probes, down after three lost, 1s re-establishment). withProxy
 // enables the sibling-node proxy re-advertisement: after BFD withdraws the
 // route, traffic detours via the proxy instead of blackholing. Calling it
 // again only updates the proxy setting.
-func (n *Node) EnableUplink(withProxy bool) (*bgp.SimSession, error) {
+func (n *Node) EnableUplink(withProxy bool) *bgp.SimSession {
 	n.uplinkProxy = withProxy
 	if n.uplink == nil {
-		s, err := bgp.NewSimSession(n.Engine, bgp.SimSessionConfig{})
-		if err != nil {
-			return nil, err
-		}
-		n.uplink = s
+		n.uplink = bgp.NewSimSession(n.Engine)
 	}
-	return n.uplink, nil
+	return n.uplink
 }
 
 // Uplink returns the node's BGP uplink model (nil until enabled).
@@ -360,21 +354,22 @@ func (n *Node) FaultLog() []faults.Event {
 	return n.injector.Log()
 }
 
-// EnableAutoFallback arms the reorder-loss watchdog: every interval it
-// samples the pod's PLB counters and, when timeout releases (reorder loss)
-// reach frac of that window's dispatches, triggers FallbackToRSS — the
-// paper's last-resort HOL remediation, now automatic. Zero arguments take
-// the defaults (1ms window, 5%). The watchdog disarms after firing or when
+// The reorder-loss watchdog's window and the share of a window's
+// dispatches that timeout releases must reach to trip it.
+const (
+	autoFallbackEvery = 1 * sim.Millisecond
+	autoFallbackFrac  = 0.05
+)
+
+// EnableAutoFallback arms the reorder-loss watchdog: every
+// autoFallbackEvery it samples the pod's PLB counters and, when timeout
+// releases (reorder loss) reach autoFallbackFrac of that window's
+// dispatches, triggers FallbackToRSS — the paper's last-resort HOL
+// remediation, now automatic. The watchdog disarms after firing or when
 // the pod leaves PLB mode.
-func (pr *PodRuntime) EnableAutoFallback(interval sim.Duration, frac float64) {
+func (pr *PodRuntime) EnableAutoFallback() {
 	if pr.PLB == nil {
 		return
-	}
-	if interval <= 0 {
-		interval = 1 * sim.Millisecond
-	}
-	if frac <= 0 {
-		frac = 0.05
 	}
 	s := pr.PLB.Stats()
 	lastTO, lastDisp := s.TimeoutReleases, s.Dispatched
@@ -388,13 +383,13 @@ func (pr *PodRuntime) EnableAutoFallback(interval sim.Duration, frac float64) {
 		dDisp := s.Dispatched - lastDisp
 		lastTO, lastDisp = s.TimeoutReleases, s.Dispatched
 		// Require a handful of releases so an idle pod never trips.
-		if dTO >= 8 && float64(dTO) >= frac*float64(dDisp+dTO) {
+		if dTO >= 8 && float64(dTO) >= autoFallbackFrac*float64(dDisp+dTO) {
 			pr.FallbackToRSS()
 			return
 		}
-		pr.node.Engine.After(interval, tick)
+		pr.node.Engine.After(autoFallbackEvery, tick)
 	}
-	pr.node.Engine.After(interval, tick)
+	pr.node.Engine.After(autoFallbackEvery, tick)
 }
 
 // stopDrainCap bounds how much virtual time Stop will spend draining

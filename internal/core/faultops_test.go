@@ -247,7 +247,7 @@ func TestAutoFallbackOnReorderStress(t *testing.T) {
 		n := smallNode(t, nil)
 		wf, sf := wflows(1000, 1)
 		pr := addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) { c.TraceSampleEvery = 64 })
-		pr.EnableAutoFallback(0, 0) // defaults: 1ms window, 5%
+		pr.EnableAutoFallback()
 
 		src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e6), Seed: 2, Sink: pr.Sink()}
 		if err := src.Start(n.Engine); err != nil {
@@ -336,9 +336,7 @@ func TestBGPFlapBlackholeAndProxy(t *testing.T) {
 	n := smallNode(t, nil)
 	wf, sf := wflows(500, 1)
 	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-	if _, err := n.EnableUplink(true); err != nil {
-		t.Fatal(err)
-	}
+	n.EnableUplink(true)
 
 	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e5), Seed: 2, Sink: pr.Sink()}
 	if err := src.Start(n.Engine); err != nil {
@@ -452,9 +450,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := n.EnableUplink(true); err != nil {
-			t.Fatal(err)
-		}
+		n.EnableUplink(true)
 		wf, sf := wflows(1000, 3)
 		pr, err := n.AddPod(PodConfig{
 			Spec: pod.Spec{Name: "gw", Service: service.VPCVPC,

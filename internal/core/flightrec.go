@@ -21,7 +21,7 @@ import (
 // The recorder is built for the hot path: live traces come from a free
 // list, steps live in a fixed-size array (the path has 7 stages), and a
 // commit is a single struct copy into the ring, which grows by appends
-// until it holds TraceRing journeys and is overwritten after. Steady-state
+// until it holds traceRing journeys and is overwritten after. Steady-state
 // cost is one counter increment per packet plus a nil check per stage.
 
 // StepVerdict is how a traced packet left a stage.
@@ -180,10 +180,9 @@ type FlightRecorder struct {
 	seen  uint64 // injected data packets observed
 
 	pool []*Journey // free journeys for in-flight traces
-	// ring holds the committed journeys: appended to until it holds size,
-	// then overwritten oldest first from next.
+	// ring holds the committed journeys: appended to until it holds
+	// traceRing, then overwritten oldest first from next.
 	ring []Journey
-	size int
 	next int
 
 	// Operator-defined commit triggers. Zero values disable each trigger,
@@ -208,12 +207,9 @@ type faultWindow struct {
 }
 
 // newFlightRecorder builds a recorder sampling every `every` packets with a
-// ring of `ringSize` committed journeys.
-func newFlightRecorder(every int, ringSize int) *FlightRecorder {
-	if ringSize <= 0 {
-		ringSize = defaultTraceRing
-	}
-	f := &FlightRecorder{size: ringSize}
+// ring of traceRing committed journeys.
+func newFlightRecorder(every int) *FlightRecorder {
+	f := &FlightRecorder{}
 	if every > 0 {
 		f.every = uint64(every)
 	}
@@ -324,10 +320,10 @@ func (f *FlightRecorder) finish(j *Journey, now sim.Time) {
 	f.pool = append(f.pool, j)
 }
 
-// commit copies the journey into the ring. Only the ring's growth to its
-// size allocates; a full ring overwrites in place.
+// commit copies the journey into the ring. Only the ring's growth to
+// traceRing allocates; a full ring overwrites in place.
 func (f *FlightRecorder) commit(j *Journey) {
-	if len(f.ring) < f.size {
+	if len(f.ring) < traceRing {
 		f.ring = append(f.ring, *j)
 		return
 	}
@@ -339,7 +335,7 @@ func (f *FlightRecorder) commit(j *Journey) {
 }
 
 // Journeys returns the retained journeys, oldest first. The ring bounds
-// retention to its size; Drops + Timeouts + Triggered counts everything
+// retention to traceRing; Drops + Timeouts + Triggered counts everything
 // ever recorded.
 func (f *FlightRecorder) Journeys() []Journey {
 	out := make([]Journey, 0, len(f.ring))

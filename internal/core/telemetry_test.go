@@ -120,7 +120,6 @@ func TestFlightRecorderCapturesDrops(t *testing.T) {
 	sf := workload.ServiceFlows(wf, 0.2) // 20% ACL-denied
 	pr := addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) {
 		c.TraceSampleEvery = 1 // trace every packet
-		c.TraceRing = 16
 	})
 	runStageTraffic(t, n, pr, wf, 20*sim.Millisecond)
 
@@ -140,9 +139,9 @@ func TestFlightRecorderCapturesDrops(t *testing.T) {
 			fr.Drops, fr.Timeouts, fr.Discarded, fr.Sampled)
 	}
 	js := fr.Journeys()
-	if len(js) != 16 {
-		t.Fatalf("ring retained %d journeys, want full ring of 16 (committed %d)",
-			len(js), fr.Drops+fr.Timeouts+fr.Triggered)
+	if len(js) != traceRing {
+		t.Fatalf("ring retained %d journeys, want full ring of %d (committed %d)",
+			len(js), traceRing, fr.Drops+fr.Timeouts+fr.Triggered)
 	}
 	for _, j := range js {
 		if j.Reason != JourneyDropped {

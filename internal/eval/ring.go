@@ -35,9 +35,6 @@ func newDescRing[T any](capacity int) (*descRing[T], error) {
 	return &descRing[T]{buf: make([]T, capacity), mask: uint64(capacity - 1)}, nil
 }
 
-// len returns the number of queued descriptors.
-func (r *descRing[T]) len() int { return int(r.tail - r.head) }
-
 // enqueue adds one descriptor; false if the ring is full (the "insufficient
 // descriptors" drop).
 func (r *descRing[T]) enqueue(v T) bool {

@@ -17,8 +17,8 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.buf) != 8 || r.len() != 0 {
-		t.Fatalf("fresh ring: cap=%d len=%d", len(r.buf), r.len())
+	if len(r.buf) != 8 || r.tail != r.head {
+		t.Fatalf("fresh ring: cap=%d len=%d", len(r.buf), r.tail-r.head)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestRingFIFOProperty(t *testing.T) {
 					model = model[1:]
 				}
 			}
-			if r.len() != len(model) {
+			if int(r.tail-r.head) != len(model) {
 				return false
 			}
 		}

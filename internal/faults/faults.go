@@ -53,7 +53,7 @@ const (
 	// reorder FIFO entries behind — a realistic HOL source.
 	KindRxLoss
 	// KindBGPFlap takes the node's BGP uplink down for Duration. BFD
-	// detects after DetectMult missed probes; traffic is blackholed during
+	// detects after three missed probes; traffic is blackholed during
 	// detection, then rides the proxy re-advertisement until the session
 	// re-establishes.
 	KindBGPFlap

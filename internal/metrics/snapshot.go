@@ -5,6 +5,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -246,29 +247,14 @@ func (s *Snapshot) Find(name string, labels ...Label) (SeriesValue, bool) {
 			continue
 		}
 		for _, sv := range f.Series {
-			if labelsInclude(sv.Labels, labels) {
+			// No wanted label is missing from the series.
+			if !slices.ContainsFunc(labels, func(l Label) bool { return !slices.Contains(sv.Labels, l) }) {
 				hit = sv
 				found++
 			}
 		}
 	}
 	return hit, found == 1
-}
-
-func labelsInclude(have []Label, want []Label) bool {
-	for _, w := range want {
-		ok := false
-		for _, h := range have {
-			if h.Key == w.Key && h.Value == w.Value {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // MarshalJSON renders labels as an ordered {"key":"value"} object (arrays

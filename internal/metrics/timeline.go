@@ -11,9 +11,9 @@ import (
 )
 
 // Timeline samples a Registry at a fixed virtual-time period into a
-// columnar store: one row per tick, one column per registered series
-// (histograms contribute count/p50/p99 columns; see NewTimeline). Counters
-// record per-tick deltas — the rate shape — while gauges record points.
+// columnar store: one row per tick, one column per registered counter or
+// gauge (see NewTimeline). Counters record per-tick deltas — the rate
+// shape — while gauges record points.
 //
 // Determinism contract: the caller must invoke Sample only when the
 // simulation is quiescent at exactly the tick time (the cluster layer
@@ -68,31 +68,6 @@ func (s *gaugeSampler) sample() {
 	s.col.vals = append(s.col.vals, s.read())
 }
 
-// histSampler tracks one histogram with a single prev-bucket buffer,
-// emitting per-tick sample count and per-tick p50/p99 (quantiles over only
-// the samples recorded during the tick, via the bucket-delta walk).
-type histSampler struct {
-	count, p50, p99 *column
-	hist            histReader
-	prev            []uint64
-}
-
-// histReader is the slice of stats.Histogram the sampler needs; an
-// interface so tests can stub it.
-type histReader interface {
-	BucketSnapshot(dst []uint64) []uint64
-	DeltaCount(prev []uint64) uint64
-	DeltaQuantile(q float64, prev []uint64) int64
-}
-
-func (s *histSampler) start() { s.prev = s.hist.BucketSnapshot(s.prev) }
-func (s *histSampler) sample() {
-	s.count.vals = append(s.count.vals, float64(s.hist.DeltaCount(s.prev)))
-	s.p50.vals = append(s.p50.vals, float64(s.hist.DeltaQuantile(0.5, s.prev)))
-	s.p99.vals = append(s.p99.vals, float64(s.hist.DeltaQuantile(0.99, s.prev)))
-	s.prev = s.hist.BucketSnapshot(s.prev)
-}
-
 // ratioSampler derives num/den per tick after the base samplers run.
 // A zero-denominator tick records fallback (e.g. availability 1 when no
 // packets were sprayed: nothing offered, nothing lost).
@@ -112,9 +87,9 @@ func (s *ratioSampler) sample() {
 	s.col.vals = append(s.col.vals, s.num.vals[i]/d)
 }
 
-// NewTimeline builds a timeline over every series currently registered in
-// reg. Column keys are the metric name, suffixed with {label-signature}
-// when the series has labels, and :count/:p50/:p99 for histogram columns.
+// NewTimeline builds a timeline over every counter and gauge currently
+// registered in reg; histograms are not sampled. Column keys are the metric
+// name, suffixed with {label-signature} when the series has labels.
 // Columns are ordered by (family name, label signature) — the Snapshot
 // order — so exports are deterministic. every must be positive.
 func NewTimeline(reg *Registry, every sim.Duration) *Timeline {
@@ -135,13 +110,6 @@ func NewTimeline(reg *Registry, every sim.Duration) *Timeline {
 			case KindGauge:
 				tl.samplers = append(tl.samplers,
 					&gaugeSampler{col: tl.addColumn(key), read: s.gauge})
-			case KindHistogram:
-				tl.samplers = append(tl.samplers, &histSampler{
-					count: tl.addColumn(key + ":count"),
-					p50:   tl.addColumn(key + ":p50"),
-					p99:   tl.addColumn(key + ":p99"),
-					hist:  s.hist,
-				})
 			}
 		}
 	}
@@ -173,7 +141,7 @@ func (tl *Timeline) AddRatio(key, numKey, denKey string, fallback float64) {
 	tl.ratios = append(tl.ratios, ratioSampler{col: tl.addColumn(key), num: num, den: den, fallback: fallback})
 }
 
-// Start freezes the column set, records counter/histogram baselines at the
+// Start freezes the column set, records counter baselines at the
 // current virtual time, and arms the first tick at now+every.
 func (tl *Timeline) Start(now sim.Time) {
 	if tl.started {

@@ -10,7 +10,7 @@ import (
 	"albatross/internal/stats"
 )
 
-// buildTimelineFixture registers one counter, one gauge, and one labeled
+// buildTimelineFixture registers one labeled counter, one gauge, and one
 // histogram over mutable state, then builds a 10ms timeline over them.
 func buildTimelineFixture() (tl *Timeline, count *uint64, level *float64, h *stats.Histogram) {
 	reg := New()
@@ -19,20 +19,18 @@ func buildTimelineFixture() (tl *Timeline, count *uint64, level *float64, h *sta
 	h = stats.NewHistogram(5)
 	c := count
 	g := level
-	reg.Counter("pkts_total", "packets", func() uint64 { return *c })
+	reg.Counter("pkts_total", "packets", func() uint64 { return *c }, L("node", "gw-0"))
 	reg.Gauge("queue_depth", "depth", func() float64 { return *g })
-	reg.Histogram("lat_ns", "latency", h, L("node", "gw-0"))
+	reg.Histogram("lat_ns", "latency", h)
 	tl = NewTimeline(reg, 10*sim.Millisecond)
 	return tl, count, level, h
 }
 
 func TestTimelineColumnsAndSampling(t *testing.T) {
 	tl, count, level, h := buildTimelineFixture()
+	// The histogram is not sampled: it has no column.
 	wantKeys := []string{
-		"lat_ns{node=\"gw-0\"}:count",
-		"lat_ns{node=\"gw-0\"}:p50",
-		"lat_ns{node=\"gw-0\"}:p99",
-		"pkts_total",
+		"pkts_total{node=\"gw-0\"}",
 		"queue_depth",
 	}
 	keys := tl.Keys()
@@ -47,7 +45,6 @@ func TestTimelineColumnsAndSampling(t *testing.T) {
 
 	// Pre-Start activity becomes the baseline, not the first tick's delta.
 	*count = 100
-	h.Record(500)
 	tl.Start(0)
 	if got := tl.Next(); got != sim.Time(10*sim.Millisecond) {
 		t.Fatalf("Next = %d, want 10ms", got)
@@ -56,7 +53,6 @@ func TestTimelineColumnsAndSampling(t *testing.T) {
 	*count = 130
 	*level = 2.5
 	h.Record(1000)
-	h.Record(2000)
 	tl.Sample(tl.Next())
 
 	*count = 130 // idle tick
@@ -78,12 +74,8 @@ func TestTimelineColumnsAndSampling(t *testing.T) {
 			}
 		}
 	}
-	check("pkts_total", 30, 0)   // deltas, baseline 100 excluded
-	check("queue_depth", 2.5, 0) // point values
-	check("lat_ns{node=\"gw-0\"}:count", 2, 0)
-	if p50, _ := tl.Values("lat_ns{node=\"gw-0\"}:p50"); p50[0] < 900 || p50[0] > 1100 {
-		t.Fatalf("tick p50 = %v, want ~1000 (baseline sample must not leak)", p50[0])
-	}
+	check("pkts_total{node=\"gw-0\"}", 30, 0) // deltas, baseline 100 excluded
+	check("queue_depth", 2.5, 0)              // point values
 	if _, ok := tl.Values("nope"); ok {
 		t.Fatal("Values on unknown key reported ok")
 	}
@@ -125,8 +117,8 @@ func TestTimelineCSVAndJSON(t *testing.T) {
 	}
 	// Label signatures contain quotes and commas: header cells must be
 	// RFC 4180-quoted so a CSV reader recovers the exact key.
-	if !strings.Contains(lines[0], `"lat_ns{node=""gw-0""}:count"`) {
-		t.Fatalf("histogram column header not CSV-quoted: %s", lines[0])
+	if !strings.Contains(lines[0], `"pkts_total{node=""gw-0""}"`) {
+		t.Fatalf("labeled column header not CSV-quoted: %s", lines[0])
 	}
 	if !strings.HasPrefix(lines[1], "10,") {
 		t.Fatalf("tick row should start at t_ms=10: %s", lines[1])

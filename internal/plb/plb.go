@@ -31,7 +31,6 @@ package plb
 
 import (
 	"fmt"
-	"math/bits"
 
 	"albatross/internal/errs"
 	"albatross/internal/packet"
@@ -54,9 +53,6 @@ type Config struct {
 	// Timeout releases a blocked FIFO head (paper: 100µs; most services
 	// finish under 50µs).
 	Timeout sim.Duration
-	// HOLThreshold classifies a head wait as a head-of-line blocking event
-	// for Fig. 12 accounting. Default 10µs.
-	HOLThreshold sim.Duration
 	// NumCores is the number of RX data queues/cores to spray across.
 	NumCores int
 	// PodID tags emitted meta headers.
@@ -78,7 +74,6 @@ func DefaultConfig(podID uint16, cores int) Config {
 		NumOrderQueues: q,
 		QueueDepth:     4096,
 		Timeout:        100 * sim.Microsecond,
-		HOLThreshold:   10 * sim.Microsecond,
 		NumCores:       cores,
 		PodID:          podID,
 	}
@@ -105,8 +100,12 @@ type Stats struct {
 	EmittedBestEffort uint64 // legal-check fail or case 3 (disordered)
 	DropFlagReleases  uint64 // resources freed by the active drop flag
 	TimeoutReleases   uint64 // case 1: head released after Timeout
-	HOLEvents         uint64 // head waits exceeding HOLThreshold
+	HOLEvents         uint64 // head waits exceeding holThreshold
 }
+
+// holThreshold classifies a head wait as a head-of-line blocking event for
+// Fig. 12 accounting.
+const holThreshold = 10 * sim.Microsecond
 
 // DisorderRate returns disordered emissions / all emissions.
 func (s *Stats) DisorderRate() float64 {
@@ -252,9 +251,6 @@ func newPLB(engine *sim.Engine, cfg Config, emit func(Emission), ring int) (*PLB
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 100 * sim.Microsecond
 	}
-	if cfg.HOLThreshold <= 0 {
-		cfg.HOLThreshold = 10 * sim.Microsecond
-	}
 	if cfg.NumCores <= 0 || cfg.NumCores > 256 {
 		return nil, fmt.Errorf("plb: NumCores %d out of [1,256]: %w", cfg.NumCores, errs.BadConfig)
 	}
@@ -284,10 +280,6 @@ func newPLB(engine *sim.Engine, cfg Config, emit func(Emission), ring int) (*PLB
 
 // Stats returns a snapshot of the counters.
 func (p *PLB) Stats() Stats { return p.stats }
-
-// windowBits is log2(QueueDepth): the number of PSN bits the legal check
-// compares (12 at the paper's 4K depth).
-func (p *PLB) windowBits() int { return bits.TrailingZeros16(p.mask + 1) }
 
 // OrdQueueFor returns the order queue index for a flow hash (get_ordq_idx).
 // Power-of-two queue counts (the common case, and what hardware uses) take
@@ -362,9 +354,9 @@ func (p *PLB) Dispatch(flowHash uint32) (core int, meta packet.Meta, ok bool) {
 	return core, meta, true
 }
 
-// inWindow is the legal check: psn's low windowBits bits against [head,
-// tail) in modulo-depth arithmetic. head/tail are free-running 16-bit
-// counters with tail-head <= depth.
+// inWindow is the legal check: psn's low log2(QueueDepth) bits (12 at the
+// paper's 4K depth) against [head, tail) in modulo-depth arithmetic.
+// head/tail are free-running 16-bit counters with tail-head <= depth.
 func (p *PLB) inWindow(psn, head, tail uint16) bool {
 	inflight := tail - head
 	if inflight == 0 {
@@ -539,7 +531,7 @@ func (p *PLB) armTimer(qi uint8) {
 
 func (p *PLB) noteHeadWait(d sim.Duration) {
 	p.headWait.add(d)
-	if d > p.cfg.HOLThreshold {
+	if d > holThreshold {
 		p.stats.HOLEvents++
 	}
 }

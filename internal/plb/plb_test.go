@@ -30,7 +30,6 @@ func cfg1q(cores int) Config {
 		NumOrderQueues: 1,
 		QueueDepth:     16,
 		Timeout:        100 * sim.Microsecond,
-		HOLThreshold:   10 * sim.Microsecond,
 		NumCores:       cores,
 	}
 }
@@ -64,7 +63,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.cfg
-	if c.QueueDepth != 4096 || c.Timeout != 100*sim.Microsecond || c.HOLThreshold != 10*sim.Microsecond {
+	if c.QueueDepth != 4096 || c.Timeout != 100*sim.Microsecond {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }

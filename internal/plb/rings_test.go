@@ -70,7 +70,6 @@ func decodeRingsFuzz(geometry uint16) (cfg Config, start uint16) {
 		QueueDepth:     depths[geometry>>2&3],
 		NumCores:       1 + int(geometry>>4&7),
 		Timeout:        20 * sim.Microsecond,
-		HOLThreshold:   5 * sim.Microsecond,
 		PodID:          7,
 	}
 	return cfg, geometry &^ 0xff

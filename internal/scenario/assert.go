@@ -10,71 +10,7 @@ import (
 	"albatross/internal/core"
 	"albatross/internal/faults"
 	"albatross/internal/sim"
-	"albatross/internal/stats"
 )
-
-// measurement is the post-run telemetry the assertion layer reads: every
-// counter is summed across members and pods, and per-stage balance is the
-// conjunction over every drained pipeline.
-type measurement struct {
-	tx, redirected                               uint64
-	nicDrops, queueDrops, plbDrops, serviceDrops uint64
-	headerDrops, rxLost, faultLost, crashDrops   uint64
-	stagesBalanced                               bool
-	latP50, latP99, latP999                      int64
-	// latWorst holds the worst (highest) per-node latency at the three
-	// standard quantiles; latQ evaluates arbitrary quantiles on demand.
-	cl *cluster.Cluster
-}
-
-func measure(cl *cluster.Cluster) measurement {
-	m := measurement{stagesBalanced: true, cl: cl}
-	for _, mem := range cl.Members() {
-		for _, pr := range mem.Node.Pods() {
-			m.tx += pr.Tx
-			m.redirected += pr.Redirected
-			m.nicDrops += pr.NICDrops
-			m.queueDrops += pr.QueueDrops
-			m.plbDrops += pr.PLBDrops
-			m.serviceDrops += pr.ServiceDrop
-			m.headerDrops += pr.HeaderDrops
-			m.rxLost += pr.RxLost
-			m.faultLost += pr.FaultLost
-			m.crashDrops += pr.CrashDrops
-			if _, ok := stats.StageBalance(pr.Stages()); !ok {
-				m.stagesBalanced = false
-			}
-		}
-		pr := mem.Node.Pods()[0]
-		if q := pr.Latency.Quantile(0.50); q > m.latP50 {
-			m.latP50 = q
-		}
-		if q := pr.Latency.Quantile(0.99); q > m.latP99 {
-			m.latP99 = q
-		}
-		if q := pr.Latency.Quantile(0.999); q > m.latP999 {
-			m.latP999 = q
-		}
-	}
-	return m
-}
-
-// latQ returns the worst per-node ingress-pod latency at quantile q.
-func (m *measurement) latQ(q float64) int64 {
-	var worst int64
-	for _, mem := range m.cl.Members() {
-		if v := mem.Node.Pods()[0].Latency.Quantile(q); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
-// podDrops sums every in-pipeline drop category.
-func (m *measurement) podDrops() uint64 {
-	return m.nicDrops + m.queueDrops + m.plbDrops + m.serviceDrops +
-		m.headerDrops + m.rxLost + m.faultLost + m.crashDrops
-}
 
 // evaluate runs the scenario's assertion block against the primary run,
 // one Check per assertion in declaration order. Identity assertions are
@@ -82,18 +18,18 @@ func (m *measurement) podDrops() uint64 {
 // seed) that Run collects, so their cost is opt-in per scenario.
 func (s *Scenario) evaluate(st *runState) []Check {
 	cl := st.cl
-	m := measure(cl)
-	delivered := m.tx
+	m := cl.Totals()
+	delivered := m.Tx
 	loss := cl.Sprayed - delivered
 	checks := make([]Check, 0, len(s.Assertions))
 	for _, a := range s.Assertions {
 		c := Check{Assertion: a}
 		switch a.Type {
 		case "conservation":
-			accounted := delivered + m.podDrops() + cl.Blackholed() + cl.Drops
-			c.OK = m.stagesBalanced && cl.Sprayed == accounted
+			accounted := delivered + m.Drops() + cl.Blackholed() + cl.Drops
+			c.OK = m.Balanced() && cl.Sprayed == accounted
 			c.Detail = fmt.Sprintf("sprayed %d = delivered %d + pod-drops %d + blackholed %d + switch-drops %d (stages balanced: %v)",
-				cl.Sprayed, delivered, m.podDrops(), cl.Blackholed(), cl.Drops, m.stagesBalanced)
+				cl.Sprayed, delivered, m.Drops(), cl.Blackholed(), cl.Drops, m.Balanced())
 		case "zero_loss":
 			c.OK = loss == 0
 			c.Detail = fmt.Sprintf("lost %d of %d sprayed", loss, cl.Sprayed)
@@ -113,7 +49,7 @@ func (s *Scenario) evaluate(st *runState) []Check {
 			c.Detail = fmt.Sprintf("blackholed %d, bound %d (margin %g over the BFD window)",
 				cl.Blackholed(), bound, a.Margin)
 		case "latency":
-			got := m.latQ(a.Quantile)
+			got := cl.WorstIngressLatency(a.Quantile)
 			c.OK = got <= int64(a.Max)
 			c.Detail = fmt.Sprintf("worst-node p%g = %.1fµs, ceiling %.1fµs",
 				a.Quantile*100, float64(got)/1000, float64(a.Max)/1000)

@@ -334,7 +334,7 @@ func (s *Scenario) exec(shards int, record bool, replayOf *trace.Trace) (*runSta
 	for _, m := range cl.Members() {
 		for _, pr := range m.Node.Pods() {
 			if f.AutoFallback {
-				pr.EnableAutoFallback(0, 0)
+				pr.EnableAutoFallback()
 			}
 			fr := pr.Flight()
 			if s.Observability.TraceLatencyOver > 0 {
@@ -582,14 +582,14 @@ func (s *Scenario) reportHead(st *runState) string {
 			fmt.Fprintf(&b, "    spec_update ERR %s\n", e)
 		}
 	}
-	m := measure(st.cl)
+	m := st.cl.Totals()
 	fmt.Fprintf(&b, "  traffic     sprayed=%d delivered=%d remapped=%d switch-drops=%d blackholed=%d\n",
-		st.cl.Sprayed, m.tx, st.cl.Remapped, st.cl.Drops, st.cl.Blackholed())
+		st.cl.Sprayed, m.Tx, st.cl.Remapped, st.cl.Drops, st.cl.Blackholed())
 	fmt.Fprintf(&b, "  drops       nic=%d queue=%d plb=%d acl=%d header=%d rxloss=%d fault=%d crash=%d redirected=%d\n",
-		m.nicDrops, m.queueDrops, m.plbDrops, m.serviceDrops, m.headerDrops,
-		m.rxLost, m.faultLost, m.crashDrops, m.redirected)
+		m.NICDrops, m.QueueDrops, m.PLBDrops, m.ServiceDrops, m.HeaderDrops,
+		m.RxLost, m.FaultLost, m.CrashDrops, m.Redirected)
 	fmt.Fprintf(&b, "  latency     worst-node p50=%.1fµs p99=%.1fµs\n",
-		float64(m.latP50)/1000, float64(m.latP99)/1000)
+		float64(st.cl.WorstIngressLatency(0.50))/1000, float64(st.cl.WorstIngressLatency(0.99))/1000)
 	// The series fingerprint in the report puts the full timeline under
 	// the gameday stdout repeat-cmp: any sampling nondeterminism fails the
 	// gate even in scenarios without an identity assertion.

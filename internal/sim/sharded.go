@@ -28,11 +28,10 @@ import (
 //     SyncShards first, which serially advances every lane to the control
 //     clock and invalidates the cached boundary.
 //  3. Advance every lane to the epoch target. Worker j advances lanes j,
-//     j+k, j+2k, … one at a time in index order (the trace.ShardOfNode
-//     rule); one worker runs on the calling goroutine. The owner's advance
-//     function interleaves a lane's mailbox of buffered cross-lane
-//     injections with its event loop in deterministic (timestamp, control
-//     order) merge order.
+//     j+k, j+2k, … one at a time in index order; one worker runs on the
+//     calling goroutine. The owner's advance function interleaves a lane's
+//     mailbox of buffered cross-lane injections with its event loop in
+//     deterministic (timestamp, control order) merge order.
 //
 // Lane-major order is exact: a lane's events depend only on its own state
 // and its own mailbox, so running one lane to the target before the next

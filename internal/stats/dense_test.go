@@ -20,13 +20,11 @@ import (
 // query.
 //
 // It also lists the buckets that are nonzero (nz, unordered; a bucket joins
-// when it leaves zero, and Reset clears only these), so a snapshot is the
-// nonzero buckets alone and its queries read running sums over the buckets
-// nonzero now or then: a check costs what the program recorded, not
-// 64<<subBits buckets per snapshot. Running sums are built once after each
-// change (cum, valid while cumOK). The walk* methods are the per-query walks
-// over every bucket that they replaced, kept to pin them
-// (TestRefHistogramMatchesWalk).
+// when it leaves zero), so its queries read running sums over the nonzero
+// buckets alone: a check costs what the program recorded, not 64<<subBits
+// buckets per query. Running sums are built once after each change (cum,
+// valid while cumOK). The walk* methods are the per-query walks over every
+// bucket that they replaced, kept to pin them (TestRefHistogramMatchesWalk).
 type refHistogram struct {
 	subBits uint
 	buckets []uint64
@@ -118,88 +116,35 @@ func (h *refHistogram) Max() int64 {
 	return h.max
 }
 
-// refSnapshot is a snapshot of a refHistogram: its nonzero buckets, by
-// ascending index.
-type refSnapshot struct {
-	idx []int
-	val []uint64
-}
-
-// snapshot returns the nonzero buckets.
-func (h *refHistogram) snapshot() refSnapshot {
-	slices.Sort(h.nz)
-	s := refSnapshot{idx: slices.Clone(h.nz), val: make([]uint64, len(h.nz))}
-	for k, i := range s.idx {
-		s.val[k] = h.buckets[i]
-	}
-	return s
-}
-
-// dense returns the snapshot as n buckets.
-func (s refSnapshot) dense(n int) []uint64 {
-	b := make([]uint64, n)
-	for k, i := range s.idx {
-		b[i] = s.val[k]
-	}
-	return b
-}
-
-// runningSums are the running sums of a histogram's buckets, or of their
-// differences from a snapshot, at the buckets in idx (ascending): every
-// bucket missing from idx adds zero. n is the bucket count. rising is false
-// when some bucket is below its snapshot (a Reset came between): the uint64
-// differences wrap, the sums are not sorted and must be scanned.
+// runningSums are the running sums of a histogram's buckets at the buckets
+// in idx (ascending): every bucket missing from idx adds zero. n is the
+// bucket count.
 type runningSums struct {
-	idx    []int
-	cum    []uint64
-	n      int
-	rising bool
+	idx []int
+	cum []uint64
+	n   int
 }
 
-// cumulate writes the running sums of buckets minus prev (of buckets alone
-// when prev is nil) into dst, reusing its storage. The buckets summed are
-// those nonzero now or in prev.
-func (h *refHistogram) cumulate(dst *runningSums, prev *refSnapshot) {
-	slices.Sort(h.nz)
-	dst.idx, dst.cum, dst.n, dst.rising = dst.idx[:0], dst.cum[:0], len(h.buckets), true
-	var was refSnapshot
-	if prev != nil {
-		was = *prev
-	}
-	var cum uint64
-	for a, b := 0, 0; a < len(h.nz) || b < len(was.idx); {
-		var i int
-		var c, p uint64
-		switch {
-		case b == len(was.idx) || a < len(h.nz) && h.nz[a] < was.idx[b]:
-			i, c = h.nz[a], h.buckets[h.nz[a]]
-			a++
-		case a == len(h.nz) || was.idx[b] < h.nz[a]:
-			i, p = was.idx[b], was.val[b]
-			b++
-		default:
-			i, c, p = h.nz[a], h.buckets[h.nz[a]], was.val[b]
-			a, b = a+1, b+1
-		}
-		dst.rising = dst.rising && c >= p
-		cum += c - p
-		dst.idx = append(dst.idx, i)
-		dst.cum = append(dst.cum, cum)
-	}
-}
-
-// prefix returns the running sums of the buckets, rebuilt only after a
-// change.
+// prefix returns the running sums of the nonzero buckets, rebuilt only
+// after a change.
 func (h *refHistogram) prefix() *runningSums {
-	if !h.cumOK {
-		h.cumulate(&h.cum, nil)
-		h.cumOK = true
+	if h.cumOK {
+		return &h.cum
 	}
-	return &h.cum
+	slices.Sort(h.nz)
+	rs := &h.cum
+	rs.idx, rs.cum, rs.n = rs.idx[:0], rs.cum[:0], len(h.buckets)
+	var cum uint64
+	for _, i := range h.nz {
+		cum += h.buckets[i]
+		rs.idx = append(rs.idx, i)
+		rs.cum = append(rs.cum, cum)
+	}
+	h.cumOK = true
+	return rs
 }
 
-// total is the last running sum: the count, or the count since the
-// snapshot.
+// total is the last running sum: the count.
 func (rs *runningSums) total() uint64 { return rs.at(rs.n - 1) }
 
 // at returns the running sum through bucket i.
@@ -220,17 +165,7 @@ func (rs *runningSums) reach(q float64) int {
 	if target == 0 {
 		target = 1
 	}
-	k := len(rs.cum)
-	if rs.rising {
-		k = sort.Search(len(rs.cum), func(k int) bool { return rs.cum[k] >= target })
-	} else {
-		for j, c := range rs.cum {
-			if c >= target {
-				k = j
-				break
-			}
-		}
-	}
+	k := sort.Search(len(rs.cum), func(k int) bool { return rs.cum[k] >= target })
 	if k == len(rs.cum) {
 		return rs.n
 	}
@@ -254,17 +189,6 @@ func (h *refHistogram) FractionAbove(v int64) float64 {
 	cum := h.prefix()
 	above := cum.total() - cum.at(min(h.index(v), len(h.buckets)-1))
 	return float64(above) / float64(h.count)
-}
-
-// DeltaCount and DeltaQuantile answer for the running sums of the buckets
-// minus a snapshot, built by cumulate.
-func (h *refHistogram) DeltaCount(delta *runningSums) uint64 { return delta.total() }
-
-func (h *refHistogram) DeltaQuantile(q float64, delta *runningSums) int64 {
-	if delta.total() == 0 {
-		return 0
-	}
-	return h.lowerBound(min(delta.reach(q), len(h.buckets)-1))
 }
 
 func (h *refHistogram) walkQuantile(q float64) int64 {
@@ -297,65 +221,17 @@ func (h *refHistogram) walkFractionAbove(v int64) float64 {
 	return float64(above) / float64(h.count)
 }
 
-func (h *refHistogram) walkDeltaCount(prev []uint64) uint64 {
-	var total uint64
-	for i, c := range h.buckets {
-		total += c - prev[i]
-	}
-	return total
-}
-
-func (h *refHistogram) walkDeltaQuantile(q float64, prev []uint64) int64 {
-	total := h.walkDeltaCount(prev)
-	if total == 0 {
-		return 0
-	}
-	q = math.Max(0, math.Min(1, q))
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c - prev[i]
-		if cum >= target {
-			return h.lowerBound(i)
-		}
-	}
-	return h.lowerBound(len(h.buckets) - 1)
-}
-
-func (h *refHistogram) Reset() {
-	for _, i := range h.nz {
-		h.buckets[i] = 0
-	}
-	h.nz = h.nz[:0]
-	h.cumOK = false
-	h.count, h.sum = 0, 0
-	h.min, h.max = math.MaxInt64, math.MinInt64
-}
-
 func (h *refHistogram) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f p50=%d p99=%d p999=%d max=%d",
 		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.Max())
 }
 
-// snapPair is one BucketSnapshot of the histogram under test and the
-// snapshot of its oracle taken at the same point.
-type snapPair struct {
-	got  []uint64
-	want refSnapshot
-	// delta is the oracle's running sums since want, rebuilt at each check.
-	delta runningSums
-}
-
 // denseDiff drives a Histogram and a refHistogram through the same
 // operations and fails on the first query they answer differently.
 type denseDiff struct {
-	t     *testing.T
-	h     *Histogram
-	ref   *refHistogram
-	snaps []snapPair
+	t   *testing.T
+	h   *Histogram
+	ref *refHistogram
 	// probes are the FractionAbove arguments: edge values plus every value
 	// recorded so far, capped.
 	probes []int64
@@ -388,23 +264,6 @@ func (d *denseDiff) recordZero() {
 	d.ref.RecordN(0, 1)
 }
 
-func (d *denseDiff) snapshot() {
-	d.snaps = append(d.snaps, snapPair{got: d.h.BucketSnapshot(nil), want: d.ref.snapshot()})
-	if len(d.snaps) > 6 {
-		d.snaps = d.snaps[1:]
-	}
-}
-
-func (d *denseDiff) reset() {
-	d.h.Reset()
-	d.ref.Reset()
-}
-
-// touched reports whether v's magnitude row is already allocated.
-func (d *denseDiff) touched(v int64) bool {
-	return d.h.row[d.h.index(v)>>d.h.subBits] != 0
-}
-
 // check compares every query; where names the step for failures.
 func (d *denseDiff) check(where string) {
 	t, h, ref := d.t, d.h, d.ref
@@ -433,18 +292,6 @@ func (d *denseDiff) check(where string) {
 	if got, want := h.String(), ref.String(); got != want {
 		t.Fatalf("%s: String() = %q, dense %q", where, got, want)
 	}
-	for si := range d.snaps {
-		s := &d.snaps[si]
-		ref.cumulate(&s.delta, &s.want)
-		if got, want := h.DeltaCount(s.got), ref.DeltaCount(&s.delta); got != want {
-			t.Fatalf("%s: DeltaCount(snapshot %d) = %d, dense %d", where, si, got, want)
-		}
-		for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
-			if got, want := h.DeltaQuantile(q, s.got), ref.DeltaQuantile(q, &s.delta); got != want {
-				t.Fatalf("%s: DeltaQuantile(%v, snapshot %d) = %d, dense %d", where, q, si, got, want)
-			}
-		}
-	}
 	if d.walk {
 		d.checkWalk(where)
 	}
@@ -464,18 +311,6 @@ func (d *denseDiff) checkWalk(where string) {
 	for _, v := range d.probes {
 		if got, want := ref.FractionAbove(v), ref.walkFractionAbove(v); got != want {
 			t.Fatalf("%s: dense FractionAbove(%d) = %v, walk %v", where, v, got, want)
-		}
-	}
-	for si := range d.snaps {
-		s := &d.snaps[si]
-		prev := s.want.dense(len(ref.buckets))
-		if got, want := ref.DeltaCount(&s.delta), ref.walkDeltaCount(prev); got != want {
-			t.Fatalf("%s: dense DeltaCount(snapshot %d) = %d, walk %d", where, si, got, want)
-		}
-		for _, q := range []float64{-1, 0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1, 2} {
-			if got, want := ref.DeltaQuantile(q, &s.delta), ref.walkDeltaQuantile(q, prev); got != want {
-				t.Fatalf("%s: dense DeltaQuantile(%v, snapshot %d) = %d, walk %d", where, q, si, got, want)
-			}
 		}
 	}
 }
@@ -507,10 +342,6 @@ func TestHistogramMatchesDense(t *testing.T) {
 			}
 			r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
 			for i, v := range vals {
-				if !d.touched(v) || r.Intn(16) == 0 {
-					// Just before a row's first touch, and at random points.
-					d.snapshot()
-				}
 				switch i % 5 {
 				case 0:
 					d.record(v, uint64(1+r.Intn(3)))
@@ -521,14 +352,6 @@ func TestHistogramMatchesDense(t *testing.T) {
 				}
 				if i%32 == 31 {
 					d.check(fmt.Sprintf("after %d values", i+1))
-				}
-				if i == len(vals)/2 {
-					// Around Reset: snapshots on both sides of it.
-					d.check("before reset")
-					d.snapshot()
-					d.reset()
-					d.check("after reset")
-					d.snapshot()
 				}
 			}
 			d.check("end")
@@ -547,10 +370,12 @@ var histSeeds = []struct {
 	{7, []byte("\x02\x00\x00\x00\x03\x00\x00\x00\x00\x00\x80\x00\x00\x3f\x01\x07")},
 }
 
-// runHistProgram interprets ops as a program of records, snapshots and
-// resets, in 4-byte instructions [op, shift, value, count], and checks the
-// compact histogram against the dense one after each of the first 8
-// snapshots and at the end; walk also pins the dense one to its walks.
+// runHistProgram interprets ops as a program of records and checkpoints, in
+// 4-byte instructions [op, shift, value, count], and checks the compact
+// histogram against the dense one at each of the first 8 checkpoints and
+// at the end; walk also pins the dense one to its walks. Op 3 was a bucket
+// snapshot and is now a checkpoint alone; op 4 was a reset and is now a
+// no-op, so committed programs still decode.
 func runHistProgram(t *testing.T, subBits uint8, ops []byte, walk bool) {
 	d := newDenseDiff(t, 1+uint(subBits)%12)
 	d.walk = walk
@@ -567,13 +392,10 @@ func runHistProgram(t *testing.T, subBits uint8, ops []byte, walk bool) {
 		case 2:
 			d.recordZero()
 		case 3:
-			d.snapshot()
 			if checks < 8 {
 				checks++
-				d.check("snapshot")
+				d.check("checkpoint")
 			}
-		case 4:
-			d.reset()
 		}
 	}
 	d.check("end")
@@ -623,7 +445,7 @@ func TestRefHistogramMatchesWalk(t *testing.T) {
 
 // TestHistogramFootprint pins the first-touch layout: a new histogram
 // holds row 0 only, and values in k magnitudes above it add exactly k rows,
-// however often they repeat and across Reset.
+// however often they repeat.
 func TestHistogramFootprint(t *testing.T) {
 	rows := func(h *Histogram) int { return len(h.buckets) >> h.subBits }
 	for _, subBits := range []uint{1, 6, 8, 12} {
@@ -646,11 +468,6 @@ func TestHistogramFootprint(t *testing.T) {
 			if got := rows(h); got != 1+k {
 				t.Fatalf("subBits %d: values in %d magnitudes hold %d rows, want %d", subBits, k, got, 1+k)
 			}
-		}
-		h.Reset()
-		h.Record(int64(1) << (int(subBits) + 3))
-		if got := rows(h); got != 8 {
-			t.Fatalf("subBits %d: Reset then a touched row: %d rows, want 8", subBits, got)
 		}
 	}
 }

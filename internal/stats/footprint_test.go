@@ -8,9 +8,10 @@ import (
 )
 
 // TestHistogramHoldsTouchedRows pins addRow's growth rule over random
-// programs of Record, RecordN, RecordZero and Reset: buckets holds exactly
-// the touched rows, and its capacity is that row count rounded up to a
-// power of two, times the row width.
+// programs of Record, RecordN and RecordZero, each now and then restarted
+// on a fresh histogram: buckets holds exactly the touched rows, and its
+// capacity is that row count rounded up to a power of two, times the row
+// width.
 func TestHistogramHoldsTouchedRows(t *testing.T) {
 	for _, subBits := range []uint{1, 6, 8, 12} {
 		r := rand.New(rand.NewSource(int64(subBits)))
@@ -34,7 +35,8 @@ func TestHistogramHoldsTouchedRows(t *testing.T) {
 						touched[ref.index(v)>>subBits] = true
 					}
 				case k == 2:
-					h.Reset()
+					h = NewHistogram(subBits)
+					touched = map[int]bool{0: true}
 				default:
 					h.Record(v)
 					touched[ref.index(v)>>subBits] = true

@@ -20,8 +20,7 @@ import (
 // touch: a compact buckets slice holds only the rows some value has landed
 // in, in the order they were first touched, with its capacity rounded up to
 // a power of two of rows (addRow). A latency histogram therefore costs a
-// few rows, not the 64 that cover all of int64. Rows are only ever
-// appended, so an earlier BucketSnapshot is a prefix of the current layout.
+// few rows, not the 64 that cover all of int64.
 type Histogram struct {
 	// The fields Record writes come first; with the one-byte row table the
 	// header is 128 bytes, two cache lines.
@@ -281,94 +280,6 @@ func (h *Histogram) FractionAbove(v int64) float64 {
 // FractionBetween returns the fraction of values in (lo, hi].
 func (h *Histogram) FractionBetween(lo, hi int64) float64 {
 	return h.FractionAbove(lo) - h.FractionAbove(hi)
-}
-
-// BucketSnapshot copies the histogram's raw bucket counts into dst,
-// growing it if needed, and returns the slice. A snapshot taken before a
-// batch of Records and passed to DeltaCount/DeltaQuantile later yields
-// statistics over exactly the samples recorded in between — the
-// primitive behind per-tick timeline quantiles. The copy holds only the
-// touched rows; rows touched later are appended after it, so the snapshot
-// stays a prefix of the histogram's layout.
-func (h *Histogram) BucketSnapshot(dst []uint64) []uint64 {
-	if cap(dst) < len(h.buckets) {
-		dst = make([]uint64, len(h.buckets))
-	}
-	dst = dst[:len(h.buckets)]
-	copy(dst, h.buckets)
-	return dst
-}
-
-// delta returns bucket i's count since prev, a prefix snapshot: a bucket
-// past the end of prev was untouched when it was taken.
-func (h *Histogram) delta(i int, prev []uint64) uint64 {
-	if i < len(prev) {
-		return h.buckets[i] - prev[i]
-	}
-	return h.buckets[i]
-}
-
-func (h *Histogram) checkSnapshot(prev []uint64) {
-	if len(prev) > len(h.buckets) {
-		panic(fmt.Sprintf("stats: bucket snapshot length %d > %d", len(prev), len(h.buckets)))
-	}
-}
-
-// DeltaCount returns the number of samples recorded since prev, a bucket
-// snapshot of this histogram taken earlier with BucketSnapshot.
-func (h *Histogram) DeltaCount(prev []uint64) uint64 {
-	h.checkSnapshot(prev)
-	var total uint64
-	for i := range h.buckets {
-		total += h.delta(i, prev)
-	}
-	return total
-}
-
-// DeltaQuantile estimates the q-quantile over the samples recorded since
-// prev (an earlier BucketSnapshot of this histogram). It returns 0 when no
-// samples were recorded in between. Values carry the histogram's bucket
-// resolution; unlike Quantile there is no min/max clamp, because the delta
-// window's extremes are not tracked.
-func (h *Histogram) DeltaQuantile(q float64, prev []uint64) int64 {
-	total := h.DeltaCount(prev)
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for r, p := range h.row {
-		if p == 0 {
-			continue
-		}
-		base := (int(p) - 1) << h.subBits
-		for s := 0; s < 1<<h.subBits; s++ {
-			cum += h.delta(base+s, prev)
-			if cum >= target {
-				return h.lowerBound(r<<h.subBits + s)
-			}
-		}
-	}
-	return h.lowerBound(len(h.row)<<h.subBits - 1)
-}
-
-// Reset clears all recorded samples. The touched rows stay allocated, so
-// a snapshot taken before Reset is still a prefix of the layout.
-func (h *Histogram) Reset() {
-	clear(h.buckets)
-	h.count = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = math.MinInt64
 }
 
 // String summarizes the distribution.

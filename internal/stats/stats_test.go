@@ -90,17 +90,6 @@ func TestHistogramFractionAbove(t *testing.T) {
 	}
 }
 
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(8)
-	for i := int64(0); i < 50; i++ {
-		h.Record(1000 + i)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.9) != 0 {
-		t.Fatal("reset did not clear histogram")
-	}
-}
-
 func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 	f := func(raw []uint32) bool {
 		h := NewHistogram(8)
@@ -332,78 +321,5 @@ func BenchmarkHistogramQuantile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Quantile(0.99)
-	}
-}
-
-func TestHistogramBucketSnapshotDeltas(t *testing.T) {
-	h := NewHistogram(5)
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i * 1000)
-	}
-	prev := h.BucketSnapshot(nil)
-	if len(prev) != len(h.buckets) {
-		t.Fatalf("snapshot len %d != NumBuckets %d", len(prev), len(h.buckets))
-	}
-	if got := h.DeltaCount(prev); got != 0 {
-		t.Fatalf("delta count right after snapshot = %d, want 0", got)
-	}
-	if got := h.DeltaQuantile(0.99, prev); got != 0 {
-		t.Fatalf("delta quantile over empty window = %d, want 0", got)
-	}
-	// Record a new batch whose values are far from the first batch: the
-	// delta quantile must reflect only the new batch.
-	for i := 0; i < 50; i++ {
-		h.Record(1_000_000)
-	}
-	if got := h.DeltaCount(prev); got != 50 {
-		t.Fatalf("delta count = %d, want 50", got)
-	}
-	q := h.DeltaQuantile(0.5, prev)
-	if q < 900_000 || q > 1_100_000 {
-		t.Fatalf("delta p50 = %d, want ~1e6 (old samples must not leak in)", q)
-	}
-	// The full-histogram quantile still sees both batches.
-	if full := h.Quantile(0.5); full >= 900_000 {
-		t.Fatalf("full p50 = %d, want < 900000 (dominated by first batch)", full)
-	}
-	// The batch touched a new row, so prev is a strict prefix of the layout
-	// now; re-snapshotting into it grows it to the current layout.
-	prev2 := h.BucketSnapshot(prev)
-	if len(prev2) != len(h.buckets) || len(prev) >= len(prev2) {
-		t.Fatalf("re-snapshot len %d after %d, want the layout's %d", len(prev2), len(prev), len(h.buckets))
-	}
-	if got := h.DeltaCount(prev2); got != 0 {
-		t.Fatalf("delta count after re-snapshot = %d, want 0", got)
-	}
-	// Reusing a destination that covers the layout must not allocate a
-	// fresh one.
-	h.Record(1_000_001)
-	prev3 := h.BucketSnapshot(prev2)
-	if &prev3[0] != &prev2[0] {
-		t.Fatal("BucketSnapshot did not reuse the destination slice")
-	}
-	if got := h.DeltaCount(prev3); got != 0 {
-		t.Fatalf("delta count after re-snapshot = %d, want 0", got)
-	}
-}
-
-func TestHistogramDeltaLengthMismatchPanics(t *testing.T) {
-	h := NewHistogram(5)
-	h.Record(1)
-	// A snapshot is a prefix of the layout, so only a longer one is
-	// foreign to this histogram.
-	bad := make([]uint64, len(h.buckets)+1)
-	for name, f := range map[string]func(){
-		"DeltaCount":    func() { h.DeltaCount(bad) },
-		"DeltaQuantile": func() { h.DeltaQuantile(0.5, bad) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s with mismatched snapshot did not panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -27,45 +26,6 @@ type DiffReport struct {
 	// OnlyA and OnlyB hold keys present in one report only, in report
 	// order.
 	OnlyA, OnlyB []string
-	// shards, when > 1, annotates rendered node lines with the node's
-	// worker (see AnnotateShards).
-	shards int
-}
-
-// ShardOfNode is the canonical node→worker assignment of a sharded cluster
-// run: member i runs on its own engine, which worker i mod shards advances
-// at each epoch barrier (sim.ShardedEngine's lane stride). The diff
-// renderer labels with it, so diff labels name the worker that actually
-// executed the node.
-func ShardOfNode(node, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return node % shards
-}
-
-// AnnotateShards makes String() label every nodeN line with its worker
-// under the given shard count — so a diff of sharded-run outcomes stays
-// line-keyed (keys are untouched; outcome reports are byte-identical at any
-// shard count) while showing which worker advanced each differing node.
-// shards <= 1 disables the labels.
-func (d *DiffReport) AnnotateShards(shards int) { d.shards = shards }
-
-// shardLabel returns the " [shard N]" suffix for a key, or "".
-func (d *DiffReport) shardLabel(key string) string {
-	if d.shards <= 1 || !strings.HasPrefix(key, "node") {
-		return ""
-	}
-	rest := key[len("node"):]
-	slash := strings.IndexByte(rest, '/')
-	if slash <= 0 {
-		return ""
-	}
-	node, err := strconv.Atoi(rest[:slash])
-	if err != nil {
-		return ""
-	}
-	return fmt.Sprintf(" [shard %d]", ShardOfNode(node, d.shards))
 }
 
 // Empty reports whether the two outcome reports are identical.
@@ -86,15 +46,15 @@ func (d *DiffReport) String() string {
 		width = len(d.LabelB)
 	}
 	for _, c := range d.Changed {
-		fmt.Fprintf(&b, "  ~ %s%s\n", c.Key, d.shardLabel(c.Key))
+		fmt.Fprintf(&b, "  ~ %s\n", c.Key)
 		fmt.Fprintf(&b, "      %-*s | %s\n", width, d.LabelA, c.A)
 		fmt.Fprintf(&b, "      %-*s | %s\n", width, d.LabelB, c.B)
 	}
 	for _, k := range d.OnlyA {
-		fmt.Fprintf(&b, "  - %s%s (only in %s)\n", k, d.shardLabel(k), d.LabelA)
+		fmt.Fprintf(&b, "  - %s (only in %s)\n", k, d.LabelA)
 	}
 	for _, k := range d.OnlyB {
-		fmt.Fprintf(&b, "  + %s%s (only in %s)\n", k, d.shardLabel(k), d.LabelB)
+		fmt.Fprintf(&b, "  + %s (only in %s)\n", k, d.LabelB)
 	}
 	return b.String()
 }

@@ -133,36 +133,6 @@ func TestDiffGolden(t *testing.T) {
 	golden(t, "diff_node_crash.golden", d.String())
 }
 
-// TestDiffShardLabels covers AnnotateShards: with shards > 1 every nodeN
-// line in the rendering carries its owning shard (node mod shards, the
-// canonical ShardOfNode mapping), non-node lines stay unlabeled, and
-// shards <= 1 disables the labels entirely. Keys themselves are untouched —
-// outcome reports are byte-identical at any shard count, so the labels are
-// a rendering aid only.
-func TestDiffShardLabels(t *testing.T) {
-	a := "node0/traffic | rx=1\nnode5/traffic | rx=2\ncluster/traffic | s=3\nnode7/avail | up\n"
-	b := "node0/traffic | rx=9\nnode5/traffic | rx=2\ncluster/traffic | s=4\n"
-	d := trace.Diff("A", a, "B", b)
-	d.AnnotateShards(4)
-	s := d.String()
-	for _, frag := range []string{
-		"~ node0/traffic [shard 0]",
-		"~ cluster/traffic\n", // non-node key: no label
-		"- node7/avail [shard 3] (only in A)",
-	} {
-		if !strings.Contains(s, frag) {
-			t.Fatalf("shard-labeled rendering missing %q:\n%s", frag, s)
-		}
-	}
-	if trace.ShardOfNode(7, 4) != 3 || trace.ShardOfNode(7, 1) != 0 {
-		t.Fatal("ShardOfNode mapping changed")
-	}
-	d.AnnotateShards(1)
-	if strings.Contains(d.String(), "[shard") {
-		t.Fatal("shards=1 rendering still carries shard labels")
-	}
-}
-
 // TestDiffOneSidedKeys covers lines present in only one report — the
 // differ must list them under the +/- sections in report order.
 func TestDiffOneSidedKeys(t *testing.T) {

@@ -1,9 +1,10 @@
 //go:build reach
 
-// The reachability gate: every exported function or method declared in
-// non-test internal/ code or in the root (facade) package must be linked
-// into at least one main package of the module (cmd/*, examples/*, bench),
-// or be named in internal/reach-allow.txt with the contract that keeps it.
+// The reachability gate: every function or method, exported or not,
+// declared in non-test internal/ code or in the root (facade) package must
+// be linked into at least one main package of the module (cmd/*,
+// examples/*, bench), or be named in internal/reach-allow.txt with the
+// contract that keeps it.
 // A line there that names a symbol which is reached, or no longer
 // declared, fails too.
 //
@@ -49,12 +50,13 @@ func TestReachGateCatchesPlantedFaults(t *testing.T) {
 		"packet.FiveTuple.Hash  stale: every binary reaches it\n" +
 		"packet.NoSuchSymbol  stale: never declared\n"
 	problems := reachProblems(t, map[string]string{
-		"internal/packet/planted.go": "package packet\n\n// PlantedUnreached is linked by no binary.\nfunc PlantedUnreached() int { return 1 }\n",
+		"internal/packet/planted.go": "package packet\n\n// PlantedUnreached is linked by no binary.\nfunc PlantedUnreached() int { return 1 }\n\nfunc plantedUnexported() int { return 2 }\n",
 		"planted.go":                 "package albatross\n\n// PlantedFacade is linked by no binary.\nfunc PlantedFacade() int { return 1 }\n",
 		reachAllowFile:               stale,
 	})
 	for _, want := range []string{
 		"unreached: packet.PlantedUnreached",
+		"unreached: packet.plantedUnexported",
 		"unreached: albatross.PlantedFacade",
 		"allowlisted but reached: packet.FiveTuple.Hash",
 		"allowlisted but not declared: packet.NoSuchSymbol",
@@ -85,6 +87,16 @@ func TestReachDumpQuirks(t *testing.T) {
 	if reached(linked, p+".(*T).M") {
 		t.Error("a deduplicated alias of (*T).M reads as (*T).M itself")
 	}
+	// Methods an interface call keeps are reached through their type's
+	// itab, never called by name.
+	linked = dumpSymbols([]byte(p+".New -> go:itab.*"+p+".impl,"+p+".iface\n"+
+		"type:*"+p+".impl <UsedInIface> -> "+p+".(*impl).run\n"+
+		"type:*"+p+".val <UsedInIface> -> "+p+".(*val).get <ReflectMethod>\n"), p)
+	for _, sym := range []string{p + ".(*impl).run", p + ".val.get"} {
+		if !reached(linked, sym) {
+			t.Errorf("interface method %s kept through an itab reads unreached", sym)
+		}
+	}
 }
 
 // reachProblems runs the gate over the tree as seen through overlay (repo
@@ -111,13 +123,13 @@ func reachProblems(t *testing.T, overlay map[string]string) []string {
 			continue
 		}
 		for _, f := range p.GoFiles {
-			for sym, name := range exportedFuncs(t, ov.read(t, filepath.Join(p.Dir, f)), p.ImportPath, short) {
+			for sym, name := range declaredFuncs(t, ov.read(t, filepath.Join(p.Dir, f)), p.ImportPath, short) {
 				declared[sym] = name
 			}
 		}
 	}
 	if len(mains) == 0 || len(declared) == 0 || facade == "" {
-		t.Fatalf("found %d main packages, %d exported functions and facade %q", len(mains), len(declared), facade)
+		t.Fatalf("found %d main packages, %d functions and facade %q", len(mains), len(declared), facade)
 	}
 	linked := ov.linkedSymbols(t, mains, facade)
 
@@ -152,7 +164,7 @@ func reachProblems(t *testing.T, overlay map[string]string) []string {
 		}
 	}
 	sort.Strings(problems)
-	t.Logf("%d exported internal and facade functions and methods, %d main packages, %d allowlisted", len(declared), len(mains), len(allowed))
+	t.Logf("%d internal and facade functions and methods, %d main packages, %d allowlisted", len(declared), len(mains), len(allowed))
 	return problems
 }
 
@@ -171,10 +183,10 @@ func reached(linked map[string]bool, sym string) bool {
 	return linked[typ[:pkgDot]+".(*"+typ[pkgDot+1:]+")"+sym[dot:]]
 }
 
-// exportedFuncs returns the exported functions and methods of one file,
+// declaredFuncs returns the functions and methods of one file but init,
 // keyed by the linker's symbol name (importPath.F, importPath.T.M or
 // importPath.(*T).M), each mapped to its allowlist name (short.F …).
-func exportedFuncs(t *testing.T, src []byte, importPath, short string) map[string]string {
+func declaredFuncs(t *testing.T, src []byte, importPath, short string) map[string]string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "", src, parser.SkipObjectResolution)
 	if err != nil {
@@ -183,7 +195,7 @@ func exportedFuncs(t *testing.T, src []byte, importPath, short string) map[strin
 	out := map[string]string{}
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
-		if !ok || !fn.Name.IsExported() {
+		if !ok || fn.Recv == nil && fn.Name.Name == "init" {
 			continue
 		}
 		name := fn.Name.Name
@@ -310,7 +322,15 @@ func (ov *overlay) list(t *testing.T) []listedPackage {
 func (ov *overlay) linkedSymbols(t *testing.T, mains []string, facade string) map[string]bool {
 	t.Helper()
 	args := append([]string{"build", "-o", t.TempDir(), "-gcflags=all=-l", "-ldflags=-dumpdep"}, ov.flag...)
-	out := ov.goCmd(t, true, append(args, mains...)...)
+	return dumpSymbols(ov.goCmd(t, true, append(args, mains...)...), facade)
+}
+
+// dumpSymbols returns the internal/ and facade symbols on either side of
+// the dump's "from -> to" edges, generic shapes and the linker's
+// " <UsedInIface>"-style attribute suffixes stripped. A method kept for an
+// interface call appears as the target of its type's edge
+// ("type:*pkg.T <UsedInIface> -> pkg.(*T).m").
+func dumpSymbols(out []byte, facade string) map[string]bool {
 	linked := map[string]bool{}
 	sc := bufio.NewScanner(bytes.NewReader(out))
 	sc.Buffer(nil, 1<<20)
@@ -320,6 +340,7 @@ func (ov *overlay) linkedSymbols(t *testing.T, mains []string, facade string) ma
 			continue
 		}
 		for _, sym := range [2]string{from, to} {
+			sym, _, _ = strings.Cut(sym, " <")
 			if strings.Contains(sym, "/internal/") || strings.HasPrefix(sym, facade+".") {
 				linked[stripShapes(sym)] = true
 			}

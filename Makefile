@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fmt-check gameday check ci clean
+.PHONY: all build test vet race fmt-check gameday check census ci clean
 
 all: build test
 
@@ -93,10 +93,11 @@ gameday: build
 #                layouts — pooled set blocks and, once a model fills, the dense
 #                tag array — and the switch between them (the committed seeds
 #                alone run in `go test`; the cross-* ones cross the switch).
-#   spec-fuzz    ten seconds of native fuzzing of the standalone desired-state
-#                loader (`reconcile -spec`): no input panics, rejections wrap
-#                errs.BadConfig, and an accepted spec re-validates and loads
-#                back from its own rendering (committed seeds run in `go test`).
+#   spec-fuzz    ten seconds of native fuzzing of the desired-state decoder,
+#                each input loaded as a minimal scenario's spec: block: no
+#                input panics, rejections wrap errs.BadConfig, and an accepted
+#                spec re-validates and loads back from its own rendering
+#                (committed seeds run in `go test`).
 #   bgp-fuzz     ten seconds of native fuzzing of the BGP message decoders the
 #                bgp-proxy runs on TCP bytes: no input panics, and every
 #                message the encoders produce decodes and encodes back to
@@ -225,6 +226,53 @@ check: build
 	rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "check: gate failed"; exit 1; fi; \
 	echo "check: all rows passed"
+
+# Coverage census: which statements the programs run. Builds
+# cmd/albatross-sim, cmd/albatross-bench, bench and examples/* with
+# -cover -coverpkg=albatross/..., runs every drill (validate, then run with
+# -report -metrics-out -outcome-out), convergence-drill with -series-out
+# -trace-dump -record -burst 8 -shards 3, node-crash with -backend session,
+# reconcile -plan on the reconcile-* drills, replay-diff of healthy-baseline
+# against node-crash and against itself, albatross-bench -quick, and each
+# bench workload for 1 s untraced and traced; then prints the statement
+# share and every function at 0.0 %, once for the programs alone and once
+# with each examples/* program's run added. A report, not a gate: it is in
+# neither ci nor check (~3 min on 2 vCPUs).
+census:
+	@tmp=$$(mktemp -d); mkdir -p $$tmp/prog $$tmp/ex; \
+	cov="-cover -coverpkg=albatross/..."; \
+	$(GO) build $$cov -o $$tmp/asim ./cmd/albatross-sim && \
+	$(GO) build $$cov -o $$tmp/abench ./cmd/albatross-bench && \
+	$(GO) build $$cov -o $$tmp/bench ./bench || { rm -rf $$tmp; exit 1; }; \
+	for d in examples/*/; do $(GO) build $$cov -o $$tmp/ex-$$(basename $$d) ./$$d || { rm -rf $$tmp; exit 1; }; done; \
+	run() { "$$@" > /dev/null 2>&1 || echo "census: exit $$? from $$*"; }; \
+	report() { $(GO) tool covdata textfmt -i=$$2 -o $$tmp/cov.txt && \
+		$(GO) tool cover -func=$$tmp/cov.txt > $$tmp/func.txt && \
+		awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+			END { for (b in n) { all += n[b]; if (b in hit) ran += n[b] } \
+			printf "census: %s: %d / %d statements run (%.1f %%)\n", label, ran, all, 100 * ran / all }' \
+			label="$$1" $$tmp/cov.txt; \
+		echo "census: $$1: functions at 0.0 %:"; \
+		awk '$$NF == "0.0%" { sub(/^albatross\//, "", $$1); print "  " $$1 " " $$2 }' $$tmp/func.txt; }; \
+	export GOCOVERDIR=$$tmp/prog; \
+	run $$tmp/asim validate scenarios/*.yaml; \
+	for f in scenarios/*.yaml; do n=$$(basename $$f .yaml); \
+		run $$tmp/asim run -report -metrics-out $$tmp/$$n -outcome-out $$tmp/$$n.outcome $$f; done; \
+	run $$tmp/asim run -series-out $$tmp/series -trace-dump $$tmp/journeys -record $$tmp/conv.trace \
+		-burst 8 -shards 3 scenarios/convergence-drill.yaml; \
+	run $$tmp/asim run -backend session scenarios/node-crash.yaml; \
+	for f in scenarios/reconcile-*.yaml; do run $$tmp/asim reconcile -plan $$f; done; \
+	$$tmp/asim replay-diff $$tmp/healthy-baseline.outcome $$tmp/node-crash.outcome > /dev/null 2>&1; \
+	[ $$? = 1 ] || echo "census: replay-diff of two different outcomes did not exit 1"; \
+	run $$tmp/asim replay-diff $$tmp/healthy-baseline.outcome $$tmp/healthy-baseline.outcome; \
+	run $$tmp/abench -quick; \
+	for w in node-perpkt node-burst-miss node-faulted cluster-8 fleet-256 gameday; do \
+		run $$tmp/bench -workload $$w -seconds 1; run $$tmp/bench -workload $$w -seconds 1 -trace 1; done; \
+	report programs $$tmp/prog; \
+	export GOCOVERDIR=$$tmp/ex; \
+	for d in examples/*/; do run $$tmp/ex-$$(basename $$d); done; \
+	report "programs and examples" $$tmp/prog,$$tmp/ex; \
+	rm -rf $$tmp
 
 clean:
 	rm -f albatross-bench

@@ -8,23 +8,15 @@ import (
 )
 
 // reconcileCmd implements `albatross-sim reconcile -plan`, a dry run of the
-// desired-state reconciler: it diffs the desired state against a freshly
-// deployed fleet and prints the unsequenced plan without running any
-// traffic. The desired state is a scenario file's spec: block, or -spec FILE
-// (with -nodes N in place of a scenario file). A reconcile drill itself runs
-// with `albatross-sim run`, like every other drill.
+// desired-state reconciler: it diffs a scenario file's spec: block against
+// a freshly deployed fleet and prints the unsequenced plan without running
+// any traffic. A reconcile drill itself runs with `albatross-sim run`, like
+// every other drill.
 //
 //	albatross-sim reconcile -plan scenarios/reconcile-canary.yaml
-//	albatross-sim reconcile -plan -spec spec.yaml -nodes 3
 func reconcileCmd(args []string, stdout, stderr io.Writer) int {
-	fs := newFlagSet("reconcile", stderr, "usage: albatross-sim reconcile -plan [-spec FILE] scenario.yaml\n"+
-		"       albatross-sim reconcile -plan -spec FILE -nodes N\n")
-	var (
-		specPath = fs.String("spec", "", "standalone desired-state file; replaces the scenario's spec: block")
-		plan     = fs.Bool("plan", false, "print the reconcile plan against a fresh fleet (required)")
-		nodes    = fs.Int("nodes", 0, "fleet width without a scenario file")
-		seed     = fs.Uint64("seed", 1, "simulation seed without a scenario file")
-	)
+	fs := newFlagSet("reconcile", stderr, "usage: albatross-sim reconcile -plan scenario.yaml\n")
+	plan := fs.Bool("plan", false, "print the reconcile plan against a fresh fleet (required)")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -33,45 +25,18 @@ func reconcileCmd(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if fs.NArg() > 1 {
+	if fs.NArg() != 1 {
 		fs.Usage()
 		return 2
 	}
-
-	var s *albatross.Scenario
-	if fs.NArg() == 1 {
-		var err error
-		s, err = albatross.LoadScenarioFile(fs.Arg(0))
-		if err != nil {
-			return fail(stderr, err)
-		}
+	s, err := albatross.LoadScenarioFile(fs.Arg(0))
+	if err != nil {
+		return fail(stderr, err)
 	}
-	var spec *albatross.ReconcileSpec
-	if *specPath != "" {
-		var err error
-		spec, err = albatross.LoadSpecFile(*specPath)
-		if err != nil {
-			return fail(stderr, err)
-		}
+	if s.Spec == nil {
+		return fail(stderr, fmt.Errorf("%s has no spec: block", fs.Arg(0)))
 	}
-	width, sd := *nodes, *seed
-	if s != nil {
-		if spec != nil {
-			s.Spec = spec
-			if err := s.Validate(); err != nil {
-				return fail(stderr, fmt.Errorf("%s with -spec %s: %w", fs.Arg(0), *specPath, err))
-			}
-		}
-		if s.Spec == nil {
-			return fail(stderr, fmt.Errorf("%s has no spec: block; add one or pass -spec FILE", fs.Arg(0)))
-		}
-		width, sd, spec = s.Fleet.Nodes, s.Seed, s.Spec
-	}
-	if spec == nil || width <= 0 {
-		fmt.Fprintln(stderr, "reconcile -plan needs a scenario file, or -spec FILE with -nodes N")
-		return 2
-	}
-	if err := printPlan(stdout, spec, width, sd); err != nil {
+	if err := printPlan(stdout, s.Spec, s.Fleet.Nodes, s.Seed); err != nil {
 		return fail(stderr, err)
 	}
 	return 0

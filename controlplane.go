@@ -16,7 +16,7 @@ type (
 	// slot, in slot order.
 	ClusterSpec = controlplane.ClusterSpec
 	// MemberSpec is the desired state of one member slot (ECMP weight,
-	// pod count, admin state, flow-table backend).
+	// pod count, admin state).
 	MemberSpec = controlplane.MemberSpec
 	// Reconciler drives a Cluster toward a ClusterSpec, one rate-limited
 	// step per tick.
@@ -27,8 +27,8 @@ type (
 	// ReconcileStep is one applied (or planned) reconcile action.
 	ReconcileStep = controlplane.Step
 	// ReconcileSpec is the scenario-file form of a ClusterSpec plus
-	// reconciler tuning; it loads from the same strict YAML subset as
-	// scenarios (LoadSpec / LoadSpecFile, or a scenario's spec: block).
+	// reconciler tuning: a scenario's spec: block (Scenario.Spec), or
+	// filled in directly for WithSpec.
 	ReconcileSpec = scenario.ReconcileSpec
 )
 
@@ -42,11 +42,3 @@ const (
 	// reconciler drains first and removes only after a full-tick soak).
 	AdminRemoved = controlplane.AdminRemoved
 )
-
-// LoadSpec parses and validates a standalone desired-state document (a
-// spec: block at top level). Every parse or schema error wraps
-// ErrBadConfig and names the offending line.
-func LoadSpec(data []byte) (*ReconcileSpec, error) { return scenario.LoadSpec(data) }
-
-// LoadSpecFile reads, parses, and validates a desired-state file.
-func LoadSpecFile(path string) (*ReconcileSpec, error) { return scenario.LoadSpecFile(path) }

@@ -1,55 +1,18 @@
 package albatross_test
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 
 	"albatross"
 )
-
-// ExampleLoadSpec parses a standalone desired-state document — the same
-// strict YAML dialect as scenario files, holding just the spec: block's
-// keys at top level.
-func ExampleLoadSpec() {
-	doc := `
-interval: 2ms
-members:
-  - default
-  - weight: 0.25
-    pods: 2
-  - admin: drained
-`
-	spec, err := albatross.LoadSpec([]byte(doc))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(spec.Interval, spec.ClusterSpec())
-	// Output:
-	// 2ms spec[3]{0: w=1; 1: w=0.25 pods=2; 2: w=1 drained}
-}
-
-// ExampleLoadSpec_strict shows that spec documents reject unknown keys and
-// semantic violations at load time, wrapping ErrBadConfig with the
-// offending line.
-func ExampleLoadSpec_strict() {
-	doc := "members:\n  - weight: 1.0\n    wieght: 2.0\n"
-	_, err := albatross.LoadSpec([]byte(doc))
-	fmt.Println(errors.Is(err, albatross.ErrBadConfig))
-	fmt.Println(strings.Contains(err.Error(), "line 3"))
-	// Output:
-	// true
-	// true
-}
 
 // ExampleWithSpec deploys a cluster under the desired-state reconciler:
 // the spec declares one more member than the fleet, so the reconcile loop
 // grows the cluster, one rate-limited step per tick.
 func ExampleWithSpec() {
-	spec, err := albatross.LoadSpec([]byte(
-		"interval: 1ms\nmembers:\n  - default\n  - default\n  - weight: 0.5\n"))
-	if err != nil {
-		panic(err)
+	spec := &albatross.ReconcileSpec{
+		Interval: albatross.Millisecond,
+		Members:  []albatross.MemberSpec{{}, {}, {Weight: 0.5}},
 	}
 	c, err := albatross.NewCluster(
 		albatross.WithSeed(1),

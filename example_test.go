@@ -221,14 +221,17 @@ func ExampleNewCluster() {
 	// lossless upgrade: true
 }
 
-// ExampleNode_EnableUplink mirrors examples/bgpproxy in the virtual-time
-// model: a long uplink flap is detected by BFD, a short one is absorbed.
+// ExampleNode_EnableUplink runs a lone node's BFD-guarded uplink through
+// two flaps: a long one is detected, its route withdrawn and re-advertised
+// 1s after the link returns (a lone node blackholes in between; in a
+// cluster, ECMP moves the traffic to the survivors), and a short one is
+// absorbed.
 func ExampleNode_EnableUplink() {
 	node, err := albatross.New(albatross.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
-	node.EnableUplink(true)
+	node.EnableUplink()
 	if err := node.InjectBGPFlap(400 * albatross.Millisecond); err != nil {
 		panic(err)
 	}
@@ -238,9 +241,9 @@ func ExampleNode_EnableUplink() {
 	}
 	node.RunFor(albatross.Second)
 	st := node.Uplink().Stats()
-	fmt.Printf("flaps=%d detections=%d absorbed=%d route-up=%v\n",
-		st.Flaps, st.Detections, st.Absorbed, node.Uplink().RouteUp())
-	// Output: flaps=2 detections=1 absorbed=1 route-up=true
+	fmt.Printf("flaps=%d detections=%d recoveries=%d absorbed=%d downtime=%v route-up=%v\n",
+		st.Flaps, st.Detections, st.Recoveries, st.Absorbed, st.DownTime, node.Uplink().RouteUp())
+	// Output: flaps=2 detections=1 recoveries=1 absorbed=1 downtime=1.45s route-up=true
 }
 
 // ExamplePodRuntime_InjectProbe mirrors examples/telemetry: Zoonet-style

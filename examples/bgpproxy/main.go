@@ -25,15 +25,7 @@ func main() {
 	}
 	defer swLn.Close()
 	sw := bgp.NewSwitch(65000, 0xffff0001)
-	go func() {
-		for {
-			c, err := swLn.Accept()
-			if err != nil {
-				return
-			}
-			go sw.AcceptPeer(c)
-		}
-	}()
+	go sw.Serve(swLn)
 
 	// ---- BGP proxy pod (AS 64512) ------------------------------------
 	upConn, err := net.Dial("tcp", swLn.Addr().String())
@@ -49,15 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer podLn.Close()
-	go func() {
-		for {
-			c, err := podLn.Accept()
-			if err != nil {
-				return
-			}
-			go proxy.ServePod(c)
-		}
-	}()
+	go proxy.Serve(podLn, nil)
 	fmt.Printf("switch at %v, proxy upstream established\n", swLn.Addr())
 
 	// ---- Three GW pods advertise one VIP -----------------------------
@@ -83,8 +67,9 @@ func main() {
 		_ = i
 	}
 	waitFor(func() bool { return sw.RIB().Len() == 1 })
-	fmt.Printf("3 pods advertise %v -> switch sees %d peer and %d route\n",
-		vip, sw.PeerCount(), sw.RIB().Len())
+	best, _ := sw.RIB().Best(vip)
+	fmt.Printf("3 pods advertise %v -> switch sees %d peer and %d route, AS path %v\n",
+		vip, sw.PeerCount(), sw.RIB().Len(), best.Attrs.ASPath)
 
 	// ---- Graceful gateway migration (paper §7) ------------------------
 	// The replacement pod advertises FIRST, then the old pods withdraw:

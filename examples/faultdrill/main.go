@@ -1,8 +1,8 @@
 // Fault drill: a scripted gameday against one gateway node. A deterministic
 // FaultPlan stalls and then kills a CPU core, crashes the primary pod, and
 // flaps the BGP uplink — while the degradation machinery (PLB spray-mask
-// eviction, sibling redirection, BFD detection with proxy re-advertisement)
-// keeps the damage bounded. Because faults fire on virtual time from seeded
+// eviction, sibling redirection, BFD detection and route withdrawal) keeps
+// the damage bounded. Because faults fire on virtual time from seeded
 // generators, every run of this drill prints exactly the same numbers.
 package main
 
@@ -30,10 +30,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// BFD-guarded uplink with the BGP proxy: after detection the proxy
-	// re-advertises, so traffic is only blackholed during the ~150ms
-	// detection window.
-	node.EnableUplink(true)
+	// BFD-guarded uplink, its probe grid running from t=0. A lone node has
+	// no survivor to take its traffic: from the flap until the route is
+	// re-advertised (BFD detection, the outage, 1s of re-establishment)
+	// every packet is blackholed.
+	node.EnableUplink()
 
 	flows := albatross.GenerateFlows(5000, 500, 7)
 	sf := albatross.ServiceFlows(flows, 0)
@@ -74,8 +75,8 @@ func main() {
 	s := primary.PLB.Stats()
 	fmt.Printf("plb:     timeouts=%d disorder=%.2e\n", s.TimeoutReleases, s.DisorderRate())
 	up := node.Uplink().Stats()
-	fmt.Printf("uplink:  detections=%d detect-latency=%.0fms blackholed=%d proxied=%d downtime=%.0fms\n",
-		up.Detections, float64(up.LastDetectNS)/1e6, node.Blackholed, node.Proxied,
+	fmt.Printf("uplink:  detections=%d recoveries=%d detect-latency=%.0fms blackholed=%d downtime=%.0fms\n",
+		up.Detections, up.Recoveries, float64(up.LastDetectNS)/1e6, node.Blackholed,
 		float64(up.DownTime)/1e6)
 
 	// Clean shutdown through the lifecycle API: drain both pods, then

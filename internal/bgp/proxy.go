@@ -166,15 +166,20 @@ func (p *Proxy) podDown(sp *Speaker) {
 	}
 }
 
-// Serve accepts pod iBGP sessions from a listener until it is closed.
-func (p *Proxy) Serve(ln net.Listener) error {
+// Serve accepts pod iBGP sessions from a listener until it fails (a closed
+// listener included), serving each on its own goroutine. onPod, when not
+// nil, is told each pod's connection and the outcome of its session set-up.
+func (p *Proxy) Serve(ln net.Listener, onPod func(net.Conn, error)) error {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return err
 		}
 		go func(c net.Conn) {
-			_, _ = p.ServePod(c)
+			_, err := p.ServePod(c)
+			if onPod != nil {
+				onPod(c, err)
+			}
 		}(conn)
 	}
 }

@@ -17,8 +17,8 @@ import "albatross/internal/sim"
 // entirely (no state change), which is exactly why BFD probes ride the NIC
 // priority queues. After the link returns, a three-way handshake (two
 // received probes) brings BFD up, and the route is re-advertised
-// reestablishDelay later (BGP reconvergence), make-before-break style: the
-// proxy path keeps forwarding until then.
+// reestablishDelay later (BGP reconvergence); until then the fleet routes
+// around the withdrawn node.
 type SimSession struct {
 	engine *sim.Engine
 

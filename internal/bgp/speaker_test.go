@@ -250,7 +250,8 @@ func TestHoldTimeNegotiation(t *testing.T) {
 }
 
 func TestServeOverTCP(t *testing.T) {
-	// Full live stack over loopback TCP: switch.Serve + proxy.Serve.
+	// Full live stack over loopback TCP: switch.Serve + proxy.Serve, which
+	// reports the pod's session set-up to its callback.
 	swLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skip("no loopback networking:", err)
@@ -275,7 +276,8 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer podLn.Close()
-	go proxy.Serve(podLn)
+	served := make(chan error, 1)
+	go proxy.Serve(podLn, func(_ net.Conn, err error) { served <- err })
 
 	conn, err := net.Dial("tcp", podLn.Addr().String())
 	if err != nil {
@@ -286,6 +288,14 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer podSp.Close()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve reported the pod session as %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve did not report the pod session")
+	}
 
 	vip := pfx(203, 0, 113, 0, 24)
 	if err := podSp.Announce([]Prefix{vip}, nil); err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,7 +34,8 @@ var lightLoad = identityLoad{rate: 1e5, run: 80 * sim.Millisecond}
 // runBurstCluster builds a 4-node, two-pod cluster with the given dataplane
 // config, drives it with a fixed-seed load under the given fault plan, and
 // returns the outcome report (which carries a checksum of the full
-// Prometheus export and the flight-recorder tallies) plus the export itself.
+// Prometheus export and the flight-recorder tallies) with a checksum of the
+// committed journeys, plus the export itself.
 func runBurstCluster(t *testing.T, shards, burst int, backend string, load identityLoad, plan *faults.Plan) (string, string) {
 	t.Helper()
 	c, err := New(Config{
@@ -54,14 +56,6 @@ func runBurstCluster(t *testing.T, shards, burst int, backend string, load ident
 			TraceSampleEvery: 8,
 		}); err != nil {
 			t.Fatal(err)
-		}
-	}
-	// Dense sampling and both time-based triggers make the flight tallies
-	// depend on every journey's stamps, not just on its verdict.
-	for _, m := range c.Members() {
-		for _, pr := range m.Node.Pods() {
-			pr.Flight().TriggerLatencyOver(20 * sim.Microsecond)
-			pr.Flight().TriggerFaultWindow()
 		}
 	}
 	if load.batch == 0 {
@@ -89,7 +83,17 @@ func runBurstCluster(t *testing.T, shards, burst int, backend string, load ident
 		c.RunFor(load.run)
 	}
 	c.RunFor(5 * sim.Millisecond)
-	return c.Outcome(), c.Metrics().Prometheus()
+	// The committed journeys' stage stamps join the outcome, so identity
+	// also covers when each recorded casualty entered and left every stage.
+	h := fnv.New64a()
+	for _, m := range c.Members() {
+		for _, pr := range m.Node.Pods() {
+			for _, j := range pr.Flight().Journeys() {
+				fmt.Fprintln(h, j.String())
+			}
+		}
+	}
+	return c.Outcome() + fmt.Sprintf("journeys/fnv64a | %016x\n", h.Sum64()), c.Metrics().Prometheus()
 }
 
 // Loads of the rows that need queues to build: a source that keeps every
@@ -121,10 +125,10 @@ var burstFaultScenarios = []struct {
 			Core: 1, Factor: 8, Duration: 30 * sim.Millisecond,
 		}}}
 	}},
-	{"core-fail", lightLoad, func() *faults.Plan {
+	{"core-fail", busyLoad, func() *faults.Plan {
 		return &faults.Plan{Faults: []faults.Fault{{
-			Kind: faults.KindCoreFail, At: 20 * sim.Millisecond, Node: 1, Pod: 0,
-			Core: 2, Duration: 25 * sim.Millisecond,
+			Kind: faults.KindCoreFail, At: 3 * sim.Millisecond, Node: 1, Pod: 0,
+			Core: 2, Duration: 4 * sim.Millisecond,
 		}}}
 	}},
 	{"rx-loss", lightLoad, func() *faults.Plan {

@@ -254,10 +254,9 @@ func (c *Cluster) addMember() (*Member, error) {
 		return nil, err
 	}
 	m := &Member{Index: i, Node: n, weight: 1}
-	// At cluster scope the failover path is re-ECMP to survivors, not a
-	// sibling re-advertisement of the same prefix, so the core-level proxy
-	// detour stays off.
-	m.proxied, err = bgp.NewProxiedSession(c.switchModel, n.EnableUplink(false), i)
+	// At cluster scope the failover path is re-ECMP to survivors: a
+	// withdrawn member stops receiving new packets.
+	m.proxied, err = bgp.NewProxiedSession(c.switchModel, n.EnableUplink(), i)
 	if err != nil {
 		return nil, err
 	}
@@ -454,21 +453,6 @@ func (c *Cluster) ScalePods(node, want int) error {
 		}
 	}
 	return nil
-}
-
-// SetNodeFlowBackend swaps member node's flow-table backend in place (see
-// core.Node.SetFlowBackend) — one member of a rolling config update.
-func (c *Cluster) SetNodeFlowBackend(node int, name string) error {
-	m, err := c.memberAt(node)
-	if err != nil {
-		return err
-	}
-	if m.state == memberRemoved {
-		return fmt.Errorf("cluster: node %d is removed: %w", node, errs.BadState)
-	}
-	// The swap rebuilds lane-owned steering state.
-	c.sharded.SyncShards()
-	return m.Node.SetFlowBackend(name)
 }
 
 // SwitchModel returns the shared uplink switch of the proxied BGP fabric.

@@ -43,12 +43,12 @@ func (c *Cluster) Outcome() string {
 
 		var agg PodTotals
 		agg.add(m.Node.Pods())
-		fmt.Fprintf(&b, "%s/traffic | ecmp-rx=%d rx=%d tx=%d redirected=%d drops[nic=%d queue=%d plb=%d service=%d header=%d rxloss=%d fault=%d crash=%d] node[blackholed=%d proxied=%d]\n",
+		fmt.Fprintf(&b, "%s/traffic | ecmp-rx=%d rx=%d tx=%d redirected=%d drops[nic=%d queue=%d plb=%d service=%d header=%d rxloss=%d fault=%d crash=%d] node[blackholed=%d]\n",
 			id, m.Rx, agg.Rx, agg.Tx, agg.Redirected,
 			agg.NICDrops, agg.QueueDrops, agg.PLBDrops, agg.ServiceDrops, agg.HeaderDrops,
-			agg.RxLost, agg.FaultLost, agg.CrashDrops, m.Node.Blackholed, m.Node.Proxied)
-		fmt.Fprintf(&b, "%s/flight | sampled=%d dropped=%d timeouts=%d triggered=%d discarded=%d\n",
-			id, agg.sampled, agg.frDrops, agg.frTimeouts, agg.frTriggered, agg.frDiscarded)
+			agg.RxLost, agg.FaultLost, agg.CrashDrops, m.Node.Blackholed)
+		fmt.Fprintf(&b, "%s/flight | sampled=%d dropped=%d timeouts=%d discarded=%d\n",
+			id, agg.sampled, agg.frDrops, agg.frTimeouts, agg.frDiscarded)
 
 		for si, name := range core.StageNames() {
 			st := &agg.stages[si]
@@ -95,8 +95,7 @@ type PodTotals struct {
 	Rx, Tx, Redirected                           uint64
 	NICDrops, QueueDrops, PLBDrops, ServiceDrops uint64
 	HeaderDrops, RxLost, FaultLost, CrashDrops   uint64
-	sampled, frDrops, frTimeouts, frTriggered    uint64
-	frDiscarded                                  uint64
+	sampled, frDrops, frTimeouts, frDiscarded    uint64
 	stages                                       [7]stats.StageCounter
 }
 
@@ -118,7 +117,6 @@ func (a *PodTotals) add(pods []*core.PodRuntime) {
 		a.sampled += fr.Sampled
 		a.frDrops += fr.Drops
 		a.frTimeouts += fr.Timeouts
-		a.frTriggered += fr.Triggered
 		a.frDiscarded += fr.Discarded
 		for si, st := range pr.Stages() {
 			a.stages[si].In += st.In

@@ -27,7 +27,7 @@ type Config struct {
 type Step struct {
 	At     sim.Time
 	Node   int
-	Action string // "add", "drain", "restore", "remove", "weight", "scale-up", "scale-down", "backend"
+	Action string // "add", "drain", "restore", "remove", "weight", "scale-up", "scale-down"
 	Detail string
 	Err    error
 }
@@ -185,8 +185,8 @@ func (r *Reconciler) nextStep() (Step, bool) {
 
 // memberSteps returns every corrective step member i needs, in
 // make-before-break order: admin transitions before weight, weight before
-// pods, pods before backend. A member the spec removes needs only its
-// drain and removal. A pod scale is one step over the whole difference.
+// pods. A member the spec removes needs only its drain and removal. A pod
+// scale is one step over the whole difference.
 func (r *Reconciler) memberSteps(i int, m *cluster.Member) []Step {
 	if i >= len(r.spec.Members) || m.State() == "removed" {
 		return nil // a tombstone; SetSpec guarantees the spec agrees
@@ -217,9 +217,6 @@ func (r *Reconciler) memberSteps(i int, m *cluster.Member) []Step {
 			action = "scale-down"
 		}
 		steps = append(steps, Step{Node: i, Action: action, Detail: fmt.Sprintf("%d -> %d", got, want.Pods)})
-	}
-	if want.Backend != "" && m.Node.FlowBackendName() != want.Backend {
-		steps = append(steps, Step{Node: i, Action: "backend", Detail: want.Backend})
 	}
 	return steps
 }
@@ -256,8 +253,6 @@ func (r *Reconciler) apply(s Step) {
 			err = r.c.ScalePods(s.Node, m.ActivePods()-1)
 		}
 		s.Err = err
-	case "backend":
-		s.Err = r.c.SetNodeFlowBackend(s.Node, r.spec.Members[s.Node].Backend)
 	case "add":
 		// New members join drained-equivalent only in the weight sense:
 		// AddNode brings them up at full weight, so a canary spec (low

@@ -219,13 +219,12 @@ func TestAddRemoveUnderLoadDrill(t *testing.T) {
 	}
 }
 
-// TestRollingPodAndBackendDrill scales every member from 1 to 2 pods and
-// swaps the flow backend, one step per tick in member order.
-func TestRollingPodAndBackendDrill(t *testing.T) {
+// TestRollingPodDrill scales every member from 1 to 2 pods, one step per
+// tick in member order.
+func TestRollingPodDrill(t *testing.T) {
 	rolled := allUp(3)
 	for i := range rolled.Members {
 		rolled.Members[i].Pods = 2
-		rolled.Members[i].Backend = "session"
 	}
 	updates := []specUpdate{{40 * sim.Millisecond, rolled}}
 	c, r, _ := runDrill(t, 3, 1, allUp(3), updates)
@@ -235,9 +234,6 @@ func TestRollingPodAndBackendDrill(t *testing.T) {
 		m, _ := c.MemberAt(i)
 		if got := m.ActivePods(); got != 2 {
 			t.Fatalf("member %d pods = %d, want 2", i, got)
-		}
-		if got := m.Node.FlowBackendName(); got != "session" {
-			t.Fatalf("member %d backend = %q, want session", i, got)
 		}
 	}
 	// Member order: node 0 fully converges before node 1 starts.
@@ -265,7 +261,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Fatalf("spec %d: %v", i, err)
 		}
 	}
-	ok := ClusterSpec{Members: []MemberSpec{{}, {Weight: 0.5, Pods: 2, Admin: AdminDrained, Backend: "session"}}}
+	ok := ClusterSpec{Members: []MemberSpec{{}, {Weight: 0.5, Pods: 2, Admin: AdminDrained}}}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +350,7 @@ func TestNextStepWalksThePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := allUp(2)
-	spec.Members[0] = MemberSpec{Admin: AdminDrained, Weight: 0.5, Pods: 3, Backend: "session"}
+	spec.Members[0] = MemberSpec{Admin: AdminDrained, Weight: 0.5, Pods: 3}
 	spec.Members[1].Admin = AdminRemoved
 	r, err := NewReconciler(c, spec, Config{})
 	if err != nil {
@@ -367,7 +363,7 @@ func TestNextStepWalksThePlan(t *testing.T) {
 		}
 		return out
 	}
-	want := []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 3", "0 backend session",
+	want := []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 3",
 		"1 drain make-before-break removal", "1 remove "}
 	if got := render(r.Plan()); !slices.Equal(got, want) {
 		t.Fatalf("plan %q, want %q", got, want)
@@ -380,7 +376,7 @@ func TestNextStepWalksThePlan(t *testing.T) {
 		}
 		r.apply(s)
 	}
-	want = []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 2", "0 scale-up 2 -> 3", "0 backend session",
+	want = []string{"0 drain ", "0 weight 1 -> 0.5", "0 scale-up 1 -> 2", "0 scale-up 2 -> 3",
 		"1 drain make-before-break removal"}
 	if got := render(r.Steps()); !slices.Equal(got, want) {
 		t.Fatalf("live steps %q, want %q", got, want)

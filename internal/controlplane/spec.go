@@ -1,9 +1,9 @@
 // Package controlplane implements the declarative control plane: a
 // ClusterSpec describes the *desired* state of a gateway cluster — which
-// members exist, their ECMP weight, pod count, flow-table backend and
-// administrative state — and a Reconciler drives the observed cluster
-// toward it, one rate-limited step per virtual-time tick, the way a
-// Kubernetes controller converges a Deployment.
+// members exist, their ECMP weight, pod count and administrative state —
+// and a Reconciler drives the observed cluster toward it, one rate-limited
+// step per virtual-time tick, the way a Kubernetes controller converges a
+// Deployment.
 //
 // The point of the indirection is make-before-break: operators state the
 // destination ("member 2 removed", "member 3 at weight 1.0") and the
@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"albatross/internal/errs"
-	"albatross/internal/flowtable"
 )
 
 // Administrative states a MemberSpec can request.
@@ -51,9 +50,6 @@ type MemberSpec struct {
 	// Admin is the desired administrative state: AdminUp (default),
 	// AdminDrained, or AdminRemoved.
 	Admin string
-	// Backend is the desired flow-table backend name; "" leaves the
-	// backend unmanaged.
-	Backend string
 }
 
 // NormWeight is the effective desired weight (0 ⇒ 1.0).
@@ -102,13 +98,8 @@ func (s ClusterSpec) Validate() error {
 			return fmt.Errorf("controlplane: member %d: admin %q must be %q, %q or %q: %w",
 				i, m.Admin, AdminUp, AdminDrained, AdminRemoved, errs.BadConfig)
 		}
-		if m.Backend != "" {
-			if err := flowtable.CheckBackendName(m.Backend); err != nil {
-				return fmt.Errorf("controlplane: member %d: %w", i, err)
-			}
-		}
-		if m.NormAdmin() == AdminRemoved && (m.Pods != 0 || m.Backend != "") {
-			return fmt.Errorf("controlplane: member %d: a removed member cannot pin pods or backend: %w", i, errs.BadConfig)
+		if m.NormAdmin() == AdminRemoved && m.Pods != 0 {
+			return fmt.Errorf("controlplane: member %d: a removed member cannot pin pods: %w", i, errs.BadConfig)
 		}
 	}
 	return nil
@@ -141,9 +132,6 @@ func (s ClusterSpec) String() string {
 		}
 		if m.NormAdmin() == AdminDrained {
 			out += " drained"
-		}
-		if m.Backend != "" {
-			out += " backend=" + m.Backend
 		}
 	}
 	return out + "}"

@@ -57,31 +57,6 @@ func (n *Node) IngressSink() func(workload.Flow, int) {
 	return func(f workload.Flow, bytes int) { n.Ingress(f, bytes) }
 }
 
-// SetFlowBackend swaps the node's flow-table backend in place — the rolling
-// config update the control plane applies member by member. The new backend
-// starts empty (established flows re-insert on their next lookup, exactly
-// like a gateway pod config rollout) with the pool rebuilt from current pod
-// lifecycle states. name "" removes the backend, restoring the legacy
-// first-pod path. A no-op when the name already matches.
-func (n *Node) SetFlowBackend(name string) error {
-	if name == n.cfg.FlowBackend {
-		return nil
-	}
-	if name == "" {
-		n.backend = nil
-		n.cfg.FlowBackend = ""
-		return nil
-	}
-	b, err := flowtable.NewBackend(name, nil, flowtable.BackendConfig{Space: n.addrs})
-	if err != nil {
-		return err
-	}
-	n.backend = b
-	n.cfg.FlowBackend = name
-	n.refreshBackendPool()
-	return nil
-}
-
 // FlowBackendName returns the active backend's configured name ("" when the
 // node runs the legacy first-pod path).
 func (n *Node) FlowBackendName() string { return n.cfg.FlowBackend }

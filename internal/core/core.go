@@ -84,17 +84,12 @@ type Node struct {
 	injector *faults.Injector
 	// uplink models the node's BGP session to the ToR switch (the BFD
 	// timing model); nil until EnableUplink or the first BGP fault.
-	// uplinkProxy enables the sibling proxy re-advertisement
-	// (make-before-break failover).
-	uplink      *bgp.SimSession
-	uplinkProxy bool
-	closed      bool
+	uplink *bgp.SimSession
+	closed bool
 
 	// Blackholed counts packets lost at the switch while the uplink was
-	// down but not yet withdrawn (or withdrawn with no proxy); Proxied
-	// counts packets that arrived via the proxy path during an outage.
+	// down or its route withdrawn.
 	Blackholed uint64
-	Proxied    uint64
 
 	// backend steers Node.Ingress traffic across active pods (see
 	// backend.go); nil without NodeConfig.FlowBackend. BackendMoved counts
@@ -539,24 +534,14 @@ func (pr *PodRuntime) Inject(f workload.Flow, bytes int) { pr.inject(f, bytes, n
 func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
 	n := pr.node
 
-	// BGP uplink state: while the link is down but the route still
-	// advertised (the BFD detection window), the switch forwards into a
-	// dead link. After withdrawal, traffic rides the proxy path if one is
-	// armed, otherwise it is blackholed until re-advertisement.
-	if n.uplink != nil {
-		if !n.uplink.LinkUp() && n.uplink.RouteUp() {
-			n.Blackholed++
-			probe.dropped()
-			return
-		}
-		if !n.uplink.RouteUp() {
-			if !n.uplinkProxy {
-				n.Blackholed++
-				probe.dropped()
-				return
-			}
-			n.Proxied++
-		}
+	// BGP uplink state: while the link is down (the switch forwards into a
+	// dead link until BFD detects it) or the route is withdrawn (until
+	// re-advertisement), the packet is blackholed. Failover is a fleet
+	// property: in a cluster, ECMP stops choosing a withdrawn member.
+	if n.uplink != nil && (!n.uplink.LinkUp() || !n.uplink.RouteUp()) {
+		n.Blackholed++
+		probe.dropped()
+		return
 	}
 
 	// Lifecycle: draining/crashed pods hand their tenants to the sibling.

@@ -130,18 +130,6 @@ func (pr *PodRuntime) rxLossHit(core int) bool {
 	return pr.rng.Float64() < pr.rxLossProb[core]
 }
 
-// noteFaultWindow records a fault activation window [now, now+d) on the
-// pod's flight recorder so the TriggerFaultWindow commit trigger can match
-// journeys that flew through it. d <= 0 (permanent faults) records an
-// effectively unbounded window.
-func (pr *PodRuntime) noteFaultWindow(d sim.Duration) {
-	now := pr.node.Engine.Now()
-	if d <= 0 {
-		d = sim.Duration(1) << 60
-	}
-	pr.flight.noteFaultWindow(now, now.Add(d))
-}
-
 // InjectCoreStall makes pod/core process factor× slower for d (the sick
 // core's service-time blowup).
 func (n *Node) InjectCoreStall(podIdx, core int, factor float64, d sim.Duration) error {
@@ -155,7 +143,6 @@ func (n *Node) InjectCoreStall(podIdx, core int, factor float64, d sim.Duration)
 	if factor <= 0 || d <= 0 {
 		return fmt.Errorf("core: stall needs positive factor and duration: %w", errs.BadConfig)
 	}
-	pr.noteFaultWindow(d)
 	c := pr.Cores[core]
 	c.SetSlowFactor(factor)
 	pr.refresh(core)
@@ -186,7 +173,6 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 	if c.Failed() {
 		return nil
 	}
-	pr.noteFaultWindow(d)
 	pr.failCores(core, core+1)
 	if pr.PLB != nil {
 		pr.PLB.EvictCore(core)
@@ -232,7 +218,6 @@ func (n *Node) InjectPodCrash(podIdx int, graceful bool, restartAfter sim.Durati
 	if restartAfter <= 0 {
 		restartAfter = pod.StartupTime
 	}
-	pr.noteFaultWindow(restartAfter)
 	pr.redirect = n.siblingOf(pr)
 	if graceful {
 		pr.state = podDraining
@@ -280,7 +265,6 @@ func (n *Node) InjectReorderStress(podIdx, queue int, d sim.Duration, holdHeads 
 	if err := pr.PLB.StressQueue(queue, d, holdHeads, depthClamp); err != nil {
 		return err
 	}
-	pr.noteFaultWindow(d)
 	return nil
 }
 
@@ -307,35 +291,24 @@ func (n *Node) InjectRxLoss(podIdx, core int, prob float64, d sim.Duration) erro
 		pr.rxLossUntil[core] = until
 	}
 	pr.rxLossProb[core] = prob
-	pr.noteFaultWindow(d)
 	return nil
 }
 
 // InjectBGPFlap takes the node's BGP uplink down for d. The uplink model
-// (with proxy re-advertisement) is armed on first use.
+// is armed on first use.
 func (n *Node) InjectBGPFlap(d sim.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("core: flap needs a positive duration: %w", errs.BadConfig)
 	}
-	if n.uplink == nil {
-		n.EnableUplink(true)
-	}
-	n.uplink.InjectFlap(d)
-	// The outage is node-scoped: every pod's journeys through it are
-	// fault-window candidates.
-	for _, pr := range n.pods {
-		pr.noteFaultWindow(d)
-	}
+	n.EnableUplink().InjectFlap(d)
 	return nil
 }
 
 // EnableUplink arms the node's modeled BGP uplink session (BFD timing:
-// 50ms probes, down after three lost, 1s re-establishment). withProxy
-// enables the sibling-node proxy re-advertisement: after BFD withdraws the
-// route, traffic detours via the proxy instead of blackholing. Calling it
-// again only updates the proxy setting.
-func (n *Node) EnableUplink(withProxy bool) *bgp.SimSession {
-	n.uplinkProxy = withProxy
+// 50ms probes, down after three lost, 1s re-establishment) and returns it.
+// While the link is down or the route withdrawn, the node blackholes its
+// traffic. Calling it again returns the armed session.
+func (n *Node) EnableUplink() *bgp.SimSession {
 	if n.uplink == nil {
 		n.uplink = bgp.NewSimSession(n.Engine)
 	}

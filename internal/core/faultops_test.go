@@ -332,29 +332,66 @@ func TestRxLossLeavesHOLEntries(t *testing.T) {
 	checkLedger(t, pr)
 }
 
-func TestBGPFlapBlackholeAndProxy(t *testing.T) {
+// TestBGPFlapLoneNodeCycle drives a lone node through a whole flap: BFD
+// detection, route withdrawal, the link's return and the 1s
+// re-establishment, then re-advertisement. A lone node has no survivor to
+// carry its traffic (in a cluster, ECMP moves it), so every packet from the
+// flap until re-advertisement is blackholed, and delivery resumes with the
+// first packet after it.
+func TestBGPFlapLoneNodeCycle(t *testing.T) {
 	n := smallNode(t, nil)
 	wf, sf := wflows(500, 1)
 	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-	n.EnableUplink(true)
+	up := n.EnableUplink()
 
-	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e5), Seed: 2, Sink: pr.Sink()}
+	// Each packet must land in exactly one of Rx and Blackholed. The sink
+	// notes the first and last blackholed arrival and the first arrival
+	// received after them.
+	var holes uint64
+	var firstHole, lastHole, resumed sim.Time
+	sink := func(f workload.Flow, bytes int) {
+		rx, bh := pr.Rx, n.Blackholed
+		pr.Inject(f, bytes)
+		now := n.Engine.Now()
+		switch {
+		case n.Blackholed == bh+1 && pr.Rx == rx:
+			if holes == 0 {
+				firstHole = now
+			}
+			if resumed != 0 {
+				t.Fatalf("packet at %v blackholed after delivery resumed at %v", now, resumed)
+			}
+			holes++
+			lastHole = now
+		case pr.Rx == rx+1 && n.Blackholed == bh:
+			if holes > 0 && resumed == 0 {
+				resumed = now
+			}
+		default:
+			t.Fatalf("packet at %v: rx +%d, blackholed +%d; want exactly one of them",
+				now, pr.Rx-rx, n.Blackholed-bh)
+		}
+	}
+	const gap = 10 * sim.Microsecond // 100 kpps
+	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e5), Deterministic: true, Seed: 2, Sink: sink}
 	if err := src.Start(n.Engine); err != nil {
 		t.Fatal(err)
 	}
 	n.RunFor(100 * sim.Millisecond)
-	if n.Blackholed != 0 || n.Proxied != 0 {
+	if n.Blackholed != 0 {
 		t.Fatal("healthy uplink dropped traffic")
 	}
 
-	if err := n.InjectBGPFlap(500 * sim.Millisecond); err != nil {
+	flapAt := n.Engine.Now()
+	const outage = 500 * sim.Millisecond
+	if err := n.InjectBGPFlap(outage); err != nil {
 		t.Fatal(err)
 	}
 	n.RunFor(2 * sim.Second)
 	src.Stop()
 	n.RunFor(5 * sim.Millisecond)
 
-	st := n.Uplink().Stats()
+	st := up.Stats()
 	if st.Detections != 1 || st.Recoveries != 1 {
 		t.Fatalf("detections=%d recoveries=%d, want 1/1", st.Detections, st.Recoveries)
 	}
@@ -362,11 +399,25 @@ func TestBGPFlapBlackholeAndProxy(t *testing.T) {
 	if st.LastDetectNS < 150*sim.Millisecond || st.LastDetectNS > 200*sim.Millisecond {
 		t.Fatalf("detection latency = %v, want [150ms, 200ms]", st.LastDetectNS)
 	}
-	// Blackholed only during detection, proxied after withdrawal.
-	if n.Blackholed == 0 || n.Blackholed >= n.Proxied {
-		t.Fatalf("blackholed=%d proxied=%d, want 0 < blackholed < proxied", n.Blackholed, n.Proxied)
+	// The link returns at flap+500ms, two probes on the 50ms grid bring BFD
+	// up at flap+550ms, and the route is re-advertised 1s later.
+	if st.DownTime != outage+50*sim.Millisecond+sim.Second {
+		t.Fatalf("route down for %v, want 1.55s", st.DownTime)
 	}
-	if !n.Uplink().RouteUp() {
+	readvertised := flapAt.Add(st.DownTime)
+	if firstHole < flapAt || firstHole > flapAt.Add(gap) {
+		t.Fatalf("first blackholed packet at %v, flap at %v", firstHole, flapAt)
+	}
+	if lastHole > readvertised || lastHole < readvertised.Add(-gap) {
+		t.Fatalf("last blackholed packet at %v, route re-advertised at %v", lastHole, readvertised)
+	}
+	if resumed < readvertised || resumed > readvertised.Add(gap) {
+		t.Fatalf("delivery resumed at %v, route re-advertised at %v", resumed, readvertised)
+	}
+	if holes != n.Blackholed || src.Generated != pr.Rx+n.Blackholed {
+		t.Fatalf("sent %d, rx %d + blackholed %d (sink saw %d holes)", src.Generated, pr.Rx, n.Blackholed, holes)
+	}
+	if !up.RouteUp() {
 		t.Fatal("route not re-advertised after flap")
 	}
 
@@ -450,7 +501,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.EnableUplink(true)
+		n.EnableUplink()
 		wf, sf := wflows(1000, 3)
 		pr, err := n.AddPod(PodConfig{
 			Spec: pod.Spec{Name: "gw", Service: service.VPCVPC,

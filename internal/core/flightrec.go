@@ -67,30 +67,13 @@ const (
 	// emitted it best-effort (its order queue gave up waiting — a reorder
 	// timeout or stale-PSN release).
 	JourneyTimeoutRelease
-	// JourneyLatencyTrigger: the packet completed normally but its
-	// end-to-end latency exceeded the operator's TriggerLatencyOver bound.
-	JourneyLatencyTrigger
-	// JourneyFaultWindow: the packet completed normally but its flight
-	// overlapped an armed fault window (TriggerFaultWindow).
-	JourneyFaultWindow
-	// JourneyVNIWatch: the packet completed normally and its tenant VNI is
-	// on the TriggerVNI watch list.
-	JourneyVNIWatch
 )
 
 func (r JourneyReason) String() string {
-	switch r {
-	case JourneyTimeoutRelease:
+	if r == JourneyTimeoutRelease {
 		return "timeout-release"
-	case JourneyLatencyTrigger:
-		return "latency-over"
-	case JourneyFaultWindow:
-		return "fault-window"
-	case JourneyVNIWatch:
-		return "vni-watch"
-	default:
-		return "dropped"
 	}
+	return "dropped"
 }
 
 // maxTraceSteps bounds a journey's timeline: one step per stage.
@@ -185,25 +168,11 @@ type FlightRecorder struct {
 	ring []Journey
 	next int
 
-	// Operator-defined commit triggers. Zero values disable each trigger,
-	// keeping the default finish path identical to the built-in
-	// drop/timeout classification.
-	latencyOver  sim.Duration  // commit completed journeys slower than this
-	vniWatch     []uint32      // commit completed journeys of these tenants
-	watchFaults  bool          // commit journeys overlapping a fault window
-	faultWindows []faultWindow // active/past fault windows, time-ordered
-
 	// Counters.
 	Sampled   uint64 // journeys attached to packets
 	Drops     uint64 // committed: packet died on the path
 	Timeouts  uint64 // committed: reorder released it best-effort
-	Triggered uint64 // committed: an operator trigger matched
 	Discarded uint64 // sampled journeys that ended uneventfully
-}
-
-// faultWindow is one [From, To) interval during which a fault was active.
-type faultWindow struct {
-	From, To sim.Time
 }
 
 // newFlightRecorder builds a recorder sampling every `every` packets with a
@@ -238,63 +207,9 @@ func (f *FlightRecorder) sample() *Journey {
 	return j
 }
 
-// TriggerLatencyOver arms a commit trigger: completed journeys whose
-// end-to-end latency meets or exceeds d are committed (reason
-// JourneyLatencyTrigger). d <= 0 disarms.
-func (f *FlightRecorder) TriggerLatencyOver(d sim.Duration) { f.latencyOver = d }
-
-// TriggerVNI adds tenant v to the watch list: completed journeys carrying
-// its VNI are committed (reason JourneyVNIWatch).
-func (f *FlightRecorder) TriggerVNI(v uint32) { f.vniWatch = append(f.vniWatch, v) }
-
-// TriggerFaultWindow arms fault-window capture: completed journeys whose
-// flight overlaps any fault activation window on this pod are committed
-// (reason JourneyFaultWindow). The windows themselves are recorded by the
-// fault-injection ops whether or not the trigger is armed.
-func (f *FlightRecorder) TriggerFaultWindow() { f.watchFaults = true }
-
-// noteFaultWindow records a fault activation interval [from, to). Abutting
-// or overlapping windows merge so the list stays bounded by the number of
-// disjoint fault episodes.
-func (f *FlightRecorder) noteFaultWindow(from, to sim.Time) {
-	if to < from {
-		from, to = to, from
-	}
-	if n := len(f.faultWindows); n > 0 && from <= f.faultWindows[n-1].To {
-		if to > f.faultWindows[n-1].To {
-			f.faultWindows[n-1].To = to
-		}
-		return
-	}
-	f.faultWindows = append(f.faultWindows, faultWindow{From: from, To: to})
-}
-
-// triggered classifies a *completed, in-order* journey against the armed
-// operator triggers. Precedence: latency, fault window, VNI watch.
-func (f *FlightRecorder) triggered(j *Journey, now sim.Time) (JourneyReason, bool) {
-	if f.latencyOver > 0 && now.Sub(j.T0) >= f.latencyOver {
-		return JourneyLatencyTrigger, true
-	}
-	if f.watchFaults {
-		for i := range f.faultWindows {
-			w := &f.faultWindows[i]
-			if j.T0 < w.To && now >= w.From {
-				return JourneyFaultWindow, true
-			}
-		}
-	}
-	for _, v := range f.vniWatch {
-		if j.Flow.VNI == v {
-			return JourneyVNIWatch, true
-		}
-	}
-	return 0, false
-}
-
 // finish closes a journey at the end of its packet's life: drops and
-// timeout-released packets commit into the ring (built-in reasons take
-// precedence), then the operator triggers get a look; everything else
-// recycles silently.
+// timeout-released packets commit into the ring; everything else recycles
+// silently.
 func (f *FlightRecorder) finish(j *Journey, now sim.Time) {
 	j.End = now
 	switch {
@@ -308,13 +223,7 @@ func (f *FlightRecorder) finish(j *Journey, now sim.Time) {
 		f.Timeouts++
 		f.commit(j)
 	default:
-		if reason, ok := f.triggered(j, now); ok {
-			j.Reason = reason
-			f.Triggered++
-			f.commit(j)
-		} else {
-			f.Discarded++
-		}
+		f.Discarded++
 	}
 	*j = Journey{}
 	f.pool = append(f.pool, j)
@@ -335,8 +244,8 @@ func (f *FlightRecorder) commit(j *Journey) {
 }
 
 // Journeys returns the retained journeys, oldest first. The ring bounds
-// retention to traceRing; Drops + Timeouts + Triggered counts everything
-// ever recorded.
+// retention to traceRing; Drops + Timeouts counts everything ever
+// recorded.
 func (f *FlightRecorder) Journeys() []Journey {
 	out := make([]Journey, 0, len(f.ring))
 	out = append(out, f.ring[f.next:]...)

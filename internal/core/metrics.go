@@ -21,9 +21,6 @@ func (n *Node) RegisterMetrics(reg *metrics.Registry, base ...metrics.Label) {
 	reg.Counter("albatross_node_blackholed_packets_total",
 		"Packets lost at the ToR while the uplink was down.",
 		func() uint64 { return n.Blackholed }, base...)
-	reg.Counter("albatross_node_proxied_packets_total",
-		"Packets carried by the sibling proxy path during an uplink outage.",
-		func() uint64 { return n.Proxied }, base...)
 	if n.backend != nil {
 		var beSc, sc labelScratch
 		be := beSc.with(base, "backend", n.backend.Name())

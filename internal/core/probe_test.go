@@ -110,7 +110,7 @@ func TestProbeDroppedWhereDataDies(t *testing.T) {
 		n := smallNode(t, nil)
 		wf, sf := wflows(100, 1)
 		pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-		n.EnableUplink(true)
+		n.EnableUplink()
 		if err := n.InjectBGPFlap(500 * sim.Millisecond); err != nil {
 			t.Fatal(err)
 		}

@@ -61,7 +61,7 @@ func docSections(doc string) []*docSection {
 }
 
 // holderRef matches a backquoted Example or Benchmark name, optionally
-// package-qualified: `nicsim.ExampleLatencyModel`, `BenchmarkMetaHeadInsert`.
+// package-qualified: `nicsim.ExampleLatencyModel`, `BenchmarkMetaPlacement`.
 var holderRef = regexp.MustCompile("`((?:[a-z0-9]+\\.)?(?:Example|Benchmark)\\w*)`")
 
 // testFuncs returns every Example and Benchmark function the module's

@@ -53,9 +53,10 @@ const (
 	// reorder FIFO entries behind — a realistic HOL source.
 	KindRxLoss
 	// KindBGPFlap takes the node's BGP uplink down for Duration. BFD
-	// detects after three missed probes; traffic is blackholed during
-	// detection, then rides the proxy re-advertisement until the session
-	// re-establishes.
+	// detects after three missed probes and withdraws the route; arrivals
+	// are blackholed during detection, and after withdrawal the cluster's
+	// ECMP sends new flows to the survivors until the route is
+	// re-advertised (a lone node blackholes until then).
 	KindBGPFlap
 	// KindNodeDrain gray-upgrades a whole node: its route is withdrawn
 	// administratively (make-before-break — the cluster re-ECMPs its flows

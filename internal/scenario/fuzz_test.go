@@ -42,12 +42,13 @@ func FuzzLoadScenario(f *testing.F) {
 	})
 }
 
-// FuzzLoadSpec throws arbitrary documents at the standalone desired-state
-// loader behind `albatross-sim reconcile -spec`. The contract under fuzz:
-// never panic, reject every malformed document with an error wrapping
-// errs.BadConfig, and round-trip every accepted spec — it passes its own
-// validation again, and rendered back to a document it loads to the same
-// spec. Seeds beyond the ones added here live in testdata/fuzz/FuzzLoadSpec.
+// FuzzLoadSpec throws arbitrary documents at the desired-state decoder, each
+// loaded as the spec: block of a minimal scenario (specScenario). The
+// contract under fuzz: never panic, reject every malformed block with an
+// error wrapping errs.BadConfig, and round-trip every accepted spec — it
+// passes its own validation again, and rendered back to a block it loads to
+// the same spec. Seeds beyond the ones added here live in
+// testdata/fuzz/FuzzLoadSpec; those naming a backend test its rejection.
 func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte("interval: 2ms\nsteps_per_tick: 3\nmembers:\n  - weight: 0.25\n    pods: 2\n    backend: session\n  - default\n  - admin: drained\n  - admin: removed\n"))
 	f.Add([]byte("members:\n  - default\n"))
@@ -56,22 +57,23 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte("interval: 1h\nmembers:\n  - pods: 9999999999\n"))
 	f.Add([]byte("members:\n  - admin: removed\n    backend: session\n"))
 	f.Add([]byte("members:\n  -\n"))
+	f.Add([]byte("interval: 2ms\nsteps_per_tick: 3\nmembers:\n  - weight: 0.25\n    pods: 2\n  - default\n  - admin: drained\n  - admin: removed\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := LoadSpec(data)
+		r, err := loadSpec(data)
 		if err != nil {
 			if !errors.Is(err, errs.BadConfig) {
 				t.Fatalf("rejection %v does not wrap errs.BadConfig", err)
 			}
 			return
 		}
-		if err := r.validate(0); err != nil {
+		if err := r.validate(1); err != nil {
 			t.Fatalf("accepted spec fails re-validation: %v", err)
 		}
 		doc := renderSpec(r)
-		again, err := LoadSpec([]byte(doc))
+		again, err := loadSpec([]byte(doc))
 		if err != nil {
-			t.Fatalf("accepted spec renders to a rejected document: %v\n%s", err, doc)
+			t.Fatalf("accepted spec renders to a rejected block: %v\n%s", err, doc)
 		}
 		if !reflect.DeepEqual(again, r) {
 			t.Fatalf("spec round trip: %+v, want %+v\n%s", again, r, doc)
@@ -79,8 +81,8 @@ func FuzzLoadSpec(f *testing.F) {
 	})
 }
 
-// renderSpec writes r as a standalone spec document, omitting zero fields
-// (a decoded absent key) and writing an all-zero member as "default".
+// renderSpec writes r as a spec: block's body, omitting zero fields (a
+// decoded absent key) and writing an all-zero member as "default".
 func renderSpec(r *ReconcileSpec) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "interval: %dns\nsteps_per_tick: %d\nmembers:\n", int64(r.Interval), r.StepsPerTick)
@@ -94,9 +96,6 @@ func renderSpec(r *ReconcileSpec) string {
 		}
 		if m.Admin != "" {
 			fields = append(fields, "admin: "+m.Admin)
-		}
-		if m.Backend != "" {
-			fields = append(fields, "backend: "+m.Backend)
 		}
 		if len(fields) == 0 {
 			fields = []string{"default"}

@@ -309,9 +309,9 @@ func (s *Scenario) exec(shards int, record bool, replayOf *trace.Trace) (*runSta
 
 	w := &s.Workload
 	wf := workload.GenerateFlows(w.Flows, w.Tenants, s.Seed)
-	sample := s.Observability.TraceSample
-	if sample == 0 && (s.Observability.TraceDump != "" || s.Observability.TraceLatencyOver > 0 ||
-		s.Observability.TraceVNI >= 0 || s.Observability.TraceFaultWindow) {
+	// A trace dump samples 1 in 64 packets; otherwise the pod default.
+	sample := 0
+	if s.Observability.TraceDump != "" {
 		sample = 64
 	}
 	svcFlows := workload.ServiceFlows(wf, w.ACLDenied)
@@ -331,20 +331,10 @@ func (s *Scenario) exec(shards int, record bool, replayOf *trace.Trace) (*runSta
 			return nil, err
 		}
 	}
-	for _, m := range cl.Members() {
-		for _, pr := range m.Node.Pods() {
-			if f.AutoFallback {
+	if f.AutoFallback {
+		for _, m := range cl.Members() {
+			for _, pr := range m.Node.Pods() {
 				pr.EnableAutoFallback()
-			}
-			fr := pr.Flight()
-			if s.Observability.TraceLatencyOver > 0 {
-				fr.TriggerLatencyOver(s.Observability.TraceLatencyOver)
-			}
-			if s.Observability.TraceVNI >= 0 {
-				fr.TriggerVNI(uint32(s.Observability.TraceVNI))
-			}
-			if s.Observability.TraceFaultWindow {
-				fr.TriggerFaultWindow()
 			}
 		}
 	}
@@ -508,9 +498,6 @@ func (ev Event) describe() string {
 		}
 		if e.NormAdmin() == controlplane.AdminDrained {
 			out += " drained"
-		}
-		if e.Backend != "" {
-			out += " backend=" + e.Backend
 		}
 		return out
 	}

@@ -172,15 +172,6 @@ type Event struct {
 // normally supplied as CLI overrides rather than committed in scenario
 // files.
 type Observability struct {
-	// TraceSample flight-records every Nth packet (0 = off unless a
-	// trigger below defaults it to 64).
-	TraceSample int
-	// TraceLatencyOver commits journeys slower than this end to end.
-	TraceLatencyOver sim.Duration
-	// TraceVNI commits journeys of one tenant (-1 = off).
-	TraceVNI int
-	// TraceFaultWindow commits journeys overlapping fault activations.
-	TraceFaultWindow bool
 	// Report appends the full cluster report to the run output.
 	Report bool
 	// MetricsOut writes PREFIX.prom and PREFIX.json metrics snapshots.
@@ -433,7 +424,6 @@ func decodeScenario(root *ynode) (*Scenario, error) {
 		Workload: Workload{
 			Tenants: 1000,
 		},
-		Observability: Observability{TraceVNI: -1},
 	}
 	d := newDec(root, "scenario")
 	d.str("name", &s.Name)
@@ -568,10 +558,6 @@ func decodeWorkload(n *ynode, w *Workload) error {
 
 func decodeObservability(n *ynode, o *Observability) error {
 	d := newDec(n, "observability")
-	d.integer("trace_sample", &o.TraceSample)
-	d.dur("trace_latency_over", &o.TraceLatencyOver)
-	d.integer("trace_vni", &o.TraceVNI)
-	d.boolean("trace_fault_window", &o.TraceFaultWindow)
 	d.boolean("report", &o.Report)
 	d.str("metrics_out", &o.MetricsOut)
 	d.str("outcome_out", &o.OutcomeOut)
@@ -640,7 +626,6 @@ func decodeEvent(n *ynode) (Event, error) {
 		d.float("weight", &ev.Entry.Weight)
 		d.integer("pods", &ev.Entry.Pods)
 		d.str("admin", &ev.Entry.Admin)
-		d.str("backend", &ev.Entry.Backend)
 	case "":
 		return Event{}, yamlErr(n.line, "event: missing \"action\"")
 	default:

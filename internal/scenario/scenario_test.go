@@ -66,11 +66,8 @@ events:
     rate: 1e5
 
 observability:
-  trace_sample: 64
-  trace_latency_over: 1ms
-  trace_vni: 3
-  trace_fault_window: true
-  report: false
+  trace_dump: journeys
+  report: true
 
 assertions:
   - type: conservation
@@ -134,7 +131,7 @@ func TestLoadFullDocument(t *testing.T) {
 		t.Errorf("event 3: %+v", ev)
 	}
 	o := s.Observability
-	if o.TraceSample != 64 || o.TraceLatencyOver != sim.Millisecond || o.TraceVNI != 3 || !o.TraceFaultWindow {
+	if o.TraceDump != "journeys" || !o.Report {
 		t.Errorf("observability: %+v", o)
 	}
 	if len(s.Assertions) != 7 {
@@ -200,10 +197,10 @@ func TestLoadRejects(t *testing.T) {
 	}
 }
 
-// TestUnknownBackendRejected: every way a backend name gets in — fleet.backend,
-// the run command's -backend override, a spec member, a spec_update entry —
-// goes through one check and fails validation with ErrBadConfig, before a
-// run can retry a bad reconcile step every tick.
+// TestUnknownBackendRejected: both ways a backend name gets in —
+// fleet.backend and the run command's -backend override — go through one
+// check and fail validation with ErrBadConfig; a spec member or spec_update
+// entry naming a backend fails to load, as an unknown key.
 func TestUnknownBackendRejected(t *testing.T) {
 	valid := "name: x\nduration: 10ms\nworkload:\n  flows: 10\n  rate: 1e5\n"
 	load := func(doc string) func() error {
@@ -212,11 +209,13 @@ func TestUnknownBackendRejected(t *testing.T) {
 			return err
 		}
 	}
+	unknown := `unknown flow-table backend "bogus" (want session)`
 	cases := []struct {
 		name     string
 		validate func() error
+		want     string
 	}{
-		{"fleet.backend", load(valid + "fleet:\n  backend: bogus\n")},
+		{"fleet.backend", load(valid + "fleet:\n  backend: bogus\n"), unknown},
 		{"-backend override", func() error {
 			s, err := Load([]byte(valid))
 			if err != nil {
@@ -224,10 +223,11 @@ func TestUnknownBackendRejected(t *testing.T) {
 			}
 			bogus := "bogus"
 			return s.Apply(Overrides{Backend: &bogus}).Validate()
-		}},
-		{"spec member", load(valid + "spec:\n  members:\n    - backend: bogus\n")},
+		}, unknown},
+		// The backend is a fleet setting: the desired state has no key for it.
+		{"spec member", load(valid + "spec:\n  members:\n    - backend: bogus\n"), `unknown key "backend"`},
 		{"spec_update", load(valid + "spec:\n  members:\n    - default\n" +
-			"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: bogus\n")},
+			"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: bogus\n"), `unknown key "backend"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,16 +235,17 @@ func TestUnknownBackendRejected(t *testing.T) {
 			if !errors.Is(err, errs.BadConfig) {
 				t.Fatalf("error does not wrap ErrBadConfig: %v", err)
 			}
-			if want := `unknown flow-table backend "bogus" (want session)`; !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not contain %q", err, want)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}
 }
 
 // TestOthelloSpellingReadsAsSession: fleet.backend in a scenario file is the
-// one place "othello" is still read, as "session"; the -backend override, a
-// spec member and a spec_update entry reject it like any unknown name.
+// one place "othello" is still read, as "session"; the -backend override
+// rejects it like any unknown name, and a spec member or spec_update entry
+// has no backend key at all.
 func TestOthelloSpellingReadsAsSession(t *testing.T) {
 	valid := "name: x\nduration: 10ms\nworkload:\n  flows: 10\n  rate: 1e5\n"
 	s, err := Load([]byte(valid + "fleet:\n  backend: othello\n"))
@@ -255,23 +256,24 @@ func TestOthelloSpellingReadsAsSession(t *testing.T) {
 		t.Fatalf("fleet.backend: othello loaded as %q, want session", s.Fleet.Backend)
 	}
 
+	load := func(doc string) func() error {
+		return func() error {
+			_, err := Load([]byte(valid + doc))
+			return err
+		}
+	}
 	rejected := []struct {
 		name     string
 		validate func() error
+		want     string
 	}{
 		{"-backend override", func() error {
 			othello := "othello"
 			return s.Apply(Overrides{Backend: &othello}).Validate()
-		}},
-		{"spec_update", func() error {
-			_, err := Load([]byte(valid + "spec:\n  members:\n    - default\n" +
-				"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: othello\n"))
-			return err
-		}},
-		{"spec member", func() error {
-			_, err := LoadSpec([]byte("members:\n  - backend: othello\n"))
-			return err
-		}},
+		}, `unknown flow-table backend "othello" (want session)`},
+		{"spec_update", load("spec:\n  members:\n    - default\n" +
+			"events:\n  - at: 1ms\n    action: spec_update\n    member: 0\n    backend: othello\n"), `unknown key "backend"`},
+		{"spec member", load("spec:\n  members:\n    - backend: othello\n"), `unknown key "backend"`},
 	}
 	for _, tc := range rejected {
 		t.Run(tc.name, func(t *testing.T) {
@@ -279,8 +281,8 @@ func TestOthelloSpellingReadsAsSession(t *testing.T) {
 			if !errors.Is(err, errs.BadConfig) {
 				t.Fatalf("error does not wrap ErrBadConfig: %v", err)
 			}
-			if want := `unknown flow-table backend "othello" (want session)`; !strings.Contains(err.Error(), want) {
-				t.Errorf("error %q does not contain %q", err, want)
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not contain %q", err, tc.want)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 
 	"albatross/internal/controlplane"
 	"albatross/internal/errs"
@@ -11,9 +10,7 @@ import (
 
 // ReconcileSpec is a scenario's desired-state block: the ClusterSpec the
 // control-plane reconciler drives the fleet toward, plus the reconcile
-// loop's tuning. In a scenario file it is the top-level `spec:` mapping;
-// it also loads standalone via LoadSpec / LoadSpecFile for programmatic
-// use and for `albatross-sim reconcile -spec`.
+// loop's tuning: a scenario file's top-level `spec:` mapping.
 type ReconcileSpec struct {
 	// Interval is the reconcile tick period (0 = 5ms).
 	Interval sim.Duration
@@ -35,47 +32,7 @@ func (r *ReconcileSpec) Config() controlplane.Config {
 	return controlplane.Config{Interval: r.Interval, StepsPerTick: r.StepsPerTick}
 }
 
-// LoadSpecFile loads, decodes, and validates a standalone desired-state
-// document.
-func LoadSpecFile(path string) (*ReconcileSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
-	}
-	return LoadSpec(data)
-}
-
-// LoadSpec decodes and validates a standalone desired-state document —
-// the same strict YAML dialect as scenario files, holding just the
-// `spec:` block's keys at top level:
-//
-//	interval: 5ms
-//	steps_per_tick: 1
-//	members:
-//	  - weight: 1.0
-//	    pods: 2
-//	  - admin: drained
-//	  - default
-//
-// Unknown keys, malformed values, and semantic violations are errors
-// wrapping errs.BadConfig, with source line numbers.
-func LoadSpec(data []byte) (*ReconcileSpec, error) {
-	root, err := parseYAML(data)
-	if err != nil {
-		return nil, err
-	}
-	r, err := decodeSpecBlock(root, "spec")
-	if err != nil {
-		return nil, err
-	}
-	if err := r.validate(0); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// decodeSpecBlock decodes a `spec:` mapping (or a standalone spec
-// document, which has the same shape).
+// decodeSpecBlock decodes a `spec:` mapping.
 func decodeSpecBlock(n *ynode, section string) (*ReconcileSpec, error) {
 	r := &ReconcileSpec{}
 	d := newDec(n, section)
@@ -117,12 +74,11 @@ func decodeMemberSpec(n *ynode, section string) (controlplane.MemberSpec, error)
 	d.float("weight", &m.Weight)
 	d.integer("pods", &m.Pods)
 	d.str("admin", &m.Admin)
-	d.str("backend", &m.Backend)
 	return m, d.finish()
 }
 
 // validate applies the control plane's own spec validation plus the
-// scenario-level fleet-coverage rule (when nodes > 0).
+// scenario-level fleet-coverage rule.
 func (r *ReconcileSpec) validate(nodes int) error {
 	if r.Interval < 0 {
 		return fmt.Errorf("spec: interval must be >= 0: %w", errs.BadConfig)
@@ -133,7 +89,7 @@ func (r *ReconcileSpec) validate(nodes int) error {
 	if err := r.ClusterSpec().Validate(); err != nil {
 		return err
 	}
-	if nodes > 0 && len(r.Members) < nodes {
+	if len(r.Members) < nodes {
 		return fmt.Errorf("spec: %d members but fleet.nodes is %d — the spec must cover every member: %w",
 			len(r.Members), nodes, errs.BadConfig)
 	}

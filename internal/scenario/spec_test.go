@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -10,9 +11,34 @@ import (
 	"albatross/internal/sim"
 )
 
-// TestLoadSpecRoundTrip checks the standalone desired-state loader: every
-// member form (mapping, scalar default), tuning keys, and the converters
-// to the control plane's types.
+// specScenario wraps a spec: block's body in the smallest scenario that
+// loads it: the block comes first, so a line n of the body is line n+1 of
+// the document, and the fleet is one node, so any member list covers it.
+func specScenario(body []byte) []byte {
+	doc := []byte("spec:\n")
+	for _, line := range bytes.SplitAfter(body, []byte("\n")) {
+		if len(line) > 0 {
+			doc = append(append(doc, "  "...), line...)
+		}
+	}
+	if doc[len(doc)-1] != '\n' {
+		doc = append(doc, '\n')
+	}
+	return append(doc, "name: spec\nduration: 10ms\nworkload:\n  flows: 10\n  rate: 1e5\n"...)
+}
+
+// loadSpec loads body as a minimal scenario's spec: block.
+func loadSpec(body []byte) (*ReconcileSpec, error) {
+	s, err := Load(specScenario(body))
+	if err != nil {
+		return nil, err
+	}
+	return s.Spec, nil
+}
+
+// TestLoadSpecRoundTrip checks the spec: block decoder: every member form
+// (mapping, scalar default), tuning keys, and the converters to the control
+// plane's types.
 func TestLoadSpecRoundTrip(t *testing.T) {
 	doc := `
 interval: 2ms
@@ -20,12 +46,11 @@ steps_per_tick: 3
 members:
   - weight: 0.25
     pods: 2
-    backend: session
   - default
   - admin: drained
   - admin: removed
 `
-	r, err := LoadSpec([]byte(doc))
+	r, err := loadSpec([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +61,7 @@ members:
 		t.Fatalf("got %d members, want 4", len(r.Members))
 	}
 	m0 := r.Members[0]
-	if m0.Weight != 0.25 || m0.Pods != 2 || m0.Backend != "session" {
+	if m0.Weight != 0.25 || m0.Pods != 2 {
 		t.Errorf("member 0 = %+v", m0)
 	}
 	if m1 := r.Members[1]; m1 != (controlplane.MemberSpec{}) {
@@ -49,7 +74,7 @@ members:
 	if err := cs.Validate(); err != nil {
 		t.Errorf("converted ClusterSpec invalid: %v", err)
 	}
-	if got := cs.String(); got != "spec[4]{0: w=0.25 pods=2 backend=session; 1: w=1; 2: w=1 drained; 3: removed}" {
+	if got := cs.String(); got != "spec[4]{0: w=0.25 pods=2; 1: w=1; 2: w=1 drained; 3: removed}" {
 		t.Errorf("ClusterSpec.String() = %q", got)
 	}
 	cfg := r.Config()
@@ -58,16 +83,16 @@ members:
 	}
 }
 
-// TestLoadSpecRejects pins the loader's strictness: every malformed
-// document fails with an error wrapping errs.BadConfig that names the
-// offending line.
+// TestLoadSpecRejects pins the spec: block's strictness: every malformed
+// block fails with an error wrapping errs.BadConfig that names the offending
+// line of the scenario.
 func TestLoadSpecRejects(t *testing.T) {
 	cases := []struct {
 		name, doc, wantSub string
 	}{
 		{"empty members", "interval: 1ms\n", `needs a non-empty "members"`},
-		{"unknown key", "members:\n  - default\nstepz: 1\n", "line 3"},
-		{"unknown member key", "members:\n  - wieght: 2\n", "line 2"},
+		{"unknown key", "members:\n  - default\nstepz: 1\n", "line 4"},
+		{"unknown member key", "members:\n  - wieght: 2\n", "line 3"},
 		{"scalar member", "members:\n  - fast\n", `the scalar "default"`},
 		{"negative weight", "members:\n  - weight: -1\n", "weight"},
 		{"negative interval", "interval: -1ms\nmembers:\n  - default\n", "interval"},
@@ -75,9 +100,9 @@ func TestLoadSpecRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LoadSpec([]byte(tc.doc))
+			_, err := loadSpec([]byte(tc.doc))
 			if err == nil {
-				t.Fatalf("LoadSpec accepted %q", tc.doc)
+				t.Fatalf("spec block %q loaded", tc.doc)
 			}
 			if !errors.Is(err, errs.BadConfig) {
 				t.Errorf("error does not wrap BadConfig: %v", err)

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -258,5 +260,58 @@ func TestUnknownSeriesFailsDeterministically(t *testing.T) {
 	if !strings.Contains(res.Checks[0].Detail, `unknown series "nope"`) ||
 		!strings.Contains(res.Checks[0].Detail, "availability") {
 		t.Fatalf("detail not helpful: %s", res.Checks[0].Detail)
+	}
+}
+
+// TestTraceDumpSamplesOneIn64: a run that dumps journeys flight-records
+// every 64th packet a pod receives, one that does not every 1024th, and the
+// dump holds the journeys the recorders committed (here ACL drops).
+func TestTraceDumpSamplesOneIn64(t *testing.T) {
+	doc := "name: dump\nduration: 20ms\nworkload:\n  flows: 500\n  rate: 1e6\n  acl_denied: 0.2\n"
+	flight := func(dump string) (rx, sampled uint64) {
+		s, err := Load([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Observability.TraceDump = dump
+		s.Observability.OutcomeOut = filepath.Join(t.TempDir(), "outcome.txt")
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(s.Observability.OutcomeOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if v, ok := strings.CutPrefix(line, "node0/traffic | "); ok {
+				if _, err := fmt.Sscanf(v, "ecmp-rx=%d rx=%d", new(uint64), &rx); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+			}
+			if v, ok := strings.CutPrefix(line, "node0/flight | "); ok {
+				if _, err := fmt.Sscanf(v, "sampled=%d", &sampled); err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+			}
+		}
+		return rx, sampled
+	}
+	if rx, sampled := flight(""); rx == 0 || sampled != rx/1024 {
+		t.Fatalf("without a dump: %d of %d packets sampled, want 1 in 1024", sampled, rx)
+	}
+	prefix := filepath.Join(t.TempDir(), "gw")
+	if rx, sampled := flight(prefix); rx == 0 || sampled != rx/64 {
+		t.Fatalf("with a dump: %d of %d packets sampled, want 1 in 64", sampled, rx)
+	}
+	data, err := os.ReadFile(prefix + ".journeys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var js []struct{ Reason string }
+	if err := json.Unmarshal(data, &js); err != nil {
+		t.Fatal(err)
+	}
+	if len(js) == 0 || js[0].Reason != "dropped" {
+		t.Fatalf("dump holds %d journeys (first %+v), want the committed drops", len(js), js)
 	}
 }

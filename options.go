@@ -129,8 +129,8 @@ func WithBurst(n int) Option {
 // Reconciler is built from spec.ClusterSpec() and spec.Config(), armed on
 // the cluster engine, and registered as the cluster's controller —
 // retrieve it with Cluster.Controller().(*Reconciler). The spec must
-// cover every member of the initial fleet (WithNodes). Load a spec from
-// YAML with LoadSpec / LoadSpecFile, or fill a ReconcileSpec directly.
+// cover every member of the initial fleet (WithNodes). A scenario file's
+// spec: block loads as Scenario.Spec; or fill a ReconcileSpec directly.
 func WithSpec(spec *ReconcileSpec) Option {
 	return func(c *Config) { c.Spec = spec }
 }

@@ -41,7 +41,7 @@ func TestFullSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer podLn.Close()
-	go proxy.Serve(podLn)
+	go proxy.Serve(podLn, nil)
 
 	newPodSpeaker := func(id uint32) *BGPSpeaker {
 		conn, err := net.Dial("tcp", podLn.Addr().String())

@@ -86,8 +86,6 @@ type (
 	// PipelineStage is one per-stage conservation counter of a pod's staged
 	// ingress chain (PodRuntime.Stages).
 	PipelineStage = stats.StageCounter
-	// ProbeResult is a telemetry probe's per-stage latency breakdown.
-	ProbeResult = core.ProbeResult
 	// PodSpec names a pod and sizes its cores.
 	PodSpec = pod.Spec
 	// ServerConfig describes the server hardware.

@@ -34,15 +34,15 @@ func addFacadePod(t *testing.T, n *albatross.Node, name string, cores int) *alba
 // TestSentinelErrors pins the error contract: every failure path through
 // the facade classifies with errors.Is against the exported sentinels.
 func TestSentinelErrors(t *testing.T) {
-	// ErrBadConfig: an invalid fault plan is rejected at New.
+	// ErrBadConfig: an invalid fault plan is rejected at NewCluster.
 	bad := &albatross.FaultPlan{Faults: []albatross.FaultSpec{{Kind: albatross.FaultRxLoss, Factor: 5.0, Duration: albatross.Millisecond}}}
-	if _, err := albatross.New(albatross.WithFaultPlan(bad)); !errors.Is(err, albatross.ErrBadConfig) {
-		t.Fatalf("New(bad fault plan) = %v, want ErrBadConfig", err)
+	if _, err := albatross.NewCluster(albatross.WithFaultPlan(bad)); !errors.Is(err, albatross.ErrBadConfig) {
+		t.Fatalf("NewCluster(bad fault plan) = %v, want ErrBadConfig", err)
 	}
-	// ErrBadConfig: a node-level fault needs a cluster.
+	// ErrBadConfig: a fault plan is armed by NewCluster, never by New.
 	crash := (&albatross.FaultPlan{}).NodeCrash(albatross.Millisecond, 0, 0)
 	if _, err := albatross.New(albatross.WithFaultPlan(crash)); !errors.Is(err, albatross.ErrBadConfig) {
-		t.Fatalf("New(node-crash plan) = %v, want ErrBadConfig", err)
+		t.Fatalf("New(fault plan) = %v, want ErrBadConfig", err)
 	}
 	// ErrBadConfig: an invalid pod spec is rejected at AddPod.
 	n := newFacadeNode(t, albatross.WithSeed(1))
@@ -59,30 +59,12 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("AddPod(100k cores) = %v, want ErrPodExhausted", err)
 	}
 	// ErrBadState: crashing a pod that is not active.
-	p := addFacadePod(t, n, "gw0", 2)
+	addFacadePod(t, n, "gw0", 2)
 	if err := n.InjectPodCrash(0, false, 10*albatross.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.InjectPodCrash(0, false, 0); !errors.Is(err, albatross.ErrBadState) {
 		t.Fatalf("double crash = %v, want ErrBadState", err)
-	}
-	n.RunFor(20 * albatross.Millisecond) // restart
-
-	// ErrClosed: Stop and Close are terminal.
-	if err := p.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Stop(); !errors.Is(err, albatross.ErrClosed) {
-		t.Fatalf("second Stop = %v, want ErrClosed", err)
-	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Close(); !errors.Is(err, albatross.ErrClosed) {
-		t.Fatalf("second Close = %v, want ErrClosed", err)
-	}
-	if _, err := n.AddPod(albatross.PodConfig{}); !errors.Is(err, albatross.ErrClosed) {
-		t.Fatalf("AddPod after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -93,8 +75,8 @@ func TestConstructorsDoNotPanic(t *testing.T) {
 		name string
 		fn   func() error
 	}{
-		{"New with bad fault plan", func() error {
-			_, err := albatross.New(albatross.WithFaultPlan(
+		{"NewCluster with bad fault plan", func() error {
+			_, err := albatross.NewCluster(albatross.WithFaultPlan(
 				&albatross.FaultPlan{Faults: []albatross.FaultSpec{{Kind: albatross.FaultKind(200)}}}))
 			return err
 		}},
@@ -131,7 +113,6 @@ func TestAliasesResolve(t *testing.T) {
 		_ albatross.NodeConfig
 		_ albatross.PodConfig
 		_ albatross.PodRuntime
-		_ albatross.ProbeResult
 		_ albatross.PodSpec
 		_ albatross.ServerConfig
 		_ albatross.ServiceType
@@ -188,7 +169,7 @@ func TestAliasesResolve(t *testing.T) {
 	}
 	// Sentinels are distinct errors.
 	sentinels := []error{albatross.ErrBadConfig, albatross.ErrPodExhausted,
-		albatross.ErrClosed, albatross.ErrBadState}
+		albatross.ErrBadState}
 	for i, a := range sentinels {
 		for j, b := range sentinels {
 			if i != j && errors.Is(a, b) {
@@ -240,19 +221,29 @@ func TestFacadeFaultPlan(t *testing.T) {
 	plan := (&albatross.FaultPlan{}).CoreFail(5*albatross.Millisecond, 0, 1, 5*albatross.Millisecond)
 	plan.Faults = append(plan.Faults, albatross.FaultSpec{Kind: albatross.FaultReorderStress,
 		At: 15 * albatross.Millisecond, Duration: 2 * albatross.Millisecond, HoldHeads: true})
-	n := newFacadeNode(t, albatross.WithSeed(2), albatross.WithFaultPlan(plan))
-	p := addFacadePod(t, n, "gw0", 4)
-	flows := albatross.GenerateFlows(500, 10, 2)
-	src := &albatross.Source{Flows: flows, Rate: albatross.ConstantRate(5e5),
-		Seed: 3, Sink: p.Sink()}
-	if err := src.Start(n.Engine); err != nil {
+	cl, err := albatross.NewCluster(albatross.WithNodes(1), albatross.WithSeed(2), albatross.WithFaultPlan(plan))
+	if err != nil {
 		t.Fatal(err)
 	}
-	n.RunFor(30 * albatross.Millisecond)
+	if err := cl.AddPod(albatross.PodConfig{
+		Spec: albatross.PodSpec{Name: "gw0", Service: albatross.VPCVPC,
+			DataCores: 4, CtrlCores: 1},
+		Flows: albatross.ServiceFlows(albatross.GenerateFlows(100, 10, 1), 0),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p := cl.Members()[0].Node.Pods()[0]
+	flows := albatross.GenerateFlows(500, 10, 2)
+	src := &albatross.Source{Flows: flows, Rate: albatross.ConstantRate(5e5),
+		Seed: 3, Sink: cl.Sink()}
+	if err := src.Start(cl.Engine); err != nil {
+		t.Fatal(err)
+	}
+	cl.RunFor(30 * albatross.Millisecond)
 	src.Stop()
-	n.RunFor(albatross.Millisecond)
+	cl.RunFor(albatross.Millisecond)
 
-	log := n.FaultLog()
+	log := cl.FaultLog()
 	if len(log) != 2 {
 		t.Fatalf("fault log has %d events, want 2", len(log))
 	}

@@ -82,3 +82,47 @@ func TestRunCPUProfile(t *testing.T) {
 		t.Errorf("profile not written: %v", err)
 	}
 }
+
+// Each artifact flag writes one file in one format: -metrics-out P writes
+// P.prom, -series-out S writes S.csv, -record R writes the trace R with its
+// header embedded, and -outcome-out O writes O. The trace alone replays the
+// run: the replayed outcome is the recorded run's, byte for byte.
+func TestRunWritesOneFilePerArtifact(t *testing.T) {
+	drill := "../../scenarios/convergence-drill.yaml"
+	dir := t.TempDir()
+	at := func(name string) string { return filepath.Join(dir, name) }
+	var stdout, stderr bytes.Buffer
+	args := []string{"run", "-metrics-out", at("P"), "-series-out", at("S"),
+		"-record", at("R"), "-outcome-out", at("O"), drill}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("recorded run: exit %d: %s", code, &stderr)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), "O P.prom R S.csv"; got != want {
+		t.Fatalf("run wrote %q, want %q", got, want)
+	}
+
+	stdout.Reset()
+	args = []string{"run", "-replay", at("R"), "-outcome-out", at("replayed"), drill}
+	if code := realMain(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("replay of the recorded trace: exit %d: %s", code, &stderr)
+	}
+	recorded, err := os.ReadFile(at("O"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := os.ReadFile(at("replayed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(recorded, replayed) {
+		t.Fatalf("replayed outcome differs from the recorded run's:\n--- recorded\n%s\n--- replayed\n%s", recorded, replayed)
+	}
+}

@@ -86,7 +86,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		dump     = fs.String("trace-dump", "", "override observability.trace_dump")
 		replay   = fs.String("replay", "", "override workload.replay (trace file to replay)")
 		snapshot = fs.Duration("snapshot-every", 0, "override observability.snapshot_every (timeline sampling period)")
-		series   = fs.String("series-out", "", "override observability.series_out (write timeline to PREFIX.csv and PREFIX.json)")
+		series   = fs.String("series-out", "", "override observability.series_out (write timeline to PREFIX.csv)")
 		cpuProf  = fs.String("cpuprofile", "", "not an override: write a CPU profile of the run to this file (go tool pprof)")
 	)
 	if err := fs.Parse(args); err != nil {

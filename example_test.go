@@ -138,34 +138,36 @@ func ExampleNew_heavyHitter() {
 	// Output: rss loses >10%: true, plb loses <0.1%: true
 }
 
-// ExampleWithFaultPlan mirrors examples/faultdrill: a scheduled core
-// failure is absorbed by spray-mask eviction with bounded loss.
+// ExampleWithFaultPlan mirrors examples/faultdrill: on a one-member
+// cluster, a scheduled core failure is absorbed by spray-mask eviction with
+// bounded loss.
 func ExampleWithFaultPlan() {
 	plan := (&albatross.FaultPlan{}).
 		CoreFail(5*albatross.Millisecond, 0, 1, 5*albatross.Millisecond)
-	node, err := albatross.New(albatross.WithSeed(7), albatross.WithFaultPlan(plan))
+	cl, err := albatross.NewCluster(albatross.WithNodes(1), albatross.WithSeed(7),
+		albatross.WithFaultPlan(plan))
 	if err != nil {
 		panic(err)
 	}
 	flows := albatross.GenerateFlows(1000, 10, 7)
-	pod, err := node.AddPod(albatross.PodConfig{
+	if err := cl.AddPod(albatross.PodConfig{
 		Spec: albatross.PodSpec{Name: "gw0", Service: albatross.VPCVPC,
 			DataCores: 4, CtrlCores: 1, Mode: albatross.ModePLB},
 		Flows: albatross.ServiceFlows(flows, 0),
-	})
-	if err != nil {
+	}); err != nil {
 		panic(err)
 	}
 	src := &albatross.Source{Flows: flows, Rate: albatross.ConstantRate(1e6),
-		Seed: 8, Sink: pod.Sink()}
-	if err := src.Start(node.Engine); err != nil {
+		Seed: 8, Sink: cl.Sink()}
+	if err := src.Start(cl.Engine); err != nil {
 		panic(err)
 	}
-	node.RunFor(20 * albatross.Millisecond)
+	cl.RunFor(20 * albatross.Millisecond)
 	src.Stop()
-	node.RunFor(albatross.Millisecond)
+	cl.RunFor(albatross.Millisecond)
 
-	fmt.Printf("faults fired: %d\n", len(node.FaultLog()))
+	pod := cl.Members()[0].Node.Pods()[0]
+	fmt.Printf("faults fired: %d\n", len(cl.FaultLog()))
 	fmt.Printf("loss bounded: %v, core restored: %v\n",
 		pod.FaultLost <= 1025, pod.PLB.CoreUp(1))
 	// Output:
@@ -244,62 +246,4 @@ func ExampleNode_EnableUplink() {
 	fmt.Printf("flaps=%d detections=%d recoveries=%d absorbed=%d downtime=%v route-up=%v\n",
 		st.Flaps, st.Detections, st.Recoveries, st.Absorbed, st.DownTime, node.Uplink().RouteUp())
 	// Output: flaps=2 detections=1 recoveries=1 absorbed=1 downtime=1.45s route-up=true
-}
-
-// ExamplePodRuntime_InjectProbe mirrors examples/telemetry: Zoonet-style
-// probes decompose a packet's latency by pipeline stage.
-func ExamplePodRuntime_InjectProbe() {
-	node, err := albatross.New(albatross.WithSeed(11))
-	if err != nil {
-		panic(err)
-	}
-	flows := albatross.GenerateFlows(1000, 10, 11)
-	pod, err := node.AddPod(albatross.PodConfig{
-		Spec: albatross.PodSpec{Name: "gw0", Service: albatross.VPCVPC,
-			DataCores: 2, CtrlCores: 1},
-		Flows: albatross.ServiceFlows(flows, 0),
-	})
-	if err != nil {
-		panic(err)
-	}
-	probes := 0
-	pod.InjectProbe(flows[0], func(r albatross.ProbeResult) {
-		if !r.Dropped && r.Total > 0 && r.Total == r.NICIngress+r.QueueWait+r.Service+r.NICEgress {
-			probes++
-		}
-	})
-	node.RunFor(albatross.Millisecond)
-	fmt.Printf("probes with consistent stage breakdown: %d\n", probes)
-	// Output: probes with consistent stage breakdown: 1
-}
-
-// ExampleNode_Close shows the lifecycle contract: Stop drains a pod and
-// frees its capacity for reuse; Close stops everything.
-func ExampleNode_Close() {
-	node, err := albatross.New(albatross.WithSeed(1))
-	if err != nil {
-		panic(err)
-	}
-	flows := albatross.GenerateFlows(100, 10, 1)
-	add := func(name string) *albatross.PodRuntime {
-		p, err := node.AddPod(albatross.PodConfig{
-			Spec: albatross.PodSpec{Name: name, Service: albatross.VPCVPC,
-				DataCores: 2, CtrlCores: 1},
-			Flows: albatross.ServiceFlows(flows, 0),
-		})
-		if err != nil {
-			panic(err)
-		}
-		return p
-	}
-	gw0 := add("gw0")
-	if err := gw0.Stop(); err != nil { // drain, then release cores and queues
-		panic(err)
-	}
-	gw1 := add("gw1") // reuses the freed capacity
-	if err := node.Close(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("gw0=%s gw1=%s\n", gw0.State(), gw1.State())
-	// Output: gw0=stopped gw1=stopped
 }

@@ -91,8 +91,4 @@ func main() {
 		log.Fatalf("expected one gray restart per node, got %d", restarts)
 	}
 	fmt.Println("zero-loss rolling upgrade: OK (all 3 nodes upgraded, every sprayed packet emitted)")
-
-	if err := cl.Close(); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -1,9 +1,10 @@
-// Fault drill: a scripted gameday against one gateway node. A deterministic
-// FaultPlan stalls and then kills a CPU core, crashes the primary pod, and
-// flaps the BGP uplink — while the degradation machinery (PLB spray-mask
-// eviction, sibling redirection, BFD detection and route withdrawal) keeps
-// the damage bounded. Because faults fire on virtual time from seeded
-// generators, every run of this drill prints exactly the same numbers.
+// Fault drill: a scripted gameday against a one-member cluster. A
+// deterministic FaultPlan stalls and then kills a CPU core, crashes the
+// primary pod, and flaps the member's BGP uplink — while the degradation
+// machinery (PLB spray-mask eviction, sibling redirection, BFD detection
+// and route withdrawal) keeps the damage bounded. Because faults fire on
+// virtual time from seeded generators, every run of this drill prints
+// exactly the same numbers.
 package main
 
 import (
@@ -23,50 +24,51 @@ func main() {
 		PodCrash(60*albatross.Millisecond, 0, 20*albatross.Millisecond).
 		BGPFlap(120*albatross.Millisecond, 400*albatross.Millisecond)
 
-	node, err := albatross.New(
+	cl, err := albatross.NewCluster(
+		albatross.WithNodes(1),
 		albatross.WithSeed(7),
 		albatross.WithFaultPlan(plan),
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// BFD-guarded uplink, its probe grid running from t=0. A lone node has
-	// no survivor to take its traffic: from the flap until the route is
-	// re-advertised (BFD detection, the outage, 1s of re-establishment)
-	// every packet is blackholed.
-	node.EnableUplink()
+	// The member's uplink is BFD-guarded, its probe grid running from t=0.
+	// A one-member cluster has no survivor to take its traffic: from BFD
+	// detection until the route is re-advertised (the outage, then 1s of
+	// re-establishment) the switch has no next hop and drops every packet;
+	// before detection the member blackholes what the switch still sends.
+	node := cl.Members()[0].Node
 
 	flows := albatross.GenerateFlows(5000, 500, 7)
 	sf := albatross.ServiceFlows(flows, 0)
-	addPod := func(name string) *albatross.PodRuntime {
-		p, err := node.AddPod(albatross.PodConfig{
+	for _, name := range []string{"gw0", "gw1"} {
+		if err := cl.AddPod(albatross.PodConfig{
 			Spec: albatross.PodSpec{Name: name, Service: albatross.VPCVPC,
 				DataCores: 4, CtrlCores: 1, Mode: albatross.ModePLB},
 			Flows: sf,
-		})
-		if err != nil {
+		}); err != nil {
 			log.Fatal(err)
 		}
-		return p
 	}
-	primary := addPod("gw0")
-	sibling := addPod("gw1") // absorbs redirected tenants during the crash
+	// gw0 takes the member's ingress; gw1 absorbs redirected tenants
+	// during the crash.
+	primary, sibling := node.Pods()[0], node.Pods()[1]
 
 	src := &albatross.Source{
 		Flows: flows,
 		Rate:  albatross.ConstantRate(1e6),
 		Seed:  8,
-		Sink:  primary.Sink(),
+		Sink:  cl.Sink(),
 	}
-	if err := src.Start(node.Engine); err != nil {
+	if err := src.Start(cl.Engine); err != nil {
 		log.Fatal(err)
 	}
-	node.RunFor(2 * albatross.Second)
+	cl.RunFor(2 * albatross.Second)
 	src.Stop()
-	node.RunFor(5 * albatross.Millisecond)
+	cl.RunFor(5 * albatross.Millisecond)
 
 	fmt.Println("fault log:")
-	for _, e := range node.FaultLog() {
+	for _, e := range cl.FaultLog() {
 		fmt.Println(" ", e)
 	}
 	fmt.Printf("\nprimary: rx=%d tx=%d lost-to-faults=%d redirected=%d restarts=%d state=%s\n",
@@ -75,14 +77,7 @@ func main() {
 	s := primary.PLB.Stats()
 	fmt.Printf("plb:     timeouts=%d disorder=%.2e\n", s.TimeoutReleases, s.DisorderRate())
 	up := node.Uplink().Stats()
-	fmt.Printf("uplink:  detections=%d recoveries=%d detect-latency=%.0fms blackholed=%d downtime=%.0fms\n",
-		up.Detections, up.Recoveries, float64(up.LastDetectNS)/1e6, node.Blackholed,
-		float64(up.DownTime)/1e6)
-
-	// Clean shutdown through the lifecycle API: drain both pods, then
-	// close the node.
-	if err := node.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nafter close: primary=%s sibling=%s\n", primary.State(), sibling.State())
+	fmt.Printf("uplink:  detections=%d recoveries=%d detect-latency=%.0fms downtime=%.0fms\n",
+		up.Detections, up.Recoveries, float64(up.LastDetectNS)/1e6, float64(up.DownTime)/1e6)
+	fmt.Printf("switch:  sprayed=%d blackholed=%d switch-drops=%d\n", cl.Sprayed, cl.Blackholed(), cl.Drops)
 }

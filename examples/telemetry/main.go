@@ -1,8 +1,8 @@
-// Telemetry demo: Zoonet-style probe packets measure the per-stage latency
-// of a loaded gateway pod (NIC ingress, RX queue wait, service processing,
-// NIC egress), and the node report shows the operator's dashboard view.
-// Probes ride the RSS path, exactly like the stateful specials the paper's
-// pkt_dir keeps away from PLB (§3.2).
+// Telemetry demo: the pod pipeline measures itself. Every packet records
+// its residency in each stage, so a loaded gateway pod reports its NIC
+// ingress, CPU and NIC egress latencies (the per-module numbers of the
+// paper's Tab. 4) from the data traffic alone, and the node report shows
+// the operator's dashboard view.
 package main
 
 import (
@@ -27,67 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Probe totals across all load points, for the probe-vs-pipeline
-	// comparison at the end.
-	var probeIn, probeOut albatross.Duration
-	var probeN int
-
-	// Drive the pod at three load points and probe at each.
-	for _, load := range []float64{0.2, 0.6, 0.9} {
-		capacityMpps := 4 * 0.9 // rough per-core Mpps at this scale
-		rate := load * capacityMpps * 1e6
-		src := &albatross.Source{Flows: flows, Rate: albatross.ConstantRate(rate),
-			Seed: 12, Sink: pod.Sink()}
-		if err := src.Start(node.Engine); err != nil {
-			log.Fatal(err)
-		}
-		node.RunFor(20 * albatross.Millisecond) // warm up the queues
-
-		var agg albatross.ProbeResult
-		probes := 0
-		for i := 0; i < 20; i++ {
-			f := flows[i*7]
-			node.Engine.After(albatross.Duration(i)*100*albatross.Microsecond, func() {
-				pod.InjectProbe(f, func(r albatross.ProbeResult) {
-					if r.Dropped {
-						return
-					}
-					probes++
-					agg.NICIngress += r.NICIngress
-					agg.QueueWait += r.QueueWait
-					agg.Service += r.Service
-					agg.NICEgress += r.NICEgress
-					agg.Total += r.Total
-				})
-			})
-		}
-		node.RunFor(10 * albatross.Millisecond)
-		src.Stop()
-		node.RunFor(5 * albatross.Millisecond) // drain
-
-		if probes == 0 {
-			log.Fatal("no probes returned")
-		}
-		d := albatross.Duration(probes)
-		fmt.Printf("load %.0f%%: nic-in=%v queue=%v service=%v nic-out=%v total=%v (%d probes)\n",
-			load*100, agg.NICIngress/d, agg.QueueWait/d, agg.Service/d,
-			agg.NICEgress/d, agg.Total/d, probes)
-		probeIn += agg.NICIngress
-		probeOut += agg.NICEgress
-		probeN += probes
-	}
-
-	// The pipeline's always-on residency histograms measure the same NIC
-	// stages the probes do — from the data traffic itself, no probes needed.
-	// Probes ride the RSS class, which skips the NIC's PLB module; data
-	// packets pay it (Tab. 4: +0.05µs RX, +0.35µs TX). Adding that class
-	// delta, the two instruments must agree to within the histogram's
-	// resolution.
-	const plbDeltaRX, plbDeltaTX = 50 * albatross.Nanosecond, 350 * albatross.Nanosecond
 	resid := pod.StageResidency()
-	names := albatross.StageNames()
 	stage := func(name string) *albatross.Histogram {
-		for i, s := range names {
+		for i, s := range albatross.StageNames() {
 			if s == name {
 				return resid[i]
 			}
@@ -95,32 +37,39 @@ func main() {
 		log.Fatalf("no stage %q", name)
 		return nil
 	}
-	relErr := resid[0].RelativeError()
+	shown := []*albatross.Histogram{stage("nic-ingress"), stage("cpu"), stage("nic-egress")}
 
-	fmt.Printf("\nprobe vs pipeline histograms (probe = RSS class + PLB delta):\n")
-	fmt.Printf("  %-12s %10s %12s %12s %8s\n", "stage", "probe", "adjusted", "pipeline", "diff")
-	for _, row := range []struct {
-		name  string
-		probe albatross.Duration
-		delta albatross.Duration
-	}{
-		{"nic-ingress", probeIn / albatross.Duration(probeN), plbDeltaRX},
-		{"nic-egress", probeOut / albatross.Duration(probeN), plbDeltaTX},
-	} {
-		adjusted := float64(row.probe + row.delta)
-		pipeline := stage(row.name).Mean()
-		diff := (adjusted - pipeline) / pipeline
-		if diff < 0 {
-			diff = -diff
+	// Drive the pod at three load points. The histograms are cumulative,
+	// so each load point's mean is the difference of sums over the
+	// difference of counts.
+	for _, load := range []float64{0.2, 0.6, 0.9} {
+		var sum [3]int64
+		var count [3]uint64
+		for i, h := range shown {
+			sum[i], count[i] = h.Sum(), h.Count()
 		}
-		fmt.Printf("  %-12s %10v %12.2fµs %12.2fµs %7.2f%%\n",
-			row.name, row.probe, adjusted/1000, pipeline/1000, diff*100)
-		if diff > relErr {
-			log.Fatalf("%s: probe and pipeline disagree beyond histogram error (%.2f%% > %.2f%%)",
-				row.name, diff*100, relErr*100)
+		capacityMpps := 4 * 0.9 // rough per-core Mpps at this scale
+		rate := load * capacityMpps * 1e6
+		src := &albatross.Source{Flows: flows, Rate: albatross.ConstantRate(rate),
+			Seed: 12, Sink: pod.Sink()}
+		if err := src.Start(node.Engine); err != nil {
+			log.Fatal(err)
 		}
+		node.RunFor(30 * albatross.Millisecond)
+		src.Stop()
+		node.RunFor(5 * albatross.Millisecond) // drain
+
+		var mean [3]albatross.Duration
+		for i, h := range shown {
+			n := h.Count() - count[i]
+			if n == 0 {
+				log.Fatalf("load %.0f%%: no packet left a stage", load*100)
+			}
+			mean[i] = albatross.Duration((h.Sum() - sum[i]) / int64(n))
+		}
+		fmt.Printf("load %.0f%%: nic-in=%v cpu=%v nic-out=%v (%d packets)\n",
+			load*100, mean[0], mean[1], mean[2], shown[2].Count()-count[2])
 	}
-	fmt.Printf("  (agreement bound: histogram relative error %.2f%%)\n", relErr*100)
 
 	fmt.Println()
 	fmt.Print(node.Report())

@@ -45,9 +45,9 @@ type Config struct {
 	// Seed feeds the per-member node seeds (member i derives a distinct
 	// deterministic seed from it).
 	Seed uint64
-	// Node is the per-member template. Its Seed/Engine/Faults fields are
-	// overridden: seeds derive from Config.Seed, a member runs on its own
-	// lane's engine, and fault plans are cluster-level (Config.Faults).
+	// Node is the per-member template. Its Seed and Engine fields are
+	// overridden: seeds derive from Config.Seed, and a member runs on its
+	// own lane's engine.
 	Node core.NodeConfig
 	// Faults, when non-nil, arms a deterministic cluster-level fault plan
 	// (node- and pod-level kinds; Fault.Node selects the member).
@@ -247,7 +247,6 @@ func (c *Cluster) addMember() (*Member, error) {
 	ncfg := c.cfg.Node
 	ncfg.Seed = memberSeed(c.cfg.Seed, i)
 	ncfg.Engine = c.sharded.AddLane()
-	ncfg.Faults = nil
 	c.mail = append(c.mail, mailbox{})
 	n, err := core.NewNode(ncfg)
 	if err != nil {
@@ -771,17 +770,6 @@ func (c *Cluster) Report() string {
 		b.WriteString(m.Node.Report())
 	}
 	return b.String()
-}
-
-// Close closes every member node.
-func (c *Cluster) Close() error {
-	var errAll error
-	for _, m := range c.members {
-		if err := m.Node.Close(); err != nil {
-			errAll = err
-		}
-	}
-	return errAll
 }
 
 // RegisterMetrics registers every member node's metric series into reg,

@@ -319,9 +319,6 @@ func TestClusterErrors(t *testing.T) {
 	if err := c.InjectNodeFault(faults.KindNodeCrash, 0, sim.Second); !errors.Is(err, errs.BadState) {
 		t.Fatalf("double crash = %v, want BadState", err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // A cluster plan mixes node- and pod-level kinds, and Fault.Node selects the

@@ -107,26 +107,15 @@ func TestTimelineRecordsCrashTrajectory(t *testing.T) {
 	}
 }
 
-// TestTimelineShardCountInvariance pins the tentpole determinism claim at
-// the cluster layer: the CSV and JSON series exports are byte-identical
-// whether the run used one worker or four.
+// TestTimelineShardCountInvariance pins the determinism claim at the
+// cluster layer: the CSV series export is byte-identical whether the run
+// used one worker or four.
 func TestTimelineShardCountInvariance(t *testing.T) {
 	a := runTimeline(t, 1)
 	b := runTimeline(t, 4)
 	acsv, bcsv := a.Timeline().CSV(), b.Timeline().CSV()
 	if acsv != bcsv {
 		t.Fatalf("series CSV differs between shards=1 and shards=4:\n--- s1\n%s\n--- s4\n%s", acsv, bcsv)
-	}
-	aj, err := a.Timeline().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := b.Timeline().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(aj) != string(bj) {
-		t.Fatal("series JSON differs between shards=1 and shards=4")
 	}
 	if a.Outcome() != b.Outcome() {
 		t.Fatal("outcome (with series fingerprint) differs between shard counts")

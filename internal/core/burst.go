@@ -418,13 +418,6 @@ func (pr *PodRuntime) egressDone(ctx *pktCtx, now sim.Time) {
 	pr.countTenantTx(ctx.flow.VNI)
 	pr.Latency.Record(int64(now.Sub(ctx.t0)))
 	pr.pipe.exit(ctx, now)
-	if done := ctx.probe; done != nil {
-		r := ctx.probeResult(now)
-		ctx.probe = nil // delivered: putCtx must not report it dropped
-		pr.putCtx(ctx)
-		done(r)
-		return
-	}
 	pr.putCtx(ctx)
 }
 

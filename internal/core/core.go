@@ -17,8 +17,6 @@ import (
 	"albatross/internal/bgp"
 	"albatross/internal/cachesim"
 	"albatross/internal/cpu"
-	"albatross/internal/errs"
-	"albatross/internal/faults"
 	"albatross/internal/flowtable"
 	"albatross/internal/gop"
 	"albatross/internal/nicsim"
@@ -47,10 +45,6 @@ type NodeConfig struct {
 	Mem cachesim.MemLatency
 	// Limiter enables gateway overload protection when non-nil.
 	Limiter *gop.Config
-	// Faults, when non-nil, arms a deterministic fault-injection schedule
-	// against this node (see internal/faults). Fault times are relative to
-	// node creation.
-	Faults *faults.Plan
 	// FlowBackend selects the node-level flow-table backend steering
 	// Node.Ingress traffic across pods: "session", the per-flow session
 	// table of internal/flowtable. Empty leaves Ingress on the legacy
@@ -80,12 +74,9 @@ type Node struct {
 	// the process created, so identical configs replay identically.
 	addrs *flowtable.AddrSpace
 
-	// injector drives NodeConfig.Faults (nil when no plan was armed).
-	injector *faults.Injector
 	// uplink models the node's BGP session to the ToR switch (the BFD
 	// timing model); nil until EnableUplink or the first BGP fault.
 	uplink *bgp.SimSession
-	closed bool
 
 	// Blackholed counts packets lost at the switch while the uplink was
 	// down or its route withdrawn.
@@ -126,17 +117,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	if cfg.Limiter != nil {
 		n.Limiter, err = gop.NewLimiter(*cfg.Limiter)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Faults != nil {
-		for _, f := range cfg.Faults.Faults {
-			if f.Kind.NodeLevel() {
-				return nil, fmt.Errorf("core: %v needs a cluster: %w", f.Kind, errs.BadConfig)
-			}
-		}
-		n.injector, err = faults.NewInjector(n.Engine, n, cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +218,6 @@ type pktCtx struct {
 	viaPLB  bool
 	split   bool
 	payID   uint64
-	probe   probeFunc
 	// due is when the packet leaves the NIC egress pipeline, and next links
 	// it into its class's egress queue (see burst.go).
 	due  completion
@@ -343,8 +322,7 @@ type PodRuntime struct {
 	Restarts   uint64 // crash restarts + gray upgrades completed
 }
 
-// AddPod places and wires a gateway pod. It is usable any time before
-// Close, including after a PodRuntime.Stop has freed server capacity.
+// AddPod places and wires a gateway pod.
 func (n *Node) AddPod(cfg PodConfig) (*PodRuntime, error) {
 	return n.AddPodWithTables(cfg, nil)
 }
@@ -355,9 +333,6 @@ func (n *Node) AddPod(cfg PodConfig) (*PodRuntime, error) {
 // immutable, so sharing them across nodes and shard goroutines is safe).
 // Nil tables are built here.
 func (n *Node) AddPodWithTables(cfg PodConfig, tables *service.Tables) (*PodRuntime, error) {
-	if n.closed {
-		return nil, fmt.Errorf("core: AddPod on closed node: %w", errs.Closed)
-	}
 	p, err := n.Server.Place(cfg.Spec, n.Engine.Now())
 	if err != nil {
 		return nil, err
@@ -507,8 +482,7 @@ func (pr *PodRuntime) getCtx() *pktCtx {
 // putCtx recycles a context at the end of a packet's life. Every terminal
 // point of the packet — drops in any stage, egress completion — funnels
 // through here, so this is where a sampled journey closes (a trace that
-// never reached exit died in ctx.stage) and where a probe completes as
-// dropped (egressDone takes a delivered probe's callback first).
+// never reached exit died in ctx.stage).
 func (pr *PodRuntime) putCtx(c *pktCtx) {
 	if c.trace != nil {
 		j := c.trace
@@ -518,20 +492,14 @@ func (pr *PodRuntime) putCtx(c *pktCtx) {
 		j.ViaPLB = c.viaPLB
 		pr.flight.finish(j, pr.node.Engine.Now())
 	}
-	done := c.probe
 	pr.live--
 	*c = pktCtx{}
 	pr.ctxFree = append(pr.ctxFree, c)
-	done.dropped()
 }
 
 // Inject runs one packet through the pod's full path: the node-level gates
 // (uplink state, pod lifecycle), then the stages of pipeline.go.
-func (pr *PodRuntime) Inject(f workload.Flow, bytes int) { pr.inject(f, bytes, nil) }
-
-// inject is Inject for a data packet (probe nil) or a telemetry probe; a
-// probe refused at a gate completes as dropped there.
-func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
+func (pr *PodRuntime) Inject(f workload.Flow, bytes int) {
 	n := pr.node
 
 	// BGP uplink state: while the link is down (the switch forwards into a
@@ -540,7 +508,6 @@ func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
 	// property: in a cluster, ECMP stops choosing a withdrawn member.
 	if n.uplink != nil && (!n.uplink.LinkUp() || !n.uplink.RouteUp()) {
 		n.Blackholed++
-		probe.dropped()
 		return
 	}
 
@@ -548,11 +515,10 @@ func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
 	if pr.state != podActive {
 		if pr.redirect != nil && pr.redirect.state == podActive {
 			pr.Redirected++
-			pr.redirect.inject(f, bytes, probe)
+			pr.redirect.Inject(f, bytes)
 			return
 		}
 		pr.CrashDrops++
-		probe.dropped()
 		return
 	}
 
@@ -564,7 +530,6 @@ func (pr *PodRuntime) inject(f workload.Flow, bytes int, probe probeFunc) {
 	ctx.flow = f
 	ctx.bytes = bytes
 	ctx.t0 = now
-	ctx.probe = probe
 	if j := pr.flight.sample(); j != nil {
 		j.Flow = f
 		j.Bytes = bytes

@@ -460,15 +460,6 @@ func TestHeaderSplitSmallBufferDropsHeaders(t *testing.T) {
 	src.Stop()
 	n.RunFor(50 * sim.Millisecond)
 	checkLedger(t, pr)
-	// A drained pod stops at once: Stop never waits out its drain cap for
-	// contexts nothing will return.
-	start := n.Engine.Now()
-	if err := pr.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if took := n.Engine.Now().Sub(start); took >= stopDrainCap {
-		t.Fatalf("Stop on a drained split pod took %v, its full drain cap", took)
-	}
 }
 
 func TestFallbackToRSS(t *testing.T) {
@@ -506,100 +497,6 @@ func TestFallbackToRSS(t *testing.T) {
 	// Idempotent.
 	if pr.FallbackToRSS(); pr.Fallbacks != 1 {
 		t.Fatal("fallback not idempotent")
-	}
-}
-
-func TestInjectProbe(t *testing.T) {
-	n := smallNode(t, nil)
-	wf, sf := wflows(1000, 40)
-	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
-
-	// Background load so queue wait is nonzero sometimes.
-	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(2e6), Seed: 41, Sink: pr.Sink()}
-	src.Start(n.Engine)
-
-	var results []ProbeResult
-	for i := 0; i < 10; i++ {
-		f := wf[i]
-		at := sim.Time(i+1) * sim.Time(sim.Millisecond)
-		n.Engine.At(at, func() {
-			pr.InjectProbe(f, func(r ProbeResult) { results = append(results, r) })
-		})
-	}
-	n.RunFor(20 * sim.Millisecond)
-	src.Stop()
-	if len(results) != 10 {
-		t.Fatalf("got %d probe results", len(results))
-	}
-	nic := n.Engine
-	_ = nic
-	for i, r := range results {
-		if r.Dropped {
-			t.Fatalf("probe %d dropped", i)
-		}
-		if r.NICIngress <= 0 || r.Service <= 0 || r.NICEgress <= 0 {
-			t.Fatalf("probe %d stages: %+v", i, r)
-		}
-		if r.QueueWait < 0 {
-			t.Fatalf("probe %d negative queue wait: %+v", i, r)
-		}
-		sum := r.NICIngress + r.QueueWait + r.Service + r.NICEgress
-		if sum != r.Total {
-			t.Fatalf("probe %d stages %v != total %v", i, sum, r.Total)
-		}
-	}
-
-	// A probe queues behind the data its core already holds, however the
-	// data arrived: 200 packets injected at one instant onto a one-core RSS
-	// pod, then a probe 10 µs later.
-	for _, burst := range []int{1, 8} {
-		t.Run(fmt.Sprintf("queued-behind-burst/burst=%d", burst), func(t *testing.T) {
-			n, err := NewNode(NodeConfig{
-				Seed:  1,
-				Cache: cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
-				Burst: burst,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wf, sf := wflows(1000, 40)
-			pr := addPod(t, n, pod.ModeRSS, 1, sf, nil)
-			for i := 0; i < 200; i++ {
-				pr.Inject(wf[i], 256)
-			}
-			var got ProbeResult
-			n.Engine.At(sim.Time(10*sim.Microsecond), func() {
-				pr.InjectProbe(wf[0], func(r ProbeResult) { got = r })
-			})
-			n.RunFor(sim.Millisecond)
-			if got.QueueWait != 197883 || got.Total != 206174 {
-				t.Fatalf("probe behind 200 packets: %+v, want queue wait 197.883µs, total 206.174µs", got)
-			}
-		})
-	}
-}
-
-func TestProbeDroppedByLimiter(t *testing.T) {
-	lcfg := gop.DefaultConfig()
-	lcfg.Stage1Rate = 1 // ~everything dropped
-	lcfg.Stage2Rate = 1
-	lcfg.Burst = 1
-	lcfg.SampleOneIn = 0
-	n := smallNode(t, &lcfg)
-	wf, sf := wflows(10, 42)
-	pr := addPod(t, n, pod.ModePLB, 2, sf, nil)
-	dropped := 0
-	// Burst of probes: the first consumes the single token, the rest drop.
-	for i := 0; i < 5; i++ {
-		pr.InjectProbe(wf[0], func(r ProbeResult) {
-			if r.Dropped {
-				dropped++
-			}
-		})
-	}
-	n.RunFor(sim.Duration(sim.Millisecond))
-	if dropped == 0 {
-		t.Fatal("rate-limited probes not reported dropped")
 	}
 }
 

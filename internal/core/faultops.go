@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"albatross/internal/bgp"
@@ -13,7 +12,7 @@ import (
 
 // This file implements the node's side of the fault-injection contract
 // (faults.Target: InjectFault applies a pod-level kind through its Inject*
-// method), the graceful-degradation responses, and the pod/node lifecycle.
+// method), the graceful-degradation responses, and the pod lifecycle.
 //
 // Pod lifecycle state machine:
 //
@@ -23,27 +22,21 @@ import (
 //	    │  └───────── restart (Duration) ─────────┘
 //	    │
 //	    │     InjectPodCrash(graceful=true)
-//	    ├────────────────────────────────────▶ Draining ──▶ Active
-//	    │                                         │   (upgrade done)
-//	    └──────────────── Stop() ◀────────────────┘
-//	                        │
-//	                        ▼
-//	                     Stopped (terminal; server capacity released)
+//	    └────────────────────────────────────▶ Draining ──▶ Active
+//	                                                (upgrade done)
 //
 // While Draining or Crashed, Inject redirects the pod's tenants to a
 // sibling pod (the first other Active pod) or counts CrashDrops when none
-// exists. Stop is the operator path: it drains in virtual time, discards
-// stragglers, and frees cores/VFs/reorder queues so AddPod can reuse them.
-// Stopped is terminal — a stopped pod never processes traffic again.
+// exists. The graceful crash is the one way a pod leaves service: its
+// in-flight packets complete in virtual time, never inside an API call.
 
 // podState is a PodRuntime's lifecycle state.
 type podState uint8
 
 const (
 	podActive   podState = iota // processing traffic (zero value)
-	podDraining                 // gray upgrade or Stop: redirecting, in-flight draining
+	podDraining                 // gray upgrade: redirecting, in-flight draining
 	podCrashed                  // abrupt crash: awaiting restart
-	podStopped                  // terminal: resources released
 )
 
 func (s podState) String() string {
@@ -54,8 +47,6 @@ func (s podState) String() string {
 		return "draining"
 	case podCrashed:
 		return "crashed"
-	case podStopped:
-		return "stopped"
 	default:
 		return "invalid"
 	}
@@ -179,9 +170,6 @@ func (n *Node) InjectCoreFail(podIdx, core int, d sim.Duration) error {
 	}
 	if d > 0 {
 		n.Engine.After(d, func() {
-			if pr.state == podStopped {
-				return
-			}
 			c.Recover()
 			if pr.PLB != nil {
 				pr.PLB.RestoreCore(core)
@@ -318,15 +306,6 @@ func (n *Node) EnableUplink() *bgp.SimSession {
 // Uplink returns the node's BGP uplink model (nil until enabled).
 func (n *Node) Uplink() *bgp.SimSession { return n.uplink }
 
-// FaultLog returns the fired-fault log of the node's injector (nil when no
-// fault plan was armed).
-func (n *Node) FaultLog() []faults.Event {
-	if n.injector == nil {
-		return nil
-	}
-	return n.injector.Log()
-}
-
 // The reorder-loss watchdog's window and the share of a window's
 // dispatches that timeout releases must reach to trip it.
 const (
@@ -348,7 +327,7 @@ func (pr *PodRuntime) EnableAutoFallback() {
 	lastTO, lastDisp := s.TimeoutReleases, s.Dispatched
 	var tick func()
 	tick = func() {
-		if pr.mode != pod.ModePLB || pr.state == podStopped {
+		if pr.mode != pod.ModePLB {
 			return
 		}
 		s := pr.PLB.Stats()
@@ -363,52 +342,4 @@ func (pr *PodRuntime) EnableAutoFallback() {
 		pr.node.Engine.After(autoFallbackEvery, tick)
 	}
 	pr.node.Engine.After(autoFallbackEvery, tick)
-}
-
-// stopDrainCap bounds how much virtual time Stop will spend draining
-// before discarding stragglers.
-const stopDrainCap = 100 * sim.Millisecond
-
-// Stop drains the pod and releases its server resources (cores, VFs,
-// reorder queues), after which AddPod can reuse the freed capacity. It
-// advances virtual time until in-flight packets complete (capped at
-// 100ms), then discards any stragglers. Stop is terminal: the pod never
-// processes traffic again, and a second Stop returns ErrClosed. The
-// runtime stays in Node.Pods() (stopped) so pod indices remain stable.
-func (pr *PodRuntime) Stop() error {
-	if pr.state == podStopped {
-		return fmt.Errorf("core: pod %q already stopped: %w", pr.Pod.Spec.Name, errs.Closed)
-	}
-	n := pr.node
-	pr.state = podDraining
-	pr.redirect = n.siblingOf(pr)
-	n.refreshBackendPool()
-	deadline := n.Engine.Now().Add(stopDrainCap)
-	for pr.live > 0 && n.Engine.Now() < deadline {
-		n.Engine.RunFor(100 * sim.Microsecond)
-	}
-	pr.failCores(0, len(pr.Cores)) // discard stragglers
-	if pr.PLB != nil {
-		pr.PLB.Flush(pr.onLost)
-	}
-	pr.state = podStopped
-	pr.redirect = nil
-	return n.Server.Remove(pr.Pod)
-}
-
-// Close stops every pod (draining each) and closes the node: AddPod and a
-// second Close return ErrClosed. The engine remains usable for reading
-// state, but no new work should be scheduled.
-func (n *Node) Close() error {
-	if n.closed {
-		return fmt.Errorf("core: node: %w", errs.Closed)
-	}
-	n.closed = true
-	var errAll error
-	for _, pr := range n.pods {
-		if pr.state != podStopped {
-			errAll = errors.Join(errAll, pr.Stop())
-		}
-	}
-	return errAll
 }

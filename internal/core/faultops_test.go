@@ -37,6 +37,17 @@ func upCores(pr *PodRuntime) int {
 	return up
 }
 
+// armPlan fires plan at a lone node through its faults.Target side, the
+// way a cluster hands a member its pod-level faults.
+func armPlan(t testing.TB, n *Node, plan *faults.Plan) *faults.Injector {
+	t.Helper()
+	inj, err := faults.NewInjector(n.Engine, n, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
 // faultBursts are the dispatch batch sizes the stall-then-fail tests run
 // under with identical expectations.
 var faultBursts = []int{1, 8}
@@ -433,53 +444,61 @@ func TestBGPFlapLoneNodeCycle(t *testing.T) {
 	}
 }
 
-func TestStopAndCloseLifecycle(t *testing.T) {
-	n := smallNode(t, nil)
-	wf, sf := wflows(500, 1)
-	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
+// A packet lost anywhere is counted where it died and returns its context:
+// at the pod-lifecycle gate (a crashed pod with no sibling), at the uplink
+// gate (the BFD blackhole window), and inside the path (a core failure
+// discards its queue).
+func TestLossCountedWhereDataDies(t *testing.T) {
+	t.Run("crashed-pod", func(t *testing.T) {
+		n := smallNode(t, nil)
+		wf, sf := wflows(100, 1)
+		pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
+		if err := n.InjectPodCrash(0, false, sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		pr.Inject(wf[0], 256)
+		if pr.CrashDrops != 1 || pr.Rx != 0 || pr.live != 0 {
+			t.Fatalf("packet to a crashed pod: crash drops %d, rx %d, live %d", pr.CrashDrops, pr.Rx, pr.live)
+		}
+	})
 
-	src := &workload.Source{Flows: wf, Rate: workload.ConstantRate(1e6), Seed: 2, Sink: pr.Sink()}
-	if err := src.Start(n.Engine); err != nil {
-		t.Fatal(err)
-	}
-	n.RunFor(5 * sim.Millisecond)
-	src.Stop()
+	t.Run("blackhole", func(t *testing.T) {
+		n := smallNode(t, nil)
+		wf, sf := wflows(100, 1)
+		pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
+		n.EnableUplink()
+		if err := n.InjectBGPFlap(500 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		n.RunFor(10 * sim.Millisecond) // link down, route still advertised
+		pr.Inject(wf[0], 256)
+		if n.Blackholed != 1 || pr.Rx != 0 || pr.live != 0 {
+			t.Fatalf("packet in the BFD window: blackholed %d, rx %d, live %d", n.Blackholed, pr.Rx, pr.live)
+		}
+	})
 
-	if err := pr.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if !(pr.state == podStopped) || pr.live != 0 {
-		t.Fatalf("state=%s live=%d after Stop", pr.State(), pr.live)
-	}
-	checkLedger(t, pr)
-	if err := pr.Stop(); !errors.Is(err, errs.Closed) {
-		t.Fatalf("second Stop = %v, want errs.Closed", err)
-	}
-	// Stopped pod drops (no sibling).
-	pr.Inject(wf[0], 100)
-	if pr.CrashDrops != 1 {
-		t.Fatalf("CrashDrops = %d after injecting into stopped pod", pr.CrashDrops)
-	}
-
-	// The freed capacity is reusable.
-	pr2 := addPod(t, n, pod.ModePLB, 4, sf, func(c *PodConfig) { c.Spec.Name = "gw2" })
-	if pr2.state == podStopped {
-		t.Fatal("fresh pod not active")
-	}
-
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !(pr2.state == podStopped) {
-		t.Fatal("Close did not stop remaining pods")
-	}
-	checkLedger(t, pr2)
-	if err := n.Close(); !errors.Is(err, errs.Closed) {
-		t.Fatalf("second Close = %v, want errs.Closed", err)
-	}
-	if _, err := n.AddPod(PodConfig{}); !errors.Is(err, errs.Closed) {
-		t.Fatalf("AddPod after Close = %v, want errs.Closed", err)
-	}
+	t.Run("core-fail", func(t *testing.T) {
+		n := smallNode(t, nil)
+		wf, sf := wflows(1000, 40)
+		pr := addPod(t, n, pod.ModeRSS, 1, sf, nil)
+		for i := 0; i < 200; i++ {
+			pr.Inject(wf[i], 256)
+		}
+		n.Engine.At(sim.Time(10*sim.Microsecond), func() { pr.Inject(wf[0], 256) })
+		n.Engine.At(sim.Time(20*sim.Microsecond), func() {
+			if err := n.InjectCoreFail(0, 0, 0); err != nil {
+				t.Error(err)
+			}
+		})
+		n.RunFor(sim.Millisecond)
+		if pr.FaultLost == 0 {
+			t.Fatal("core failure lost no packets")
+		}
+		if pr.live != 0 {
+			t.Fatalf("%d contexts live after the core failed", pr.live)
+		}
+		assertStageConservation(t, pr)
+	})
 }
 
 // TestFaultPlanDeterminism runs the same fault-laden scenario twice and
@@ -494,13 +513,13 @@ func TestFaultPlanDeterminism(t *testing.T) {
 			faults.Fault{Kind: faults.KindRxLoss, At: 30 * sim.Millisecond, Core: 2, Factor: 0.3, Duration: 5 * sim.Millisecond})
 		plan.BGPFlap(40*sim.Millisecond, 300*sim.Millisecond)
 		n, err := NewNode(NodeConfig{
-			Seed:   7,
-			Cache:  cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
-			Faults: plan,
+			Seed:  7,
+			Cache: cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		inj := armPlan(t, n, plan)
 		n.EnableUplink()
 		wf, sf := wflows(1000, 3)
 		pr, err := n.AddPod(PodConfig{
@@ -519,7 +538,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 		src.Stop()
 		n.RunFor(5 * sim.Millisecond)
 		checkLedger(t, pr)
-		return pr.Tx, pr.FaultLost, pr.RxLost, n.Blackholed, len(n.FaultLog())
+		return pr.Tx, pr.FaultLost, pr.RxLost, n.Blackholed, len(inj.Log())
 	}
 	tx1, fl1, rx1, bh1, ev1 := run()
 	tx2, fl2, rx2, bh2, ev2 := run()
@@ -534,8 +553,7 @@ func TestFaultPlanDeterminism(t *testing.T) {
 
 // InjectFault is the node's one fault entry: every pod-level kind reaches
 // the Inject* method of its kind with the fault's fields, pod-drain as the
-// graceful crash, and a node-level kind is rejected — at fire time, and
-// before any fault is armed when NewNode sees one in its plan.
+// graceful crash, and a node-level kind is rejected.
 func TestInjectFaultRoutesEveryKind(t *testing.T) {
 	n := smallNode(t, nil)
 	_, sf := wflows(100, 1)
@@ -588,14 +606,6 @@ func TestInjectFaultRoutesEveryKind(t *testing.T) {
 	for _, k := range []faults.Kind{faults.KindNodeCrash, faults.KindNodeDrain, faults.KindUplinkWithdraw} {
 		if err := n.InjectFault(faults.Fault{Kind: k, Duration: ms}); !errors.Is(err, errs.BadConfig) {
 			t.Fatalf("%v on a node = %v, want BadConfig", k, err)
-		}
-		eng := sim.NewEngine()
-		_, err := NewNode(NodeConfig{Engine: eng, Faults: &faults.Plan{Faults: []faults.Fault{{Kind: k, Duration: ms}}}})
-		if !errors.Is(err, errs.BadConfig) {
-			t.Fatalf("NewNode with a %v plan = %v, want BadConfig", k, err)
-		}
-		if eng.Pending() != 0 {
-			t.Fatalf("NewNode armed %d events before rejecting a %v plan", eng.Pending(), k)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"albatross/internal/cachesim"
+	"albatross/internal/packet"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
 	"albatross/internal/stats"
@@ -51,11 +52,13 @@ const ledgerSpan = 10 * sim.Millisecond
 
 // runLedgerProgram runs one seeded fault program over a node with a PLB pod
 // and an RSS pod, each fed its own traffic for ledgerSpan, then drains it.
-// The program draws three to six faults at random instants: core stalls
-// and failures, graceful and abrupt pod crashes, RX loss, reorder stress
-// and FallbackToRSS on the PLB pod, and at most one Stop. A fault aimed at
-// a pod in the wrong state (crashing a crashed pod) is refused, as it
-// would be in any run.
+// A seeded share of the flows is ICMP, so RSS-class packets ride the PLB
+// pod's path beside its sprayed traffic. The program draws three to six
+// faults at random instants: core stalls and failures, graceful and abrupt
+// pod crashes, RX loss, reorder stress and FallbackToRSS on the PLB pod,
+// and graceful crashes that take a pod out of service for the rest of the
+// run. A fault aimed at a pod in the wrong state (crashing a crashed pod)
+// is refused, as it would be in any run.
 func runLedgerProgram(t *testing.T, seed uint64, split bool) []*PodRuntime {
 	r := sim.NewRand(seed)
 	n, err := NewNode(NodeConfig{
@@ -67,6 +70,13 @@ func runLedgerProgram(t *testing.T, seed uint64, split bool) []*PodRuntime {
 		t.Fatal(err)
 	}
 	wf := workload.GenerateFlows(1000, 100, seed)
+	icmp := sim.NewRand(seed ^ 0x1C3F)
+	share := 0.05 + 0.25*icmp.Float64()
+	for i := range wf {
+		if icmp.Float64() < share {
+			wf[i].Tuple.Proto = packet.IPProtocolICMP
+		}
+	}
 	sf := workload.ServiceFlows(wf, 0.02)
 	bytes := []int{256, 1500, 8500}[r.Intn(3)]
 	var pods []*PodRuntime
@@ -87,7 +97,6 @@ func runLedgerProgram(t *testing.T, seed uint64, split bool) []*PodRuntime {
 		}
 		srcs = append(srcs, src)
 	}
-	stopAt, stopPod := sim.TimeMax, 0
 	for k := 3 + r.Intn(4); k > 0; k-- {
 		at := sim.Time(r.Intn(int(ledgerSpan)))
 		p, core := r.Intn(len(pods)), r.Intn(4)
@@ -111,18 +120,10 @@ func runLedgerProgram(t *testing.T, seed uint64, split bool) []*PodRuntime {
 		case 6:
 			fault = func() error { pods[0].FallbackToRSS(); return nil }
 		default:
-			// Stop drains in virtual time itself, so it runs between
-			// engine runs, not from an event.
-			stopAt, stopPod = min(stopAt, at), p
-			continue
+			// Out of service: the replacement comes long after the drain.
+			fault = func() error { return n.InjectPodCrash(p, true, 10*sim.Second) }
 		}
 		n.Engine.At(at, func() { _ = fault() })
-	}
-	if stopAt < sim.TimeMax {
-		n.Engine.RunUntil(stopAt)
-		if err := pods[stopPod].Stop(); err != nil {
-			t.Fatal(err)
-		}
 	}
 	n.Engine.RunUntil(sim.Time(ledgerSpan))
 	for _, src := range srcs {

@@ -139,16 +139,12 @@ func (pr *PodRuntime) Stages() []stats.StageCounter { return pr.pipe.counters[:]
 // (index with the same positions as Stages; labels via StageNames).
 func (pr *PodRuntime) StageResidency() []*stats.Histogram { return pr.pipe.resid[:] }
 
-// classify runs pkt_dir classification; a telemetry probe is RSS class
-// whatever its flow. Priority packets (BFD, BGP) exit here: they skip
-// overload protection and the data path, riding the priority queues to the
-// ctrl cores. It reports whether ctx continues.
+// classify runs pkt_dir classification. Priority packets (BFD, BGP) exit
+// here: they skip overload protection and the data path, riding the
+// priority queues to the ctrl cores. It reports whether ctx continues.
 func (pr *PodRuntime) classify(ctx *pktCtx, now sim.Time) bool {
 	pr.pipe.enter(ctx, stageClassify, now)
-	class := nicsim.ClassRSS
-	if ctx.probe == nil {
-		class, _ = pr.Classifier.ClassifyFlow(ctx.flow.Tuple)
-	}
+	class, _ := pr.Classifier.ClassifyFlow(ctx.flow.Tuple)
 	ctx.class = class
 	if class == nicsim.ClassPriority {
 		pr.PriorityRx++

@@ -7,6 +7,8 @@ import (
 	"albatross/internal/cachesim"
 	"albatross/internal/cpu"
 	"albatross/internal/faults"
+	"albatross/internal/nicsim"
+	"albatross/internal/packet"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
 	"albatross/internal/stats"
@@ -101,14 +103,14 @@ func stageConservationUnderFaults(t *testing.T, burst int) {
 		CoreStall(10*sim.Millisecond, 0, 2, 100, 5*sim.Millisecond).
 		CoreFail(11*sim.Millisecond, 0, 2, 10*sim.Millisecond)
 	n, err := NewNode(NodeConfig{
-		Seed:   1,
-		Cache:  cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
-		Faults: plan,
-		Burst:  burst,
+		Seed:  1,
+		Cache: cachesim.Config{SizeBytes: 4 << 20, Ways: 16, LineBytes: 64},
+		Burst: burst,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	armPlan(t, n, plan)
 	wf := workload.GenerateFlows(2000, 100, 1)
 	sf := workload.ServiceFlows(wf, 0.02) // some ACL denials → cpu-stage drops
 	pr := addPod(t, n, pod.ModePLB, 4, sf, nil)
@@ -173,6 +175,40 @@ func TestWidePodDrains(t *testing.T) {
 	runStageTraffic(t, n, pr, wf, 5*sim.Millisecond)
 	if pr.Tx == 0 || pr.Tx != pr.Rx {
 		t.Fatalf("tx=%d rx=%d", pr.Tx, pr.Rx)
+	}
+	assertStageConservation(t, pr)
+}
+
+// pkt_dir's RSS class holds in a PLB pod: an ICMP health check keeps its
+// flow's core, never reaches the spray or the reorder engine, and leaves
+// through the RSS egress pipeline.
+func TestRSSClassSkipsSprayInPLBPod(t *testing.T) {
+	n := smallNode(t, nil)
+	wf := workload.GenerateFlows(100, 10, 7)
+	wf[0].Tuple.Proto = packet.IPProtocolICMP
+	pr := addPod(t, n, pod.ModePLB, 4, workload.ServiceFlows(wf, 0), nil)
+	icmp := wf[0]
+	const sent = 20
+	for i := 0; i < sent; i++ {
+		n.Engine.At(sim.Time(i)*sim.Time(50*sim.Microsecond), func() { pr.Inject(icmp, 256) })
+	}
+	n.RunFor(2 * sim.Millisecond)
+
+	if pr.Tx != sent {
+		t.Fatalf("tx = %d, want %d", pr.Tx, sent)
+	}
+	if d := pr.PLB.Stats().Dispatched; d != 0 {
+		t.Fatalf("PLB dispatched %d RSS-class packets", d)
+	}
+	home := pr.RSS.Queue(icmp.Tuple)
+	for i, c := range pr.Cores {
+		if busy := c.BusyTime() > 0; busy != (i == home) {
+			t.Fatalf("core %d busy = %v; every packet belongs on core %d", i, busy, home)
+		}
+	}
+	egress := pr.StageResidency()[stageEgress]
+	if want := int64(nicLatency.EgressLatency(nicsim.ClassRSS)); egress.Min() != want || egress.Max() != want {
+		t.Fatalf("egress residency [%d, %d] ns, want the RSS class's %d", egress.Min(), egress.Max(), want)
 	}
 	assertStageConservation(t, pr)
 }

@@ -8,7 +8,6 @@ import (
 	"albatross/internal/nicsim"
 	"albatross/internal/pod"
 	"albatross/internal/sim"
-	"albatross/internal/stats"
 	"albatross/internal/workload"
 )
 
@@ -26,10 +25,10 @@ func assertResidencyCounts(t *testing.T, pr *PodRuntime) {
 }
 
 // TestCPULatencyIsTheCPUStage holds the Fig. 11 instrument to the pipeline:
-// PodRuntime.CPULatency is the CPU stage's residency histogram itself, at
-// the latency histograms' 256 sub-buckets, and it holds one sample per
-// packet that left the stage — each admission the core refused (as zero)
-// included — so nothing records into it a second time. The export carries
+// PodRuntime.CPULatency is the CPU stage's residency histogram itself, and
+// it holds one sample per packet that left the stage — each admission the
+// core refused (as zero) included — so nothing records into it a second
+// time. The export carries
 // it once, as the CPU stage's residency.
 func TestCPULatencyIsTheCPUStage(t *testing.T) {
 	n := smallNode(t, nil)
@@ -38,9 +37,6 @@ func TestCPULatencyIsTheCPUStage(t *testing.T) {
 	cpuResid := pr.StageResidency()[stageCPU]
 	if pr.CPULatency != cpuResid {
 		t.Fatal("CPULatency is not the CPU stage's residency histogram")
-	}
-	if got, want := cpuResid.RelativeError(), stats.NewLatencyHistogram().RelativeError(); got != want {
-		t.Fatalf("CPU stage residency relative error %g, want the latency histograms' %g", got, want)
 	}
 	for _, f := range wf[:8] { // eight at one instant onto one core of depth 2
 		pr.Inject(f, 256)

@@ -18,10 +18,6 @@ var (
 	// NAT bindings, ...) cannot satisfy an allocation.
 	Exhausted = errors.New("resources exhausted")
 
-	// Closed reports an operation on a node or pod whose lifecycle has
-	// ended (Node.Close / PodRuntime.Stop).
-	Closed = errors.New("closed")
-
 	// BadState reports an operation that is not legal in the component's
 	// current lifecycle state (e.g. restarting a pod that never crashed).
 	BadState = errors.New("invalid state for operation")

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,37 +129,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripsAndSorts(t *testing.T) {
-	raw, err := buildRegistry().Snapshot().JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Families []struct {
-			Name   string `json:"name"`
-			Kind   string `json:"kind"`
-			Series []struct {
-				Labels []map[string]string `json:"labels"`
-			} `json:"series"`
-		} `json:"families"`
-	}
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, raw)
-	}
-	var names []string
-	for _, f := range decoded.Families {
-		names = append(names, f.Name)
-	}
-	if strings.Join(names, ",") != "alpha_ratio,mid_latency_ns,zeta_total" {
-		t.Fatalf("families out of order: %v", names)
-	}
-	// Histogram labels sort by key: "a" before "z".
-	hist := decoded.Families[1]
-	if hist.Series[0].Labels[0]["key"] != "a" {
-		t.Fatalf("labels not sorted: %v", hist.Series[0].Labels)
-	}
-}
-
 func TestExportDeterministic(t *testing.T) {
 	// Two registries built identically must export byte-identically (the
 	// registry uses maps internally; export must not leak their order).
@@ -168,11 +136,6 @@ func TestExportDeterministic(t *testing.T) {
 		a, b := buildRegistry().Snapshot(), buildRegistry().Snapshot()
 		if a.Prometheus() != b.Prometheus() {
 			t.Fatal("Prometheus output differs between identical registries")
-		}
-		aj, _ := a.JSON()
-		bj, _ := b.JSON()
-		if string(aj) != string(bj) {
-			t.Fatal("JSON output differs between identical registries")
 		}
 	}
 }

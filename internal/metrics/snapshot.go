@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"hash"
 	"hash/fnv"
 	"io"
@@ -14,15 +13,15 @@ import (
 
 // HistValue is a histogram series' exported summary.
 type HistValue struct {
-	Count uint64  `json:"count"`
-	Sum   int64   `json:"sum"`
-	Min   int64   `json:"min"`
-	Max   int64   `json:"max"`
-	P50   int64   `json:"p50"`
-	P90   int64   `json:"p90"`
-	P99   int64   `json:"p99"`
-	P999  int64   `json:"p999"`
-	Mean  float64 `json:"mean"`
+	Count uint64
+	Sum   int64
+	Min   int64
+	Max   int64
+	P50   int64
+	P90   int64
+	P99   int64
+	P999  int64
+	Mean  float64
 }
 
 func histValue(h *stats.Histogram) HistValue {
@@ -36,22 +35,22 @@ func histValue(h *stats.Histogram) HistValue {
 
 // SeriesValue is one series' frozen state.
 type SeriesValue struct {
-	Labels []Label    `json:"labels,omitempty"`
-	Value  float64    `json:"value,omitempty"`
-	Hist   *HistValue `json:"hist,omitempty"`
+	Labels []Label
+	Value  float64
+	Hist   *HistValue
 }
 
 // FamilyValue is one metric family's frozen state.
 type FamilyValue struct {
-	Name   string        `json:"name"`
-	Help   string        `json:"help"`
-	Kind   string        `json:"kind"`
-	Series []SeriesValue `json:"series"`
+	Name   string
+	Help   string
+	Kind   string
+	Series []SeriesValue
 }
 
 // Snapshot is a registry frozen at one instant, fully ordered.
 type Snapshot struct {
-	Families []FamilyValue `json:"families"`
+	Families []FamilyValue
 }
 
 // Snapshot reads every registered series and returns a frozen, ordered
@@ -230,12 +229,6 @@ func (s *Snapshot) Prometheus() string {
 	return b.String()
 }
 
-// JSON renders the snapshot as indented JSON. Families and series keep
-// their snapshot order; label arrays are pre-sorted by key.
-func (s *Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
-}
-
 // Find returns the value of the single series of family name whose labels
 // include every given pair, and whether exactly one matched — a test and
 // report helper, not a query language.
@@ -255,14 +248,4 @@ func (s *Snapshot) Find(name string, labels ...Label) (SeriesValue, bool) {
 		}
 	}
 	return hit, found == 1
-}
-
-// MarshalJSON renders labels as an ordered {"key":"value"} object (arrays
-// stay deterministic because labels are pre-sorted by key).
-func (l Label) MarshalJSON() ([]byte, error) {
-	type kv struct {
-		Key   string `json:"key"`
-		Value string `json:"value"`
-	}
-	return json.Marshal(kv{l.Key, l.Value})
 }

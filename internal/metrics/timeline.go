@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -19,7 +18,7 @@ import (
 // simulation is quiescent at exactly the tick time (the cluster layer
 // slices RunUntil at tick boundaries, which under ShardedEngine forces an
 // epoch barrier at every tick). Under that discipline two runs of the same
-// seed produce byte-identical CSV/JSON exports at any shard count and any
+// seed produce byte-identical CSV exports at any shard count and any
 // dispatch burst size, which the series-* rows of `make check` enforce.
 type Timeline struct {
 	every    sim.Duration
@@ -253,39 +252,6 @@ func (tl *Timeline) writeCSV(w io.Writer) error {
 		row()
 	}
 	return err
-}
-
-// timelineJSON is the JSON export shape.
-type timelineJSON struct {
-	EveryMS float64              `json:"every_ms"`
-	TicksMS []float64            `json:"ticks_ms"`
-	Series  []timelineSeriesJSON `json:"series"`
-}
-
-type timelineSeriesJSON struct {
-	Key    string    `json:"key"`
-	Values []float64 `json:"values"`
-}
-
-// JSON renders the timeline as indented JSON: the tick axis in virtual
-// milliseconds plus every column in export order.
-func (tl *Timeline) JSON() ([]byte, error) {
-	out := timelineJSON{
-		EveryMS: float64(tl.every) / 1e6,
-		TicksMS: make([]float64, len(tl.ticks)),
-		Series:  make([]timelineSeriesJSON, len(tl.cols)),
-	}
-	for i, t := range tl.ticks {
-		out.TicksMS[i] = float64(t) / 1e6
-	}
-	for i, c := range tl.cols {
-		vals := c.vals
-		if vals == nil {
-			vals = []float64{}
-		}
-		out.Series[i] = timelineSeriesJSON{Key: c.key, Values: vals}
-	}
-	return json.MarshalIndent(out, "", "  ")
 }
 
 // Checksum returns the FNV-64a hash and length of the CSV export, streamed

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"hash/fnv"
 	"strings"
 	"testing"
@@ -103,7 +102,7 @@ func TestTimelineRatioColumn(t *testing.T) {
 	}
 }
 
-func TestTimelineCSVAndJSON(t *testing.T) {
+func TestTimelineCSV(t *testing.T) {
 	tl, count, _, h := buildTimelineFixture()
 	tl.Start(0)
 	*count = 7
@@ -125,28 +124,6 @@ func TestTimelineCSVAndJSON(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], ",7,") && !strings.HasSuffix(lines[1], ",7") {
 		t.Fatalf("counter delta 7 missing from row: %s", lines[1])
-	}
-
-	blob, err := tl.JSON()
-	if err != nil {
-		t.Fatalf("JSON: %v", err)
-	}
-	var decoded struct {
-		EveryMS float64   `json:"every_ms"`
-		TicksMS []float64 `json:"ticks_ms"`
-		Series  []struct {
-			Key    string    `json:"key"`
-			Values []float64 `json:"values"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatalf("JSON round-trip: %v", err)
-	}
-	if decoded.EveryMS != 10 || len(decoded.TicksMS) != 1 || decoded.TicksMS[0] != 10 {
-		t.Fatalf("JSON axis wrong: every=%v ticks=%v", decoded.EveryMS, decoded.TicksMS)
-	}
-	if len(decoded.Series) != len(tl.Keys()) {
-		t.Fatalf("JSON series count %d != %d", len(decoded.Series), len(tl.Keys()))
 	}
 
 	sum1, n1 := tl.Checksum()

@@ -125,7 +125,6 @@ func DefaultServerConfig() ServerConfig {
 // Server tracks pod placement on one Albatross machine.
 type Server struct {
 	cfg       ServerConfig
-	pods      []*Pod
 	nextPodID uint16
 	// coreUsed marks allocated host cores.
 	coreUsed []bool
@@ -266,34 +265,7 @@ func (s *Server) Place(spec Spec, now sim.Time) (*Pod, error) {
 		ReadyAt:       now.Add(StartupTime),
 	}
 	s.nextPodID++
-	s.pods = append(s.pods, p)
 	return p, nil
-}
-
-// Remove tears down a pod and frees its resources.
-func (s *Server) Remove(p *Pod) error {
-	idx := -1
-	for i, q := range s.pods {
-		if q == p {
-			idx = i
-			break
-		}
-	}
-	if idx == -1 {
-		return fmt.Errorf("pod %s: not on this server: %w", p.Spec.Name, errs.BadState)
-	}
-	for _, id := range p.CoreIDs {
-		s.coreUsed[id] = false
-	}
-	for _, id := range p.CtrlCoreIDs {
-		s.coreUsed[id] = false
-	}
-	for _, vf := range p.VFs {
-		s.vfUsed[vf.NIC]--
-	}
-	s.ordqUsed -= p.ReorderQueues
-	s.pods = append(s.pods[:idx], s.pods[idx+1:]...)
-	return nil
 }
 
 // CostModel captures Fig. 15's economics: the gateway cluster types per

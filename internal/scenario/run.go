@@ -635,13 +635,6 @@ func (s *Scenario) writeArtifacts(st *runState, rec *trace.Trace) error {
 		if err := writePrometheus(o.MetricsOut+".prom", reg); err != nil {
 			return err
 		}
-		j, err := reg.Snapshot().JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.MetricsOut+".json", j, 0o644); err != nil {
-			return err
-		}
 	}
 	if o.OutcomeOut != "" {
 		if err := os.WriteFile(o.OutcomeOut, []byte(st.cl.Outcome()), 0o644); err != nil {
@@ -664,13 +657,6 @@ func (s *Scenario) writeArtifacts(st *runState, rec *trace.Trace) error {
 			return fmt.Errorf("scenario %s: series_out set but no timeline was sampled", s.Name)
 		}
 		if err := os.WriteFile(o.SeriesOut+".csv", []byte(tl.CSV()), 0o644); err != nil {
-			return err
-		}
-		j, err := tl.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.SeriesOut+".json", j, 0o644); err != nil {
 			return err
 		}
 	}

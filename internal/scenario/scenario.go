@@ -174,7 +174,7 @@ type Event struct {
 type Observability struct {
 	// Report appends the full cluster report to the run output.
 	Report bool
-	// MetricsOut writes PREFIX.prom and PREFIX.json metrics snapshots.
+	// MetricsOut writes the metrics snapshot to PREFIX.prom.
 	MetricsOut string
 	// OutcomeOut writes the per-node outcome report (the replay-diff
 	// artifact).
@@ -188,8 +188,8 @@ type Observability struct {
 	// time (0 = sampling off). Ticks align to epoch boundaries under the
 	// sharded engine, so the series are byte-identical at any shard count.
 	SnapshotEvery sim.Duration
-	// SeriesOut writes the sampled timeline to PREFIX.csv and PREFIX.json
-	// (requires snapshot_every).
+	// SeriesOut writes the sampled timeline to PREFIX.csv (requires
+	// snapshot_every).
 	SeriesOut string
 }
 

@@ -133,9 +133,6 @@ func TestSeriesOutWritesExports(t *testing.T) {
 	if !strings.HasPrefix(string(csv), "t_ms,") || !strings.Contains(string(csv), "availability") {
 		t.Fatalf("series CSV malformed:\n%s", string(csv)[:120])
 	}
-	if _, err := os.ReadFile(prefix + ".json"); err != nil {
-		t.Fatalf("series JSON not written: %v", err)
-	}
 
 	// Repeat run: the exported files are byte-identical.
 	prefix2 := filepath.Join(dir, "series2")

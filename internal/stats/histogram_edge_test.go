@@ -15,9 +15,6 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 			t.Fatalf("empty histogram Quantile(%v) = %d, want 0", q, v)
 		}
 	}
-	if h.RelativeError() != 1.0/16 {
-		t.Fatalf("RelativeError = %v, want 1/16", h.RelativeError())
-	}
 	if h.subBits != 4 {
 		t.Fatalf("SubBits = %d, want 4", h.subBits)
 	}

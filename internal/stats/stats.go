@@ -190,10 +190,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 }
 
-// RelativeError returns the worst-case relative quantization error of a
-// recorded value: 1/2^subBits.
-func (h *Histogram) RelativeError() float64 { return 1 / float64(uint64(1)<<h.subBits) }
-
 // Count returns the number of recorded values.
 func (h *Histogram) Count() uint64 { return h.count }
 

@@ -3,7 +3,7 @@
 // drills. A Recorder wraps any workload sink and captures the exact
 // injection schedule (virtual timestamp, flow key, VNI, size, node/pod
 // target); the Trace serializes to a compact versioned binary artifact
-// with an embedded (and sidecar) JSON header; a Replayer drives any sink
+// with an embedded JSON header; a Replayer drives any sink
 // — typically a whole cluster ingress — from the saved schedule with the
 // same one-ahead event insertion discipline a live Source uses; Diff
 // compares the keyed outcome reports of two replays line by line.
@@ -14,7 +14,7 @@
 //	[4:6)   format version (currently 1)
 //	[6:8)   reserved, zero
 //	[8:12)  JSON header length H
-//	[12:12+H) JSON header (the same document the .json sidecar holds)
+//	[12:12+H) JSON header
 //	[..+8)  record count N
 //	[..+8)  FNV-1a 64 checksum of the N*32 record bytes
 //	[..N*32) fixed 32-byte records
@@ -57,8 +57,8 @@ const (
 // (errors.Is(err, albatross.ErrBadConfig)) holds for trace input too.
 var ErrBadTrace = fmt.Errorf("trace: malformed trace: %w", errs.BadConfig)
 
-// Header is the human-readable trace metadata. It is embedded in the
-// binary artifact and duplicated into a ".json" sidecar by WriteFile.
+// Header is the human-readable trace metadata, embedded in the binary
+// artifact.
 type Header struct {
 	// Version mirrors the binary format version.
 	Version int `json:"version"`
@@ -299,8 +299,7 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// WriteFile saves the binary artifact at path and its JSON header as a
-// human-readable sidecar at path+".json".
+// WriteFile saves the binary artifact at path.
 func (t *Trace) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -310,14 +309,7 @@ func (t *Trace) WriteFile(path string) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	sidecar, err := json.MarshalIndent(&t.Header, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding sidecar: %w", err)
-	}
-	return os.WriteFile(path+".json", append(sidecar, '\n'), 0o644)
+	return f.Close()
 }
 
 // ReadFile loads a trace artifact saved by WriteFile.

@@ -20,9 +20,6 @@ var (
 	// ErrPodExhausted reports that a resource pool (cores, VFs, reorder
 	// queues, NAT bindings, ...) cannot satisfy an allocation.
 	ErrPodExhausted = errs.Exhausted
-	// ErrClosed reports an operation on a Node or PodRuntime whose
-	// lifecycle has ended (Node.Close / PodRuntime.Stop).
-	ErrClosed = errs.Closed
 	// ErrBadState reports an operation that is not legal in the
 	// component's current lifecycle state.
 	ErrBadState = errs.BadState
@@ -39,6 +36,9 @@ type Config struct {
 	// Nodes is the deployment width: 1 = a single Node (New), >1 = a
 	// multi-node Cluster behind consistent-hash ECMP (NewCluster).
 	Nodes int
+	// Faults is a deterministic fault schedule armed by NewCluster at
+	// cluster level. See WithFaultPlan.
+	Faults *FaultPlan
 	// Shards is the number of workers that advance a cluster's members,
 	// each on its own engine, at every epoch barrier: 0 = auto
 	// (min(GOMAXPROCS, Nodes)), k ≥ 1 = k workers. Outcomes are
@@ -74,12 +74,13 @@ func WithLimiter(lc LimiterConfig) Option {
 	return func(c *Config) { c.Node.Limiter = &lc }
 }
 
-// WithFaultPlan arms a deterministic fault-injection schedule; fault times
-// are relative to creation. With NewCluster the plan is cluster-level and
-// may include node-granularity kinds (FaultNodeCrash, FaultNodeDrain,
-// FaultUplinkWithdraw). See FaultPlan.
+// WithFaultPlan arms a deterministic fault-injection schedule on a
+// NewCluster deployment; fault times are relative to creation. The plan is
+// cluster-level and may mix node-granularity kinds (FaultNodeCrash,
+// FaultNodeDrain, FaultUplinkWithdraw) with pod-level ones; New rejects
+// it. See FaultPlan.
 func WithFaultPlan(p *FaultPlan) Option {
-	return func(c *Config) { c.Node.Faults = p }
+	return func(c *Config) { c.Faults = p }
 }
 
 // WithNodes sets the deployment width to n gateway servers. New accepts
@@ -150,6 +151,9 @@ func New(opts ...Option) (*Node, error) {
 		return nil, fmt.Errorf("albatross: New builds one server; use NewCluster for %d nodes: %w",
 			cfg.Nodes, errs.BadConfig)
 	}
+	if cfg.Faults != nil {
+		return nil, fmt.Errorf("albatross: a fault plan is armed by NewCluster: %w", errs.BadConfig)
+	}
 	return core.NewNode(cfg.Node)
 }
 
@@ -162,13 +166,11 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 1
 	}
-	plan := cfg.Node.Faults
-	cfg.Node.Faults = nil
 	c, err := cluster.New(cluster.Config{
 		Nodes:         cfg.Nodes,
 		Seed:          cfg.Node.Seed,
 		Node:          cfg.Node,
-		Faults:        plan,
+		Faults:        cfg.Faults,
 		Shards:        cfg.Shards,
 		SnapshotEvery: cfg.SnapshotEvery,
 	})
@@ -184,12 +186,12 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 }
 
 // Fault-injection types (see internal/faults). A FaultPlan is built with
-// its chaining methods and armed via WithFaultPlan (or NodeConfig.Faults);
-// faults fire on virtual time, so runs are byte-identical across
-// repetitions at a fixed seed. The node's degradation responses — PLB
-// spray-mask eviction, tenant redirection to a sibling pod, automatic
-// RSS fallback, BGP proxy re-advertisement — are inspected through
-// Node.FaultLog, PodRuntime counters, and PLBStats.
+// its chaining methods and armed on a cluster via WithFaultPlan; faults
+// fire on virtual time, so runs are byte-identical across repetitions at a
+// fixed seed. The degradation responses — PLB spray-mask eviction, tenant
+// redirection to a sibling pod, automatic RSS fallback, re-ECMP to
+// surviving members — are inspected through Cluster.FaultLog, PodRuntime
+// counters, and PLBStats.
 type (
 	// FaultPlan is an ordered, deterministic fault schedule.
 	FaultPlan = faults.Plan
@@ -197,7 +199,7 @@ type (
 	FaultSpec = faults.Fault
 	// FaultKind identifies a fault type.
 	FaultKind = faults.Kind
-	// FaultEvent is one fired-fault log entry (Node.FaultLog).
+	// FaultEvent is one fired-fault log entry (Cluster.FaultLog).
 	FaultEvent = faults.Event
 )
 
